@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 perfbench/run.py --workload grid_snapshot --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload grid_snapshot --seed 1 --seconds 8 --trace 0
 
 Workloads: grid_snapshot, route_crosscheck, energy_budget, certify_mix
 (see workloads.py for what each one stresses and why).
@@ -10,8 +10,8 @@ Workloads: grid_snapshot, route_crosscheck, energy_budget, certify_mix
 The load is one closed-loop client in this process and thread: it runs
 one ``unipulse`` job after another through ``unipulse.cli.main(argv)``,
 each on a generated JSON config, and stops at the first round boundary
-(see workloads.py) after ``--seconds`` of timed latency.  Only the call
-to ``main`` is timed;
+(see workloads.py) after ``--seconds`` of timed latency and two rounds.
+Only the call to ``main`` is timed;
 writing configs, checking outputs against the independent references in
 reference.py, and hashing them happen between jobs, outside the timed
 regions.  After the loop, a seeded subset of jobs is re-run and must
@@ -20,9 +20,9 @@ through ``python -m unipulse.cli`` in subprocesses (untimed, not gated
 on time).
 
 ``--trace 0`` reports the end-to-end metrics.  ``--trace 1`` runs the
-same jobs twice, untraced for half of ``--seconds`` and then traced (see
-tracing.py), and reports per-layer metrics per job plus the tracing
-overhead.  The last line of stdout is one JSON object with the keys
+same jobs twice, untraced for half of ``--seconds`` (and two rounds),
+then traced (see tracing.py), and reports per-layer metrics per job plus
+the tracing overhead.  The last line of stdout is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``; the lines before
 it are a readable report.
 """
@@ -73,6 +73,7 @@ END_TO_END = (
     ("peak_rss_mb", "MB"),
 )
 SETUP_RUNS = 7
+MIN_ROUNDS = 2
 RERUN_SHARE = 0.05
 SUBPROCESS_TIMEOUT_S = 120.0
 SHIPPED_RERUNS = 2
@@ -174,13 +175,14 @@ class Runner:
 def closed_loop(runner: Runner, workload: str, seed: int, seconds: float,
                 setup: SetupSampler) -> list[dict]:
     """Run jobs back to back, whole rounds at a time, until their summed
-    latency reaches ``seconds``.  Stopping only at a round boundary keeps
-    the mix of job shapes the same in every run, which matters when a run
-    holds only a few expensive jobs."""
+    latency reaches ``seconds`` and at least MIN_ROUNDS rounds are done.
+    Stopping only at a round boundary keeps the mix of job shapes the same
+    in every run, and the floor keeps a slow machine from halving a run
+    that holds only a few expensive jobs."""
     stream = workloads.jobs(workload, seed)
     per_round = workloads.round_length(workload)
     records, timed = [], 0.0
-    while timed < seconds or len(records) % per_round:
+    while timed < seconds or len(records) % per_round or len(records) < MIN_ROUNDS * per_round:
         setup.keep_pace(timed / seconds)
         record = runner.run(next(stream))
         records.append(record)

@@ -76,15 +76,15 @@ def _waveform(kind: str, a: float, K: float = 0.0) -> str:
 # square of its length.
 _GRID_STRATA = (
     (("t",), 1000, "simple_pulse", None, "csv"),
-    (("rho", "z"), 24964, "quasi_spherical", "rational", "csv"),
-    (("x", "y"), 22500, "simple_pulse", None, "csv"),
-    (("z",), 20000, "quasi_spherical", "rational", "csv"),
-    (("x", "y", "z"), 13824, "quasi_spherical", "lekner", "csv"),
-    (("t", "z"), 19600, "simple_pulse", None, "binary"),
+    (("rho", "z"), 18769, "quasi_spherical", "rational", "csv"),
+    (("x", "y"), 16900, "simple_pulse", None, "csv"),
+    (("z",), 16000, "quasi_spherical", "rational", "csv"),
+    (("x", "y", "z"), 10648, "quasi_spherical", "lekner", "csv"),
+    (("t", "z"), 14641, "simple_pulse", None, "binary"),
     (("rho", "z"), 99856, "simple_pulse", None, "csv"),
-    (("rho",), 12000, "quasi_spherical", "lekner", "binary"),
-    (("t", "rho", "z"), 21952, "quasi_spherical", "rational", "csv"),
-    (("x",), 5000, "simple_pulse", None, "csv"),
+    (("rho",), 9000, "quasi_spherical", "lekner", "binary"),
+    (("t", "rho", "z"), 17576, "quasi_spherical", "rational", "csv"),
+    (("x",), 4000, "simple_pulse", None, "csv"),
 )
 _GRID_JITTER = 0.02
 
@@ -135,19 +135,18 @@ _ROUTE_STRATA = (
     ("rational", 1.0, 0.0, 1e-6, 2, 200_000),
     ("lekner", 0.9, 1.0, 1e-5, 1, 0),
     ("rational", 1.1, 0.0, 1e-7, 1, 0),
-    ("lekner", 1.0, 2.5, 1e-6, 2, 0),
+    ("lekner", 1.0, 2.5, 1e-6, 1, 0),
     ("lekner", 1.2, 0.5, 1e-7, 1, 250_000),
     ("rational", 0.8, 0.0, 1e-5, 3, 0),
     ("lekner", 1.0, 1.5, 1e-6, 1, 0),
-    ("lekner", 1.1, 3.0, 1e-5, 2, 0),
+    ("lekner", 1.1, 3.0, 1e-5, 1, 0),
 )
-# (t/tau, rho/b, z/b) of the 13 points of a round, spread over the box
+# (t/tau, rho/b, z/b) of the 11 points of a round, spread over the box
 # |t|, |z| <= 1.5 b, rho <= 1.5 b
 _ROUTE_POINTS = (
     (-1.0, 0.5, 0.2), (0.5, 0.4, 0.3), (1.2, 1.3, -0.8), (-0.3, 0.9, 1.2),
-    (0.0, 0.1, -1.3), (1.4, 0.7, 0.6), (-1.4, 1.4, -0.2), (0.8, 0.2, -1.0),
-    (-0.7, 1.1, 0.9), (0.3, 0.6, -0.5), (-1.2, 0.3, 1.4), (1.0, 1.0, 0.0),
-    (-0.1, 1.5, -1.4),
+    (0.0, 0.1, -1.3), (1.4, 0.7, 0.6), (-1.4, 1.5, -0.2), (0.8, 0.2, -1.0),
+    (-0.7, 1.1, 0.9), (0.3, 0.6, -0.5), (-1.2, 0.3, 1.4),
 )
 _POINT_MOVE = 0.02  # in units of b
 
