@@ -10,21 +10,21 @@ Workloads: grid_snapshot, route_crosscheck, energy_budget, certify_mix
 The load is one closed-loop client in this process and thread: it runs
 one ``unipulse`` job after another through ``unipulse.cli.main(argv)``,
 each on a generated JSON config, and stops at the first round boundary
-(see workloads.py) after ``--seconds`` of timed latency and two rounds.
-Only the call to ``main`` is timed;
+(see workloads.py) after ``--seconds`` of timed latency, two rounds and
+MIN_JOBS jobs.  Only the call to ``main`` is timed;
 writing configs, checking outputs against the independent references in
 reference.py, and hashing them happen between jobs, outside the timed
 regions.  After the loop, a seeded subset of jobs is re-run and must
-reproduce byte-identical outputs, and the shipped ``configs/`` run twice
-through ``python -m unipulse.cli`` in subprocesses (untimed, not gated
-on time).
+reproduce byte-identical outputs, and the shipped ``configs/`` run
+through ``python -m unipulse.cli`` in subprocesses, one after another,
+a seeded pair of them twice (untimed, not gated on time).
 
 ``--trace 0`` reports the end-to-end metrics.  ``--trace 1`` runs the
-same jobs twice, untraced for half of ``--seconds`` (and two rounds),
-then traced (see tracing.py), and reports per-layer metrics per job plus
-the tracing overhead.  The last line of stdout is one JSON object with the keys
-``correct``, ``attempted``, ``failed`` and ``metrics``; the lines before
-it are a readable report.
+same jobs twice, untraced for half of ``--seconds`` (and the same
+minimum of rounds and jobs), then traced (see tracing.py), and reports
+per-layer metrics per job plus the tracing overhead.  The last line of
+stdout is one JSON object with the keys ``correct``, ``attempted``,
+``failed`` and ``metrics``; the lines before it are a readable report.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import ctypes  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
@@ -74,11 +75,12 @@ END_TO_END = (
 )
 SETUP_RUNS = 7
 MIN_ROUNDS = 2
+# the least job count for which the job with ten jobs beyond it lies
+# above the median, so that latency_tail_s is a tail
+MIN_JOBS = 22
 RERUN_SHARE = 0.05
 SUBPROCESS_TIMEOUT_S = 120.0
 SHIPPED_RERUNS = 2
-# shipped configs start longest first so the two slots finish together
-SHIPPED_HEAVY = {"energy": 0, "compare": 1, "sample": 2}
 
 
 def child_env() -> dict:
@@ -120,6 +122,27 @@ class SetupSampler:
 # --- running jobs --------------------------------------------------------------
 
 
+def _malloc_trim():
+    with contextlib.suppress(OSError, AttributeError):
+        return ctypes.CDLL(None).malloc_trim  # glibc
+    return None
+
+
+MALLOC_TRIM = _malloc_trim()
+
+
+def release_heap() -> None:
+    """Return the heap that the last job and its check freed to the system.
+
+    Each job then starts from the same resident baseline, as in a fresh
+    CLI process.  Without it the peak RSS of a large job depends on how
+    the jobs before it fragmented the heap: 79 to 89 MB across seeds on
+    grid_snapshot, against 78 to 79 MB with it.
+    """
+    if MALLOC_TRIM is not None:
+        MALLOC_TRIM(0)
+
+
 class Runner:
     """Runs jobs, one at a time, in one work directory."""
 
@@ -152,13 +175,15 @@ class Runner:
 
     def digest(self, job) -> str:
         out = self.out_path(job)
-        h = hashlib.sha256()
+        digests = []
         for path in (out, Path(f"{out}.bin")):
             if path.exists():
-                h.update(path.read_bytes())
-        return h.hexdigest()
+                with open(path, "rb") as fh:  # in chunks: no copy of a large output
+                    digests.append(hashlib.file_digest(fh, "sha256").hexdigest())
+        return "/".join(digests)
 
     def run(self, job, tracer: Tracer | None = None) -> dict:
+        release_heap()
         if tracer is not None:
             tracer.begin_job()
         latency, code, err = self.execute(job)
@@ -172,17 +197,24 @@ class Runner:
                 "digest": self.digest(job), "traced": tracer is not None}
 
 
+def min_jobs(workload: str) -> int:
+    """Jobs in the fewest whole rounds that make MIN_ROUNDS and MIN_JOBS."""
+    per_round = workloads.round_length(workload)
+    return per_round * max(MIN_ROUNDS, -(-MIN_JOBS // per_round))
+
+
 def closed_loop(runner: Runner, workload: str, seed: int, seconds: float,
                 setup: SetupSampler) -> list[dict]:
     """Run jobs back to back, whole rounds at a time, until their summed
-    latency reaches ``seconds`` and at least MIN_ROUNDS rounds are done.
+    latency reaches ``seconds`` and at least ``min_jobs`` jobs are done.
     Stopping only at a round boundary keeps the mix of job shapes the same
     in every run, and the floor keeps a slow machine from halving a run
     that holds only a few expensive jobs."""
     stream = workloads.jobs(workload, seed)
     per_round = workloads.round_length(workload)
+    floor = min_jobs(workload)
     records, timed = [], 0.0
-    while timed < seconds or len(records) % per_round or len(records) < MIN_ROUNDS * per_round:
+    while timed < seconds or len(records) % per_round or len(records) < floor:
         setup.keep_pace(timed / seconds)
         record = runner.run(next(stream))
         records.append(record)
@@ -191,13 +223,11 @@ def closed_loop(runner: Runner, workload: str, seed: int, seconds: float,
     return records
 
 
-def rerun_subset(runner: Runner, records: list[dict], seed: int, between) -> None:
-    """Re-run a seeded subset of jobs; each must reproduce its output bytes.
-    ``between`` is called before each rerun."""
+def rerun_subset(runner: Runner, records: list[dict], seed: int) -> None:
+    """Re-run a seeded subset of jobs; each must reproduce its output bytes."""
     rng = random.Random(f"rerun:{seed}")
     count = max(1, round(RERUN_SHARE * len(records)))
     for record in rng.sample(records, min(count, len(records))):
-        between()
         again = runner.run(record["job"])
         if again["digest"] != record["digest"] or again["exit"] != record["exit"]:
             record["problems"].append(("hard", "rerun output not byte-identical"))
@@ -206,65 +236,31 @@ def rerun_subset(runner: Runner, records: list[dict], seed: int, between) -> Non
 # --- shipped configs -------------------------------------------------------------
 
 
-class SubprocessPool:
-    """(key, argv) subprocesses, at most two running at once."""
-
-    def __init__(self, tasks: list[tuple[object, list[str]]]):
-        self.pending = list(tasks)
-        self.running: list[tuple[object, subprocess.Popen, float]] = []
-        self.results: dict = {}  # key -> (exit code, seconds)
-
-    def service(self) -> None:
-        """Reap finished processes and start pending ones."""
-        for item in list(self.running):
-            key, proc, t0 = item
-            if proc.poll() is None and time.perf_counter() - t0 < SUBPROCESS_TIMEOUT_S:
-                continue
-            if proc.poll() is None:
-                proc.kill()
-            proc.wait()
-            self.results[key] = (proc.returncode, time.perf_counter() - t0)
-            self.running.remove(item)
-        while self.pending and len(self.running) < 2:
-            key, cmd = self.pending.pop(0)
-            proc = subprocess.Popen(cmd, env=child_env(), stdout=subprocess.DEVNULL,
-                                    stderr=subprocess.DEVNULL)
-            self.running.append((key, proc, time.perf_counter()))
-
-    def drain(self) -> dict:
-        while self.pending or self.running:
-            self.service()
-            time.sleep(0.005)
-        return self.results
-
-    def kill(self) -> None:
-        for _, proc, _ in self.running:
-            proc.kill()
-            proc.wait()
-        self.running.clear()
-
-
-def shipped_tasks(workdir: Path, seed: int) -> tuple[list[Path], list]:
-    """Every shipped config once via ``python -m unipulse.cli``, longest
-    first, then a seeded pair of them again for the byte-identity check."""
-    configs = sorted((ROOT / "configs").glob("*.json"),
-                     key=lambda p: (SHIPPED_HEAVY.get(p.stem.split("_")[0], 9), p.stem))
+def run_shipped(workdir: Path, seed: int) -> tuple[list[str], dict]:
+    """Every shipped config once via ``python -m unipulse.cli``, then a
+    seeded pair of them again.  Each must exit 0 (4 for the
+    counterexample) and the pair must rerun byte-identically.  Returns
+    the problems and the seconds of each run."""
+    configs = sorted((ROOT / "configs").glob("*.json"))
+    if not configs:
+        return ["no shipped configs found"], {}
     again = random.Random(f"shipped:{seed}").sample(configs, min(SHIPPED_RERUNS, len(configs)))
-    tasks = []
+    results = {}  # (stem, copy) -> (exit code, seconds)
     for copy, batch in (("a", configs), ("b", again)):
         (workdir / f"shipped_{copy}").mkdir()
         for cfg in batch:
             out = workdir / f"shipped_{copy}" / f"{cfg.stem}.out"
             cmd = [sys.executable, "-m", "unipulse.cli", cfg.stem.split("_")[0],
                    "--config", str(cfg), "--out", str(out)]
-            tasks.append(((cfg.stem, copy), cmd))
-    return configs, tasks
+            t0 = time.perf_counter()
+            try:
+                code = subprocess.run(cmd, env=child_env(), stdout=subprocess.DEVNULL,
+                                      stderr=subprocess.DEVNULL,
+                                      timeout=SUBPROCESS_TIMEOUT_S).returncode
+            except subprocess.TimeoutExpired:  # run() has killed and reaped it
+                code = None
+            results[(cfg.stem, copy)] = (code, time.perf_counter() - t0)
 
-
-def judge_shipped(configs: list[Path], results: dict, workdir: Path) -> tuple[list[str], dict]:
-    """Exit code 0 (4 for the counterexample) and byte-identical reruns."""
-    if not configs:
-        return ["no shipped configs found"], {}
     problems, times = [], {}
     for cfg in configs:
         expect = 4 if cfg.stem == "unidir_counterexample" else 0
@@ -285,11 +281,14 @@ def judge_shipped(configs: list[Path], results: dict, workdir: Path) -> tuple[li
 
 
 def tail_latency(latencies: list[float]) -> tuple[float, float, int]:
-    """(latency, percentile, jobs beyond) at the highest percentile with at
-    least ten jobs beyond it, never below the median."""
+    """(latency, percentile, jobs beyond) at the highest percentile with
+    ten jobs beyond it.  It needs MIN_JOBS jobs, so that the percentile
+    lies above the median."""
+    if len(latencies) < MIN_JOBS:
+        raise ValueError(f"a tail needs {MIN_JOBS} jobs, got {len(latencies)}")
     s = sorted(latencies)
-    k = max(len(s) - 11, len(s) // 2)
-    return s[k], 100.0 * (k + 1) / len(s), len(s) - k - 1
+    k = len(s) - 11
+    return s[k], 100.0 * (k + 1) / len(s), 10
 
 
 def provenance(workload: str, seed: int) -> dict:
@@ -370,15 +369,9 @@ def bench(args, workdir: Path) -> int:
             if seen["digest"] != plain["digest"]:
                 seen["problems"].append(("hard", "traced output differs from the untraced run"))
 
-    # untimed from here: shipped configs in subprocesses beside the reruns
-    configs, tasks = shipped_tasks(workdir, args.seed)
-    pool = SubprocessPool(tasks)
-    try:
-        rerun_subset(runner, records, args.seed, pool.service)
-        results = pool.drain()
-    finally:
-        pool.kill()
-    shipped_problems, shipped_times = judge_shipped(configs, results, workdir)
+    # untimed from here
+    rerun_subset(runner, records, args.seed)
+    shipped_problems, shipped_times = run_shipped(workdir, args.seed)
 
     everything = records + traced
     failed = [r for r in everything if r["problems"]]
