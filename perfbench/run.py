@@ -9,9 +9,10 @@ Workloads: grid_snapshot, route_crosscheck, energy_budget, certify_mix
 
 The load is one closed-loop client in this process and thread: it runs
 one ``unipulse`` job after another through ``unipulse.cli.main(argv)``,
-each on a generated JSON config, and stops at the first round boundary
-(see workloads.py) after ``--seconds`` of timed latency, two rounds and
-MIN_JOBS jobs.  Only the call to ``main`` is timed;
+each on a generated JSON config.  A run is a fixed number of whole
+rounds (see workloads.py): as many as take ``--seconds`` of timed latency
+on the reference machine, and at least MIN_JOBS jobs.  Only the call to
+``main`` is timed;
 writing configs, checking outputs against the independent references in
 reference.py, and hashing them happen between jobs, outside the timed
 regions.  After the loop, a seeded subset of jobs is re-run and must
@@ -20,8 +21,8 @@ through ``python -m unipulse.cli`` in subprocesses, one after another,
 a seeded pair of them twice (untimed, not gated on time).
 
 ``--trace 0`` reports the end-to-end metrics.  ``--trace 1`` runs the
-same jobs twice, untraced for half of ``--seconds`` (and the same
-minimum of rounds and jobs), then traced (see tracing.py), and reports
+rounds of half of ``--seconds`` twice, untraced, then traced (see
+tracing.py), and reports
 per-layer metrics per job plus the tracing overhead.  The last line of
 stdout is one JSON object with the keys ``correct``, ``attempted``,
 ``failed`` and ``metrics``; the lines before it are a readable report.
@@ -41,7 +42,9 @@ import contextlib  # noqa: E402
 import ctypes  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import itertools  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import platform  # noqa: E402
 import random  # noqa: E402
 import resource  # noqa: E402
@@ -74,7 +77,6 @@ END_TO_END = (
     ("peak_rss_mb", "MB"),
 )
 SETUP_RUNS = 7
-MIN_ROUNDS = 2
 # the least job count for which the job with ten jobs beyond it lies
 # above the median, so that latency_tail_s is a tail
 MIN_JOBS = 22
@@ -89,8 +91,57 @@ def child_env() -> dict:
     return env
 
 
+# --- host speed ------------------------------------------------------------------
+
+_CALIBRATION_ARRAY = np.linspace(0.1, 1.0, 256)
+
+#: seconds of one ``calibration_s()`` repetition on the reference machine,
+#: about its median there (README.md); it sets the scale of reference seconds
+REFERENCE_CALIBRATION_S = 0.001
+
+#: the calibration around a job lasts about this share of a mean job
+CALIBRATION_SHARE = 0.03
+
+
+def calibration_reps(workload: str) -> int:
+    """Repetitions of the calibration around each job of ``workload``: 1 for
+    jobs of milliseconds, up to 16 (about 16 ms) for jobs of a second, so
+    that it averages over more of the speed swings that a long job sees."""
+    mean_job_s = workloads.ROUND_SECONDS[workload] / workloads.round_length(workload)
+    return max(1, min(16, round(CALIBRATION_SHARE * mean_job_s / REFERENCE_CALIBRATION_S)))
+
+
+def calibration_s(reps: int = 1) -> float:
+    """Seconds per repetition this process takes for a fixed mix of scalar
+    Python, small numpy calls and number formatting, the three kinds of work
+    unipulse does.
+
+    The machine is a share of a host whose speed swings by up to 1.7x within
+    seconds and drifts by a quarter over minutes, and a fixed computation
+    slows in step with the jobs.  Timing this one before every job and after
+    the last gives the speed at each job, so that a time can be expressed in
+    seconds of the reference machine (see ``to_reference``)."""
+    for rep in range(reps + 1):  # the first, untimed, warms the caches
+        if rep == 1:
+            t0 = time.perf_counter()
+        acc = 0.0
+        for i in range(3000):
+            acc += math.sqrt(i + 1.0) * 0.5
+        for i in range(60):
+            acc += float(np.sum(np.exp(-_CALIBRATION_ARRAY * i)))
+        ",".join(f"{x:.6e}" for x in _CALIBRATION_ARRAY[:200])
+    return (time.perf_counter() - t0) / reps
+
+
+def to_reference(seconds: float, calibration_before: float, calibration_after: float) -> float:
+    """``seconds`` of wall time measured between two calibrations, expressed
+    in seconds of the reference machine."""
+    return seconds * 2.0 * REFERENCE_CALIBRATION_S / (calibration_before + calibration_after)
+
+
 class SetupSampler:
-    """Wall times of fresh interpreters importing unipulse.cli.
+    """Times of fresh interpreters importing unipulse.cli, in reference and
+    in wall seconds.
 
     Samples are spread over the whole run, between jobs, so that their
     median averages over the machine's slow drifts instead of catching
@@ -100,18 +151,23 @@ class SetupSampler:
 
     def __init__(self, count: int):
         self.count = count
-        self.times: list[float] = []
+        self.times: list[float] = []  # in reference seconds
+        self.wall: list[float] = []
         self.sample()  # byte-compiles the package; dropped
         self.times.clear()
+        self.wall.clear()
 
     def sample(self) -> None:
         env = child_env()
         env.pop("PYTHONDONTWRITEBYTECODE", None)  # users import from cached bytecode
+        before = calibration_s()
         t0 = time.perf_counter()
         code = subprocess.Popen([sys.executable, "-c", "import unipulse.cli"], env=env).wait()
+        wall = time.perf_counter() - t0
         if code != 0:
             raise RuntimeError(f"importing unipulse.cli failed with exit code {code}")
-        self.times.append(time.perf_counter() - t0)
+        self.wall.append(wall)
+        self.times.append(to_reference(wall, before, calibration_s()))
 
     def keep_pace(self, progress: float) -> None:
         """Take the samples due once ``progress`` (0..1) of the loop is done."""
@@ -197,28 +253,40 @@ class Runner:
                 "digest": self.digest(job), "traced": tracer is not None}
 
 
-def min_jobs(workload: str) -> int:
-    """Jobs in the fewest whole rounds that make MIN_ROUNDS and MIN_JOBS."""
+def planned_rounds(workload: str, seconds: float, min_jobs: int = MIN_JOBS) -> int:
+    """Whole rounds in a run: as many as take ``seconds`` on the reference
+    machine, and enough for ``min_jobs`` jobs.  The count depends on nothing
+    measured, so every run of a workload makes the same number of jobs of
+    the same shapes, whatever the seed and however fast the machine is."""
     per_round = workloads.round_length(workload)
-    return per_round * max(MIN_ROUNDS, -(-MIN_JOBS // per_round))
+    return max(1, round(seconds / workloads.ROUND_SECONDS[workload]), -(-min_jobs // per_round))
 
 
-def closed_loop(runner: Runner, workload: str, seed: int, seconds: float,
+def run_calibrated(runner: Runner, jobs, reps: int, tracer: Tracer | None = None,
+                   between=lambda done: None) -> list[dict]:
+    """Run ``jobs`` back to back, with a calibration before each and after
+    the last, which give each job's latency in reference seconds,
+    ``ref_latency``, beside its wall time, ``latency``.  ``between(done)``
+    runs before each calibration, outside the timed regions."""
+    records, calibrations = [], []
+    for done, job in enumerate(jobs):
+        between(done)
+        calibrations.append(calibration_s(reps))
+        records.append(runner.run(job, tracer))
+    calibrations.append(calibration_s(reps))
+    for i, record in enumerate(records):
+        record["ref_latency"] = to_reference(record["latency"], calibrations[i], calibrations[i + 1])
+    return records
+
+
+def closed_loop(runner: Runner, workload: str, seed: int, rounds: int,
                 setup: SetupSampler) -> list[dict]:
-    """Run jobs back to back, whole rounds at a time, until their summed
-    latency reaches ``seconds`` and at least ``min_jobs`` jobs are done.
-    Stopping only at a round boundary keeps the mix of job shapes the same
-    in every run, and the floor keeps a slow machine from halving a run
-    that holds only a few expensive jobs."""
-    stream = workloads.jobs(workload, seed)
-    per_round = workloads.round_length(workload)
-    floor = min_jobs(workload)
-    records, timed = [], 0.0
-    while timed < seconds or len(records) % per_round or len(records) < floor:
-        setup.keep_pace(timed / seconds)
-        record = runner.run(next(stream))
-        records.append(record)
-        timed += record["latency"]
+    """Run the jobs of ``rounds`` whole rounds back to back, spreading the
+    set-up samples over the run."""
+    total = rounds * workloads.round_length(workload)
+    jobs = itertools.islice(workloads.jobs(workload, seed), total)
+    records = run_calibrated(runner, jobs, calibration_reps(workload),
+                             between=lambda done: setup.keep_pace(done / total))
     setup.keep_pace(1.0)
     return records
 
@@ -311,8 +379,11 @@ def provenance(workload: str, seed: int) -> dict:
     }
 
 
-def end_to_end(records: list[dict], setup_times: list[float], peak_rss_mb: float) -> dict:
-    latencies = [r["latency"] for r in records]
+def end_to_end(records: list[dict], setup_times: list[float], peak_rss_mb: float,
+               key: str = "ref_latency") -> dict:
+    """The end-to-end metrics, from times in reference seconds by default;
+    ``key="latency"`` (with wall setup times) gives them in wall seconds."""
+    latencies = [r[key] for r in records]
     failed = sum(1 for r in records if r["problems"])
     tail, _, _ = tail_latency(latencies)
     values = {
@@ -353,8 +424,11 @@ def bench(args, workdir: Path) -> int:
     for job in workloads.warmup_jobs(args.workload):
         runner.execute(job)
 
-    loop_seconds = args.seconds / 2 if args.trace else args.seconds
-    records = closed_loop(runner, args.workload, args.seed, loop_seconds, setup)
+    if args.trace:  # per-layer metrics and the overhead need no tail
+        rounds = planned_rounds(args.workload, args.seconds / 2, min_jobs=1)
+    else:
+        rounds = planned_rounds(args.workload, args.seconds)
+    records = closed_loop(runner, args.workload, args.seed, rounds, setup)
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     traced = []
@@ -362,7 +436,8 @@ def bench(args, workdir: Path) -> int:
     if args.trace:
         tracer.install()
         try:
-            traced = [runner.run(r["job"], tracer) for r in records]
+            traced = run_calibrated(runner, [r["job"] for r in records],
+                                    calibration_reps(args.workload), tracer)
         finally:
             tracer.uninstall()
         for plain, seen in zip(records, traced):
@@ -378,17 +453,25 @@ def bench(args, workdir: Path) -> int:
     correct = not shipped_problems and not any(
         severity == "hard" for r in failed for severity, _ in r["problems"])
 
-    e2e = end_to_end(records, setup.times, peak_rss_mb)
     n = len(records)
-    _, pct, beyond = tail_latency([r["latency"] for r in records])
-    notes = {
-        "latency_tail_s": f" (p{pct:.1f}, {beyond} of {n} jobs beyond it)",
-        "failed_ratio": f" ({sum(1 for r in records if r['problems'])} of {n} jobs failed)",
-        "setup_s": f" (median of {', '.join(f'{t:.4f}' for t in setup.times)})",
-    }
-    print(f"closed loop: 1 client, {n} jobs, {sum(r['latency'] for r in records):.3f} s timed")
-    for name, m in e2e.items():
-        print(f"  {name} = {m['value']:.6g} {m['unit']}{notes.get(name, '')}")
+    print(f"closed loop: 1 client, {rounds} rounds, {n} jobs, "
+          f"{sum(r['latency'] for r in records):.3f} s timed")
+    if not args.trace:  # a traced run's untraced half may hold too few jobs for a tail
+        e2e = end_to_end(records, setup.times, peak_rss_mb)
+        wall = end_to_end(records, setup.wall, peak_rss_mb, key="latency")
+        _, pct, beyond = tail_latency([r["ref_latency"] for r in records])
+        notes = {
+            "latency_tail_s": f" (p{pct:.1f}, {beyond} of {n} jobs beyond it)",
+            "failed_ratio": f" ({sum(1 for r in records if r['problems'])} of {n} jobs failed)",
+            "setup_s": f" (median of {', '.join(f'{t:.4f}' for t in setup.times)})",
+        }
+        slowdown = statistics.median(r["latency"] / r["ref_latency"] for r in records)
+        print(f"  times in reference seconds (see README.md), wall-clock values in brackets; "
+              f"wall over reference time, median over jobs: {slowdown:.3f}")
+        for name, m in e2e.items():
+            same = name in ("failed_ratio", "peak_rss_mb")
+            in_wall = "" if same else f" [{wall[name]['value']:.6g}]"
+            print(f"  {name} = {m['value']:.6g} {m['unit']}{in_wall}{notes.get(name, '')}")
     print("shipped configs (s per run): " + ", ".join(
         f"{k} {'/'.join(f'{t:.3f}' for t in ts)}" for k, ts in shipped_times.items()))
     for r in failed:
@@ -399,10 +482,11 @@ def bench(args, workdir: Path) -> int:
         print(f"FAILED (hard) {problem}")
 
     if args.trace:
-        untraced_s = sum(r["latency"] for r in records)
-        traced_s = sum(r["latency"] for r in traced)
+        untraced_s = sum(r["ref_latency"] for r in records)
+        traced_s = sum(r["ref_latency"] for r in traced)
         metrics = tracer.metrics(overhead=traced_s / untraced_s)
-        print(f"trace: {tracer.jobs} jobs, untraced {untraced_s:.3f} s, traced {traced_s:.3f} s, "
+        print(f"trace: {tracer.jobs} jobs, untraced {untraced_s:.3f} s, traced {traced_s:.3f} s "
+              f"(reference seconds), "
               f"overhead x{traced_s / untraced_s:.3f} on throughput_ops_s")
         if tracer.missing:
             print(f"trace: skipped missing names: {', '.join(tracer.missing)}")

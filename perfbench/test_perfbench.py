@@ -62,6 +62,13 @@ def test_generator_gives_identical_configs_for_a_seed(workload):
     assert [j.config for j in first] != [j.config for j in other]
 
 
+def test_only_residual_jobs_are_the_same_for_every_seed():
+    n = workloads.round_length("certify_mix")
+    for i in range(n, 2 * n):
+        a, b = workloads.make_job("certify_mix", 1, i), workloads.make_job("certify_mix", 2, i)
+        assert (a.config == b.config) == (a.command == "residual")
+
+
 def test_rounds_repeat_the_strata_with_new_parameters():
     n = workloads.WORKLOADS["route_crosscheck"][2]
     a, b = workloads.make_job("route_crosscheck", 1, 0), workloads.make_job("route_crosscheck", 1, n)
@@ -199,6 +206,7 @@ def test_exit_codes_are_classified():
 @pytest.mark.parametrize("workload,stratum", [
     ("grid_snapshot", 0), ("route_crosscheck", 0),
     ("certify_mix", 0), ("certify_mix", 2), ("certify_mix", 3), ("certify_mix", 4),
+    ("certify_mix", 5),
 ])
 def test_exit_code_3_is_hard_outside_energy(workload, stratum):
     # only energy declares numerical failures with exit 3 at the seed; a
@@ -308,8 +316,20 @@ def test_tail_latency_has_ten_jobs_beyond_it_above_the_median():
 
 @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
 def test_every_run_holds_enough_jobs_for_a_tail(workload):
-    floor = run.min_jobs(workload)
-    assert floor >= run.MIN_JOBS and floor % workloads.round_length(workload) == 0
+    for seconds in (1e-3, 12.0, 60.0):
+        assert run.planned_rounds(workload, seconds) * workloads.round_length(workload) >= run.MIN_JOBS
+    assert run.planned_rounds(workload, 1e-3, min_jobs=1) == 1
+
+
+def test_reference_seconds_scale_wall_time_by_the_calibrations():
+    ref = run.REFERENCE_CALIBRATION_S
+    assert run.to_reference(2.0, ref, ref) == pytest.approx(2.0)
+    # a machine running at half the reference speed takes twice as long
+    assert run.to_reference(2.0, 2 * ref, 2 * ref) == pytest.approx(1.0)
+    assert run.to_reference(2.0, ref, 3 * ref) == pytest.approx(1.0)
+    assert 0.0 < run.calibration_s(2) < 1.0
+    reps = {w: run.calibration_reps(w) for w in workloads.WORKLOADS}
+    assert reps["certify_mix"] == 1 and all(1 <= r <= 16 for r in reps.values())
 
 
 def test_tracer_counts_kernel_calls_and_restores_the_package(tmp_path):

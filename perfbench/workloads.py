@@ -13,6 +13,13 @@ the inputs still differ.
 Values that do not change the amount of work (waveform shape in grids,
 certificate directions, random-point seeds) are drawn freely.
 
+A run is a fixed number of whole rounds (``run.planned_rounds``).  In
+each workload most strata cost about the same, so that the median and
+the tail latency both rest on many jobs rather than on a gap between
+two groups of them.  Every stratum passes or fails its check the same
+way for every seed, so the failures of a run depend only on the
+workload and the number of rounds.
+
 Times are in units of tau and lengths in units of b = c*tau.
 """
 
@@ -69,28 +76,36 @@ def _waveform(kind: str, a: float, K: float = 0.0) -> str:
 
 # --- grid_snapshot ---------------------------------------------------------
 
-# (axes, points, evaluator, waveform kind, format), 12 of 15 writing CSV.
-# Jobs take from ~0.02 s to ~3 s.  Most are near a few tenths of a second
-# so that the median and the tail latency each rest on several jobs; the
-# long 1-D axes sit in the upper third, where the tail is read.  The point
-# count moves by only 2% because the cost of a long 1-D axis grows with
-# the square of its length.
+# (axes, points, evaluator, waveform kind, format), 16 of 20 writing CSV.
+# A run holds two rounds, 40 jobs: its median and its tail (the 30th job,
+# p75) both fall in a bulk of 16 strata sized to cost about the same
+# (a quarter of a second), so each rests on many jobs and not on a gap
+# between two groups of them.  Below the bulk are two small grids, above
+# it the two jobs that carry the extremes: the 10^5-point CSV grid (the
+# peak memory) and a 1-D axis of 2*10^4 points, where the cost per point
+# grows with the axis length.  Point counts move by only 2% because a
+# long 1-D axis costs the square of its length.
 _GRID_STRATA = (
-    (("t",), 1000, "simple_pulse", None, "csv"),
-    (("rho", "z"), 18769, "quasi_spherical", "rational", "csv"),
-    (("x", "y"), 16900, "simple_pulse", None, "csv"),
-    (("z",), 16000, "quasi_spherical", "rational", "csv"),
-    (("x", "y", "z"), 13824, "quasi_spherical", "lekner", "csv"),
-    (("t", "z"), 14641, "simple_pulse", None, "binary"),
     (("rho", "z"), 99856, "simple_pulse", None, "csv"),
-    (("rho",), 9000, "quasi_spherical", "lekner", "binary"),
-    (("t", "rho", "z"), 17576, "quasi_spherical", "rational", "csv"),
-    (("x",), 4000, "simple_pulse", None, "csv"),
-    (("t",), 8000, "quasi_spherical", "lekner", "csv"),
+    (("rho", "z"), 9604, "quasi_spherical", "rational", "csv"),
+    (("x", "y"), 10000, "simple_pulse", None, "csv"),
+    (("t",), 1000, "simple_pulse", None, "csv"),
+    (("z",), 8000, "quasi_spherical", "rational", "csv"),
+    (("x", "y", "z"), 6859, "quasi_spherical", "lekner", "csv"),
+    (("t", "z"), 14641, "simple_pulse", None, "binary"),
+    (("rho",), 8500, "quasi_spherical", "lekner", "binary"),
+    (("t", "rho", "z"), 6859, "quasi_spherical", "rational", "csv"),
+    (("z",), 20000, "quasi_spherical", "rational", "csv"),
+    (("t",), 7500, "quasi_spherical", "lekner", "csv"),
     (("x", "z"), 12100, "simple_pulse", None, "binary"),
-    (("z",), 12000, "simple_pulse", None, "csv"),
     (("rho", "z"), 8100, "quasi_spherical", "lekner", "csv"),
+    (("x",), 4000, "simple_pulse", None, "csv"),
     (("y",), 8000, "quasi_spherical", "rational", "csv"),
+    (("z",), 8000, "simple_pulse", None, "csv"),
+    (("x", "y"), 8100, "quasi_spherical", "lekner", "csv"),
+    (("t", "x"), 8649, "simple_pulse", None, "csv"),
+    (("x", "y", "z"), 10648, "simple_pulse", None, "binary"),
+    (("t", "z"), 8100, "quasi_spherical", "rational", "csv"),
 )
 _GRID_JITTER = 0.02
 
@@ -136,34 +151,34 @@ def grid_snapshot(rng: random.Random, stratum: int) -> tuple[str, dict, dict]:
 
 # --- route_crosscheck ------------------------------------------------------
 
-# (waveform kind, a/b, K, tolerance, points, Monte Carlo samples or 0); 2 of 8 add MC
+# (waveform kind, a/b, K, tolerance, Monte Carlo samples or 0, points as
+# (t/tau, rho/b, z/b) in the box |t|, |z| <= 1.5 b, rho <= 1.5 b); 3 of 11
+# add MC.  A quadrature's cost depends on the point more than on anything
+# else, so the points are chosen to make every stratum cost 0.3-0.45 s: a
+# run holds three rounds, 33 jobs, whose median and tail (the 23rd job,
+# p69.7) then both rest on most of the jobs.
 _ROUTE_STRATA = (
-    ("rational", 1.0, 0.0, 1e-6, 2, 200_000),
-    ("lekner", 0.9, 1.0, 1e-5, 1, 0),
-    ("rational", 1.1, 0.0, 1e-7, 1, 0),
-    ("lekner", 1.0, 2.5, 1e-6, 1, 0),
-    ("lekner", 1.2, 0.5, 1e-7, 1, 250_000),
-    ("rational", 0.8, 0.0, 1e-5, 3, 0),
-    ("lekner", 1.0, 1.5, 1e-6, 1, 0),
-    ("lekner", 1.1, 3.0, 1e-5, 1, 0),
-)
-# (t/tau, rho/b, z/b) of the 11 points of a round, spread over the box
-# |t|, |z| <= 1.5 b, rho <= 1.5 b
-_ROUTE_POINTS = (
-    (-1.0, 0.5, 0.2), (0.5, 0.4, 0.3), (1.2, 1.3, -0.8), (-0.3, 0.9, 1.2),
-    (0.0, 0.1, -1.3), (1.4, 0.7, 0.6), (-1.4, 1.5, -0.2), (0.8, 0.2, -1.0),
-    (-0.7, 1.1, 0.9), (0.3, 0.6, -0.5), (-1.2, 0.3, 1.4),
+    ("lekner", 0.9, 1.0, 1e-5, 0, ((0.5, 0.4, 0.3),)),
+    ("rational", 1.2, 0.0, 1e-6, 0, ((-0.6, 1.2, -1.1),)),
+    ("rational", 1.1, 0.0, 1e-7, 200_000, ((0.3, 0.6, -0.5),)),
+    ("lekner", 1.0, 2.0, 1e-5, 0, ((0.8, 0.2, -1.0),)),
+    ("lekner", 1.0, 2.5, 1e-6, 0, ((0.5, 0.4, 0.3),)),
+    ("rational", 1.0, 0.0, 1e-6, 300_000, ((-1.0, 0.5, 0.2),)),
+    ("lekner", 1.1, 3.0, 1e-5, 0, ((0.5, 0.4, 0.3),)),
+    ("rational", 0.8, 0.0, 1e-5, 0, ((-1.4, 1.5, -0.2), (0.5, 0.4, 0.3))),
+    ("lekner", 1.2, 0.5, 1e-5, 250_000, ((0.3, 0.6, -0.5),)),
+    ("rational", 1.1, 0.0, 1e-7, 0, ((0.8, 0.2, -1.0),)),
+    ("rational", 0.8, 0.0, 1e-5, 0, ((-1.4, 1.5, -0.2),)),
 )
 _POINT_MOVE = 0.02  # in units of b
 
 
 def route_crosscheck(rng: random.Random, stratum: int) -> tuple[str, dict, dict]:
-    kind, a_over_b, K, tol, n_points, mc = _ROUTE_STRATA[stratum]
+    kind, a_over_b, K, tol, mc, where = _ROUTE_STRATA[stratum]
     pulse = _pulse(rng, 1.0)
     b, c = _b(pulse), pulse["c"]
-    first = sum(s[4] for s in _ROUTE_STRATA[:stratum])
     points = []
-    for t, rho, z in _ROUTE_POINTS[first:first + n_points]:
+    for t, rho, z in where:
         move = [rng.uniform(-_POINT_MOVE, _POINT_MOVE) for _ in range(3)]
         points.append({"t": _r((t + move[0]) * b / c), "rho": _r(abs(rho + move[1]) * b),
                        "z": _r((z + move[2]) * b)})
@@ -178,30 +193,30 @@ def route_crosscheck(rng: random.Random, stratum: int) -> tuple[str, dict, dict]
     if mc:
         cfg["mc"] = {"n_samples": round(_near(rng, mc)), "seed": rng.randrange(1, 2**31),
                      "sigma": 5.0}
-    label = f"{kind} K={K:g} tol={tol:g} {n_points} pts" + (" +mc" if mc else "")
+    label = f"{kind} K={K:g} tol={tol:g} {len(points)} pts" + (" +mc" if mc else "")
     return label, cfg, {}
 
 
 # --- energy_budget ---------------------------------------------------------
 
 # (waveform kind, K, b, tolerance, times in units of tau); a = b throughout.
-# The two rational strata at tol 1e-4 (b = 1 and b = 2) cost 1.5-3 s each
-# and carry the estimator's known misses; the others are cheaper solves
-# (larger b or looser tolerance, 0.2-0.9 s), so that a run holds enough
-# jobs for a tail.  The lekner K=0.5, b=3 stratum exits 3 at the seed.
+# A run holds three rounds, 30 jobs.  The two rational strata at tol 1e-4
+# (b = 1 and b = 2) cost one to two seconds and carry the estimator's
+# known misses; the other eight form a bulk of 0.4-0.55 s solves that
+# holds both the median and the tail (the 20th job, p66.7).  At the seed
+# the rational strata at tol 1e-3 and b = 3 or t = 1.2 tau miss too, and
+# the lekner strata (K=0.5, b=3, t=0.3) and (K=0.4, b=3, t=-0.9) exit 3.
 _ENERGY_STRATA = (
     ("rational", 0.0, 1.0, 1e-4, (-0.45,)),
-    ("rational", 0.0, 3.0, 1e-2, (0.6,)),
-    ("lekner", 0.3, 2.0, 1e-2, (-1.1,)),
-    ("rational", 0.0, 4.0, 1e-3, (1.2, -0.8)),
-    ("rational", 0.0, 2.0, 1e-4, (0.9,)),
+    ("rational", 0.0, 4.0, 1e-3, (-0.8,)),
     ("lekner", 0.5, 3.0, 1e-2, (0.3,)),
-    ("rational", 0.0, 3.0, 1e-3, (-1.5, 0.9)),
-    ("lekner", 0.2, 3.0, 1e-2, (-1.8,)),
-    ("rational", 0.0, 2.0, 1e-2, (-0.7, 1.6)),
-    ("lekner", 0.3, 2.0, 1e-3, (1.3,)),
-    ("rational", 0.0, 4.0, 1e-2, (1.9,)),
-    ("rational", 0.0, 1.5, 1e-2, (0.2,)),
+    ("rational", 0.0, 3.0, 1e-2, (0.6, -1.2)),
+    ("lekner", 0.4, 3.0, 1e-2, (-0.9,)),
+    ("rational", 0.0, 2.0, 1e-4, (0.0,)),
+    ("rational", 0.0, 4.0, 1e-3, (1.2,)),
+    ("rational", 0.0, 3.0, 1e-3, (0.9,)),
+    ("lekner", 0.3, 2.5, 1e-2, (-1.1,)),
+    ("rational", 0.0, 4.0, 1e-2, (1.9, -0.5)),
 )
 # The estimator's cost is the most erratic of all: b, K and the times move
 # by only 0.1% (times by 0.002 tau), which still changes every input.
@@ -242,8 +257,11 @@ def _backward_directions(rng: random.Random, n: int) -> list[dict]:
 
 
 def _certify_unidir_pass(rng: random.Random, pulse: dict) -> tuple[str, dict, dict]:
+    """A rational pulse or a lekner pulse with K >= 0.8: both pass at the seed,
+    with max|F| at least five times below the tolerance."""
     b = _b(pulse)
-    kind, waveform = _free_waveform(rng, b, 2.0)
+    kind = rng.choice(("rational", "lekner"))
+    waveform = _waveform(kind, _r(rng.uniform(0.8, 1.2) * b), _r(rng.uniform(0.8, 2.0)))
     cfg = {
         "pulse": pulse,
         "waveform": waveform,
@@ -253,6 +271,25 @@ def _certify_unidir_pass(rng: random.Random, pulse: dict) -> tuple[str, dict, di
         "tolerance": 1e-6,
     }
     return f"unidir {kind} pass", cfg, {"expect_exit": 0}
+
+
+def _certify_unidir_grazing(rng: random.Random, pulse: dict) -> tuple[str, dict, dict]:
+    """A lekner pulse with small K, exactly unidirectional, checked along
+    three backward directions just past chi = pi/2 among random ones.  At
+    the seed the numeric far field there reads max|F| of 5e-6 or more
+    against tol 1e-6, so the certificate wrongly fails (exit 4) every time."""
+    b = _b(pulse)
+    directions = [{"chi": _r(rng.uniform(0.505, 0.515) * math.pi), "phi": _r(rng.uniform(0.0, 6.28))}
+                  for _ in range(3)]
+    cfg = {
+        "pulse": pulse,
+        "waveform": _waveform("lekner", _r(rng.uniform(0.9, 1.1) * b), _r(rng.uniform(0.03, 0.06))),
+        "evaluator": "quasi_spherical",
+        "s_values": sorted(_r(rng.uniform(-2.0, 2.0) * b) for _ in range(12)),
+        "backward_directions": directions + _backward_directions(rng, 9),
+        "tolerance": 1e-6,
+    }
+    return "unidir lekner grazing", cfg, {"expect_exit": 0}
 
 
 def _certify_unidir_fail(rng: random.Random, pulse: dict) -> tuple[str, dict, dict]:
@@ -282,6 +319,12 @@ def _certify_farfield(rng: random.Random, pulse: dict) -> tuple[str, dict, dict]
 
 
 def _certify_residual(rng: random.Random, pulse: dict) -> tuple[str, dict, dict]:
+    """Whether a fitted order lands in the checked range depends on every
+    parameter, the wave speed included: about one job in 2000 has a point
+    where the h^2 term of the residual nearly cancels and the fit reads
+    2.206.  So these jobs are drawn from the round index alone (see
+    ``_SEED_FREE``): every run of a given length holds the same residual
+    jobs, and the same failures, whatever the seed."""
     b = _b(pulse)
     kind, waveform = _free_waveform(rng, b, 1.5)
     cfg = {
@@ -311,6 +354,7 @@ _CERTIFY_STRATA = (
     ("farfield", _certify_farfield),
     ("residual", _certify_residual),
     ("spectrum", _certify_spectrum),
+    ("unidir", _certify_unidir_grazing),
 )
 
 
@@ -327,15 +371,30 @@ WORKLOADS = {
 }
 
 
+#: seconds of timed latency one round takes on the reference machine (see
+#: README.md); they set how many rounds a run of ``--seconds`` holds
+ROUND_SECONDS = {
+    "grid_snapshot": 8.5,
+    "route_crosscheck": 4.0,
+    "energy_budget": 4.9,
+    "certify_mix": 0.06,
+}
+
+
 def round_length(workload: str) -> int:
     return WORKLOADS[workload][2]
+
+
+#: (workload, stratum) pairs whose jobs do not depend on the seed
+_SEED_FREE = {("certify_mix", [make for _, make in _CERTIFY_STRATA].index(_certify_residual))}
 
 
 def make_job(workload: str, seed: int, index: int) -> Job:
     """The ``index``-th job of a workload's stream; a pure function of its arguments."""
     command, make, n_strata = WORKLOADS[workload]
     rnd, stratum = divmod(index, n_strata)
-    rng = random.Random(f"{workload}:{seed}:{rnd}:{stratum}")
+    key = "any" if (workload, stratum) in _SEED_FREE else seed
+    rng = random.Random(f"{workload}:{key}:{rnd}:{stratum}")
     label, cfg, extra = make(rng, stratum)
     if command is None:
         command = _CERTIFY_STRATA[stratum][0]
