@@ -12,7 +12,6 @@ from .farfield import (
     CERTIFICATE_SCHEDULE_CT,
     DEFAULT_SCHEDULE_CT,
     Direction,
-    FarfieldProfile,
     backward_direction_grid,
     check_unidirectional,
     farfield_analytic,
@@ -55,7 +54,6 @@ from .synthesis import (
     MonteCarloEstimate,
     OutOfSupport,
     SpectralWeight,
-    WaveVector,
     make_spectral_weight,
     reconstruct_cartesian_mc,
     reconstruct_from_farfield,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .fields import Evaluator, PulseParams, SpacetimePoint
 from .numerics import ExtrapolationUnstable, limit_extrapolate
@@ -49,17 +49,6 @@ class Direction:
     def unit_vector(self) -> tuple[float, float, float]:
         s = math.sin(self.chi)
         return (s * math.cos(self.phi), s * math.sin(self.phi), math.cos(self.chi))
-
-
-@dataclass(frozen=True)
-class FarfieldProfile:
-    """Directional amplitude F(s, n) with its provenance."""
-
-    func: Callable[[float, Direction], complex]
-    provenance: str  # "numeric" | "analytic"
-
-    def __call__(self, s: float, n: Direction) -> complex:
-        return self.func(s, n)
 
 
 def radiation_schedule(
@@ -122,22 +111,6 @@ def farfield_deriv(
     mu = math.cos(n.chi)
     arg = complex(-s, params.b * (1.0 - mu)) / mu
     return -complex(w.deriv(arg)) / (mu * mu)
-
-
-def analytic_profile(params: PulseParams, w: Waveform) -> FarfieldProfile:
-    return FarfieldProfile(lambda s, n: farfield_analytic(s, n, params, w), "analytic")
-
-
-def analytic_deriv_profile(params: PulseParams, w: Waveform) -> FarfieldProfile:
-    return FarfieldProfile(lambda s, n: farfield_deriv(s, n, params, w), "analytic")
-
-
-def numeric_profile(
-    evaluator: Evaluator, t_schedule: Sequence[float], c: float = 1.0
-) -> FarfieldProfile:
-    return FarfieldProfile(
-        lambda s, n: farfield_numeric(evaluator, s, n, t_schedule, c), "numeric"
-    )
 
 
 def backward_direction_grid(count: int = 8) -> tuple[Direction, ...]:

@@ -13,10 +13,11 @@ counterexample for directionality checks.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -27,6 +28,8 @@ from .numerics import (
 )
 from .waveforms import Waveform
 
+#: Maps a point to u.  A point whose coordinates are broadcastable
+#: arrays maps to the array of u over every node.
 Evaluator = Callable[["SpacetimePoint"], complex]
 
 
@@ -78,6 +81,9 @@ class PulseParams:
 
 @dataclass(frozen=True, slots=True)
 class SpacetimePoint:
+    """One event (t, x, y, z), or many when the coordinates are
+    broadcastable numpy arrays; the closed forms accept both."""
+
     t: float
     x: float
     y: float
@@ -95,13 +101,27 @@ class SpacetimePoint:
 
     @property
     def radius(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
+        return (self.x * self.x + self.y * self.y + self.z * self.z) ** 0.5
+
+
+def _mask_pole(value, at_pole, message: str, p: SpacetimePoint):
+    """``value`` unless it sits at a pole: a scalar there raises
+    SingularPoint, array nodes there become NaN."""
+    if isinstance(at_pole, np.ndarray):
+        return np.where(at_pole, np.nan, value)
+    if at_pole:
+        raise SingularPoint(message.format(p))
+    return value
 
 
 def complex_distance(p: SpacetimePoint, params: PulseParams) -> complex:
     """The root S with Im S >= c*tau; equals c(t + i tau) on the axis."""
-    ct = complex(params.c * p.t, params.b)
-    return complex_sqrt_upper(ct * ct - (p.x * p.x + p.y * p.y))
+    ct = params.c * p.t
+    b = params.b
+    # (ct + ib)^2 - rho^2 in real arithmetic, in the order of Python's
+    # complex product: numpy's vectorized complex product may fuse
+    # multiply-adds, and array nodes would then round differently
+    return complex_sqrt_upper((ct * ct - b * b - (p.x * p.x + p.y * p.y)) + 2j * ct * b)
 
 
 def pulse_phase(p: SpacetimePoint, params: PulseParams) -> complex:
@@ -113,19 +133,21 @@ def eval_simple_pulse(p: SpacetimePoint, params: PulseParams) -> complex:
     """u = 1 / (S (S - z - i zeta)).
 
     The denominator can only vanish for non-regular parameter sets
-    (zeta >= b); such points raise SingularPoint instead of returning Inf.
+    (zeta >= b); such points raise SingularPoint instead of returning Inf
+    (NaN at such nodes of an array point).
     """
     s = complex_distance(p, params)
-    denom = s * (s - complex(p.z, params.zeta))
-    if abs(denom) < 1e-300:
-        raise SingularPoint(f"simple pulse singular at {p} (zeta >= b case)")
+    denom = s * (s - p.z - 1j * params.zeta)
+    denom = _mask_pole(
+        denom, abs(denom) < 1e-300, "simple pulse singular at {} (zeta >= b case)", p
+    )
     return 1.0 / denom
 
 
 def eval_quasi_spherical(p: SpacetimePoint, params: PulseParams, w: Waveform) -> complex:
     """u = f(theta)/S.  |S| >= b > 0, so no division singularity."""
     s = complex_distance(p, params)
-    return complex(w.eval(pulse_phase(p, params))) / s
+    return w.eval(s - p.z - 1j * params.b) / s
 
 
 def eval_spherical_reference(
@@ -135,12 +157,12 @@ def eval_spherical_reference(
 
     ``b_ref > 0`` shifts the waveform argument into the upper half-plane
     for waveforms that are only defined there; the default 0 is fine for
-    the shipped families, which extend to the real axis.
+    the shipped families, which extend to the real axis.  The origin
+    raises SingularPoint (NaN at such nodes of an array point).
     """
     r = p.radius
-    if r < 1e-300:
-        raise SingularPoint("spherical reference singular at the origin")
-    return complex(w.eval(r - params.c * p.t + 1j * b_ref)) / r
+    r = _mask_pole(r, r < 1e-300, "spherical reference singular at the origin", p)
+    return w.eval(r - params.c * p.t + 1j * b_ref) / r
 
 
 def simple_pulse_evaluator(params: PulseParams) -> Evaluator:
@@ -176,6 +198,8 @@ class AxisSpec:
             raise ValueError(f"axis {self.name}: count must be >= 1, got {self.count}")
         if self.count > 1 and not self.stop > self.start:
             raise ValueError(f"axis {self.name}: stop must exceed start for count > 1")
+        if self.name == "rho" and self.start < 0.0:
+            raise ValueError(f"axis rho: start must be >= 0, got {self.start}")
 
     def values(self) -> np.ndarray:
         if self.count == 1:
@@ -202,33 +226,25 @@ class GridSpec:
         used = set(names) | set(self.fixed)
         if "rho" in used and ("x" in used or "y" in used):
             raise ValueError("rho cannot be combined with x or y")
+        if self.fixed.get("rho", 0.0) < 0.0:
+            raise ValueError(f"fixed coordinate rho must be >= 0, got {self.fixed['rho']}")
 
     @property
     def shape(self) -> tuple[int, ...]:
         return tuple(a.count for a in self.axes)
 
-    def point_at(self, index: tuple[int, ...]) -> SpacetimePoint:
+    def broadcast_point(self) -> SpacetimePoint:
+        """Every node at once: axis k runs along array dimension k and
+        fixed coordinates stay scalars.  rho is placed on the x axis."""
         coords = dict(self.fixed)
-        for axis, i in zip(self.axes, index):
-            coords[axis.name] = float(axis.values()[i])
-        if "rho" in coords:
-            return SpacetimePoint.from_cylindrical(
-                coords.get("t", 0.0), coords["rho"], coords.get("z", 0.0)
-            )
+        for k, axis in enumerate(self.axes):
+            shape = [1] * len(self.axes)
+            shape[k] = axis.count
+            coords[axis.name] = axis.values().reshape(shape)
         return SpacetimePoint(
-            coords.get("t", 0.0), coords.get("x", 0.0),
+            coords.get("t", 0.0), coords.get("rho", coords.get("x", 0.0)),
             coords.get("y", 0.0), coords.get("z", 0.0),
         )
-
-
-def _worker_count(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("UNIPULSE_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -247,12 +263,6 @@ class FieldGrid:
                 f"values shape {self.values.shape} != grid shape {self.spec.shape}"
             )
 
-    def rows(self) -> Iterable[tuple[tuple[float, ...], complex]]:
-        axis_values = [a.values() for a in self.spec.axes]
-        for index in np.ndindex(self.spec.shape):
-            coords = tuple(float(av[i]) for av, i in zip(axis_values, index))
-            yield coords, complex(self.values[index])
-
     def _metadata(self) -> dict:
         meta = {
             "axes": [
@@ -270,7 +280,8 @@ class FieldGrid:
         return meta
 
     def write_csv(self, path) -> None:
-        """Rows of axis coordinates, re(u), im(u), |u|, row-major order."""
+        """Rows of axis coordinates, re(u), im(u), |u|, row-major order,
+        written one line at a time."""
         from .ioformats import fmt_float
 
         lines = []
@@ -288,12 +299,15 @@ class FieldGrid:
             lines.append(f"# fixed: {k}={fmt_float(v)}")
         header = [a.name for a in self.spec.axes] + ["re", "im", "abs"]
         lines.append(",".join(header))
-        for coords, u in self.rows():
-            cells = [fmt_float(c) for c in coords]
-            cells += [fmt_float(u.real), fmt_float(u.imag), fmt_float(abs(u))]
-            lines.append(",".join(cells))
+        # each axis value is formatted once, not once per row
+        coords = itertools.product(
+            *([fmt_float(v) for v in a.values().tolist()] for a in self.spec.axes)
+        )
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
+            for cells, u in zip(coords, self.values.ravel().tolist()):
+                cells += (fmt_float(u.real), fmt_float(u.imag), fmt_float(abs(u)))
+                fh.write(",".join(cells) + "\n")
 
     def write_binary(self, json_path) -> None:
         """JSON header plus a sibling .bin of little-endian complex128."""
@@ -323,40 +337,32 @@ def sample_grid(
     params: PulseParams | None = None,
     waveform_desc: str = "",
     evaluator_desc: str = "",
-    workers: int | None = None,
 ) -> FieldGrid:
-    """Evaluate over the grid in row-major order.
+    """Evaluate over the whole grid in one call on its broadcast point.
 
-    The result is identical to a serial loop regardless of the worker
-    count; workers only split the index space into ordered chunks.
-    Evaluator failures are re-raised as GridEvaluationError carrying the
-    offending index.
+    A non-finite value fails the grid: the first such node in row-major
+    order is evaluated again as a scalar point, and what that call raises
+    is re-raised as GridEvaluationError carrying the node's index.
     """
-    indices = list(np.ndindex(spec.shape))
-
-    def run_chunk(chunk):
-        out = []
-        for idx in chunk:
-            point = spec.point_at(idx)
-            try:
-                out.append(complex(evaluator(point)))
-            except Exception as exc:  # noqa: BLE001 - re-raised with location
-                raise GridEvaluationError(idx, point, exc) from exc
-        return out
-
-    nworkers = _worker_count(workers)
-    values = np.empty(spec.shape, dtype=np.complex128)
-    if nworkers == 1 or len(indices) < 4 * nworkers:
-        flat = run_chunk(indices)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunks = np.array_split(np.arange(len(indices)), 4 * nworkers)
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            parts = pool.map(run_chunk, [[indices[i] for i in c] for c in chunks])
-            flat = [v for part in parts for v in part]
-    for idx, v in zip(indices, flat):
-        values[idx] = v
+    point = spec.broadcast_point()
+    with np.errstate(all="ignore"):  # non-finite nodes are reported below
+        values = np.array(
+            np.broadcast_to(evaluator(point), spec.shape), dtype=np.complex128
+        )
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        index = tuple(int(i) for i in np.unravel_index(bad[0], spec.shape))
+        node = SpacetimePoint(*(
+            float(np.broadcast_to(v, spec.shape)[index])
+            for v in (point.t, point.x, point.y, point.z)
+        ))
+        try:
+            evaluator(node)
+        except Exception as exc:  # noqa: BLE001 - re-raised with location
+            raise GridEvaluationError(index, node, exc) from exc
+        raise GridEvaluationError(
+            index, node, ValueError(f"non-finite value {values[index]}")
+        )
     return FieldGrid(spec, values, params, waveform_desc, evaluator_desc)
 
 

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 _EPS = 2.220446049250313e-16
 
 
@@ -46,14 +48,21 @@ class ExtrapolationResult:
     stability: float
 
 
-def complex_sqrt_upper(w: complex) -> complex:
+def complex_sqrt_upper(w: complex | np.ndarray) -> complex | np.ndarray:
     """Square root of ``w`` on the branch with nonnegative imaginary part.
 
     Real w >= 0 maps to the nonnegative real root; real w < 0 maps to
     +i*sqrt(|w|).  Signed-zero imaginary parts are treated as zero so
     that values on the negative real axis never fall on the lower side
     of the cut.
+
+    Scalars go through ``cmath`` and must be finite.  Arrays go through
+    one ``np.sqrt`` call with the same branch rule; non-finite entries
+    propagate as NaN/Inf instead of raising.
     """
+    if isinstance(w, np.ndarray):
+        r = np.sqrt(w + 0j)  # adding +0j turns an imaginary -0.0 into +0.0
+        return np.where(r.imag < 0.0, -r, r)
     w = complex(w)
     if not (math.isfinite(w.real) and math.isfinite(w.imag)):
         raise ValueError(f"complex_sqrt_upper requires finite input, got {w!r}")

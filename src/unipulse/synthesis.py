@@ -42,20 +42,6 @@ class OutOfSupport(Exception):
 
 
 @dataclass(frozen=True)
-class WaveVector:
-    kx: float
-    ky: float
-    kz: float
-
-    @property
-    def k(self) -> float:
-        return math.sqrt(self.kx**2 + self.ky**2 + self.kz**2)
-
-    def omega(self, c: float) -> float:
-        return c * self.k
-
-
-@dataclass(frozen=True)
 class SpectralWeight:
     """Density A(k_z, omega) of the Fourier-Bessel representation.
 
@@ -200,7 +186,10 @@ def reconstruct_hemisphere(
             if abs(t_new - t_prev) <= 0.05 * max(tol, tol * abs(t_new)):
                 return t_new
             t_prev = t_new
-        return t_prev
+        raise ToleranceNotReached(
+            f"hemisphere reconstruction: azimuthal mean at mu={mu:.17g} "
+            f"not settled with {m} trapezoid nodes"
+        )
 
     def outer(mu: float) -> complex:
         return phi_mean(mu) / (mu * mu)

@@ -35,7 +35,11 @@ class Waveform(ABC):
 
     @abstractmethod
     def eval(self, theta: complex) -> complex:
-        """Value at ``theta`` (imaginary part must be >= 0)."""
+        """Value at ``theta`` (imaginary part must be >= 0).
+
+        Must accept a numpy array as well and return the matching shape;
+        the closed forms pass whole grids through it.
+        """
 
     @abstractmethod
     def deriv(self, theta: complex) -> complex:

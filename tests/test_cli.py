@@ -1,9 +1,16 @@
+import itertools
 import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from unipulse.cli import main
+from unipulse.fields import PulseParams, SpacetimePoint, eval_simple_pulse
+from unipulse.ioformats import fmt_float
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -61,6 +68,56 @@ class TestSample:
         rc, _ = run(tmp_path, "sample", cfg, "x.csv")
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "grid",
+        [{"axes": [{"name": "rho", "min": -1.0, "max": 1.0, "count": 3}]},
+         {"axes": [{"name": "z", "min": 0.0, "max": 1.0, "count": 2}],
+          "fixed": {"rho": -0.5}}],
+    )
+    def test_negative_rho_exits_2(self, tmp_path, capsys, grid):
+        rc, out = run(tmp_path, "sample", {"grid": grid}, "neg.csv")
+        assert rc == 2
+        assert "grid" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_singular_grid_exits_3_and_names_index(self, tmp_path, capsys):
+        cfg = {
+            "pulse": {"c": 1.0, "tau": 1.0, "zeta": 1.0},
+            "waveform": "rational(a=1)",
+            "evaluator": "simple_pulse",
+            "grid": {"axes": [{"name": "z", "min": -1.0, "max": 1.0, "count": 3}],
+                     "fixed": {"t": 0.0, "rho": 0.0}},
+        }
+        rc, _ = run(tmp_path, "sample", cfg, "sing.csv")
+        assert rc == 3
+        assert "grid index (1,): simple pulse singular at" in capsys.readouterr().err
+
+    def test_snapshot_config_matches_per_node_calls(self, tmp_path):
+        # the shipped snapshot, evaluated in one array call and streamed,
+        # against the file a scalar call per node writes: same header and
+        # coordinates, values equal up to last-ulp rounding
+        cfg = json.loads((CONFIGS / "sample_snapshot.json").read_text())
+        rc, out = run(tmp_path, "sample", cfg, "snapshot.csv")
+        assert rc == 0
+        text = out.read_bytes().decode("utf-8")
+        assert text.endswith("\n")
+        lines = text.split("\n")[:-1]
+        assert lines[:5] == [
+            "# pulse: c=1 tau=1 zeta=0", "# waveform: rational(a=1)",
+            "# evaluator: simple_pulse", "# fixed: t=0", "rho,z,re,im,abs",
+        ]
+        params = PulseParams(1.0, 1.0, 0.0)
+        nodes = itertools.product(np.linspace(0.0, 5.0, 101), np.linspace(-5.0, 5.0, 101))
+        rows = lines[5:]
+        assert len(rows) == 101 * 101
+        for row, (rho, z) in zip(rows, nodes):
+            cells = row.split(",")
+            assert cells[:2] == [fmt_float(rho), fmt_float(z)]
+            u = eval_simple_pulse(SpacetimePoint(0.0, rho, 0.0, z), params)
+            for cell, expect in zip(cells[2:], (u.real, u.imag, abs(u))):
+                assert cell == fmt_float(float(cell))
+                assert abs(float(cell) - expect) <= 1e-14 * abs(u)
+
     def test_binary_format(self, tmp_path):
         cfg = {
             "grid": {"axes": [{"name": "z", "min": -1, "max": 1, "count": 4}],
@@ -102,11 +159,22 @@ class TestCompare:
         cfg = dict(self.CFG, tolerance=1e-15)
         rc, _ = run(tmp_path, "compare", cfg, "c.json")
         assert rc == 3
-        assert "budget" in capsys.readouterr().err
+        # 5e-17 is below the rounding noise of the hemisphere's azimuthal mean
+        assert "azimuthal mean" in capsys.readouterr().err
 
     def test_empty_point_list_exits_2(self, tmp_path):
         rc, _ = run(tmp_path, "compare", dict(self.CFG, points=[]), "d.json")
         assert rc == 2
+
+    def test_monte_carlo_miss_is_named(self, tmp_path, capsys):
+        # routes agree, but no estimate lies within 1e-9 standard errors
+        cfg = dict(self.CFG, mc={"n_samples": 10_000, "seed": 3, "sigma": 1e-9})
+        rc, out = run(tmp_path, "compare", cfg, "mcmiss.json")
+        assert rc == 4
+        assert json.loads(out.read_text())["pass"] is False
+        err = capsys.readouterr().err
+        assert "Monte-Carlo estimate off the closed form" in err
+        assert "route disagreement" not in err
 
     def test_with_monte_carlo(self, tmp_path):
         cfg = dict(self.CFG, mc={"n_samples": 50_000, "seed": 3, "sigma": 5.0})
@@ -212,19 +280,6 @@ class TestSeedOverride:
         v1 = json.loads(out1.read_text())["rows"][0]["mc_estimate"]
         v2 = json.loads(out2.read_text())["rows"][0]["mc_estimate"]
         assert v1 != v2
-
-
-class TestThreadCap:
-    def test_env_var_does_not_change_output(self, tmp_path, monkeypatch):
-        cfg = {
-            "grid": {"axes": [{"name": "rho", "min": 0.0, "max": 2.0, "count": 9},
-                              {"name": "z", "min": -2.0, "max": 2.0, "count": 9}],
-                     "fixed": {"t": 0.25}},
-        }
-        _, out1 = run(tmp_path, "sample", cfg, "t1.csv")
-        monkeypatch.setenv("UNIPULSE_THREADS", "4")
-        _, out2 = run(tmp_path, "sample", cfg, "t2.csv")
-        assert out1.read_bytes() == out2.read_bytes()
 
 
 class TestHelp:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from unipulse.fields import (
     AxisSpec,
+    GridEvaluationError,
     GridSpec,
     PulseParams,
     SingularPoint,
@@ -180,13 +181,58 @@ class TestSphericalReference:
             eval_spherical_reference(SpacetimePoint(0, 0, 0, 0), params, RationalWaveform(1.0))
 
 
+class TestArrayKernel:
+    """A point with array coordinates gives, node for node, the scalar call."""
+
+    @given(
+        t=st.lists(st.floats(-10, 10), min_size=1, max_size=4),
+        rho=st.lists(st.floats(0, 10), max_size=3),
+        z=st.lists(st.floats(-10, 10), min_size=1, max_size=4),
+        c=st.floats(0.1, 5),
+        tau=st.floats(0.05, 4),
+        zeta_gap=st.sampled_from([1.0, 0.5, 1e-3, 1e-9, 0.0]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_nodes_match_scalar_calls(self, t, rho, z, c, tau, zeta_gap):
+        params = PulseParams(c, tau, (1.0 - zeta_gap) * c * tau)  # zeta up to b
+        b = params.b
+        t = np.array([0.0, -0.0, *t])
+        light_cone = abs(c * t[-1])  # |ct| = rho, and just off it
+        rho = np.array([0.0, light_cone, light_cone * (1 + 1e-9), *rho])
+        z = np.array([0.0, *z])
+        point = SpacetimePoint(t[:, None, None], rho[None, :, None], 0.0, z[None, None, :])
+
+        s = complex_distance(point, params)
+        assert np.all(s.imag >= b - 1e-15 * np.abs(s))  # Im S >= b up to rounding
+        kernels = (
+            lambda q: complex_distance(q, params),
+            lambda q: eval_simple_pulse(q, params),
+            lambda q: eval_quasi_spherical(q, params, RationalWaveform(0.5 * b)),
+            lambda q: eval_quasi_spherical(q, params, LeknerWaveform(b, 1.0)),
+            lambda q: eval_spherical_reference(q, params, RationalWaveform(b), 0.5),
+        )
+        shape = (t.size, rho.size, z.size)
+        for kernel in kernels:
+            with np.errstate(invalid="ignore"):  # NaN marks the poles
+                values = np.broadcast_to(kernel(point), shape)
+            for i, j, k in np.ndindex(shape):
+                node = SpacetimePoint(float(t[i]), float(rho[j]), 0.0, float(z[k]))
+                try:
+                    expect = kernel(node)
+                except SingularPoint:
+                    assert np.isnan(values[i, j, k])
+                    continue
+                assert abs(values[i, j, k] - expect) <= 1e-14 * abs(expect)
+
+
 class TestGrid:
     def test_single_point(self, params):
         spec = GridSpec((AxisSpec("rho", 0.3, 0.3, 1),), {"t": 0.0, "z": 0.1})
         grid = sample_grid(spec, simple_pulse_evaluator(params))
         expect = eval_simple_pulse(SpacetimePoint.from_cylindrical(0.0, 0.3, 0.1), params)
         assert grid.values.shape == (1,)
-        assert grid.values[0] == expect
+        # array and scalar division may differ in the last ulp
+        assert abs(grid.values[0] - expect) <= 1e-14 * abs(expect)
 
     def test_2x2_matches_direct_calls(self, params):
         spec = GridSpec(
@@ -198,7 +244,7 @@ class TestGrid:
                 direct = eval_simple_pulse(
                     SpacetimePoint.from_cylindrical(0.5, rho, z), params
                 )
-                assert grid.values[i, j] == direct
+                assert abs(grid.values[i, j] - direct) <= 1e-14 * abs(direct)
 
     def test_snapshot_peaks_at_origin(self, params):
         # brute-force scan: the t=0 snapshot with zeta=0 attains max |u| at rho=z=0
@@ -211,26 +257,56 @@ class TestGrid:
         assert (i, j) == (0, 50)
         assert flat[i, j] == pytest.approx(1.0)
 
-    def test_worker_count_does_not_change_result(self, params):
+    def test_evaluator_called_once_per_grid(self, params):
+        points = []
+
+        def counting(p):
+            points.append(p)
+            return eval_simple_pulse(p, params)
+
         spec = GridSpec(
-            (AxisSpec("rho", 0.0, 2.0, 13), AxisSpec("z", -2.0, 2.0, 11)), {"t": 0.3}
+            (AxisSpec("t", -1.0, 1.0, 4), AxisSpec("rho", 0.0, 2.0, 5),
+             AxisSpec("z", -2.0, 2.0, 6)), {}
         )
-        serial = sample_grid(spec, simple_pulse_evaluator(params), workers=1)
-        threaded = sample_grid(spec, simple_pulse_evaluator(params), workers=4)
-        assert np.array_equal(serial.values, threaded.values)
+        grid = sample_grid(spec, counting)
+        assert len(points) == 1
+        assert grid.values.shape == (4, 5, 6)
+        t, rho, z = (a.values() for a in spec.axes)
+        expect = eval_simple_pulse(
+            SpacetimePoint.from_cylindrical(t[1], rho[3], z[3]), params
+        )
+        assert abs(grid.values[1, 3, 3] - expect) <= 1e-14 * abs(expect)
 
     def test_error_carries_grid_index(self, params):
-        from unipulse.fields import GridEvaluationError
-
         def broken(p):
-            if p.z > 0:
+            # the kernels' contract: a scalar point raises, array nodes are NaN
+            bad = np.asarray(p.t + p.z > 0.9)
+            if bad.ndim == 0 and bad:
                 raise SingularPoint("boom")
-            return 1.0 + 0j
+            return np.where(bad, np.nan, 1.0 + 0j)
 
-        spec = GridSpec((AxisSpec("z", -1.0, 1.0, 3),), {})
+        # nodes (0, 2), (1, 1) and (1, 2) fail; (0, 2) is first in row-major order
+        spec = GridSpec((AxisSpec("t", 0.0, 1.0, 2), AxisSpec("z", -1.0, 1.0, 3)), {})
         with pytest.raises(GridEvaluationError) as exc:
             sample_grid(spec, broken)
-        assert exc.value.index == (2,)
+        assert exc.value.index == (0, 2)
+        assert "boom" in str(exc.value)
+
+    def test_singular_node_is_named(self):
+        # zeta = b puts a pole of the simple pulse at the origin at t = 0
+        spec = GridSpec((AxisSpec("z", -1.0, 1.0, 3),), {"t": 0.0, "rho": 0.0})
+        with pytest.raises(GridEvaluationError) as exc:
+            sample_grid(spec, simple_pulse_evaluator(PulseParams(1.0, 1.0, 1.0)))
+        assert exc.value.index == (1,)
+        assert exc.value.point == SpacetimePoint(0.0, 0.0, 0.0, 0.0)
+        assert "grid index (1,): simple pulse singular at" in str(exc.value)
+
+    def test_negative_rho_rejected(self):
+        # rho enters the kernel only as rho^2, so the grid must refuse the sign
+        with pytest.raises(ValueError, match="rho"):
+            AxisSpec("rho", -1.0, 1.0, 3)
+        with pytest.raises(ValueError, match="rho"):
+            GridSpec((AxisSpec("z", 0.0, 1.0, 2),), {"rho": -0.5})
 
     def test_rho_conflicts_with_xy(self):
         with pytest.raises(ValueError):

@@ -32,6 +32,9 @@ class TestComplexSqrtUpper:
     def test_negative_real_axis(self):
         assert complex_sqrt_upper(-1.0) == 1j
         assert complex_sqrt_upper(complex(-4.0, -0.0)) == 2j
+        # arrays: np.sqrt alone would put -0.0j below the cut
+        r = complex_sqrt_upper(np.array([-1.0 + 0j, complex(-4.0, -0.0)]))
+        assert np.array_equal(r, [1j, 2j]) and not np.signbit(r.real).any()
 
     def test_on_axis_branch(self):
         # (ct + i c tau)^2 with c=1, t=2, tau=1 must return ct + i c tau
@@ -64,6 +67,8 @@ class TestComplexSqrtUpper:
         r = complex_sqrt_upper(w)
         assert r.imag >= 0.0
         assert abs(r * r - w) <= 1e-14 * abs(w)
+        r_array = complex_sqrt_upper(np.array([w]))
+        assert abs(r_array[0] - r) <= 4e-16 * abs(r)
 
 
 class TestBesselJ0:

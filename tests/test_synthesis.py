@@ -12,7 +12,6 @@ from unipulse.fields import (
 from unipulse.numerics import ToleranceNotReached
 from unipulse.synthesis import (
     OutOfSupport,
-    WaveVector,
     make_spectral_weight,
     reconstruct_cartesian_mc,
     reconstruct_from_farfield,
@@ -23,11 +22,6 @@ from unipulse.synthesis import (
 )
 from unipulse.waveforms import LeknerWaveform, RationalWaveform
 
-
-def test_wave_vector_derived_quantities():
-    kv = WaveVector(3.0, 4.0, 12.0)
-    assert kv.k == 13.0
-    assert kv.omega(2.0) == 26.0
 
 REGULAR_POINTS = [
     SpacetimePoint.from_cylindrical(0.0, 0.5, 0.2),
@@ -98,6 +92,12 @@ class TestHemisphere:
             reconstruct_hemisphere(
                 params, rational, REGULAR_POINTS[0], 1e-12, max_evals=200
             )
+
+    def test_unsettled_azimuthal_mean_raises(self, params, rational):
+        # no trapezoid level can change by less than 5e-32, so the first
+        # azimuthal mean reaches the node cap well inside the budget
+        with pytest.raises(ToleranceNotReached, match="azimuthal mean"):
+            reconstruct_hemisphere(params, rational, REGULAR_POINTS[0], 1e-30)
 
 
 class TestFourierBessel:
