@@ -63,7 +63,6 @@ from .synthesis import (
     reconstruct_from_weight,
     reconstruct_fourier_bessel,
     reconstruct_hemisphere,
-    spectral_weight,
 )
 
 _EVALUATORS = ("simple_pulse", "quasi_spherical", "spherical_reference")
@@ -173,6 +172,9 @@ def run_compare(cfg: dict, out: str | None, seed: int | None) -> int:
             if abs(mc.value - closed) > mc_sigma * mc.stderr:
                 mc_misses += 1
         row["max_discrepancy"] = disc
+        routes = {"hemisphere": hemi, "fourier_bessel": fb, "from_weight": wt}
+        row["error_estimate"] = {k: r.error_estimate for k, r in routes.items()}
+        row["evaluations"] = {k: r.evaluations for k, r in routes.items()}
         rows.append(row)
         worst = max(worst, disc)
 
@@ -331,19 +333,14 @@ def run_spectrum(cfg: dict, out: str | None, seed: int | None) -> int:
         f"# waveform: {setup.waveform_desc}",
         "kz,omega,re,im,abs",
     ]
-    n_rows = 0
-    for omega in omega_grid:
-        for kz in kz_grid:
-            if kz > omega / setup.params.c:
-                continue
-            a = spectral_weight(float(kz), float(omega), setup.params, setup.waveform)
-            lines.append(
-                ",".join(
-                    (fmt_float(kz), fmt_float(omega),
-                     fmt_float(a.real), fmt_float(a.imag), fmt_float(abs(a)))
-                )
-            )
-            n_rows += 1
+    # omega-major rows inside the support, all weights in one array call
+    omega, kz = (a.ravel() for a in np.meshgrid(omega_grid, kz_grid, indexing="ij"))
+    keep = kz <= omega / setup.params.c
+    weights = make_spectral_weight(setup.params, setup.waveform)(kz[keep], omega[keep])
+    for k, om, a in zip(kz[keep].tolist(), omega[keep].tolist(), weights.tolist()):
+        lines.append(",".join((fmt_float(k), fmt_float(om), fmt_float(a.real),
+                               fmt_float(a.imag), fmt_float(abs(a)))))
+    n_rows = len(weights)
     out = out or cfg.get("out") or "unipulse_spectrum.csv"
     write_text(out, "\n".join(lines))
     print(f"wrote {n_rows} spectral-weight rows to {out}", file=sys.stderr)

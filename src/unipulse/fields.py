@@ -416,22 +416,18 @@ def energy_estimate(
         uct = (u(t + h / c, xx, yy, zz) - u(t - h / c, xx, yy, zz)) / (2 * h)
         return abs(ux) ** 2 + abs(uy) ** 2 + abs(uz) ** 2 + abs(uct) ** 2
 
-    def shell(r, inner_tol):
-        if r <= 0.0:
-            return 0.0
+    def shells(r, inner_tol):
+        """Shell integrands at every radius in ``r``, as one vector integral."""
+        r = np.asarray(r, dtype=float)[:, None]
         res = integrate_adaptive(
-            lambda chi: density(r * math.sin(chi), 0.0, r * math.cos(chi))
-            * math.sin(chi),
-            0.0,
-            math.pi,
-            inner_tol,
-            max_evals=200_000,
+            lambda chi: density(r * np.sin(chi), 0.0, r * np.cos(chi)) * np.sin(chi),
+            0.0, math.pi, inner_tol, max_evals=200_000 * r.size,
         )
-        return 2.0 * math.pi * r * r * res.value.real
+        return 2.0 * math.pi * r[:, 0] ** 2 * res.value.real
 
     # pilot pass fixes the overall scale so tolerances can be made relative
     pilot_nodes = np.linspace(0.0, cutoff, 65)
-    pilot_vals = np.array([shell(r, 1e-6) for r in pilot_nodes])
+    pilot_vals = shells(pilot_nodes, 1e-6)
     pilot = float(np.sum(0.5 * (pilot_vals[1:] + pilot_vals[:-1]) * np.diff(pilot_nodes)))
     if not math.isfinite(pilot) or pilot <= 0.0:
         raise ToleranceNotReached(f"energy pilot pass failed (got {pilot})")
@@ -439,12 +435,12 @@ def energy_estimate(
     outer_tol = tol * min(1.0, pilot)
     inner_tol = max(outer_tol * 0.1 / max(cutoff, 1.0), 1e-14)
     truncated = integrate_adaptive(
-        lambda r: shell(r, inner_tol), 0.0, cutoff, outer_tol, max_evals=6_000
+        lambda r: shells(r, inner_tol), 0.0, cutoff, outer_tol, max_evals=6_000
     ).value.real
 
     # tail: fit shell ~ A R^(-q) near the cutoff and integrate it onward
     radii = [f * cutoff for f in (0.75, 0.85, 0.95, 1.0)]
-    samples = [shell(r, inner_tol) for r in radii]
+    samples = shells(radii, inner_tol).tolist()
     floor = 1e-16 * pilot / max(cutoff, 1.0)
     if samples[-1] <= floor:
         return EnergyEstimate(truncated, truncated, 0.0, math.inf)

@@ -111,7 +111,7 @@ _QP = (
     -6.05014350600728481186e0,
 )
 _QQ = (
-    # leading coefficient 1.0 implicit
+    1.0,
     6.43178256118178023184e1,
     8.56430025976980587198e2,
     3.88240183605401609683e3,
@@ -123,42 +123,46 @@ _QQ = (
 _SQ2OPI = 7.9788456080286535587989e-1
 
 
-def _polevl(x: float, coef) -> float:
+def _polevl(x, coef):
     ans = coef[0]
     for c in coef[1:]:
         ans = ans * x + c
     return ans
 
 
-def _p1evl(x: float, coef) -> float:
-    ans = x + coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
+# Maclaurin coefficients of J0 in q = x^2/4, highest power first; the
+# first omitted term is below 6e-21 for x < 8
+_J0_SERIES = tuple((-1) ** k / math.factorial(k) ** 2 for k in range(24, -1, -1))
 
 
-def bessel_j0(x: float) -> float:
-    """Bessel function of the first kind, order zero.  Even in x."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"bessel_j0 requires finite input, got {x!r}")
-    x = abs(x)
-    if x < 8.0:
-        q = 0.25 * x * x
-        term = 1.0
-        total = 1.0
-        for k in range(1, 40):
-            term *= -q / (k * k)
-            total += term
-            if abs(term) < 1e-19:
-                break
-        return total
+def _j0_hankel(x: np.ndarray) -> np.ndarray:
     w = 5.0 / x
     q = 25.0 / (x * x)
     p = _polevl(q, _PP) / _polevl(q, _PQ)
-    qq = _polevl(q, _QP) / _p1evl(q, _QQ)
+    qq = _polevl(q, _QP) / _polevl(q, _QQ)
     xn = x - 0.25 * math.pi
-    return _SQ2OPI * (p * math.cos(xn) - w * qq * math.sin(xn)) / math.sqrt(x)
+    return _SQ2OPI * (p * np.cos(xn) - w * qq * np.sin(xn)) / np.sqrt(x)
+
+
+def bessel_j0(x):
+    """Bessel function of the first kind, order zero.  Even in x.
+
+    A float gives a float; an array gives the array of values, each
+    equal to the float call on that element.
+    """
+    x = np.abs(np.asarray(x, dtype=float))
+    if not np.isfinite(x).all():
+        raise ValueError(
+            f"bessel_j0 requires finite input, got {float(x[~np.isfinite(x)][0])!r}"
+        )
+    small = x < 8.0
+    if small.all() or not small.any():  # one regime: no masking
+        out = _polevl(0.25 * x * x, _J0_SERIES) if small.all() else _j0_hankel(x)
+    else:
+        out = np.empty_like(x)
+        out[small] = _polevl(0.25 * x[small] ** 2, _J0_SERIES)
+        out[~small] = _j0_hankel(x[~small])
+    return float(out) if out.ndim == 0 else out
 
 
 # --- adaptive Gauss-Kronrod quadrature ---------------------------------
@@ -193,43 +197,40 @@ _WG_CENTER = 0.417959183673469387755102040816327
 
 DEFAULT_QUAD_BUDGET = 1_000_000
 
+# the 15 nodes in ascending order with their Kronrod weights, and the
+# Gauss weights on the same nodes (zero on the Kronrod-only ones)
+_NODES = np.array([-x for x in _XGK] + [0.0] + list(_XGK[::-1]))
+_W_KRONROD = np.array(list(_WGK) + [_WGK_CENTER] + list(_WGK[::-1]))
+_W_GAUSS = np.zeros(15)
+_W_GAUSS[1:7:2] = _W_GAUSS[13:7:-2] = _WG
+_W_GAUSS[7] = _WG_CENTER
+
 
 def _gk15(f, a: float, b: float):
-    """One Gauss-Kronrod panel.  Returns (value, error, resabs)."""
+    """One Gauss-Kronrod panel, ``f`` called once on its 15 nodes.
+    Returns (value, error), each of the components' shape."""
     hl = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fc = complex(f(mid))
-    sk = _WGK_CENTER * fc
-    sg = _WG_CENTER * fc
-    sabs = _WGK_CENTER * abs(fc)
-    pairs = []
-    for j, xj in enumerate(_XGK):
-        dx = hl * xj
-        f1 = complex(f(mid - dx))
-        f2 = complex(f(mid + dx))
-        pairs.append((f1, f2))
-        sk += _WGK[j] * (f1 + f2)
-        sabs += _WGK[j] * (abs(f1) + abs(f2))
-        if j % 2 == 1:
-            sg += _WG[(j - 1) // 2] * (f1 + f2)
+    fx = np.asarray(f(0.5 * (a + b) + hl * _NODES), dtype=complex)
+    if fx.shape[-1:] != (15,):  # a constant broadcasts; other shapes raise
+        fx = np.broadcast_to(fx, (15,))
+    sk = fx @ _W_KRONROD
     value = sk * hl
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise ValueError(f"integrand produced a non-finite value on [{a}, {b}]")
-    mean = sk * 0.5
-    sasc = _WGK_CENTER * abs(fc - mean)
-    for j, (f1, f2) in enumerate(pairs):
-        sasc += _WGK[j] * (abs(f1 - mean) + abs(f2 - mean))
-    resabs = sabs * abs(hl)
-    resasc = sasc * abs(hl)
-    err = abs(sk - sg) * abs(hl)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    err = max(err, 50.0 * _EPS * resabs)
-    return value, err, resabs
+    if not np.isfinite(value).all():
+        where = f" in component {tuple(np.argwhere(~np.isfinite(value))[0].tolist())}"
+        raise ValueError(f"integrand produced a non-finite value on [{a}, {b}]"
+                         + (where if np.ndim(value) else ""))
+    ahl = abs(hl)
+    resabs = (np.abs(fx) @ _W_KRONROD) * ahl
+    resasc = (np.abs(fx - 0.5 * sk[..., None]) @ _W_KRONROD) * ahl
+    err = np.abs(sk - fx @ _W_GAUSS) * ahl
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
+    return value, np.maximum(err, 50.0 * _EPS * resabs)
 
 
 def integrate_adaptive(
-    f: Callable[[float], complex],
+    f: Callable[[np.ndarray], complex | np.ndarray],
     a: float,
     b: float,
     tol: float,
@@ -238,11 +239,16 @@ def integrate_adaptive(
 ) -> QuadratureResult:
     """Adaptive bisection with a nested 7/15 Gauss-Kronrod rule.
 
-    Complex values are integrated natively; the target is
-    |error| <= max(tol * |value|, tol).  ``breakpoints`` seed the initial
-    panel edges (useful for known kinks).  Raises ToleranceNotReached,
-    carrying the best estimate, once ``max_evals`` integrand evaluations
-    are spent.
+    ``f`` is called once per panel on the array of its 15 nodes and
+    returns values of shape (15,), or (..., 15) for a vector of
+    integrands sharing the panels; each component must reach |error| <=
+    max(tol * |value|, tol), and the panel with the largest component
+    error is bisected next.  Value and error estimate are then arrays
+    of the component shape (complex and float for a scalar integrand);
+    ``evaluations`` counts nodes times components.  ``breakpoints``
+    seed the initial panel edges (useful for known kinks).  Raises
+    ToleranceNotReached, carrying the best estimate, once ``max_evals``
+    evaluations are spent.
     """
     if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
         raise ValueError(f"integration interval must satisfy a < b, got [{a}, {b}]")
@@ -250,53 +256,48 @@ def integrate_adaptive(
         raise ValueError(f"tolerance must be positive, got {tol}")
 
     edges = [a] + sorted({float(p) for p in breakpoints if a < p < b}) + [b]
-    heap = []
-    frozen = []  # panels too narrow to split further
-    total = 0 + 0j
-    total_err = 0.0
-    evals = 0
-    seq = 0
-    for lo, hi in zip(edges, edges[1:]):
-        val, err, _ = _gk15(f, lo, hi)
-        evals += 15
+    heap, total, total_err = [], 0j, 0.0
+    for seq, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        val, err = _gk15(f, lo, hi)
         total += val
         total_err += err
-        heapq.heappush(heap, (-err, seq, lo, hi, val, err))
-        seq += 1
+        heapq.heappush(heap, (-np.max(err), seq, lo, hi, val, err))
+    seq, per_panel = len(heap), 15 * np.size(total)
+    evals = per_panel * seq
 
-    span = b - a
-    while total_err > max(tol * abs(total), tol):
+    def best() -> QuadratureResult:
+        if np.ndim(total) == 0:
+            return QuadratureResult(complex(total), float(total_err), evals)
+        return QuadratureResult(total, total_err, evals)
+
+    if evals > max_evals:
+        raise ToleranceNotReached(
+            f"evaluation budget {max_evals} exhausted by the initial panels", best()
+        )
+    while np.any(total_err > np.maximum(tol * np.abs(total), tol)):
         if not heap:
-            raise ToleranceNotReached(
-                "no panel can be refined further",
-                QuadratureResult(total, total_err, evals),
-            )
-        if evals + 30 > max_evals:
-            raise ToleranceNotReached(
-                f"evaluation budget {max_evals} exhausted "
-                f"(error estimate {total_err:.3e})",
-                QuadratureResult(total, total_err, evals),
-            )
+            raise ToleranceNotReached("no panel can be refined further", best())
+        if evals + 2 * per_panel > max_evals:
+            raise ToleranceNotReached(f"evaluation budget {max_evals} exhausted (error "
+                                      f"estimate {np.max(total_err):.3e})", best())
         _, _, lo, hi, val, err = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi) or (hi - lo) < 1e-15 * span:
-            frozen.append((lo, hi, val, err))
-            continue
-        v1, e1, _ = _gk15(f, lo, mid)
-        v2, e2, _ = _gk15(f, mid, hi)
-        evals += 30
-        total += (v1 + v2) - val
-        total_err += (e1 + e2) - err
-        heapq.heappush(heap, (-e1, seq, lo, mid, v1, e1))
-        seq += 1
-        heapq.heappush(heap, (-e2, seq, mid, hi, v2, e2))
-        seq += 1
+        if not (lo < mid < hi) or (hi - lo) < 1e-15 * (b - a):
+            continue  # too narrow to split further
+        v1, e1 = _gk15(f, lo, mid)
+        v2, e2 = _gk15(f, mid, hi)
+        evals += 2 * per_panel
+        total = total + ((v1 + v2) - val)
+        total_err = total_err + ((e1 + e2) - err)
+        heapq.heappush(heap, (-np.max(e1), seq, lo, mid, v1, e1))
+        heapq.heappush(heap, (-np.max(e2), seq + 1, mid, hi, v2, e2))
+        seq += 2
 
-    return QuadratureResult(total, total_err, evals)
+    return best()
 
 
 def integrate_semi_infinite(
-    f: Callable[[float], complex],
+    f: Callable[[np.ndarray], complex | np.ndarray],
     tol: float,
     decay_hint: float,
     max_evals: int = DEFAULT_QUAD_BUDGET,
@@ -306,15 +307,14 @@ def integrate_semi_infinite(
 
     Uses the substitution u = 1 - exp(-decay_hint*x), which maps the
     half-line onto [0, 1) and turns the exponential tail into a bounded
-    integrand, then delegates to :func:`integrate_adaptive`.
+    integrand, then delegates to :func:`integrate_adaptive` (same contract).
     """
     if not decay_hint > 0.0:
         raise ValueError(f"decay_hint must be positive, got {decay_hint}")
     lam = float(decay_hint)
 
-    def transformed(u: float) -> complex:
-        x = -math.log1p(-u) / lam
-        return f(x) / (lam * (1.0 - u))
+    def transformed(u: np.ndarray) -> np.ndarray:
+        return f(-np.log1p(-u) / lam) / (lam * (1.0 - u))
 
     mapped = tuple(-math.expm1(-lam * p) for p in breakpoints if p > 0.0)
     return integrate_adaptive(transformed, 0.0, 1.0, tol, max_evals, mapped)

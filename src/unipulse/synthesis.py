@@ -18,7 +18,6 @@ degrades silently.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -45,10 +44,10 @@ class OutOfSupport(Exception):
 class SpectralWeight:
     """Density A(k_z, omega) of the Fourier-Bessel representation.
 
-    ``func`` must return 0 outside the support 0 <= k_z <= omega/c
-    (Heaviside continuation).  ``omega_decay`` is the exponential decay
-    rate in omega used as a quadrature hint; ``kz_breakpoints`` mark
-    kinks of the k_z dependence.
+    ``func`` takes floats or broadcastable numpy arrays and must return
+    0 outside the support 0 <= k_z <= omega/c (Heaviside continuation).
+    ``omega_decay`` is the exponential decay rate in omega used as a
+    quadrature hint; ``kz_breakpoints`` mark kinks of the k_z dependence.
     """
 
     func: Callable[[float, float], complex]
@@ -62,10 +61,9 @@ class SpectralWeight:
 
 def spectral_weight(kz: float, omega: float, params: PulseParams, w: Waveform) -> complex:
     """A(k_z, omega) = -(i/c) exp(-(omega/c - k_z) b) fhat(k_z)."""
-    c = params.c
-    if kz < 0.0 or kz > omega / c:
-        raise OutOfSupport(f"k_z={kz} outside [0, omega/c={omega / c}]")
-    return (-1j / c) * math.exp(-(omega / c - kz) * params.b) * complex(w.spectrum(kz))
+    if kz < 0.0 or kz > omega / params.c:
+        raise OutOfSupport(f"k_z={kz} outside [0, omega/c={omega / params.c}]")
+    return make_spectral_weight(params, w)(kz, omega)
 
 
 def make_spectral_weight(params: PulseParams, w: Waveform) -> SpectralWeight:
@@ -76,19 +74,15 @@ def make_spectral_weight(params: PulseParams, w: Waveform) -> SpectralWeight:
     """
     c = params.c
 
-    def func(kz: float, omega: float) -> complex:
-        if kz < 0.0 or kz > omega / c:
-            return 0.0 + 0.0j
-        return spectral_weight(kz, omega, params, w)
+    def func(kz, omega):
+        top = np.asarray(omega, dtype=float) / c
+        inside = (kz >= 0.0) & (kz <= top)
+        kz = np.clip(kz, 0.0, top)
+        value = np.where(inside, (-1j / c) * np.exp((kz - top) * params.b) * w.spectrum(kz), 0j)
+        return complex(value) if value.ndim == 0 else value
 
     decay = 0.9 * min(w.decay_rate, params.b) / c
     return SpectralWeight(func, c, decay, w.spectrum_breakpoints)
-
-
-def _budgeted(counter: list, budget: int, what: str):
-    counter[0] += 1
-    if counter[0] > budget:
-        raise ToleranceNotReached(f"{what}: evaluation budget {budget} exhausted")
 
 
 def reconstruct_from_farfield(
@@ -155,49 +149,105 @@ def reconstruct_hemisphere(
     where <.>_psi is the azimuthal mean.  Averaging over a full period
     makes the result independent of the observation azimuth, so psi can
     be measured from it directly.  The mean is a spectrally convergent
-    periodic trapezoid; the mu integral is adaptive with panel edges
-    seeded geometrically toward mu = 0, where the integrand develops a
-    boundary layer controlled by the waveform decay at i*inf.
+    periodic trapezoid, taken for all nodes of a mu panel at once; the
+    mu integral is adaptive with panel edges seeded geometrically toward
+    mu = 0, where the integrand develops a boundary layer controlled by
+    the waveform decay at i*inf.  ``evaluations`` counts trapezoid nodes.
     """
     ct_ib = complex(params.c * p.t, params.b)
     z_ib = complex(p.z, params.b)
     rho = p.rho
-    counter = [0]
+    evals = 0
 
-    def phi_mean(mu: float) -> complex:
-        root = math.sqrt(max(1.0 - mu * mu, 0.0))
+    def phi_mean(mu: np.ndarray) -> np.ndarray:
+        root = np.sqrt(np.maximum(1.0 - mu * mu, 0.0))
         base = ct_ib - z_ib * mu
 
-        def integrand(psi: float) -> complex:
-            _budgeted(counter, max_evals, "hemisphere reconstruction")
-            return complex(w.deriv((base - rho * math.cos(psi) * root) / mu))
+        def integrand(rows: np.ndarray, psi: np.ndarray) -> np.ndarray:
+            nonlocal evals
+            evals += rows.size * psi.size
+            if evals > max_evals:
+                raise ToleranceNotReached(f"hemisphere reconstruction: evaluation "
+                                          f"budget {max_evals} exhausted")
+            arg = base[rows, None] - rho * np.cos(psi) * root[rows, None]
+            return w.deriv(arg / mu[rows, None])
 
+        rows = np.arange(mu.size)
         if rho == 0.0:
-            return integrand(0.0)
-        # trapezoid over half the period (integrand even in psi)
+            return integrand(rows, np.zeros(1))[:, 0]
+        # trapezoid over half the period (integrand even in psi); each mu
+        # stops at the first level that settles it
         m = 8
-        total = 0.5 * (integrand(0.0) + integrand(math.pi))
-        total += sum(integrand(math.pi * j / m) for j in range(1, m))
+        f = integrand(rows, math.pi * np.arange(m + 1) / m)
+        total = 0.5 * (f[:, 0] + f[:, m]) + f[:, 1:m].sum(axis=1)
         t_prev = total / m
+        # a criterion below the rounding noise of the sum is met only by chance
+        crit = 0.05 * np.maximum(tol, tol * np.abs(t_prev))
+        noisy = np.flatnonzero(crit < np.finfo(float).eps * np.abs(f).mean(axis=1))
+        if noisy.size:
+            raise ToleranceNotReached(f"hemisphere reconstruction: azimuthal mean at mu="
+                                      f"{mu[noisy[0]]:.17g} cannot settle to "
+                                      f"{crit[noisy[0]]:.1e}, below its rounding noise")
+        mean = np.empty_like(total)
         while m < 8192:
             m *= 2
-            total += sum(integrand(math.pi * j / m) for j in range(1, m, 2))
-            t_new = total / m
-            if abs(t_new - t_prev) <= 0.05 * max(tol, tol * abs(t_new)):
-                return t_new
-            t_prev = t_new
-        raise ToleranceNotReached(
-            f"hemisphere reconstruction: azimuthal mean at mu={mu:.17g} "
-            f"not settled with {m} trapezoid nodes"
-        )
-
-    def outer(mu: float) -> complex:
-        return phi_mean(mu) / (mu * mu)
+            total[rows] += integrand(rows, math.pi * np.arange(1, m, 2) / m).sum(axis=1)
+            t_new = total[rows] / m
+            settled = np.abs(t_new - t_prev[rows]) <= 0.05 * np.maximum(tol, tol * np.abs(t_new))
+            mean[rows[settled]] = t_new[settled]
+            t_prev[rows] = t_new
+            rows = rows[~settled]
+            if rows.size == 0:
+                return mean
+        raise ToleranceNotReached(f"hemisphere reconstruction: azimuthal mean at mu="
+                                  f"{mu[rows[0]]:.17g} not settled with {m} trapezoid nodes")
 
     seeds = (1.0 / 4096, 1.0 / 1024, 1.0 / 256, 1.0 / 64, 1.0 / 16, 0.25)
-    res = integrate_adaptive(outer, 0.0, 1.0, 0.5 * tol, max_evals=60_000,
-                             breakpoints=seeds)
-    return QuadratureResult(-res.value, res.error_estimate, counter[0])
+    res = integrate_adaptive(lambda mu: phi_mean(mu) / (mu * mu), 0.0, 1.0, 0.5 * tol,
+                             max_evals=60_000, breakpoints=seeds)
+    return QuadratureResult(-res.value, res.error_estimate, evals)
+
+
+def _fourier_bessel(spectral: Callable, outer: Callable, kz_edges: tuple[float, ...],
+                    c: float, decay: float, p: SpacetimePoint, tol: float,
+                    max_evals: int, what: str) -> QuadratureResult:
+    """The double integral of both spectral routes,
+
+        integral_0^inf dx outer(x) integral_{kz_edges[0]}^{x/c} dk_z
+            spectral(k_z, x) J0(rho sqrt(x^2/c^2 - k_z^2)) e^{-i k_z z},
+
+    with the k_z range split at the other edges (a piece starting above
+    x/c is empty).  For the 15 outer nodes of a panel, every piece of
+    every inner integral is one component of a single vector quadrature
+    in s = (k_z - start) / width on [0, 1].  ``evaluations`` counts
+    inner integrand values; ``max_evals`` bounds them over the route.
+    """
+    starts = np.array(kz_edges + (math.inf,))[:, None]
+    inner_evals = 0
+
+    def outer_integrand(x: np.ndarray) -> np.ndarray:
+        nonlocal inner_evals
+        ends = np.minimum(starts, x / c)
+        lo, width = ends[:-1, :, None], np.diff(ends, axis=0)[:, :, None]
+        top_sq = ((x / c) ** 2)[:, None]
+
+        def inner(s: np.ndarray) -> np.ndarray:
+            kz = lo + width * s
+            chi = np.sqrt(np.maximum(top_sq - kz * kz, 0.0))
+            return (width * spectral(kz, x[:, None]) * bessel_j0(p.rho * chi)
+                    * np.exp(kz * complex(0.0, -p.z)))
+
+        res = integrate_adaptive(inner, 0.0, 1.0, 0.05 * tol,
+                                 max_evals=max_evals - inner_evals)
+        inner_evals += res.evaluations
+        return outer(x) * res.value.sum(axis=0)
+
+    try:
+        res = integrate_semi_infinite(outer_integrand, 0.5 * tol, decay, max_evals=40_000,
+                                      breakpoints=tuple(c * q for q in kz_edges[1:]))
+    except ToleranceNotReached as exc:
+        raise ToleranceNotReached(f"{what} (route budget {max_evals}): {exc}") from exc
+    return QuadratureResult(res.value, res.error_estimate, inner_evals)
 
 
 def reconstruct_fourier_bessel(
@@ -218,37 +268,13 @@ def reconstruct_fourier_bessel(
     semi-infinite transform with that hint.
     """
     b = params.b
-    ct = params.c * p.t
-    rho = p.rho
-    counter = [0]
-    inner_tol = 0.05 * tol
-
-    def inner(k: float) -> complex:
-        if k <= 0.0:
-            return 0.0 + 0.0j
-
-        def integrand(kz: float) -> complex:
-            _budgeted(counter, max_evals, "Fourier-Bessel reconstruction")
-            chi = math.sqrt(max(k * k - kz * kz, 0.0))
-            return (
-                complex(w.spectrum(kz))
-                * bessel_j0(rho * chi)
-                * cmath.exp(complex(kz * b, -kz * p.z))
-            )
-
-        bps = tuple(q for q in w.spectrum_breakpoints if 0.0 < q < k)
-        return integrate_adaptive(
-            integrand, 0.0, k, inner_tol, max_evals=400_000, breakpoints=bps
-        ).value
-
-    def outer(k: float) -> complex:
-        return cmath.exp(complex(-k * b, k * ct)) * inner(k)
-
-    hint = 0.9 * min(w.decay_rate, b)
-    bps = tuple(w.spectrum_breakpoints)
-    res = integrate_semi_infinite(outer, 0.5 * tol, hint, max_evals=40_000,
-                                  breakpoints=bps)
-    return QuadratureResult(-1j * res.value, res.error_estimate, counter[0])
+    res = _fourier_bessel(
+        lambda kz, k: w.spectrum(kz) * np.exp(kz * b),
+        lambda k: np.exp(k * complex(-b, params.c * p.t)),
+        (0.0, *(q for q in w.spectrum_breakpoints if q > 0.0)),
+        1.0, 0.9 * min(w.decay_rate, b), p, tol, max_evals, "Fourier-Bessel reconstruction",
+    )
+    return QuadratureResult(-1j * res.value, res.error_estimate, res.evaluations)
 
 
 def reconstruct_from_weight(
@@ -267,39 +293,14 @@ def reconstruct_from_weight(
     ``kz_min`` may be pushed below zero; weights vanish there, so the
     result must not change (the integrand is continued with zero).
     """
-    c = weight.c
-    rho = p.rho
-    counter = [0]
-    inner_tol = 0.05 * tol
-
-    def inner(omega: float) -> complex:
-        top = omega / c
-        if top <= kz_min:
-            return 0.0 + 0.0j
-
-        def integrand(kz: float) -> complex:
-            _budgeted(counter, max_evals, "spectral-weight reconstruction")
-            chi = math.sqrt(max(top * top - kz * kz, 0.0))
-            return (
-                complex(weight(kz, omega))
-                * bessel_j0(rho * chi)
-                * cmath.exp(complex(0.0, -kz * p.z))
-            )
-
-        bps = tuple(q for q in weight.kz_breakpoints if kz_min < q < top)
-        if kz_min < 0.0:
-            bps = (0.0,) + bps
-        return integrate_adaptive(
-            integrand, kz_min, top, inner_tol, max_evals=400_000, breakpoints=bps
-        ).value
-
-    def outer(omega: float) -> complex:
-        return cmath.exp(1j * omega * p.t) * inner(omega)
-
-    bps = tuple(c * q for q in weight.kz_breakpoints)
-    res = integrate_semi_infinite(outer, 0.5 * tol, weight.omega_decay,
-                                  max_evals=40_000, breakpoints=bps)
-    return QuadratureResult(res.value, res.error_estimate, counter[0])
+    # weights vanish below k_z = 0, so that is an edge too when kz_min < 0
+    edges = sorted({q for q in (0.0, *weight.kz_breakpoints) if q > kz_min})
+    return _fourier_bessel(
+        weight,
+        lambda omega: np.exp(omega * complex(0.0, p.t)),
+        (kz_min, *edges),
+        weight.c, weight.omega_decay, p, tol, max_evals, "spectral-weight reconstruction",
+    )
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ class Waveform(ABC):
 
     @abstractmethod
     def deriv(self, theta: complex) -> complex:
-        """Derivative at ``theta``."""
+        """Derivative at ``theta``; accepts arrays like :meth:`eval`."""
 
     @abstractmethod
     def spectrum(self, kappa):

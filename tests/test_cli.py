@@ -149,6 +149,35 @@ class TestCompare:
         assert set(row) >= {"point", "closed_form", "hemisphere",
                             "fourier_bessel", "max_discrepancy"}
 
+    def test_rows_report_each_route_error_and_evaluations(self, tmp_path):
+        rc, out = run(tmp_path, "compare", self.CFG, "e.json")
+        assert rc == 0
+        row = json.loads(out.read_text())["rows"][0]
+        assert list(row) == ["point", "closed_form", "hemisphere", "fourier_bessel",
+                             "from_weight", "max_discrepancy", "error_estimate",
+                             "evaluations"]
+        closed = complex(row["closed_form"]["re"], row["closed_form"]["im"])
+        for route in ("hemisphere", "fourier_bessel", "from_weight"):
+            got = complex(row[route]["re"], row[route]["im"])
+            assert abs(got - closed) <= row["error_estimate"][route]
+            assert isinstance(row["evaluations"][route], int)
+            assert row["evaluations"][route] > 0
+
+    @pytest.mark.parametrize("route, name", [
+        ("reconstruct_fourier_bessel", "Fourier-Bessel reconstruction"),
+        ("reconstruct_from_weight", "spectral-weight reconstruction"),
+    ])
+    def test_spent_route_budget_exits_3(self, tmp_path, capsys, monkeypatch, route, name):
+        import functools
+
+        import unipulse.cli as cli
+
+        small = functools.partial(getattr(cli, route), max_evals=1000)
+        monkeypatch.setattr(cli, route, small)
+        rc, _ = run(tmp_path, "compare", self.CFG, "f.json")
+        assert rc == 3
+        assert name in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, tmp_path):
         rc1, out1 = run(tmp_path, "compare", self.CFG, "a.json")
         rc2, out2 = run(tmp_path, "compare", self.CFG, "b.json")
@@ -228,6 +257,25 @@ class TestSpectrumCmd:
             expect = -math.exp(-(omega - kz)) * math.exp(-kz)
             assert re == pytest.approx(expect, abs=1e-15)
             assert im == pytest.approx(0.0, abs=1e-15)
+
+    def test_rows_cover_the_support_in_omega_major_order(self, tmp_path):
+        from unipulse.synthesis import spectral_weight
+        from unipulse.waveforms import LeknerWaveform
+
+        cfg = {"pulse": {"c": 2.0, "tau": 0.5}, "waveform": "lekner(a=1,K=0.5)",
+               "kz": {"min": 0.0, "max": 1.0, "count": 3},
+               "omega": {"min": 1.0, "max": 2.0, "count": 2}}
+        rc, out = run(tmp_path, "spectrum", cfg, "spec.csv")
+        assert rc == 0
+        rows = [[float(v) for v in l.split(",")] for l in out.read_text().splitlines()
+                if l and not l.startswith("#") and not l.startswith("kz")]
+        # kz = omega/c = 0.5 and 1.0 lie on the edge of the support
+        assert [r[:2] for r in rows] == [[0.0, 1.0], [0.5, 1.0],
+                                         [0.0, 2.0], [0.5, 2.0], [1.0, 2.0]]
+        params, w = PulseParams(2.0, 0.5), LeknerWaveform(1.0, 0.5)
+        for kz, omega, re, im, _ in rows:
+            want = spectral_weight(kz, omega, params, w)
+            assert complex(re, im) == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 class TestResidualCmd:

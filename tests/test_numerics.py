@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import mpmath as mp
@@ -106,6 +105,27 @@ class TestBesselJ0:
             assert abs(d2 + d1 / x + f[2]) <= 1e-8
 
 
+    def test_array_matches_mpmath_and_scalar_calls(self):
+        rng = np.random.default_rng(6)
+        below, above = [8.0], [8.0]
+        for _ in range(20):  # x = 8, the regime switch, and its neighbouring floats
+            below.append(np.nextafter(below[-1], 0.0))
+            above.append(np.nextafter(above[-1], 16.0))
+        xs = np.concatenate(
+            [rng.uniform(0, 16, 400), np.geomspace(16, 1e4, 400), below, above,
+             [0.0, 1e4]]
+        )
+        values = bessel_j0(xs)
+        ref = np.array([float(mp.besselj(0, float(x))) for x in xs])
+        assert np.max(np.abs(values - ref)) <= 1e-12
+        assert all(v == bessel_j0(float(x)) for x, v in zip(xs, values))
+        assert np.array_equal(bessel_j0(-xs.reshape(4, -1)), values.reshape(4, -1))
+
+    def test_array_rejects_non_finite(self):
+        with pytest.raises(ValueError):
+            bessel_j0(np.array([1.0, math.inf]))
+
+
 class TestIntegrateAdaptive:
     def test_constant(self):
         res = integrate_adaptive(lambda x: 1.0, 0.0, 1.0, 1e-10)
@@ -114,19 +134,19 @@ class TestIntegrateAdaptive:
 
     def test_complex_exponential(self):
         # antiderivative oracle: (e^{i pi} - 1)/i = 2i
-        res = integrate_adaptive(lambda x: cmath.exp(1j * x), 0.0, math.pi, 1e-12)
+        res = integrate_adaptive(lambda x: np.exp(1j * x), 0.0, math.pi, 1e-12)
         assert abs(res.value - 2j) <= 1e-12
 
     def test_bessel_laplace_transform(self):
         # known transform: integral_0^inf J0(x) e^{-x} dx = 1/sqrt(2);
         # the [0, 40] truncation error is ~e^{-40}, far below tolerance
         res = integrate_adaptive(
-            lambda x: bessel_j0(x) * math.exp(-x), 0.0, 40.0, 1e-9
+            lambda x: bessel_j0(x) * np.exp(-x), 0.0, 40.0, 1e-9
         )
         assert abs(res.value - 1.0 / math.sqrt(2.0)) <= 1e-9
 
     def test_linearity(self, rng):
-        f = lambda x: cmath.exp(1j * x)
+        f = lambda x: np.exp(1j * x)
         g = lambda x: 1.0 / (1.0 + x * x)
         alpha, beta = complex(*rng.uniform(-2, 2, 2)), complex(*rng.uniform(-2, 2, 2))
         combo = integrate_adaptive(
@@ -141,7 +161,7 @@ class TestIntegrateAdaptive:
     def test_budget_exhaustion_carries_best_value(self):
         with pytest.raises(ToleranceNotReached) as exc:
             integrate_adaptive(
-                lambda x: math.sin(50.0 / (x + 1e-3)), 0.0, 1.0, 1e-14, max_evals=600
+                lambda x: np.sin(50.0 / (x + 1e-3)), 0.0, 1.0, 1e-14, max_evals=600
             )
         best = exc.value.result
         assert best is not None
@@ -165,22 +185,117 @@ class TestIntegrateAdaptive:
 
 class TestIntegrateSemiInfinite:
     def test_pure_exponential(self):
-        res = integrate_semi_infinite(lambda x: math.exp(-x), 1e-10, 1.0)
+        res = integrate_semi_infinite(lambda x: np.exp(-x), 1e-10, 1.0)
         assert abs(res.value - 1.0) <= 1e-10
 
     def test_damped_cosine(self):
         # antiderivative oracle: integral e^{-x} cos x dx = 1/2
-        res = integrate_semi_infinite(lambda x: math.exp(-x) * math.cos(x), 1e-10, 0.9)
+        res = integrate_semi_infinite(lambda x: np.exp(-x) * np.cos(x), 1e-10, 0.9)
         assert abs(res.value - 0.5) <= 1e-10
 
     def test_linear_times_exponential(self):
         # antiderivative oracle: integral x e^{-2x} dx = 1/4
-        res = integrate_semi_infinite(lambda x: x * math.exp(-2.0 * x), 1e-10, 1.5)
+        res = integrate_semi_infinite(lambda x: x * np.exp(-2.0 * x), 1e-10, 1.5)
         assert abs(res.value - 0.25) <= 1e-10
 
     def test_requires_positive_decay(self):
         with pytest.raises(ValueError):
             integrate_semi_infinite(lambda x: math.exp(-x), 1e-8, 0.0)
+
+
+class TestVectorIntegrand:
+    """Integrands called on the array of a panel's 15 nodes that return
+    one row of values per component."""
+
+    FREQS = np.array([0.5, 1.0, 2.0, 5.0, 20.0])
+
+    def test_components_match_scalar_integrals_and_closed_form(self):
+        # antiderivative oracle: integral_0^pi e^{iax} dx = (e^{i a pi} - 1)/(ia)
+        tol = 1e-12
+        res = integrate_adaptive(
+            lambda x: np.exp(1j * self.FREQS[:, None] * x), 0.0, math.pi, tol
+        )
+        exact = (np.exp(1j * self.FREQS * math.pi) - 1.0) / (1j * self.FREQS)
+        assert res.value.shape == res.error_estimate.shape == (5,)
+        for a, v, e, want in zip(self.FREQS, res.value, res.error_estimate, exact):
+            alone = integrate_adaptive(lambda x: np.exp(1j * a * x), 0.0, math.pi, tol)
+            assert abs(v - want) <= e <= max(tol * abs(v), tol)
+            assert abs(alone.value - want) <= alone.error_estimate
+            assert abs(v - alone.value) <= 2 * tol
+
+    def test_bessel_laplace_transform_over_a_vector_of_rates(self):
+        # known transform: integral_0^inf J0(x) e^{-sx} dx = 1/sqrt(1 + s^2)
+        s = np.array([0.5, 1.0, 2.0, 4.0, 9.0])
+        tol = 1e-10
+        res = integrate_semi_infinite(
+            lambda x: bessel_j0(x) * np.exp(-s[:, None] * x), tol, 0.45
+        )
+        exact = 1.0 / np.sqrt(1.0 + s * s)
+        assert np.all(np.abs(res.value - exact) <= res.error_estimate)
+        assert np.all(res.error_estimate <= np.maximum(tol * np.abs(res.value), tol))
+        for rate, v in zip(s, res.value):
+            alone = integrate_semi_infinite(
+                lambda x: bessel_j0(x) * np.exp(-rate * x), tol, 0.45
+            )
+            assert abs(v - alone.value) <= 2 * tol
+
+    @given(
+        st.lists(st.floats(0.05, 40.0), min_size=1, max_size=6),
+        st.floats(-3.0, 3.0),
+        st.floats(0.1, 6.0),
+        st.sampled_from([1e-6, 1e-9, 1e-12]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_error_estimate_bounds_true_error(self, freqs, a, width, tol):
+        freqs = np.array(freqs)
+        b = a + width
+        res = integrate_adaptive(lambda x: np.exp(1j * freqs[:, None] * x), a, b, tol)
+        # (e^{ifb} - e^{ifa})/(if), written without cancellation
+        exact = np.exp(0.5j * freqs * (a + b)) * 2.0 * np.sin(0.5 * freqs * (b - a)) / freqs
+        assert np.all(np.abs(res.value - exact) <= res.error_estimate)
+        assert np.all(res.error_estimate <= np.maximum(tol * np.abs(res.value), tol))
+
+    def test_called_once_per_panel_on_its_nodes(self):
+        shapes = []
+
+        def f(x):
+            shapes.append(x.shape)
+            return np.sin(self.FREQS[:, None] * x)
+
+        res = integrate_adaptive(f, 0.0, 3.0, 1e-10)
+        assert set(shapes) == {(15,)}
+        assert res.evaluations == 15 * len(shapes) * self.FREQS.size
+
+    def test_scalar_integrand_keeps_scalar_result(self):
+        res = integrate_adaptive(lambda x: np.exp(1j * x), 0.0, 1.0, 1e-10)
+        assert type(res.value) is complex and type(res.error_estimate) is float
+
+    def test_non_finite_component_is_an_error(self):
+        def f(x):
+            return np.stack([np.exp(x), np.where(x > 0.5, np.nan, x)])
+
+        with pytest.raises(ValueError, match="component"):
+            integrate_adaptive(f, 0.0, 1.0, 1e-6)
+
+    def test_wrong_node_axis_is_an_error(self):
+        with pytest.raises(ValueError, match="15"):
+            integrate_adaptive(lambda x: np.ones(3), 0.0, 1.0, 1e-6)
+
+    def test_budget_exhaustion_carries_partial_vector(self):
+        rates = np.array([[50.0], [80.0]])
+        with pytest.raises(ToleranceNotReached) as exc:
+            integrate_adaptive(
+                lambda x: np.sin(rates / (x + 1e-3)), 0.0, 1.0, 1e-14, max_evals=600
+            )
+        best = exc.value.result
+        assert best.value.shape == best.error_estimate.shape == (2,)
+        assert best.evaluations <= 600 and best.evaluations % 30 == 0
+        assert np.all(best.error_estimate > 0.0)
+
+    def test_initial_panels_count_against_the_budget(self):
+        with pytest.raises(ToleranceNotReached, match="initial panels"):
+            integrate_adaptive(lambda x: np.stack([x, x * x]), 0.0, 1.0, 1e-6,
+                               max_evals=50, breakpoints=(0.5,))
 
 
 class TestLimitExtrapolate:

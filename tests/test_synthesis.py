@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from unipulse.farfield import farfield_deriv
@@ -12,6 +13,7 @@ from unipulse.fields import (
 from unipulse.numerics import ToleranceNotReached
 from unipulse.synthesis import (
     OutOfSupport,
+    SpectralWeight,
     make_spectral_weight,
     reconstruct_cartesian_mc,
     reconstruct_from_farfield,
@@ -100,6 +102,24 @@ class TestHemisphere:
             reconstruct_hemisphere(params, rational, REGULAR_POINTS[0], 1e-30)
 
 
+    def test_counts_its_trapezoid_nodes(self, params):
+        w = LeknerWaveform(1.0, 1.0)
+        nodes = []
+
+        class Counting(LeknerWaveform):
+            def deriv(self, theta):
+                nodes.append(np.size(theta))
+                return super().deriv(theta)
+
+        res = reconstruct_hemisphere(params, Counting(1.0, 1.0), REGULAR_POINTS[1], 1e-6)
+        assert res.evaluations == sum(nodes) > 0
+        assert res.value == reconstruct_hemisphere(params, w, REGULAR_POINTS[1], 1e-6).value
+
+    def test_criterion_below_rounding_noise_raises(self, params, rational):
+        with pytest.raises(ToleranceNotReached, match="rounding noise"):
+            reconstruct_hemisphere(params, rational, REGULAR_POINTS[0], 1e-15)
+
+
 class TestFourierBessel:
     def test_reproduces_simple_pulse(self, params, rational):
         p = SpacetimePoint.from_cylindrical(0.0, 0.5, 0.2)
@@ -127,6 +147,28 @@ class TestFourierBessel:
         res = reconstruct_fourier_bessel(p, w, pt, 1e-6)
         exact = eval_simple_pulse(pt, p)
         assert abs(res.value - exact) <= 1e-6
+
+
+    def test_budget_names_the_route(self, params, rational):
+        with pytest.raises(ToleranceNotReached, match="Fourier-Bessel reconstruction"):
+            reconstruct_fourier_bessel(params, rational, REGULAR_POINTS[1], 1e-6,
+                                       max_evals=1000)
+
+    def test_counts_one_evaluation_per_spectral_value(self, params):
+        values = []
+
+        class Counting(LeknerWaveform):
+            def spectrum(self, kappa):
+                values.append(np.size(kappa))
+                return super().spectrum(kappa)
+
+        p = REGULAR_POINTS[1]
+        res = reconstruct_fourier_bessel(params, Counting(1.0, 1.0), p, 1e-6)
+        assert res.evaluations == sum(values) > 0
+        # the count is the budget the result needs: that budget is enough
+        again = reconstruct_fourier_bessel(params, Counting(1.0, 1.0), p, 1e-6,
+                                           max_evals=res.evaluations)
+        assert again.value == res.value
 
 
 class TestSpectralWeight:
@@ -158,6 +200,20 @@ class TestSpectralWeight:
         weight = make_spectral_weight(params, rational)
         assert weight(-0.5, 1.0) == 0.0
         assert weight(1.2, 1.0) == 0.0
+
+
+    def test_weight_closure_takes_arrays(self, params):
+        w = LeknerWaveform(1.0, 0.5)
+        weight = make_spectral_weight(params, w)
+        kz = np.linspace(-0.5, 2.5, 31)
+        omega = np.array([[0.3], [1.0], [2.0]])
+        got = weight(kz, omega)
+        assert got.shape == (3, 31)
+        for i, om in enumerate(omega[:, 0]):
+            for j, k in enumerate(kz):
+                inside = 0.0 <= k <= om / params.c
+                want = spectral_weight(k, om, params, w) if inside else 0.0
+                assert got[i, j] == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 class TestFromWeight:
@@ -197,6 +253,25 @@ class TestFromWeight:
         res = reconstruct_from_weight(weight, p, 1e-6)
         exact = eval_quasi_spherical(p, params, w)
         assert abs(res.value - exact) <= 1e-5
+
+
+    def test_budget_names_the_route(self, params, rational):
+        weight = make_spectral_weight(params, rational)
+        with pytest.raises(ToleranceNotReached, match="spectral-weight reconstruction"):
+            reconstruct_from_weight(weight, REGULAR_POINTS[1], 1e-6, max_evals=1000)
+
+    def test_counts_one_evaluation_per_weight_value(self, params):
+        weight = make_spectral_weight(params, LeknerWaveform(1.0, 1.0))
+        values = []
+
+        def counting(kz, omega):
+            values.append(np.broadcast(kz, omega).size)
+            return weight.func(kz, omega)
+
+        counted = SpectralWeight(counting, weight.c, weight.omega_decay,
+                                 weight.kz_breakpoints)
+        res = reconstruct_from_weight(counted, REGULAR_POINTS[1], 1e-6)
+        assert res.evaluations == sum(values) > 0
 
 
 class TestRouteAgreement:

@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -16,7 +15,7 @@ from unipulse.waveforms import (
 def spectrum_roundtrip(w, theta, tol=1e-11):
     """Independent reconstruction of eval(theta) by quadrature of the spectrum."""
     res = integrate_semi_infinite(
-        lambda k: w.spectrum(k) * cmath.exp(1j * k * theta),
+        lambda k: w.spectrum(k) * np.exp(1j * k * theta),
         tol,
         w.decay_rate + 0.9 * theta.imag,
         breakpoints=w.spectrum_breakpoints,
