@@ -406,7 +406,7 @@ def run_residual(cfg: dict, out: str | None, seed: int | None) -> int:
     return 0
 
 
-ENERGY_KEYS = {"pulse", "waveform", "t_values", "cutoff_radius", "tolerance", "out"}
+ENERGY_KEYS = {"pulse", "waveform", "t_values", "tolerance", "out"}
 
 
 def run_energy(cfg: dict, out: str | None, seed: int | None) -> int:
@@ -415,23 +415,13 @@ def run_energy(cfg: dict, out: str | None, seed: int | None) -> int:
     if not setup.params.regular:
         raise ConfigError("pulse: energy requires a regular family (zeta < c*tau)")
     t_values = get_number_list(cfg, "t_values", "", (0.0,))
-    cutoff = cfg.get("cutoff_radius")
-    if cutoff is not None:
-        cutoff = get_number(cfg, "cutoff_radius", "", gt=0.0)
     tol = get_number(cfg, "tolerance", "", 1e-4, gt=0.0)
 
     rows = []
     for t in t_values:
-        est = energy_estimate(t, setup.params, setup.waveform, cutoff, tol)
-        rows.append(
-            {
-                "t": t,
-                "energy": est.total,
-                "truncated": est.truncated,
-                "tail": est.tail,
-                "shell_decay_exponent": est.decay_exponent,
-            }
-        )
+        est = energy_estimate(t, setup.params, setup.waveform, tol)
+        rows.append({"t": t, "energy": est.total, "error_estimate": est.error_estimate,
+                     "evaluations": est.evaluations})
     doc = _pulse_header(setup)
     doc.update({"tolerance": tol, "rows": rows})
     out = out or cfg.get("out") or "unipulse_energy.json"
@@ -457,7 +447,7 @@ _COMMANDS = {
     "residual": (run_residual, RESIDUAL_KEYS,
                  "Finite-difference wave-equation residuals and convergence order."),
     "energy": (run_energy, ENERGY_KEYS,
-               "Field energy with tail extrapolation."),
+               "Field energy by a compactified Gauss-Legendre product rule."),
 }
 
 

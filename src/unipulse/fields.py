@@ -13,6 +13,7 @@ counterexample for directionality checks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -21,11 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import (
-    ToleranceNotReached,
-    complex_sqrt_upper,
-    integrate_adaptive,
-)
+from .numerics import ToleranceNotReached, complex_sqrt_upper
 from .waveforms import Waveform
 
 #: Maps a point to u.  A point whose coordinates are broadcastable
@@ -368,89 +365,94 @@ def sample_grid(
 
 # --- field energy -------------------------------------------------------
 
+#: The energy's product rule doubles its order from 16 up to this one.
+ENERGY_MAX_ORDER = 1024
+_RADII_PER_BLOCK = 32  # radii evaluated at once: memory stays flat in the order
+
 
 @dataclass(frozen=True)
 class EnergyEstimate:
-    """Truncated-domain field energy plus an extrapolated tail."""
+    """Field energy, the larger of the last two order-to-order
+    differences, and the density nodes spent over all orders."""
 
     total: float
-    truncated: float
-    tail: float
-    decay_exponent: float
+    error_estimate: float
+    evaluations: int
 
-    def __float__(self):
-        return self.total
+
+@functools.lru_cache(maxsize=None)  # one entry per order, 16 to ENERGY_MAX_ORDER
+def _gauss_unit(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of order n on [0, 1], read-only
+    because every caller shares them."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _energy_at_order(n: int, t: float, params: PulseParams, w: Waveform) -> tuple[float, int]:
+    """The order-n product rule of the energy integral and its node count.
+
+    Radii: r = c|t| (1 - (1-x)^3) on [0, c|t|] and r = c|t| + b x/(1-x)
+    beyond, clustering nodes at the pulse shell.  Polar angle:
+    chi = (pi/2) y^3 on each hemisphere, mirrored at pi/2, clustering
+    nodes at both axes where the on-axis tails sit.
+    """
+    b, ct = params.b, params.c * t
+    x, wx = _gauss_unit(n)
+    r = [abs(ct) + b * x / (1.0 - x)]
+    wr = [wx * b / (1.0 - x) ** 2]
+    if ct != 0.0:
+        r.append(abs(ct) * (1.0 - (1.0 - x) ** 3))
+        wr.append(wx * 3.0 * abs(ct) * (1.0 - x) ** 2)
+    r = np.concatenate(r)
+    wr = np.concatenate(wr) * 2.0 * math.pi * r * r
+    chi = 0.5 * math.pi * x**3
+    sin = np.tile(np.sin(chi), 2)
+    cos = np.concatenate([np.cos(chi), -np.cos(chi)])
+    wchi = np.tile(1.5 * math.pi * x * x * wx, 2) * sin
+    ct_ib_sq = ct * ct + b * b
+    total = 0.0
+    for lo in range(0, r.size, _RADII_PER_BLOCK):
+        rb = r[lo:lo + _RADII_PER_BLOCK, None]
+        rho, z = rb * sin, rb * cos
+        s = complex_distance(SpacetimePoint(t, rho, 0.0, z), params)
+        theta = s - z - 1j * b
+        fp = w.deriv(theta)
+        g = (fp - w.eval(theta) / s) / s
+        # |grad u|^2 + |du/d(ct)|^2 with dS/d(ct) = (ct+ib)/S, dS/drho = -rho/S
+        density = (np.abs(g) ** 2 * (ct_ib_sq + rho * rho) + np.abs(fp) ** 2) / np.abs(s) ** 2
+        total += float(wr[lo:lo + _RADII_PER_BLOCK] @ (density @ wchi))
+    return total, r.size * sin.size
 
 
 def energy_estimate(
-    t: float,
-    params: PulseParams,
-    w: Waveform,
-    cutoff_radius: float | None = None,
-    tol: float = 1e-4,
-    deriv_step: float | None = None,
+    t: float, params: PulseParams, w: Waveform, tol: float = 1e-4
 ) -> EnergyEstimate:
     """Energy integral |du/d(ct)|^2 + |grad u|^2 over all space at time t.
 
-    Integrates spherical shells adaptively out to ``cutoff_radius``
-    (default c|t| + 40 b) and extrapolates the tail from the fitted
-    power-law decay of the shell integrand.  Derivatives are central
-    differences with step ``deriv_step`` (default 1e-3 b).  Raises
-    ToleranceNotReached when the shell integrand is not yet in its
-    power-law regime at the cutoff.
+    The analytic gradient of u = f(theta)/S is integrated by a
+    compactified Gauss-Legendre product rule (see ``_energy_at_order``)
+    whose order doubles from 16.  It stops once the last two
+    differences between orders are both <= max(tol*E, tol), reporting
+    the larger as the error estimate, and raises ToleranceNotReached
+    past ``ENERGY_MAX_ORDER``.
     """
     if not params.regular:
         raise ValueError("energy is only finite for regular parameters (zeta < b)")
-    b = params.b
-    c = params.c
-    cutoff = cutoff_radius if cutoff_radius is not None else c * abs(t) + 40.0 * b
-    h = deriv_step if deriv_step is not None else 1e-3 * b
-
-    def u(tt, xx, yy, zz):
-        return eval_quasi_spherical(SpacetimePoint(tt, xx, yy, zz), params, w)
-
-    def density(xx, yy, zz):
-        ux = (u(t, xx + h, yy, zz) - u(t, xx - h, yy, zz)) / (2 * h)
-        uy = (u(t, xx, yy + h, zz) - u(t, xx, yy - h, zz)) / (2 * h)
-        uz = (u(t, xx, yy, zz + h) - u(t, xx, yy, zz - h)) / (2 * h)
-        uct = (u(t + h / c, xx, yy, zz) - u(t - h / c, xx, yy, zz)) / (2 * h)
-        return abs(ux) ** 2 + abs(uy) ** 2 + abs(uz) ** 2 + abs(uct) ** 2
-
-    def shells(r, inner_tol):
-        """Shell integrands at every radius in ``r``, as one vector integral."""
-        r = np.asarray(r, dtype=float)[:, None]
-        res = integrate_adaptive(
-            lambda chi: density(r * np.sin(chi), 0.0, r * np.cos(chi)) * np.sin(chi),
-            0.0, math.pi, inner_tol, max_evals=200_000 * r.size,
-        )
-        return 2.0 * math.pi * r[:, 0] ** 2 * res.value.real
-
-    # pilot pass fixes the overall scale so tolerances can be made relative
-    pilot_nodes = np.linspace(0.0, cutoff, 65)
-    pilot_vals = shells(pilot_nodes, 1e-6)
-    pilot = float(np.sum(0.5 * (pilot_vals[1:] + pilot_vals[:-1]) * np.diff(pilot_nodes)))
-    if not math.isfinite(pilot) or pilot <= 0.0:
-        raise ToleranceNotReached(f"energy pilot pass failed (got {pilot})")
-
-    outer_tol = tol * min(1.0, pilot)
-    inner_tol = max(outer_tol * 0.1 / max(cutoff, 1.0), 1e-14)
-    truncated = integrate_adaptive(
-        lambda r: shells(r, inner_tol), 0.0, cutoff, outer_tol, max_evals=6_000
-    ).value.real
-
-    # tail: fit shell ~ A R^(-q) near the cutoff and integrate it onward
-    radii = [f * cutoff for f in (0.75, 0.85, 0.95, 1.0)]
-    samples = shells(radii, inner_tol).tolist()
-    floor = 1e-16 * pilot / max(cutoff, 1.0)
-    if samples[-1] <= floor:
-        return EnergyEstimate(truncated, truncated, 0.0, math.inf)
-    logs = [math.log(max(s, floor)) for s in samples]
-    logr = [math.log(r) for r in radii]
-    q = -float(np.polyfit(logr, logs, 1)[0])
-    if not q > 1.2:
-        raise ToleranceNotReached(
-            f"shell integrand not yet asymptotic at R={cutoff:.3g} "
-            f"(fitted decay exponent {q:.2f})"
-        )
-    tail = samples[-1] * cutoff / (q - 1.0)
-    return EnergyEstimate(truncated + tail, truncated, tail, q)
+    totals, evaluations, n = [], 0, 16
+    while n <= ENERGY_MAX_ORDER:
+        total, nodes = _energy_at_order(n, t, params, w)
+        if not math.isfinite(total):
+            raise ValueError(f"energy at t={t!r}: density not finite at order {n}")
+        totals.append(total)
+        evaluations += nodes
+        err = float(np.max(np.abs(np.diff(totals[-3:])))) if len(totals) >= 3 else math.inf
+        target = max(tol * abs(total), tol)
+        if err <= target:
+            return EnergyEstimate(total, err, evaluations)
+        n *= 2
+    raise ToleranceNotReached(
+        f"energy at t={t!r}: product rule not settled at order {ENERGY_MAX_ORDER} "
+        f"(last two differences up to {err:.3e}, target {target:.3e})"
+    )

@@ -203,8 +203,14 @@ def reconstruct_hemisphere(
                                   f"{mu[rows[0]]:.17g} not settled with {m} trapezoid nodes")
 
     seeds = (1.0 / 4096, 1.0 / 1024, 1.0 / 256, 1.0 / 64, 1.0 / 16, 0.25)
-    res = integrate_adaptive(lambda mu: phi_mean(mu) / (mu * mu), 0.0, 1.0, 0.5 * tol,
-                             max_evals=60_000, breakpoints=seeds)
+    try:
+        res = integrate_adaptive(lambda mu: phi_mean(mu) / (mu * mu), 0.0, 1.0, 0.5 * tol,
+                                 max_evals=60_000, breakpoints=seeds)
+    except ToleranceNotReached as exc:
+        if exc.result is None:  # the azimuthal mean's own failure names the route
+            raise
+        raise ToleranceNotReached(f"hemisphere reconstruction (µ budget 60000): {exc}",
+                                  exc.result) from exc
     return QuadratureResult(-res.value, res.error_estimate, evals)
 
 

@@ -191,6 +191,11 @@ class TestCompare:
         # 5e-17 is below the rounding noise of the hemisphere's azimuthal mean
         assert "azimuthal mean" in capsys.readouterr().err
 
+    def test_spent_hemisphere_budget_exits_3_and_names_the_route(self, tmp_path, capsys):
+        rc, _ = run(tmp_path, "compare", dict(self.CFG, tolerance=1e-14), "g.json")
+        assert rc == 3
+        assert "hemisphere reconstruction (µ budget 60000)" in capsys.readouterr().err
+
     def test_empty_point_list_exits_2(self, tmp_path):
         rc, _ = run(tmp_path, "compare", dict(self.CFG, points=[]), "d.json")
         assert rc == 2
@@ -303,12 +308,20 @@ class TestResidualCmd:
 
 class TestEnergyCmd:
     def test_energy_row(self, tmp_path):
-        cfg = {"t_values": [0.0], "cutoff_radius": 15.0, "tolerance": 1e-3}
+        cfg = {"t_values": [0.0], "tolerance": 1e-3}
         rc, out = run(tmp_path, "energy", cfg, "en.json")
         assert rc == 0
         row = json.loads(out.read_text())["rows"][0]
+        assert list(row) == ["t", "energy", "error_estimate", "evaluations"]
         assert row["energy"] > 0.0
-        assert row["shell_decay_exponent"] > 1.2
+        assert 0.0 < row["error_estimate"] <= 1e-3 * row["energy"]
+        assert isinstance(row["evaluations"], int) and row["evaluations"] > 0
+
+    def test_cutoff_radius_is_an_unknown_key(self, tmp_path, capsys):
+        cfg = {"t_values": [0.0], "cutoff_radius": 15.0}
+        rc, _ = run(tmp_path, "energy", cfg, "en3.json")
+        assert rc == 2
+        assert "cutoff_radius" in capsys.readouterr().err
 
     def test_non_regular_family_rejected(self, tmp_path):
         cfg = {"pulse": {"c": 1.0, "tau": 1.0, "zeta": 2.0},
@@ -334,7 +347,7 @@ class TestHelp:
     @pytest.mark.parametrize(
         "command,key",
         [("sample", "grid"), ("compare", "max_discrepancy"), ("unidir", "tolerance"),
-         ("spectrum", "omega"), ("residual", "h_values"), ("energy", "cutoff_radius"),
+         ("spectrum", "omega"), ("residual", "h_values"), ("energy", "tolerance"),
          ("farfield", "schedule_ct")],
     )
     def test_help_lists_config_keys(self, command, key, capsys):
@@ -342,3 +355,36 @@ class TestHelp:
             main([command, "--help"])
         assert exc.value.code == 0
         assert key in capsys.readouterr().out
+
+
+class TestShippedConfigs:
+    # each config's command, output suffix and documented exit code
+    RUNS = {
+        "sample_snapshot": ("sample", "csv", 0),
+        "compare_demo": ("compare", "json", 0),
+        "unidir_pulse": ("unidir", "json", 0),
+        "unidir_counterexample": ("unidir", "json", 4),
+        "farfield_scan": ("farfield", "json", 0),
+        "spectrum_table": ("spectrum", "csv", 0),
+        "residual_scan": ("residual", "csv", 0),
+        "energy_conservation": ("energy", "json", 0),
+    }
+
+    def test_every_config_exits_with_its_documented_code(self, tmp_path):
+        assert {p.stem for p in CONFIGS.glob("*.json")} == set(self.RUNS)
+        for name, (command, suffix, code) in self.RUNS.items():
+            out = tmp_path / f"{name}.{suffix}"
+            rc = main([command, "--config", str(CONFIGS / f"{name}.json"), "--out", str(out)])
+            assert rc == code, name
+            assert out.stat().st_size > 0, name
+
+    def test_energy_conservation_reruns_identically_at_the_closed_form(self, tmp_path):
+        outs = [tmp_path / "e1.json", tmp_path / "e2.json"]
+        for out in outs:
+            cfg = str(CONFIGS / "energy_conservation.json")
+            assert main(["energy", "--config", cfg, "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        rows = json.loads(outs[0].read_text())["rows"]
+        assert [row["t"] for row in rows] == [0.0, 1.0]
+        for row in rows:
+            assert row["energy"] == pytest.approx(2.0 * math.pi**2, rel=1e-6)

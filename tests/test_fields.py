@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unipulse.fields import (
+    ENERGY_MAX_ORDER,
     AxisSpec,
     GridEvaluationError,
     GridSpec,
@@ -22,6 +24,7 @@ from unipulse.fields import (
     sample_grid,
     simple_pulse_evaluator,
 )
+from unipulse.numerics import ToleranceNotReached
 from unipulse.waveforms import LeknerWaveform, RationalWaveform, Waveform
 
 mp.mp.dps = 40
@@ -367,13 +370,59 @@ class TestEnergy:
         assert math.isfinite(e0.total) and e0.total > 0.0
         assert abs(e0.total - e1.total) / e0.total <= 1e-3
 
-    def test_shell_decay_exponent(self, params, rational):
-        est = energy_estimate(0.0, params, rational)
-        assert est.decay_exponent >= 1.9
+    @settings(max_examples=30, deadline=None)
+    @given(
+        b=st.floats(0.5, 4.0),
+        K=st.floats(0.0, 3.0),
+        c=st.floats(0.5, 2.0),
+        t_over_tau=st.floats(-3.0, 3.0),
+        tol=st.sampled_from([1e-2, 1e-4, 1e-6]),
+    )
+    def test_error_estimate_bounds_the_closed_form(self, b, K, c, t_over_tau, tol):
+        # lekner(a=b, K) carries the field energy 2 pi^2 (1 + K b) / b^3
+        params = PulseParams(c, b / c)
+        b = params.b
+        est = energy_estimate(t_over_tau * params.tau, params, LeknerWaveform(b, K), tol)
+        exact = 2.0 * math.pi**2 * (1.0 + K * b) / b**3
+        assert abs(est.total - exact) <= est.error_estimate <= max(tol * est.total, tol)
+
+    @pytest.mark.parametrize("t", [30.0, -100.0, 300.0])
+    @pytest.mark.parametrize("w", [RationalWaveform(1.0), LeknerWaveform(1.0, 1.0)], ids=repr)
+    def test_late_times_bound_the_error_or_raise(self, params, w, t):
+        # the pulse is a shell of width b at radius c|t| with thin on-axis tails
+        exact = 2.0 * math.pi**2 * (1.0 + getattr(w, "K", 0.0))
+        try:
+            est = energy_estimate(t, params, w, 1e-4)
+        except ToleranceNotReached as exc:
+            assert f"order {ENERGY_MAX_ORDER}" in str(exc)
+            return
+        assert abs(est.total - exact) <= est.error_estimate <= 1e-4 * est.total
+
+    def test_evaluations_count_density_nodes_over_all_orders(self, params, rational):
+        # one radial piece at t = 0, two after; 2n polar angles per radius
+        for t, pieces in ((0.0, 1), (1.0, 2)):
+            est = energy_estimate(t, params, rational, 1e-4)
+            counts = {pieces * 2 * sum((16 << k) ** 2 for k in range(m + 1)) for m in range(2, 7)}
+            assert est.evaluations in counts
+
+    def test_memory_stays_flat_up_to_the_order_cap(self, params, rational):
+        # one order-1024 array over all nodes would take 33.5 MB at t = 0
+        tracemalloc.start()
+        try:
+            with pytest.raises(ToleranceNotReached, match=f"order {ENERGY_MAX_ORDER}"):
+                energy_estimate(0.0, params, rational, 1e-300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    def test_non_finite_density_raises_at_once(self, params, rational):
+        with pytest.raises(ValueError, match="not finite at order 16"):
+            energy_estimate(0.0, params, _Scaled(rational, math.nan))
 
     def test_quadratic_scaling(self, params, rational):
-        base = energy_estimate(0.0, params, rational, cutoff_radius=15.0)
-        doubled = energy_estimate(0.0, params, _Scaled(rational, 2.0), cutoff_radius=15.0)
+        base = energy_estimate(0.0, params, rational)
+        doubled = energy_estimate(0.0, params, _Scaled(rational, 2.0))
         assert doubled.total == pytest.approx(4.0 * base.total, rel=1e-6)
 
     def test_rejects_non_regular(self):

@@ -119,6 +119,15 @@ class TestHemisphere:
         with pytest.raises(ToleranceNotReached, match="rounding noise"):
             reconstruct_hemisphere(params, rational, REGULAR_POINTS[0], 1e-15)
 
+    def test_spent_mu_budget_names_the_route(self, params, rational):
+        # the Gauss-Kronrod error floor keeps the mu integral above its 5e-15 target
+        p = SpacetimePoint.from_cylindrical(0.0, 0.5, 0.2)
+        with pytest.raises(ToleranceNotReached) as exc:
+            reconstruct_hemisphere(params, rational, p, 1e-14)
+        assert str(exc.value).startswith(
+            "hemisphere reconstruction (µ budget 60000): evaluation budget 60000 exhausted")
+        assert exc.value.result is not None
+
 
 class TestFourierBessel:
     def test_reproduces_simple_pulse(self, params, rational):
