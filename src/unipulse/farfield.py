@@ -146,11 +146,17 @@ class UnidirectionalityReport:
     schedule_t: tuple[float, ...]
     entries: tuple[UnidirEntry, ...]
 
+    @property
+    def margin(self) -> float:
+        """tol / max |F|: how far below the tolerance the far field stays."""
+        return self.tol / self.max_abs if self.max_abs > 0.0 else math.inf
+
     def as_dict(self) -> dict:
         return {
             "pass": self.passed,
             "tol": self.tol,
             "max_abs_farfield": self.max_abs,
+            "margin": self.margin,
             "worst": {"chi": self.worst_chi, "phi": self.worst_phi, "s": self.worst_s},
             "schedule_t": list(self.schedule_t),
             "directions": [

@@ -124,9 +124,10 @@ _SQ2OPI = 7.9788456080286535587989e-1
 
 
 def _polevl(x, coef):
-    ans = coef[0]
+    ans = np.full_like(x, coef[0])
     for c in coef[1:]:
-        ans = ans * x + c
+        ans *= x
+        ans += c
     return ans
 
 
@@ -206,27 +207,40 @@ _W_GAUSS[1:7:2] = _W_GAUSS[13:7:-2] = _WG
 _W_GAUSS[7] = _WG_CENTER
 
 
-def _gk15(f, a: float, b: float):
-    """One Gauss-Kronrod panel, ``f`` called once on its 15 nodes.
-    Returns (value, error), each of the components' shape."""
-    hl = 0.5 * (b - a)
-    fx = np.asarray(f(0.5 * (a + b) + hl * _NODES), dtype=complex)
-    if fx.shape[-1:] != (15,):  # a constant broadcasts; other shapes raise
-        fx = np.broadcast_to(fx, (15,))
+def _gk15(f, lo: np.ndarray, hi: np.ndarray):
+    """Gauss-Kronrod panels [lo[j], hi[j]], ``f`` called once on the
+    array of all their nodes, shape (15 n,).  Returns (value, error,
+    floor), each of the components' shape with a trailing axis of the n
+    panels; ``floor`` is the rounding floor 50 eps resabs below which
+    no error estimate falls."""
+    hl = 0.5 * (hi - lo)
+    n = hl.size
+    fx = np.asarray(f(((0.5 * (lo + hi))[:, None] + hl[:, None] * _NODES).ravel()),
+                    dtype=complex)
+    if fx.shape[-1:] != (15 * n,):  # a constant broadcasts
+        try:
+            fx = np.broadcast_to(fx, (15 * n,))
+        except ValueError:
+            raise ValueError(f"integrand values of shape {fx.shape} lack a last axis "
+                             f"of the {15 * n} nodes (15 per panel)") from None
+    fx = fx.reshape(fx.shape[:-1] + (n, 15))
     sk = fx @ _W_KRONROD
     value = sk * hl
-    if not np.isfinite(value).all():
-        where = f" in component {tuple(np.argwhere(~np.isfinite(value))[0].tolist())}"
-        raise ValueError(f"integrand produced a non-finite value on [{a}, {b}]"
-                         + (where if np.ndim(value) else ""))
-    ahl = abs(hl)
+    bad = ~np.isfinite(value)
+    if bad.any():
+        j = int(np.flatnonzero(bad.reshape(-1, n).any(axis=0))[0])
+        where = f" in component {tuple(np.argwhere(bad[..., j])[0].tolist())}"
+        raise ValueError(f"integrand produced a non-finite value on "
+                         f"[{float(lo[j])}, {float(hi[j])}]" + (where if value.ndim > 1 else ""))
+    ahl = np.abs(hl)
     resabs = (np.abs(fx) @ _W_KRONROD) * ahl
     resasc = (np.abs(fx - 0.5 * sk[..., None]) @ _W_KRONROD) * ahl
     err = np.abs(sk - fx @ _W_GAUSS) * ahl
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
     err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
-    return value, np.maximum(err, 50.0 * _EPS * resabs)
+    floor = 50.0 * _EPS * resabs
+    return value, np.maximum(err, floor), floor
 
 
 def integrate_adaptive(
@@ -239,30 +253,40 @@ def integrate_adaptive(
 ) -> QuadratureResult:
     """Adaptive bisection with a nested 7/15 Gauss-Kronrod rule.
 
-    ``f`` is called once per panel on the array of its 15 nodes and
-    returns values of shape (15,), or (..., 15) for a vector of
-    integrands sharing the panels; each component must reach |error| <=
-    max(tol * |value|, tol), and the panel with the largest component
-    error is bisected next.  Value and error estimate are then arrays
-    of the component shape (complex and float for a scalar integrand);
-    ``evaluations`` counts nodes times components.  ``breakpoints``
-    seed the initial panel edges (useful for known kinks).  Raises
-    ToleranceNotReached, carrying the best estimate, once ``max_evals``
-    evaluations are spent.
+    ``f`` is called on the array of the 15 nodes of every panel it is
+    to evaluate: once on all initial panels, shape (15 n,), then once
+    per bisection on the 30 nodes of both halves.  It returns values of
+    that shape, or (..., 15 n) for a vector of integrands sharing the
+    panels; each component must reach |error| <= max(tol * |value|,
+    tol), and the panel with the largest component error is bisected
+    next.  Value and error estimate are then arrays of the component
+    shape (complex and float for a scalar integrand); ``evaluations``
+    counts nodes times components.  ``breakpoints`` seed the initial
+    panel edges (useful for known kinks).  Raises ToleranceNotReached,
+    carrying the best estimate, once ``max_evals`` evaluations are
+    spent, or once a component's summed rounding floor 50 eps resabs
+    exceeds its target, which no bisection can lower.
     """
     if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
         raise ValueError(f"integration interval must satisfy a < b, got [{a}, {b}]")
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
 
+    heap, seq = [], 0
+
+    def evaluate(los: list, his: list):
+        """Panels [los[j], his[j]] in one integrand call, queued for
+        bisection; returns their summed values, errors and floors."""
+        nonlocal seq
+        v, e, fl = _gk15(f, np.array(los), np.array(his))
+        for j, (lo, hi) in enumerate(zip(los, his)):
+            heapq.heappush(heap, (-np.max(e[..., j]), seq, lo, hi, v[..., j], e[..., j], fl[..., j]))
+            seq += 1
+        return v.sum(axis=-1), e.sum(axis=-1), fl.sum(axis=-1)
+
     edges = [a] + sorted({float(p) for p in breakpoints if a < p < b}) + [b]
-    heap, total, total_err = [], 0j, 0.0
-    for seq, (lo, hi) in enumerate(zip(edges, edges[1:])):
-        val, err = _gk15(f, lo, hi)
-        total += val
-        total_err += err
-        heapq.heappush(heap, (-np.max(err), seq, lo, hi, val, err))
-    seq, per_panel = len(heap), 15 * np.size(total)
+    total, total_err, total_floor = evaluate(edges[:-1], edges[1:])
+    per_panel = 15 * np.size(total)
     evals = per_panel * seq
 
     def best() -> QuadratureResult:
@@ -274,26 +298,31 @@ def integrate_adaptive(
         raise ToleranceNotReached(
             f"evaluation budget {max_evals} exhausted by the initial panels", best()
         )
-    while np.any(total_err > np.maximum(tol * np.abs(total), tol)):
+    while True:
+        target = np.maximum(tol * np.abs(total), tol)
+        if not np.any(total_err > target):
+            return best()
+        if np.any(total_floor > target):
+            i = int(np.argmax(total_floor / target))
+            where = (f" of component {tuple(map(int, np.unravel_index(i, np.shape(total))))}"
+                     if np.ndim(total) else "")
+            raise ToleranceNotReached(
+                f"error floor 50·eps·resabs {np.ravel(total_floor)[i]:.3e}{where} exceeds its "
+                f"target {np.ravel(target)[i]:.3e}; no bisection can lower it", best())
         if not heap:
             raise ToleranceNotReached("no panel can be refined further", best())
         if evals + 2 * per_panel > max_evals:
             raise ToleranceNotReached(f"evaluation budget {max_evals} exhausted (error "
                                       f"estimate {np.max(total_err):.3e})", best())
-        _, _, lo, hi, val, err = heapq.heappop(heap)
+        _, _, lo, hi, val, err, floor = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         if not (lo < mid < hi) or (hi - lo) < 1e-15 * (b - a):
             continue  # too narrow to split further
-        v1, e1 = _gk15(f, lo, mid)
-        v2, e2 = _gk15(f, mid, hi)
+        v, e, fl = evaluate([lo, mid], [mid, hi])
         evals += 2 * per_panel
-        total = total + ((v1 + v2) - val)
-        total_err = total_err + ((e1 + e2) - err)
-        heapq.heappush(heap, (-np.max(e1), seq, lo, mid, v1, e1))
-        heapq.heappush(heap, (-np.max(e2), seq + 1, mid, hi, v2, e2))
-        seq += 2
-
-    return best()
+        total = total + (v - val)
+        total_err = total_err + (e - err)
+        total_floor = total_floor + (fl - floor)
 
 
 def integrate_semi_infinite(

@@ -209,7 +209,7 @@ def reconstruct_hemisphere(
     except ToleranceNotReached as exc:
         if exc.result is None:  # the azimuthal mean's own failure names the route
             raise
-        raise ToleranceNotReached(f"hemisphere reconstruction (µ budget 60000): {exc}",
+        raise ToleranceNotReached(f"hemisphere reconstruction, µ quadrature: {exc}",
                                   exc.result) from exc
     return QuadratureResult(-res.value, res.error_estimate, evals)
 
@@ -223,10 +223,13 @@ def _fourier_bessel(spectral: Callable, outer: Callable, kz_edges: tuple[float, 
             spectral(k_z, x) J0(rho sqrt(x^2/c^2 - k_z^2)) e^{-i k_z z},
 
     with the k_z range split at the other edges (a piece starting above
-    x/c is empty).  For the 15 outer nodes of a panel, every piece of
-    every inner integral is one component of a single vector quadrature
-    in s = (k_z - start) / width on [0, 1].  ``evaluations`` counts
-    inner integrand values; ``max_evals`` bounds them over the route.
+    x/c is empty).  For the outer nodes of one integrand call (all
+    initial panels, then the 30 of a bisection), every piece of every
+    inner integral is one component of a single vector quadrature in
+    s = (k_z - start) / width on [0, 1].  The inner integrands carry
+    outer(x), so their targets are in the units of the outer integrand,
+    the quantity the outer rule sums.  ``evaluations`` counts inner
+    integrand values; ``max_evals`` bounds them over the route.
     """
     starts = np.array(kz_edges + (math.inf,))[:, None]
     inner_evals = 0
@@ -236,17 +239,18 @@ def _fourier_bessel(spectral: Callable, outer: Callable, kz_edges: tuple[float, 
         ends = np.minimum(starts, x / c)
         lo, width = ends[:-1, :, None], np.diff(ends, axis=0)[:, :, None]
         top_sq = ((x / c) ** 2)[:, None]
+        scale = width * outer(x)[:, None]
 
         def inner(s: np.ndarray) -> np.ndarray:
             kz = lo + width * s
             chi = np.sqrt(np.maximum(top_sq - kz * kz, 0.0))
-            return (width * spectral(kz, x[:, None]) * bessel_j0(p.rho * chi)
+            return (scale * spectral(kz, x[:, None]) * bessel_j0(p.rho * chi)
                     * np.exp(kz * complex(0.0, -p.z)))
 
         res = integrate_adaptive(inner, 0.0, 1.0, 0.05 * tol,
                                  max_evals=max_evals - inner_evals)
         inner_evals += res.evaluations
-        return outer(x) * res.value.sum(axis=0)
+        return res.value.sum(axis=0)
 
     try:
         res = integrate_semi_infinite(outer_integrand, 0.5 * tol, decay, max_evals=40_000,

@@ -8,7 +8,7 @@ import pytest
 
 from unipulse.cli import main
 from unipulse.fields import PulseParams, SpacetimePoint, eval_simple_pulse
-from unipulse.ioformats import fmt_float
+from unipulse.ioformats import fmt_float, render_json
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -194,7 +194,7 @@ class TestCompare:
     def test_spent_hemisphere_budget_exits_3_and_names_the_route(self, tmp_path, capsys):
         rc, _ = run(tmp_path, "compare", dict(self.CFG, tolerance=1e-14), "g.json")
         assert rc == 3
-        assert "hemisphere reconstruction (µ budget 60000)" in capsys.readouterr().err
+        assert "hemisphere reconstruction, µ quadrature: error floor" in capsys.readouterr().err
 
     def test_empty_point_list_exits_2(self, tmp_path):
         rc, _ = run(tmp_path, "compare", dict(self.CFG, points=[]), "d.json")
@@ -232,6 +232,26 @@ class TestUnidir:
         rc, out = run(tmp_path, "unidir", cfg, "usph.json")
         assert rc == 4
         assert json.loads(out.read_text())["pass"] is False
+
+    def test_margin_follows_max_abs_farfield(self, tmp_path):
+        rc, out = run(tmp_path, "unidir", {"tolerance": 1e-6}, "u.json")
+        doc = json.loads(out.read_text())
+        keys = list(doc)
+        assert rc == 0 and keys[keys.index("max_abs_farfield") + 1] == "margin"
+        assert doc["margin"] == doc["tol"] / doc["max_abs_farfield"] >= 1.0
+
+    def test_counterexample_margin_is_below_one(self, tmp_path):
+        cfg = {"evaluator": "spherical_reference", "b_ref": 1.0, "tolerance": 1e-6}
+        rc, out = run(tmp_path, "unidir", cfg, "usph.json")
+        doc = json.loads(out.read_text())
+        assert rc == 4 and doc["margin"] == doc["tol"] / doc["max_abs_farfield"] < 1.0
+
+    def test_zero_far_field_has_infinite_margin(self):
+        from unipulse.farfield import UnidirectionalityReport
+
+        report = UnidirectionalityReport(True, 1e-6, 0.0, 0.0, 0.0, 0.0, (1.0,), ())
+        assert report.margin == math.inf
+        assert '"margin": Infinity' in render_json(report.as_dict())
 
 
 class TestFarfieldCmd:

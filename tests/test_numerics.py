@@ -125,6 +125,17 @@ class TestBesselJ0:
         with pytest.raises(ValueError):
             bessel_j0(np.array([1.0, math.inf]))
 
+    def test_in_place_horner_equals_the_plain_recurrence(self):
+        from unipulse.numerics import _J0_SERIES, _QP, _polevl
+
+        xs = np.linspace(0.0, 8.0, 450)
+        for coef in (_J0_SERIES, _QP):
+            plain = coef[0]
+            for c in coef[1:]:
+                plain = plain * xs + c
+            assert np.array_equal(_polevl(xs, coef), plain)
+            assert _polevl(xs[7], coef) == plain[7]
+
 
 class TestIntegrateAdaptive:
     def test_constant(self):
@@ -256,15 +267,16 @@ class TestVectorIntegrand:
         assert np.all(res.error_estimate <= np.maximum(tol * np.abs(res.value), tol))
 
     def test_called_once_per_panel_on_its_nodes(self):
+        # all initial panels in one call, then both halves of a bisection in one
         shapes = []
 
         def f(x):
             shapes.append(x.shape)
             return np.sin(self.FREQS[:, None] * x)
 
-        res = integrate_adaptive(f, 0.0, 3.0, 1e-10)
-        assert set(shapes) == {(15,)}
-        assert res.evaluations == 15 * len(shapes) * self.FREQS.size
+        res = integrate_adaptive(f, 0.0, 3.0, 1e-10, breakpoints=(1.0, 2.0))
+        assert shapes[0] == (45,) and set(shapes[1:]) == {(30,)}
+        assert res.evaluations == sum(n for n, in shapes) * self.FREQS.size
 
     def test_scalar_integrand_keeps_scalar_result(self):
         res = integrate_adaptive(lambda x: np.exp(1j * x), 0.0, 1.0, 1e-10)
@@ -291,6 +303,38 @@ class TestVectorIntegrand:
         assert best.value.shape == best.error_estimate.shape == (2,)
         assert best.evaluations <= 600 and best.evaluations % 30 == 0
         assert np.all(best.error_estimate > 0.0)
+
+    def test_error_floor_above_the_target_raises_after_the_initial_panels(self):
+        # 50 eps resabs ~ 1.9e-14 for e^x on [0, 1]; the target is ~1.7e-17
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.exp(x)
+
+        with pytest.raises(ToleranceNotReached, match="error floor") as exc:
+            integrate_adaptive(f, 0.0, 1.0, 1e-17)
+        assert calls == [15] and exc.value.result.evaluations == 15
+        assert abs(exc.value.result.value - (math.e - 1.0)) <= 1e-14
+
+    def test_error_floor_found_by_bisection_raises(self):
+        # the first panel's nodes miss the spike at 1/3; once bisection has
+        # resolved it, the summed floor 50 eps * 1.77e-3 ~ 2e-17 exceeds the
+        # 1e-17 target long before the budget is spent
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.exp(-((x - 1.0 / 3.0) / 1e-3) ** 2) + 1e-6 * np.abs(x - 1.0 / 3.0)
+
+        with pytest.raises(ToleranceNotReached, match="error floor") as exc:
+            integrate_adaptive(f, 0.0, 1.0, 1e-17, max_evals=20_000)
+        assert len(calls) > 1 and exc.value.result.evaluations < 20_000
+
+    def test_error_floor_names_the_component(self):
+        # 1e-6 x has a floor of ~5.6e-21, far below its 1e-17 target
+        with pytest.raises(ToleranceNotReached, match=r"component \(1,\)"):
+            integrate_adaptive(lambda x: np.stack([1e-6 * x, np.exp(x)]), 0.0, 1.0, 1e-17)
 
     def test_initial_panels_count_against_the_budget(self):
         with pytest.raises(ToleranceNotReached, match="initial panels"):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unipulse.farfield import farfield_deriv
 from unipulse.fields import (
@@ -120,12 +122,13 @@ class TestHemisphere:
             reconstruct_hemisphere(params, rational, REGULAR_POINTS[0], 1e-15)
 
     def test_spent_mu_budget_names_the_route(self, params, rational):
-        # the Gauss-Kronrod error floor keeps the mu integral above its 5e-15 target
+        # the Gauss-Kronrod error floor keeps the mu integral above its 5e-15
+        # target, so it raises after its initial panels, well inside its
+        # 60000-node budget
         p = SpacetimePoint.from_cylindrical(0.0, 0.5, 0.2)
         with pytest.raises(ToleranceNotReached) as exc:
             reconstruct_hemisphere(params, rational, p, 1e-14)
-        assert str(exc.value).startswith(
-            "hemisphere reconstruction (µ budget 60000): evaluation budget 60000 exhausted")
+        assert str(exc.value).startswith("hemisphere reconstruction, µ quadrature: error floor")
         assert exc.value.result is not None
 
 
@@ -162,6 +165,14 @@ class TestFourierBessel:
         with pytest.raises(ToleranceNotReached, match="Fourier-Bessel reconstruction"):
             reconstruct_fourier_bessel(params, rational, REGULAR_POINTS[1], 1e-6,
                                        max_evals=1000)
+
+    @pytest.mark.parametrize("w, most", [
+        (RationalWaveform(1.0), 10_245), (LeknerWaveform(1.0, 1.0), 17_415),
+    ])
+    def test_spends_no_more_than_one_integral_per_k(self, params, w, most):
+        # the counts of solving each inner k_z integral alone at tol 1e-6
+        res = reconstruct_fourier_bessel(params, w, REGULAR_POINTS[1], 1e-6)
+        assert res.evaluations <= most
 
     def test_counts_one_evaluation_per_spectral_value(self, params):
         values = []
@@ -294,6 +305,29 @@ class TestRouteAgreement:
             assert abs(hemi.value - fb.value) <= 2 * (tol + tol)
             assert abs(hemi.value - exact) <= 10 * tol
             assert abs(fb.value - exact) <= 10 * tol
+
+
+class TestSpectralRoutesOracle:
+    @given(
+        st.floats(0.5, 2.0),
+        st.floats(0.7, 1.5),
+        st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5), st.floats(0.0, 1.5)),
+        st.one_of(st.just(None), st.tuples(st.floats(0.5, 2.0), st.floats(0.0, 2.0))),
+        st.sampled_from([1e-5, 1e-6, 1e-7]),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_estimates_bound_the_distance_from_the_closed_form(self, c, b, where, lek, tol):
+        # coordinates in units of b; lek is None for rational(a = b), else (a, K)
+        params = PulseParams(c, b / c)
+        w = RationalWaveform(b) if lek is None else LeknerWaveform(*lek)
+        ct, z, rho = (b * q for q in where)
+        p = SpacetimePoint.from_cylindrical(ct / c, rho, z)
+        exact = eval_quasi_spherical(p, params, w)
+        fb = reconstruct_fourier_bessel(params, w, p, tol)
+        wt = reconstruct_from_weight(make_spectral_weight(params, w), p, tol)
+        for res in (fb, wt):
+            assert abs(res.value - exact) <= res.error_estimate
+            assert res.error_estimate <= max(tol * abs(res.value), tol)
 
 
 class TestMonteCarlo:
