@@ -32,7 +32,6 @@ from .fields import (
     eval_quasi_spherical,
     eval_simple_pulse,
     eval_spherical_reference,
-    pulse_phase,
     quasi_spherical_evaluator,
     sample_grid,
     simple_pulse_evaluator,
@@ -52,7 +51,6 @@ from .numerics import (
 from .pdecheck import BelowNoiseFloor, ResidualReport, convergence_order, wave_residual
 from .synthesis import (
     MonteCarloEstimate,
-    OutOfSupport,
     SpectralWeight,
     make_spectral_weight,
     reconstruct_cartesian_mc,
@@ -60,7 +58,6 @@ from .synthesis import (
     reconstruct_from_weight,
     reconstruct_fourier_bessel,
     reconstruct_hemisphere,
-    spectral_weight,
 )
 from .waveforms import (
     LeknerWaveform,

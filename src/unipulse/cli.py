@@ -56,7 +56,7 @@ from .fields import (
 )
 from .ioformats import complex_fields, fmt_float, render_json, write_text
 from .numerics import ExtrapolationUnstable, ToleranceNotReached
-from .pdecheck import BelowNoiseFloor, convergence_order, wave_residual
+from .pdecheck import wave_residual
 from .synthesis import (
     make_spectral_weight,
     reconstruct_cartesian_mc,
@@ -83,16 +83,9 @@ def _build_evaluator(cfg, setup):
 
 
 def _pulse_header(setup) -> dict:
-    return {
-        "pulse": {
-            "c": setup.params.c,
-            "tau": setup.params.tau,
-            "zeta": setup.params.zeta,
-            "b": setup.params.b,
-            "regular": setup.params.regular,
-        },
-        "waveform": setup.waveform_desc,
-    }
+    p = setup.params
+    return {"pulse": {"c": p.c, "tau": p.tau, "zeta": p.zeta, "b": p.b, "regular": p.regular},
+            "waveform": setup.waveform_desc}
 
 
 def _point_fields(p: SpacetimePoint) -> dict:
@@ -133,9 +126,7 @@ def run_compare(cfg: dict, out: str | None, seed: int | None) -> int:
     tol = get_number(cfg, "tolerance", "", 1e-6, gt=0.0)
     bound = get_number(cfg, "max_discrepancy", "", 1e-5, gt=0.0)
     mc_cfg = cfg.get("mc")
-    mc_n = 0
-    mc_seed = 1
-    mc_sigma = 4.0
+    mc_n, mc_seed, mc_sigma = 0, 1, 4.0
     if mc_cfg is not None:
         if not isinstance(mc_cfg, dict):
             raise ConfigError("mc: expected an object")
@@ -146,18 +137,14 @@ def run_compare(cfg: dict, out: str | None, seed: int | None) -> int:
     if seed is not None:
         mc_seed = seed
 
-    rows = []
-    worst = 0.0
-    mc_misses = 0
+    rows, worst, mc_misses = [], 0.0, 0
     for p in points:
         closed = eval_quasi_spherical(p, setup.params, setup.waveform)
         hemi = reconstruct_hemisphere(setup.params, setup.waveform, p, tol)
         fb = reconstruct_fourier_bessel(setup.params, setup.waveform, p, tol)
         weight = make_spectral_weight(setup.params, setup.waveform)
         wt = reconstruct_from_weight(weight, p, tol)
-        disc = max(
-            abs(hemi.value - closed), abs(fb.value - closed), abs(wt.value - closed)
-        )
+        disc = max(abs(r.value - closed) for r in (hemi, fb, wt))
         row = {
             "point": _point_fields(p),
             "closed_form": complex_fields(closed),
@@ -188,15 +175,8 @@ def run_compare(cfg: dict, out: str | None, seed: int | None) -> int:
         )
 
     doc = _pulse_header(setup)
-    doc.update(
-        {
-            "tolerance": tol,
-            "max_discrepancy_bound": bound,
-            "worst_discrepancy": worst,
-            "pass": not failures,
-            "rows": rows,
-        }
-    )
+    doc.update({"tolerance": tol, "max_discrepancy_bound": bound, "worst_discrepancy": worst,
+                "pass": not failures, "rows": rows})
     out = out or cfg.get("out") or "unipulse_compare.json"
     write_text(out, render_json(doc))
     print(f"wrote route comparison for {len(points)} point(s) to {out}", file=sys.stderr)
@@ -220,12 +200,8 @@ def _parse_directions(cfg: dict, key: str = "directions"):
             raise ConfigError(f"{key}[{i}]: expected an object")
         check_keys(item, {"chi", "phi"}, f"{key}[{i}]")
         try:
-            out.append(
-                Direction(
-                    get_number(item, "chi", f"{key}[{i}]."),
-                    get_number(item, "phi", f"{key}[{i}].", 0.0),
-                )
-            )
+            out.append(Direction(get_number(item, "chi", f"{key}[{i}]."),
+                                 get_number(item, "phi", f"{key}[{i}].", 0.0)))
         except ValueError as exc:
             raise ConfigError(f"{key}[{i}]: {exc}") from exc
     return out
@@ -235,28 +211,22 @@ def run_farfield(cfg: dict, out: str | None, seed: int | None) -> int:
     check_keys(cfg, FARFIELD_KEYS, "")
     setup = parse_pulse_setup(cfg)
     s_values = get_number_list(cfg, "s_values", "", (-1.0, 0.0, 1.0))
-    directions = _parse_directions(cfg) or [
-        Direction(0.0), Direction(math.pi / 6), Direction(math.pi / 3)
-    ]
+    directions = _parse_directions(cfg) or [Direction(k * math.pi / 6) for k in range(3)]
     factors = get_number_list(cfg, "schedule_ct", "", DEFAULT_SCHEDULE_CT)
     schedule = radiation_schedule(setup.params, factors)
     evaluator = quasi_spherical_evaluator(setup.params, setup.waveform)
 
-    rows = []
-    for d in directions:
-        for s in s_values:
-            fn = farfield_numeric(evaluator, s, d, schedule, setup.params.c)
-            fa = farfield_analytic(s, d, setup.params, setup.waveform)
-            rows.append(
-                {
-                    "chi": d.chi,
-                    "phi": d.phi,
-                    "s": s,
-                    "numeric": complex_fields(fn),
-                    "analytic": complex_fields(fa),
-                    "abs_diff": abs(fn - fa),
-                }
-            )
+    fan = Direction.fan(directions)
+    res = farfield_numeric(evaluator, s_values, fan, schedule, setup.params.c)
+    if res.diverged.any():
+        i, j = np.argwhere(res.diverged)[0]
+        raise ExtrapolationUnstable(f"far field along chi={directions[i].chi!r}, "
+                                    f"s={s_values[j]!r}: {res.growth((i, j))}")
+    analytic = farfield_analytic(np.array(s_values), fan, setup.params, setup.waveform)
+    rows = [{"chi": d.chi, "phi": d.phi, "s": s, "numeric": complex_fields(fn),
+             "analytic": complex_fields(fa), "abs_diff": abs(fn - fa)}
+            for d, fn_row, fa_row in zip(directions, res.value, analytic)
+            for s, fn, fa in zip(s_values, fn_row, fa_row)]
     doc = _pulse_header(setup)
     doc.update({"schedule_ct_over_b": list(factors), "rows": rows})
     out = out or cfg.get("out") or "unipulse_farfield.json"
@@ -281,20 +251,15 @@ def run_unidir(cfg: dict, out: str | None, seed: int | None) -> int:
     factors = get_number_list(cfg, "schedule_ct", "", CERTIFICATE_SCHEDULE_CT)
     schedule = radiation_schedule(setup.params, factors)
 
-    report = check_unidirectional(
-        evaluator, s_values, directions, tol, schedule, setup.params.c
-    )
+    report = check_unidirectional(evaluator, s_values, directions, tol, schedule, setup.params.c)
     doc = _pulse_header(setup)
     doc["evaluator"] = kind
     doc.update(report.as_dict())
     out = out or cfg.get("out") or "unipulse_unidir.json"
     write_text(out, render_json(doc))
     verdict = "PASS" if report.passed else "FAIL"
-    print(
-        f"unidirectionality {verdict}: max |F| = {report.max_abs:.3e}"
-        f" (tol {tol:.1e}), report in {out}",
-        file=sys.stderr,
-    )
+    print(f"unidirectionality {verdict}: max |F| = {report.max_abs:.3e} (tol {tol:.1e}),"
+          f" report in {out}", file=sys.stderr)
     if not report.passed:
         raise CheckFailed(f"backward far field reaches {report.max_abs:.3e} > {tol:.1e}")
     return 0
@@ -380,26 +345,19 @@ def run_residual(cfg: dict, out: str | None, seed: int | None) -> int:
             SpacetimePoint(*rng.uniform(-extent, extent, 4).tolist()) for _ in range(n)
         ]
 
+    # every point (rows) at every step (columns) in one evaluation
+    coords = np.array([(p.t, p.x, p.y, p.z) for p in points]).T[:, :, None]
+    rep = wave_residual(evaluator, SpacetimePoint(*coords), np.array(h_values), setup.params)
+    orders = rep.order()  # NaN where the residuals sit at the rounding floor
     lines = [
         f"# evaluator: {kind}",
         f"# waveform: {setup.waveform_desc}",
         "t,x,y,z,h,abs_residual,normalized_residual,fitted_order",
     ]
-    for p in points:
-        try:
-            order = convergence_order(evaluator, p, h_values, setup.params)
-            order_cell = fmt_float(order)
-        except BelowNoiseFloor:
-            order_cell = "NaN"  # residuals at rounding floor: no order to fit
-        for h in h_values:
-            rep = wave_residual(evaluator, p, h, setup.params)
-            lines.append(
-                ",".join(
-                    (fmt_float(p.t), fmt_float(p.x), fmt_float(p.y), fmt_float(p.z),
-                     fmt_float(h), fmt_float(abs(rep.residual)),
-                     fmt_float(rep.normalized), order_cell)
-                )
-            )
+    for i, p in enumerate(points):
+        for j, h in enumerate(h_values):
+            lines.append(",".join(map(fmt_float, (p.t, p.x, p.y, p.z, h, abs(rep.residual[i, j]),
+                                                  rep.normalized[i, j], orders[i]))))
     out = out or cfg.get("out") or "unipulse_residual.csv"
     write_text(out, "\n".join(lines))
     print(f"wrote residuals for {len(points)} point(s) to {out}", file=sys.stderr)

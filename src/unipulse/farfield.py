@@ -18,8 +18,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .fields import Evaluator, PulseParams, SpacetimePoint
-from .numerics import ExtrapolationUnstable, limit_extrapolate
+import numpy as np
+
+from .fields import Evaluator, PulseParams, SpacetimePoint, evaluate_batch
+from .numerics import ExtrapolationResult, limit_extrapolate
 from .waveforms import Waveform
 
 #: default ct ladder, in units of b, for forward-direction extraction
@@ -34,21 +36,29 @@ CERTIFICATE_SCHEDULE_CT = (1e5, 1e6, 1e7)
 
 @dataclass(frozen=True)
 class Direction:
-    """Unit direction given by polar angle chi (from +z) and azimuth phi."""
+    """Unit direction given by polar angle chi (from +z) and azimuth phi,
+    or many when they are broadcastable numpy arrays."""
 
     chi: float
     phi: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.chi <= math.pi:
+        if not np.all((0.0 <= self.chi) & (self.chi <= math.pi)):
             raise ValueError(f"chi must lie in [0, pi], got {self.chi}")
-        if not 0.0 <= self.phi < 2.0 * math.pi:
+        if not np.all((0.0 <= self.phi) & (self.phi < 2.0 * math.pi)):
             raise ValueError(f"phi must lie in [0, 2*pi), got {self.phi}")
+
+    @classmethod
+    def fan(cls, directions: Sequence["Direction"]) -> "Direction":
+        """Single directions as one, along a leading axis that broadcasts
+        against a trailing axis of s values."""
+        return cls(np.array([[d.chi] for d in directions]),
+                   np.array([[d.phi] for d in directions]))
 
     @property
     def unit_vector(self) -> tuple[float, float, float]:
-        s = math.sin(self.chi)
-        return (s * math.cos(self.phi), s * math.sin(self.phi), math.cos(self.chi))
+        s = np.sin(self.chi)
+        return (s * np.cos(self.phi), s * np.sin(self.phi), np.cos(self.chi))
 
 
 def radiation_schedule(
@@ -64,53 +74,51 @@ def farfield_numeric(
     n: Direction,
     t_schedule: Sequence[float],
     c: float = 1.0,
-) -> complex:
-    """Extrapolated limit of ct * u(t, (ct+s) n) along a time ladder.
+) -> ExtrapolationResult:
+    """Extrapolated limits of ct * u(t, (ct+s) n) along a time ladder.
 
-    The samples are extrapolated in h = 1/(ct); slow or oscillatory
-    divergence raises ExtrapolationUnstable.
+    ``s`` and the angles of ``n`` broadcast against each other; the
+    evaluator is called once, on every entry times the ladder.  The
+    samples are extrapolated in h = 1/(ct); entries whose extrapolants
+    diverge are flagged in ``diverged``, not raised.
     """
-    ts = [float(t) for t in t_schedule]
-    if len(ts) < 3 or any(t2 <= t1 for t1, t2 in zip(ts, ts[1:])):
+    ts = np.array(t_schedule, dtype=float)
+    if ts.ndim != 1 or ts.size < 3 or np.any(ts[1:] <= ts[:-1]):
         raise ValueError("t_schedule must be increasing with at least 3 entries")
-    nx, ny, nz = n.unit_vector
-    samples = []
-    for t in ts:
-        ct = c * t
-        r = ct + s
-        if r <= 0.0:
-            raise ValueError(f"need ct + s > 0 along the schedule, got {r}")
-        u = evaluator(SpacetimePoint(t, r * nx, r * ny, r * nz))
-        samples.append((1.0 / ct, ct * u))
-    return limit_extrapolate(samples).value
+    ct = c * ts
+    r = ct + np.asarray(s, dtype=float)[..., None]
+    if np.any(r <= 0.0):
+        raise ValueError(f"need ct + s > 0 along the schedule, got {r.min()}")
+    nx, ny, nz = (np.asarray(v)[..., None] for v in n.unit_vector)
+    u = evaluate_batch(evaluator, SpacetimePoint(ts, r * nx, r * ny, r * nz))
+    return limit_extrapolate(1.0 / ct, ct * u)
+
+
+def _forward_only(s, n: Direction, params: PulseParams, profile):
+    """profile(arg, mu) with mu = cos chi and arg = (-s + i b (1 - mu))/mu
+    on the forward hemisphere, zero for chi >= pi/2 (the equator itself
+    carries no weight in the reconstruction integral, so it is assigned
+    zero).  s and the angles of n broadcast against each other."""
+    forward = np.less(n.chi, 0.5 * math.pi)
+    mu = np.where(forward, np.cos(n.chi), 1.0)  # 1 stands in behind, masked below
+    arg = (-np.asarray(s, dtype=float) + 1j * params.b * (1.0 - mu)) / mu
+    return np.where(forward, profile(arg, mu), 0j)[()]
 
 
 def farfield_analytic(
     s: float, n: Direction, params: PulseParams, w: Waveform
 ) -> complex:
-    """Closed-form F for u = f(theta)/S.
-
+    """Closed-form F for u = f(theta)/S:
     F = f((-s + i b (1 - cos chi)) / cos chi) / cos chi on the forward
-    hemisphere and identically zero for chi >= pi/2 (the equator itself
-    carries no weight in the reconstruction integral, so it is assigned
-    zero).
-    """
-    if n.chi >= 0.5 * math.pi:
-        return 0.0 + 0.0j
-    mu = math.cos(n.chi)
-    arg = complex(-s, params.b * (1.0 - mu)) / mu
-    return complex(w.eval(arg)) / mu
+    hemisphere and identically zero behind it."""
+    return _forward_only(s, n, params, lambda arg, mu: w.eval(arg) / mu)
 
 
 def farfield_deriv(
     s: float, n: Direction, params: PulseParams, w: Waveform
 ) -> complex:
     """d/ds of the closed-form F; zero on the backward hemisphere."""
-    if n.chi >= 0.5 * math.pi:
-        return 0.0 + 0.0j
-    mu = math.cos(n.chi)
-    arg = complex(-s, params.b * (1.0 - mu)) / mu
-    return -complex(w.deriv(arg)) / (mu * mu)
+    return _forward_only(s, n, params, lambda arg, mu: -w.deriv(arg) / (mu * mu))
 
 
 def backward_direction_grid(count: int = 8) -> tuple[Direction, ...]:
@@ -159,17 +167,9 @@ class UnidirectionalityReport:
             "margin": self.margin,
             "worst": {"chi": self.worst_chi, "phi": self.worst_phi, "s": self.worst_s},
             "schedule_t": list(self.schedule_t),
-            "directions": [
-                {
-                    "chi": e.chi,
-                    "phi": e.phi,
-                    "max_abs_farfield": e.max_abs,
-                    "worst_s": e.worst_s,
-                    "status": e.status,
-                    "note": e.note,
-                }
-                for e in self.entries
-            ],
+            "directions": [{"chi": e.chi, "phi": e.phi, "max_abs_farfield": e.max_abs,
+                            "worst_s": e.worst_s, "status": e.status, "note": e.note}
+                           for e in self.entries],
         }
 
 
@@ -183,7 +183,8 @@ def check_unidirectional(
 ) -> UnidirectionalityReport:
     """Certify that the far field vanishes on the backward hemisphere.
 
-    PASS requires max |F| <= tol over the grid with no extrapolation
+    One ``farfield_numeric`` call covers every direction and s.  PASS
+    requires max |F| <= tol over the grid with no extrapolation
     warnings; unstable extrapolations become WARN entries that block the
     PASS rather than being silently dropped.
     """
@@ -193,30 +194,22 @@ def check_unidirectional(
         if d.chi <= 0.5 * math.pi:
             raise ValueError(f"direction chi={d.chi} is not in the backward hemisphere")
 
+    res = farfield_numeric(evaluator, s_samples, Direction.fan(backward_directions),
+                           t_schedule, c)
+    mags = np.where(res.diverged, -1.0, np.abs(res.value))  # (directions, s)
     entries = []
-    grid_max = 0.0
-    worst = (0.0, 0.0, 0.0)
-    all_ok = True
-    for d in backward_directions:
-        dir_max = -1.0
-        dir_worst_s = s_samples[0]
-        status, note = "OK", ""
-        for s in s_samples:
-            try:
-                f = farfield_numeric(evaluator, s, d, t_schedule, c)
-            except ExtrapolationUnstable as exc:
-                status, note = "WARN", str(exc)
-                all_ok = False
-                continue
-            if abs(f) > dir_max:
-                dir_max, dir_worst_s = abs(f), s
-        dir_max = max(dir_max, 0.0)
-        entries.append(UnidirEntry(d.chi, d.phi, dir_max, dir_worst_s, status, note))
-        if dir_max > grid_max:
-            grid_max = dir_max
-            worst = (d.chi, d.phi, dir_worst_s)
+    for i, d in enumerate(backward_directions):
+        bad = np.flatnonzero(res.diverged[i])
+        status, note = ("WARN", res.growth((i, bad[-1]))) if bad.size else ("OK", "")
+        worst_s = s_samples[int(np.argmax(mags[i]))]
+        entries.append(UnidirEntry(d.chi, d.phi, max(float(mags[i].max()), 0.0), worst_s,
+                                   status, note))
 
-    passed = all_ok and grid_max <= tol
+    grid_max, worst = 0.0, (0.0, 0.0, 0.0)
+    for e in entries:
+        if e.max_abs > grid_max:
+            grid_max, worst = e.max_abs, (e.chi, e.phi, e.worst_s)
+    passed = not res.diverged.any() and grid_max <= tol
     return UnidirectionalityReport(
         passed, tol, grid_max, worst[0], worst[1], worst[2],
         tuple(float(t) for t in t_schedule), tuple(entries),

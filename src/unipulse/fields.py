@@ -26,12 +26,20 @@ from .numerics import ToleranceNotReached, complex_sqrt_upper
 from .waveforms import Waveform
 
 #: Maps a point to u.  A point whose coordinates are broadcastable
-#: arrays maps to the array of u over every node.
+#: arrays maps to the array of u over every node (or to values that
+#: broadcast to it); u is NaN at a pole.
 Evaluator = Callable[["SpacetimePoint"], complex]
 
 
 class SingularPoint(Exception):
-    """Evaluation requested at (or too close to) a pole of the solution."""
+    """An evaluator gave a non-finite value: the node sits at (or too
+    close to) a pole of the solution.  ``index`` locates the node in its
+    batch and ``point`` is the node itself."""
+
+    def __init__(self, index: tuple[int, ...], point: "SpacetimePoint", value: complex):
+        super().__init__(f"singular at {point}, where u = {value}")
+        self.index = index
+        self.point = point
 
 
 class GridEvaluationError(Exception):
@@ -88,27 +96,27 @@ class SpacetimePoint:
 
     @classmethod
     def from_cylindrical(cls, t: float, rho: float, z: float) -> "SpacetimePoint":
-        if rho < 0.0:
-            raise ValueError(f"rho must be >= 0, got {rho}")
+        if np.any(np.less(rho, 0.0)):
+            raise ValueError(f"rho must be >= 0, got {np.min(rho)}")
         return cls(t, rho, 0.0, z)
 
     @property
+    def shape(self) -> tuple[int, ...]:
+        """Broadcast shape of the coordinates; () for one event."""
+        return np.broadcast(self.t, self.x, self.y, self.z).shape
+
+    def node(self, index: tuple[int, ...]) -> "SpacetimePoint":
+        """The single event at ``index`` of the broadcast coordinates."""
+        return SpacetimePoint(*(float(np.broadcast_to(v, self.shape)[index])
+                                for v in (self.t, self.x, self.y, self.z)))
+
+    @property
     def rho(self) -> float:
-        return math.hypot(self.x, self.y)
+        return np.hypot(self.x, self.y)
 
     @property
     def radius(self) -> float:
         return (self.x * self.x + self.y * self.y + self.z * self.z) ** 0.5
-
-
-def _mask_pole(value, at_pole, message: str, p: SpacetimePoint):
-    """``value`` unless it sits at a pole: a scalar there raises
-    SingularPoint, array nodes there become NaN."""
-    if isinstance(at_pole, np.ndarray):
-        return np.where(at_pole, np.nan, value)
-    if at_pole:
-        raise SingularPoint(message.format(p))
-    return value
 
 
 def complex_distance(p: SpacetimePoint, params: PulseParams) -> complex:
@@ -121,24 +129,15 @@ def complex_distance(p: SpacetimePoint, params: PulseParams) -> complex:
     return complex_sqrt_upper((ct * ct - b * b - (p.x * p.x + p.y * p.y)) + 2j * ct * b)
 
 
-def pulse_phase(p: SpacetimePoint, params: PulseParams) -> complex:
-    """Phase S - z - i b; its imaginary part is nonnegative everywhere."""
-    return complex_distance(p, params) - p.z - 1j * params.b
-
-
 def eval_simple_pulse(p: SpacetimePoint, params: PulseParams) -> complex:
     """u = 1 / (S (S - z - i zeta)).
 
     The denominator can only vanish for non-regular parameter sets
-    (zeta >= b); such points raise SingularPoint instead of returning Inf
-    (NaN at such nodes of an array point).
+    (zeta >= b); u is NaN at such nodes.
     """
     s = complex_distance(p, params)
     denom = s * (s - p.z - 1j * params.zeta)
-    denom = _mask_pole(
-        denom, abs(denom) < 1e-300, "simple pulse singular at {} (zeta >= b case)", p
-    )
-    return 1.0 / denom
+    return 1.0 / np.where(abs(denom) < 1e-300, np.nan, denom)
 
 
 def eval_quasi_spherical(p: SpacetimePoint, params: PulseParams, w: Waveform) -> complex:
@@ -154,12 +153,29 @@ def eval_spherical_reference(
 
     ``b_ref > 0`` shifts the waveform argument into the upper half-plane
     for waveforms that are only defined there; the default 0 is fine for
-    the shipped families, which extend to the real axis.  The origin
-    raises SingularPoint (NaN at such nodes of an array point).
+    the shipped families, which extend to the real axis.  u is NaN at
+    the origin.
     """
     r = p.radius
-    r = _mask_pole(r, r < 1e-300, "spherical reference singular at the origin", p)
+    r = np.where(r < 1e-300, np.nan, r)
     return w.eval(r - params.c * p.t + 1j * b_ref) / r
+
+
+def evaluate_batch(evaluator: Evaluator, point: SpacetimePoint) -> np.ndarray:
+    """``evaluator(point)`` over every node of the broadcast point, in one
+    call, as a complex128 array of ``point.shape``.
+
+    A non-finite value fails the batch: SingularPoint names the first
+    such node in row-major order.
+    """
+    shape = point.shape
+    with np.errstate(all="ignore"):  # non-finite nodes are reported below
+        values = np.array(np.broadcast_to(evaluator(point), shape), dtype=np.complex128)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        index = tuple(int(i) for i in np.unravel_index(bad[0], shape))
+        raise SingularPoint(index, point.node(index), values[index])
+    return values
 
 
 def simple_pulse_evaluator(params: PulseParams) -> Evaluator:
@@ -262,18 +278,14 @@ class FieldGrid:
 
     def _metadata(self) -> dict:
         meta = {
-            "axes": [
-                {"name": a.name, "start": a.start, "stop": a.stop, "count": a.count}
-                for a in self.spec.axes
-            ],
+            "axes": [{"name": a.name, "start": a.start, "stop": a.stop, "count": a.count}
+                     for a in self.spec.axes],
             "fixed": dict(sorted(self.spec.fixed.items())),
             "waveform": self.waveform_desc,
             "evaluator": self.evaluator_desc,
         }
         if self.params is not None:
-            meta["pulse"] = {
-                "c": self.params.c, "tau": self.params.tau, "zeta": self.params.zeta,
-            }
+            meta["pulse"] = {"c": self.params.c, "tau": self.params.tau, "zeta": self.params.zeta}
         return meta
 
     def write_csv(self, path) -> None:
@@ -283,11 +295,8 @@ class FieldGrid:
 
         lines = []
         if self.params is not None:
-            lines.append(
-                f"# pulse: c={fmt_float(self.params.c)}"
-                f" tau={fmt_float(self.params.tau)}"
-                f" zeta={fmt_float(self.params.zeta)}"
-            )
+            lines.append(f"# pulse: c={fmt_float(self.params.c)} tau={fmt_float(self.params.tau)}"
+                         f" zeta={fmt_float(self.params.zeta)}")
         if self.waveform_desc:
             lines.append(f"# waveform: {self.waveform_desc}")
         if self.evaluator_desc:
@@ -313,15 +322,8 @@ class FieldGrid:
         json_path = os.fspath(json_path)
         bin_path = json_path + ".bin"
         header = self._metadata()
-        header.update(
-            {
-                "dtype": "complex128",
-                "byte_order": "little",
-                "order": "C",
-                "shape": list(self.spec.shape),
-                "data_file": os.path.basename(bin_path),
-            }
-        )
+        header.update({"dtype": "complex128", "byte_order": "little", "order": "C",
+                       "shape": list(self.spec.shape), "data_file": os.path.basename(bin_path)})
         with open(bin_path, "wb") as fh:
             fh.write(np.ascontiguousarray(self.values, dtype="<c16").tobytes())
         write_text(json_path, render_json(header))
@@ -335,31 +337,14 @@ def sample_grid(
     waveform_desc: str = "",
     evaluator_desc: str = "",
 ) -> FieldGrid:
-    """Evaluate over the whole grid in one call on its broadcast point.
-
-    A non-finite value fails the grid: the first such node in row-major
-    order is evaluated again as a scalar point, and what that call raises
-    is re-raised as GridEvaluationError carrying the node's index.
+    """Evaluate over the whole grid in one call on its broadcast point
+    (see ``evaluate_batch``); a singular node raises GridEvaluationError
+    carrying its grid index.
     """
-    point = spec.broadcast_point()
-    with np.errstate(all="ignore"):  # non-finite nodes are reported below
-        values = np.array(
-            np.broadcast_to(evaluator(point), spec.shape), dtype=np.complex128
-        )
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        index = tuple(int(i) for i in np.unravel_index(bad[0], spec.shape))
-        node = SpacetimePoint(*(
-            float(np.broadcast_to(v, spec.shape)[index])
-            for v in (point.t, point.x, point.y, point.z)
-        ))
-        try:
-            evaluator(node)
-        except Exception as exc:  # noqa: BLE001 - re-raised with location
-            raise GridEvaluationError(index, node, exc) from exc
-        raise GridEvaluationError(
-            index, node, ValueError(f"non-finite value {values[index]}")
-        )
+    try:
+        values = evaluate_batch(evaluator, spec.broadcast_point())
+    except SingularPoint as exc:
+        raise GridEvaluationError(exc.index, exc.point, exc) from exc
     return FieldGrid(spec, values, params, waveform_desc, evaluator_desc)
 
 

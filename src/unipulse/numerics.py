@@ -8,7 +8,6 @@ for sequences v(h) -> v0 as h -> 0.
 
 from __future__ import annotations
 
-import cmath
 import heapq
 import math
 from dataclasses import dataclass
@@ -44,8 +43,18 @@ class QuadratureResult:
 
 @dataclass(frozen=True)
 class ExtrapolationResult:
-    value: complex
-    stability: float
+    """Limits and the spread of their last two extrapolants, with the
+    spread before it, and which entries diverged; all of one shape."""
+
+    value: complex | np.ndarray
+    stability: float | np.ndarray
+    previous: float | np.ndarray
+    diverged: bool | np.ndarray
+
+    def growth(self, index: tuple[int, ...] = ()) -> str:
+        """How the spread of entry ``index`` grew."""
+        return (f"extrapolant spread grew from {self.previous[index]:.3e} "
+                f"to {self.stability[index]:.3e}")
 
 
 def complex_sqrt_upper(w: complex | np.ndarray) -> complex | np.ndarray:
@@ -54,24 +63,11 @@ def complex_sqrt_upper(w: complex | np.ndarray) -> complex | np.ndarray:
     Real w >= 0 maps to the nonnegative real root; real w < 0 maps to
     +i*sqrt(|w|).  Signed-zero imaginary parts are treated as zero so
     that values on the negative real axis never fall on the lower side
-    of the cut.
-
-    Scalars go through ``cmath`` and must be finite.  Arrays go through
-    one ``np.sqrt`` call with the same branch rule; non-finite entries
-    propagate as NaN/Inf instead of raising.
+    of the cut.  One ``np.sqrt`` call over all entries; a scalar gives a
+    numpy scalar, and non-finite entries propagate as NaN/Inf.
     """
-    if isinstance(w, np.ndarray):
-        r = np.sqrt(w + 0j)  # adding +0j turns an imaginary -0.0 into +0.0
-        return np.where(r.imag < 0.0, -r, r)
-    w = complex(w)
-    if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-        raise ValueError(f"complex_sqrt_upper requires finite input, got {w!r}")
-    if w.imag == 0.0:
-        if w.real >= 0.0:
-            return complex(math.sqrt(w.real), 0.0)
-        return complex(0.0, math.sqrt(-w.real))
-    r = cmath.sqrt(w)
-    return -r if r.imag < 0.0 else r
+    r = np.sqrt(np.asarray(w) + 0j)  # adding +0j turns an imaginary -0.0 into +0.0
+    return np.where(r.imag < 0.0, -r, r)[()]
 
 
 # --- Bessel J0 ---------------------------------------------------------
@@ -350,40 +346,36 @@ def integrate_semi_infinite(
 
 
 def limit_extrapolate(
-    samples: Sequence[tuple[float, complex]],
-    diverge_factor: float = 5.0,
+    h: Sequence[float], v: np.ndarray, diverge_factor: float = 5.0
 ) -> ExtrapolationResult:
-    """Extrapolate v(h) -> v0 as h -> 0 from samples (h, v), h decreasing.
+    """Extrapolate v(h) -> v0 as h -> 0 along the trailing axis of ``v``,
+    which holds the samples at the strictly decreasing steps ``h``.
 
     Assumes v(h) = v0 + c1*h + c2*h^2 + ... and evaluates the Neville
     interpolation tableau at h = 0 (classical Richardson acceleration
     for geometric ladders, but any strictly decreasing h works).  The
     stability estimate is the spread of the last two diagonal
-    extrapolants.  Raises ExtrapolationUnstable when that spread grows
-    instead of shrinking.
+    extrapolants.  An entry diverges when that spread grows
+    ``diverge_factor``-fold over the one before instead of shrinking
+    (and exceeds 1e-12 of the entry's largest sample); it is flagged in
+    ``diverged``, not raised.
     """
-    pts = [(float(h), complex(v)) for h, v in samples]
-    if len(pts) < 3:
-        raise ValueError(f"need at least 3 samples, got {len(pts)}")
-    hs = [h for h, _ in pts]
-    if any(h <= 0.0 for h in hs) or any(h2 >= h1 for h1, h2 in zip(hs, hs[1:])):
+    h = np.asarray(h, dtype=float)
+    tab = np.asarray(v, dtype=complex)
+    n = h.size
+    if h.ndim != 1 or n < 3 or tab.shape[-1:] != (n,):
+        raise ValueError(f"need at least 3 steps along the samples' last axis, got "
+                         f"steps of shape {h.shape} for samples of shape {tab.shape}")
+    if np.any(h <= 0.0) or np.any(h[1:] >= h[:-1]):
         raise ValueError("sample steps must be positive and strictly decreasing")
 
-    tab = [v for _, v in pts]
-    n = len(tab)
-    diag = [tab[0]]
+    scale = np.abs(tab).max(axis=-1) + 1e-300
+    diag = [tab[..., 0]]
     for m in range(1, n):
-        for i in range(n - m):
-            tab[i] = (hs[i + m] * tab[i] - hs[i] * tab[i + 1]) / (hs[i + m] - hs[i])
-        diag.append(tab[0])
+        tab = (h[m:] * tab[..., :-1] - h[:-m] * tab[..., 1:]) / (h[m:] - h[:-m])
+        diag.append(tab[..., 0])
 
-    scale = max(abs(v) for _, v in pts) + 1e-300
-    diffs = [abs(d2 - d1) for d1, d2 in zip(diag, diag[1:])]
-    stability = diffs[-1]
-    if len(diffs) >= 2:
-        prev = diffs[-2]
-        if stability > diverge_factor * prev and stability > 1e-12 * scale:
-            raise ExtrapolationUnstable(
-                f"extrapolant spread grew from {prev:.3e} to {stability:.3e}"
-            )
-    return ExtrapolationResult(diag[-1], stability)
+    diffs = np.abs(np.diff(np.stack(diag, axis=-1), axis=-1))
+    stability, previous = diffs[..., -1], diffs[..., -2]
+    diverged = (stability > diverge_factor * previous) & (stability > 1e-12 * scale)
+    return ExtrapolationResult(diag[-1][()], stability[()], previous[()], diverged[()])

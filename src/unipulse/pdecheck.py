@@ -17,9 +17,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import Evaluator, PulseParams, SpacetimePoint
+from .fields import Evaluator, PulseParams, SpacetimePoint, evaluate_batch
 
 _EPS = 2.220446049250313e-16
+
+# stencil offsets in units of the step, (ct, x, y, z): the centre, then
+# the +/- pairs of x, y, z and ct
+_STENCIL = np.array([(0, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0),
+                     (0, 0, -1, 0), (0, 0, 0, 1), (0, 0, 0, -1), (1, 0, 0, 0),
+                     (-1, 0, 0, 0)], dtype=float).T
 
 
 class BelowNoiseFloor(Exception):
@@ -28,50 +34,66 @@ class BelowNoiseFloor(Exception):
 
 @dataclass(frozen=True)
 class ResidualReport:
+    """Residuals at the points of ``point`` with steps ``h``; every field
+    has (or broadcasts to) their broadcast shape."""
+
     point: SpacetimePoint
-    h: float
-    residual: complex
-    field_scale: float
+    h: float | np.ndarray
+    residual: complex | np.ndarray
+    field_scale: float | np.ndarray
 
     @property
-    def normalized(self) -> float:
+    def normalized(self) -> float | np.ndarray:
         return abs(self.residual) / self.field_scale
 
     @property
-    def noise_floor(self) -> float:
+    def noise_floor(self) -> float | np.ndarray:
         # rounding scale of one second difference at this h
         return 4.0 * _EPS * self.field_scale
+
+    def order(self) -> float | np.ndarray:
+        """Least-squares slope of log |residual| against log h along the
+        trailing axis, where ``h`` is a strictly decreasing, roughly
+        geometric ladder of at least three steps.  NaN where half or more
+        of the residuals sit at the rounding floor: no order exists there.
+        """
+        hs = np.asarray(self.h, dtype=float)
+        if hs.ndim != 1 or hs.size < 3:
+            raise ValueError(f"need a ladder of at least 3 step sizes, got {self.h}")
+        if np.any(hs[1:] >= hs[:-1]):
+            raise ValueError("step sizes must be strictly decreasing")
+        mags = np.abs(self.residual)
+        floored = np.sum(mags <= 10.0 * self.noise_floor, axis=-1)
+        x = np.log(hs) - np.log(hs).mean()
+        slope = (np.log(np.maximum(mags, 1e-300)) @ x) / (x @ x)
+        return np.where(floored >= (hs.size + 1) // 2, np.nan, slope)[()]
 
 
 def wave_residual(
     evaluator: Evaluator, p: SpacetimePoint, h: float, params: PulseParams
 ) -> ResidualReport:
-    """Second-order residual at one point.
+    """Second-order residual at the points of ``p`` with steps ``h``,
+    which broadcast against each other: one evaluator call on every
+    point and step times the 9 stencil nodes.
 
     ``field_scale`` is the magnitude of the largest term entering the
     residual sum (with a rounding-level floor), so the normalized
     residual is O(1) for a non-solution and O(h^2) for a solution.
     """
-    if not h > 0.0:
+    h = np.asarray(h, dtype=float)
+    if not np.all(h > 0.0):
         raise ValueError(f"step must be positive, got {h}")
-    c = params.c
-    ht = h / c
-    u0 = evaluator(p)
+    hh = h[..., None]
+    stencil = SpacetimePoint(*(np.asarray(v)[..., None] + step * offsets for v, step, offsets
+                               in zip((p.t, p.x, p.y, p.z), (hh / params.c, hh, hh, hh), _STENCIL)))
+    u = evaluate_batch(evaluator, stencil)
+    u0 = u[..., 0]
     h2 = h * h
-
-    def second(plus: SpacetimePoint, minus: SpacetimePoint) -> complex:
-        return (evaluator(plus) - 2.0 * u0 + evaluator(minus)) / h2
-
-    stencil = [
-        second(SpacetimePoint(p.t, p.x + h, p.y, p.z), SpacetimePoint(p.t, p.x - h, p.y, p.z)),
-        second(SpacetimePoint(p.t, p.x, p.y + h, p.z), SpacetimePoint(p.t, p.x, p.y - h, p.z)),
-        second(SpacetimePoint(p.t, p.x, p.y, p.z + h), SpacetimePoint(p.t, p.x, p.y, p.z - h)),
-        second(SpacetimePoint(p.t + ht, p.x, p.y, p.z), SpacetimePoint(p.t - ht, p.x, p.y, p.z)),
-    ]
-    residual = stencil[0] + stencil[1] + stencil[2] - stencil[3]
-    rounding = 4.0 * _EPS * abs(u0) / h2
-    field_scale = max(max(abs(term) for term in stencil), rounding, 1e-300)
-    return ResidualReport(p, h, residual, field_scale)
+    terms = (u[..., 1::2] - 2.0 * u0[..., None] + u[..., 2::2]) / h2[..., None]
+    residual = terms[..., 0] + terms[..., 1] + terms[..., 2] - terms[..., 3]
+    rounding = 4.0 * _EPS * np.abs(u0) / h2
+    field_scale = np.maximum(np.abs(terms).max(axis=-1), np.maximum(rounding, 1e-300))
+    return ResidualReport(p, h[()], residual[()], field_scale[()])
 
 
 def convergence_order(
@@ -80,24 +102,15 @@ def convergence_order(
     h_list: Sequence[float],
     params: PulseParams,
 ) -> float:
-    """Least-squares slope of log |residual| versus log h.
-
-    Expects a decreasing, roughly geometric ladder of at least three
-    steps.  Raises BelowNoiseFloor when the residuals sit at the
-    rounding floor, where no meaningful order exists.
+    """Least-squares slope of log |residual| versus log h at the points
+    of ``p`` (see ``ResidualReport.order``), the ladder along a new
+    trailing axis.  Raises BelowNoiseFloor when the residuals at a point
+    sit at the rounding floor, where no meaningful order exists.
     """
-    hs = [float(h) for h in h_list]
-    if len(hs) < 3:
-        raise ValueError(f"need at least 3 step sizes, got {len(hs)}")
-    if any(h2 >= h1 for h1, h2 in zip(hs, hs[1:])):
-        raise ValueError("step sizes must be strictly decreasing")
-
-    reports = [wave_residual(evaluator, p, h, params) for h in hs]
-    floored = sum(1 for r in reports if abs(r.residual) <= 10.0 * r.noise_floor)
-    if floored >= (len(reports) + 1) // 2:
-        raise BelowNoiseFloor(
-            f"{floored}/{len(reports)} residuals at the rounding floor near {p}"
-        )
-    mags = [max(abs(r.residual), 1e-300) for r in reports]
-    slope = np.polyfit(np.log(hs), np.log(mags), 1)[0]
-    return float(slope)
+    ladder = SpacetimePoint(*(np.asarray(v)[..., None] for v in (p.t, p.x, p.y, p.z)))
+    order = wave_residual(evaluator, ladder, np.array(h_list, dtype=float), params).order()
+    floored = np.flatnonzero(np.isnan(order))
+    if floored.size:
+        node = p.node(np.unravel_index(floored[0], p.shape))
+        raise BelowNoiseFloor(f"residuals at the rounding floor near {node}")
+    return order

@@ -79,9 +79,7 @@ class RationalWaveform(Waveform):
         return -1.0 / (d * d)
 
     def spectrum(self, kappa):
-        arr = np.asarray(kappa, dtype=float)
-        out = -1j * np.exp(-self.a * arr)
-        return complex(out) if arr.ndim == 0 else out
+        return -1j * np.exp(-self.a * np.asarray(kappa, dtype=float))
 
     def describe(self) -> str:
         return f"rational(a={self.a:.17g})"
@@ -118,12 +116,7 @@ class LeknerWaveform(Waveform):
 
     def spectrum(self, kappa):
         arr = np.asarray(kappa, dtype=float)
-        out = np.where(
-            arr >= self.K,
-            -1j * np.exp(-self.a * (arr - self.K)),
-            0.0 + 0.0j,
-        )
-        return complex(out) if arr.ndim == 0 else out
+        return np.where(arr >= self.K, -1j * np.exp(-self.a * (arr - self.K)), 0j)[()]
 
     def describe(self) -> str:
         return f"lekner(a={self.a:.17g},K={self.K:.17g})"

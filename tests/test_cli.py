@@ -90,7 +90,7 @@ class TestSample:
         }
         rc, _ = run(tmp_path, "sample", cfg, "sing.csv")
         assert rc == 3
-        assert "grid index (1,): simple pulse singular at" in capsys.readouterr().err
+        assert "grid index (1,): singular at" in capsys.readouterr().err
 
     def test_snapshot_config_matches_per_node_calls(self, tmp_path):
         # the shipped snapshot, evaluated in one array call and streamed,
@@ -267,6 +267,20 @@ class TestFarfieldCmd:
             assert row["abs_diff"] <= 1e-6 * mag
 
 
+    def test_diverging_extrapolation_exits_3_and_names_the_entry(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        from unipulse import cli
+
+        # grows like t^2 off the forward axis: no limit to extrapolate there
+        monkeypatch.setattr(cli, "quasi_spherical_evaluator",
+                            lambda *args: lambda p: p.t * p.t * (p.x > 0.0) + 1.0 / p.t)
+        cfg = {"s_values": [0.0, 1.0], "directions": [{"chi": 0.0}, {"chi": 0.5}]}
+        rc, out = run(tmp_path, "farfield", cfg, "ffwild.json")
+        assert rc == 3 and not out.exists()
+        err = capsys.readouterr().err
+        assert "far field along chi=0.5, s=0.0: extrapolant spread grew from" in err
+
+
 class TestSpectrumCmd:
     def test_table_matches_closed_form(self, tmp_path):
         cfg = {"kz": {"min": 0.0, "max": 1.0, "count": 3},
@@ -284,7 +298,7 @@ class TestSpectrumCmd:
             assert im == pytest.approx(0.0, abs=1e-15)
 
     def test_rows_cover_the_support_in_omega_major_order(self, tmp_path):
-        from unipulse.synthesis import spectral_weight
+        from unipulse.synthesis import make_spectral_weight
         from unipulse.waveforms import LeknerWaveform
 
         cfg = {"pulse": {"c": 2.0, "tau": 0.5}, "waveform": "lekner(a=1,K=0.5)",
@@ -297,9 +311,9 @@ class TestSpectrumCmd:
         # kz = omega/c = 0.5 and 1.0 lie on the edge of the support
         assert [r[:2] for r in rows] == [[0.0, 1.0], [0.5, 1.0],
                                          [0.0, 2.0], [0.5, 2.0], [1.0, 2.0]]
-        params, w = PulseParams(2.0, 0.5), LeknerWaveform(1.0, 0.5)
+        weight = make_spectral_weight(PulseParams(2.0, 0.5), LeknerWaveform(1.0, 0.5))
         for kz, omega, re, im, _ in rows:
-            want = spectral_weight(kz, omega, params, w)
+            want = weight(kz, omega)
             assert complex(re, im) == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
@@ -315,6 +329,15 @@ class TestResidualCmd:
         order = float(rows[0][-1])
         assert 1.8 <= order <= 2.2
 
+    def test_pole_exits_3_and_names_the_node(self, tmp_path, capsys):
+        cfg = {"evaluator": "spherical_reference",
+               "points": [{"t": 0.3, "x": 0.2, "y": 0.1, "z": -0.4},
+                          {"t": 0.0, "x": 0.0, "y": 0.0, "z": 0.0}]}
+        rc, out = run(tmp_path, "residual", cfg, "pole.csv")
+        assert rc == 3 and not out.exists()
+        err = capsys.readouterr().err
+        assert "singular at SpacetimePoint(t=0.0, x=0.0, y=0.0, z=0.0)" in err
+
     def test_random_points_block(self, tmp_path):
         cfg = {"evaluator": "quasi_spherical",
                "waveform": "lekner(a=1,K=1)",
@@ -324,6 +347,32 @@ class TestResidualCmd:
         rows = [l for l in out.read_text().splitlines()
                 if l and not l.startswith("#") and not l.startswith("t,")]
         assert len(rows) == 9
+
+
+class TestOneEvaluation:
+    """farfield, unidir and residual evaluate the field in one call each."""
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("farfield", {"s_values": [-1.0, 0.0, 1.0, 2.0],
+                      "directions": [{"chi": 0.0}, {"chi": 0.5}]}),
+        ("unidir", {"tolerance": 1e-6}),
+        ("unidir", {"evaluator": "spherical_reference", "b_ref": 1.0}),
+        ("residual", {"random_points": {"n": 20, "seed": 7}}),
+    ])
+    def test_one_evaluator_call(self, tmp_path, monkeypatch, command, cfg):
+        from unipulse import cli
+
+        shapes = []
+        for name in ("quasi_spherical_evaluator", "spherical_reference_evaluator"):
+            def factory(*args, _make=getattr(cli, name)):
+                ev = _make(*args)
+                return lambda p: shapes.append(p.shape) or ev(p)
+            monkeypatch.setattr(cli, name, factory)
+        rc, _ = run(tmp_path, command, cfg, "one.out")
+        assert rc in (0, 4)
+        assert len(shapes) == 1
+        assert {"farfield": (2, 4, 3), "unidir": (8, 5, 3),
+                "residual": (20, 3, 9)}[command] == shapes[0]
 
 
 class TestEnergyCmd:
@@ -397,6 +446,15 @@ class TestShippedConfigs:
             rc = main([command, "--config", str(CONFIGS / f"{name}.json"), "--out", str(out)])
             assert rc == code, name
             assert out.stat().st_size > 0, name
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_reruns_are_byte_identical(self, tmp_path, name):
+        command, suffix, code = self.RUNS[name]
+        outs = [tmp_path / f"{k}.{suffix}" for k in "ab"]
+        for out in outs:
+            rc = main([command, "--config", str(CONFIGS / f"{name}.json"), "--out", str(out)])
+            assert rc == code
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_energy_conservation_reruns_identically_at_the_closed_form(self, tmp_path):
         outs = [tmp_path / "e1.json", tmp_path / "e2.json"]

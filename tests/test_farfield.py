@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from unipulse.farfield import (
@@ -13,6 +14,7 @@ from unipulse.farfield import (
     radiation_schedule,
 )
 from unipulse.fields import (
+    SingularPoint,
     quasi_spherical_evaluator,
     simple_pulse_evaluator,
     spherical_reference_evaluator,
@@ -32,6 +34,15 @@ class TestDirection:
             Direction(-0.1)
         with pytest.raises(ValueError):
             Direction(1.0, 7.0)
+        with pytest.raises(ValueError):
+            Direction(np.array([0.5, 4.0]))
+
+    def test_fan_stacks_along_a_leading_axis(self):
+        fan = Direction.fan([Direction(0.3, 1.0), Direction(2.0)])
+        assert fan.chi.shape == fan.phi.shape == (2, 1)
+        x, y, z = fan.unit_vector
+        assert np.allclose(np.hstack([x, y, z]), [Direction(0.3, 1.0).unit_vector,
+                                                  Direction(2.0).unit_vector], rtol=0, atol=1e-16)
 
 
 class TestFarfieldNumeric:
@@ -43,19 +54,19 @@ class TestFarfieldNumeric:
         sched = radiation_schedule(params)
         expect = w.eval(0.5 + 0.5j)
         for d in (Direction(0.2), Direction(1.9, 2.0), Direction(math.pi)):
-            f = farfield_numeric(ev, 0.5, d, sched, params.c)
+            f = farfield_numeric(ev, 0.5, d, sched, params.c).value
             assert abs(f - expect) <= 1e-9
 
     def test_backward_axis_vanishes(self, params):
         ev = simple_pulse_evaluator(params)
         sched = radiation_schedule(params)
-        f = farfield_numeric(ev, 0.3, Direction(math.pi), sched, params.c)
+        f = farfield_numeric(ev, 0.3, Direction(math.pi), sched, params.c).value
         assert abs(f) <= 1e-8
 
     def test_forward_axis_matches_analytic(self, params, rational):
         ev = simple_pulse_evaluator(params)
         sched = radiation_schedule(params)
-        f = farfield_numeric(ev, 0.0, Direction(0.0), sched, params.c)
+        f = farfield_numeric(ev, 0.0, Direction(0.0), sched, params.c).value
         assert abs(f - farfield_analytic(0.0, Direction(0.0), params, rational)) <= 1e-9
         # at chi=0 the closed form collapses to f(-s) = 1/(-s + i a)
         assert f == pytest.approx(1.0 / 1j, rel=1e-8)
@@ -68,7 +79,7 @@ class TestFarfieldNumeric:
         for chi in (0.0, math.pi / 6, math.pi / 3):
             for s in (-2.0, -1.0, 0.0, 1.0, 2.0):
                 n = Direction(chi)
-                fn = farfield_numeric(ev, s, n, sched, params.c)
+                fn = farfield_numeric(ev, s, n, sched, params.c).value
                 fa = farfield_analytic(s, n, params, rational)
                 assert abs(fn - fa) <= 1e-6 * abs(fa)
 
@@ -79,7 +90,7 @@ class TestFarfieldNumeric:
             for chi in (0.0, math.pi / 6, math.pi / 3):
                 for s in (-1.0, 0.0, 1.0):
                     n = Direction(chi)
-                    fn = farfield_numeric(ev, s, n, sched, params.c)
+                    fn = farfield_numeric(ev, s, n, sched, params.c).value
                     fa = farfield_analytic(s, n, params, w)
                     assert abs(fn - fa) <= 1e-6 * abs(fa)
 
@@ -98,6 +109,31 @@ class TestFarfieldNumeric:
                 mags.append(ct * abs(u))
             assert mags[1] <= 0.55 * mags[0]
             assert mags[2] <= 0.55 * mags[1]
+
+    def test_one_evaluator_call_for_every_direction_and_s(self, params, rational):
+        calls = []
+
+        def counting(p):
+            calls.append(p.shape)
+            return quasi_spherical_evaluator(params, rational)(p)
+
+        sched = radiation_schedule(params)
+        s = np.array([-1.0, 0.0, 1.0])
+        dirs = [Direction(0.0), Direction(0.4, 1.0), Direction(1.0, 2.0), Direction(2.5)]
+        res = farfield_numeric(counting, s, Direction.fan(dirs), sched, params.c)
+        assert calls == [(4, 3, 3)]
+        assert res.value.shape == res.stability.shape == res.diverged.shape == (4, 3)
+        for i, d in enumerate(dirs):
+            for j, sj in enumerate(s):
+                one = farfield_numeric(counting, sj, d, sched, params.c)
+                assert res.value[i, j] == one.value and res.diverged[i, j] == one.diverged
+
+    def test_pole_on_the_ladder_names_the_node(self, params):
+        def holey(p):  # NaN at the largest ct of the ladder
+            return np.where(p.t > 5e3, np.nan, 1.0 + 0j) * np.ones(p.shape)
+
+        with pytest.raises(SingularPoint, match=r"singular at SpacetimePoint\(t=10000.0"):
+            farfield_numeric(holey, 0.0, Direction(0.0), radiation_schedule(params), params.c)
 
     def test_schedule_validation(self, params, rational):
         ev = quasi_spherical_evaluator(params, rational)
@@ -136,6 +172,22 @@ class TestFarfieldAnalytic:
         f1 = farfield_analytic(0.4, Direction(0.8, 0.0), params, rational)
         f2 = farfield_analytic(0.4, Direction(0.8, 5.1), params, rational)
         assert f1 == f2
+
+
+class TestFarfieldArrays:
+    def test_arrays_match_single_calls(self, params):
+        w = LeknerWaveform(1.0, 1.0)
+        s = np.linspace(-2.0, 2.0, 5)
+        chi = np.array([[0.0], [0.7], [math.pi / 2], [2.5]])
+        n = Direction(chi, np.zeros_like(chi))
+        for f in (farfield_analytic, farfield_deriv):
+            got = f(s, n, params, w)
+            assert got.shape == (4, 5)
+            for i, j in np.ndindex(got.shape):
+                one = f(float(s[j]), Direction(float(chi[i, 0])), params, w)
+                assert isinstance(one, np.complex128)
+                assert got[i, j] == one
+            assert not got[2:].any()  # the equator and behind it
 
 
 class TestFarfieldDeriv:
@@ -209,7 +261,7 @@ class TestUnidirectionalityCertificate:
         from unipulse.fields import SpacetimePoint
 
         def wild(p: SpacetimePoint) -> complex:
-            return complex(p.t * p.t)
+            return p.t * p.t + 0j
 
         sched = radiation_schedule(params)
         rep = check_unidirectional(
@@ -217,6 +269,25 @@ class TestUnidirectionalityCertificate:
         )
         assert not rep.passed
         assert rep.entries[0].status == "WARN"
+        assert rep.entries[0].note.startswith("extrapolant spread grew from")
+
+    def test_one_evaluator_call_and_per_entry_warnings(self, params):
+        # a term growing like t^2 where y > 0 spoils the second direction
+        # only: its entry warns, the first keeps its small |F|, and the
+        # report cannot pass
+        calls = []
+
+        def mixed(p):
+            calls.append(p.shape)
+            return simple_pulse_evaluator(params)(p) + p.t * p.t * (p.y > 0.0)
+
+        sched = radiation_schedule(params, CERTIFICATE_SCHEDULE_CT)
+        dirs = [Direction(3.0), Direction(2.0, 1.0)]
+        rep = check_unidirectional(mixed, [-1.0, 0.0, 1.0], dirs, 1e-6, sched, params.c)
+        assert calls == [(2, 3, 3)]
+        assert [e.status for e in rep.entries] == ["OK", "WARN"]
+        assert rep.entries[0].max_abs <= 1e-6 and rep.entries[1].max_abs == 0.0
+        assert not rep.passed
 
     def test_rejects_forward_directions(self, params):
         with pytest.raises(ValueError):

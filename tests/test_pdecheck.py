@@ -1,9 +1,11 @@
-import cmath
 import math
 
+import numpy as np
 import pytest
 
 from unipulse.fields import (
+    PulseParams,
+    SingularPoint,
     SpacetimePoint,
     quasi_spherical_evaluator,
     simple_pulse_evaluator,
@@ -20,7 +22,7 @@ def oblique_plane_wave(params, kx=0.3, ky=0.4, kz=0.5):
     omega = params.c * k
 
     def ev(p: SpacetimePoint) -> complex:
-        return cmath.exp(1j * (kx * p.x + ky * p.y + kz * p.z - omega * p.t))
+        return np.exp(1j * (kx * p.x + ky * p.y + kz * p.z - omega * p.t))
 
     return ev
 
@@ -38,7 +40,7 @@ class TestWaveResidual:
 
     def test_static_quadratic_detector(self, params):
         # known Laplacian: u = x^2 leaves residual 2 at any h
-        rep = wave_residual(lambda p: complex(p.x * p.x), SpacetimePoint(0, 1.0, 0.5, 0.2), 1e-3, params)
+        rep = wave_residual(lambda p: p.x * p.x + 0j, SpacetimePoint(0, 1.0, 0.5, 0.2), 1e-3, params)
         assert rep.residual == pytest.approx(2.0, abs=1e-6)
         assert rep.normalized == pytest.approx(1.0, abs=1e-6)
 
@@ -46,6 +48,30 @@ class TestWaveResidual:
         rep = wave_residual(simple_pulse_evaluator(params), POINT, 1e-3, params)
         assert rep.field_scale > 0.0
         assert rep.h == 1e-3
+
+    def test_one_evaluator_call_for_all_points_and_steps(self, params, rng):
+        calls = []
+
+        def counting(p):
+            calls.append(p.shape)
+            return simple_pulse_evaluator(params)(p)
+
+        t, x, y, z = (rng.uniform(-1.2, 1.2, (5, 1)) for _ in range(4))
+        rep = wave_residual(counting, SpacetimePoint(t, x, y, z), np.array(H_LADDER), params)
+        assert calls == [(5, 3, 9)]
+        assert rep.residual.shape == rep.normalized.shape == (5, 3)
+        for i in range(5):
+            p = SpacetimePoint(float(t[i, 0]), float(x[i, 0]), float(y[i, 0]), float(z[i, 0]))
+            for j, h in enumerate(H_LADDER):
+                one = wave_residual(counting, p, h, params)
+                assert rep.residual[i, j] == one.residual
+                assert rep.field_scale[i, j] == one.field_scale
+
+    def test_pole_in_the_stencil_raises(self):
+        # zeta = b puts the simple pulse's pole at the origin at t = 0
+        bad = PulseParams(1.0, 1.0, 1.0)
+        with pytest.raises(SingularPoint, match=r"t=0.0, x=0.0, y=0.0, z=0.0"):
+            wave_residual(simple_pulse_evaluator(bad), SpacetimePoint(0.0, 0.0, 0.0, 0.0), 1e-3, bad)
 
     def test_rejects_bad_step(self, params):
         with pytest.raises(ValueError):
@@ -67,7 +93,7 @@ class TestConvergenceOrder:
 
     def test_non_solution_order_zero(self, params):
         def gaussian(p: SpacetimePoint) -> complex:
-            return complex(math.exp(-(p.x**2 + p.y**2 + p.z**2)))
+            return np.exp(-(p.x**2 + p.y**2 + p.z**2)) + 0j
 
         order = convergence_order(gaussian, SpacetimePoint(0.0, 0.4, 0.2, 0.3), H_LADDER, params)
         assert abs(order) <= 0.05
@@ -76,10 +102,29 @@ class TestConvergenceOrder:
         # with steps equal in ct units the truncation cancels exactly and
         # only rounding remains: the order fit must refuse
         def ev(p: SpacetimePoint) -> complex:
-            return cmath.exp(1j * (p.z - params.c * p.t))
+            return np.exp(1j * (p.z - params.c * p.t))
 
         with pytest.raises(BelowNoiseFloor):
             convergence_order(ev, POINT, H_LADDER, params)
+
+    def test_array_points_give_one_order_each(self, params, rng):
+        ev = quasi_spherical_evaluator(params, LeknerWaveform(1.0, 1.0))
+        coords = rng.uniform(-1.2, 1.2, (4, 6))
+        orders = convergence_order(ev, SpacetimePoint(*coords), H_LADDER, params)
+        assert orders.shape == (6,)
+        for k in range(6):
+            p = SpacetimePoint(*(float(v) for v in coords[:, k]))
+            # the fit's dot products may round differently in a batch
+            assert orders[k] == pytest.approx(convergence_order(ev, p, H_LADDER, params), rel=1e-14)
+
+    def test_floored_point_among_many_is_named(self, params):
+        # only the second point sits where the residual is pure rounding
+        def ev(p: SpacetimePoint) -> complex:
+            return np.exp(1j * (p.z - params.c * p.t)) + (p.x > 0.5) * p.x**4
+
+        points = SpacetimePoint(0.3, np.array([1.0, 0.2]), 0.1, -0.4)
+        with pytest.raises(BelowNoiseFloor, match=r"SpacetimePoint\(t=0.3, x=0.2"):
+            convergence_order(ev, points, H_LADDER, params)
 
     def test_requires_decreasing_ladder(self, params):
         ev = simple_pulse_evaluator(params)
