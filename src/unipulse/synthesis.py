@@ -352,8 +352,12 @@ def reconstruct_cartesian_mc(
         kx = kperp * np.cos(phi)
         ky = kperp * np.sin(phi)
         phase = k * ct - kz * p.z - kx * p.x - ky * p.y
-        vals = -1j * np.asarray(w.spectrum(kz), dtype=np.complex128) * (k / b) \
+        vals = (
+            -1j
+            * np.asarray(w.spectrum(kz), dtype=np.complex128)
+            * (k / b)
             * np.exp(kz * b + 1j * phase)
+        )
         total += complex(np.sum(vals))
         total_sq += float(np.sum(np.abs(vals) ** 2))
         done += m
