@@ -12,7 +12,11 @@ import json
 import math
 from dataclasses import dataclass
 
-from .fields import AxisSpec, GridSpec, PulseParams, SpacetimePoint
+import numpy as np
+
+from .farfield import Direction, radiation_schedule
+from .fields import AXIS_NAMES, AxisSpec, GridSpec, PulseParams, SpacetimePoint
+from .synthesis import MC_MIN_SAMPLES
 from .waveforms import Waveform, parse_waveform
 
 
@@ -43,8 +47,15 @@ def check_keys(obj: dict, allowed: set[str], path: str) -> None:
         )
 
 
-def get_number(obj: dict, key: str, path: str, default=None, *,
-               gt=None, ge=None, lt=None, le=None) -> float:
+def get_block(value, path: str, allowed: set[str]) -> dict:
+    """``value`` as a config object whose keys all lie in ``allowed``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected an object with keys {', '.join(sorted(allowed))}")
+    check_keys(value, allowed, path)
+    return value
+
+
+def get_number(obj: dict, key: str, path: str, default=None, *, gt=None, ge=None) -> float:
     if key not in obj:
         if default is None:
             raise ConfigError(f"{path}{key}: required number is missing")
@@ -59,10 +70,6 @@ def get_number(obj: dict, key: str, path: str, default=None, *,
         raise ConfigError(f"{path}{key}: must be > {gt}, got {v}")
     if ge is not None and not v >= ge:
         raise ConfigError(f"{path}{key}: must be >= {ge}, got {v}")
-    if lt is not None and not v < lt:
-        raise ConfigError(f"{path}{key}: must be < {lt}, got {v}")
-    if le is not None and not v <= le:
-        raise ConfigError(f"{path}{key}: must be <= {le}, got {v}")
     return v
 
 
@@ -93,20 +100,35 @@ def get_string(obj: dict, key: str, path: str, default=None,
     return v
 
 
-def get_number_list(obj: dict, key: str, path: str, default=None) -> list[float]:
+def get_number_list(obj: dict, key: str, default) -> list[float]:
+    """``obj[key]``, a non-empty array of finite numbers, or ``default``."""
     if key not in obj:
-        if default is None:
-            raise ConfigError(f"{path}{key}: required array is missing")
         return list(default)
     v = obj[key]
     if not isinstance(v, list) or not v:
-        raise ConfigError(f"{path}{key}: expected a non-empty array of numbers")
+        raise ConfigError(f"{key}: expected a non-empty array of numbers")
     out = []
     for i, item in enumerate(v):
         if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ConfigError(f"{path}{key}[{i}]: expected a number, got {item!r}")
+            raise ConfigError(f"{key}[{i}]: expected a number, got {item!r}")
+        if not math.isfinite(item):
+            raise ConfigError(f"{key}[{i}]: must be finite, got {item}")
         out.append(float(item))
     return out
+
+
+def get_ladder(obj: dict, key: str, default) -> list[float]:
+    """A list of at least 3 distinct numbers > 0, in the order given."""
+    v = get_number_list(obj, key, default)
+    if len(v) < 3 or len(set(v)) < len(v) or min(v) <= 0.0:
+        raise ConfigError(f"{key}: need at least 3 distinct numbers > 0, got {v}")
+    return v
+
+
+def get_seed(obj: dict, path: str, default: int, override: int | None) -> int:
+    """The block's ``seed``, validated, unless the command line overrides it."""
+    seed = get_int(obj, "seed", path, default, ge=0)
+    return seed if override is None else override
 
 
 @dataclass(frozen=True)
@@ -122,10 +144,7 @@ def parse_pulse_setup(cfg: dict) -> PulseSetup:
     Defaults: c=1, tau=1, zeta=0 and waveform rational(a = b - zeta),
     the simplest regular family.
     """
-    block = cfg.get("pulse", {})
-    if not isinstance(block, dict):
-        raise ConfigError("pulse: expected an object with keys c, tau, zeta")
-    check_keys(block, {"c", "tau", "zeta"}, "pulse")
+    block = get_block(cfg.get("pulse", {}), "pulse", {"c", "tau", "zeta"})
     try:
         params = PulseParams(
             c=get_number(block, "c", "pulse.", 1.0, gt=0.0),
@@ -159,45 +178,100 @@ def parse_points(cfg: dict, key: str = "points") -> list[SpacetimePoint]:
         raise ConfigError(f"{key}: expected a non-empty array of point objects")
     points = []
     for i, item in enumerate(raw):
-        path = f"{key}[{i}]."
-        if not isinstance(item, dict):
-            raise ConfigError(f"{key}[{i}]: expected an object")
-        if "rho" in item:
-            check_keys(item, {"t", "rho", "z"}, f"{key}[{i}]")
+        path = f"{key}[{i}]"
+        if isinstance(item, dict) and "rho" in item:
+            get_block(item, path, {"t", "rho", "z"})
             points.append(
                 SpacetimePoint.from_cylindrical(
-                    get_number(item, "t", path, 0.0),
-                    get_number(item, "rho", path, ge=0.0),
-                    get_number(item, "z", path, 0.0),
+                    get_number(item, "t", f"{path}.", 0.0),
+                    get_number(item, "rho", f"{path}.", ge=0.0),
+                    get_number(item, "z", f"{path}.", 0.0),
                 )
             )
         else:
-            check_keys(item, {"t", "x", "y", "z"}, f"{key}[{i}]")
-            points.append(
-                SpacetimePoint(
-                    get_number(item, "t", path, 0.0),
-                    get_number(item, "x", path, 0.0),
-                    get_number(item, "y", path, 0.0),
-                    get_number(item, "z", path, 0.0),
-                )
-            )
+            get_block(item, path, {"t", "x", "y", "z"})
+            points.append(SpacetimePoint(*(get_number(item, k, f"{path}.", 0.0) for k in "txyz")))
     return points
 
 
+def parse_random_points(cfg: dict, b: float, seed: int | None = None) -> list[SpacetimePoint]:
+    """``random_points``: n points drawn uniformly from the 4-cube of
+    half-width ``extent``; ``seed`` overrides the block's seed."""
+    block = get_block(cfg.get("random_points", {}), "random_points", {"n", "seed", "extent"})
+    n = get_int(block, "n", "random_points.", 20, ge=1)
+    seed = get_seed(block, "random_points.", 7, seed)
+    extent = get_number(block, "extent", "random_points.", 1.2 * b, gt=0.0)
+    rng = np.random.default_rng(seed)
+    return [SpacetimePoint(*rng.uniform(-extent, extent, 4).tolist()) for _ in range(n)]
+
+
+def parse_monte_carlo(cfg: dict, seed: int | None = None) -> tuple[int, int, float]:
+    """The optional ``mc`` block as (n_samples, seed, sigma); 0 samples,
+    the default, turns Monte Carlo off.  ``seed`` overrides the block's."""
+    mc = cfg.get("mc")
+    block = get_block({} if mc is None else mc, "mc", {"n_samples", "seed", "sigma"})
+    n = get_int(block, "n_samples", "mc.", 0, ge=0)
+    if 0 < n < MC_MIN_SAMPLES:
+        raise ConfigError(f"mc.n_samples: need 0 (off) or at least {MC_MIN_SAMPLES}, got {n}")
+    return n, get_seed(block, "mc.", 1, seed), get_number(block, "sigma", "mc.", 4.0, gt=0.0)
+
+
+def parse_directions(cfg: dict, key: str, default, chi_gt: float | None = None):
+    """Array of {chi, phi} objects, each chi > ``chi_gt`` when given."""
+    raw = cfg.get(key)
+    if raw is None:
+        return list(default)
+    if not isinstance(raw, list) or not raw:
+        raise ConfigError(f"{key}: expected a non-empty array of direction objects")
+    out = []
+    for i, item in enumerate(raw):
+        path = f"{key}[{i}]"
+        get_block(item, path, {"chi", "phi"})
+        try:
+            out.append(Direction(get_number(item, "chi", f"{path}.", gt=chi_gt),
+                                 get_number(item, "phi", f"{path}.", 0.0)))
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+    return out
+
+
+def parse_far_field(cfg: dict, params: PulseParams, s_default, ct_default):
+    """``s_values`` and the ``schedule_ct`` ladder of the far-field
+    commands, as (s values, ladder in units of b, ladder times).  The
+    ladder increases, and ct + s > 0 at every s on it."""
+    s_values = get_number_list(cfg, "s_values", s_default)
+    factors = get_ladder(cfg, "schedule_ct", ct_default)
+    if factors != sorted(factors):
+        raise ConfigError(f"schedule_ct: must be increasing, got {factors}")
+    schedule = radiation_schedule(params, factors)
+    if params.c * schedule[0] + min(s_values) <= 0.0:
+        raise ConfigError(f"s_values: need ct + s > 0 on the schedule_ct ladder, got "
+                          f"s = {min(s_values)!r} at ct = {params.c * schedule[0]!r}")
+    return s_values, factors, schedule
+
+
+def parse_range(cfg: dict, key: str, lo_default: float, hi_default: float,
+                count_default: int, **min_bounds) -> np.ndarray:
+    """{min, max, count} as ``count`` evenly spaced values; ``min_bounds``
+    (gt, ge) constrain min, and with it every value."""
+    block = get_block(cfg.get(key, {}), key, {"min", "max", "count"})
+    lo = get_number(block, "min", f"{key}.", lo_default, **min_bounds)
+    hi = get_number(block, "max", f"{key}.", hi_default)
+    count = get_int(block, "count", f"{key}.", count_default, ge=1)
+    if count > 1 and not hi > lo:
+        raise ConfigError(f"{key}: max must exceed min for count > 1")
+    return np.linspace(lo, hi, count)
+
+
 def parse_grid(cfg: dict) -> GridSpec:
-    block = cfg.get("grid")
-    if not isinstance(block, dict):
-        raise ConfigError("grid: expected an object with keys axes, fixed")
-    check_keys(block, {"axes", "fixed"}, "grid")
+    block = get_block(cfg.get("grid"), "grid", {"axes", "fixed"})
     raw_axes = block.get("axes")
     if not isinstance(raw_axes, list) or not raw_axes:
         raise ConfigError("grid.axes: expected a non-empty array of axis objects")
     axes = []
     for i, item in enumerate(raw_axes):
         path = f"grid.axes[{i}]."
-        if not isinstance(item, dict):
-            raise ConfigError(f"grid.axes[{i}]: expected an object")
-        check_keys(item, {"name", "min", "max", "count"}, f"grid.axes[{i}]")
+        get_block(item, f"grid.axes[{i}]", {"name", "min", "max", "count"})
         name = get_string(item, "name", path)
         count = get_int(item, "count", path, ge=1)
         lo = get_number(item, "min", path)
@@ -206,12 +280,8 @@ def parse_grid(cfg: dict) -> GridSpec:
             axes.append(AxisSpec(name, lo, hi, count))
         except ValueError as exc:
             raise ConfigError(f"grid.axes[{i}]: {exc}") from exc
-    fixed_raw = block.get("fixed", {})
-    if not isinstance(fixed_raw, dict):
-        raise ConfigError("grid.fixed: expected an object of coordinate numbers")
-    fixed = {
-        k: get_number(fixed_raw, k, "grid.fixed.") for k in fixed_raw
-    }
+    fixed_raw = get_block(block.get("fixed", {}), "grid.fixed", set(AXIS_NAMES))
+    fixed = {k: get_number(fixed_raw, k, "grid.fixed.") for k in fixed_raw}
     try:
         return GridSpec(tuple(axes), fixed)
     except ValueError as exc:

@@ -14,7 +14,6 @@ counterexample for directionality checks.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -22,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from .ioformats import fmt_float, render_json, write_csv, write_text
 from .numerics import ToleranceNotReached, complex_sqrt_upper
 from .waveforms import Waveform
 
@@ -34,19 +34,11 @@ Evaluator = Callable[["SpacetimePoint"], complex]
 class SingularPoint(Exception):
     """An evaluator gave a non-finite value: the node sits at (or too
     close to) a pole of the solution.  ``index`` locates the node in its
-    batch and ``point`` is the node itself."""
+    batch (a grid index for ``sample_grid``) and ``point`` is the node
+    itself."""
 
     def __init__(self, index: tuple[int, ...], point: "SpacetimePoint", value: complex):
-        super().__init__(f"singular at {point}, where u = {value}")
-        self.index = index
-        self.point = point
-
-
-class GridEvaluationError(Exception):
-    """An evaluator failed at a specific grid node."""
-
-    def __init__(self, index: tuple[int, ...], point: "SpacetimePoint", cause: Exception):
-        super().__init__(f"evaluation failed at grid index {index}: {cause}")
+        super().__init__(f"index {index}: singular at {point}, where u = {value}")
         self.index = index
         self.point = point
 
@@ -194,7 +186,7 @@ def spherical_reference_evaluator(
 
 # --- structured grid sampling ------------------------------------------
 
-_AXIS_NAMES = ("t", "x", "y", "z", "rho")
+AXIS_NAMES = ("t", "x", "y", "z", "rho")
 
 
 @dataclass(frozen=True)
@@ -205,8 +197,8 @@ class AxisSpec:
     count: int
 
     def __post_init__(self):
-        if self.name not in _AXIS_NAMES:
-            raise ValueError(f"axis name must be one of {_AXIS_NAMES}, got {self.name!r}")
+        if self.name not in AXIS_NAMES:
+            raise ValueError(f"axis name must be one of {AXIS_NAMES}, got {self.name!r}")
         if self.count < 1:
             raise ValueError(f"axis {self.name}: count must be >= 1, got {self.count}")
         if self.count > 1 and not self.stop > self.start:
@@ -232,8 +224,8 @@ class GridSpec:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate axis names in {names}")
         for k in self.fixed:
-            if k not in _AXIS_NAMES:
-                raise ValueError(f"fixed coordinate {k!r} is not one of {_AXIS_NAMES}")
+            if k not in AXIS_NAMES:
+                raise ValueError(f"fixed coordinate {k!r} is not one of {AXIS_NAMES}")
             if k in names:
                 raise ValueError(f"coordinate {k!r} is both an axis and fixed")
         used = set(names) | set(self.fixed)
@@ -246,14 +238,16 @@ class GridSpec:
     def shape(self) -> tuple[int, ...]:
         return tuple(a.count for a in self.axes)
 
+    def axis_values(self) -> dict[str, np.ndarray]:
+        """Each axis's values, running along array dimension k for axis k."""
+        ndim = len(self.axes)
+        return {a.name: a.values().reshape([-1 if j == k else 1 for j in range(ndim)])
+                for k, a in enumerate(self.axes)}
+
     def broadcast_point(self) -> SpacetimePoint:
         """Every node at once: axis k runs along array dimension k and
         fixed coordinates stay scalars.  rho is placed on the x axis."""
-        coords = dict(self.fixed)
-        for k, axis in enumerate(self.axes):
-            shape = [1] * len(self.axes)
-            shape[k] = axis.count
-            coords[axis.name] = axis.values().reshape(shape)
+        coords = {**self.fixed, **self.axis_values()}
         return SpacetimePoint(
             coords.get("t", 0.0), coords.get("rho", coords.get("x", 0.0)),
             coords.get("y", 0.0), coords.get("z", 0.0),
@@ -276,8 +270,26 @@ class FieldGrid:
                 f"values shape {self.values.shape} != grid shape {self.spec.shape}"
             )
 
-    def _metadata(self) -> dict:
-        meta = {
+    def write_csv(self, path) -> None:
+        """Rows of axis coordinates, re(u), im(u), |u|, row-major order."""
+        comments = []
+        if self.params is not None:
+            comments.append(f"pulse: c={fmt_float(self.params.c)} tau={fmt_float(self.params.tau)}"
+                            f" zeta={fmt_float(self.params.zeta)}")
+        if self.waveform_desc:
+            comments.append(f"waveform: {self.waveform_desc}")
+        if self.evaluator_desc:
+            comments.append(f"evaluator: {self.evaluator_desc}")
+        comments += [f"fixed: {k}={fmt_float(v)}" for k, v in sorted(self.spec.fixed.items())]
+        re, im = self.values.real, self.values.imag
+        write_csv(path, comments,
+                  {**self.spec.axis_values(), "re": re, "im": im, "abs": np.hypot(re, im)})
+
+    def write_binary(self, json_path) -> None:
+        """JSON header plus a sibling .bin of little-endian complex128."""
+        json_path = os.fspath(json_path)
+        bin_path = json_path + ".bin"
+        header = {
             "axes": [{"name": a.name, "start": a.start, "stop": a.stop, "count": a.count}
                      for a in self.spec.axes],
             "fixed": dict(sorted(self.spec.fixed.items())),
@@ -285,43 +297,7 @@ class FieldGrid:
             "evaluator": self.evaluator_desc,
         }
         if self.params is not None:
-            meta["pulse"] = {"c": self.params.c, "tau": self.params.tau, "zeta": self.params.zeta}
-        return meta
-
-    def write_csv(self, path) -> None:
-        """Rows of axis coordinates, re(u), im(u), |u|, row-major order,
-        written one line at a time."""
-        from .ioformats import fmt_float
-
-        lines = []
-        if self.params is not None:
-            lines.append(f"# pulse: c={fmt_float(self.params.c)} tau={fmt_float(self.params.tau)}"
-                         f" zeta={fmt_float(self.params.zeta)}")
-        if self.waveform_desc:
-            lines.append(f"# waveform: {self.waveform_desc}")
-        if self.evaluator_desc:
-            lines.append(f"# evaluator: {self.evaluator_desc}")
-        for k, v in sorted(self.spec.fixed.items()):
-            lines.append(f"# fixed: {k}={fmt_float(v)}")
-        header = [a.name for a in self.spec.axes] + ["re", "im", "abs"]
-        lines.append(",".join(header))
-        # each axis value is formatted once, not once per row
-        coords = itertools.product(
-            *([fmt_float(v) for v in a.values().tolist()] for a in self.spec.axes)
-        )
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-            for cells, u in zip(coords, self.values.ravel().tolist()):
-                cells += (fmt_float(u.real), fmt_float(u.imag), fmt_float(abs(u)))
-                fh.write(",".join(cells) + "\n")
-
-    def write_binary(self, json_path) -> None:
-        """JSON header plus a sibling .bin of little-endian complex128."""
-        from .ioformats import render_json, write_text
-
-        json_path = os.fspath(json_path)
-        bin_path = json_path + ".bin"
-        header = self._metadata()
+            header["pulse"] = {"c": self.params.c, "tau": self.params.tau, "zeta": self.params.zeta}
         header.update({"dtype": "complex128", "byte_order": "little", "order": "C",
                        "shape": list(self.spec.shape), "data_file": os.path.basename(bin_path)})
         with open(bin_path, "wb") as fh:
@@ -338,13 +314,10 @@ def sample_grid(
     evaluator_desc: str = "",
 ) -> FieldGrid:
     """Evaluate over the whole grid in one call on its broadcast point
-    (see ``evaluate_batch``); a singular node raises GridEvaluationError
+    (see ``evaluate_batch``); a singular node raises SingularPoint
     carrying its grid index.
     """
-    try:
-        values = evaluate_batch(evaluator, spec.broadcast_point())
-    except SingularPoint as exc:
-        raise GridEvaluationError(exc.index, exc.point, exc) from exc
+    values = evaluate_batch(evaluator, spec.broadcast_point())
     return FieldGrid(spec, values, params, waveform_desc, evaluator_desc)
 
 

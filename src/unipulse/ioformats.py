@@ -8,7 +8,12 @@ implementations can reproduce values exactly.
 from __future__ import annotations
 
 import math
-from typing import Any
+from typing import Any, Sequence
+
+import numpy as np
+
+#: rows formatted by one format string and written at once
+CSV_CHUNK_ROWS = 4096
 
 
 def fmt_float(x: float) -> str:
@@ -60,3 +65,22 @@ def write_text(path, text: str) -> None:
         fh.write(text)
         if not text.endswith("\n"):
             fh.write("\n")
+
+
+def write_csv(path, comments: Sequence[str], columns: dict[str, Any]) -> None:
+    """``# comment`` lines, a header of the column names, then one row
+    per element of the columns' broadcast shape, in row-major order.
+
+    Cells read as ``fmt_float`` spells them.  Rows are formatted a chunk
+    at a time from broadcast views of the columns, so memory stays flat
+    in the row count.
+    """
+    cols = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in columns.values()))
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("".join(f"# {c}\n" for c in comments) + ",".join(columns) + "\n")
+        for lo in range(0, cols[0].size, CSV_CHUNK_ROWS):
+            cells = np.stack([c.flat[lo:lo + CSV_CHUNK_ROWS] for c in cols], axis=-1)
+            text = row * len(cells) % tuple(cells.ravel().tolist())
+            # %g spells non-finite values nan, inf and -inf
+            fh.write(text.replace("nan", "NaN").replace("inf", "Infinity"))

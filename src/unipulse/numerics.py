@@ -345,9 +345,7 @@ def integrate_semi_infinite(
     return integrate_adaptive(transformed, 0.0, 1.0, tol, max_evals, mapped)
 
 
-def limit_extrapolate(
-    h: Sequence[float], v: np.ndarray, diverge_factor: float = 5.0
-) -> ExtrapolationResult:
+def limit_extrapolate(h: Sequence[float], v: np.ndarray) -> ExtrapolationResult:
     """Extrapolate v(h) -> v0 as h -> 0 along the trailing axis of ``v``,
     which holds the samples at the strictly decreasing steps ``h``.
 
@@ -355,10 +353,10 @@ def limit_extrapolate(
     interpolation tableau at h = 0 (classical Richardson acceleration
     for geometric ladders, but any strictly decreasing h works).  The
     stability estimate is the spread of the last two diagonal
-    extrapolants.  An entry diverges when that spread grows
-    ``diverge_factor``-fold over the one before instead of shrinking
-    (and exceeds 1e-12 of the entry's largest sample); it is flagged in
-    ``diverged``, not raised.
+    extrapolants.  An entry diverges when that spread grows more than
+    5-fold over the one before instead of shrinking (and exceeds 1e-12
+    of the entry's largest sample); it is flagged in ``diverged``, not
+    raised.
     """
     h = np.asarray(h, dtype=float)
     tab = np.asarray(v, dtype=complex)
@@ -377,5 +375,5 @@ def limit_extrapolate(
 
     diffs = np.abs(np.diff(np.stack(diag, axis=-1), axis=-1))
     stability, previous = diffs[..., -1], diffs[..., -2]
-    diverged = (stability > diverge_factor * previous) & (stability > 1e-12 * scale)
+    diverged = (stability > 5.0 * previous) & (stability > 1e-12 * scale)
     return ExtrapolationResult(diag[-1][()], stability[()], previous[()], diverged[()])

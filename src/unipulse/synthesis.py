@@ -85,21 +85,20 @@ def reconstruct_from_farfield(
     p: SpacetimePoint,
     params: PulseParams,
     tol: float,
-    max_refine: int = 8,
 ) -> QuadratureResult:
     """Sphere integral u = (1/2pi) * integral of F'(N.R - ct, N) over |N|=1.
 
     Product quadrature: Gauss-Legendre in the polar angle on each
     hemisphere separately (the integrand may jump across the equator
     for unidirectional profiles) times a periodic trapezoid in azimuth,
-    refined by doubling until two levels agree within tol.  ``f_deriv``
-    takes an array of s and a Direction of arrays of the same shape, and
-    is called once per level on all its nodes.
+    refined by doubling, at most 8 times, until two levels agree within
+    tol.  ``f_deriv`` takes an array of s and a Direction of arrays of
+    the same shape, and is called once per level on all its nodes.
     """
     ct = params.c * p.t
     evals = 0
     prev = None
-    for level in range(max_refine):
+    for level in range(8):
         n_polar = 8 << level
         n_phi = 2 * n_polar
         nodes, weights = np.polynomial.legendre.leggauss(n_polar)
@@ -118,7 +117,7 @@ def reconstruct_from_farfield(
                 return QuadratureResult(total, diff, evals)
         prev = total
     raise ToleranceNotReached(
-        f"sphere quadrature did not settle after {max_refine} refinements"
+        "sphere quadrature did not settle after 8 refinements"
     )
 
 
@@ -313,6 +312,8 @@ class MonteCarloEstimate:
 
 
 _MC_CHUNK = 1 << 18
+#: fewer samples than this give no usable standard error
+MC_MIN_SAMPLES = 10_000
 
 
 def reconstruct_cartesian_mc(
@@ -333,8 +334,8 @@ def reconstruct_cartesian_mc(
     factor up to k/b.  The counter-based Philox generator makes the
     stream reproducible and chunk-order independent of n.
     """
-    if n_samples < 10_000:
-        raise ValueError(f"need at least 1e4 samples, got {n_samples}")
+    if n_samples < MC_MIN_SAMPLES:
+        raise ValueError(f"need at least {MC_MIN_SAMPLES} samples, got {n_samples}")
     b = params.b
     ct = params.c * p.t
     rng = np.random.Generator(np.random.Philox(seed))

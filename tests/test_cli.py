@@ -90,7 +90,7 @@ class TestSample:
         }
         rc, _ = run(tmp_path, "sample", cfg, "sing.csv")
         assert rc == 3
-        assert "grid index (1,): singular at" in capsys.readouterr().err
+        assert "index (1,): singular at" in capsys.readouterr().err
 
     def test_snapshot_config_matches_per_node_calls(self, tmp_path):
         # the shipped snapshot, evaluated in one array call and streamed,
@@ -411,6 +411,38 @@ class TestSeedOverride:
         v2 = json.loads(out2.read_text())["rows"][0]["mc_estimate"]
         assert v1 != v2
 
+    def test_seed_flag_overrides_the_random_points_seed(self, tmp_path):
+        cfg = {"random_points": {"n": 2, "seed": 7}}
+        outs = [run(tmp_path, "residual", cfg, f"r{i}.csv", extra=["--seed", seed])[1]
+                for i, seed in enumerate(["1", "2", "1"])]
+        points = [[row.split(",")[:4] for row in out.read_text().splitlines()[3:]]
+                  for out in outs]
+        assert points[0] != points[1]
+        assert outs[0].read_bytes() == outs[2].read_bytes()
+
+
+class TestConfigMistakes:
+    # each exited 3 as a numerical failure once the computation reached it
+    @pytest.mark.parametrize("command, cfg, field", [
+        ("energy", {"t_values": [math.nan]}, "t_values[0]"),
+        ("farfield", {"s_values": [math.nan]}, "s_values[0]"),
+        ("compare", {"points": [{"t": 0.0, "rho": 0.5, "z": 0.2}], "tolerance": 1e-3,
+                     "mc": {"n_samples": 9_999}}, "mc.n_samples"),
+        ("residual", {"random_points": {"n": 1}, "h_values": [4e-3, 2e-3]}, "h_values"),
+        ("residual", {"random_points": {"n": 1}, "h_values": [4e-3, 2e-3, 2e-3]}, "h_values"),
+        ("farfield", {"schedule_ct": [1e4, 1e3, 1e2]}, "schedule_ct"),
+        ("unidir", {"schedule_ct": [1e5, 1e6]}, "schedule_ct"),
+        ("unidir", {"backward_directions": [{"chi": 3.0}, {"chi": 1.5}]},
+         "backward_directions[1].chi"),
+        ("unidir", {"backward_directions": [{"chi": 0.5 * math.pi}]},
+         "backward_directions[0].chi"),
+        ("farfield", {"s_values": [0.0, -1e9]}, "s_values"),
+    ])
+    def test_exits_2_and_names_the_field(self, tmp_path, capsys, command, cfg, field):
+        rc, out = run(tmp_path, command, cfg, "mistake.out")
+        assert rc == 2 and not out.exists()
+        assert f"config error: {field}:" in capsys.readouterr().err
+
 
 class TestHelp:
     @pytest.mark.parametrize(
@@ -424,6 +456,15 @@ class TestHelp:
             main([command, "--help"])
         assert exc.value.code == 0
         assert key in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["sample", "compare", "farfield", "unidir", "spectrum",
+                                         "residual", "energy"])
+    def test_help_lists_the_common_keys(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        keys = text.split("Config keys read by this command: ")[1].split(". ")[0].split(", ")
+        assert {"pulse", "waveform", "out"} <= set(keys)
 
 
 class TestShippedConfigs:

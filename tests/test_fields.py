@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from unipulse.fields import (
     ENERGY_MAX_ORDER,
     AxisSpec,
-    GridEvaluationError,
     GridSpec,
     PulseParams,
     SingularPoint,
@@ -309,20 +308,19 @@ class TestGrid:
 
         # nodes (0, 2), (1, 1) and (1, 2) fail; (0, 2) is first in row-major order
         spec = GridSpec((AxisSpec("t", 0.0, 1.0, 2), AxisSpec("z", -1.0, 1.0, 3)), {})
-        with pytest.raises(GridEvaluationError) as exc:
+        with pytest.raises(SingularPoint) as exc:
             sample_grid(spec, broken)
         assert exc.value.index == (0, 2)
         assert exc.value.point == SpacetimePoint(0.0, 0.0, 0.0, 1.0)
-        assert isinstance(exc.value.__cause__, SingularPoint)
 
     def test_singular_node_is_named(self):
         # zeta = b puts a pole of the simple pulse at the origin at t = 0
         spec = GridSpec((AxisSpec("z", -1.0, 1.0, 3),), {"t": 0.0, "rho": 0.0})
-        with pytest.raises(GridEvaluationError) as exc:
+        with pytest.raises(SingularPoint) as exc:
             sample_grid(spec, simple_pulse_evaluator(PulseParams(1.0, 1.0, 1.0)))
         assert exc.value.index == (1,)
         assert exc.value.point == SpacetimePoint(0.0, 0.0, 0.0, 0.0)
-        assert "grid index (1,): singular at" in str(exc.value)
+        assert "index (1,): singular at" in str(exc.value)
 
     def test_negative_rho_rejected(self):
         # rho enters the kernel only as rho^2, so the grid must refuse the sign
