@@ -283,6 +283,12 @@ _COMMANDS = {
 }
 
 
+def _seed(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unipulse",
@@ -301,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default=None, help="primary output path (overrides config)")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_seed, default=None,
                        help="override any RNG seed in the config")
     return parser
 

@@ -121,6 +121,32 @@ def reconstruct_from_farfield(
     )
 
 
+def _nested(outer: Callable, inner: Callable, tol: float, max_evals: int,
+            what: str) -> QuadratureResult:
+    """The nested integral of routes (2)-(4): ``outer(g, 0.5 tol)`` runs
+    the outer rule on ``g``.  For the outer nodes x of one call of ``g``
+    (all initial panels, then the 30 of a bisection), ``inner(x)`` takes
+    s on [0, 1] to values of shape (..., x.size, s.size) in the units of
+    the outer integrand: one vector quadrature at 0.05 tol, whose
+    integrals ``g`` sums over the leading axes.  ``evaluations`` counts
+    inner values; ``max_evals`` bounds them over the route, and a
+    failure is raised once, naming the route.
+    """
+    evals = 0
+
+    def g(x: np.ndarray) -> np.ndarray:
+        nonlocal evals
+        res = integrate_adaptive(inner(x), 0.0, 1.0, 0.05 * tol, max_evals=max_evals - evals)
+        evals += res.evaluations
+        return res.value.reshape(-1, x.size).sum(axis=0)
+
+    try:
+        res = outer(g, 0.5 * tol)
+    except ToleranceNotReached as exc:
+        raise ToleranceNotReached(f"{what} (route budget {max_evals}): {exc}") from exc
+    return QuadratureResult(res.value, res.error_estimate, evals)
+
+
 def reconstruct_hemisphere(
     params: PulseParams,
     w: Waveform,
@@ -137,116 +163,60 @@ def reconstruct_hemisphere(
 
     where <.>_psi is the azimuthal mean.  Averaging over a full period
     makes the result independent of the observation azimuth, so psi can
-    be measured from it directly.  The mean is a spectrally convergent
-    periodic trapezoid, taken for all nodes of a mu panel at once; the
-    mu integral is adaptive with panel edges seeded geometrically toward
-    mu = 0, where the integrand develops a boundary layer controlled by
-    the waveform decay at i*inf.  ``evaluations`` counts trapezoid nodes.
+    be measured from it, and the integrand is even in psi: the mean is
+    an integral over psi = pi s, s in [0, 1], inner to the mu integral.
+    That one has panel edges seeded geometrically toward mu = 0, where
+    the integrand develops a boundary layer controlled by the waveform
+    decay at i*inf.
     """
     ct_ib = complex(params.c * p.t, params.b)
     z_ib = complex(p.z, params.b)
-    rho = p.rho
-    evals = 0
 
-    def phi_mean(mu: np.ndarray) -> np.ndarray:
-        root = np.sqrt(np.maximum(1.0 - mu * mu, 0.0))
+    def inner(mu: np.ndarray) -> Callable:
+        mu = mu[:, None]
         base = ct_ib - z_ib * mu
-
-        def integrand(rows: np.ndarray, psi: np.ndarray) -> np.ndarray:
-            nonlocal evals
-            evals += rows.size * psi.size
-            if evals > max_evals:
-                raise ToleranceNotReached(f"hemisphere reconstruction: evaluation "
-                                          f"budget {max_evals} exhausted")
-            arg = base[rows, None] - rho * np.cos(psi) * root[rows, None]
-            return w.deriv(arg / mu[rows, None])
-
-        rows = np.arange(mu.size)
-        if rho == 0.0:
-            return integrand(rows, np.zeros(1))[:, 0]
-        # trapezoid over half the period (integrand even in psi); each mu
-        # stops at the first level that settles it
-        m = 8
-        f = integrand(rows, math.pi * np.arange(m + 1) / m)
-        total = 0.5 * (f[:, 0] + f[:, m]) + f[:, 1:m].sum(axis=1)
-        t_prev = total / m
-        # a criterion below the rounding noise of the sum is met only by chance
-        crit = 0.05 * np.maximum(tol, tol * np.abs(t_prev))
-        noisy = np.flatnonzero(crit < np.finfo(float).eps * np.abs(f).mean(axis=1))
-        if noisy.size:
-            raise ToleranceNotReached(f"hemisphere reconstruction: azimuthal mean at mu="
-                                      f"{mu[noisy[0]]:.17g} cannot settle to "
-                                      f"{crit[noisy[0]]:.1e}, below its rounding noise")
-        mean = np.empty_like(total)
-        while m < 8192:
-            m *= 2
-            total[rows] += integrand(rows, math.pi * np.arange(1, m, 2) / m).sum(axis=1)
-            t_new = total[rows] / m
-            settled = np.abs(t_new - t_prev[rows]) <= 0.05 * np.maximum(tol, tol * np.abs(t_new))
-            mean[rows[settled]] = t_new[settled]
-            t_prev[rows] = t_new
-            rows = rows[~settled]
-            if rows.size == 0:
-                return mean
-        raise ToleranceNotReached(f"hemisphere reconstruction: azimuthal mean at mu="
-                                  f"{mu[rows[0]]:.17g} not settled with {m} trapezoid nodes")
+        amp = p.rho * np.sqrt(1.0 - mu * mu)
+        return lambda s: w.deriv((base - amp * np.cos(math.pi * s)) / mu) / (mu * mu)
 
     seeds = (1.0 / 4096, 1.0 / 1024, 1.0 / 256, 1.0 / 64, 1.0 / 16, 0.25)
-    try:
-        res = integrate_adaptive(lambda mu: phi_mean(mu) / (mu * mu), 0.0, 1.0, 0.5 * tol,
-                                 max_evals=60_000, breakpoints=seeds)
-    except ToleranceNotReached as exc:
-        if exc.result is None:  # the azimuthal mean's own failure names the route
-            raise
-        raise ToleranceNotReached(f"hemisphere reconstruction, µ quadrature: {exc}",
-                                  exc.result) from exc
-    return QuadratureResult(-res.value, res.error_estimate, evals)
+    res = _nested(lambda g, t: integrate_adaptive(g, 0.0, 1.0, t, 60_000, seeds),
+                  inner, tol, max_evals, "hemisphere reconstruction")
+    return QuadratureResult(-res.value, res.error_estimate, res.evaluations)
 
 
-def _fourier_bessel(spectral: Callable, outer: Callable, kz_edges: tuple[float, ...],
+def _fourier_bessel(spectral: Callable, factor: Callable, breakpoints: tuple[float, ...],
                     c: float, decay: float, p: SpacetimePoint, tol: float,
                     max_evals: int, what: str) -> QuadratureResult:
     """The double integral of both spectral routes,
 
-        integral_0^inf dx outer(x) integral_{kz_edges[0]}^{x/c} dk_z
+        integral_0^inf dx factor(x) integral_0^{x/c} dk_z
             spectral(k_z, x) J0(rho sqrt(x^2/c^2 - k_z^2)) e^{-i k_z z},
 
-    with the k_z range split at the other edges (a piece starting above
-    x/c is empty).  For the outer nodes of one integrand call (all
-    initial panels, then the 30 of a bisection), every piece of every
-    inner integral is one component of a single vector quadrature in
-    s = (k_z - start) / width on [0, 1].  The inner integrands carry
-    outer(x), so their targets are in the units of the outer integrand,
-    the quantity the outer rule sums.  ``evaluations`` counts inner
-    integrand values; ``max_evals`` bounds them over the route.
+    with the k_z range split at the positive ``breakpoints`` (a piece
+    starting above x/c is empty).  Through ``_nested``, every piece of
+    every inner integral is one component in s = (k_z - start) / width
+    on [0, 1]; the inner integrands carry factor(x).
     """
-    starts = np.array(kz_edges + (math.inf,))[:, None]
-    inner_evals = 0
+    edges = (0.0, *sorted({q for q in breakpoints if q > 0.0}))
+    starts = np.array(edges + (math.inf,))[:, None]
 
-    def outer_integrand(x: np.ndarray) -> np.ndarray:
-        nonlocal inner_evals
+    def inner(x: np.ndarray) -> Callable:
         ends = np.minimum(starts, x / c)
         lo, width = ends[:-1, :, None], np.diff(ends, axis=0)[:, :, None]
         top_sq = ((x / c) ** 2)[:, None]
-        scale = width * outer(x)[:, None]
+        scale = width * factor(x)[:, None]
 
-        def inner(s: np.ndarray) -> np.ndarray:
+        def f(s: np.ndarray) -> np.ndarray:
             kz = lo + width * s
             chi = np.sqrt(np.maximum(top_sq - kz * kz, 0.0))
             return (scale * spectral(kz, x[:, None]) * bessel_j0(p.rho * chi)
                     * np.exp(kz * complex(0.0, -p.z)))
 
-        res = integrate_adaptive(inner, 0.0, 1.0, 0.05 * tol,
-                                 max_evals=max_evals - inner_evals)
-        inner_evals += res.evaluations
-        return res.value.sum(axis=0)
+        return f
 
-    try:
-        res = integrate_semi_infinite(outer_integrand, 0.5 * tol, decay, max_evals=40_000,
-                                      breakpoints=tuple(c * q for q in kz_edges[1:]))
-    except ToleranceNotReached as exc:
-        raise ToleranceNotReached(f"{what} (route budget {max_evals}): {exc}") from exc
-    return QuadratureResult(res.value, res.error_estimate, inner_evals)
+    kinks = tuple(c * q for q in edges[1:])
+    return _nested(lambda g, t: integrate_semi_infinite(g, t, decay, 40_000, kinks),
+                   inner, tol, max_evals, what)
 
 
 def reconstruct_fourier_bessel(
@@ -271,7 +241,7 @@ def reconstruct_fourier_bessel(
     res = _fourier_bessel(
         lambda kz, k: w.spectrum(kz) * np.exp(kz * b),
         lambda k: np.exp(k * complex(-b, params.c * p.t)),
-        (0.0, *(q for q in w.spectrum_breakpoints if q > 0.0)),
+        w.spectrum_breakpoints,
         1.0, 0.5 * min(w.decay_rate, b), p, tol, max_evals, "Fourier-Bessel reconstruction",
     )
     return QuadratureResult(-1j * res.value, res.error_estimate, res.evaluations)
@@ -281,24 +251,18 @@ def reconstruct_from_weight(
     weight: SpectralWeight,
     p: SpacetimePoint,
     tol: float,
-    kz_min: float = 0.0,
     max_evals: int = 4_000_000,
 ) -> QuadratureResult:
     """Generic Fourier-Bessel synthesis from a spectral weight:
 
         u = integral_0^inf domega e^{i omega t}
-              integral_{kz_min}^{omega/c} dk_z A(k_z, omega)
+              integral_0^{omega/c} dk_z A(k_z, omega)
                  e^{-i k_z z} J0(rho sqrt(omega^2/c^2 - k_z^2)).
-
-    ``kz_min`` may be pushed below zero; weights vanish there, so the
-    result must not change (the integrand is continued with zero).
     """
-    # weights vanish below k_z = 0, so that is an edge too when kz_min < 0
-    edges = sorted({q for q in (0.0, *weight.kz_breakpoints) if q > kz_min})
     return _fourier_bessel(
         weight,
         lambda omega: np.exp(omega * complex(0.0, p.t)),
-        (kz_min, *edges),
+        weight.kz_breakpoints,
         weight.c, weight.omega_decay, p, tol, max_evals, "spectral-weight reconstruction",
     )
 

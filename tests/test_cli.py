@@ -188,13 +188,14 @@ class TestCompare:
         cfg = dict(self.CFG, tolerance=1e-15)
         rc, _ = run(tmp_path, "compare", cfg, "c.json")
         assert rc == 3
-        # 5e-17 is below the rounding noise of the hemisphere's azimuthal mean
-        assert "azimuthal mean" in capsys.readouterr().err
+        # 5e-17 is below the Gauss-Kronrod error floor of the azimuthal means
+        assert "hemisphere reconstruction (route budget" in capsys.readouterr().err
 
     def test_spent_hemisphere_budget_exits_3_and_names_the_route(self, tmp_path, capsys):
         rc, _ = run(tmp_path, "compare", dict(self.CFG, tolerance=1e-14), "g.json")
         assert rc == 3
-        assert "hemisphere reconstruction, µ quadrature: error floor" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "hemisphere reconstruction (route budget 2000000): error floor" in err
 
     def test_empty_point_list_exits_2(self, tmp_path):
         rc, _ = run(tmp_path, "compare", dict(self.CFG, points=[]), "d.json")
@@ -419,6 +420,19 @@ class TestSeedOverride:
                   for out in outs]
         assert points[0] != points[1]
         assert outs[0].read_bytes() == outs[2].read_bytes()
+
+    @pytest.mark.parametrize("command,cfg", [
+        ("residual", {"random_points": {"n": 2, "seed": 7}}),
+        ("compare", {"points": [{"t": 0.0, "rho": 0.5, "z": 0.0}],
+                     "mc": {"n_samples": 20_000, "seed": 3}}),
+    ])
+    def test_negative_seed_exits_2_and_names_the_flag(self, tmp_path, capsys, command, cfg):
+        # it reached the random generator and exited 3 as a numerical failure
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, command, cfg, "neg.out", extra=["--seed", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: must be a non-negative integer, got '-1'" in err
 
 
 class TestConfigMistakes:
