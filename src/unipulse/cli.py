@@ -15,6 +15,7 @@ digits, so identical runs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -289,6 +290,7 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+@functools.cache  # built on the first call; main may run many jobs in one process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unipulse",
@@ -321,7 +323,10 @@ def main(argv=None) -> int:
         out = args.out or get_string(cfg, "out", "", "")
         result = runner(cfg, parse_pulse_setup(cfg), args.seed)
         out = out or f"unipulse_{args.command}.{result.suffix}"
-        result.write(out)
+        try:
+            result.write(out)
+        except OSError as exc:
+            raise ConfigError(f"out: cannot write {out}: {exc.strerror or exc}") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -71,16 +71,23 @@ def write_csv(path, comments: Sequence[str], columns: dict[str, Any]) -> None:
     """``# comment`` lines, a header of the column names, then one row
     per element of the columns' broadcast shape, in row-major order.
 
-    Cells read as ``fmt_float`` spells them.  Rows are formatted a chunk
-    at a time from broadcast views of the columns, so memory stays flat
-    in the row count.
+    Cells read as ``fmt_float`` spells them.  A column that repeats under
+    broadcasting (a grid axis, a constant) is spelled once per value.
+    Rows are formatted a chunk at a time from broadcast views of the
+    columns, so memory stays flat in the row count.
     """
-    cols = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in columns.values()))
-    row = ",".join(["%.17g"] * len(cols)) + "\n"
+    arrays = [np.asarray(c, dtype=float) for c in columns.values()]
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    rows = math.prod(shape)
+    arrays = [a if a.size >= rows else
+              np.array([fmt_float(v) for v in a.ravel().tolist()], dtype=object).reshape(a.shape)
+              for a in arrays]
+    cols = [np.broadcast_to(a, shape) for a in arrays]
+    row = ",".join("%s" if a.dtype == object else "%.17g" for a in arrays) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("".join(f"# {c}\n" for c in comments) + ",".join(columns) + "\n")
-        for lo in range(0, cols[0].size, CSV_CHUNK_ROWS):
+        for lo in range(0, rows, CSV_CHUNK_ROWS):
             cells = np.stack([c.flat[lo:lo + CSV_CHUNK_ROWS] for c in cols], axis=-1)
             text = row * len(cells) % tuple(cells.ravel().tolist())
-            # %g spells non-finite values nan, inf and -inf
+            # %g spells non-finite values nan, inf and -inf; fmt_float's cells hold neither
             fh.write(text.replace("nan", "NaN").replace("inf", "Infinity"))

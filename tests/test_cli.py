@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from unipulse.cli import main
+from unipulse.cli import _build_parser, main
 from unipulse.fields import PulseParams, SpacetimePoint, eval_simple_pulse
 from unipulse.ioformats import fmt_float, render_json
 
@@ -433,6 +433,57 @@ class TestSeedOverride:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "argument --seed: must be a non-negative integer, got '-1'" in err
+
+
+class TestUnwritableOutput:
+    # each exited 1 with a traceback from the writer
+    @pytest.mark.parametrize("command, cfg, out_name", [
+        ("energy", {}, "e.json"),
+        ("spectrum", {"kz": {"min": 0.0, "max": 1.0, "count": 3}}, "s.csv"),
+        ("sample", {"grid": {"axes": [{"name": "z", "min": -1, "max": 1, "count": 4}]},
+                    "format": "binary"}, "g.json"),
+    ])
+    @pytest.mark.parametrize("where", ["missing directory", "existing directory"])
+    def test_exits_2_and_names_the_path(self, tmp_path, capsys, command, cfg, out_name, where):
+        out = tmp_path / "missing" / out_name
+        if where == "existing directory":
+            out.mkdir(parents=True)
+        assert main([command, "--config", write_cfg(tmp_path, "c.json", cfg),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: out: cannot write {out}: ")
+        assert "Traceback" not in err
+
+
+class TestRepeatedCalls:
+    """``main`` builds its parser once per process; no call may leave
+    state that the next one reads."""
+
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_seed_flag_does_not_outlive_its_call(self, tmp_path):
+        cfg = {"random_points": {"n": 2, "seed": 3}}
+        outs = [run(tmp_path, "residual", cfg, f"r{i}.csv", extra=extra)[1]
+                for i, extra in enumerate([(), ["--seed", "7"], ()])]
+        assert outs[0].read_bytes() != outs[1].read_bytes()
+        assert outs[2].read_bytes() == outs[0].read_bytes()
+
+    def test_out_flag_does_not_outlive_its_call(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_cfg(tmp_path, "s.json", {"kz": {"min": 0.0, "max": 1.0, "count": 3}})
+        assert main(["spectrum", "--config", cfg, "--out", "first.csv"]) == 0
+        assert main(["spectrum", "--config", cfg]) == 0
+        assert (tmp_path / "unipulse_spectrum.csv").read_bytes() == \
+            (tmp_path / "first.csv").read_bytes()
+
+    def test_version_exit_leaves_the_next_call_working(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("unipulse ")
+        rc, out = run(tmp_path, "spectrum", {}, "s.csv")
+        assert rc == 0 and out.stat().st_size > 0
 
 
 class TestConfigMistakes:

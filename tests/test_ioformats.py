@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unipulse.ioformats import CSV_CHUNK_ROWS, fmt_float, write_csv
 
@@ -39,3 +41,43 @@ class TestWriteCsv:
         path = tmp_path / "e.csv"
         write_csv(path, ["empty"], {"x": np.array([]), "y": np.array([])})
         assert read_rows(path) == ["# empty", "x,y"]
+
+
+# a few values per axis, NaN and the infinities included
+axis_values = st.lists(st.floats(allow_nan=True, allow_infinity=True, width=64),
+                       min_size=1, max_size=6)
+
+
+@st.composite
+def broadcast_columns(draw):
+    """Axis-like columns of shape (n, 1, ...) with one of them long enough
+    that some row counts cross CSV_CHUNK_ROWS, a 0-d scalar, and full-size
+    columns carrying NaN and the infinities; in a drawn column order."""
+    ndim = draw(st.integers(1, 3))
+    long_axis = draw(st.integers(0, ndim - 1))
+    shape = tuple(draw(st.integers(CSV_CHUNK_ROWS // 40, CSV_CHUNK_ROWS // 4)) if i == long_axis
+                  else draw(st.integers(1, 12)) for i in range(ndim))
+    columns = {}
+    for i, n in enumerate(shape):
+        values = np.resize(draw(axis_values), n)  # n = 1 gives a length-1 axis
+        columns[f"axis{i}"] = values.reshape((n,) + (1,) * (ndim - 1 - i))
+    columns["scalar"] = np.array(draw(st.floats(allow_nan=True, allow_infinity=True)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for name in ("re", "im"):
+        full = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        full[rng.random(shape) < 0.05] = rng.choice([np.nan, np.inf, -np.inf])
+        columns[name] = full
+    order = draw(st.permutations(list(columns)))
+    return {name: columns[name] for name in order}
+
+
+class TestWriteCsvProperty:
+    @given(columns=broadcast_columns())
+    @settings(max_examples=40, deadline=None)
+    def test_file_equals_a_per_cell_reference(self, tmp_path_factory, columns):
+        path = tmp_path_factory.mktemp("csv") / "p.csv"
+        write_csv(path, ["one"], columns)
+        cols = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in columns.values()))
+        cells = zip(*(c.ravel().tolist() for c in cols))
+        assert read_rows(path) == ["# one", ",".join(columns),
+                                   *(",".join(fmt_float(v) for v in row) for row in cells)]
