@@ -2,8 +2,8 @@
 
 Closed-form evaluation of a quasi-spherical pulse family, extraction of
 its large-time directional amplitude, a unidirectionality certificate,
-and numerically cross-validated reconstructions through three
-independent integral representations.
+and numerically cross-validated reconstructions through four
+independent integral representations plus a Monte-Carlo estimate.
 """
 
 __version__ = "0.1.0"
@@ -59,10 +59,4 @@ from .synthesis import (
     reconstruct_fourier_bessel,
     reconstruct_hemisphere,
 )
-from .waveforms import (
-    LeknerWaveform,
-    RationalWaveform,
-    WAVEFORM_REGISTRY,
-    Waveform,
-    parse_waveform,
-)
+from .waveforms import LeknerWaveform, Waveform, parse_waveform

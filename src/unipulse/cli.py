@@ -129,21 +129,19 @@ def run_compare(cfg: dict, setup, seed: int | None) -> Output:
     bound = get_number(cfg, "max_discrepancy", "", 1e-5, gt=0.0)
     mc_n, mc_seed, mc_sigma = parse_monte_carlo(cfg, seed)
 
+    weight = make_spectral_weight(setup.params, setup.waveform)
     rows, worst, mc_misses = [], 0.0, 0
     for p in points:
         closed = eval_quasi_spherical(p, setup.params, setup.waveform)
-        hemi = reconstruct_hemisphere(setup.params, setup.waveform, p, tol)
-        fb = reconstruct_fourier_bessel(setup.params, setup.waveform, p, tol)
-        weight = make_spectral_weight(setup.params, setup.waveform)
-        wt = reconstruct_from_weight(weight, p, tol)
-        disc = max(abs(r.value - closed) for r in (hemi, fb, wt))
-        row = {
-            "point": {"t": p.t, "x": p.x, "y": p.y, "z": p.z},
-            "closed_form": complex_fields(closed),
-            "hemisphere": complex_fields(hemi.value),
-            "fourier_bessel": complex_fields(fb.value),
-            "from_weight": complex_fields(wt.value),
+        routes = {
+            "hemisphere": reconstruct_hemisphere(setup.params, setup.waveform, p, tol),
+            "fourier_bessel": reconstruct_fourier_bessel(setup.params, setup.waveform, p, tol),
+            "from_weight": reconstruct_from_weight(weight, p, tol),
         }
+        disc = max(abs(r.value - closed) for r in routes.values())
+        row = {"point": {"t": p.t, "x": p.x, "y": p.y, "z": p.z},
+               "closed_form": complex_fields(closed)}
+        row.update({k: complex_fields(r.value) for k, r in routes.items()})
         if mc_n:
             mc = reconstruct_cartesian_mc(setup.params, setup.waveform, p, mc_n, mc_seed)
             row["mc_estimate"] = complex_fields(mc.value)
@@ -151,7 +149,6 @@ def run_compare(cfg: dict, setup, seed: int | None) -> Output:
             if abs(mc.value - closed) > mc_sigma * mc.stderr:
                 mc_misses += 1
         row["max_discrepancy"] = disc
-        routes = {"hemisphere": hemi, "fourier_bessel": fb, "from_weight": wt}
         row["error_estimate"] = {k: r.error_estimate for k, r in routes.items()}
         row["evaluations"] = {k: r.evaluations for k, r in routes.items()}
         rows.append(row)

@@ -302,7 +302,11 @@ class FieldGrid:
                        "shape": list(self.spec.shape), "data_file": os.path.basename(bin_path)})
         with open(bin_path, "wb") as fh:
             fh.write(np.ascontiguousarray(self.values, dtype="<c16").tobytes())
-        write_text(json_path, render_json(header))
+        try:
+            write_text(json_path, render_json(header))
+        except OSError:
+            os.remove(bin_path)  # data without its header is unreadable
+            raise
 
 
 def sample_grid(

@@ -6,10 +6,11 @@ supported on nonnegative frequencies:
 
     f(theta) = integral_0^inf  fhat(kappa) exp(i kappa theta) dkappa.
 
-Two concrete families ship: a simple rational pole below the real axis,
-and the same pole modulated by a positive-frequency carrier, which
-sharpens angular localization.  New families plug in by subclassing
-:class:`Waveform` and registering a constructor.
+One family ships, Lekner's pole below the real axis modulated by a
+positive-frequency carrier, exp(i K theta)/(theta + i a), which
+sharpens angular localization as K grows.  Its K = 0 member, the simple
+rational pole, is spelled ``rational(a=...)`` in descriptors.
+:class:`Waveform` is the interface the closed forms and the routes call.
 """
 
 from __future__ import annotations
@@ -52,41 +53,6 @@ class Waveform(ABC):
         Accepts a scalar or a numpy array; returns the matching shape.
         """
 
-    @abstractmethod
-    def describe(self) -> str:
-        """Round-trippable constructor string, e.g. ``rational(a=1)``."""
-
-
-class RationalWaveform(Waveform):
-    """f(theta) = 1 / (theta + i a), a > 0.
-
-    The pole sits at -i a, outside the closed upper half-plane, and the
-    spectrum is -i exp(-a kappa).
-    """
-
-    def __init__(self, a: float):
-        a = float(a)
-        if not (math.isfinite(a) and a > 0.0):
-            raise ValueError(f"rational waveform requires a > 0, got a={a}")
-        self.a = a
-        self.decay_rate = a
-
-    def eval(self, theta):
-        return 1.0 / (theta + 1j * self.a)
-
-    def deriv(self, theta):
-        d = theta + 1j * self.a
-        return -1.0 / (d * d)
-
-    def spectrum(self, kappa):
-        return -1j * np.exp(-self.a * np.asarray(kappa, dtype=float))
-
-    def describe(self) -> str:
-        return f"rational(a={self.a:.17g})"
-
-    def __repr__(self):
-        return f"RationalWaveform(a={self.a!r})"
-
 
 class LeknerWaveform(Waveform):
     """f(theta) = exp(i K theta) / (theta + i a), a > 0, K >= 0.
@@ -99,36 +65,41 @@ class LeknerWaveform(Waveform):
         a = float(a)
         K = float(K)
         if not (math.isfinite(a) and a > 0.0):
-            raise ValueError(f"lekner waveform requires a > 0, got a={a}")
+            raise ValueError(f"waveform requires a > 0, got a={a}")
         if not (math.isfinite(K) and K >= 0.0):
-            raise ValueError(f"lekner waveform requires K >= 0, got K={K}")
+            raise ValueError(f"waveform requires K >= 0, got K={K}")
         self.a = a
         self.K = K
         self.decay_rate = a
         self.spectrum_breakpoints = (K,) if K > 0.0 else ()
 
+    # At K = 0 the carrier is 1; skipping its exp keeps the rational
+    # pole's values exact and the energy integral at its cost.
     def eval(self, theta):
+        if self.K == 0.0:
+            return 1.0 / (theta + 1j * self.a)
         return np.exp(1j * self.K * theta) / (theta + 1j * self.a)
 
     def deriv(self, theta):
         d = theta + 1j * self.a
+        if self.K == 0.0:
+            return -1.0 / (d * d)
         return (1j * self.K - 1.0 / d) * np.exp(1j * self.K * theta) / d
 
     def spectrum(self, kappa):
         arr = np.asarray(kappa, dtype=float)
         return np.where(arr >= self.K, -1j * np.exp(-self.a * (arr - self.K)), 0j)[()]
 
-    def describe(self) -> str:
-        return f"lekner(a={self.a:.17g},K={self.K:.17g})"
-
     def __repr__(self):
-        return f"LeknerWaveform(a={self.a!r}, K={self.K!r})"
+        carrier = f", K={self.K!r}" if self.K else ""
+        return f"LeknerWaveform(a={self.a!r}{carrier})"
 
 
-WAVEFORM_REGISTRY: dict[str, type] = {
-    "rational": RationalWaveform,
-    "lekner": LeknerWaveform,
-}
+def _rational(a: float) -> LeknerWaveform:
+    return LeknerWaveform(a)
+
+
+WAVEFORM_REGISTRY = {"rational": _rational, "lekner": LeknerWaveform}
 
 _CALL_RE = re.compile(r"\s*([A-Za-z_]\w*)\s*\((.*)\)\s*\Z", re.DOTALL)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from unipulse import PulseParams, RationalWaveform
+from unipulse import LeknerWaveform, PulseParams
 
 
 @pytest.fixture
@@ -13,7 +13,7 @@ def params():
 @pytest.fixture
 def rational(params):
     """Waveform reproducing the basic closed-form pulse (a = b - zeta)."""
-    return RationalWaveform(params.b - params.zeta)
+    return LeknerWaveform(params.b - params.zeta)
 
 
 @pytest.fixture

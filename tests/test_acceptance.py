@@ -15,7 +15,6 @@ from unipulse import (
     Direction,
     LeknerWaveform,
     PulseParams,
-    RationalWaveform,
     SpacetimePoint,
     backward_direction_grid,
     check_unidirectional,
@@ -39,7 +38,7 @@ from unipulse import (
 )
 
 P = PulseParams(1.0, 1.0, 0.0)
-RATIONAL = RationalWaveform(1.0)
+RATIONAL = LeknerWaveform(1.0)
 LEKNER = LeknerWaveform(1.0, 1.0)
 
 
@@ -64,7 +63,7 @@ def test_criterion_1_closed_form_identity():
         worst = 0.0
         for zeta in (0.0, 0.5):
             params = PulseParams(1.0, 1.0, zeta)
-            w = RationalWaveform(params.b - zeta)
+            w = LeknerWaveform(params.b - zeta)
             for _ in range(1000):
                 pt = SpacetimePoint(*rng.uniform(-3.0, 3.0, 4))
                 u1 = eval_simple_pulse(pt, params)

@@ -454,6 +454,16 @@ class TestUnwritableOutput:
         assert err.startswith(f"config error: out: cannot write {out}: ")
         assert "Traceback" not in err
 
+    def test_binary_sample_leaves_no_data_file(self, tmp_path):
+        # the .bin was written before the header and outlived its failure
+        out = tmp_path / "outdir"
+        out.mkdir()
+        cfg = {"grid": {"axes": [{"name": "z", "min": -1, "max": 1, "count": 4}]},
+               "format": "binary"}
+        assert main(["sample", "--config", write_cfg(tmp_path, "c.json", cfg),
+                     "--out", str(out)]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "outdir"]
+
 
 class TestRepeatedCalls:
     """``main`` builds its parser once per process; no call may leave

@@ -19,7 +19,7 @@ from unipulse.fields import (
     simple_pulse_evaluator,
     spherical_reference_evaluator,
 )
-from unipulse.waveforms import LeknerWaveform, RationalWaveform
+from unipulse.waveforms import LeknerWaveform
 
 
 class TestDirection:
@@ -49,7 +49,7 @@ class TestFarfieldNumeric:
     def test_spherical_reference_is_isotropic(self, params):
         # closed-form oracle: along R = ct + s the retarded argument is s,
         # so the limit is f(s + i b_ref) for every direction
-        w = RationalWaveform(1.0)
+        w = LeknerWaveform(1.0)
         ev = spherical_reference_evaluator(params, w, b_ref=0.5)
         sched = radiation_schedule(params)
         expect = w.eval(0.5 + 0.5j)
@@ -85,7 +85,7 @@ class TestFarfieldNumeric:
 
     def test_agreement_with_analytic_both_pulses(self, params):
         sched = radiation_schedule(params)
-        for w in (RationalWaveform(1.0), LeknerWaveform(1.0, 1.0)):
+        for w in (LeknerWaveform(1.0), LeknerWaveform(1.0, 1.0)):
             ev = quasi_spherical_evaluator(params, w)
             for chi in (0.0, math.pi / 6, math.pi / 3):
                 for s in (-1.0, 0.0, 1.0):
@@ -97,7 +97,7 @@ class TestFarfieldNumeric:
     def test_backward_decay_halves_with_doubled_ct(self, params):
         # raw |ct u| halves when ct doubles on the backward hemisphere
         n = Direction(3 * math.pi / 4)
-        for w in (RationalWaveform(1.0), LeknerWaveform(1.0, 1.0)):
+        for w in (LeknerWaveform(1.0), LeknerWaveform(1.0, 1.0)):
             ev = quasi_spherical_evaluator(params, w)
             mags = []
             for ct in (1e3, 2e3, 4e3):
@@ -145,7 +145,7 @@ class TestFarfieldNumeric:
 
 class TestFarfieldAnalytic:
     def test_forward_axis_formula(self, params):
-        w = RationalWaveform(0.7)
+        w = LeknerWaveform(0.7)
         f = farfield_analytic(1.3, Direction(0.0), params, w)
         assert f == pytest.approx(1.0 / (-1.3 + 0.7j))
 
@@ -156,7 +156,7 @@ class TestFarfieldAnalytic:
             from unipulse.fields import PulseParams
 
             p = PulseParams(1.0, 1.0, zeta)
-            w = RationalWaveform(p.b - zeta)
+            w = LeknerWaveform(p.b - zeta)
             for _ in range(50):
                 chi = rng.uniform(0.0, math.pi / 2 - 1e-6)
                 s = rng.uniform(-2.0, 2.0)
@@ -193,7 +193,7 @@ class TestFarfieldArrays:
 class TestFarfieldDeriv:
     def test_matches_finite_difference(self, params, rng):
         h = 1e-6
-        for w in (RationalWaveform(1.0), LeknerWaveform(1.0, 2.0)):
+        for w in (LeknerWaveform(1.0), LeknerWaveform(1.0, 2.0)):
             for _ in range(100):
                 chi = rng.uniform(0.0, math.pi / 2 - 0.05)
                 s = rng.uniform(-2.0, 2.0)
@@ -210,7 +210,7 @@ class TestFarfieldDeriv:
 
     def test_forward_axis_sign(self, params):
         # symbolic differentiation oracle: d/ds [1/(-s + ia)] = 1/(-s + ia)^2
-        w = RationalWaveform(1.0)
+        w = LeknerWaveform(1.0)
         d = farfield_deriv(0.5, Direction(0.0), params, w)
         assert d == pytest.approx(1.0 / complex(-0.5, 1.0) ** 2, rel=1e-14)
 
@@ -244,7 +244,7 @@ class TestUnidirectionalityCertificate:
     def test_spherical_reference_fails(self, params):
         sched = radiation_schedule(params, CERTIFICATE_SCHEDULE_CT)
         rep = check_unidirectional(
-            spherical_reference_evaluator(params, RationalWaveform(1.0), b_ref=1.0),
+            spherical_reference_evaluator(params, LeknerWaveform(1.0), b_ref=1.0),
             [-2.0, -1.0, 0.0, 1.0, 2.0],
             backward_direction_grid(8),
             1e-6,

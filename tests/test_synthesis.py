@@ -22,7 +22,7 @@ from unipulse.synthesis import (
     reconstruct_fourier_bessel,
     reconstruct_hemisphere,
 )
-from unipulse.waveforms import LeknerWaveform, RationalWaveform
+from unipulse.waveforms import LeknerWaveform
 
 
 REGULAR_POINTS = [
@@ -144,7 +144,7 @@ class TestHemisphere:
     ])
     def test_estimate_bounds_the_distance_from_the_closed_form(self, c, tau, where, a, tol):
         params = PulseParams(c, tau)
-        w = RationalWaveform(a)
+        w = LeknerWaveform(a)
         p = SpacetimePoint.from_cylindrical(*where)
         res = reconstruct_hemisphere(params, w, p, tol)
         exact = eval_quasi_spherical(p, params, w)
@@ -174,7 +174,7 @@ class TestFourierBessel:
 
     def test_nonunit_wave_speed(self):
         p = PulseParams(2.0, 0.5)  # b = 1
-        w = RationalWaveform(p.b)
+        w = LeknerWaveform(p.b)
         pt = SpacetimePoint.from_cylindrical(0.25, 0.5, 0.2)
         res = reconstruct_fourier_bessel(p, w, pt, 1e-6)
         exact = eval_simple_pulse(pt, p)
@@ -187,7 +187,7 @@ class TestFourierBessel:
                                        max_evals=1000)
 
     @pytest.mark.parametrize("w, most", [
-        (RationalWaveform(1.0), 10_245), (LeknerWaveform(1.0, 1.0), 17_415),
+        (LeknerWaveform(1.0), 10_245), (LeknerWaveform(1.0, 1.0), 17_415),
     ])
     def test_spends_no_more_than_one_integral_per_k(self, params, w, most):
         # the counts of solving each inner k_z integral alone at tol 1e-6
@@ -223,7 +223,7 @@ class TestSpectralWeight:
         # symbolic substitution oracle: for a = b - zeta the weight is
         # -(1/c) e^{-omega b / c} e^{zeta kz}
         p = PulseParams(1.0, 1.0, 0.5)
-        w = RationalWaveform(p.b - p.zeta)
+        w = LeknerWaveform(p.b - p.zeta)
         for _ in range(50):
             omega = rng.uniform(0.1, 4.0)
             kz = rng.uniform(0.0, omega / p.c)
@@ -311,7 +311,7 @@ class TestFromWeight:
 
 
 class TestRouteAgreement:
-    @pytest.mark.parametrize("w", [RationalWaveform(1.0), LeknerWaveform(1.0, 1.0)])
+    @pytest.mark.parametrize("w", [LeknerWaveform(1.0), LeknerWaveform(1.0, 1.0)])
     def test_all_routes_agree(self, params, w):
         tol = 1e-6
         for p in REGULAR_POINTS:
@@ -338,7 +338,7 @@ class TestSpectralRoutesOracle:
     def test_estimates_bound_the_distance_from_the_closed_form(self, c, b, where, lek, tol):
         # coordinates in units of b; lek is None for rational(a = b), else (a, K)
         params = PulseParams(c, b / c)
-        w = RationalWaveform(b) if lek is None else LeknerWaveform(*lek)
+        w = LeknerWaveform(b) if lek is None else LeknerWaveform(*lek)
         ct, z, rho = (b * q for q in where)
         p = SpacetimePoint.from_cylindrical(ct / c, rho, z)
         exact = eval_quasi_spherical(p, params, w)

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from unipulse.numerics import integrate_semi_infinite
-from unipulse.waveforms import (
-    LeknerWaveform,
-    RationalWaveform,
-    WAVEFORM_REGISTRY,
-    parse_waveform,
-)
+from unipulse.waveforms import WAVEFORM_REGISTRY, LeknerWaveform, parse_waveform
 
 
 def spectrum_roundtrip(w, theta, tol=1e-11):
@@ -25,39 +20,40 @@ def spectrum_roundtrip(w, theta, tol=1e-11):
 
 class TestRational:
     def test_eval_at_origin(self):
-        assert RationalWaveform(1.0).eval(0.0) == -1j
+        assert LeknerWaveform(1.0).eval(0.0) == -1j
 
     def test_eval_at_i(self):
-        assert RationalWaveform(1.0).eval(1j) == -0.5j
+        assert LeknerWaveform(1.0).eval(1j) == -0.5j
 
     def test_eval_general(self):
         # exact complex division: 1/(1 + 1.5i)
-        v = RationalWaveform(0.5).eval(1 + 1j)
+        v = LeknerWaveform(0.5).eval(1 + 1j)
         assert v == pytest.approx(0.3076923076923077 - 0.46153846153846156j)
 
     def test_spectrum_values(self):
-        w = RationalWaveform(1.0)
+        w = LeknerWaveform(1.0)
         assert w.spectrum(0.0) == -1j
         assert abs(w.spectrum(2.0) - (-1j * math.exp(-2.0))) < 1e-16
 
     def test_spectrum_roundtrip_at_i(self):
-        w = RationalWaveform(1.0)
+        w = LeknerWaveform(1.0)
         assert abs(spectrum_roundtrip(w, 1j) - (-0.5j)) <= 1e-10
 
     def test_requires_positive_a(self):
         with pytest.raises(ValueError):
-            RationalWaveform(0.0)
+            LeknerWaveform(0.0)
 
 
 class TestLekner:
     def test_reduces_to_rational_at_zero_carrier(self):
-        wl = LeknerWaveform(0.8, 0.0)
-        wr = RationalWaveform(0.8)
+        # the rational descriptor is the K = 0 member, bit for bit
+        w = parse_waveform("rational(a=0.8)")
         rng = np.random.default_rng(3)
-        for _ in range(50):
-            theta = complex(rng.uniform(-5, 5), rng.uniform(0, 5))
-            assert wl.eval(theta) == pytest.approx(wr.eval(theta), rel=1e-15)
-            assert wl.deriv(theta) == pytest.approx(wr.deriv(theta), rel=1e-15)
+        theta = rng.uniform(-5, 5, 50) + 1j * rng.uniform(0, 5, 50)
+        kappa = np.concatenate([[0.0], rng.uniform(0, 40, 49)])
+        assert np.array_equal(w.eval(theta), 1 / (theta + 0.8j))
+        assert np.array_equal(w.deriv(theta), -1 / (theta + 0.8j) ** 2)
+        assert np.array_equal(w.spectrum(kappa), -1j * np.exp(-0.8 * kappa))
 
     def test_eval_value(self):
         # e^{i*1*i}/(i + i) = e^{-1}/(2i)
@@ -82,7 +78,7 @@ class TestLekner:
             LeknerWaveform(1.0, -0.5)
 
 
-@pytest.mark.parametrize("w", [RationalWaveform(1.0), LeknerWaveform(1.0, 2.0)])
+@pytest.mark.parametrize("w", [LeknerWaveform(1.0), LeknerWaveform(1.0, 2.0)])
 class TestWaveformContract:
     def test_spectrum_roundtrip_random_points(self, w, rng):
         worst = 0.0
@@ -124,19 +120,16 @@ class TestRegistryAndGrammar:
 
     def test_parse_rational(self):
         w = parse_waveform("rational(a=0.75)")
-        assert isinstance(w, RationalWaveform) and w.a == 0.75
+        assert isinstance(w, LeknerWaveform) and w.a == 0.75 and w.K == 0.0
 
     def test_parse_lekner(self):
         w = parse_waveform("lekner(a=1.5, K=2)")
         assert isinstance(w, LeknerWaveform) and w.a == 1.5 and w.K == 2.0
 
-    def test_describe_roundtrip(self):
-        w = parse_waveform(LeknerWaveform(1.25, 3.0).describe())
-        assert w.a == 1.25 and w.K == 3.0
-
     @pytest.mark.parametrize(
         "bad",
-        ["gauss(a=1)", "rational", "rational(a=x)", "rational(1.0)", "lekner(q=1)"],
+        ["gauss(a=1)", "rational", "rational(a=x)", "rational(1.0)", "lekner(q=1)",
+         "rational(a=1,K=2)"],
     )
     def test_parse_errors(self, bad):
         with pytest.raises(ValueError):
