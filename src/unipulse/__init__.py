@@ -21,7 +21,6 @@ from .farfield import (
 )
 from .fields import (
     AxisSpec,
-    EnergyEstimate,
     FieldGrid,
     GridSpec,
     PulseParams,

@@ -252,7 +252,7 @@ def run_energy(cfg: dict, setup, seed: int | None) -> Output:
     rows = []
     for t in t_values:
         est = energy_estimate(t, setup.params, setup.waveform, tol)
-        rows.append({"t": t, "energy": est.total, "error_estimate": est.error_estimate,
+        rows.append({"t": t, "energy": est.value, "error_estimate": est.error_estimate,
                      "evaluations": est.evaluations})
     return _report(setup, {"tolerance": tol, "rows": rows},
                    f"energy at {len(t_values)} time(s)")
@@ -277,7 +277,7 @@ _COMMANDS = {
     "residual": (run_residual, {"evaluator", "b_ref", "points", "random_points", "h_values"},
                  "Finite-difference wave-equation residuals and convergence order."),
     "energy": (run_energy, {"t_values", "tolerance"},
-               "Field energy by a compactified Gauss-Legendre product rule."),
+               "Field energy by nested adaptive Gauss-Kronrod quadrature."),
 }
 
 

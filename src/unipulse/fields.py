@@ -13,7 +13,6 @@ counterexample for directionality checks.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -22,7 +21,12 @@ from typing import Callable
 import numpy as np
 
 from .ioformats import fmt_float, render_json, write_csv, write_text
-from .numerics import ToleranceNotReached, complex_sqrt_upper
+from .numerics import (
+    QuadratureResult,
+    complex_sqrt_upper,
+    integrate_adaptive,
+    integrate_nested,
+)
 from .waveforms import Waveform
 
 #: Maps a point to u.  A point whose coordinates are broadcastable
@@ -327,94 +331,53 @@ def sample_grid(
 
 # --- field energy -------------------------------------------------------
 
-#: The energy's product rule doubles its order from 16 up to this one.
-ENERGY_MAX_ORDER = 1024
-_RADII_PER_BLOCK = 32  # radii evaluated at once: memory stays flat in the order
-
-
-@dataclass(frozen=True)
-class EnergyEstimate:
-    """Field energy, the larger of the last two order-to-order
-    differences, and the density nodes spent over all orders."""
-
-    total: float
-    error_estimate: float
-    evaluations: int
-
-
-@functools.lru_cache(maxsize=None)  # one entry per order, 16 to ENERGY_MAX_ORDER
-def _gauss_unit(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights of order n on [0, 1], read-only
-    because every caller shares them."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    x, w = 0.5 * (x + 1.0), 0.5 * w
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
-
-
-def _energy_at_order(n: int, t: float, params: PulseParams, w: Waveform) -> tuple[float, int]:
-    """The order-n product rule of the energy integral and its node count.
-
-    Radii: r = c|t| (1 - (1-x)^3) on [0, c|t|] and r = c|t| + b x/(1-x)
-    beyond, clustering nodes at the pulse shell.  Polar angle:
-    chi = (pi/2) y^3 on each hemisphere, mirrored at pi/2, clustering
-    nodes at both axes where the on-axis tails sit.
-    """
-    b, ct = params.b, params.c * t
-    x, wx = _gauss_unit(n)
-    r = [abs(ct) + b * x / (1.0 - x)]
-    wr = [wx * b / (1.0 - x) ** 2]
-    if ct != 0.0:
-        r.append(abs(ct) * (1.0 - (1.0 - x) ** 3))
-        wr.append(wx * 3.0 * abs(ct) * (1.0 - x) ** 2)
-    r = np.concatenate(r)
-    wr = np.concatenate(wr) * 2.0 * math.pi * r * r
-    chi = 0.5 * math.pi * x**3
-    sin = np.tile(np.sin(chi), 2)
-    cos = np.concatenate([np.cos(chi), -np.cos(chi)])
-    wchi = np.tile(1.5 * math.pi * x * x * wx, 2) * sin
-    ct_ib_sq = ct * ct + b * b
-    total = 0.0
-    for lo in range(0, r.size, _RADII_PER_BLOCK):
-        rb = r[lo:lo + _RADII_PER_BLOCK, None]
-        rho, z = rb * sin, rb * cos
-        s = complex_distance(SpacetimePoint(t, rho, 0.0, z), params)
-        theta = s - z - 1j * b
-        fp = w.deriv(theta)
-        g = (fp - w.eval(theta) / s) / s
-        # |grad u|^2 + |du/d(ct)|^2 with dS/d(ct) = (ct+ib)/S, dS/drho = -rho/S
-        density = (np.abs(g) ** 2 * (ct_ib_sq + rho * rho) + np.abs(fp) ** 2) / np.abs(s) ** 2
-        total += float(wr[lo:lo + _RADII_PER_BLOCK] @ (density @ wchi))
-    return total, r.size * sin.size
-
 
 def energy_estimate(
     t: float, params: PulseParams, w: Waveform, tol: float = 1e-4
-) -> EnergyEstimate:
+) -> QuadratureResult:
     """Energy integral |du/d(ct)|^2 + |grad u|^2 over all space at time t.
 
-    The analytic gradient of u = f(theta)/S is integrated by a
-    compactified Gauss-Legendre product rule (see ``_energy_at_order``)
-    whose order doubles from 16.  It stops once the last two
-    differences between orders are both <= max(tol*E, tol), reporting
-    the larger as the error estimate, and raises ToleranceNotReached
-    past ``ENERGY_MAX_ORDER``.
+    The analytic gradient of u = f(theta)/S is integrated in spherical
+    coordinates through ``integrate_nested``.  Outside, y on [0, 2]
+    gives the radius: r = c|t| + b y/(1-y) beyond the pulse shell for
+    y < 1, and r = c|t| (1 - (1-x)^3) inside it for x = y - 1 (absent
+    at t = 0), so that both ends of the range and the panel edge at
+    y = 1 sit where the density changes scale.  Inside, the polar angle
+    chi = (pi/2) s^3 clusters nodes at both axes, where the on-axis
+    tails sit, and ends on the equator; the two hemispheres are one
+    vector integrand.  ``value`` is real and the error estimate is
+    Gauss-Kronrod's.  Raises ToleranceNotReached, naming the time, once
+    the budget is spent or a target lies below the rounding floor.
     """
     if not params.regular:
         raise ValueError("energy is only finite for regular parameters (zeta < b)")
-    totals, evaluations, n = [], 0, 16
-    while n <= ENERGY_MAX_ORDER:
-        total, nodes = _energy_at_order(n, t, params, w)
-        if not math.isfinite(total):
-            raise ValueError(f"energy at t={t!r}: density not finite at order {n}")
-        totals.append(total)
-        evaluations += nodes
-        err = float(np.max(np.abs(np.diff(totals[-3:])))) if len(totals) >= 3 else math.inf
-        target = max(tol * abs(total), tol)
-        if err <= target:
-            return EnergyEstimate(total, err, evaluations)
-        n *= 2
-    raise ToleranceNotReached(
-        f"energy at t={t!r}: product rule not settled at order {ENERGY_MAX_ORDER} "
-        f"(last two differences up to {err:.3e}, target {target:.3e})"
-    )
+    b, ct = params.b, params.c * t
+    shell, ct_ib_sq = abs(ct), ct * ct + b * b
+    hemisphere = np.array([1.0, -1.0])[:, None, None]
+
+    def inner(y: np.ndarray) -> Callable:
+        y = y[:, None]
+        beyond = y < 1.0
+        x = np.where(beyond, y, y - 1.0)
+        r = np.where(beyond, shell + b * x / (1.0 - x), shell * (1.0 - (1.0 - x) ** 3))
+        dr = np.where(beyond, b / (1.0 - x) ** 2, 3.0 * shell * (1.0 - x) ** 2)
+        weight = 3.0 * math.pi**2 * r * r * dr  # 2 pi r^2 dr/dy times dchi/ds / s^2
+
+        def f(s: np.ndarray) -> np.ndarray:
+            chi = 0.5 * math.pi * s**3
+            sin = np.sin(chi)
+            rho, z = r * sin, hemisphere * (r * np.cos(chi))
+            root = complex_distance(SpacetimePoint(t, rho, 0.0, 0.0), params)
+            theta = root - z - 1j * b
+            fp = w.deriv(theta)
+            g = (fp - w.eval(theta) / root) / root
+            # |grad u|^2 + |du/d(ct)|^2 with dS/d(ct) = (ct+ib)/S, dS/drho = -rho/S
+            density = (np.abs(g) ** 2 * (ct_ib_sq + rho * rho) + np.abs(fp) ** 2) / np.abs(root) ** 2
+            return density * (weight * s * s * sin)
+
+        return f
+
+    top = 2.0 if ct != 0.0 else 1.0
+    res = integrate_nested(lambda g, tt: integrate_adaptive(g, 0.0, top, tt, 60_000, (1.0,)),
+                           inner, tol, 10_000_000, f"energy at t={t!r}")
+    return QuadratureResult(res.value.real, res.error_estimate, res.evaluations)

@@ -2,8 +2,8 @@
 
 Provides the upper-half-plane complex square root, the Bessel function
 J0, adaptive Gauss-Kronrod quadrature for complex-valued integrands on
-finite and semi-infinite intervals, and polynomial limit extrapolation
-for sequences v(h) -> v0 as h -> 0.
+finite and semi-infinite intervals and for nested double integrals, and
+polynomial limit extrapolation for sequences v(h) -> v0 as h -> 0.
 """
 
 from __future__ import annotations
@@ -343,6 +343,35 @@ def integrate_semi_infinite(
 
     mapped = tuple(-math.expm1(-lam * p) for p in breakpoints if p > 0.0)
     return integrate_adaptive(transformed, 0.0, 1.0, tol, max_evals, mapped)
+
+
+def integrate_nested(outer: Callable, inner: Callable, tol: float, max_evals: int,
+                     what: str) -> QuadratureResult:
+    """The nested integral of the four reconstruction routes and of the
+    field energy: ``outer(g, 0.5 tol)`` runs the outer rule on ``g``.
+    For the outer nodes x of one call of ``g`` (all initial panels, then
+    the 30 of a bisection), ``inner(x)`` takes s on [0, 1] to values of
+    shape (..., x.size, s.size) in the units of the outer integrand: one
+    vector quadrature at 0.05 tol, whose integrals ``g`` sums over the
+    leading axes.  ``evaluations`` counts inner values; ``max_evals``
+    bounds them over the whole integral.  A failure or a non-finite
+    integrand is raised once, naming ``what``.
+    """
+    evals = 0
+
+    def g(x: np.ndarray) -> np.ndarray:
+        nonlocal evals
+        res = integrate_adaptive(inner(x), 0.0, 1.0, 0.05 * tol, max_evals=max_evals - evals)
+        evals += res.evaluations
+        return res.value.reshape(-1, x.size).sum(axis=0)
+
+    try:
+        res = outer(g, 0.5 * tol)
+    except ToleranceNotReached as exc:
+        raise ToleranceNotReached(f"{what} (route budget {max_evals}): {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from exc
+    return QuadratureResult(res.value, res.error_estimate, evals)
 
 
 def limit_extrapolate(h: Sequence[float], v: np.ndarray) -> ExtrapolationResult:

@@ -28,9 +28,9 @@ from .farfield import Direction
 from .fields import PulseParams, SpacetimePoint
 from .numerics import (
     QuadratureResult,
-    ToleranceNotReached,
     bessel_j0,
     integrate_adaptive,
+    integrate_nested,
     integrate_semi_infinite,
 )
 from .waveforms import Waveform
@@ -88,63 +88,29 @@ def reconstruct_from_farfield(
 ) -> QuadratureResult:
     """Sphere integral u = (1/2pi) * integral of F'(N.R - ct, N) over |N|=1.
 
-    Product quadrature: Gauss-Legendre in the polar angle on each
-    hemisphere separately (the integrand may jump across the equator
-    for unidirectional profiles) times a periodic trapezoid in azimuth,
-    refined by doubling, at most 8 times, until two levels agree within
-    tol.  ``f_deriv`` takes an array of s and a Direction of arrays of
-    the same shape, and is called once per level on all its nodes.
+    Through ``integrate_nested``: the polar angle on [0, pi] outside,
+    with a panel edge at the equator (the integrand may jump there for
+    unidirectional profiles), and the azimuth phi = 2 pi s inside.
+    ``f_deriv`` takes an array of s and a Direction of arrays of the
+    same shape, once per inner call; ``evaluations`` counts its values.
     """
     ct = params.c * p.t
-    evals = 0
-    prev = None
-    for level in range(8):
-        n_polar = 8 << level
-        n_phi = 2 * n_polar
-        nodes, weights = np.polynomial.legendre.leggauss(n_polar)
-        polar = 0.25 * math.pi * np.concatenate([1.0 + nodes, 3.0 + nodes])[:, None]
-        phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-        ndotr = np.sin(polar) * (p.x * np.cos(phi) + p.y * np.sin(phi)) + np.cos(polar) * p.z
-        values = np.broadcast_to(f_deriv(ndotr - ct, Direction(polar, phi)), ndotr.shape)
-        evals += values.size
-        # polar weights: Gauss weights times the half-width pi/4 times sin;
-        # the trapezoid's 2pi/n_phi cancels the 1/(2pi) in front
-        total = complex(np.tile(weights, 2) * 0.25 * math.pi * np.sin(polar[:, 0])
-                        @ values.sum(axis=1)) / n_phi
-        if prev is not None:
-            diff = abs(total - prev)
-            if diff <= 0.5 * max(tol * abs(total), tol):
-                return QuadratureResult(total, diff, evals)
-        prev = total
-    raise ToleranceNotReached(
-        "sphere quadrature did not settle after 8 refinements"
-    )
 
+    def inner(chi: np.ndarray) -> Callable:
+        chi = chi[:, None]
+        sin, cos = np.sin(chi), np.cos(chi)
 
-def _nested(outer: Callable, inner: Callable, tol: float, max_evals: int,
-            what: str) -> QuadratureResult:
-    """The nested integral of routes (2)-(4): ``outer(g, 0.5 tol)`` runs
-    the outer rule on ``g``.  For the outer nodes x of one call of ``g``
-    (all initial panels, then the 30 of a bisection), ``inner(x)`` takes
-    s on [0, 1] to values of shape (..., x.size, s.size) in the units of
-    the outer integrand: one vector quadrature at 0.05 tol, whose
-    integrals ``g`` sums over the leading axes.  ``evaluations`` counts
-    inner values; ``max_evals`` bounds them over the route, and a
-    failure is raised once, naming the route.
-    """
-    evals = 0
+        def f(s: np.ndarray) -> np.ndarray:
+            phi = 2.0 * math.pi * s
+            ndotr = sin * (p.x * np.cos(phi) + p.y * np.sin(phi)) + cos * p.z
+            # dphi = 2 pi ds cancels the 1/(2pi) in front
+            return sin * np.broadcast_to(f_deriv(ndotr - ct, Direction(chi, phi)), ndotr.shape)
 
-    def g(x: np.ndarray) -> np.ndarray:
-        nonlocal evals
-        res = integrate_adaptive(inner(x), 0.0, 1.0, 0.05 * tol, max_evals=max_evals - evals)
-        evals += res.evaluations
-        return res.value.reshape(-1, x.size).sum(axis=0)
+        return f
 
-    try:
-        res = outer(g, 0.5 * tol)
-    except ToleranceNotReached as exc:
-        raise ToleranceNotReached(f"{what} (route budget {max_evals}): {exc}") from exc
-    return QuadratureResult(res.value, res.error_estimate, evals)
+    return integrate_nested(
+        lambda g, t: integrate_adaptive(g, 0.0, math.pi, t, 60_000, (0.5 * math.pi,)),
+        inner, tol, 2_000_000, "sphere reconstruction")
 
 
 def reconstruct_hemisphere(
@@ -179,8 +145,8 @@ def reconstruct_hemisphere(
         return lambda s: w.deriv((base - amp * np.cos(math.pi * s)) / mu) / (mu * mu)
 
     seeds = (1.0 / 4096, 1.0 / 1024, 1.0 / 256, 1.0 / 64, 1.0 / 16, 0.25)
-    res = _nested(lambda g, t: integrate_adaptive(g, 0.0, 1.0, t, 60_000, seeds),
-                  inner, tol, max_evals, "hemisphere reconstruction")
+    res = integrate_nested(lambda g, t: integrate_adaptive(g, 0.0, 1.0, t, 60_000, seeds),
+                           inner, tol, max_evals, "hemisphere reconstruction")
     return QuadratureResult(-res.value, res.error_estimate, res.evaluations)
 
 
@@ -193,9 +159,10 @@ def _fourier_bessel(spectral: Callable, factor: Callable, breakpoints: tuple[flo
             spectral(k_z, x) J0(rho sqrt(x^2/c^2 - k_z^2)) e^{-i k_z z},
 
     with the k_z range split at the positive ``breakpoints`` (a piece
-    starting above x/c is empty).  Through ``_nested``, every piece of
-    every inner integral is one component in s = (k_z - start) / width
-    on [0, 1]; the inner integrands carry factor(x).
+    starting above x/c is empty).  Through ``integrate_nested``, every
+    piece of every inner integral is one component in
+    s = (k_z - start) / width on [0, 1]; the inner integrands carry
+    factor(x).
     """
     edges = (0.0, *sorted({q for q in breakpoints if q > 0.0}))
     starts = np.array(edges + (math.inf,))[:, None]
@@ -215,8 +182,8 @@ def _fourier_bessel(spectral: Callable, factor: Callable, breakpoints: tuple[flo
         return f
 
     kinks = tuple(c * q for q in edges[1:])
-    return _nested(lambda g, t: integrate_semi_infinite(g, t, decay, 40_000, kinks),
-                   inner, tol, max_evals, what)
+    return integrate_nested(lambda g, t: integrate_semi_infinite(g, t, decay, 40_000, kinks),
+                            inner, tol, max_evals, what)
 
 
 def reconstruct_fourier_bessel(

@@ -245,12 +245,12 @@ def test_criterion_9_energy_finite_and_conserved():
     with Stopwatch() as sw:
         e0 = energy_estimate(0.0, P, RATIONAL)
         e1 = energy_estimate(1.0, P, RATIONAL)
-        rel = abs(e0.total - e1.total) / e0.total
+        rel = abs(e0.value - e1.value) / e0.value
     ok = (
-        math.isfinite(e0.total) and math.isfinite(e1.total)
-        and e0.total > 0.0 and rel <= 1e-3 and sw.elapsed < 120.0
+        math.isfinite(e0.value) and math.isfinite(e1.value)
+        and e0.value > 0.0 and rel <= 1e-3 and sw.elapsed < 120.0
     )
     report(
         9, "energy finite and conserved between t=0 and t=1 to 1e-3 relative",
-        ok, f"(E0 {e0.total:.6f}, E1 {e1.total:.6f}, rel {rel:.2e}, {sw.elapsed:.1f}s)",
+        ok, f"(E0 {e0.value:.6f}, E1 {e1.value:.6f}, rel {rel:.2e}, {sw.elapsed:.1f}s)",
     )

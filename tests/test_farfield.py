@@ -255,6 +255,26 @@ class TestUnidirectionalityCertificate:
         assert rep.max_abs > 0.1
         assert rep.as_dict()["pass"] is False
 
+    def test_turning_carrier_just_past_the_equator(self, params):
+        # lekner(a=1, K=0.04) at chi = 0.505 pi: ct*u ~ A h e^{i K theta(ct)}
+        # turns between ladder steps, so extrapolating ct*u itself left
+        # |F| ~ 8.5e-6 > tol on a far field that is exactly zero; its
+        # modulus extrapolates cleanly, and the spherical reference keeps
+        # its |F| = |f(2i)| = 0.5
+        sched = radiation_schedule(params, CERTIFICATE_SCHEDULE_CT)
+        dirs = [Direction(0.505 * math.pi)]
+        lekner = check_unidirectional(
+            quasi_spherical_evaluator(params, LeknerWaveform(1.0, 0.04)),
+            [-1.0, 0.0, 1.0], dirs, 1e-6, sched, params.c,
+        )
+        assert lekner.passed and lekner.max_abs <= 1e-8
+        spherical = check_unidirectional(
+            spherical_reference_evaluator(params, LeknerWaveform(1.0), b_ref=1.0),
+            [-1.0, 0.0, 1.0], dirs, 1e-6, sched, params.c,
+        )
+        assert not spherical.passed
+        assert spherical.max_abs == pytest.approx(0.5, rel=1e-9)
+
     def test_warn_blocks_pass(self, params):
         # an evaluator growing like 1/h^2 cannot be extrapolated: the
         # report must carry a WARN entry and must not PASS
