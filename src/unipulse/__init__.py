@@ -38,7 +38,6 @@ from .fields import (
 )
 from .numerics import (
     ExtrapolationResult,
-    ExtrapolationUnstable,
     QuadratureResult,
     ToleranceNotReached,
     bessel_j0,

@@ -49,6 +49,7 @@ from .farfield import (
     check_unidirectional,
     farfield_analytic,
     farfield_numeric,
+    unsettled,
 )
 from .fields import (
     SingularPoint,
@@ -61,7 +62,7 @@ from .fields import (
     spherical_reference_evaluator,
 )
 from .ioformats import complex_fields, fmt_float, render_json, write_csv, write_text
-from .numerics import ExtrapolationUnstable, ToleranceNotReached
+from .numerics import ToleranceNotReached
 from .pdecheck import wave_residual
 from .synthesis import (
     make_spectral_weight,
@@ -178,8 +179,7 @@ def run_farfield(cfg: dict, setup, seed: int | None) -> Output:
     res = farfield_numeric(evaluator, s_values, fan, schedule, setup.params.c)
     if res.diverged.any():
         i, j = np.argwhere(res.diverged)[0]
-        raise ExtrapolationUnstable(f"far field along chi={directions[i].chi!r}, "
-                                    f"s={s_values[j]!r}: {res.growth((i, j))}")
+        raise unsettled(directions[i].chi, s_values[j], res.stability[i, j])
     analytic = farfield_analytic(np.array(s_values), fan, setup.params, setup.waveform)
     rows = [{"chi": d.chi, "phi": d.phi, "s": s, "numeric": complex_fields(fn),
              "analytic": complex_fields(fa), "abs_diff": abs(fn - fa)}
@@ -327,7 +327,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ToleranceNotReached, ExtrapolationUnstable, SingularPoint, ValueError) as exc:
+    except (ToleranceNotReached, SingularPoint, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     print(f"wrote {result.summary} to {out}", file=sys.stderr)

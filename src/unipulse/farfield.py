@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .fields import Evaluator, PulseParams, SpacetimePoint, evaluate_batch
-from .numerics import ExtrapolationResult, limit_extrapolate
+from .numerics import ExtrapolationResult, ToleranceNotReached, limit_extrapolate
 from .waveforms import Waveform
 
 #: default ct ladder, in units of b, for forward-direction extraction
@@ -95,8 +95,8 @@ def farfield_numeric(
 
     ``s`` and the angles of ``n`` broadcast against each other; the
     evaluator is called once, on every entry times the ladder.  The
-    samples are extrapolated in h = 1/(ct); entries whose extrapolants
-    diverge are flagged in ``diverged``, not raised.
+    samples are extrapolated in h = 1/(ct); ``diverged`` flags the entries
+    that do not settle, and ``stability`` gives every entry's spread.
     """
     ct, samples = _ladder(evaluator, s, n, t_schedule, c)
     return limit_extrapolate(1.0 / ct, samples)
@@ -142,25 +142,13 @@ def backward_direction_grid(count: int = 8) -> tuple[Direction, ...]:
 
 
 @dataclass(frozen=True)
-class UnidirEntry:
-    chi: float
-    phi: float
-    max_abs: float
-    worst_s: float
-    status: str  # "OK" | "WARN"
-    note: str = ""
-
-
-@dataclass(frozen=True)
 class UnidirectionalityReport:
     passed: bool
     tol: float
     max_abs: float
-    worst_chi: float
-    worst_phi: float
-    worst_s: float
+    worst: dict  # {"chi", "phi", "s"} of max_abs
     schedule_t: tuple[float, ...]
-    entries: tuple[UnidirEntry, ...]
+    directions: tuple[dict, ...]  # chi, phi, max_abs_farfield, worst_s, status
 
     @property
     def margin(self) -> float:
@@ -168,17 +156,15 @@ class UnidirectionalityReport:
         return self.tol / self.max_abs if self.max_abs > 0.0 else math.inf
 
     def as_dict(self) -> dict:
-        return {
-            "pass": self.passed,
-            "tol": self.tol,
-            "max_abs_farfield": self.max_abs,
-            "margin": self.margin,
-            "worst": {"chi": self.worst_chi, "phi": self.worst_phi, "s": self.worst_s},
-            "schedule_t": list(self.schedule_t),
-            "directions": [{"chi": e.chi, "phi": e.phi, "max_abs_farfield": e.max_abs,
-                            "worst_s": e.worst_s, "status": e.status, "note": e.note}
-                           for e in self.entries],
-        }
+        return {"pass": self.passed, "tol": self.tol, "max_abs_farfield": self.max_abs,
+                "margin": self.margin, "worst": self.worst,
+                "schedule_t": list(self.schedule_t), "directions": list(self.directions)}
+
+
+def unsettled(chi: float, s: float, spread: float) -> ToleranceNotReached:
+    """The failure for a far-field entry whose extrapolants do not settle."""
+    return ToleranceNotReached(f"far field along chi={float(chi)!r}, s={float(s)!r}: "
+                               f"extrapolants do not settle (spread {spread:.3e})")
 
 
 def check_unidirectional(
@@ -194,35 +180,33 @@ def check_unidirectional(
     One evaluator call covers every direction and s.  The ladder's
     |ct*u| is extrapolated rather than ct*u: the limit of |g| is
     |lim g|, and where a carrier turns ct*u ~ A h e^{i phi(h)} between
-    ladder steps, its modulus stays smooth in h = 1/(ct).  PASS requires
-    max |F| <= tol over the grid with no extrapolation warnings;
-    unstable extrapolations become WARN entries that block the PASS
-    rather than being silently dropped.
+    ladder steps, its modulus stays smooth in h = 1/(ct).  An entry is
+    undecided when its extrapolants diverge by more than ``tol``.  A
+    settled |F| > tol FAILs the report; else an undecided entry raises
+    ``ToleranceNotReached`` naming it, and PASS means max |F| <= tol.
     """
-    if not s_samples:
+    s = np.asarray(s_samples, dtype=float)
+    if s.ndim != 1 or s.size == 0:
         raise ValueError("need at least one s sample")
     for d in backward_directions:
         if d.chi <= 0.5 * math.pi:
             raise ValueError(f"direction chi={d.chi} is not in the backward hemisphere")
 
-    ct, samples = _ladder(evaluator, s_samples, Direction.fan(backward_directions),
-                          t_schedule, c)
+    ct, samples = _ladder(evaluator, s, Direction.fan(backward_directions), t_schedule, c)
     res = limit_extrapolate(1.0 / ct, np.abs(samples))
-    mags = np.where(res.diverged, -1.0, np.abs(res.value))  # (directions, s)
-    entries = []
-    for i, d in enumerate(backward_directions):
-        bad = np.flatnonzero(res.diverged[i])
-        status, note = ("WARN", res.growth((i, bad[-1]))) if bad.size else ("OK", "")
-        worst_s = s_samples[int(np.argmax(mags[i]))]
-        entries.append(UnidirEntry(d.chi, d.phi, max(float(mags[i].max()), 0.0), worst_s,
-                                   status, note))
+    undecided = res.diverged & (res.stability > tol)
+    mags = np.where(undecided, 0.0, np.abs(res.value))  # (directions, s)
+    per_direction, worst_s = mags.max(axis=1), mags.argmax(axis=1)
+    i = int(per_direction.argmax())
+    max_abs = float(per_direction[i])
+    if max_abs <= tol and undecided.any():
+        k, j = np.argwhere(undecided)[0]
+        raise unsettled(backward_directions[k].chi, s[j], res.stability[k, j])
 
-    grid_max, worst = 0.0, (0.0, 0.0, 0.0)
-    for e in entries:
-        if e.max_abs > grid_max:
-            grid_max, worst = e.max_abs, (e.chi, e.phi, e.worst_s)
-    passed = not res.diverged.any() and grid_max <= tol
-    return UnidirectionalityReport(
-        passed, tol, grid_max, worst[0], worst[1], worst[2],
-        tuple(float(t) for t in t_schedule), tuple(entries),
-    )
+    directions = tuple({"chi": d.chi, "phi": d.phi, "max_abs_farfield": float(m),
+                        "worst_s": float(s[j]), "status": "OK" if m <= tol else "FAIL"}
+                       for d, m, j in zip(backward_directions, per_direction, worst_s))
+    d = backward_directions[i]
+    worst = {"chi": d.chi, "phi": d.phi, "s": float(s[worst_s[i]])}
+    return UnidirectionalityReport(max_abs <= tol, tol, max_abs, worst,
+                                   tuple(float(t) for t in t_schedule), directions)

@@ -19,7 +19,7 @@ _EPS = 2.220446049250313e-16
 
 
 class ToleranceNotReached(Exception):
-    """Quadrature ran out of budget before meeting its tolerance.
+    """Quadrature ran out of budget, or a limit did not settle, short of its tolerance.
 
     ``result`` holds the best estimate obtained so far (may be None for
     composite operations that cannot produce a partial value).
@@ -28,10 +28,6 @@ class ToleranceNotReached(Exception):
     def __init__(self, message: str, result: "QuadratureResult | None" = None):
         super().__init__(message)
         self.result = result
-
-
-class ExtrapolationUnstable(Exception):
-    """Successive limit extrapolants diverge instead of settling."""
 
 
 @dataclass(frozen=True)
@@ -43,18 +39,11 @@ class QuadratureResult:
 
 @dataclass(frozen=True)
 class ExtrapolationResult:
-    """Limits and the spread of their last two extrapolants, with the
-    spread before it, and which entries diverged; all of one shape."""
+    """Limits, the spread of their last two extrapolants, and which diverged."""
 
     value: complex | np.ndarray
     stability: float | np.ndarray
-    previous: float | np.ndarray
     diverged: bool | np.ndarray
-
-    def growth(self, index: tuple[int, ...] = ()) -> str:
-        """How the spread of entry ``index`` grew."""
-        return (f"extrapolant spread grew from {self.previous[index]:.3e} "
-                f"to {self.stability[index]:.3e}")
 
 
 def complex_sqrt_upper(w: complex | np.ndarray) -> complex | np.ndarray:
@@ -384,8 +373,8 @@ def limit_extrapolate(h: Sequence[float], v: np.ndarray) -> ExtrapolationResult:
     stability estimate is the spread of the last two diagonal
     extrapolants.  An entry diverges when that spread grows more than
     5-fold over the one before instead of shrinking (and exceeds 1e-12
-    of the entry's largest sample); it is flagged in ``diverged``, not
-    raised.
+    of the entry's largest sample); it is flagged in ``diverged``, for
+    the caller to weigh against its tolerance.
     """
     h = np.asarray(h, dtype=float)
     tab = np.asarray(v, dtype=complex)
@@ -403,6 +392,6 @@ def limit_extrapolate(h: Sequence[float], v: np.ndarray) -> ExtrapolationResult:
         diag.append(tab[..., 0])
 
     diffs = np.abs(np.diff(np.stack(diag, axis=-1), axis=-1))
-    stability, previous = diffs[..., -1], diffs[..., -2]
-    diverged = (stability > 5.0 * previous) & (stability > 1e-12 * scale)
-    return ExtrapolationResult(diag[-1][()], stability[()], previous[()], diverged[()])
+    stability = diffs[..., -1]
+    diverged = (stability > 5.0 * diffs[..., -2]) & (stability > 1e-12 * scale)
+    return ExtrapolationResult(diag[-1][()], stability[()], diverged[()])

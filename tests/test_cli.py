@@ -247,10 +247,38 @@ class TestUnidir:
         doc = json.loads(out.read_text())
         assert rc == 4 and doc["margin"] == doc["tol"] / doc["max_abs_farfield"] < 1.0
 
+    @staticmethod
+    def _spoil_where_y_positive(monkeypatch, name):
+        # adds a term growing like t^2 where y > 0: no limit to extrapolate there
+        from unipulse import cli
+
+        build = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args: lambda p: build(*args)(p)
+                            + p.t * p.t * (p.y > 0.0))
+
+    def test_undecided_direction_exits_3_and_names_it(self, tmp_path, capsys, monkeypatch):
+        self._spoil_where_y_positive(monkeypatch, "quasi_spherical_evaluator")
+        cfg = {"s_values": [0.0, 1.0],
+               "backward_directions": [{"chi": 3.0}, {"chi": 2.0, "phi": 1.0}]}
+        rc, out = run(tmp_path, "unidir", cfg, "uwild.json")
+        assert rc == 3 and not out.exists()
+        err = capsys.readouterr().err
+        assert "far field along chi=2.0, s=0.0: extrapolants do not settle (spread " in err
+
+    def test_settled_fail_exits_4_beside_an_undecided_direction(self, tmp_path, monkeypatch):
+        self._spoil_where_y_positive(monkeypatch, "spherical_reference_evaluator")
+        cfg = {"evaluator": "spherical_reference", "b_ref": 1.0,
+               "backward_directions": [{"chi": 3.0}, {"chi": 2.0, "phi": 1.0}]}
+        rc, out = run(tmp_path, "unidir", cfg, "umixed.json")
+        doc = json.loads(out.read_text())
+        assert rc == 4 and doc["pass"] is False and doc["worst"]["chi"] == 3.0
+        assert [d["status"] for d in doc["directions"]] == ["FAIL", "OK"]
+
     def test_zero_far_field_has_infinite_margin(self):
         from unipulse.farfield import UnidirectionalityReport
 
-        report = UnidirectionalityReport(True, 1e-6, 0.0, 0.0, 0.0, 0.0, (1.0,), ())
+        report = UnidirectionalityReport(True, 1e-6, 0.0, {"chi": 3.0, "phi": 0.0, "s": 0.0},
+                                         (1.0,), ())
         assert report.margin == math.inf
         assert '"margin": Infinity' in render_json(report.as_dict())
 
@@ -279,7 +307,7 @@ class TestFarfieldCmd:
         rc, out = run(tmp_path, "farfield", cfg, "ffwild.json")
         assert rc == 3 and not out.exists()
         err = capsys.readouterr().err
-        assert "far field along chi=0.5, s=0.0: extrapolant spread grew from" in err
+        assert "far field along chi=0.5, s=0.0: extrapolants do not settle (spread " in err
 
 
 class TestSpectrumCmd:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unipulse.farfield import (
     CERTIFICATE_SCHEDULE_CT,
@@ -14,11 +16,14 @@ from unipulse.farfield import (
     radiation_schedule,
 )
 from unipulse.fields import (
+    PulseParams,
     SingularPoint,
+    SpacetimePoint,
     quasi_spherical_evaluator,
     simple_pulse_evaluator,
     spherical_reference_evaluator,
 )
+from unipulse.numerics import ToleranceNotReached
 from unipulse.waveforms import LeknerWaveform
 
 
@@ -227,19 +232,23 @@ class TestUnidirectionalityCertificate:
             params.c,
         )
         assert rep.passed and rep.max_abs <= 1e-6
-        assert len(rep.entries) == 8
+        assert len(rep.directions) == 8
+        assert {d["status"] for d in rep.directions} == {"OK"}
 
     def test_lekner_pulse_passes(self, params):
         sched = radiation_schedule(params, CERTIFICATE_SCHEDULE_CT)
-        rep = check_unidirectional(
-            quasi_spherical_evaluator(params, LeknerWaveform(1.0, 1.0)),
-            [-2.0, -1.0, 0.0, 1.0, 2.0],
-            backward_direction_grid(8),
-            1e-6,
-            sched,
-            params.c,
-        )
+        evaluator = quasi_spherical_evaluator(params, LeknerWaveform(1.0, 1.0))
+        s = [-2.0, -1.0, 0.0, 1.0, 2.0]
+        rep = check_unidirectional(evaluator, s, backward_direction_grid(8), 1e-6, sched, params.c)
         assert rep.passed
+        # each direction's entry is what a certificate of that direction
+        # alone reports, and the worst entry is the largest of them
+        for d, entry in zip(backward_direction_grid(8), rep.directions):
+            one = check_unidirectional(evaluator, s, [d], 1e-6, sched, params.c)
+            assert one.directions == (entry,)
+        worst = max(rep.directions, key=lambda e: e["max_abs_farfield"])
+        assert rep.max_abs == worst["max_abs_farfield"]
+        assert rep.worst == {"chi": worst["chi"], "phi": worst["phi"], "s": worst["worst_s"]}
 
     def test_spherical_reference_fails(self, params):
         sched = radiation_schedule(params, CERTIFICATE_SCHEDULE_CT)
@@ -275,26 +284,20 @@ class TestUnidirectionalityCertificate:
         assert not spherical.passed
         assert spherical.max_abs == pytest.approx(0.5, rel=1e-9)
 
-    def test_warn_blocks_pass(self, params):
-        # an evaluator growing like 1/h^2 cannot be extrapolated: the
-        # report must carry a WARN entry and must not PASS
-        from unipulse.fields import SpacetimePoint
-
+    def test_undecided_entry_raises_naming_it(self, params):
+        # an evaluator growing like 1/h^2 cannot be extrapolated, and its
+        # spread dwarfs tol: nothing FAILs, so the certificate is undecided
         def wild(p: SpacetimePoint) -> complex:
             return p.t * p.t + 0j
 
         sched = radiation_schedule(params)
-        rep = check_unidirectional(
-            wild, [0.0], [Direction(3.0)], 1e-6, sched, params.c
-        )
-        assert not rep.passed
-        assert rep.entries[0].status == "WARN"
-        assert rep.entries[0].note.startswith("extrapolant spread grew from")
+        with pytest.raises(ToleranceNotReached, match=r"far field along chi=3\.0, s=0\.0: "
+                           r"extrapolants do not settle \(spread "):
+            check_unidirectional(wild, [0.0], [Direction(3.0)], 1e-6, sched, params.c)
 
-    def test_one_evaluator_call_and_per_entry_warnings(self, params):
+    def test_one_evaluator_call_and_undecided_entry_named(self, params):
         # a term growing like t^2 where y > 0 spoils the second direction
-        # only: its entry warns, the first keeps its small |F|, and the
-        # report cannot pass
+        # only; the first settles below tol, so the spoiled one is named
         calls = []
 
         def mixed(p):
@@ -303,11 +306,50 @@ class TestUnidirectionalityCertificate:
 
         sched = radiation_schedule(params, CERTIFICATE_SCHEDULE_CT)
         dirs = [Direction(3.0), Direction(2.0, 1.0)]
-        rep = check_unidirectional(mixed, [-1.0, 0.0, 1.0], dirs, 1e-6, sched, params.c)
+        with pytest.raises(ToleranceNotReached, match=r"chi=2\.0, s=-1\.0: extrapolants"):
+            check_unidirectional(mixed, [-1.0, 0.0, 1.0], dirs, 1e-6, sched, params.c)
         assert calls == [(2, 3, 3)]
-        assert [e.status for e in rep.entries] == ["OK", "WARN"]
-        assert rep.entries[0].max_abs <= 1e-6 and rep.entries[1].max_abs == 0.0
-        assert not rep.passed
+
+    def test_spread_below_tol_does_not_block_a_pass(self, params):
+        # lekner(a=1, K=1) at chi = 0.505 pi: |ct*u| ~ 1e-30 along the
+        # ladder, so its extrapolants' relative spread grows on rounding
+        # noise far below tol; the certificate passes
+        sched = radiation_schedule(params, CERTIFICATE_SCHEDULE_CT)
+        rep = check_unidirectional(
+            quasi_spherical_evaluator(params, LeknerWaveform(1.0, 1.0)),
+            [-2.0, -1.0, 0.0, 1.0, 2.0], [Direction(0.505 * math.pi)], 1e-6, sched, params.c,
+        )
+        assert rep.passed and rep.max_abs == pytest.approx(1.2e-30, rel=0.1)
+
+    def test_accepts_an_array_of_s_samples(self, params):
+        s = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+        sched = radiation_schedule(params, CERTIFICATE_SCHEDULE_CT)
+        args = (backward_direction_grid(4), 1e-6, sched, params.c)
+        rep = check_unidirectional(simple_pulse_evaluator(params), s, *args)
+        assert rep.as_dict() == check_unidirectional(
+            simple_pulse_evaluator(params), list(s), *args).as_dict()
+        assert rep.passed and type(rep.worst["s"]) is float
+
+    # exactly unidirectional lekner pulses never FAIL or raise, and their
+    # spherical reference (b_ref = b) never PASSes.  Directions start at
+    # 0.507 pi: just past the equator the 1e5..1e7 b ladder is too short,
+    # and what it leaves of |F| grows as 1/b; for rational(a=b) at
+    # b = 0.25, s = 2b it reads 1.27e-6 at 0.505 pi and 1.6e-7 at 0.507 pi.
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.floats(0.5, 2.0), kb=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+           c=st.floats(0.5, 2.0), tau=st.floats(0.5, 2.0),
+           chi=st.floats(0.507 * math.pi, math.pi),
+           s=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+    def test_oracle_lekner_passes_and_spherical_reference_fails(self, a, kb, c, tau, chi, s):
+        params = PulseParams(c, tau)
+        b = params.b
+        w = LeknerWaveform(a * b, kb / b)
+        args = ([x * b for x in s], [Direction(chi)], 1e-6,
+                radiation_schedule(params, CERTIFICATE_SCHEDULE_CT), c)
+        rep = check_unidirectional(quasi_spherical_evaluator(params, w), *args)
+        assert rep.passed, rep.as_dict()
+        ref = check_unidirectional(spherical_reference_evaluator(params, w, b_ref=b), *args)
+        assert not ref.passed, ref.as_dict()
 
     def test_rejects_forward_directions(self, params):
         with pytest.raises(ValueError):
