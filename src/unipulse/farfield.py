@@ -184,6 +184,9 @@ def check_unidirectional(
     undecided when its extrapolants diverge by more than ``tol``.  A
     settled |F| > tol FAILs the report; else an undecided entry raises
     ``ToleranceNotReached`` naming it, and PASS means max |F| <= tol.
+    A direction's maximum and ``worst_s`` cover its settled entries; in
+    a FAIL report a direction is FAIL past ``tol``, else UNDECIDED if
+    any of its entries is, else OK.
     """
     s = np.asarray(s_samples, dtype=float)
     if s.ndim != 1 or s.size == 0:
@@ -204,8 +207,10 @@ def check_unidirectional(
         raise unsettled(backward_directions[k].chi, s[j], res.stability[k, j])
 
     directions = tuple({"chi": d.chi, "phi": d.phi, "max_abs_farfield": float(m),
-                        "worst_s": float(s[j]), "status": "OK" if m <= tol else "FAIL"}
-                       for d, m, j in zip(backward_directions, per_direction, worst_s))
+                        "worst_s": float(s[j]),
+                        "status": "FAIL" if m > tol else "UNDECIDED" if u else "OK"}
+                       for d, m, j, u in zip(backward_directions, per_direction, worst_s,
+                                             undecided.any(axis=1)))
     d = backward_directions[i]
     worst = {"chi": d.chi, "phi": d.phi, "s": float(s[worst_s[i]])}
     return UnidirectionalityReport(max_abs <= tol, tol, max_abs, worst,

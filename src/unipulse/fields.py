@@ -345,7 +345,9 @@ def energy_estimate(
     y = 1 sit where the density changes scale.  Inside, the polar angle
     chi = (pi/2) s^3 clusters nodes at both axes, where the on-axis
     tails sit, and ends on the equator; the two hemispheres are one
-    vector integrand.  ``value`` is real and the error estimate is
+    vector integrand, whose quadrature starts on panel edges at
+    s = 1/8, 1/4 and 1/2, where its bisections toward the axis went one
+    density call per level.  ``value`` is real and the error estimate is
     Gauss-Kronrod's.  Raises ToleranceNotReached, naming the time, once
     the budget is spent or a target lies below the rounding floor.
     """
@@ -379,5 +381,5 @@ def energy_estimate(
 
     top = 2.0 if ct != 0.0 else 1.0
     res = integrate_nested(lambda g, tt: integrate_adaptive(g, 0.0, top, tt, 60_000, (1.0,)),
-                           inner, tol, 10_000_000, f"energy at t={t!r}")
+                           inner, tol, 10_000_000, f"energy at t={t!r}", (0.125, 0.25, 0.5))
     return QuadratureResult(res.value.real, res.error_estimate, res.evaluations)

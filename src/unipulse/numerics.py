@@ -310,6 +310,11 @@ def integrate_adaptive(
         total_floor = total_floor + (fl - floor)
 
 
+# the deepest seed 1 - 2^-k whose panel [1 - 2^-k, 1] keeps its outermost
+# Kronrod node below u = 1, where the map sends x to infinity
+_SEED_DEPTH_MAX = 46
+
+
 def integrate_semi_infinite(
     f: Callable[[np.ndarray], complex | np.ndarray],
     tol: float,
@@ -321,7 +326,15 @@ def integrate_semi_infinite(
 
     Uses the substitution u = 1 - exp(-decay_hint*x), which maps the
     half-line onto [0, 1) and turns the exponential tail into a bounded
-    integrand, then delegates to :func:`integrate_adaptive` (same contract).
+    integrand, then delegates to :func:`integrate_adaptive` (same
+    contract).  Its initial panels have edges at the mapped breakpoints
+    and at the seeds u_k = 1 - 2^-k, k = 1 ... ceil(log2(1/tol)/2) + 2
+    (none for tol >= 1; at most 46, the depth at which the last panel's
+    outermost node would round to u = 1).  A hint of half the true decay
+    leaves the mapped integrand O(1-u) near u = 1, so [u_k, 1] holds
+    O(4^-k) of the integral: the seeds put in the first integrand call
+    the partition that bisection would reach one call per level, and
+    bisection goes on from there wherever they do not suffice.
     """
     if not decay_hint > 0.0:
         raise ValueError(f"decay_hint must be positive, got {decay_hint}")
@@ -330,27 +343,32 @@ def integrate_semi_infinite(
     def transformed(u: np.ndarray) -> np.ndarray:
         return f(-np.log1p(-u) / lam) / (lam * (1.0 - u))
 
-    mapped = tuple(-math.expm1(-lam * p) for p in breakpoints if p > 0.0)
-    return integrate_adaptive(transformed, 0.0, 1.0, tol, max_evals, mapped)
+    mapped = [-math.expm1(-lam * p) for p in breakpoints if p > 0.0]
+    depth = min(math.ceil(0.5 * math.log2(1.0 / tol)) + 2, _SEED_DEPTH_MAX) if tol < 1.0 else 0
+    seeds = [1.0 - 2.0**-k for k in range(1, depth + 1)]
+    return integrate_adaptive(transformed, 0.0, 1.0, tol, max_evals, mapped + seeds)
 
 
 def integrate_nested(outer: Callable, inner: Callable, tol: float, max_evals: int,
-                     what: str) -> QuadratureResult:
+                     what: str, inner_edges: Sequence[float] = ()) -> QuadratureResult:
     """The nested integral of the four reconstruction routes and of the
     field energy: ``outer(g, 0.5 tol)`` runs the outer rule on ``g``.
     For the outer nodes x of one call of ``g`` (all initial panels, then
     the 30 of a bisection), ``inner(x)`` takes s on [0, 1] to values of
     shape (..., x.size, s.size) in the units of the outer integrand: one
     vector quadrature at 0.05 tol, whose integrals ``g`` sums over the
-    leading axes.  ``evaluations`` counts inner values; ``max_evals``
-    bounds them over the whole integral.  A failure or a non-finite
-    integrand is raised once, naming ``what``.
+    leading axes.  That quadrature starts on the panel edges
+    ``inner_edges`` in (0, 1), for a caller who knows where every inner
+    integrand needs them; each call would otherwise bisect its way there
+    one integrand call per level.  ``evaluations`` counts inner values;
+    ``max_evals`` bounds them over the whole integral.  A failure or a
+    non-finite integrand is raised once, naming ``what``.
     """
     evals = 0
 
     def g(x: np.ndarray) -> np.ndarray:
         nonlocal evals
-        res = integrate_adaptive(inner(x), 0.0, 1.0, 0.05 * tol, max_evals=max_evals - evals)
+        res = integrate_adaptive(inner(x), 0.0, 1.0, 0.05 * tol, max_evals - evals, inner_edges)
         evals += res.evaluations
         return res.value.reshape(-1, x.size).sum(axis=0)
 

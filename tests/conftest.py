@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from unipulse import LeknerWaveform, PulseParams
+
+# `pytest --hypothesis-profile=ci` draws the same examples on every run,
+# so a failure in CI reruns to the same draw
+settings.register_profile("ci", derandomize=True)
 
 
 @pytest.fixture

@@ -272,7 +272,7 @@ class TestUnidir:
         rc, out = run(tmp_path, "unidir", cfg, "umixed.json")
         doc = json.loads(out.read_text())
         assert rc == 4 and doc["pass"] is False and doc["worst"]["chi"] == 3.0
-        assert [d["status"] for d in doc["directions"]] == ["FAIL", "OK"]
+        assert [d["status"] for d in doc["directions"]] == ["FAIL", "UNDECIDED"]
 
     def test_zero_far_field_has_infinite_margin(self):
         from unipulse.farfield import UnidirectionalityReport

@@ -310,6 +310,25 @@ class TestUnidirectionalityCertificate:
             check_unidirectional(mixed, [-1.0, 0.0, 1.0], dirs, 1e-6, sched, params.c)
         assert calls == [(2, 3, 3)]
 
+    def test_fail_report_marks_an_undecided_direction(self, params):
+        # the first direction settles at |F| = 0.01 > tol; a term growing
+        # like t^2 spoils the second at s = 1 only, and its settled
+        # entries read what a certificate of them alone reports
+        def mixed(p):
+            s = np.sqrt(p.x**2 + p.y**2 + p.z**2) - params.c * p.t
+            return (simple_pulse_evaluator(params)(p) + 0.01 / (params.c * p.t) * (p.y <= 0.0)
+                    + p.t * p.t * ((p.y > 0.0) & (s > 0.5)))
+
+        sched = radiation_schedule(params, CERTIFICATE_SCHEDULE_CT)
+        spoiled = Direction(2.0, 1.0)
+        rep = check_unidirectional(mixed, [-1.0, 0.0, 1.0], [Direction(3.0), spoiled],
+                                   1e-6, sched, params.c)
+        assert not rep.passed and rep.max_abs == pytest.approx(0.01, rel=1e-9)
+        assert [d["status"] for d in rep.directions] == ["FAIL", "UNDECIDED"]
+        settled = check_unidirectional(mixed, [-1.0, 0.0], [spoiled], 1e-6, sched, params.c)
+        assert settled.passed
+        assert rep.directions[1] == {**settled.directions[0], "status": "UNDECIDED"}
+
     def test_spread_below_tol_does_not_block_a_pass(self, params):
         # lekner(a=1, K=1) at chi = 0.505 pi: |ct*u| ~ 1e-30 along the
         # ladder, so its extrapolants' relative spread grows on rounding

@@ -425,6 +425,21 @@ class TestEnergy:
             assert est.evaluations == sum(nodes) > 0
             assert est.value == energy_estimate(t, params, LeknerWaveform(1.0), 1e-4).value
 
+    def test_inner_edges_spare_the_bisections_toward_the_axis(self, params):
+        # at t = -0.45 tau every inner polar range bisects toward the axis,
+        # 0.5 -> 0.25 -> 0.125, one density call per level when it starts
+        # on one panel (16 calls); it starts on those edges instead
+        calls = []
+
+        class Counting(LeknerWaveform):
+            def deriv(self, theta):
+                calls.append(np.size(theta))
+                return super().deriv(theta)
+
+        est = energy_estimate(-0.45 * params.tau, params, Counting(1.0), 1e-4)
+        assert len(calls) <= 10
+        assert abs(est.value - 2.0 * math.pi**2) <= est.error_estimate
+
     def test_memory_stays_flat_at_late_times(self, params, rational):
         # 1.7M density values at t = 1000 tau would take 27 MB held at once
         tracemalloc.start()

@@ -1,4 +1,5 @@
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -14,6 +15,7 @@ from unipulse.numerics import (
     integrate_semi_infinite,
     limit_extrapolate,
 )
+from unipulse.waveforms import LeknerWaveform
 
 mp.mp.dps = 40
 
@@ -211,6 +213,63 @@ class TestIntegrateSemiInfinite:
     def test_requires_positive_decay(self):
         with pytest.raises(ValueError):
             integrate_semi_infinite(lambda x: math.exp(-x), 1e-8, 0.0)
+
+    @staticmethod
+    def _initial_panels(f, *args, **kwargs):
+        """The result and the number of panels of the first integrand call."""
+        sizes = []
+
+        def counted(x):
+            sizes.append(x.size)
+            return f(x)
+
+        res = integrate_semi_infinite(counted, *args, **kwargs)
+        return res, sizes[0] // 15
+
+    def test_seeds_edges_toward_the_end_of_the_map(self):
+        # tol 1e-6: seeds 1 - 2^-k for k = 1 ... ceil(log2(1e6)/2) + 2 = 12
+        res, panels = self._initial_panels(lambda x: x * np.exp(-0.5 * x), 1e-6, 0.25)
+        assert panels == 13
+        assert abs(res.value - 4.0) <= res.error_estimate <= 4e-6
+
+    @pytest.mark.parametrize("tol", [1.0, 4.0])
+    def test_loose_tolerance_gets_no_seeds(self, tol):
+        # antiderivative oracle: integral x e^{-x/2} dx = 4
+        res, panels = self._initial_panels(lambda x: x * np.exp(-0.5 * x), tol, 0.25)
+        assert panels == 1
+        assert abs(res.value - 4.0) <= res.error_estimate <= max(tol * abs(res.value), tol)
+
+    def test_tiny_tolerance_caps_the_seeds_and_raises_on_the_floor(self):
+        # 1e-300 asks for ~500 seeds; they stop before the last panel's
+        # outermost node rounds to u = 1 (x = inf), and the rounding
+        # floor raises after that one call
+        nodes = []
+
+        def f(x):
+            nodes.append(x)
+            return np.exp(-x)
+
+        start = time.perf_counter()
+        with pytest.raises(ToleranceNotReached, match="error floor"):
+            integrate_semi_infinite(f, 1e-300, 1.0)
+        assert time.perf_counter() - start < 1.0
+        assert len(nodes) == 1 and nodes[0].size // 15 - 1 <= 53
+        assert np.isfinite(nodes[0]).all()
+
+    def test_breakpoint_on_a_seed_is_one_panel_edge(self):
+        # with hint a/2, lekner's kink K = 4 ln 2 / a maps to
+        # u = 1 - e^{-2 ln 2} = 3/4 exactly, the seed k = 2; a kink off
+        # the seeds adds its edge
+        on, off = LeknerWaveform(1.0, 4.0 * math.log(2.0)), LeknerWaveform(1.0, 1.0)
+        _, seeds_only = self._initial_panels(on.spectrum, 1e-6, 0.5)
+        res, with_kink = self._initial_panels(on.spectrum, 1e-6, 0.5,
+                                              breakpoints=on.spectrum_breakpoints)
+        assert with_kink == seeds_only
+        # oracle: integral_K^inf -i e^{-(k - K)} dk = -i
+        assert abs(res.value + 1j) <= res.error_estimate <= 1e-6
+        _, apart = self._initial_panels(off.spectrum, 1e-6, 0.5,
+                                        breakpoints=off.spectrum_breakpoints)
+        assert apart == seeds_only + 1
 
 
 class TestVectorIntegrand:
