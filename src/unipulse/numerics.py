@@ -341,6 +341,7 @@ def integrate_semi_infinite(
     lam = float(decay_hint)
 
     def transformed(u: np.ndarray) -> np.ndarray:
+        u = np.minimum(u, 1.0 - 2.0**-53)  # a panel narrower than 2^-46 at 1 rounds its last node to 1
         return f(-np.log1p(-u) / lam) / (lam * (1.0 - u))
 
     mapped = [-math.expm1(-lam * p) for p in breakpoints if p > 0.0]

@@ -242,7 +242,7 @@ class MonteCarloEstimate:
     seed: int
 
 
-_MC_CHUNK = 1 << 18
+_MC_CHUNK = 1 << 14  # samples per chunk: its temporaries stay in cache
 #: fewer samples than this give no usable standard error
 MC_MIN_SAMPLES = 10_000
 
@@ -259,11 +259,16 @@ def reconstruct_cartesian_mc(
         u = -(i/2pi) * integral over R^3 of H(k_z) fhat(k_z)
               e^{i [k (ct + i b) - k_z (z + i b) - k_x x - k_y y]} / k  d^3k.
 
-    Radius k is drawn from the exponential density b e^{-b k} (matching
-    the e^{-k b} envelope) and the direction uniformly over the forward
-    hemisphere, which cancels the 1/k amplitude and the k^2 volume
-    factor up to k/b.  The counter-based Philox generator makes the
-    stream reproducible and chunk-order independent of n.
+    Radius k ~ Gamma(2, 1/b), density b^2 k e^{-b k} (a sum of two
+    standard exponentials over b), and a direction uniform over the
+    forward hemisphere leave the constant weight 1/b^2.  The azimuth is
+    measured from the point's own, so k_x x + k_y y = k_perp rho cos(phi)
+    takes one cosine, and (x, y) enter through rho alone.  The stderr has a
+    floor eps sqrt(sum |v|^2), the rounding of the summed values v, for
+    integrands constant up to rounding: rational(a=b) at R = 0, t = 0.
+    Philox variates in chunks of 2^14: one seed and n give the same
+    estimate bit for bit, and one seed draws the same variates in each
+    full chunk whatever n, the point or the pulse.
     """
     if n_samples < MC_MIN_SAMPLES:
         raise ValueError(f"need at least {MC_MIN_SAMPLES} samples, got {n_samples}")
@@ -276,25 +281,16 @@ def reconstruct_cartesian_mc(
     done = 0
     while done < n_samples:
         m = min(_MC_CHUNK, n_samples - done)
-        k = rng.exponential(scale=1.0 / b, size=m)
-        mu = rng.random(m)
-        phi = 2.0 * math.pi * rng.random(m)
+        k = rng.standard_exponential((2, m)).sum(axis=0) / b
+        mu, u = rng.random((2, m))
         kz = k * mu
-        kperp = k * np.sqrt(1.0 - mu * mu)
-        kx = kperp * np.cos(phi)
-        ky = kperp * np.sin(phi)
-        phase = k * ct - kz * p.z - kx * p.x - ky * p.y
-        vals = (
-            -1j
-            * np.asarray(w.spectrum(kz), dtype=np.complex128)
-            * (k / b)
-            * np.exp(kz * b + 1j * phase)
-        )
+        phase = k * (ct - mu * p.z - np.sqrt(1.0 - mu * mu) * np.cos(2.0 * math.pi * u) * p.rho)
+        vals = w.spectrum(kz) * np.exp(kz * b + 1j * phase)
         total += complex(np.sum(vals))
         total_sq += float(np.sum(np.abs(vals) ** 2))
         done += m
 
     mean = total / n_samples
     var = max(total_sq - n_samples * abs(mean) ** 2, 0.0) / (n_samples - 1)
-    stderr = math.sqrt(var / n_samples)
-    return MonteCarloEstimate(mean, stderr, n_samples, seed)
+    stderr = max(math.sqrt(var / n_samples), np.finfo(float).eps * math.sqrt(total_sq))
+    return MonteCarloEstimate(-1j * mean / (b * b), stderr / (b * b), n_samples, seed)

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -255,6 +256,17 @@ class TestIntegrateSemiInfinite:
         assert time.perf_counter() - start < 1.0
         assert len(nodes) == 1 and nodes[0].size // 15 - 1 <= 53
         assert np.isfinite(nodes[0]).all()
+
+    def test_bisection_below_the_seeds_ends_short_of_tolerance(self):
+        # a hint of twice the true decay leaves a (1 - u)^(-1/2) singularity
+        # at u = 1; bisection toward it reaches panels narrower than 2^-46,
+        # whose outermost node rounds to u = 1, where x would be infinite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ToleranceNotReached, match="budget 20000 exhausted") as exc:
+                integrate_semi_infinite(lambda x: np.exp(-x) * np.cos(x), 1e-10, 2.0, 20_000)
+        best = exc.value.result
+        assert abs(best.value - 0.5) <= best.error_estimate
 
     def test_breakpoint_on_a_seed_is_one_panel_edge(self):
         # with hint a/2, lekner's kink K = 4 ln 2 / a maps to

@@ -1,10 +1,13 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from unipulse.cli import main
 from unipulse.farfield import farfield_deriv
 from unipulse.fields import (
     PulseParams,
@@ -388,3 +391,56 @@ class TestMonteCarlo:
     def test_rejects_tiny_sample_counts(self, params, rational):
         with pytest.raises(ValueError):
             reconstruct_cartesian_mc(params, rational, REGULAR_POINTS[0], 100, 1)
+
+    def test_seeded_sweep_misses_three_sigma_near_the_normal_rate(self):
+        # 200 (pulse, point) draws over route_crosscheck's box; a >= 0.75 b
+        # keeps the fourth moment of the weighted integrand e^{(b - a) k_z}
+        # finite, so the standard error is itself a reliable estimate.
+        # A normal estimator misses 3 sigma in 0.3% of draws; allow 2%.
+        rng = np.random.default_rng(16)
+        misses = 0
+        for i in range(200):
+            params = PulseParams(*rng.uniform(0.5, 2.0, 2))
+            b = params.b
+            w = LeknerWaveform(rng.uniform(0.75, 2.0) * b, rng.uniform(0.0, 3.0) / b if i % 2 else 0.0)
+            t, z = rng.uniform(-1.5, 1.5, 2) * b
+            rho, phi = rng.uniform(0.0, 1.5) * b, rng.uniform(0.0, 2.0 * math.pi)
+            p = SpacetimePoint(t / params.c, rho * math.cos(phi), rho * math.sin(phi), z)
+            mc = reconstruct_cartesian_mc(params, w, p, 20_000, 1000 + i)
+            misses += abs(mc.value - eval_quasi_spherical(p, params, w)) > 3.0 * mc.stderr
+        assert misses <= 4
+
+    @pytest.mark.parametrize("b", [0.7, 1.0, 1.3])
+    def test_constant_integrand_keeps_a_rounding_error_bar(self, b, tmp_path):
+        # rational(a = b) at the origin, t = 0: every sample of the
+        # weighted integrand is -i/b^2 up to rounding, so only the
+        # rounding floor keeps the n-sigma check from failing on it
+        params, w = PulseParams(1.0, b), LeknerWaveform(b)
+        origin = SpacetimePoint(0.0, 0.0, 0.0, 0.0)
+        mc = reconstruct_cartesian_mc(params, w, origin, 20_000, 3)
+        assert 0.0 < mc.stderr <= 1e-12
+        assert abs(mc.value - eval_quasi_spherical(origin, params, w)) <= 3.0 * mc.stderr
+        cfg = {"pulse": {"c": 1.0, "tau": b}, "waveform": f"rational(a={b})",
+               "points": [{"t": 0.0, "rho": 0.0, "z": 0.0}], "tolerance": 1e-6,
+               "max_discrepancy": 1e-5, "mc": {"n_samples": 20_000, "seed": 3, "sigma": 3.0}}
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        out = tmp_path / "out.json"
+        assert main(["compare", "--config", str(tmp_path / "c.json"), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["rows"][0]["mc_stderr"] > 0.0
+
+    def test_estimate_depends_on_the_azimuth_through_rho_alone(self, params):
+        w = LeknerWaveform(1.2, 0.5)
+        p = SpacetimePoint(0.3, -0.4, 0.5, -0.2)
+        turned = SpacetimePoint(0.3, math.hypot(-0.4, 0.5), 0.0, -0.2)
+        a = reconstruct_cartesian_mc(params, w, p, 30_000, 9)
+        assert a == reconstruct_cartesian_mc(params, w, turned, 30_000, 9)
+
+    def test_memory_grows_with_the_chunk_not_with_n(self, params, rational):
+        reconstruct_cartesian_mc(params, rational, REGULAR_POINTS[1], 10_000, 4)  # warm-up
+        peaks = []
+        for n in (100_000, 1_000_000):
+            tracemalloc.start()
+            reconstruct_cartesian_mc(params, rational, REGULAR_POINTS[1], n, 4)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0] and peaks[1] < 4_000_000
