@@ -61,7 +61,7 @@ from .fields import (
     simple_pulse_evaluator,
     spherical_reference_evaluator,
 )
-from .ioformats import complex_fields, fmt_float, render_json, write_csv, write_text
+from .ioformats import fmt_float, render_json, write_csv, write_text
 from .numerics import ToleranceNotReached
 from .pdecheck import wave_residual
 from .synthesis import (
@@ -140,12 +140,11 @@ def run_compare(cfg: dict, setup, seed: int | None) -> Output:
             "from_weight": reconstruct_from_weight(weight, p, tol),
         }
         disc = max(abs(r.value - closed) for r in routes.values())
-        row = {"point": {"t": p.t, "x": p.x, "y": p.y, "z": p.z},
-               "closed_form": complex_fields(closed)}
-        row.update({k: complex_fields(r.value) for k, r in routes.items()})
+        row = {"point": {"t": p.t, "x": p.x, "y": p.y, "z": p.z}, "closed_form": closed}
+        row.update({k: r.value for k, r in routes.items()})
         if mc_n:
             mc = reconstruct_cartesian_mc(setup.params, setup.waveform, p, mc_n, mc_seed)
-            row["mc_estimate"] = complex_fields(mc.value)
+            row["mc_estimate"] = mc.value
             row["mc_stderr"] = mc.stderr
             if abs(mc.value - closed) > mc_sigma * mc.stderr:
                 mc_misses += 1
@@ -181,8 +180,8 @@ def run_farfield(cfg: dict, setup, seed: int | None) -> Output:
         i, j = np.argwhere(res.diverged)[0]
         raise unsettled(directions[i].chi, s_values[j], res.stability[i, j])
     analytic = farfield_analytic(np.array(s_values), fan, setup.params, setup.waveform)
-    rows = [{"chi": d.chi, "phi": d.phi, "s": s, "numeric": complex_fields(fn),
-             "analytic": complex_fields(fa), "abs_diff": abs(fn - fa)}
+    rows = [{"chi": d.chi, "phi": d.phi, "s": s, "numeric": fn, "analytic": fa,
+             "abs_diff": abs(fn - fa)}
             for d, fn_row, fa_row in zip(directions, res.value, analytic)
             for s, fn, fa in zip(s_values, fn_row, fa_row)]
     return _report(setup, {"schedule_ct_over_b": list(factors), "rows": rows},
@@ -207,19 +206,17 @@ def run_unidir(cfg: dict, setup, seed: int | None) -> Output:
 
 def run_spectrum(cfg: dict, setup, seed: int | None) -> Output:
     p = setup.params
-    kz_grid = parse_range(cfg, "kz", 0.0, 3.0, 31, ge=0.0)
-    omega_grid = parse_range(cfg, "omega", 0.5, 5.0, 10, gt=0.0)
+    kz = parse_range(cfg, "kz", 0.0, 3.0, 31, ge=0.0)
+    omega = parse_range(cfg, "omega", 0.5, 5.0, 10, gt=0.0)[:, None]
     # omega-major rows inside the support, all weights in one array call
-    omega, kz = (a.ravel() for a in np.meshgrid(omega_grid, kz_grid, indexing="ij"))
     keep = kz <= omega / p.c
-    kz, omega = kz[keep], omega[keep]
-    a = make_spectral_weight(p, setup.waveform)(kz, omega)
+    a = make_spectral_weight(p, setup.waveform)(kz, omega)  # 0 outside the support
     comments = [f"pulse: c={fmt_float(p.c)} tau={fmt_float(p.tau)} zeta={fmt_float(p.zeta)}",
                 f"waveform: {setup.waveform_desc}"]
     columns = {"kz": kz, "omega": omega, "re": a.real, "im": a.imag,
                "abs": np.hypot(a.real, a.imag)}
-    return Output(lambda path: write_csv(path, comments, columns), "csv",
-                  f"{kz.size} spectral-weight rows")
+    return Output(lambda path: write_csv(path, comments, columns, keep), "csv",
+                  f"{np.count_nonzero(keep)} spectral-weight rows")
 
 
 def run_residual(cfg: dict, setup, seed: int | None) -> Output:

@@ -43,10 +43,10 @@ class Direction:
     phi: float = 0.0
 
     def __post_init__(self):
-        if not np.all((0.0 <= self.chi) & (self.chi <= math.pi)):
-            raise ValueError(f"chi must lie in [0, pi], got {self.chi}")
-        if not np.all((0.0 <= self.phi) & (self.phi < 2.0 * math.pi)):
-            raise ValueError(f"phi must lie in [0, 2*pi), got {self.phi}")
+        for name, ok, span in (("chi", (0.0 <= self.chi) & (self.chi <= math.pi), "[0, pi]"),
+                               ("phi", (0.0 <= self.phi) & (self.phi < 2 * math.pi), "[0, 2*pi)")):
+            if not (ok is True or np.all(ok)):  # float angles give a bool: skip slow np.all
+                raise ValueError(f"{name} must lie in {span}, got {getattr(self, name)}")
 
     @classmethod
     def fan(cls, directions: Sequence["Direction"]) -> "Direction":

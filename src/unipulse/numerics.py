@@ -249,8 +249,8 @@ def integrate_adaptive(
     counts nodes times components.  ``breakpoints`` seed the initial
     panel edges (useful for known kinks).  Raises ToleranceNotReached,
     carrying the best estimate, once ``max_evals`` evaluations are
-    spent, or once a component's summed rounding floor 50 eps resabs
-    exceeds its target, which no bisection can lower.
+    spent, or once a component's error floor exceeds its target: its
+    summed 50 eps resabs plus the error of panels too narrow to bisect.
     """
     if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
         raise ValueError(f"integration interval must satisfy a < b, got [{a}, {b}]")
@@ -292,8 +292,8 @@ def integrate_adaptive(
             where = (f" of component {tuple(map(int, np.unravel_index(i, np.shape(total))))}"
                      if np.ndim(total) else "")
             raise ToleranceNotReached(
-                f"error floor 50·eps·resabs {np.ravel(total_floor)[i]:.3e}{where} exceeds its "
-                f"target {np.ravel(target)[i]:.3e}; no bisection can lower it", best())
+                f"error floor {np.ravel(total_floor)[i]:.3e}{where} exceeds its target "
+                f"{np.ravel(target)[i]:.3e}: rounding and panels too narrow to bisect", best())
         if not heap:
             raise ToleranceNotReached("no panel can be refined further", best())
         if evals + 2 * per_panel > max_evals:
@@ -302,7 +302,8 @@ def integrate_adaptive(
         _, _, lo, hi, val, err, floor = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         if not (lo < mid < hi) or (hi - lo) < 1e-15 * (b - a):
-            continue  # too narrow to split further
+            total_floor = total_floor + (err - floor)  # too narrow to split: its error stays
+            continue
         v, e, fl = evaluate([lo, mid], [mid, hi])
         evals += 2 * per_panel
         total = total + (v - val)

@@ -101,7 +101,7 @@ def _rational(a: float) -> LeknerWaveform:
 
 WAVEFORM_REGISTRY = {"rational": _rational, "lekner": LeknerWaveform}
 
-_CALL_RE = re.compile(r"\s*([A-Za-z_]\w*)\s*\((.*)\)\s*\Z", re.DOTALL)
+_CALL_RE = re.compile(r"\s*([A-Za-z_]\w*)\s*\((.*)\)\s*\Z")
 
 
 def parse_waveform(text: str) -> Waveform:
@@ -110,9 +110,9 @@ def parse_waveform(text: str) -> Waveform:
     Raises ValueError with a message naming the offending fragment.
     """
     m = _CALL_RE.match(text)
-    if m is None:
+    if m is None or not text.isprintable():  # it is echoed into reports and CSV comments
         raise ValueError(
-            f"waveform descriptor {text!r} does not match name(key=value,...)"
+            f"waveform descriptor {text!r} does not match name(key=value,...) in printable text"
         )
     name, argstr = m.group(1), m.group(2)
     cls = WAVEFORM_REGISTRY.get(name)

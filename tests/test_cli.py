@@ -118,18 +118,22 @@ class TestSample:
                 assert cell == fmt_float(float(cell))
                 assert abs(float(cell) - expect) <= 1e-14 * abs(u)
 
+    BINARY = {"grid": {"axes": [{"name": "z", "min": -1, "max": 1, "count": 4}],
+                       "fixed": {"t": 0.0}},
+              "format": "binary"}
+
     def test_binary_format(self, tmp_path):
-        cfg = {
-            "grid": {"axes": [{"name": "z", "min": -1, "max": 1, "count": 4}],
-                     "fixed": {"t": 0.0}},
-            "format": "binary",
-        }
-        rc, out = run(tmp_path, "sample", cfg, "grid.json")
+        rc, out = run(tmp_path, "sample", self.BINARY, "grid.json")
         assert rc == 0
         header = json.loads(out.read_text())
         data = (tmp_path / header["data_file"]).read_bytes()
         assert len(data) == 4 * 16
         assert header["dtype"] == "complex128"
+
+    def test_binary_header_stays_json_with_a_tab_in_the_data_file_name(self, tmp_path):
+        rc, out = run(tmp_path, "sample", self.BINARY, "grid\t1.json")
+        assert rc == 0
+        assert json.loads(out.read_text())["data_file"] == "grid\t1.json.bin"
 
 
 class TestCompare:
@@ -345,6 +349,32 @@ class TestSpectrumCmd:
             want = weight(kz, omega)
             assert complex(re, im) == pytest.approx(want, rel=1e-15, abs=0.0)
 
+    @pytest.mark.parametrize("waveform", ["rational(a=0.8)", "lekner(a=0.8,K=1.3)"])
+    def test_bytes_equal_the_raveled_meshgrid_table(self, tmp_path, waveform):
+        # the table as built before write_csv took a row mask: a raveled
+        # omega-major meshgrid, masked to the support, every cell full-size
+        from unipulse.ioformats import write_csv
+        from unipulse.synthesis import make_spectral_weight
+        from unipulse.waveforms import parse_waveform
+
+        cfg = {"pulse": {"c": 1.3, "tau": 0.7}, "waveform": waveform,
+               "kz": {"min": 0.0, "max": 4.1, "count": 64},
+               "omega": {"min": 0.6, "max": 6.2, "count": 20}}
+        rc, out = run(tmp_path, "spectrum", cfg, "spec.csv")
+        assert rc == 0
+        params = PulseParams(1.3, 0.7)
+        omega, kz = (a.ravel() for a in np.meshgrid(np.linspace(0.6, 6.2, 20),
+                                                     np.linspace(0.0, 4.1, 64), indexing="ij"))
+        keep = kz <= omega / params.c
+        kz, omega = kz[keep], omega[keep]
+        a = make_spectral_weight(params, parse_waveform(waveform))(kz, omega)
+        ref = tmp_path / "ref.csv"
+        write_csv(ref, [f"pulse: c=1.3 tau={fmt_float(0.7)} zeta=0", f"waveform: {waveform}"],
+                  {"kz": kz, "omega": omega, "re": a.real, "im": a.imag,
+                   "abs": np.hypot(a.real, a.imag)})
+        assert 64 < kz.size < 64 * 20
+        assert out.read_bytes() == ref.read_bytes()
+
 
 class TestResidualCmd:
     def test_orders_near_two(self, tmp_path):
@@ -540,6 +570,11 @@ class TestConfigMistakes:
         ("unidir", {"backward_directions": [{"chi": 0.5 * math.pi}]},
          "backward_directions[0].chi"),
         ("farfield", {"s_values": [0.0, -1e9]}, "s_values"),
+        # a descriptor is echoed into the report: raw, a tab breaks the JSON
+        # string and a newline splits the CSV comment line
+        ("energy", {"waveform": "lekner(a=1,\tK=2)"}, "waveform"),
+        ("spectrum", {"waveform": "lekner(a=1,\nK=2)"}, "waveform"),
+        ("unidir", {"waveform": "rational(a=1)\r"}, "waveform"),
     ])
     def test_exits_2_and_names_the_field(self, tmp_path, capsys, command, cfg, field):
         rc, out = run(tmp_path, command, cfg, "mistake.out")

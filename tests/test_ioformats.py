@@ -1,14 +1,121 @@
+import json
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unipulse.ioformats import CSV_CHUNK_ROWS, fmt_float, write_csv
+from unipulse.ioformats import CSV_CHUNK_ROWS, fmt_float, render_json, write_csv
 
 
 def read_rows(path):
     lines = path.read_bytes().decode("utf-8").split("\n")
     assert lines[-1] == ""  # every line ends in a newline
     return lines[:-1]
+
+
+def quoted(s):
+    return json.dumps(s, ensure_ascii=False)
+
+
+def reference_json(obj, indent=0):
+    """render_json as a recursive join with one fmt_float call per float."""
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        inner = ",\n".join(f"{pad}  {quoted(str(k))}: {reference_json(v, indent + 1)}"
+                           for k, v in obj.items())
+        return "{\n" + inner + "\n" + pad + "}" if obj else "{}"
+    if isinstance(obj, (list, tuple)):
+        inner = ",\n".join(f"{pad}  {reference_json(v, indent + 1)}" for v in obj)
+        return "[\n" + inner + "\n" + pad + "]" if obj else "[]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return fmt_float(obj)
+    if isinstance(obj, complex):
+        return reference_json({"re": obj.real, "im": obj.imag}, indent)
+    return quoted(obj)
+
+
+class TestRenderJson:
+    def test_every_branch_as_exact_text(self):
+        doc = {
+            "nested": {"list": [1, 2.5, (True, False)], "empty": {}, "none": [], "tuple": ()},
+            "bool": True, "int": -7, "null": None,
+            "np": np.float64(0.1), "z": complex(1.5, -0.0),
+            "special": [math.nan, math.inf, -math.inf],
+            '100% "k" \\': 'a %s %% "q" \\ \n%.17g',
+            "ctrl": "a\tb\x01\x7fé",
+        }
+        assert render_json(doc) == "\n".join([
+            "{",
+            '  "nested": {',
+            '    "list": [',
+            "      1,",
+            "      2.5,",
+            "      [",
+            "        true,",
+            "        false",
+            "      ]",
+            "    ],",
+            '    "empty": {},',
+            '    "none": [],',
+            '    "tuple": []',
+            "  },",
+            '  "bool": true,',
+            '  "int": -7,',
+            '  "null": null,',
+            '  "np": 0.10000000000000001,',
+            '  "z": {',
+            '    "re": 1.5,',
+            '    "im": -0',
+            "  },",
+            '  "special": [',
+            "    NaN,",
+            "    Infinity,",
+            "    -Infinity",
+            "  ],",
+            '  "100% \\"k\\" \\\\": "a %s %% \\"q\\" \\\\ \\n%.17g",',
+            '  "ctrl": "a\\tb\\u0001\x7fé"',
+            "}",
+        ])
+        # valid JSON apart from the non-finite spellings, which Python's reader accepts
+        back = json.loads(render_json(doc))
+        assert back['100% "k" \\'] == doc['100% "k" \\'] and back["ctrl"] == doc["ctrl"]
+
+    def test_indent_and_bare_values(self):
+        assert render_json({"a": [0.25]}, indent=1) == '{\n    "a": [\n      0.25\n    ]\n  }'
+        assert render_json({}) == "{}" and render_json(()) == "[]"
+        assert render_json(1 / 3) == "0.33333333333333331"
+        assert render_json(-math.inf) == "-Infinity"
+        assert render_json("%") == '"%"'
+
+    @pytest.mark.parametrize("value", [np.float32(1.0), np.int64(1), object()])
+    def test_unknown_types_raise(self, value):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            render_json({"a": [value]})
+
+
+json_leaves = (st.none() | st.booleans() | st.integers()
+               | st.floats(allow_nan=True, allow_infinity=True)
+               | st.complex_numbers(allow_nan=True, allow_infinity=True) | st.text())
+json_docs = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+    | st.dictionaries(st.text(), inner),
+    max_leaves=40)
+
+
+class TestRenderJsonProperty:
+    @given(doc=json_docs, indent=st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_text_equals_a_per_value_reference(self, doc, indent):
+        assert render_json(doc, indent) == reference_json(doc, indent)
 
 
 class TestWriteCsv:
@@ -36,6 +143,26 @@ class TestWriteCsv:
                              "c": 7.0})
         assert read_rows(path) == ["a,b,c", "1,0.5,7", "1,-0.25,7", "1,3,7",
                                    "2,0.5,7", "2,-0.25,7", "2,3,7"]
+
+    def test_kept_rows_across_a_chunk_boundary(self, tmp_path, rng):
+        # repeated axis cells (NaN and the infinities among them) and full-size
+        # cells; the kept rows run past CSV_CHUNK_ROWS
+        a = np.array([np.nan, np.inf, -np.inf, -0.0, 0.1] * 20)[:, None]
+        b = np.linspace(-1.0, 1.0, 90)
+        full = rng.standard_normal((a.size, b.size))
+        full[rng.random(full.shape) < 0.05] = np.nan
+        keep = rng.random(full.shape) < 0.5
+        assert keep.sum() > CSV_CHUNK_ROWS
+        path = tmp_path / "m.csv"
+        write_csv(path, ["masked"], {"a": a, "b": b, "c": 2.0, "full": full}, keep)
+        cols = np.broadcast_arrays(a, b, np.float64(2.0), full)
+        want = [",".join(fmt_float(c[i]) for c in cols) for i in zip(*np.nonzero(keep))]
+        assert read_rows(path) == ["# masked", "a,b,c,full", *want]
+
+    def test_no_kept_rows_leave_the_header(self, tmp_path):
+        path = tmp_path / "n.csv"
+        write_csv(path, [], {"x": np.arange(3.0), "y": 1.0}, np.zeros(3, dtype=bool))
+        assert read_rows(path) == ["x,y"]
 
     def test_no_rows_leaves_the_header(self, tmp_path):
         path = tmp_path / "e.csv"
@@ -72,12 +199,14 @@ def broadcast_columns(draw):
 
 
 class TestWriteCsvProperty:
-    @given(columns=broadcast_columns())
+    @given(columns=broadcast_columns(), share=st.sampled_from([None, 0.0, 0.3, 1.0]))
     @settings(max_examples=40, deadline=None)
-    def test_file_equals_a_per_cell_reference(self, tmp_path_factory, columns):
+    def test_file_equals_a_per_cell_reference(self, tmp_path_factory, columns, share):
         path = tmp_path_factory.mktemp("csv") / "p.csv"
-        write_csv(path, ["one"], columns)
         cols = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in columns.values()))
-        cells = zip(*(c.ravel().tolist() for c in cols))
+        # no mask, or one keeping about ``share`` of the rows
+        keep = None if share is None else np.random.default_rng(7).random(cols[0].shape) < share
+        write_csv(path, ["one"], columns, keep)
+        cells = zip(*(c.ravel().tolist() if keep is None else c[keep].tolist() for c in cols))
         assert read_rows(path) == ["# one", ",".join(columns),
                                    *(",".join(fmt_float(v) for v in row) for row in cells)]
