@@ -304,12 +304,13 @@ class FieldGrid:
             header["pulse"] = {"c": self.params.c, "tau": self.params.tau, "zeta": self.params.zeta}
         header.update({"dtype": "complex128", "byte_order": "little", "order": "C",
                        "shape": list(self.spec.shape), "data_file": os.path.basename(bin_path)})
-        with open(bin_path, "wb") as fh:
-            fh.write(np.ascontiguousarray(self.values, dtype="<c16").tobytes())
+        fh = open(bin_path, "wb")
         try:
+            with fh:
+                fh.write(np.ascontiguousarray(self.values, dtype="<c16").tobytes())
             write_text(json_path, render_json(header))
         except OSError:
-            os.remove(bin_path)  # data without its header is unreadable
+            os.remove(bin_path)  # part of the data, or data without its header, is unreadable
             raise
 
 

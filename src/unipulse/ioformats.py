@@ -7,24 +7,21 @@ implementations can reproduce values exactly.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from itertools import islice
 from json.encoder import encode_basestring
 from typing import Any, Sequence
 
 import numpy as np
 
-#: rows formatted by one format string and written at once
-CSV_CHUNK_ROWS = 4096
+#: rows spelled and written at once
+CSV_CHUNK_ROWS = 1024
 
 
 def fmt_float(x: float) -> str:
-    return _respell("%.17g" % float(x))
-
-
-def _respell(text: str) -> str:
-    """``%g`` text with its nan and inf as NaN and Infinity, which hold neither."""
-    return text.replace("nan", "NaN").replace("inf", "Infinity")
+    """C's ``%.17g``, with nan and inf spelled NaN and Infinity."""
+    return ("%.17g" % float(x)).replace("nan", "NaN").replace("inf", "Infinity")
 
 
 def _quoted(s: str) -> str:
@@ -84,22 +81,146 @@ def write_csv(path, comments: Sequence[str], columns: dict[str, Any], keep=None)
 
     Cells read as ``fmt_float`` spells them.  A column that repeats under
     broadcasting (a grid axis, a constant) is spelled once per value, all
-    such columns in one ``%`` pass.  Rows are formatted a chunk at a time
-    from broadcast views of the columns, so text stays flat in the row count.
+    such values in one pass, and its cells are gathered per row.  The
+    other columns are spelled a chunk of rows at a time, in one pass per
+    chunk, so memory stays flat in the row count.
     """
     arrays = [np.asarray(c, dtype=float) for c in columns.values()]
     shape = np.broadcast_shapes(*(a.shape for a in arrays))
     rows = math.prod(shape)
-    repeated = [v for a in arrays if a.size < rows for v in a.ravel().tolist()]
-    spelled = iter(_respell("%.17g," * len(repeated) % tuple(repeated)).split(","))
-    arrays = [a if a.size >= rows else
-              np.array(list(islice(spelled, a.size)), dtype=object).reshape(a.shape)
-              for a in arrays]
-    cols = [np.broadcast_to(a, shape) for a in arrays]
-    take = np.flatnonzero(np.broadcast_to(True if keep is None else keep, shape))
-    row = ",".join("%s" if a.dtype == object else "%.17g" for a in arrays) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(f"# {c}\n" for c in comments) + ",".join(columns) + "\n")
-        for lo in range(0, take.size, CSV_CHUNK_ROWS):
-            cells = np.stack([c.flat[take[lo:lo + CSV_CHUNK_ROWS]] for c in cols], axis=-1)
-            fh.write(_respell(row * len(cells) % tuple(cells.ravel().tolist())))
+    fresh = [j for j, a in enumerate(arrays) if a.size == rows]
+    repeat = [j for j, a in enumerate(arrays) if a.size < rows]
+    if repeat:
+        spelled = _spell(np.concatenate([arrays[j].ravel() for j in repeat]))
+        ends = np.cumsum([arrays[j].size for j in repeat])
+        # each repeated cell's row in ``spelled``
+        where = [np.broadcast_to(np.arange(end - arrays[j].size, end).reshape(arrays[j].shape), shape)
+                 for j, end in zip(repeat, ends.tolist())]
+    take = None if keep is None else np.flatnonzero(np.broadcast_to(keep, shape))
+    n = rows if take is None else take.size
+    sep = np.frombuffer(b"," * (len(arrays) - 1) + b"\n", np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(("".join(f"# {c}\n" for c in comments) + ",".join(columns) + "\n").encode())
+        for lo in range(0, n, CSV_CHUNK_ROWS):
+            at = slice(lo, lo + CSV_CHUNK_ROWS) if take is None else take[lo:lo + CSV_CHUNK_ROWS]
+            m = min(CSV_CHUNK_ROWS, n - lo)
+            cells = np.empty((m, len(arrays), _CELL), np.uint8)
+            if fresh:
+                cells[:, fresh] = _spell(np.concatenate([arrays[j].flat[at] for j in fresh])).reshape(
+                    len(fresh), m, _CELL).swapaxes(0, 1)
+            if repeat:
+                cells[:, repeat] = spelled[np.stack([w.flat[at] for w in where], axis=1)]
+            cells[:, :, -1] = sep
+            fh.write(cells.tobytes().translate(None, b"\0"))
+
+
+# --- fmt_float for whole arrays -------------------------------------------
+#
+# A cell is a 48-byte row holding every byte a %.17g spelling can use, in
+# order, with the bytes it does not use set to NUL: 0 sign, 1-5 "0.000",
+# 6-39 the digits d0..d16 each followed by ".", 40-44 "e+XXX", 47 the
+# separator.  A mask per code (layout x significant digits) keeps the bytes.
+# |x| = D 10**(e - 16), the 17-digit D being the double-double product of
+# |x| and 10**(16 - e) (Dekker), rounded.  Where 10**(16 - e) is a double
+# the product is exact and rint's ties-to-even is %g's; elsewhere it errs by
+# under 1e-14, and D within 2**-30 of a tie is left to fmt_float, as is any
+# |x| outside [2**-929, 2**930).
+
+_CELL = 48
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's split
+_ZERO = 23 * 17  # the codes after 23 layouts x 17 digit counts: zero, NaN, inf
+
+
+def _pow10(k: int) -> tuple[float, float]:
+    """10**k as hi + lo, each correctly rounded from exact integers."""
+    n, d = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+    num, den = (n / d).as_integer_ratio()
+    return n / d, (n * den - num * d) / (d * den)
+
+
+@functools.cache
+def _tables() -> tuple:
+    hi, lo = np.array([_pow10(k) for k in range(-300, 301)]).T  # row k + 300
+    scale = np.stack([hi, lo, hh := hi * _SPLIT - (hi * _SPLIT - hi), hi - hh])
+    # by biased binary exponent: |x| in [2**(b-1023), 2**(b-1022)) has the decimal
+    # exponent e_low, or e_low + 1 from next_decade, the smallest double >= 10**(e_low + 1)
+    b = np.arange(2048)
+    e_low = np.floor((np.clip(b, 94, 1952) - 1023) * math.log10(2.0)).astype(np.int64)
+    k = e_low + 301
+    next_decade = np.where(lo[k] > 0, np.nextafter(hi[k], math.inf), hi[k])
+    d = np.arange(10000, dtype=np.uint16)
+    quad = np.full((10000, 8), ord("."), np.uint8)  # "d.d.d.d." per group of four digits
+    quad[:, ::2] = 48 + d[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10
+    # the trailing zeros of a group (4 if all), and of the 17 digits keyed by
+    # those of their four groups as base-5 digits
+    zeros = sum((d % 10 ** j == 0).astype(np.int64) for j in range(1, 5))
+    trailing = 0
+    for z in (np.arange(625) // 5 ** j % 5 for j in (3, 2, 1, 0)):
+        trailing = np.where(z == 4, trailing + 4, z)
+    # zero: sign and "0"; NaN: "NaN" in the special word; inf: sign and "Infinity"
+    rows = [_ZERO] * 2 + [_ZERO + 1] * 3 + [_ZERO + 2] * 9
+    keeps = [0, 1, 8, 9, 10, 0, *range(8, 16)]
+    for layout, s in itertools.product(range(23), range(1, 18)):
+        digits = [6 + 2 * i for i in range(s)]
+        if layout > 20:  # d.ddde+XX, or e+XXX in layout 22
+            keep = digits + [7] * (s > 1) + [40, 41, 43, 44] + [42] * (layout == 22)
+        elif layout > 3:  # e = layout - 4 >= 0: ddd.ddd
+            keep = [6 + 2 * i for i in range(max(s, layout - 3))] + [2 * layout - 1] * (s > layout - 3)
+        else:  # 0.000ddd
+            keep = [1, 2, 3, 4, 5][:5 - layout] + digits
+        rows += [layout * 17 + s - 1] * (len(keep) + 1)
+        keeps += [0] + keep
+    masks = np.zeros((_ZERO + 3, _CELL), np.uint8)
+    masks[rows, keeps] = 255
+    e = np.arange(-300, 301)
+    layout_code = np.where((e >= -4) & (e < 17), e + 4, 21 + (abs(e) >= 100)) * 17 + 16
+    # the first word per leading digit, 10 being a carry to 10**17
+    lead = np.array([b"\0" + b"0.000" + b"%d." % (i % 9 if i > 9 else i) for i in range(11)])
+    expo = np.array([b"e%+04d" % i for i in e.tolist()], "S8")
+    special = np.frombuffer(b"\0" * 8 + b"NaN\0\0\0\0\0Infinity", "<u8")
+    return (scale, abs(b - 1023) <= 929, e_low, next_decade, quad.view("<u8").ravel(), zeros,
+            trailing, lead.view("<u8"), expo.view("<u8"), special, masks, layout_code)
+
+
+def _spell(x: np.ndarray) -> np.ndarray:
+    """The cells of the 1-D floats ``x``, (x.size, _CELL) uint8, each
+    reading as ``fmt_float`` spells it once its NULs are dropped."""
+    (scale, normal, e_low, next_decade, quad, zeros, trailing, lead, expo, special, masks,
+     layout_code) = _tables()
+    a = np.abs(x)
+    b = a.view(np.int64) >> 52
+    if not (every := (ok := normal[b]).all()):
+        a = np.where(ok, a, 1.0)
+        b = a.view(np.int64) >> 52
+    e = e_low[b] + (a >= next_decade[b])  # the decimal exponent, exactly
+    hi, lo, hh, hl = scale.take(316 - e, axis=1)  # 10**(16 - e), in row 16 - e + 300
+    ah = (c := a * _SPLIT) - (c - a)
+    al = a - ah
+    p = a * hi
+    t = ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * lo  # a 10**(16 - e) - p
+    r = np.rint(t)
+    doubt = (np.abs(t - r) > 0.5 - 2.0 ** -30) & (lo != 0)
+    first, rest = np.divmod(p.astype(np.int64) + r.astype(np.int64), 10 ** 16)
+    groups = [g for half in np.divmod(rest, 10 ** 8) for g in np.divmod(half, 10 ** 4)]
+    e += first > 9
+    key = 0
+    for g in groups:
+        key = key * 5 + zeros[g]
+    code = layout_code[e + 300] - trailing[key]
+    words = np.empty((x.size, _CELL // 8), "<u8")  # little-endian, as the tables
+    words[:, 0] = lead[first] + np.signbit(x) * np.uint64(ord("-"))
+    for j, g in enumerate(groups, 1):
+        words[:, j] = quad[g]
+    words[:, 5] = expo[e + 300]
+    if not every:  # zero, NaN and inf by their codes; subnormal and huge |x| to fmt_float
+        i = np.flatnonzero(~ok)
+        kind = np.where(x[i] == 0, 0, np.where(np.isnan(x[i]), 1, 2))
+        code[i], words[i, 1] = _ZERO + kind, special[kind]
+        doubt[i] = np.isfinite(x[i]) & (x[i] != 0)
+    cells = words.view(np.uint8)
+    cells &= masks.take(code, axis=0)
+    if doubt.any():
+        i = np.flatnonzero(doubt)
+        cells[i] = np.frombuffer(b"".join(fmt_float(v).encode().ljust(_CELL, b"\0")
+                                          for v in x[i].tolist()), np.uint8).reshape(-1, _CELL)
+    return cells

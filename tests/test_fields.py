@@ -1,4 +1,6 @@
+import errno
 import math
+import os
 import tracemalloc
 
 import mpmath as mp
@@ -357,6 +359,17 @@ class TestGrid:
         raw = (tmp_path / header["data_file"]).read_bytes()
         values = np.frombuffer(raw, dtype="<c16").reshape(header["shape"])
         assert np.array_equal(values, grid.values)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_data_write_leaves_no_bin(self, params, tmp_path):
+        spec = GridSpec((AxisSpec("z", -1.0, 1.0, 5),), {"t": 0.2})
+        grid = sample_grid(spec, simple_pulse_evaluator(params), params=params)
+        jpath, bpath = tmp_path / "grid.json", tmp_path / "grid.json.bin"
+        bpath.symlink_to("/dev/full")  # every write to it fails with ENOSPC
+        with pytest.raises(OSError) as err:
+            grid.write_binary(jpath)
+        assert err.value.errno == errno.ENOSPC
+        assert not os.path.lexists(bpath) and not jpath.exists()
 
 
 class _Scaled(Waveform):

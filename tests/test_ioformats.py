@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unipulse.ioformats import CSV_CHUNK_ROWS, fmt_float, render_json, write_csv
+from unipulse.ioformats import CSV_CHUNK_ROWS, _spell, fmt_float, render_json, write_csv
 
 
 def read_rows(path):
@@ -210,3 +210,70 @@ class TestWriteCsvProperty:
         cells = zip(*(c.ravel().tolist() if keep is None else c[keep].tolist() for c in cols))
         assert read_rows(path) == ["# one", ",".join(columns),
                                    *(",".join(fmt_float(v) for v in row) for row in cells)]
+
+
+def spelled(x):
+    """The kernel's cells of the floats ``x`` as strings."""
+    return [bytes(c).replace(b"\0", b"").decode() for c in _spell(np.asarray(x, dtype=float))]
+
+
+def neighbours(v, n=3):
+    """``v`` and the ``n`` doubles on either side of it."""
+    out = [v]
+    for toward in (0.0, math.inf):
+        w = v
+        for _ in range(n):
+            out.append(w := math.nextafter(w, toward))
+    return out
+
+
+def near_ties():
+    """Doubles x = m 2**-q below 1e-6 whose 17-digit scaling x 10**(16-e)
+    lies 2**-(q-k) from a half-integer, k = 16 - e >= 23: 10**k is not a
+    double there, so only an exact spelling resolves them."""
+    xs = []
+    for k in range(23, 30):
+        for q in range(60, 120):
+            mod = 2 ** (q - k)
+            for target in (mod // 2 + 1, mod // 2 - 1):
+                m = target * pow(5 ** k, -1, mod) % mod
+                m += max(0, -((m - 2 ** 52) // mod)) * mod  # the least m >= 2**52 in its class
+                if m < 2 ** 53 and 10 ** 16 * mod <= m * 5 ** k < 10 ** 17 * mod:
+                    xs.append(m / 2 ** q)
+    return xs
+
+
+class TestSpellKernel:
+    def test_edge_values(self):
+        edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                 math.nan, math.inf, -math.inf, 1e23, 2251799813685247.75, 0.5, 1.5, 2.5]
+        for v in (1e-5, 1e-4, 1e16, 1e17, 2.0 ** -929, 2.0 ** 930):
+            edges += neighbours(v)
+        for k in range(-300, 301):
+            edges += neighbours(float(10 ** k) if k >= 0 else 1 / 10 ** -k)
+        for k in range(57, 1024):  # 2**57 > 1e17
+            edges += neighbours(2.0 ** k, 1)
+        edges += [-v for v in edges]
+        assert spelled(edges) == [fmt_float(v) for v in edges]
+
+    def test_near_ties_of_an_inexact_scale(self):
+        xs = near_ties()
+        assert len(xs) >= 5
+        assert spelled(xs) == [fmt_float(v) for v in xs]
+
+    def test_random_bit_patterns(self):
+        """10**6 doubles of random bits, NaN, infinities and subnormals
+        among them, against one ``%`` pass per quarter."""
+        rng = np.random.default_rng(20240518)
+        for _ in range(4):
+            x = rng.integers(0, 2 ** 64, 250_000, dtype=np.uint64).view(np.float64)
+            cells = _spell(x)
+            cells[:, -1] = ord("\n")
+            want = ("%.17g\n" * x.size % tuple(x.tolist())).replace("nan", "NaN")
+            assert cells.tobytes().translate(None, b"\0").decode() == want.replace(
+                "inf", "Infinity")
+
+    @given(x=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=50))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_fmt_float(self, x):
+        assert spelled(x) == [fmt_float(v) for v in x]
