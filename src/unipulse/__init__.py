@@ -9,15 +9,12 @@ independent integral representations plus a Monte-Carlo estimate.
 __version__ = "0.1.0"
 
 from .farfield import (
-    CERTIFICATE_SCHEDULE_CT,
-    DEFAULT_SCHEDULE_CT,
     Direction,
     backward_direction_grid,
     check_unidirectional,
     farfield_analytic,
     farfield_deriv,
     farfield_numeric,
-    radiation_schedule,
 )
 from .fields import (
     AxisSpec,

@@ -33,7 +33,6 @@ from .config import (
     get_string,
     load_config,
     parse_directions,
-    parse_far_field,
     parse_grid,
     parse_monte_carlo,
     parse_points,
@@ -42,8 +41,7 @@ from .config import (
     parse_range,
 )
 from .farfield import (
-    CERTIFICATE_SCHEDULE_CT,
-    DEFAULT_SCHEDULE_CT,
+    LADDER,
     Direction,
     backward_direction_grid,
     check_unidirectional,
@@ -168,14 +166,13 @@ def run_compare(cfg: dict, setup, seed: int | None) -> Output:
 
 
 def run_farfield(cfg: dict, setup, seed: int | None) -> Output:
-    s_values, factors, schedule = parse_far_field(cfg, setup.params, (-1.0, 0.0, 1.0),
-                                                  DEFAULT_SCHEDULE_CT)
+    s_values = get_number_list(cfg, "s_values", (-1.0, 0.0, 1.0))
     directions = parse_directions(cfg, "directions",
                                   [Direction(k * math.pi / 6) for k in range(3)])
     evaluator = quasi_spherical_evaluator(setup.params, setup.waveform)
 
     fan = Direction.fan(directions)
-    res = farfield_numeric(evaluator, s_values, fan, schedule, setup.params.c)
+    res = farfield_numeric(evaluator, s_values, fan, setup.params)
     if res.diverged.any():
         i, j = np.argwhere(res.diverged)[0]
         raise unsettled(directions[i].chi, s_values[j], res.stability[i, j])
@@ -184,19 +181,18 @@ def run_farfield(cfg: dict, setup, seed: int | None) -> Output:
              "abs_diff": abs(fn - fa)}
             for d, fn_row, fa_row in zip(directions, res.value, analytic)
             for s, fn, fa in zip(s_values, fn_row, fa_row)]
-    return _report(setup, {"schedule_ct_over_b": list(factors), "rows": rows},
+    return _report(setup, {"schedule_ct": list(LADDER), "rows": rows},
                    f"{len(rows)} far-field samples")
 
 
 def run_unidir(cfg: dict, setup, seed: int | None) -> Output:
     evaluator, kind = _build_evaluator(cfg, setup)
-    s_values, _, schedule = parse_far_field(cfg, setup.params, (-2.0, -1.0, 0.0, 1.0, 2.0),
-                                            CERTIFICATE_SCHEDULE_CT)
+    s_values = get_number_list(cfg, "s_values", (-2.0, -1.0, 0.0, 1.0, 2.0))
     directions = parse_directions(cfg, "backward_directions", backward_direction_grid(8),
                                   chi_gt=0.5 * math.pi)
     tol = get_number(cfg, "tolerance", "", 1e-6, gt=0.0)
 
-    report = check_unidirectional(evaluator, s_values, directions, tol, schedule, setup.params.c)
+    report = check_unidirectional(evaluator, s_values, directions, tol, setup.params)
     max_abs = f"{report.max_abs:.3e}"
     return _report(setup, {"evaluator": kind, **report.as_dict()},
                    f"unidirectionality {'PASS' if report.passed else 'FAIL'} report"
@@ -264,11 +260,15 @@ _COMMANDS = {
     "compare": (run_compare, {"points", "tolerance", "max_discrepancy", "mc"},
                 "Cross-check the closed form against hemisphere, Fourier-Bessel "
                 "and spectral-weight reconstructions (optional Monte Carlo)."),
-    "farfield": (run_farfield, {"s_values", "directions", "schedule_ct"},
-                 "Tabulate numeric and closed-form directional amplitudes."),
+    "farfield": (run_farfield, {"s_values", "directions"},
+                 "Tabulate numeric and closed-form directional amplitudes; the numeric "
+                 "ones extrapolate ct*u along ct = (1e2, 1e3, 1e4) max(b, |s|)/cos^2 chi; "
+                 "a direction with |cos chi| < 1e-3 exits 2."),
     "unidir": (run_unidir, {"evaluator", "b_ref", "s_values", "backward_directions",
-                            "tolerance", "schedule_ct"},
-               "Certify that the backward-hemisphere far field vanishes."),
+                            "tolerance"},
+               "Certify that the backward-hemisphere far field vanishes, extrapolating "
+               "|ct*u| along ct = (1e2, 1e3, 1e4) max(b, |s|)/cos^2 chi; a direction "
+               "with |cos chi| < 1e-3 exits 2."),
     "spectrum": (run_spectrum, {"kz", "omega"},
                  "Tabulate the spectral weight A(k_z, omega) over a grid."),
     "residual": (run_residual, {"evaluator", "b_ref", "points", "random_points", "h_values"},

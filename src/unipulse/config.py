@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .farfield import Direction, radiation_schedule
+from .farfield import MIN_COS_CHI, Direction
 from .fields import AXIS_NAMES, AxisSpec, GridSpec, PulseParams, SpacetimePoint
 from .synthesis import MC_MIN_SAMPLES
 from .waveforms import Waveform, parse_waveform
@@ -217,7 +217,8 @@ def parse_monte_carlo(cfg: dict, seed: int | None = None) -> tuple[int, int, flo
 
 
 def parse_directions(cfg: dict, key: str, default, chi_gt: float | None = None):
-    """Array of {chi, phi} objects, each chi > ``chi_gt`` when given."""
+    """Array of {chi, phi} objects, each chi > ``chi_gt`` when given and
+    off the equator by |cos chi| >= MIN_COS_CHI."""
     raw = cfg.get(key)
     if raw is None:
         return list(default)
@@ -232,22 +233,10 @@ def parse_directions(cfg: dict, key: str, default, chi_gt: float | None = None):
                                  get_number(item, "phi", f"{path}.", 0.0)))
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
+        if abs(math.cos(out[-1].chi)) < MIN_COS_CHI:
+            raise ConfigError(f"{path}.chi: |cos chi| must be >= {MIN_COS_CHI:g}, or the "
+                              f"far-field ladder passes ct = 1e10 max(b, |s|); got {out[-1].chi!r}")
     return out
-
-
-def parse_far_field(cfg: dict, params: PulseParams, s_default, ct_default):
-    """``s_values`` and the ``schedule_ct`` ladder of the far-field
-    commands, as (s values, ladder in units of b, ladder times).  The
-    ladder increases, and ct + s > 0 at every s on it."""
-    s_values = get_number_list(cfg, "s_values", s_default)
-    factors = get_ladder(cfg, "schedule_ct", ct_default)
-    if factors != sorted(factors):
-        raise ConfigError(f"schedule_ct: must be increasing, got {factors}")
-    schedule = radiation_schedule(params, factors)
-    if params.c * schedule[0] + min(s_values) <= 0.0:
-        raise ConfigError(f"s_values: need ct + s > 0 on the schedule_ct ladder, got "
-                          f"s = {min(s_values)!r} at ct = {params.c * schedule[0]!r}")
-    return s_values, factors, schedule
 
 
 def parse_range(cfg: dict, key: str, lo_default: float, hi_default: float,

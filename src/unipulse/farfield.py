@@ -10,6 +10,11 @@ unidirectional along +z exactly when F vanishes on the whole backward
 hemisphere (polar angle > pi/2); this module extracts F numerically
 from any evaluator, provides the closed form for the quasi-spherical
 family, and packages the vanishing test as a certificate.
+
+Both extractions sample one ladder.  With rho = (ct + s) sin chi,
+S ~ ct |cos chi| sqrt(1 + 2 (ib - s sin^2 chi)/(ct cos^2 chi) + ...),
+so ct * u expands in max(b, |s|)/(ct cos^2 chi), and each (direction, s)
+entry runs ct = LADDER in those units.
 """
 
 from __future__ import annotations
@@ -24,14 +29,14 @@ from .fields import Evaluator, PulseParams, SpacetimePoint, evaluate_batch
 from .numerics import ExtrapolationResult, ToleranceNotReached, limit_extrapolate
 from .waveforms import Waveform
 
-#: default ct ladder, in units of b, for forward-direction extraction
-DEFAULT_SCHEDULE_CT = (1e2, 1e3, 1e4)
+#: the far-field ladder: ct in units of max(b, |s|)/cos^2 chi, per entry
+LADDER = (1e2, 1e3, 1e4)
 
-#: longer ladder used by the unidirectionality certificate: waveforms
-#: with an oscillatory carrier decay on the backward hemisphere with a
-#: non-polynomial phase, so the certificate relies on small |ct*u|
-#: itself rather than on extrapolation order.
-CERTIFICATE_SCHEDULE_CT = (1e5, 1e6, 1e7)
+#: directions closer to the equator are refused: their ladder would pass
+#: ct = 1e10 max(b, |s|)
+MIN_COS_CHI = 1e-3
+
+_STEPS = 1.0 / np.array(LADDER)  # the steps h every entry extrapolates in
 
 
 @dataclass(frozen=True)
@@ -61,45 +66,35 @@ class Direction:
         return (s * np.cos(self.phi), s * np.sin(self.phi), np.cos(self.chi))
 
 
-def radiation_schedule(
-    params: PulseParams, factors: Sequence[float] = DEFAULT_SCHEDULE_CT
-) -> tuple[float, ...]:
-    """Times t with ct = factor * b for each factor."""
-    return tuple(f * params.b / params.c for f in factors)
-
-
-def _ladder(
-    evaluator: Evaluator, s, n: Direction, t_schedule: Sequence[float], c: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """ct along the ladder and the samples ct * u(t, (ct+s) n), from one
-    evaluator call; the samples carry a trailing axis over the ladder."""
-    ts = np.array(t_schedule, dtype=float)
-    if ts.ndim != 1 or ts.size < 3 or np.any(ts[1:] <= ts[:-1]):
-        raise ValueError("t_schedule must be increasing with at least 3 entries")
-    ct = c * ts
-    r = ct + np.asarray(s, dtype=float)[..., None]
-    if np.any(r <= 0.0):
-        raise ValueError(f"need ct + s > 0 along the schedule, got {r.min()}")
+def _ladder(evaluator: Evaluator, s, n: Direction, params: PulseParams) -> np.ndarray:
+    """Samples ct * u(t, (ct+s) n) with a trailing axis over the ladder,
+    from one evaluator call (ct >= 100 |s| keeps ct + s > 0).  An entry's
+    steps 1/(ct) are _STEPS times a constant of its own, and Neville's
+    limit at h = 0 does not change under that scaling, so one step vector
+    extrapolates every entry."""
+    s = np.asarray(s, dtype=float)[..., None]
+    chi = np.asarray(n.chi)[..., None]
+    mu = np.abs(np.cos(chi))
+    if np.any(mu < MIN_COS_CHI):
+        raise ValueError(f"direction chi={float(chi[mu < MIN_COS_CHI][0])!r} has |cos chi| < "
+                         f"{MIN_COS_CHI:g}: the far-field ladder would pass ct = 1e10 max(b, |s|)")
+    ct = np.array(LADDER) * np.maximum(params.b, np.abs(s)) / (mu * mu)
+    r = ct + s
     nx, ny, nz = (np.asarray(v)[..., None] for v in n.unit_vector)
-    return ct, ct * evaluate_batch(evaluator, SpacetimePoint(ts, r * nx, r * ny, r * nz))
+    return ct * evaluate_batch(evaluator, SpacetimePoint(ct / params.c, r * nx, r * ny, r * nz))
 
 
 def farfield_numeric(
-    evaluator: Evaluator,
-    s: float,
-    n: Direction,
-    t_schedule: Sequence[float],
-    c: float = 1.0,
+    evaluator: Evaluator, s: float, n: Direction, params: PulseParams
 ) -> ExtrapolationResult:
-    """Extrapolated limits of ct * u(t, (ct+s) n) along a time ladder.
+    """Extrapolated limits of ct * u(t, (ct+s) n) along the far-field ladder.
 
     ``s`` and the angles of ``n`` broadcast against each other; the
-    evaluator is called once, on every entry times the ladder.  The
-    samples are extrapolated in h = 1/(ct); ``diverged`` flags the entries
-    that do not settle, and ``stability`` gives every entry's spread.
+    evaluator is called once, on every entry times the ladder.
+    ``diverged`` flags the entries that do not settle, and ``stability``
+    gives every entry's spread.
     """
-    ct, samples = _ladder(evaluator, s, n, t_schedule, c)
-    return limit_extrapolate(1.0 / ct, samples)
+    return limit_extrapolate(_STEPS, _ladder(evaluator, s, n, params))
 
 
 def _forward_only(s, n: Direction, params: PulseParams, profile):
@@ -147,7 +142,6 @@ class UnidirectionalityReport:
     tol: float
     max_abs: float
     worst: dict  # {"chi", "phi", "s"} of max_abs
-    schedule_t: tuple[float, ...]
     directions: tuple[dict, ...]  # chi, phi, max_abs_farfield, worst_s, status
 
     @property
@@ -158,7 +152,7 @@ class UnidirectionalityReport:
     def as_dict(self) -> dict:
         return {"pass": self.passed, "tol": self.tol, "max_abs_farfield": self.max_abs,
                 "margin": self.margin, "worst": self.worst,
-                "schedule_t": list(self.schedule_t), "directions": list(self.directions)}
+                "schedule_ct": list(LADDER), "directions": list(self.directions)}
 
 
 def unsettled(chi: float, s: float, spread: float) -> ToleranceNotReached:
@@ -172,8 +166,7 @@ def check_unidirectional(
     s_samples: Sequence[float],
     backward_directions: Sequence[Direction],
     tol: float,
-    t_schedule: Sequence[float],
-    c: float = 1.0,
+    params: PulseParams,
 ) -> UnidirectionalityReport:
     """Certify that the far field vanishes on the backward hemisphere.
 
@@ -195,8 +188,8 @@ def check_unidirectional(
         if d.chi <= 0.5 * math.pi:
             raise ValueError(f"direction chi={d.chi} is not in the backward hemisphere")
 
-    ct, samples = _ladder(evaluator, s, Direction.fan(backward_directions), t_schedule, c)
-    res = limit_extrapolate(1.0 / ct, np.abs(samples))
+    samples = _ladder(evaluator, s, Direction.fan(backward_directions), params)
+    res = limit_extrapolate(_STEPS, np.abs(samples))
     undecided = res.diverged & (res.stability > tol)
     mags = np.where(undecided, 0.0, np.abs(res.value))  # (directions, s)
     per_direction, worst_s = mags.max(axis=1), mags.argmax(axis=1)
@@ -213,5 +206,4 @@ def check_unidirectional(
                                              undecided.any(axis=1)))
     d = backward_directions[i]
     worst = {"chi": d.chi, "phi": d.phi, "s": float(s[worst_s[i]])}
-    return UnidirectionalityReport(max_abs <= tol, tol, max_abs, worst,
-                                   tuple(float(t) for t in t_schedule), directions)
+    return UnidirectionalityReport(max_abs <= tol, tol, max_abs, worst, directions)

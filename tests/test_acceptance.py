@@ -11,7 +11,6 @@ import time
 import numpy as np
 
 from unipulse import (
-    CERTIFICATE_SCHEDULE_CT,
     Direction,
     LeknerWaveform,
     PulseParams,
@@ -28,7 +27,6 @@ from unipulse import (
     integrate_semi_infinite,
     make_spectral_weight,
     quasi_spherical_evaluator,
-    radiation_schedule,
     reconstruct_cartesian_mc,
     reconstruct_from_weight,
     reconstruct_fourier_bessel,
@@ -119,14 +117,13 @@ def test_criterion_3_pde_convergence_order():
 
 
 def test_criterion_4_farfield_agreement():
-    schedule = radiation_schedule(P)  # ct in {1e2, 1e3, 1e4} * b
     ev = quasi_spherical_evaluator(P, RATIONAL)
     with Stopwatch() as sw:
         worst = 0.0
         for chi in (0.0, math.pi / 6, math.pi / 3):
             for s in (-1.0, 0.0, 1.0):
                 n = Direction(chi)
-                fn = farfield_numeric(ev, s, n, schedule, P.c).value
+                fn = farfield_numeric(ev, s, n, P).value
                 fa = farfield_analytic(s, n, P, RATIONAL)
                 worst = max(worst, abs(fn - fa) / abs(fa))
     report(
@@ -137,22 +134,21 @@ def test_criterion_4_farfield_agreement():
 
 
 def test_criterion_5_unidirectionality_certificate():
-    schedule = radiation_schedule(P, CERTIFICATE_SCHEDULE_CT)
     s_values = [-2.0, -1.0, 0.0, 1.0, 2.0]
     directions = backward_direction_grid(8)
     with Stopwatch() as sw:
         pulses = {
             "simple": check_unidirectional(
-                simple_pulse_evaluator(P), s_values, directions, 1e-6, schedule, P.c
+                simple_pulse_evaluator(P), s_values, directions, 1e-6, P
             ),
             "lekner": check_unidirectional(
                 quasi_spherical_evaluator(P, LEKNER), s_values, directions,
-                1e-6, schedule, P.c,
+                1e-6, P,
             ),
         }
         reference = check_unidirectional(
             spherical_reference_evaluator(P, RATIONAL, b_ref=1.0),
-            s_values, directions, 1e-6, schedule, P.c,
+            s_values, directions, 1e-6, P,
         )
     ok = (
         all(rep.passed for rep in pulses.values())

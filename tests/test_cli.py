@@ -281,8 +281,7 @@ class TestUnidir:
     def test_zero_far_field_has_infinite_margin(self):
         from unipulse.farfield import UnidirectionalityReport
 
-        report = UnidirectionalityReport(True, 1e-6, 0.0, {"chi": 3.0, "phi": 0.0, "s": 0.0},
-                                         (1.0,), ())
+        report = UnidirectionalityReport(True, 1e-6, 0.0, {"chi": 3.0, "phi": 0.0, "s": 0.0}, ())
         assert report.margin == math.inf
         assert '"margin": Infinity' in render_json(report.as_dict())
 
@@ -555,7 +554,8 @@ class TestRepeatedCalls:
 
 
 class TestConfigMistakes:
-    # each exited 3 as a numerical failure once the computation reached it
+    # each exited 3 as a numerical failure, or printed wrong values, once
+    # the computation reached it; the ct ladder is no longer a config key
     @pytest.mark.parametrize("command, cfg, field", [
         ("energy", {"t_values": [math.nan]}, "t_values[0]"),
         ("farfield", {"s_values": [math.nan]}, "s_values[0]"),
@@ -563,18 +563,22 @@ class TestConfigMistakes:
                      "mc": {"n_samples": 9_999}}, "mc.n_samples"),
         ("residual", {"random_points": {"n": 1}, "h_values": [4e-3, 2e-3]}, "h_values"),
         ("residual", {"random_points": {"n": 1}, "h_values": [4e-3, 2e-3, 2e-3]}, "h_values"),
-        ("farfield", {"schedule_ct": [1e4, 1e3, 1e2]}, "schedule_ct"),
-        ("unidir", {"schedule_ct": [1e5, 1e6]}, "schedule_ct"),
+        ("farfield", {"schedule_ct": [1e2, 1e3, 1e4]}, "config"),
+        ("unidir", {"schedule_ct": [1e5, 1e6, 1e7]}, "config"),
         ("unidir", {"backward_directions": [{"chi": 3.0}, {"chi": 1.5}]},
          "backward_directions[1].chi"),
         ("unidir", {"backward_directions": [{"chi": 0.5 * math.pi}]},
          "backward_directions[0].chi"),
-        ("farfield", {"s_values": [0.0, -1e9]}, "s_values"),
+        # |cos chi| < 1e-3: the ladder would pass ct = 1e10 max(b, |s|)
+        ("farfield", {"directions": [{"chi": 0.0}, {"chi": 0.4997 * math.pi}]},
+         "directions[1].chi"),
         # a descriptor is echoed into the report: raw, a tab breaks the JSON
         # string and a newline splits the CSV comment line
         ("energy", {"waveform": "lekner(a=1,\tK=2)"}, "waveform"),
         ("spectrum", {"waveform": "lekner(a=1,\nK=2)"}, "waveform"),
         ("unidir", {"waveform": "rational(a=1)\r"}, "waveform"),
+        ("unidir", {"backward_directions": [{"chi": 3.0}, {"chi": 0.5003 * math.pi}]},
+         "backward_directions[1].chi"),
     ])
     def test_exits_2_and_names_the_field(self, tmp_path, capsys, command, cfg, field):
         rc, out = run(tmp_path, command, cfg, "mistake.out")
@@ -587,7 +591,7 @@ class TestHelp:
         "command,key",
         [("sample", "grid"), ("compare", "max_discrepancy"), ("unidir", "tolerance"),
          ("spectrum", "omega"), ("residual", "h_values"), ("energy", "tolerance"),
-         ("farfield", "schedule_ct")],
+         ("farfield", "directions")],
     )
     def test_help_lists_config_keys(self, command, key, capsys):
         with pytest.raises(SystemExit) as exc:

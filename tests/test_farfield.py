@@ -2,18 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from unipulse.farfield import (
-    CERTIFICATE_SCHEDULE_CT,
     Direction,
     backward_direction_grid,
     check_unidirectional,
     farfield_analytic,
     farfield_deriv,
     farfield_numeric,
-    radiation_schedule,
 )
 from unipulse.fields import (
     PulseParams,
@@ -50,28 +46,34 @@ class TestDirection:
                                                   Direction(2.0).unit_vector], rtol=0, atol=1e-16)
 
 
+def draw_pulse(rng) -> tuple[PulseParams, LeknerWaveform]:
+    """A random lekner pulse: c, tau in [0.5, 2], a/b in [0.5, 2] and
+    Kb = 0 for a quarter of the draws, else in [0, 3]."""
+    params = PulseParams(*rng.uniform(0.5, 2.0, 2))
+    b = params.b
+    kb = 0.0 if rng.random() < 0.25 else rng.uniform(0.0, 3.0)
+    return params, LeknerWaveform(rng.uniform(0.5, 2.0) * b, kb / b)
+
+
 class TestFarfieldNumeric:
     def test_spherical_reference_is_isotropic(self, params):
         # closed-form oracle: along R = ct + s the retarded argument is s,
         # so the limit is f(s + i b_ref) for every direction
         w = LeknerWaveform(1.0)
         ev = spherical_reference_evaluator(params, w, b_ref=0.5)
-        sched = radiation_schedule(params)
         expect = w.eval(0.5 + 0.5j)
         for d in (Direction(0.2), Direction(1.9, 2.0), Direction(math.pi)):
-            f = farfield_numeric(ev, 0.5, d, sched, params.c).value
+            f = farfield_numeric(ev, 0.5, d, params).value
             assert abs(f - expect) <= 1e-9
 
     def test_backward_axis_vanishes(self, params):
         ev = simple_pulse_evaluator(params)
-        sched = radiation_schedule(params)
-        f = farfield_numeric(ev, 0.3, Direction(math.pi), sched, params.c).value
+        f = farfield_numeric(ev, 0.3, Direction(math.pi), params).value
         assert abs(f) <= 1e-8
 
     def test_forward_axis_matches_analytic(self, params, rational):
         ev = simple_pulse_evaluator(params)
-        sched = radiation_schedule(params)
-        f = farfield_numeric(ev, 0.0, Direction(0.0), sched, params.c).value
+        f = farfield_numeric(ev, 0.0, Direction(0.0), params).value
         assert abs(f - farfield_analytic(0.0, Direction(0.0), params, rational)) <= 1e-9
         # at chi=0 the closed form collapses to f(-s) = 1/(-s + i a)
         assert f == pytest.approx(1.0 / 1j, rel=1e-8)
@@ -79,23 +81,21 @@ class TestFarfieldNumeric:
     def test_agreement_across_s_range(self, params, rational):
         # the h^3 extrapolation remainder stays below 1e-6 relative over
         # the whole s in [-2, 2] band for the polynomial-decay family
-        sched = radiation_schedule(params)
         ev = quasi_spherical_evaluator(params, rational)
         for chi in (0.0, math.pi / 6, math.pi / 3):
             for s in (-2.0, -1.0, 0.0, 1.0, 2.0):
                 n = Direction(chi)
-                fn = farfield_numeric(ev, s, n, sched, params.c).value
+                fn = farfield_numeric(ev, s, n, params).value
                 fa = farfield_analytic(s, n, params, rational)
                 assert abs(fn - fa) <= 1e-6 * abs(fa)
 
     def test_agreement_with_analytic_both_pulses(self, params):
-        sched = radiation_schedule(params)
         for w in (LeknerWaveform(1.0), LeknerWaveform(1.0, 1.0)):
             ev = quasi_spherical_evaluator(params, w)
             for chi in (0.0, math.pi / 6, math.pi / 3):
                 for s in (-1.0, 0.0, 1.0):
                     n = Direction(chi)
-                    fn = farfield_numeric(ev, s, n, sched, params.c).value
+                    fn = farfield_numeric(ev, s, n, params).value
                     fa = farfield_analytic(s, n, params, w)
                     assert abs(fn - fa) <= 1e-6 * abs(fa)
 
@@ -115,6 +115,20 @@ class TestFarfieldNumeric:
             assert mags[1] <= 0.55 * mags[0]
             assert mags[2] <= 0.55 * mags[1]
 
+    def test_oracle_matches_the_closed_form_off_axis(self):
+        # every forward direction up to 0.4995 pi and |s| <= 10 b: within
+        # 1e-6 of max(|F|, 1/b).  A ladder fixed in units of b missed 221
+        # of these 600 draws (worst 0.16), and flagged 9 of them diverged.
+        rng = np.random.default_rng(23)
+        for _ in range(600):
+            params, w = draw_pulse(rng)
+            s = rng.uniform(-10.0, 10.0) * params.b
+            n = Direction(rng.uniform(0.0, 0.4995 * math.pi))
+            res = farfield_numeric(quasi_spherical_evaluator(params, w), s, n, params)
+            fa = farfield_analytic(s, n, params, w)
+            assert not res.diverged
+            assert abs(res.value - fa) <= 1e-6 * max(abs(fa), 1.0 / params.b), (params, w, s, n)
+
     def test_one_evaluator_call_for_every_direction_and_s(self, params, rational):
         calls = []
 
@@ -122,15 +136,14 @@ class TestFarfieldNumeric:
             calls.append(p.shape)
             return quasi_spherical_evaluator(params, rational)(p)
 
-        sched = radiation_schedule(params)
         s = np.array([-1.0, 0.0, 1.0])
         dirs = [Direction(0.0), Direction(0.4, 1.0), Direction(1.0, 2.0), Direction(2.5)]
-        res = farfield_numeric(counting, s, Direction.fan(dirs), sched, params.c)
+        res = farfield_numeric(counting, s, Direction.fan(dirs), params)
         assert calls == [(4, 3, 3)]
         assert res.value.shape == res.stability.shape == res.diverged.shape == (4, 3)
         for i, d in enumerate(dirs):
             for j, sj in enumerate(s):
-                one = farfield_numeric(counting, sj, d, sched, params.c)
+                one = farfield_numeric(counting, sj, d, params)
                 assert res.value[i, j] == one.value and res.diverged[i, j] == one.diverged
 
     def test_pole_on_the_ladder_names_the_node(self, params):
@@ -138,14 +151,36 @@ class TestFarfieldNumeric:
             return np.where(p.t > 5e3, np.nan, 1.0 + 0j) * np.ones(p.shape)
 
         with pytest.raises(SingularPoint, match=r"singular at SpacetimePoint\(t=10000.0"):
-            farfield_numeric(holey, 0.0, Direction(0.0), radiation_schedule(params), params.c)
+            farfield_numeric(holey, 0.0, Direction(0.0), params)
 
     def test_schedule_validation(self, params, rational):
+        # the ladder runs in units of 1/cos^2 chi: within 1e-3 of the
+        # equator in |cos chi| it would pass ct = 1e10 max(b, |s|)
         ev = quasi_spherical_evaluator(params, rational)
-        with pytest.raises(ValueError):
-            farfield_numeric(ev, 0.0, Direction(0.0), [1.0, 2.0], params.c)
-        with pytest.raises(ValueError):
-            farfield_numeric(ev, -200.0, Direction(0.0), [100.0, 150.0, 180.0], params.c)
+        fan = Direction.fan([Direction(0.3), Direction(0.4997 * math.pi, 1.0)])
+        with pytest.raises(ValueError, match=r"direction chi=1\.5698\d* has \|cos chi\| < 0\.001"):
+            farfield_numeric(ev, [0.0, 1.0], fan, params)
+        with pytest.raises(ValueError, match=r"\|cos chi\| < 0\.001"):
+            check_unidirectional(ev, [0.0], [Direction(0.5003 * math.pi)], 1e-6, params)
+        # ct >= 100 |s| keeps ct + s > 0, however negative s
+        res = farfield_numeric(ev, -1e3, Direction(0.0), params)
+        fa = farfield_analytic(-1e3, Direction(0.0), params, rational)
+        assert abs(res.value - fa) <= 1e-6 * abs(fa)
+
+    def test_ladder_scales_with_the_entry(self, params):
+        # ct = (1e2, 1e3, 1e4) max(b, |s|)/cos^2 chi, for every entry of a fan
+        ts = []
+
+        def recording(p):
+            ts.append(p.t)
+            return np.ones(p.shape, dtype=complex)
+
+        p = PulseParams(2.0, 0.25)  # b = 0.5, c = 2
+        chi = np.array([0.0, 1.0, 2.5])
+        s = np.array([-3.0, 0.1, 0.5])
+        farfield_numeric(recording, s, Direction.fan([Direction(x) for x in chi]), p)
+        scale = np.maximum(p.b, np.abs(s)) / np.cos(chi)[:, None] ** 2
+        assert np.allclose(p.c * ts[0], scale[..., None] * [1e2, 1e3, 1e4], rtol=1e-15, atol=0)
 
 
 class TestFarfieldAnalytic:
@@ -222,43 +257,38 @@ class TestFarfieldDeriv:
 
 class TestUnidirectionalityCertificate:
     def test_simple_pulse_passes(self, params):
-        sched = radiation_schedule(params, CERTIFICATE_SCHEDULE_CT)
         rep = check_unidirectional(
             simple_pulse_evaluator(params),
             [-2.0, -1.0, 0.0, 1.0, 2.0],
             backward_direction_grid(8),
             1e-6,
-            sched,
-            params.c,
+            params,
         )
         assert rep.passed and rep.max_abs <= 1e-6
         assert len(rep.directions) == 8
         assert {d["status"] for d in rep.directions} == {"OK"}
 
     def test_lekner_pulse_passes(self, params):
-        sched = radiation_schedule(params, CERTIFICATE_SCHEDULE_CT)
         evaluator = quasi_spherical_evaluator(params, LeknerWaveform(1.0, 1.0))
         s = [-2.0, -1.0, 0.0, 1.0, 2.0]
-        rep = check_unidirectional(evaluator, s, backward_direction_grid(8), 1e-6, sched, params.c)
+        rep = check_unidirectional(evaluator, s, backward_direction_grid(8), 1e-6, params)
         assert rep.passed
         # each direction's entry is what a certificate of that direction
         # alone reports, and the worst entry is the largest of them
         for d, entry in zip(backward_direction_grid(8), rep.directions):
-            one = check_unidirectional(evaluator, s, [d], 1e-6, sched, params.c)
+            one = check_unidirectional(evaluator, s, [d], 1e-6, params)
             assert one.directions == (entry,)
         worst = max(rep.directions, key=lambda e: e["max_abs_farfield"])
         assert rep.max_abs == worst["max_abs_farfield"]
         assert rep.worst == {"chi": worst["chi"], "phi": worst["phi"], "s": worst["worst_s"]}
 
     def test_spherical_reference_fails(self, params):
-        sched = radiation_schedule(params, CERTIFICATE_SCHEDULE_CT)
         rep = check_unidirectional(
             spherical_reference_evaluator(params, LeknerWaveform(1.0), b_ref=1.0),
             [-2.0, -1.0, 0.0, 1.0, 2.0],
             backward_direction_grid(8),
             1e-6,
-            sched,
-            params.c,
+            params,
         )
         assert not rep.passed
         assert rep.max_abs > 0.1
@@ -270,16 +300,15 @@ class TestUnidirectionalityCertificate:
         # |F| ~ 8.5e-6 > tol on a far field that is exactly zero; its
         # modulus extrapolates cleanly, and the spherical reference keeps
         # its |F| = |f(2i)| = 0.5
-        sched = radiation_schedule(params, CERTIFICATE_SCHEDULE_CT)
         dirs = [Direction(0.505 * math.pi)]
         lekner = check_unidirectional(
             quasi_spherical_evaluator(params, LeknerWaveform(1.0, 0.04)),
-            [-1.0, 0.0, 1.0], dirs, 1e-6, sched, params.c,
+            [-1.0, 0.0, 1.0], dirs, 1e-6, params,
         )
         assert lekner.passed and lekner.max_abs <= 1e-8
         spherical = check_unidirectional(
             spherical_reference_evaluator(params, LeknerWaveform(1.0), b_ref=1.0),
-            [-1.0, 0.0, 1.0], dirs, 1e-6, sched, params.c,
+            [-1.0, 0.0, 1.0], dirs, 1e-6, params,
         )
         assert not spherical.passed
         assert spherical.max_abs == pytest.approx(0.5, rel=1e-9)
@@ -290,10 +319,9 @@ class TestUnidirectionalityCertificate:
         def wild(p: SpacetimePoint) -> complex:
             return p.t * p.t + 0j
 
-        sched = radiation_schedule(params)
         with pytest.raises(ToleranceNotReached, match=r"far field along chi=3\.0, s=0\.0: "
                            r"extrapolants do not settle \(spread "):
-            check_unidirectional(wild, [0.0], [Direction(3.0)], 1e-6, sched, params.c)
+            check_unidirectional(wild, [0.0], [Direction(3.0)], 1e-6, params)
 
     def test_one_evaluator_call_and_undecided_entry_named(self, params):
         # a term growing like t^2 where y > 0 spoils the second direction
@@ -304,10 +332,9 @@ class TestUnidirectionalityCertificate:
             calls.append(p.shape)
             return simple_pulse_evaluator(params)(p) + p.t * p.t * (p.y > 0.0)
 
-        sched = radiation_schedule(params, CERTIFICATE_SCHEDULE_CT)
         dirs = [Direction(3.0), Direction(2.0, 1.0)]
         with pytest.raises(ToleranceNotReached, match=r"chi=2\.0, s=-1\.0: extrapolants"):
-            check_unidirectional(mixed, [-1.0, 0.0, 1.0], dirs, 1e-6, sched, params.c)
+            check_unidirectional(mixed, [-1.0, 0.0, 1.0], dirs, 1e-6, params)
         assert calls == [(2, 3, 3)]
 
     def test_fail_report_marks_an_undecided_direction(self, params):
@@ -319,13 +346,13 @@ class TestUnidirectionalityCertificate:
             return (simple_pulse_evaluator(params)(p) + 0.01 / (params.c * p.t) * (p.y <= 0.0)
                     + p.t * p.t * ((p.y > 0.0) & (s > 0.5)))
 
-        sched = radiation_schedule(params, CERTIFICATE_SCHEDULE_CT)
         spoiled = Direction(2.0, 1.0)
         rep = check_unidirectional(mixed, [-1.0, 0.0, 1.0], [Direction(3.0), spoiled],
-                                   1e-6, sched, params.c)
-        assert not rep.passed and rep.max_abs == pytest.approx(0.01, rel=1e-9)
+                                   1e-6, params)
+        # |F| = 0.01 up to the ladder's h^3 remainder, far below tol
+        assert not rep.passed and rep.max_abs == pytest.approx(0.01, abs=1e-9)
         assert [d["status"] for d in rep.directions] == ["FAIL", "UNDECIDED"]
-        settled = check_unidirectional(mixed, [-1.0, 0.0], [spoiled], 1e-6, sched, params.c)
+        settled = check_unidirectional(mixed, [-1.0, 0.0], [spoiled], 1e-6, params)
         assert settled.passed
         assert rep.directions[1] == {**settled.directions[0], "status": "UNDECIDED"}
 
@@ -333,46 +360,41 @@ class TestUnidirectionalityCertificate:
         # lekner(a=1, K=1) at chi = 0.505 pi: |ct*u| ~ 1e-30 along the
         # ladder, so its extrapolants' relative spread grows on rounding
         # noise far below tol; the certificate passes
-        sched = radiation_schedule(params, CERTIFICATE_SCHEDULE_CT)
         rep = check_unidirectional(
             quasi_spherical_evaluator(params, LeknerWaveform(1.0, 1.0)),
-            [-2.0, -1.0, 0.0, 1.0, 2.0], [Direction(0.505 * math.pi)], 1e-6, sched, params.c,
+            [-2.0, -1.0, 0.0, 1.0, 2.0], [Direction(0.505 * math.pi)], 1e-6, params,
         )
         assert rep.passed and rep.max_abs == pytest.approx(1.2e-30, rel=0.1)
 
     def test_accepts_an_array_of_s_samples(self, params):
         s = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-        sched = radiation_schedule(params, CERTIFICATE_SCHEDULE_CT)
-        args = (backward_direction_grid(4), 1e-6, sched, params.c)
+        args = (backward_direction_grid(4), 1e-6, params)
         rep = check_unidirectional(simple_pulse_evaluator(params), s, *args)
         assert rep.as_dict() == check_unidirectional(
             simple_pulse_evaluator(params), list(s), *args).as_dict()
         assert rep.passed and type(rep.worst["s"]) is float
 
     # exactly unidirectional lekner pulses never FAIL or raise, and their
-    # spherical reference (b_ref = b) never PASSes.  Directions start at
-    # 0.507 pi: just past the equator the 1e5..1e7 b ladder is too short,
-    # and what it leaves of |F| grows as 1/b; for rational(a=b) at
-    # b = 0.25, s = 2b it reads 1.27e-6 at 0.505 pi and 1.6e-7 at 0.507 pi.
-    @settings(max_examples=300, deadline=None)
-    @given(a=st.floats(0.5, 2.0), kb=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
-           c=st.floats(0.5, 2.0), tau=st.floats(0.5, 2.0),
-           chi=st.floats(0.507 * math.pi, math.pi),
-           s=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
-    def test_oracle_lekner_passes_and_spherical_reference_fails(self, a, kb, c, tau, chi, s):
-        params = PulseParams(c, tau)
-        b = params.b
-        w = LeknerWaveform(a * b, kb / b)
-        args = ([x * b for x in s], [Direction(chi)], 1e-6,
-                radiation_schedule(params, CERTIFICATE_SCHEDULE_CT), c)
-        rep = check_unidirectional(quasi_spherical_evaluator(params, w), *args)
-        assert rep.passed, rep.as_dict()
-        ref = check_unidirectional(spherical_reference_evaluator(params, w, b_ref=b), *args)
-        assert not ref.passed, ref.as_dict()
+    # spherical reference (b_ref = b) never PASSes, from 0.5005 pi (where
+    # the ladder reaches ct = 4e9 max(b, |s|)) to the -z axis.  The fixed
+    # ladder 1e5..1e7 b FAILed 4 of these 2,000 draws (worst |F| 1.1e-5),
+    # and its oracle had to start at 0.507 pi.
+    def test_oracle_lekner_passes_and_spherical_reference_fails(self):
+        rng = np.random.default_rng(19)
+        for _ in range(2000):
+            params, w = draw_pulse(rng)
+            b = params.b
+            args = (rng.uniform(-10.0, 10.0, 3) * b,
+                    [Direction(rng.uniform(0.5005 * math.pi, math.pi), rng.uniform(0.0, 6.28))],
+                    1e-6, params)
+            rep = check_unidirectional(quasi_spherical_evaluator(params, w), *args)
+            assert rep.passed, rep.as_dict()
+            ref = check_unidirectional(spherical_reference_evaluator(params, w, b_ref=b), *args)
+            assert not ref.passed, ref.as_dict()
 
     def test_rejects_forward_directions(self, params):
         with pytest.raises(ValueError):
             check_unidirectional(
                 simple_pulse_evaluator(params), [0.0], [Direction(0.3)],
-                1e-6, radiation_schedule(params), params.c,
+                1e-6, params,
             )

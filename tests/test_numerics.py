@@ -451,6 +451,15 @@ class TestLimitExtrapolate:
             one = limit_extrapolate(self.H, row)
             assert res.value[0, k] == one.value and res.stability[0, k] == one.stability
             assert res.stability[1, k] == one.stability and res.diverged[1, k] == one.diverged
+        # the limit at h = 0 does not see the steps' scale, up to rounding
+        # (these rows are O(1) to O(100)), so the far field runs one step
+        # vector for entries whose steps differ by a factor
+        one = limit_extrapolate(self.H, rows)
+        for scale in (1e-7, 0.37, 3.0, 1e9):
+            scaled = limit_extrapolate(np.multiply(scale, self.H), rows)
+            assert np.allclose(scaled.value, one.value, rtol=1e-13, atol=1e-13)
+            assert np.allclose(scaled.stability, one.stability, rtol=1e-13, atol=1e-13)
+            assert np.array_equal(scaled.diverged, one.diverged)
 
     def test_needs_three_decreasing_samples(self):
         with pytest.raises(ValueError):
