@@ -42,6 +42,7 @@ from .config import (
 )
 from .farfield import (
     LADDER,
+    MAX_ABS_S,
     Direction,
     backward_direction_grid,
     check_unidirectional,
@@ -166,7 +167,7 @@ def run_compare(cfg: dict, setup, seed: int | None) -> Output:
 
 
 def run_farfield(cfg: dict, setup, seed: int | None) -> Output:
-    s_values = get_number_list(cfg, "s_values", (-1.0, 0.0, 1.0))
+    s_values = get_number_list(cfg, "s_values", (-1.0, 0.0, 1.0), max_abs=MAX_ABS_S)
     directions = parse_directions(cfg, "directions",
                                   [Direction(k * math.pi / 6) for k in range(3)])
     evaluator = quasi_spherical_evaluator(setup.params, setup.waveform)
@@ -187,7 +188,7 @@ def run_farfield(cfg: dict, setup, seed: int | None) -> Output:
 
 def run_unidir(cfg: dict, setup, seed: int | None) -> Output:
     evaluator, kind = _build_evaluator(cfg, setup)
-    s_values = get_number_list(cfg, "s_values", (-2.0, -1.0, 0.0, 1.0, 2.0))
+    s_values = get_number_list(cfg, "s_values", (-2.0, -1.0, 0.0, 1.0, 2.0), max_abs=MAX_ABS_S)
     directions = parse_directions(cfg, "backward_directions", backward_direction_grid(8),
                                   chi_gt=0.5 * math.pi)
     tol = get_number(cfg, "tolerance", "", 1e-6, gt=0.0)

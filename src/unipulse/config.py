@@ -100,8 +100,9 @@ def get_string(obj: dict, key: str, path: str, default=None,
     return v
 
 
-def get_number_list(obj: dict, key: str, default) -> list[float]:
-    """``obj[key]``, a non-empty array of finite numbers, or ``default``."""
+def get_number_list(obj: dict, key: str, default, max_abs: float = math.inf) -> list[float]:
+    """``obj[key]``, a non-empty array of finite numbers of magnitude at
+    most ``max_abs``, or ``default``."""
     if key not in obj:
         return list(default)
     v = obj[key]
@@ -113,6 +114,8 @@ def get_number_list(obj: dict, key: str, default) -> list[float]:
             raise ConfigError(f"{key}[{i}]: expected a number, got {item!r}")
         if not math.isfinite(item):
             raise ConfigError(f"{key}[{i}]: must be finite, got {item}")
+        if abs(item) > max_abs:
+            raise ConfigError(f"{key}[{i}]: |value| must be at most {max_abs:g}, got {item!r}")
         out.append(float(item))
     return out
 

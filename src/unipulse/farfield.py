@@ -36,6 +36,9 @@ LADDER = (1e2, 1e3, 1e4)
 #: ct = 1e10 max(b, |s|)
 MIN_COS_CHI = 1e-3
 
+#: larger offsets are refused: ct = 1e10 |s| squared in S^2 would overflow
+MAX_ABS_S = 1e100
+
 _STEPS = 1.0 / np.array(LADDER)  # the steps h every entry extrapolates in
 
 

@@ -382,5 +382,6 @@ def energy_estimate(
 
     top = 2.0 if ct != 0.0 else 1.0
     res = integrate_nested(lambda g, tt: integrate_adaptive(g, 0.0, top, tt, 60_000, (1.0,)),
-                           inner, tol, 10_000_000, f"energy at t={t!r}", (0.125, 0.25, 0.5))
+                           inner, tol, 10_000_000, f"energy at t={t!r}",
+                           inner_edges=(0.125, 0.25, 0.5))
     return QuadratureResult(res.value.real, res.error_estimate, res.evaluations)

@@ -8,9 +8,9 @@ implementations can reproduce values exactly.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from json.encoder import encode_basestring
+from pathlib import Path
 from typing import Any, Sequence
 
 import numpy as np
@@ -129,18 +129,32 @@ def write_csv(path, comments: Sequence[str], columns: dict[str, Any], keep=None)
 _CELL = 48
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's split
 _ZERO = 23 * 17  # the codes after 23 layouts x 17 digit counts: zero, NaN, inf
+_POW10_FILE = Path(__file__).with_name("pow10.bin")
 
 
-def _pow10(k: int) -> tuple[float, float]:
-    """10**k as hi + lo, each correctly rounded from exact integers."""
-    n, d = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
-    num, den = (n / d).as_integer_ratio()
-    return n / d, (n * den - num * d) / (d * den)
+def _masks() -> np.ndarray:
+    """Per code, the bytes of a cell it keeps: layout x significant digits s,
+    then zero, NaN and inf."""
+    layout, s, at = np.arange(23)[:, None, None], np.arange(1, 18)[:, None], np.arange(_CELL)
+    digit = np.where((at >= 6) & (at <= 38) & (at % 2 == 0), (at - 6) // 2, _CELL)
+    sci, fixed = layout > 20, (layout > 3) & (layout <= 20)  # d.ddde+XX; ddd.ddd for e = layout - 4
+    digits = np.where(fixed, np.maximum(s, layout - 3), s)
+    point = np.where(sci, np.where(s > 1, 7, -1),  # the point after the first digit, or after digit e
+                     np.where(fixed & (s > layout - 3), 2 * layout - 1, -1))
+    word = ((at == 0) | sci & (at >= 40) & (at <= 44) & ((at != 42) | (layout == 22))
+            | (layout <= 3) & (at >= 1) & (at <= 5 - layout))  # sign, e+XXX, or 0.000
+    keep = (digit < digits) | (at == point) | word
+    # zero: sign and "0"; NaN: "NaN" in the special word; inf: sign and "Infinity"
+    special = np.zeros((3, _CELL), bool)
+    special[0, :2] = special[1, 8:11] = special[2, 0] = special[2, 8:16] = True
+    return np.concatenate([keep.reshape(_ZERO, _CELL), special]).astype(np.uint8) * np.uint8(255)
 
 
 @functools.cache
 def _tables() -> tuple:
-    hi, lo = np.array([_pow10(k) for k in range(-300, 301)]).T  # row k + 300
+    # 10**k, k = -300 ... 300, by row k + 300, as hi + lo, each correctly rounded
+    # from exact integers (tests/test_ioformats.py rebuilds them)
+    hi, lo = np.fromfile(_POW10_FILE, "<f8").reshape(2, 601)
     scale = np.stack([hi, lo, hh := hi * _SPLIT - (hi * _SPLIT - hi), hi - hh])
     # by biased binary exponent: |x| in [2**(b-1023), 2**(b-1022)) has the decimal
     # exponent e_low, or e_low + 1 from next_decade, the smallest double >= 10**(e_low + 1)
@@ -148,38 +162,31 @@ def _tables() -> tuple:
     e_low = np.floor((np.clip(b, 94, 1952) - 1023) * math.log10(2.0)).astype(np.int64)
     k = e_low + 301
     next_decade = np.where(lo[k] > 0, np.nextafter(hi[k], math.inf), hi[k])
-    d = np.arange(10000, dtype=np.uint16)
-    quad = np.full((10000, 8), ord("."), np.uint8)  # "d.d.d.d." per group of four digits
-    quad[:, ::2] = 48 + d[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10
+    # "d.d.d.d." per group of four digits d0 d1 d2 d3, the group 1000 d0 + ... + d3
+    quad = np.full((10, 10, 10, 10, 8), ord("."), np.uint8)
+    digit = 48 + np.arange(10, dtype=np.uint8)
+    for j, axis in enumerate(np.ix_(digit, digit, digit, digit)):
+        quad[..., 2 * j] = axis
     # the trailing zeros of a group (4 if all), and of the 17 digits keyed by
     # those of their four groups as base-5 digits
-    zeros = sum((d % 10 ** j == 0).astype(np.int64) for j in range(1, 5))
+    zeros = np.zeros(10000, np.int64)
+    for j in (10, 100, 1000, 10000):
+        zeros[::j] += 1
     trailing = 0
-    for z in (np.arange(625) // 5 ** j % 5 for j in (3, 2, 1, 0)):
+    for z in np.ix_(*[np.arange(5)] * 4):  # the groups' base-5 digits, first group first
         trailing = np.where(z == 4, trailing + 4, z)
-    # zero: sign and "0"; NaN: "NaN" in the special word; inf: sign and "Infinity"
-    rows = [_ZERO] * 2 + [_ZERO + 1] * 3 + [_ZERO + 2] * 9
-    keeps = [0, 1, 8, 9, 10, 0, *range(8, 16)]
-    for layout, s in itertools.product(range(23), range(1, 18)):
-        digits = [6 + 2 * i for i in range(s)]
-        if layout > 20:  # d.ddde+XX, or e+XXX in layout 22
-            keep = digits + [7] * (s > 1) + [40, 41, 43, 44] + [42] * (layout == 22)
-        elif layout > 3:  # e = layout - 4 >= 0: ddd.ddd
-            keep = [6 + 2 * i for i in range(max(s, layout - 3))] + [2 * layout - 1] * (s > layout - 3)
-        else:  # 0.000ddd
-            keep = [1, 2, 3, 4, 5][:5 - layout] + digits
-        rows += [layout * 17 + s - 1] * (len(keep) + 1)
-        keeps += [0] + keep
-    masks = np.zeros((_ZERO + 3, _CELL), np.uint8)
-    masks[rows, keeps] = 255
+    trailing = trailing.ravel()
     e = np.arange(-300, 301)
     layout_code = np.where((e >= -4) & (e < 17), e + 4, 21 + (abs(e) >= 100)) * 17 + 16
     # the first word per leading digit, 10 being a carry to 10**17
     lead = np.array([b"\0" + b"0.000" + b"%d." % (i % 9 if i > 9 else i) for i in range(11)])
-    expo = np.array([b"e%+04d" % i for i in e.tolist()], "S8")
+    # "e+XXX", NUL-padded to a word
+    expo = np.zeros((e.size, 8), np.uint8)
+    expo[:, 0], expo[:, 1] = ord("e"), np.where(e < 0, ord("-"), ord("+"))
+    expo[:, 2:5] = 48 + abs(e)[:, None] // (100, 10, 1) % 10
     special = np.frombuffer(b"\0" * 8 + b"NaN\0\0\0\0\0Infinity", "<u8")
     return (scale, abs(b - 1023) <= 929, e_low, next_decade, quad.view("<u8").ravel(), zeros,
-            trailing, lead.view("<u8"), expo.view("<u8"), special, masks, layout_code)
+            trailing, lead.view("<u8"), expo.view("<u8").ravel(), special, _masks(), layout_code)
 
 
 def _spell(x: np.ndarray) -> np.ndarray:

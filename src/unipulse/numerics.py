@@ -1,13 +1,15 @@
 """Low-level numerical kernels shared by every other module.
 
 Provides the upper-half-plane complex square root, the Bessel function
-J0, adaptive Gauss-Kronrod quadrature for complex-valued integrands on
-finite and semi-infinite intervals and for nested double integrals, and
-polynomial limit extrapolation for sequences v(h) -> v0 as h -> 0.
+J0, adaptive Gauss-Kronrod quadrature for real or complex integrands on
+finite and semi-infinite intervals, doubling trapezoid and Fejer rules
+for analytic inner integrals, nested double integrals, and polynomial
+limit extrapolation for sequences v(h) -> v0 as h -> 0.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -190,27 +192,31 @@ _W_KRONROD = np.array(list(_WGK) + [_WGK_CENTER] + list(_WGK[::-1]))
 _W_GAUSS = np.zeros(15)
 _W_GAUSS[1:7:2] = _W_GAUSS[13:7:-2] = _WG
 _W_GAUSS[7] = _WG_CENTER
+_W_PAIR = np.stack([_W_KRONROD, _W_GAUSS], axis=1)
 
 
 def _gk15(f, lo: np.ndarray, hi: np.ndarray):
     """Gauss-Kronrod panels [lo[j], hi[j]], ``f`` called once on the
     array of all their nodes, shape (15 n,).  Returns (value, error,
     floor), each of the components' shape with a trailing axis of the n
-    panels; ``floor`` is the rounding floor 50 eps resabs below which
-    no error estimate falls."""
+    panels, real for a real integrand; ``floor`` is the rounding floor
+    50 eps resabs below which no error estimate falls.  The sums run on
+    the values as rows of 15, one matrix product each."""
     hl = 0.5 * (hi - lo)
     n = hl.size
-    fx = np.asarray(f(((0.5 * (lo + hi))[:, None] + hl[:, None] * _NODES).ravel()),
-                    dtype=complex)
+    fx = np.asarray(f(((0.5 * (lo + hi))[:, None] + hl[:, None] * _NODES).ravel()))
+    if fx.dtype.kind not in "fc":
+        fx = fx.astype(float)
     if fx.shape[-1:] != (15 * n,):  # a constant broadcasts
         try:
             fx = np.broadcast_to(fx, (15 * n,))
         except ValueError:
             raise ValueError(f"integrand values of shape {fx.shape} lack a last axis "
                              f"of the {15 * n} nodes (15 per panel)") from None
-    fx = fx.reshape(fx.shape[:-1] + (n, 15))
-    sk = fx @ _W_KRONROD
-    value = sk * hl
+    shape = fx.shape[:-1] + (n,)
+    rows = fx.reshape(-1, 15)
+    kronrod, gauss = (rows @ _W_PAIR).T
+    value = kronrod.reshape(shape) * hl
     bad = ~np.isfinite(value)
     if bad.any():
         j = int(np.flatnonzero(bad.reshape(-1, n).any(axis=0))[0])
@@ -218,9 +224,9 @@ def _gk15(f, lo: np.ndarray, hi: np.ndarray):
         raise ValueError(f"integrand produced a non-finite value on "
                          f"[{float(lo[j])}, {float(hi[j])}]" + (where if value.ndim > 1 else ""))
     ahl = np.abs(hl)
-    resabs = (np.abs(fx) @ _W_KRONROD) * ahl
-    resasc = (np.abs(fx - 0.5 * sk[..., None]) @ _W_KRONROD) * ahl
-    err = np.abs(sk - fx @ _W_GAUSS) * ahl
+    resabs = (np.abs(rows) @ _W_KRONROD).reshape(shape) * ahl
+    resasc = (np.abs(rows - 0.5 * kronrod[:, None]) @ _W_KRONROD).reshape(shape) * ahl
+    err = np.abs(kronrod - gauss).reshape(shape) * ahl
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
     err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
@@ -264,8 +270,9 @@ def integrate_adaptive(
         bisection; returns their summed values, errors and floors."""
         nonlocal seq
         v, e, fl = _gk15(f, np.array(los), np.array(his))
+        keys = (-e.reshape(-1, len(los)).max(axis=0)).tolist()
         for j, (lo, hi) in enumerate(zip(los, his)):
-            heapq.heappush(heap, (-np.max(e[..., j]), seq, lo, hi, v[..., j], e[..., j], fl[..., j]))
+            heapq.heappush(heap, (keys[j], seq, lo, hi, v[..., j], e[..., j], fl[..., j]))
             seq += 1
         return v.sum(axis=-1), e.sum(axis=-1), fl.sum(axis=-1)
 
@@ -351,36 +358,169 @@ def integrate_semi_infinite(
     return integrate_adaptive(transformed, 0.0, 1.0, tol, max_evals, mapped + seeds)
 
 
+# --- doubling rules for analytic inner integrals ---------------------------
+#
+# A doubling rule integrates over s in [0, 1] on the nodes s(theta_j) of the
+# angles theta_j = pi j / n, j = 0 ... n.  Doubling n adds the odd j only, so
+# no value is computed twice.  Each rule maps n to its n + 1 nodes and
+# weights; a weight of 0 marks an end the rule never evaluates.
+
+_DOUBLING_START = 16  # the first n: Q_16, and Q_8 and Q_4 from its nodes
+_DOUBLING_MAX = 1 << 14
+
+
+def _frozen(s: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    s.flags.writeable = w.flags.writeable = False
+    return s, w
+
+
+@functools.cache
+def trapezoid(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The trapezoid on s = j/n with both ends halved: for the mean over
+    psi = pi s in [0, pi] of an even 2 pi-periodic integrand, exact for
+    cos(k psi), k < 2 n, and geometrically convergent for an analytic one."""
+    w = np.full(n + 1, 1.0 / n)
+    w[[0, n]] = 0.5 / n
+    return _frozen(np.arange(n + 1) / n, w)
+
+
+@functools.cache
+def periodic_trapezoid(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The trapezoid on s = j/n for a 1-periodic integrand: s = 1 is s = 0."""
+    w = np.full(n + 1, 1.0 / n)
+    w[n] = 0.0
+    return _frozen(np.arange(n + 1) / n, w)
+
+
+@functools.cache
+def fejer2(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fejer's second rule in s = (1 - cos theta)/2: open (no ends), positive
+    weights, exact for polynomials of degree < n.  Weights by Waldvogel's
+    FFT construction (BIT 46, 2006)."""
+    odd = np.arange(1, n, 2)
+    v0 = np.concatenate([2.0 / odd / (odd - 2.0), [1.0 / odd[-1]], np.zeros(n - odd.size)])
+    w = np.append(np.fft.ifft(-v0[:-1] - v0[:0:-1]).real, 0.0)
+    w[0] = 0.0
+    return _frozen(np.sin(0.5 * math.pi * np.arange(n + 1) / n) ** 2, 0.5 * w)
+
+
+def _integrate_doubling(f: Callable, rule: Callable, tol: float, max_evals: int):
+    """Every component of ``f(s, rows)`` over s in [0, 1] by the doubling
+    ``rule`` at n = 16, 32, ..., each component on its own: ``rows`` is
+    slice(None) in the first call, then the flat indices of the components
+    still refining, one call per doubling.
+
+    A component's estimate is d = |Q_2n - Q_n| plus the rounding floor
+    50 eps sum |w f|.  It counts as resolved once d has shrunk tenfold
+    from |Q_n - Q_n/2| or sits below the floor; an unresolved one adds
+    2 sum |w f|, which bounds the error of a rule that misses the
+    integrand's shape.  The component stops once its estimate is at most
+    tol max(|Q_2n|, 1).  Returns the values, the estimates and the count
+    of values spent.  Raises ToleranceNotReached once ``max_evals``
+    values are spent, n passes 2^14, or a floor exceeds its target.
+    """
+    n = _DOUBLING_START
+    s, w = rule(n)
+    live = slice(int(w[0] == 0.0), n + int(w[n] != 0.0))  # a rule's zero weights sit at its ends
+    first = np.asarray(f(s[live], slice(None)))
+    evals = first.size
+    if evals > max_evals:
+        raise ToleranceNotReached(f"evaluation budget {max_evals} exhausted by the first nodes")
+    vals = np.zeros((len(first), n + 1), first.dtype)
+    vals[:, live] = first
+    value, error = np.empty(len(vals), vals.dtype), np.empty(len(vals))
+    rows, coarse = np.arange(len(vals)), vals[:, ::2] @ rule(n // 2)[1]
+    step = np.abs(coarse - vals[:, ::4] @ rule(n // 4)[1])
+    while True:
+        q = vals @ w
+        if not np.isfinite(q).all():
+            raise ValueError(f"integrand produced a non-finite value in component "
+                             f"{int(rows[~np.isfinite(q)][0])}")
+        mass = np.abs(vals) @ w
+        floor, d = 50.0 * _EPS * mass, np.abs(q - coarse)
+        err = d + floor + np.where((d <= 0.1 * step) | (d <= floor), 0.0, 2.0 * mass)
+        target = tol * np.maximum(np.abs(q), 1.0)
+        if np.any(floor > target):
+            i = int(np.argmax(floor / target))
+            raise ToleranceNotReached(f"error floor {floor[i]:.3e} of component {int(rows[i])} "
+                                      f"exceeds its target {target[i]:.3e}: rounding")
+        done = err <= target
+        value[rows[done]], error[rows[done]] = q[done], err[done]
+        if done.all():
+            return value, error, evals
+        more = ~done
+        rows, vals, coarse, step, worst = rows[more], vals[more], q[more], d[more], float(np.max(err))
+        if 2 * n > _DOUBLING_MAX:
+            raise ToleranceNotReached(f"{rows.size} component(s) unsettled at n = {n} "
+                                      f"(error estimate {worst:.3e})")
+        if evals + rows.size * n > max_evals:
+            raise ToleranceNotReached(f"evaluation budget {max_evals} exhausted (error "
+                                      f"estimate {worst:.3e})")
+        n *= 2
+        s, w = rule(n)
+        fresh = np.asarray(f(s[1::2], rows))
+        evals += fresh.size
+        both = np.empty((rows.size, n + 1), np.result_type(vals, fresh))
+        both[:, ::2], both[:, 1::2] = vals, fresh
+        vals = both
+
+
 def integrate_nested(outer: Callable, inner: Callable, tol: float, max_evals: int,
-                     what: str, inner_edges: Sequence[float] = ()) -> QuadratureResult:
+                     what: str, inner_rule: Callable | None = None,
+                     inner_edges: Sequence[float] = ()) -> QuadratureResult:
     """The nested integral of the four reconstruction routes and of the
     field energy: ``outer(g, 0.5 tol)`` runs the outer rule on ``g``.
     For the outer nodes x of one call of ``g`` (all initial panels, then
-    the 30 of a bisection), ``inner(x)`` takes s on [0, 1] to values of
-    shape (..., x.size, s.size) in the units of the outer integrand: one
-    vector quadrature at 0.05 tol, whose integrals ``g`` sums over the
-    leading axes.  That quadrature starts on the panel edges
-    ``inner_edges`` in (0, 1), for a caller who knows where every inner
-    integrand needs them; each call would otherwise bisect its way there
-    one integrand call per level.  ``evaluations`` counts inner values;
+    the 30 of a bisection), ``inner(x)`` gives the inner integrand over s
+    in [0, 1], in the units of the outer integrand; its components' last
+    axis runs over x, and ``g`` sums their integrals over the others.
+    Each is held to 0.05 tol.  ``evaluations`` counts inner values;
     ``max_evals`` bounds them over the whole integral.  A failure or a
     non-finite integrand is raised once, naming ``what``.
+
+    The inner rule comes from the caller:
+
+    * ``inner_rule`` None: one vector Gauss-Kronrod quadrature per call
+      of ``g``, on panels shared by its components and starting on the
+      edges ``inner_edges`` in (0, 1); the integrand takes the 1-D nodes
+      s to values of shape (..., x.size, s.size).  The estimate is the
+      outer rule's.
+    * a doubling rule (``trapezoid``, ``periodic_trapezoid``,
+      ``fejer2``), for analytic inner integrands: each component refines
+      on its own (``_integrate_doubling``); the integrand ``f(s, rows)``
+      gives the values at the 1-D nodes s of the flat components
+      ``rows`` of that shape, (rows.size, s.size), or of all of them for
+      slice(None).  The outer rule integrates the inner estimates as a
+      second component, and the result's estimate adds that outer-weighted
+      sum to the outer rule's; a sum above the target raises.
     """
     evals = 0
 
     def g(x: np.ndarray) -> np.ndarray:
         nonlocal evals
-        res = integrate_adaptive(inner(x), 0.0, 1.0, 0.05 * tol, max_evals - evals, inner_edges)
-        evals += res.evaluations
-        return res.value.reshape(-1, x.size).sum(axis=0)
+        if inner_rule is None:
+            res = integrate_adaptive(inner(x), 0.0, 1.0, 0.05 * tol, max_evals - evals,
+                                     inner_edges)
+            evals += res.evaluations
+            return res.value.reshape(-1, x.size).sum(axis=0)
+        value, error, spent = _integrate_doubling(inner(x), inner_rule, 0.05 * tol,
+                                                  max_evals - evals)
+        evals += spent
+        return np.stack([value, error]).reshape(2, -1, x.size).sum(axis=1)
 
     try:
         res = outer(g, 0.5 * tol)
+        if inner_rule is None:
+            return QuadratureResult(res.value, res.error_estimate, evals)
+        value, estimate = complex(res.value[0]), float(res.error_estimate[0] + res.value[1].real)
+        if estimate > max(tol * abs(value), tol):
+            raise ToleranceNotReached(f"error estimate {estimate:.3e} with the inner ones "
+                                      f"exceeds its target {max(tol * abs(value), tol):.3e}")
+        return QuadratureResult(value, estimate, evals)
     except ToleranceNotReached as exc:
         raise ToleranceNotReached(f"{what} (route budget {max_evals}): {exc}") from exc
     except ValueError as exc:
         raise ValueError(f"{what}: {exc}") from exc
-    return QuadratureResult(res.value, res.error_estimate, evals)
 
 
 def limit_extrapolate(h: Sequence[float], v: np.ndarray) -> ExtrapolationResult:

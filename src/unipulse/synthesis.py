@@ -29,9 +29,12 @@ from .fields import PulseParams, SpacetimePoint
 from .numerics import (
     QuadratureResult,
     bessel_j0,
+    fejer2,
     integrate_adaptive,
     integrate_nested,
     integrate_semi_infinite,
+    periodic_trapezoid,
+    trapezoid,
 )
 from .waveforms import Waveform
 
@@ -90,9 +93,10 @@ def reconstruct_from_farfield(
 
     Through ``integrate_nested``: the polar angle on [0, pi] outside,
     with a panel edge at the equator (the integrand may jump there for
-    unidirectional profiles), and the azimuth phi = 2 pi s inside.
+    unidirectional profiles), and the azimuth phi = 2 pi s inside, on
+    the periodic trapezoid.
     ``f_deriv`` takes an array of s and a Direction of arrays of the
-    same shape, once per inner call; ``evaluations`` counts its values.
+    same shape, once per inner doubling; ``evaluations`` counts its values.
     """
     ct = params.c * p.t
 
@@ -100,17 +104,18 @@ def reconstruct_from_farfield(
         chi = chi[:, None]
         sin, cos = np.sin(chi), np.cos(chi)
 
-        def f(s: np.ndarray) -> np.ndarray:
+        def f(s: np.ndarray, rows) -> np.ndarray:
             phi = 2.0 * math.pi * s
-            ndotr = sin * (p.x * np.cos(phi) + p.y * np.sin(phi)) + cos * p.z
+            ndotr = sin[rows] * (p.x * np.cos(phi) + p.y * np.sin(phi)) + cos[rows] * p.z
             # dphi = 2 pi ds cancels the 1/(2pi) in front
-            return sin * np.broadcast_to(f_deriv(ndotr - ct, Direction(chi, phi)), ndotr.shape)
+            return sin[rows] * np.broadcast_to(f_deriv(ndotr - ct, Direction(chi[rows], phi)),
+                                               ndotr.shape)
 
         return f
 
     return integrate_nested(
-        lambda g, t: integrate_adaptive(g, 0.0, math.pi, t, 60_000, (0.5 * math.pi,)),
-        inner, tol, 2_000_000, "sphere reconstruction")
+        lambda g, t: integrate_adaptive(g, 0.0, math.pi, t, 120_000, (0.5 * math.pi,)),
+        inner, tol, 2_000_000, "sphere reconstruction", periodic_trapezoid)
 
 
 def reconstruct_hemisphere(
@@ -130,10 +135,10 @@ def reconstruct_hemisphere(
     where <.>_psi is the azimuthal mean.  Averaging over a full period
     makes the result independent of the observation azimuth, so psi can
     be measured from it, and the integrand is even in psi: the mean is
-    an integral over psi = pi s, s in [0, 1], inner to the mu integral.
-    That one has panel edges seeded geometrically toward mu = 0, where
-    the integrand develops a boundary layer controlled by the waveform
-    decay at i*inf.
+    an integral over psi = pi s, s in [0, 1], inner to the mu integral,
+    on the trapezoid with both ends halved.  The mu integral has panel
+    edges seeded geometrically toward mu = 0, where the integrand
+    develops a boundary layer controlled by the waveform decay at i*inf.
     """
     ct_ib = complex(params.c * p.t, params.b)
     z_ib = complex(p.z, params.b)
@@ -142,11 +147,12 @@ def reconstruct_hemisphere(
         mu = mu[:, None]
         base = ct_ib - z_ib * mu
         amp = p.rho * np.sqrt(1.0 - mu * mu)
-        return lambda s: w.deriv((base - amp * np.cos(math.pi * s)) / mu) / (mu * mu)
+        return lambda s, rows: (w.deriv((base[rows] - amp[rows] * np.cos(math.pi * s)) / mu[rows])
+                                / (mu[rows] * mu[rows]))
 
     seeds = (1.0 / 4096, 1.0 / 1024, 1.0 / 256, 1.0 / 64, 1.0 / 16, 0.25)
-    res = integrate_nested(lambda g, t: integrate_adaptive(g, 0.0, 1.0, t, 60_000, seeds),
-                           inner, tol, max_evals, "hemisphere reconstruction")
+    res = integrate_nested(lambda g, t: integrate_adaptive(g, 0.0, 1.0, t, 120_000, seeds),
+                           inner, tol, max_evals, "hemisphere reconstruction", trapezoid)
     return QuadratureResult(-res.value, res.error_estimate, res.evaluations)
 
 
@@ -161,29 +167,32 @@ def _fourier_bessel(spectral: Callable, factor: Callable, breakpoints: tuple[flo
     with the k_z range split at the positive ``breakpoints`` (a piece
     starting above x/c is empty).  Through ``integrate_nested``, every
     piece of every inner integral is one component in
-    s = (k_z - start) / width on [0, 1]; the inner integrands carry
-    factor(x).
+    s = (k_z - start) / width on [0, 1], integrated by Fejer's second
+    rule: the integrand is entire in k_z on each piece, and the open rule
+    never samples the piece ends, where the spectrum's Heaviside sits.
+    The inner integrands carry factor(x).
     """
     edges = (0.0, *sorted({q for q in breakpoints if q > 0.0}))
     starts = np.array(edges + (math.inf,))[:, None]
 
     def inner(x: np.ndarray) -> Callable:
         ends = np.minimum(starts, x / c)
-        lo, width = ends[:-1, :, None], np.diff(ends, axis=0)[:, :, None]
-        top_sq = ((x / c) ** 2)[:, None]
-        scale = width * factor(x)[:, None]
+        # one row per (piece, x), x last
+        lo, width = ends[:-1].reshape(-1, 1), np.diff(ends, axis=0).reshape(-1, 1)
+        xs = np.broadcast_to(x, ends[:-1].shape).reshape(-1, 1)
+        top_sq, scale = (xs / c) ** 2, width * factor(xs)
 
-        def f(s: np.ndarray) -> np.ndarray:
-            kz = lo + width * s
-            chi = np.sqrt(np.maximum(top_sq - kz * kz, 0.0))
-            return (scale * spectral(kz, x[:, None]) * bessel_j0(p.rho * chi)
+        def f(s: np.ndarray, rows) -> np.ndarray:
+            kz = lo[rows] + width[rows] * s
+            chi = np.sqrt(np.maximum(top_sq[rows] - kz * kz, 0.0))
+            return (scale[rows] * spectral(kz, xs[rows]) * bessel_j0(p.rho * chi)
                     * np.exp(kz * complex(0.0, -p.z)))
 
         return f
 
     kinks = tuple(c * q for q in edges[1:])
-    return integrate_nested(lambda g, t: integrate_semi_infinite(g, t, decay, 40_000, kinks),
-                            inner, tol, max_evals, what)
+    return integrate_nested(lambda g, t: integrate_semi_infinite(g, t, decay, 80_000, kinks),
+                            inner, tol, max_evals, what, fejer2)
 
 
 def reconstruct_fourier_bessel(

@@ -298,6 +298,15 @@ class TestFarfieldCmd:
             mag = math.hypot(row["analytic"]["re"], row["analytic"]["im"])
             assert row["abs_diff"] <= 1e-6 * mag
 
+    def test_largest_offsets_keep_the_ladder_finite(self, tmp_path):
+        # |s| = 1e100 at |cos chi| just above 1e-3 puts ct near 1e110: S^2 stays finite
+        cfg = {"s_values": [-1e100, 1e100],
+               "directions": [{"chi": 0.0}, {"chi": math.acos(1.001e-3)}]}
+        rc, out = run(tmp_path, "farfield", cfg, "ffbig.json")
+        assert rc == 0
+        for row in json.loads(out.read_text())["rows"]:
+            mag = math.hypot(row["analytic"]["re"], row["analytic"]["im"])
+            assert row["abs_diff"] <= 1e-5 * mag
 
     def test_diverging_extrapolation_exits_3_and_names_the_entry(self, tmp_path, capsys,
                                                                  monkeypatch):
@@ -579,6 +588,9 @@ class TestConfigMistakes:
         ("unidir", {"waveform": "rational(a=1)\r"}, "waveform"),
         ("unidir", {"backward_directions": [{"chi": 3.0}, {"chi": 0.5003 * math.pi}]},
          "backward_directions[1].chi"),
+        # |s| > 1e100: the ladder's ct = 1e10 |s| would overflow S^2
+        ("farfield", {"s_values": [0.0, 1e200]}, "s_values[1]"),
+        ("unidir", {"s_values": [-1e101]}, "s_values[0]"),
     ])
     def test_exits_2_and_names_the_field(self, tmp_path, capsys, command, cfg, field):
         rc, out = run(tmp_path, command, cfg, "mistake.out")

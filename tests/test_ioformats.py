@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -6,7 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unipulse.ioformats import CSV_CHUNK_ROWS, _spell, fmt_float, render_json, write_csv
+from unipulse.ioformats import (
+    _CELL,
+    _SPLIT,
+    _ZERO,
+    CSV_CHUNK_ROWS,
+    _spell,
+    _tables,
+    fmt_float,
+    render_json,
+    write_csv,
+)
 
 
 def read_rows(path):
@@ -277,3 +288,57 @@ class TestSpellKernel:
     @settings(max_examples=300, deadline=None)
     def test_equals_fmt_float(self, x):
         assert spelled(x) == [fmt_float(v) for v in x]
+
+
+def exact_pow10(k):
+    """10**k as hi + lo, each correctly rounded from exact integers."""
+    n, d = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+    num, den = (n / d).as_integer_ratio()
+    return n / d, (n * den - num * d) / (d * den)
+
+
+def reference_tables():
+    """The spelling kernel's tables built entry by entry: Python integers
+    for the powers of ten, a loop per mask."""
+    hi, lo = np.array([exact_pow10(k) for k in range(-300, 301)]).T
+    scale = np.stack([hi, lo, hh := hi * _SPLIT - (hi * _SPLIT - hi), hi - hh])
+    b = np.arange(2048)
+    e_low = np.floor((np.clip(b, 94, 1952) - 1023) * math.log10(2.0)).astype(np.int64)
+    k = e_low + 301
+    next_decade = np.where(lo[k] > 0, np.nextafter(hi[k], math.inf), hi[k])
+    d = np.arange(10000, dtype=np.uint16)
+    quad = np.full((10000, 8), ord("."), np.uint8)
+    quad[:, ::2] = 48 + d[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10
+    zeros = sum((d % 10 ** j == 0).astype(np.int64) for j in range(1, 5))
+    trailing = 0
+    for z in (np.arange(625) // 5 ** j % 5 for j in (3, 2, 1, 0)):
+        trailing = np.where(z == 4, trailing + 4, z)
+    rows = [_ZERO] * 2 + [_ZERO + 1] * 3 + [_ZERO + 2] * 9
+    keeps = [0, 1, 8, 9, 10, 0, *range(8, 16)]
+    for layout, s in itertools.product(range(23), range(1, 18)):
+        digits = [6 + 2 * i for i in range(s)]
+        if layout > 20:
+            keep = digits + [7] * (s > 1) + [40, 41, 43, 44] + [42] * (layout == 22)
+        elif layout > 3:
+            keep = [6 + 2 * i for i in range(max(s, layout - 3))] + [2 * layout - 1] * (s > layout - 3)
+        else:
+            keep = [1, 2, 3, 4, 5][:5 - layout] + digits
+        rows += [layout * 17 + s - 1] * (len(keep) + 1)
+        keeps += [0] + keep
+    masks = np.zeros((_ZERO + 3, _CELL), np.uint8)
+    masks[rows, keeps] = 255
+    e = np.arange(-300, 301)
+    layout_code = np.where((e >= -4) & (e < 17), e + 4, 21 + (abs(e) >= 100)) * 17 + 16
+    lead = np.array([b"\0" + b"0.000" + b"%d." % (i % 9 if i > 9 else i) for i in range(11)])
+    expo = np.array([b"e%+04d" % i for i in e.tolist()], "S8")
+    special = np.frombuffer(b"\0" * 8 + b"NaN\0\0\0\0\0Infinity", "<u8")
+    return (scale, abs(b - 1023) <= 929, e_low, next_decade, quad.view("<u8").ravel(), zeros,
+            trailing, lead.view("<u8"), expo.view("<u8"), special, masks, layout_code)
+
+
+class TestSpellTables:
+    def test_equal_the_entry_by_entry_construction(self):
+        # the stored powers of ten and the vectorized tables, bit for bit
+        for got, want in zip(_tables(), reference_tables(), strict=True):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()

@@ -350,6 +350,9 @@ class TestSpectralRoutesOracle:
     # points where a decay hint of 0.9 min(a, b) left the estimate below the error
     @example(1.0, 1.0, (0.0, 0.0, 0.917674744772695), None, 1e-7)
     @example(1.0, 1.203125, (0.0, 0.0, 0.917674744772695), (1.90625, 0.0), 1e-7)
+    # the origin, where an estimate of the outer rule alone, without the inner
+    # errors, fell below the error (2.2e-14 against 2.4e-12)
+    @example(1.0, 1.0, (0.0, 0.0, 0.0), (0.5, 0.0), 1e-5)
     def test_estimates_bound_the_distance_from_the_closed_form(self, c, b, where, lek, tol):
         # coordinates in units of b; lek is None for rational(a = b), else (a, K)
         params = PulseParams(c, b / c)
@@ -362,6 +365,40 @@ class TestSpectralRoutesOracle:
         for res in (fb, wt):
             assert abs(res.value - exact) <= res.error_estimate
             assert res.error_estimate <= max(tol * abs(res.value), tol)
+
+
+def _sphere(params, w, p, tol):
+    return reconstruct_from_farfield(lambda s, n: farfield_deriv(s, n, params, w), p, params, tol)
+
+
+ROUTES = {
+    "sphere": _sphere,
+    "hemisphere": reconstruct_hemisphere,
+    "fourier_bessel": reconstruct_fourier_bessel,
+    "from_weight": lambda params, w, p, tol: reconstruct_from_weight(
+        make_spectral_weight(params, w), p, tol),
+}
+
+
+class TestNestedEstimateOracle:
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_seeded_sweep_estimates_bound_the_distance_from_the_closed_form(self, route):
+        # 300 draws over TestSpectralRoutesOracle's box, every other one
+        # rational(a = b), the tolerances in turn: each estimate, outer and
+        # outer-weighted inner errors, bounds the error and meets its tolerance
+        rng = np.random.default_rng(20)
+        misses = []
+        for i in range(300):
+            c, b = rng.uniform(0.5, 2.0), rng.uniform(0.7, 1.5)
+            ct, z, rho = rng.uniform(-1.5, 1.5) * b, rng.uniform(-1.5, 1.5) * b, rng.uniform(0.0, 1.5) * b
+            w = LeknerWaveform(b) if i % 2 else LeknerWaveform(rng.uniform(0.5, 2.0), rng.uniform(0.0, 2.0))
+            tol = (1e-5, 1e-6, 1e-7)[i % 3]
+            params, p = PulseParams(c, b / c), SpacetimePoint.from_cylindrical(ct / c, rho, z)
+            res = ROUTES[route](params, w, p, tol)
+            err = abs(res.value - eval_quasi_spherical(p, params, w))
+            if not err <= res.error_estimate <= max(tol * abs(res.value), tol):
+                misses.append((i, err, res.error_estimate))
+        assert not misses
 
 
 class TestMonteCarlo:
