@@ -358,7 +358,7 @@ def energy_estimate(
     shell, ct_ib_sq = abs(ct), ct * ct + b * b
     hemisphere = np.array([1.0, -1.0])[:, None, None]
 
-    def inner(y: np.ndarray) -> Callable:
+    def density(y: np.ndarray) -> Callable:
         y = y[:, None]
         beyond = y < 1.0
         x = np.where(beyond, y, y - 1.0)
@@ -380,8 +380,11 @@ def energy_estimate(
 
         return f
 
+    def inner(y: np.ndarray, budget: int) -> tuple[np.ndarray, int]:
+        res = integrate_adaptive(density(y), 0.0, 1.0, 0.05 * tol, budget, (0.125, 0.25, 0.5))
+        return res.value.reshape(-1, y.size).sum(axis=0), res.evaluations
+
     top = 2.0 if ct != 0.0 else 1.0
     res = integrate_nested(lambda g, tt: integrate_adaptive(g, 0.0, top, tt, 60_000, (1.0,)),
-                           inner, tol, 10_000_000, f"energy at t={t!r}",
-                           inner_edges=(0.125, 0.25, 0.5))
+                           inner, tol, 10_000_000, f"energy at t={t!r}")
     return QuadratureResult(res.value.real, res.error_estimate, res.evaluations)

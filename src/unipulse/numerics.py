@@ -192,7 +192,14 @@ _W_KRONROD = np.array(list(_WGK) + [_WGK_CENTER] + list(_WGK[::-1]))
 _W_GAUSS = np.zeros(15)
 _W_GAUSS[1:7:2] = _W_GAUSS[13:7:-2] = _WG
 _W_GAUSS[7] = _WG_CENTER
-_W_PAIR = np.stack([_W_KRONROD, _W_GAUSS], axis=1)
+
+
+def _weighted_sum(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_j a[..., j] w[j] in numpy's own loop.  A BLAS product of the
+    same size may start threads (OpenBLAS does past 4,096 complex or
+    9,216 real entries), and on a busy machine their wake-ups cost
+    milliseconds where the sum takes tens of microseconds."""
+    return np.einsum("...j,j->...", a, w)
 
 
 def _gk15(f, lo: np.ndarray, hi: np.ndarray):
@@ -201,7 +208,7 @@ def _gk15(f, lo: np.ndarray, hi: np.ndarray):
     floor), each of the components' shape with a trailing axis of the n
     panels, real for a real integrand; ``floor`` is the rounding floor
     50 eps resabs below which no error estimate falls.  The sums run on
-    the values as rows of 15, one matrix product each."""
+    the values as rows of 15."""
     hl = 0.5 * (hi - lo)
     n = hl.size
     fx = np.asarray(f(((0.5 * (lo + hi))[:, None] + hl[:, None] * _NODES).ravel()))
@@ -215,7 +222,7 @@ def _gk15(f, lo: np.ndarray, hi: np.ndarray):
                              f"of the {15 * n} nodes (15 per panel)") from None
     shape = fx.shape[:-1] + (n,)
     rows = fx.reshape(-1, 15)
-    kronrod, gauss = (rows @ _W_PAIR).T
+    kronrod, gauss = _weighted_sum(rows, _W_KRONROD), _weighted_sum(rows, _W_GAUSS)
     value = kronrod.reshape(shape) * hl
     bad = ~np.isfinite(value)
     if bad.any():
@@ -224,8 +231,8 @@ def _gk15(f, lo: np.ndarray, hi: np.ndarray):
         raise ValueError(f"integrand produced a non-finite value on "
                          f"[{float(lo[j])}, {float(hi[j])}]" + (where if value.ndim > 1 else ""))
     ahl = np.abs(hl)
-    resabs = (np.abs(rows) @ _W_KRONROD).reshape(shape) * ahl
-    resasc = (np.abs(rows - 0.5 * kronrod[:, None]) @ _W_KRONROD).reshape(shape) * ahl
+    resabs = _weighted_sum(np.abs(rows), _W_KRONROD).reshape(shape) * ahl
+    resasc = _weighted_sum(np.abs(rows - 0.5 * kronrod[:, None]), _W_KRONROD).reshape(shape) * ahl
     err = np.abs(kronrod - gauss).reshape(shape) * ahl
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
@@ -363,7 +370,7 @@ def integrate_semi_infinite(
 # A doubling rule integrates over s in [0, 1] on the nodes s(theta_j) of the
 # angles theta_j = pi j / n, j = 0 ... n.  Doubling n adds the odd j only, so
 # no value is computed twice.  Each rule maps n to its n + 1 nodes and
-# weights; a weight of 0 marks an end the rule never evaluates.
+# weights; an open rule has weight 0 at both ends and never evaluates them.
 
 _DOUBLING_START = 16  # the first n: Q_16, and Q_8 and Q_4 from its nodes
 _DOUBLING_MAX = 1 << 14
@@ -377,26 +384,20 @@ def _frozen(s: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @functools.cache
 def trapezoid(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The trapezoid on s = j/n with both ends halved: for the mean over
-    psi = pi s in [0, pi] of an even 2 pi-periodic integrand, exact for
-    cos(k psi), k < 2 n, and geometrically convergent for an analytic one."""
+    a period of a periodic integrand, or over psi = pi s in [0, pi] of an
+    even 2 pi-periodic one, exact for cos(k psi), k < 2 n, and
+    geometrically convergent for an analytic one."""
     w = np.full(n + 1, 1.0 / n)
     w[[0, n]] = 0.5 / n
     return _frozen(np.arange(n + 1) / n, w)
 
 
 @functools.cache
-def periodic_trapezoid(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The trapezoid on s = j/n for a 1-periodic integrand: s = 1 is s = 0."""
-    w = np.full(n + 1, 1.0 / n)
-    w[n] = 0.0
-    return _frozen(np.arange(n + 1) / n, w)
-
-
-@functools.cache
 def fejer2(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fejer's second rule in s = (1 - cos theta)/2: open (no ends), positive
-    weights, exact for polynomials of degree < n.  Weights by Waldvogel's
-    FFT construction (BIT 46, 2006)."""
+    """Fejer's second rule in s = (1 - cos theta)/2: open (weight 0 at
+    both ends, which it never evaluates), positive weights, exact for
+    polynomials of degree < n.  Weights by Waldvogel's FFT construction
+    (BIT 46, 2006)."""
     odd = np.arange(1, n, 2)
     v0 = np.concatenate([2.0 / odd / (odd - 2.0), [1.0 / odd[-1]], np.zeros(n - odd.size)])
     w = np.append(np.fft.ifft(-v0[:-1] - v0[:0:-1]).real, 0.0)
@@ -421,7 +422,7 @@ def _integrate_doubling(f: Callable, rule: Callable, tol: float, max_evals: int)
     """
     n = _DOUBLING_START
     s, w = rule(n)
-    live = slice(int(w[0] == 0.0), n + int(w[n] != 0.0))  # a rule's zero weights sit at its ends
+    live = slice(1, n) if w[0] == 0.0 else slice(None)  # an open rule skips both ends
     first = np.asarray(f(s[live], slice(None)))
     evals = first.size
     if evals > max_evals:
@@ -429,14 +430,14 @@ def _integrate_doubling(f: Callable, rule: Callable, tol: float, max_evals: int)
     vals = np.zeros((len(first), n + 1), first.dtype)
     vals[:, live] = first
     value, error = np.empty(len(vals), vals.dtype), np.empty(len(vals))
-    rows, coarse = np.arange(len(vals)), vals[:, ::2] @ rule(n // 2)[1]
-    step = np.abs(coarse - vals[:, ::4] @ rule(n // 4)[1])
+    rows, coarse = np.arange(len(vals)), _weighted_sum(vals[:, ::2], rule(n // 2)[1])
+    step = np.abs(coarse - _weighted_sum(vals[:, ::4], rule(n // 4)[1]))
     while True:
-        q = vals @ w
+        q = _weighted_sum(vals, w)
         if not np.isfinite(q).all():
             raise ValueError(f"integrand produced a non-finite value in component "
                              f"{int(rows[~np.isfinite(q)][0])}")
-        mass = np.abs(vals) @ w
+        mass = _weighted_sum(np.abs(vals), w)
         floor, d = 50.0 * _EPS * mass, np.abs(q - coarse)
         err = d + floor + np.where((d <= 0.1 * step) | (d <= floor), 0.0, 2.0 * mass)
         target = tol * np.maximum(np.abs(q), 1.0)
@@ -466,61 +467,59 @@ def _integrate_doubling(f: Callable, rule: Callable, tol: float, max_evals: int)
 
 
 def integrate_nested(outer: Callable, inner: Callable, tol: float, max_evals: int,
-                     what: str, inner_rule: Callable | None = None,
-                     inner_edges: Sequence[float] = ()) -> QuadratureResult:
+                     what: str) -> QuadratureResult:
     """The nested integral of the four reconstruction routes and of the
-    field energy: ``outer(g, 0.5 tol)`` runs the outer rule on ``g``.
-    For the outer nodes x of one call of ``g`` (all initial panels, then
-    the 30 of a bisection), ``inner(x)`` gives the inner integrand over s
-    in [0, 1], in the units of the outer integrand; its components' last
-    axis runs over x, and ``g`` sums their integrals over the others.
-    Each is held to 0.05 tol.  ``evaluations`` counts inner values;
+    field energy, with both rules from the caller: ``outer(g, 0.5 tol)``
+    runs the outer rule on ``g``, and for the outer nodes x of one call
+    of ``g`` (all initial panels, then the 30 of a bisection)
+    ``inner(x, budget)`` runs the inner one.  It returns the values of
+    ``g`` at x, x on their last axis, and the count of inner values it
+    spent, at most ``budget``.  ``evaluations`` counts inner values;
     ``max_evals`` bounds them over the whole integral.  A failure or a
     non-finite integrand is raised once, naming ``what``.
-
-    The inner rule comes from the caller:
-
-    * ``inner_rule`` None: one vector Gauss-Kronrod quadrature per call
-      of ``g``, on panels shared by its components and starting on the
-      edges ``inner_edges`` in (0, 1); the integrand takes the 1-D nodes
-      s to values of shape (..., x.size, s.size).  The estimate is the
-      outer rule's.
-    * a doubling rule (``trapezoid``, ``periodic_trapezoid``,
-      ``fejer2``), for analytic inner integrands: each component refines
-      on its own (``_integrate_doubling``); the integrand ``f(s, rows)``
-      gives the values at the 1-D nodes s of the flat components
-      ``rows`` of that shape, (rows.size, s.size), or of all of them for
-      slice(None).  The outer rule integrates the inner estimates as a
-      second component, and the result's estimate adds that outer-weighted
-      sum to the outer rule's; a sum above the target raises.
     """
     evals = 0
 
     def g(x: np.ndarray) -> np.ndarray:
         nonlocal evals
-        if inner_rule is None:
-            res = integrate_adaptive(inner(x), 0.0, 1.0, 0.05 * tol, max_evals - evals,
-                                     inner_edges)
-            evals += res.evaluations
-            return res.value.reshape(-1, x.size).sum(axis=0)
-        value, error, spent = _integrate_doubling(inner(x), inner_rule, 0.05 * tol,
-                                                  max_evals - evals)
+        values, spent = inner(x, max_evals - evals)
         evals += spent
-        return np.stack([value, error]).reshape(2, -1, x.size).sum(axis=1)
+        return values
 
     try:
         res = outer(g, 0.5 * tol)
-        if inner_rule is None:
-            return QuadratureResult(res.value, res.error_estimate, evals)
-        value, estimate = complex(res.value[0]), float(res.error_estimate[0] + res.value[1].real)
-        if estimate > max(tol * abs(value), tol):
-            raise ToleranceNotReached(f"error estimate {estimate:.3e} with the inner ones "
-                                      f"exceeds its target {max(tol * abs(value), tol):.3e}")
-        return QuadratureResult(value, estimate, evals)
     except ToleranceNotReached as exc:
         raise ToleranceNotReached(f"{what} (route budget {max_evals}): {exc}") from exc
     except ValueError as exc:
         raise ValueError(f"{what}: {exc}") from exc
+    return QuadratureResult(res.value, res.error_estimate, evals)
+
+
+def integrate_nested_doubling(outer: Callable, integrand: Callable, rule: Callable, tol: float,
+                              max_evals: int, what: str) -> QuadratureResult:
+    """``integrate_nested`` for analytic inner integrals over s in [0, 1]:
+    for the outer nodes x of one call, ``integrand(x)`` is the integrand
+    ``f(s, rows)`` of ``_integrate_doubling``, giving the values at the
+    1-D nodes s of its flat components ``rows``, (rows.size, s.size), or
+    of all of them for slice(None); their shape has x on its last axis,
+    and the outer integrand sums their integrals over the others.  Each
+    component runs the doubling ``rule`` (``trapezoid``, ``fejer2``) to
+    0.05 tol on its own.  The outer rule integrates the inner estimates
+    as a second component, and the result's estimate adds that
+    outer-weighted sum to the outer rule's; a sum above its target
+    max(tol |value|, tol) raises ToleranceNotReached.
+    """
+    def inner(x: np.ndarray, budget: int) -> tuple[np.ndarray, int]:
+        value, error, spent = _integrate_doubling(integrand(x), rule, 0.05 * tol, budget)
+        return np.stack([value, error]).reshape(2, -1, x.size).sum(axis=1), spent
+
+    res = integrate_nested(outer, inner, tol, max_evals, what)
+    value, estimate = complex(res.value[0]), float(res.error_estimate[0] + res.value[1].real)
+    target = max(tol * abs(value), tol)
+    if estimate > target:
+        raise ToleranceNotReached(f"{what} (route budget {max_evals}): error estimate "
+                                  f"{estimate:.3e} with the inner ones exceeds its target {target:.3e}")
+    return QuadratureResult(value, estimate, res.evaluations)
 
 
 def limit_extrapolate(h: Sequence[float], v: np.ndarray) -> ExtrapolationResult:

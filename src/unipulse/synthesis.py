@@ -31,9 +31,8 @@ from .numerics import (
     bessel_j0,
     fejer2,
     integrate_adaptive,
-    integrate_nested,
+    integrate_nested_doubling,
     integrate_semi_infinite,
-    periodic_trapezoid,
     trapezoid,
 )
 from .waveforms import Waveform
@@ -91,10 +90,10 @@ def reconstruct_from_farfield(
 ) -> QuadratureResult:
     """Sphere integral u = (1/2pi) * integral of F'(N.R - ct, N) over |N|=1.
 
-    Through ``integrate_nested``: the polar angle on [0, pi] outside,
-    with a panel edge at the equator (the integrand may jump there for
-    unidirectional profiles), and the azimuth phi = 2 pi s inside, on
-    the periodic trapezoid.
+    Through ``integrate_nested_doubling``: the polar angle on [0, pi]
+    outside, with a panel edge at the equator (the integrand may jump
+    there for unidirectional profiles), and the azimuth phi = 2 pi s
+    inside, on the trapezoid over its period.
     ``f_deriv`` takes an array of s and a Direction of arrays of the
     same shape, once per inner doubling; ``evaluations`` counts its values.
     """
@@ -105,7 +104,7 @@ def reconstruct_from_farfield(
         sin, cos = np.sin(chi), np.cos(chi)
 
         def f(s: np.ndarray, rows) -> np.ndarray:
-            phi = 2.0 * math.pi * s
+            phi = 2.0 * math.pi * (s % 1.0)  # the trapezoid's s = 1 is phi = 0 again
             ndotr = sin[rows] * (p.x * np.cos(phi) + p.y * np.sin(phi)) + cos[rows] * p.z
             # dphi = 2 pi ds cancels the 1/(2pi) in front
             return sin[rows] * np.broadcast_to(f_deriv(ndotr - ct, Direction(chi[rows], phi)),
@@ -113,9 +112,9 @@ def reconstruct_from_farfield(
 
         return f
 
-    return integrate_nested(
+    return integrate_nested_doubling(
         lambda g, t: integrate_adaptive(g, 0.0, math.pi, t, 120_000, (0.5 * math.pi,)),
-        inner, tol, 2_000_000, "sphere reconstruction", periodic_trapezoid)
+        inner, trapezoid, tol, 2_000_000, "sphere reconstruction")
 
 
 def reconstruct_hemisphere(
@@ -151,8 +150,8 @@ def reconstruct_hemisphere(
                                 / (mu[rows] * mu[rows]))
 
     seeds = (1.0 / 4096, 1.0 / 1024, 1.0 / 256, 1.0 / 64, 1.0 / 16, 0.25)
-    res = integrate_nested(lambda g, t: integrate_adaptive(g, 0.0, 1.0, t, 120_000, seeds),
-                           inner, tol, max_evals, "hemisphere reconstruction", trapezoid)
+    res = integrate_nested_doubling(lambda g, t: integrate_adaptive(g, 0.0, 1.0, t, 120_000, seeds),
+                                    inner, trapezoid, tol, max_evals, "hemisphere reconstruction")
     return QuadratureResult(-res.value, res.error_estimate, res.evaluations)
 
 
@@ -165,8 +164,8 @@ def _fourier_bessel(spectral: Callable, factor: Callable, breakpoints: tuple[flo
             spectral(k_z, x) J0(rho sqrt(x^2/c^2 - k_z^2)) e^{-i k_z z},
 
     with the k_z range split at the positive ``breakpoints`` (a piece
-    starting above x/c is empty).  Through ``integrate_nested``, every
-    piece of every inner integral is one component in
+    starting above x/c is empty).  Through ``integrate_nested_doubling``,
+    every piece of every inner integral is one component in
     s = (k_z - start) / width on [0, 1], integrated by Fejer's second
     rule: the integrand is entire in k_z on each piece, and the open rule
     never samples the piece ends, where the spectrum's Heaviside sits.
@@ -191,8 +190,9 @@ def _fourier_bessel(spectral: Callable, factor: Callable, breakpoints: tuple[flo
         return f
 
     kinks = tuple(c * q for q in edges[1:])
-    return integrate_nested(lambda g, t: integrate_semi_infinite(g, t, decay, 80_000, kinks),
-                            inner, tol, max_evals, what, fejer2)
+    return integrate_nested_doubling(
+        lambda g, t: integrate_semi_infinite(g, t, decay, 80_000, kinks),
+        inner, fejer2, tol, max_evals, what)
 
 
 def reconstruct_fourier_bessel(
