@@ -348,9 +348,21 @@ def energy_estimate(
     tails sit, and ends on the equator; the two hemispheres are one
     vector integrand, whose quadrature starts on panel edges at
     s = 1/8, 1/4 and 1/2, where its bisections toward the axis went one
-    density call per level.  ``value`` is real and the error estimate is
-    Gauss-Kronrod's.  Raises ToleranceNotReached, naming the time, once
-    the budget is spent or a target lies below the rounding floor.
+    density call per level.
+
+    While the pulse sits near the origin (c|t| <= 2b) the polar integrand
+    is smooth on the scale of those panels, and the inner quadrature
+    takes the sharper three-rule panel estimate (``integrate_adaptive``'s
+    ``sharp``).  Later the pulse is a shell of width ~b at radius c|t|,
+    whose polar features narrow as b/(c|t|) and can fall between the
+    nodes of a panel that looks converged to all three rules; there the
+    inner estimate stays QUADPACK's.  Once c|t| > 3b the outer rule also
+    starts on an edge at y = 1.5, inside the shell (r = 0.875 c|t|).
+    ``value`` is real; the error estimate is the outer rule's plus the
+    outer-weighted inner ones (``integrate_nested``).  Raises
+    ToleranceNotReached, naming the time, once the budget is spent, a
+    target lies below the rounding floor, or the estimate exceeds
+    max(tol E, tol).
     """
     if not params.regular:
         raise ValueError("energy is only finite for regular parameters (zeta < b)")
@@ -380,11 +392,13 @@ def energy_estimate(
 
         return f
 
-    def inner(y: np.ndarray, budget: int) -> tuple[np.ndarray, int]:
-        res = integrate_adaptive(density(y), 0.0, 1.0, 0.05 * tol, budget, (0.125, 0.25, 0.5))
-        return res.value.reshape(-1, y.size).sum(axis=0), res.evaluations
+    def inner(y: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray, int]:
+        res = integrate_adaptive(density(y), 0.0, 1.0, 0.05 * tol, budget, (0.125, 0.25, 0.5),
+                                 sharp=shell <= 2.0 * b)
+        return res.value.sum(axis=0), res.error_estimate.sum(axis=0), res.evaluations
 
     top = 2.0 if ct != 0.0 else 1.0
-    res = integrate_nested(lambda g, tt: integrate_adaptive(g, 0.0, top, tt, 60_000, (1.0,)),
+    edges = (1.0, 1.5) if shell > 3.0 * b else (1.0,)
+    res = integrate_nested(lambda g, tt: integrate_adaptive(g, 0.0, top, tt, 60_000, edges),
                            inner, tol, 10_000_000, f"energy at t={t!r}")
     return QuadratureResult(res.value.real, res.error_estimate, res.evaluations)

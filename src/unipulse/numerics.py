@@ -156,7 +156,9 @@ def bessel_j0(x):
 # --- adaptive Gauss-Kronrod quadrature ---------------------------------
 
 # 15-point Kronrod nodes (nonnegative half) and weights, with the
-# embedded 7-point Gauss rule on nodes 1, 3, 5 and the centre.
+# embedded 7-point Gauss rule on nodes 1, 3, 5 and the centre, and the
+# 5-point interpolatory rule on nodes 1, 5 and the centre (exact through
+# degree 5).
 _XGK = (
     0.991455371120812639206854697526329,
     0.949107912342758524526189684047851,
@@ -182,6 +184,8 @@ _WG = (
     0.381830050505118944950369775488975,
 )
 _WG_CENTER = 0.417959183673469387755102040816327
+_WQ5 = (0.218822398256701763337049217224197, 0.827008707076435779945939541602724)
+_WQ5_CENTER = -0.0916622106662750865659775176538407
 
 DEFAULT_QUAD_BUDGET = 1_000_000
 
@@ -192,6 +196,8 @@ _W_KRONROD = np.array(list(_WGK) + [_WGK_CENTER] + list(_WGK[::-1]))
 _W_GAUSS = np.zeros(15)
 _W_GAUSS[1:7:2] = _W_GAUSS[13:7:-2] = _WG
 _W_GAUSS[7] = _WG_CENTER
+_W_Q5 = np.zeros(15)
+_W_Q5[[1, 13]], _W_Q5[[5, 9]], _W_Q5[7] = _WQ5[0], _WQ5[1], _WQ5_CENTER
 
 
 def _weighted_sum(a: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -202,13 +208,19 @@ def _weighted_sum(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.einsum("...j,j->...", a, w)
 
 
-def _gk15(f, lo: np.ndarray, hi: np.ndarray):
+def _gk15(f, lo: np.ndarray, hi: np.ndarray, sharp: bool = False):
     """Gauss-Kronrod panels [lo[j], hi[j]], ``f`` called once on the
     array of all their nodes, shape (15 n,).  Returns (value, error,
     floor), each of the components' shape with a trailing axis of the n
     panels, real for a real integrand; ``floor`` is the rounding floor
     50 eps resabs below which no error estimate falls.  The sums run on
-    the values as rows of 15."""
+    the values as rows of 15.
+
+    The error is QUADPACK's: |K15 - G7| scaled by (200 err/resasc)^1.5.
+    With ``sharp`` a third rule, the 5-point Q5 on the same nodes, tests
+    a panel for geometric convergence (Laurie, BIT 23, 1983): where
+    rho = |K15 - G7| / |G7 - Q5| <= 0.01 the error is |K15 - G7|
+    rho/(1 - rho), if lower, and never below the floor."""
     hl = 0.5 * (hi - lo)
     n = hl.size
     fx = np.asarray(f(((0.5 * (lo + hi))[:, None] + hl[:, None] * _NODES).ravel()))
@@ -234,8 +246,11 @@ def _gk15(f, lo: np.ndarray, hi: np.ndarray):
     resabs = _weighted_sum(np.abs(rows), _W_KRONROD).reshape(shape) * ahl
     resasc = _weighted_sum(np.abs(rows - 0.5 * kronrod[:, None]), _W_KRONROD).reshape(shape) * ahl
     err = np.abs(kronrod - gauss).reshape(shape) * ahl
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # an infinite ratio caps at 1
         scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+        if sharp:
+            rho = err / (np.abs(gauss - _weighted_sum(rows, _W_Q5)).reshape(shape) * ahl)
+            scaled = np.where(rho <= 0.01, np.minimum(scaled, err * rho / (1.0 - rho)), scaled)
     err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
     floor = 50.0 * _EPS * resabs
     return value, np.maximum(err, floor), floor
@@ -248,6 +263,7 @@ def integrate_adaptive(
     tol: float,
     max_evals: int = DEFAULT_QUAD_BUDGET,
     breakpoints: Sequence[float] = (),
+    sharp: bool = False,
 ) -> QuadratureResult:
     """Adaptive bisection with a nested 7/15 Gauss-Kronrod rule.
 
@@ -260,10 +276,13 @@ def integrate_adaptive(
     next.  Value and error estimate are then arrays of the component
     shape (complex and float for a scalar integrand); ``evaluations``
     counts nodes times components.  ``breakpoints`` seed the initial
-    panel edges (useful for known kinks).  Raises ToleranceNotReached,
-    carrying the best estimate, once ``max_evals`` evaluations are
-    spent, or once a component's error floor exceeds its target: its
-    summed 50 eps resabs plus the error of panels too narrow to bisect.
+    panel edges (useful for known kinks).  ``sharp`` takes the
+    three-rule panel estimate of ``_gk15``, for an integrand smooth on
+    every panel; otherwise a panel's estimate is QUADPACK's.  Raises
+    ToleranceNotReached, carrying the best estimate, once ``max_evals``
+    evaluations are spent, or once a component's error floor exceeds its
+    target: its summed 50 eps resabs plus the error of panels too narrow
+    to bisect.
     """
     if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
         raise ValueError(f"integration interval must satisfy a < b, got [{a}, {b}]")
@@ -276,7 +295,7 @@ def integrate_adaptive(
         """Panels [los[j], his[j]] in one integrand call, queued for
         bisection; returns their summed values, errors and floors."""
         nonlocal seq
-        v, e, fl = _gk15(f, np.array(los), np.array(his))
+        v, e, fl = _gk15(f, np.array(los), np.array(his), sharp)
         keys = (-e.reshape(-1, len(los)).max(axis=0)).tolist()
         for j, (lo, hi) in enumerate(zip(los, his)):
             heapq.heappush(heap, (keys[j], seq, lo, hi, v[..., j], e[..., j], fl[..., j]))
@@ -473,8 +492,12 @@ def integrate_nested(outer: Callable, inner: Callable, tol: float, max_evals: in
     runs the outer rule on ``g``, and for the outer nodes x of one call
     of ``g`` (all initial panels, then the 30 of a bisection)
     ``inner(x, budget)`` runs the inner one.  It returns the values of
-    ``g`` at x, x on their last axis, and the count of inner values it
-    spent, at most ``budget``.  ``evaluations`` counts inner values;
+    ``g`` at x and their error estimates, both with x on their last
+    axis, and the count of inner values it spent, at most ``budget``.
+    The outer rule integrates the inner estimates as a second component,
+    and the result's estimate adds that outer-weighted sum to the outer
+    rule's; a sum above its target max(tol |value|, tol) raises
+    ToleranceNotReached.  ``evaluations`` counts inner values;
     ``max_evals`` bounds them over the whole integral.  A failure or a
     non-finite integrand is raised once, naming ``what``.
     """
@@ -482,9 +505,9 @@ def integrate_nested(outer: Callable, inner: Callable, tol: float, max_evals: in
 
     def g(x: np.ndarray) -> np.ndarray:
         nonlocal evals
-        values, spent = inner(x, max_evals - evals)
+        values, errors, spent = inner(x, max_evals - evals)
         evals += spent
-        return values
+        return np.stack([values, errors])
 
     try:
         res = outer(g, 0.5 * tol)
@@ -492,7 +515,12 @@ def integrate_nested(outer: Callable, inner: Callable, tol: float, max_evals: in
         raise ToleranceNotReached(f"{what} (route budget {max_evals}): {exc}") from exc
     except ValueError as exc:
         raise ValueError(f"{what}: {exc}") from exc
-    return QuadratureResult(res.value, res.error_estimate, evals)
+    value, estimate = complex(res.value[0]), float(res.error_estimate[0] + res.value[1].real)
+    target = max(tol * abs(value), tol)
+    if estimate > target:
+        raise ToleranceNotReached(f"{what} (route budget {max_evals}): error estimate "
+                                  f"{estimate:.3e} with the inner ones exceeds its target {target:.3e}")
+    return QuadratureResult(value, estimate, evals)
 
 
 def integrate_nested_doubling(outer: Callable, integrand: Callable, rule: Callable, tol: float,
@@ -502,24 +530,15 @@ def integrate_nested_doubling(outer: Callable, integrand: Callable, rule: Callab
     ``f(s, rows)`` of ``_integrate_doubling``, giving the values at the
     1-D nodes s of its flat components ``rows``, (rows.size, s.size), or
     of all of them for slice(None); their shape has x on its last axis,
-    and the outer integrand sums their integrals over the others.  Each
-    component runs the doubling ``rule`` (``trapezoid``, ``fejer2``) to
-    0.05 tol on its own.  The outer rule integrates the inner estimates
-    as a second component, and the result's estimate adds that
-    outer-weighted sum to the outer rule's; a sum above its target
-    max(tol |value|, tol) raises ToleranceNotReached.
+    and the outer integrand sums their integrals, and their estimates,
+    over the others.  Each component runs the doubling ``rule``
+    (``trapezoid``, ``fejer2``) to 0.05 tol on its own.
     """
-    def inner(x: np.ndarray, budget: int) -> tuple[np.ndarray, int]:
+    def inner(x: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray, int]:
         value, error, spent = _integrate_doubling(integrand(x), rule, 0.05 * tol, budget)
-        return np.stack([value, error]).reshape(2, -1, x.size).sum(axis=1), spent
+        return value.reshape(-1, x.size).sum(axis=0), error.reshape(-1, x.size).sum(axis=0), spent
 
-    res = integrate_nested(outer, inner, tol, max_evals, what)
-    value, estimate = complex(res.value[0]), float(res.error_estimate[0] + res.value[1].real)
-    target = max(tol * abs(value), tol)
-    if estimate > target:
-        raise ToleranceNotReached(f"{what} (route budget {max_evals}): error estimate "
-                                  f"{estimate:.3e} with the inner ones exceeds its target {target:.3e}")
-    return QuadratureResult(value, estimate, res.evaluations)
+    return integrate_nested(outer, inner, tol, max_evals, what)
 
 
 def limit_extrapolate(h: Sequence[float], v: np.ndarray) -> ExtrapolationResult:

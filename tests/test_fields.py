@@ -414,6 +414,36 @@ class TestEnergy:
         exact = 2.0 * math.pi**2 * (1.0 + K * b) / b**3
         assert abs(est.value - exact) <= est.error_estimate <= max(tol * est.value, tol)
 
+    def test_seeded_sweep_estimates_bound_the_closed_form(self):
+        # lekner(a = b, K) with b in [0.25, 4] and K b = 0 or in [0, 3]; one
+        # draw in three at |t| <= 300 tau, the others at |t| <= 3 tau, where
+        # the inner estimate switches from three rules to QUADPACK's at
+        # c|t| = 2b; the tolerances in turn
+        rng = np.random.default_rng(21)
+        misses = []
+        for i in range(150):
+            c, b = rng.uniform(0.5, 2.0), rng.uniform(0.25, 4.0)
+            kb = 0.0 if i % 2 else rng.uniform(0.0, 3.0)
+            t_over_tau = rng.uniform(-1.0, 1.0) * (300.0 if (i // 3) % 3 == 0 else 3.0)
+            tol = (1e-2, 1e-4, 1e-6)[i % 3]
+            params = PulseParams(c, b / c)
+            b = params.b
+            est = energy_estimate(t_over_tau * params.tau, params, LeknerWaveform(b, kb / b), tol)
+            err = abs(est.value - 2.0 * math.pi**2 * (1.0 + kb) / b**3)
+            if not err <= est.error_estimate <= max(tol * est.value, tol):
+                misses.append((i, err, est.error_estimate))
+        assert not misses
+
+    def test_outer_edge_inside_the_shell_bounds_a_seeded_late_time_miss(self):
+        # at c t = 14.2 b the outer rule alone estimated 1.61e-4 for an
+        # error of 2.36e-4; its panel edge at y = 1.5 settles the shell
+        params, tol = PulseParams(1.2695513468728576, 1.3046170778695991), 1e-4
+        w = LeknerWaveform(1.6562783683626814, 0.9367434317040895)
+        b = params.b
+        est = energy_estimate(18.53438233572413, params, w, tol)
+        exact = 2.0 * math.pi**2 * (1.0 + w.K * b) / b**3
+        assert abs(est.value - exact) <= est.error_estimate <= max(tol * est.value, tol)
+
     @pytest.mark.parametrize("t", [30.0, -100.0, 300.0, 1000.0])
     @pytest.mark.parametrize("w", [LeknerWaveform(1.0), LeknerWaveform(1.0, 1.0)], ids=repr)
     def test_late_times_bound_the_error_or_raise(self, params, w, t):

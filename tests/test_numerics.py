@@ -9,10 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unipulse.numerics import (
+    _NODES,
+    _W_Q5,
     ToleranceNotReached,
+    _gk15,
     bessel_j0,
     complex_sqrt_upper,
     integrate_adaptive,
+    integrate_nested,
     integrate_semi_infinite,
     limit_extrapolate,
 )
@@ -413,6 +417,59 @@ class TestVectorIntegrand:
         with pytest.raises(ToleranceNotReached, match="initial panels"):
             integrate_adaptive(lambda x: np.stack([x, x * x]), 0.0, 1.0, 1e-6,
                                max_evals=50, breakpoints=(0.5,))
+
+
+class TestThreeRuleEstimate:
+    """The 5-point rule Q5 on the Kronrod nodes +-0.9491, +-0.4058 and 0,
+    and the panel estimate of ``_gk15`` it sharpens."""
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_q5_is_exact_through_degree_5_and_not_6(self, k):
+        moment = float(np.dot(_W_Q5, _NODES**k)) - (2.0 / (k + 1) if k % 2 == 0 else 0.0)
+        if k <= 5:
+            assert abs(moment) <= 1e-15
+        else:
+            assert abs(moment) > 1e-2
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.floats(-3.0, 3.0), width=st.floats(1e-3, 4.0), freq=st.floats(0.0, 40.0))
+    def test_lies_between_the_floor_and_quadpacks(self, a, width, freq):
+        def f(x):
+            return np.stack([np.exp(freq * x / 10.0), np.cos(freq * x), 1.0 / (1.0 + (freq * x) ** 2),
+                             np.sqrt(np.abs(x - a - width / 3.0)), np.exp(1j * freq * x)])
+
+        lo, hi = np.array([a, a + width / 2.0]), np.array([a + width / 2.0, a + width])
+        value, sharp, floor = _gk15(f, lo, hi, sharp=True)
+        same, quadpack, same_floor = _gk15(f, lo, hi)
+        assert np.array_equal(value, same) and np.array_equal(floor, same_floor)
+        assert np.all(floor <= sharp) and np.all(sharp <= quadpack)
+
+    def test_geometric_convergence_lowers_the_estimate_and_still_bounds_the_error(self):
+        # cos(6x) on [0, 1]: K15 errs by 3e-17, QUADPACK's estimate is 1e-9
+        value, sharp, floor = _gk15(lambda x: np.cos(6.0 * x), np.array([0.0]), np.array([1.0]), sharp=True)
+        quadpack = _gk15(lambda x: np.cos(6.0 * x), np.array([0.0]), np.array([1.0]))[1]
+        assert abs(value[0] - math.sin(6.0) / 6.0) <= sharp[0] == floor[0] < 1e-5 * quadpack[0]
+
+
+class TestIntegrateNested:
+    @staticmethod
+    def outer(g, tol):
+        return integrate_adaptive(g, 0.0, 1.0, tol)
+
+    def test_estimate_adds_the_outer_weighted_inner_estimates(self):
+        # inner integrals x^2 with estimates 1e-3 x: the outer rule
+        # integrates both, and the estimate carries int_0^1 1e-3 x dx
+        res = integrate_nested(self.outer, lambda x, budget: (x * x, 1e-3 * x, 7 * x.size),
+                               1e-2, 10**6, "test")
+        assert res.value == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert res.error_estimate == pytest.approx(5e-4, rel=1e-9)
+        assert res.evaluations == 7 * 15
+
+    def test_inner_estimates_above_the_target_raise(self):
+        with pytest.raises(ToleranceNotReached,
+                           match=r"^test \(route budget 1000\): error estimate 5\.000e-02 "
+                                 r"with the inner ones exceeds its target 1\.000e-02"):
+            integrate_nested(self.outer, lambda x, budget: (x * x, 0.1 * x, x.size), 1e-2, 1000, "test")
 
 
 class TestLimitExtrapolate:
