@@ -2,8 +2,9 @@
 
 Closed-form evaluation of a quasi-spherical pulse family, extraction of
 its large-time directional amplitude, a unidirectionality certificate,
-and numerically cross-validated reconstructions through four
-independent integral representations plus a Monte-Carlo estimate.
+and numerically cross-validated reconstructions through three
+independent integral representations (a fourth is the third under
+omega = c k) plus a Monte-Carlo estimate.
 """
 
 __version__ = "0.1.0"
@@ -46,12 +47,11 @@ from .numerics import (
 from .pdecheck import BelowNoiseFloor, ResidualReport, convergence_order, wave_residual
 from .synthesis import (
     MonteCarloEstimate,
-    SpectralWeight,
-    make_spectral_weight,
     reconstruct_cartesian_mc,
     reconstruct_from_farfield,
     reconstruct_from_weight,
     reconstruct_fourier_bessel,
     reconstruct_hemisphere,
+    spectral_weight,
 )
 from .waveforms import LeknerWaveform, Waveform, parse_waveform

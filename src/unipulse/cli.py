@@ -64,11 +64,11 @@ from .ioformats import fmt_float, render_json, write_csv, write_text
 from .numerics import ToleranceNotReached
 from .pdecheck import wave_residual
 from .synthesis import (
-    make_spectral_weight,
     reconstruct_cartesian_mc,
     reconstruct_from_weight,
     reconstruct_fourier_bessel,
     reconstruct_hemisphere,
+    spectral_weight,
 )
 
 #: config keys every command reads besides its own
@@ -129,14 +129,13 @@ def run_compare(cfg: dict, setup, seed: int | None) -> Output:
     bound = get_number(cfg, "max_discrepancy", "", 1e-5, gt=0.0)
     mc_n, mc_seed, mc_sigma = parse_monte_carlo(cfg, seed)
 
-    weight = make_spectral_weight(setup.params, setup.waveform)
     rows, worst, mc_misses = [], 0.0, 0
     for p in points:
         closed = eval_quasi_spherical(p, setup.params, setup.waveform)
         routes = {
             "hemisphere": reconstruct_hemisphere(setup.params, setup.waveform, p, tol),
             "fourier_bessel": reconstruct_fourier_bessel(setup.params, setup.waveform, p, tol),
-            "from_weight": reconstruct_from_weight(weight, p, tol),
+            "from_weight": reconstruct_from_weight(setup.params, setup.waveform, p, tol),
         }
         disc = max(abs(r.value - closed) for r in routes.values())
         row = {"point": {"t": p.t, "x": p.x, "y": p.y, "z": p.z}, "closed_form": closed}
@@ -207,7 +206,7 @@ def run_spectrum(cfg: dict, setup, seed: int | None) -> Output:
     omega = parse_range(cfg, "omega", 0.5, 5.0, 10, gt=0.0)[:, None]
     # omega-major rows inside the support, all weights in one array call
     keep = kz <= omega / p.c
-    a = make_spectral_weight(p, setup.waveform)(kz, omega)  # 0 outside the support
+    a = spectral_weight(p, setup.waveform, kz, omega)  # 0 outside the support
     comments = [f"pulse: c={fmt_float(p.c)} tau={fmt_float(p.tau)} zeta={fmt_float(p.zeta)}",
                 f"waveform: {setup.waveform_desc}"]
     columns = {"kz": kz, "omega": omega, "re": a.real, "im": a.imag,
@@ -259,8 +258,8 @@ _COMMANDS = {
     "sample": (run_sample, {"evaluator", "b_ref", "grid", "format"},
                "Sample an evaluator over a structured grid (CSV or JSON+binary)."),
     "compare": (run_compare, {"points", "tolerance", "max_discrepancy", "mc"},
-                "Cross-check the closed form against hemisphere, Fourier-Bessel "
-                "and spectral-weight reconstructions (optional Monte Carlo)."),
+                "Cross-check the closed form against hemisphere and Fourier-Bessel reconstructions; "
+                "from_weight is the latter under omega = c*k, on spectrum's weight (optional MC)."),
     "farfield": (run_farfield, {"s_values", "directions"},
                  "Tabulate numeric and closed-form directional amplitudes; the numeric "
                  "ones extrapolate ct*u along ct = (1e2, 1e3, 1e4) max(b, |s|)/cos^2 chi; "

@@ -24,16 +24,30 @@ class ConfigError(Exception):
     pass
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object whose keys all differ: a repeated key is an error,
+    where ``json`` would silently keep its last value."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    # not UTF-8, an integer over 4300 digits, a duplicate key, nested too deep
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return doc
@@ -55,6 +69,18 @@ def get_block(value, path: str, allowed: set[str]) -> dict:
     return value
 
 
+def _finite(v: int | float, where: str) -> float:
+    """``v`` as a float, which must be finite: an integer literal beyond
+    the float range is an error, not an OverflowError."""
+    try:
+        v = float(v)
+    except OverflowError:
+        raise ConfigError(f"{where}: must be finite, got an integer beyond +-1.8e308") from None
+    if not math.isfinite(v):
+        raise ConfigError(f"{where}: must be finite, got {v}")
+    return v
+
+
 def get_number(obj: dict, key: str, path: str, default=None, *, gt=None, ge=None) -> float:
     if key not in obj:
         if default is None:
@@ -63,9 +89,7 @@ def get_number(obj: dict, key: str, path: str, default=None, *, gt=None, ge=None
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{path}{key}: expected a number, got {v!r}")
-    v = float(v)
-    if not math.isfinite(v):
-        raise ConfigError(f"{path}{key}: must be finite, got {v}")
+    v = _finite(v, f"{path}{key}")
     if gt is not None and not v > gt:
         raise ConfigError(f"{path}{key}: must be > {gt}, got {v}")
     if ge is not None and not v >= ge:
@@ -112,11 +136,9 @@ def get_number_list(obj: dict, key: str, default, max_abs: float = math.inf) -> 
     for i, item in enumerate(v):
         if isinstance(item, bool) or not isinstance(item, (int, float)):
             raise ConfigError(f"{key}[{i}]: expected a number, got {item!r}")
-        if not math.isfinite(item):
-            raise ConfigError(f"{key}[{i}]: must be finite, got {item}")
-        if abs(item) > max_abs:
+        out.append(_finite(item, f"{key}[{i}]"))
+        if abs(out[-1]) > max_abs:
             raise ConfigError(f"{key}[{i}]: |value| must be at most {max_abs:g}, got {item!r}")
-        out.append(float(item))
     return out
 
 

@@ -1,15 +1,16 @@
 """Reconstruction of the field from far-field data and spectra.
 
-Four independent routes back to u(t, R):
+Routes back to u(t, R):
 
 * a sphere integral of the far-field s-derivative (superposition of
   nonstationary plane waves),
 * its forward-hemisphere specialization in the variable p = cos(angle),
 * a Fourier-Bessel double integral over (k, k_z) driven by the waveform
   spectrum,
-* the same double integral in (omega, k_z) driven by a spectral weight
-  A(k_z, omega), plus a Monte-Carlo estimate of the equivalent 3-D
-  Cartesian k-space integral.
+* the same double integral in (omega, k_z) driven by the spectral
+  weight A(k_z, omega) that ``spectrum`` prints: the previous route under
+  omega = c k, an integral-level check of that table, not an independent route,
+* a Monte-Carlo estimate of the equivalent 3-D Cartesian k-space integral.
 
 Each deterministic route takes an explicit tolerance and returns a
 QuadratureResult reporting the achieved error estimate; nothing
@@ -38,48 +39,19 @@ from .numerics import (
 from .waveforms import Waveform
 
 
-@dataclass(frozen=True)
-class SpectralWeight:
-    """Density A(k_z, omega) of the Fourier-Bessel representation.
-
-    ``func`` takes floats or broadcastable numpy arrays and must return
-    0 outside the support 0 <= k_z <= omega/c (Heaviside continuation).
-    ``omega_decay`` is the exponential decay rate in omega used as a
-    quadrature hint; ``kz_breakpoints`` mark kinks of the k_z dependence.
-    """
-
-    func: Callable[[float, float], complex]
-    c: float
-    omega_decay: float
-    kz_breakpoints: tuple[float, ...] = ()
-
-    def __call__(self, kz: float, omega: float) -> complex:
-        return self.func(kz, omega)
-
-
-def make_spectral_weight(params: PulseParams, w: Waveform) -> SpectralWeight:
+def spectral_weight(params: PulseParams, w: Waveform, kz, omega) -> complex:
     """Spectral weight of the quasi-spherical wave built on ``w``,
 
-        A(k_z, omega) = -(i/c) exp(-(omega/c - k_z) b) fhat(k_z).
+        A(k_z, omega) = -(i/c) exp(-(omega/c - k_z) b) fhat(k_z),
 
-    Outside the support 0 <= k_z <= omega/c the closure returns 0, which
-    is the natural continuation for use inside reconstruction integrals.
-    The decay hint 0.5 min(a, b)/c leaves the mapped outer integrand of
-    the reconstruction ~(1-u)^1 at the end of the interval; 0.9 min(a, b)
-    left ~(1-u)^(1/9), where the J0 oscillations pile up and the error
-    estimate no longer bounds the error.
+    at floats or broadcastable arrays, and 0 outside the support
+    0 <= k_z <= omega/c (the continuation reconstruction integrals use).
     """
-    c = params.c
-
-    def func(kz, omega):
-        top = np.asarray(omega, dtype=float) / c
-        inside = (kz >= 0.0) & (kz <= top)
-        kz = np.clip(kz, 0.0, top)
-        value = np.where(inside, (-1j / c) * np.exp((kz - top) * params.b) * w.spectrum(kz), 0j)
-        return value[()]
-
-    decay = 0.5 * min(w.decay_rate, params.b) / c
-    return SpectralWeight(func, c, decay, w.spectrum_breakpoints)
+    top = np.asarray(omega, dtype=float) / params.c
+    inside = (kz >= 0.0) & (kz <= top)
+    kz = np.clip(kz, 0.0, top)
+    value = np.where(inside, (-1j / params.c) * np.exp((kz - top) * params.b) * w.spectrum(kz), 0j)
+    return value[()]
 
 
 def reconstruct_from_farfield(
@@ -155,23 +127,26 @@ def reconstruct_hemisphere(
     return QuadratureResult(-res.value, res.error_estimate, res.evaluations)
 
 
-def _fourier_bessel(spectral: Callable, factor: Callable, breakpoints: tuple[float, ...],
-                    c: float, decay: float, p: SpacetimePoint, tol: float,
-                    max_evals: int, what: str) -> QuadratureResult:
+def _fourier_bessel(spectral: Callable, factor: Callable, w: Waveform, b: float, c: float,
+                    p: SpacetimePoint, tol: float, max_evals: int, what: str) -> QuadratureResult:
     """The double integral of both spectral routes,
 
         integral_0^inf dx factor(x) integral_0^{x/c} dk_z
             spectral(k_z, x) J0(rho sqrt(x^2/c^2 - k_z^2)) e^{-i k_z z},
 
-    with the k_z range split at the positive ``breakpoints`` (a piece
-    starting above x/c is empty).  Through ``integrate_nested_doubling``,
+    with the k_z range split at the positive ``w.spectrum_breakpoints``
+    (a piece starting above x/c is empty).  Through ``integrate_nested_doubling``,
     every piece of every inner integral is one component in
     s = (k_z - start) / width on [0, 1], integrated by Fejer's second
     rule: the integrand is entire in k_z on each piece, and the open rule
     never samples the piece ends, where the spectrum's Heaviside sits.
-    The inner integrands carry factor(x).
+    The inner integrands carry factor(x).  The outer one decays like
+    exp(-x min(a, b)/c), a = w.decay_rate; half that rate as the hint
+    leaves the mapped outer integrand ~(1-u)^1 at u = 1, where 0.9 of it
+    left ~(1-u)^(1/9): the J0 oscillations piled up there and the error
+    estimate no longer bounded the error.
     """
-    edges = (0.0, *sorted({q for q in breakpoints if q > 0.0}))
+    edges = (0.0, *sorted({q for q in w.spectrum_breakpoints if q > 0.0}))
     starts = np.array(edges + (math.inf,))[:, None]
 
     def inner(x: np.ndarray) -> Callable:
@@ -189,6 +164,7 @@ def _fourier_bessel(spectral: Callable, factor: Callable, breakpoints: tuple[flo
 
         return f
 
+    decay = 0.5 * min(w.decay_rate, b) / c
     kinks = tuple(c * q for q in edges[1:])
     return integrate_nested_doubling(
         lambda g, t: integrate_semi_infinite(g, t, decay, 80_000, kinks),
@@ -207,39 +183,35 @@ def reconstruct_fourier_bessel(
         u = -i integral_0^inf dk e^{i k (ct + i b)}
                integral_0^k dk_z fhat(k_z) J0(rho sqrt(k^2 - k_z^2))
                                   e^{-i k_z (z + i b)}.
-
-    The outer integrand decays like exp(-k * min(decay_rate, b)) thanks
-    to the e^{-k b} envelope, so the outer integral runs through the
-    semi-infinite transform with half that rate as its hint (see
-    ``make_spectral_weight``).
     """
     b = params.b
     res = _fourier_bessel(
         lambda kz, k: w.spectrum(kz) * np.exp(kz * b),
         lambda k: np.exp(k * complex(-b, params.c * p.t)),
-        w.spectrum_breakpoints,
-        1.0, 0.5 * min(w.decay_rate, b), p, tol, max_evals, "Fourier-Bessel reconstruction",
+        w, b, 1.0, p, tol, max_evals, "Fourier-Bessel reconstruction",
     )
     return QuadratureResult(-1j * res.value, res.error_estimate, res.evaluations)
 
 
 def reconstruct_from_weight(
-    weight: SpectralWeight,
+    params: PulseParams,
+    w: Waveform,
     p: SpacetimePoint,
     tol: float,
     max_evals: int = 4_000_000,
 ) -> QuadratureResult:
-    """Generic Fourier-Bessel synthesis from a spectral weight:
+    """``reconstruct_fourier_bessel`` under omega = c k, on ``spectral_weight``:
+    the outer nodes scaled by c, but inner integrals 1/c of that route's
+    against the same absolute target, so equal evaluation counts at c = 1 only:
 
         u = integral_0^inf domega e^{i omega t}
-              integral_0^{omega/c} dk_z A(k_z, omega)
+              integral_0^{omega/c} dk_z spectral_weight(k_z, omega)
                  e^{-i k_z z} J0(rho sqrt(omega^2/c^2 - k_z^2)).
     """
     return _fourier_bessel(
-        weight,
+        lambda kz, omega: spectral_weight(params, w, kz, omega),
         lambda omega: np.exp(omega * complex(0.0, p.t)),
-        weight.kz_breakpoints,
-        weight.c, weight.omega_decay, p, tol, max_evals, "spectral-weight reconstruction",
+        w, params.b, params.c, p, tol, max_evals, "spectral-weight reconstruction",
     )
 
 

@@ -339,7 +339,7 @@ class TestSpectrumCmd:
             assert im == pytest.approx(0.0, abs=1e-15)
 
     def test_rows_cover_the_support_in_omega_major_order(self, tmp_path):
-        from unipulse.synthesis import make_spectral_weight
+        from unipulse.synthesis import spectral_weight
         from unipulse.waveforms import LeknerWaveform
 
         cfg = {"pulse": {"c": 2.0, "tau": 0.5}, "waveform": "lekner(a=1,K=0.5)",
@@ -352,9 +352,9 @@ class TestSpectrumCmd:
         # kz = omega/c = 0.5 and 1.0 lie on the edge of the support
         assert [r[:2] for r in rows] == [[0.0, 1.0], [0.5, 1.0],
                                          [0.0, 2.0], [0.5, 2.0], [1.0, 2.0]]
-        weight = make_spectral_weight(PulseParams(2.0, 0.5), LeknerWaveform(1.0, 0.5))
+        params, w = PulseParams(2.0, 0.5), LeknerWaveform(1.0, 0.5)
         for kz, omega, re, im, _ in rows:
-            want = weight(kz, omega)
+            want = spectral_weight(params, w, kz, omega)
             assert complex(re, im) == pytest.approx(want, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("waveform", ["rational(a=0.8)", "lekner(a=0.8,K=1.3)"])
@@ -362,7 +362,7 @@ class TestSpectrumCmd:
         # the table as built before write_csv took a row mask: a raveled
         # omega-major meshgrid, masked to the support, every cell full-size
         from unipulse.ioformats import write_csv
-        from unipulse.synthesis import make_spectral_weight
+        from unipulse.synthesis import spectral_weight
         from unipulse.waveforms import parse_waveform
 
         cfg = {"pulse": {"c": 1.3, "tau": 0.7}, "waveform": waveform,
@@ -375,7 +375,7 @@ class TestSpectrumCmd:
                                                      np.linspace(0.0, 4.1, 64), indexing="ij"))
         keep = kz <= omega / params.c
         kz, omega = kz[keep], omega[keep]
-        a = make_spectral_weight(params, parse_waveform(waveform))(kz, omega)
+        a = spectral_weight(params, parse_waveform(waveform), kz, omega)
         ref = tmp_path / "ref.csv"
         write_csv(ref, [f"pulse: c=1.3 tau={fmt_float(0.7)} zeta=0", f"waveform: {waveform}"],
                   {"kz": kz, "omega": omega, "re": a.real, "im": a.imag,
@@ -591,11 +591,31 @@ class TestConfigMistakes:
         # |s| > 1e100: the ladder's ct = 1e10 |s| would overflow S^2
         ("farfield", {"s_values": [0.0, 1e200]}, "s_values[1]"),
         ("unidir", {"s_values": [-1e101]}, "s_values[0]"),
+        # an integer literal beyond the float range raised OverflowError
+        ("energy", {"tolerance": 10**400}, "tolerance"),
+        ("energy", {"t_values": [0.0, -10**400]}, "t_values[1]"),
     ])
     def test_exits_2_and_names_the_field(self, tmp_path, capsys, command, cfg, field):
         rc, out = run(tmp_path, command, cfg, "mistake.out")
         assert rc == 2 and not out.exists()
         assert f"config error: {field}:" in capsys.readouterr().err
+
+    # each exited 3 as a numerical failure, 1 with a traceback, or 0 on
+    # the last of the repeated values
+    @pytest.mark.parametrize("text, message", [
+        (b"\xff\xfe{", "'utf-8' codec can't decode"),
+        (b'{"tolerance": 1' + b"0" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+        (b'{"x": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "maximum recursion depth"),
+        (b'{"tolerance": 1e-4, "tolerance": 1e-2}', "duplicate key 'tolerance'"),
+        (b'{"pulse": {"c": 1, "c": 2}}', "duplicate key 'c'"),
+    ], ids=["not-utf8", "5000-digits", "nested-too-deep", "duplicate-key", "duplicate-pulse-key"])
+    def test_malformed_file_exits_2_and_names_it(self, tmp_path, capsys, text, message):
+        path = tmp_path / "malformed.json"
+        path.write_bytes(text)
+        out = tmp_path / "mistake.out"
+        assert main(["energy", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert f"config error: {path}: {message}" in capsys.readouterr().err
 
 
 class TestHelp:

@@ -17,13 +17,12 @@ from unipulse.fields import (
 )
 from unipulse.numerics import ToleranceNotReached
 from unipulse.synthesis import (
-    SpectralWeight,
-    make_spectral_weight,
     reconstruct_cartesian_mc,
     reconstruct_from_farfield,
     reconstruct_from_weight,
     reconstruct_fourier_bessel,
     reconstruct_hemisphere,
+    spectral_weight,
 )
 from unipulse.waveforms import LeknerWaveform
 
@@ -228,7 +227,7 @@ class TestSpectralWeight:
     def test_edge_of_support(self, params, rational):
         # at kz = omega/c the exponential factor is exactly 1
         omega = 1.7
-        a = make_spectral_weight(params, rational)(omega / params.c, omega)
+        a = spectral_weight(params, rational, omega / params.c, omega)
         assert a == pytest.approx(-1j / params.c * rational.spectrum(omega / params.c))
         assert isinstance(a, np.complex128)  # a scalar, not a 0-d array
 
@@ -240,28 +239,20 @@ class TestSpectralWeight:
         for _ in range(50):
             omega = rng.uniform(0.1, 4.0)
             kz = rng.uniform(0.0, omega / p.c)
-            a = make_spectral_weight(p, w)(kz, omega)
+            a = spectral_weight(p, w, kz, omega)
             expect = -(1.0 / p.c) * math.exp(-omega * p.b / p.c) * math.exp(p.zeta * kz)
             assert a == pytest.approx(expect, rel=1e-14)
 
     def test_out_of_support(self, params, rational):
         # the weight continues by zero outside 0 <= k_z <= omega/c
-        weight = make_spectral_weight(params, rational)
-        assert weight(-0.1, 1.0) == 0.0
-        assert weight(1.5, 1.0) == 0.0
-
-    def test_weight_closure_is_zero_outside(self, params, rational):
-        weight = make_spectral_weight(params, rational)
-        assert weight(-0.5, 1.0) == 0.0
-        assert weight(1.2, 1.0) == 0.0
-
+        for kz in (-0.5, -0.1, 1.2, 1.5):
+            assert spectral_weight(params, rational, kz, 1.0) == 0.0
 
     def test_weight_closure_takes_arrays(self, params):
         w = LeknerWaveform(1.0, 0.5)
-        weight = make_spectral_weight(params, w)
         kz = np.linspace(-0.5, 2.5, 31)
         omega = np.array([[0.3], [1.0], [2.0]])
-        got = weight(kz, omega)
+        got = spectral_weight(params, w, kz, omega)
         assert got.shape == (3, 31)
         for i, om in enumerate(omega[:, 0]):
             for j, k in enumerate(kz):
@@ -273,56 +264,46 @@ class TestSpectralWeight:
 
 
 class TestFromWeight:
-    def test_zero_weight(self, params, rational):
-        from unipulse.synthesis import SpectralWeight
-
-        zero = SpectralWeight(lambda kz, omega: 0.0j, params.c, 1.0)
-        res = reconstruct_from_weight(zero, REGULAR_POINTS[0], 1e-9)
-        assert res.value == 0.0
-
     def test_reproduces_simple_pulse(self, params, rational):
         p = SpacetimePoint.from_cylindrical(0.0, 0.3, 0.1)
-        weight = make_spectral_weight(params, rational)
-        res = reconstruct_from_weight(weight, p, 1e-6)
+        res = reconstruct_from_weight(params, rational, p, 1e-6)
         exact = eval_simple_pulse(p, params)
         assert abs(res.value - exact) <= 1e-6
 
     def test_agrees_with_fourier_bessel(self, params, rational):
         # same integral after the omega = c k relabeling: mutual oracle
         for p in REGULAR_POINTS[:3]:
-            weight = make_spectral_weight(params, rational)
-            wt = reconstruct_from_weight(weight, p, 1e-9)
+            wt = reconstruct_from_weight(params, rational, p, 1e-9)
             fb = reconstruct_fourier_bessel(params, rational, p, 1e-9)
             assert abs(wt.value - fb.value) <= 1e-8
 
     def test_lekner_weight(self, params):
         w = LeknerWaveform(1.0, 1.5)
         p = SpacetimePoint.from_cylindrical(0.2, 0.4, 0.3)
-        weight = make_spectral_weight(params, w)
-        res = reconstruct_from_weight(weight, p, 1e-6)
+        res = reconstruct_from_weight(params, w, p, 1e-6)
         exact = eval_quasi_spherical(p, params, w)
         assert abs(res.value - exact) <= 1e-5
 
-
     def test_budget_names_the_route(self, params, rational):
-        weight = make_spectral_weight(params, rational)
         with pytest.raises(ToleranceNotReached, match="spectral-weight reconstruction"):
-            reconstruct_from_weight(weight, REGULAR_POINTS[1], 1e-6, max_evals=1000)
+            reconstruct_from_weight(params, rational, REGULAR_POINTS[1], 1e-6, max_evals=1000)
 
     def test_counts_one_evaluation_per_weight_value(self, params):
+        values = []
+
+        class Counting(LeknerWaveform):
+            def spectrum(self, kappa):
+                values.append(np.size(kappa))
+                return super().spectrum(kappa)
+
         for lek in ((1.0,), (1.0, 1.0)):
-            weight = make_spectral_weight(params, LeknerWaveform(*lek))
-            values = []
-
-            def counting(kz, omega):
-                values.append(np.broadcast(kz, omega).size)
-                return weight.func(kz, omega)
-
-            counted = SpectralWeight(counting, weight.c, weight.omega_decay,
-                                     weight.kz_breakpoints)
-            res = reconstruct_from_weight(counted, REGULAR_POINTS[1], 1e-6)
+            values.clear()
+            res = reconstruct_from_weight(params, Counting(*lek), REGULAR_POINTS[1], 1e-6)
             # one weight call: the seeded panels settle at once
             assert res.evaluations == sum(values) > 0 and len(values) == 1
+            # at c = 1 route (3) takes the same nodes, and so the same count
+            fb = reconstruct_fourier_bessel(params, LeknerWaveform(*lek), REGULAR_POINTS[1], 1e-6)
+            assert res.evaluations == fb.evaluations
 
 
 class TestRouteAgreement:
@@ -333,9 +314,11 @@ class TestRouteAgreement:
             exact = eval_quasi_spherical(p, params, w)
             hemi = reconstruct_hemisphere(params, w, p, tol)
             fb = reconstruct_fourier_bessel(params, w, p, tol)
+            wt = reconstruct_from_weight(params, w, p, tol)
             assert abs(hemi.value - fb.value) <= 2 * (tol + tol)
-            assert abs(hemi.value - exact) <= 10 * tol
-            assert abs(fb.value - exact) <= 10 * tol
+            assert abs(wt.value - fb.value) <= 2 * (tol + tol)
+            for res in (hemi, fb, wt):
+                assert abs(res.value - exact) <= 10 * tol
 
 
 class TestSpectralRoutesOracle:
@@ -361,7 +344,7 @@ class TestSpectralRoutesOracle:
         p = SpacetimePoint.from_cylindrical(ct / c, rho, z)
         exact = eval_quasi_spherical(p, params, w)
         fb = reconstruct_fourier_bessel(params, w, p, tol)
-        wt = reconstruct_from_weight(make_spectral_weight(params, w), p, tol)
+        wt = reconstruct_from_weight(params, w, p, tol)
         for res in (fb, wt):
             assert abs(res.value - exact) <= res.error_estimate
             assert res.error_estimate <= max(tol * abs(res.value), tol)
@@ -375,8 +358,7 @@ ROUTES = {
     "sphere": _sphere,
     "hemisphere": reconstruct_hemisphere,
     "fourier_bessel": reconstruct_fourier_bessel,
-    "from_weight": lambda params, w, p, tol: reconstruct_from_weight(
-        make_spectral_weight(params, w), p, tol),
+    "from_weight": reconstruct_from_weight,
 }
 
 
