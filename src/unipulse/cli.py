@@ -324,8 +324,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ToleranceNotReached, SingularPoint, ValueError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    except (ToleranceNotReached, SingularPoint, ValueError, MemoryError) as exc:
+        print(f"numerical failure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     print(f"wrote {result.summary} to {out}", file=sys.stderr)
     if result.failure:

@@ -24,6 +24,10 @@ class ConfigError(Exception):
     pass
 
 
+#: the most nodes one array can hold; a larger count is a config error
+_MAX_COUNT = int(np.iinfo(np.intp).max)
+
+
 def _unique_keys(pairs: list) -> dict:
     """A JSON object whose keys all differ: a repeated key is an error,
     where ``json`` would silently keep its last value."""
@@ -97,7 +101,7 @@ def get_number(obj: dict, key: str, path: str, default=None, *, gt=None, ge=None
     return v
 
 
-def get_int(obj: dict, key: str, path: str, default=None, *, ge=None) -> int:
+def get_int(obj: dict, key: str, path: str, default=None, *, ge=None, le=None) -> int:
     if key not in obj:
         if default is None:
             raise ConfigError(f"{path}{key}: required integer is missing")
@@ -107,6 +111,8 @@ def get_int(obj: dict, key: str, path: str, default=None, *, ge=None) -> int:
         raise ConfigError(f"{path}{key}: expected an integer, got {v!r}")
     if ge is not None and v < ge:
         raise ConfigError(f"{path}{key}: must be >= {ge}, got {v}")
+    if le is not None and v > le:
+        raise ConfigError(f"{path}{key}: must be <= {le}, got {v}")
     return v
 
 
@@ -271,7 +277,7 @@ def parse_range(cfg: dict, key: str, lo_default: float, hi_default: float,
     block = get_block(cfg.get(key, {}), key, {"min", "max", "count"})
     lo = get_number(block, "min", f"{key}.", lo_default, **min_bounds)
     hi = get_number(block, "max", f"{key}.", hi_default)
-    count = get_int(block, "count", f"{key}.", count_default, ge=1)
+    count = get_int(block, "count", f"{key}.", count_default, ge=1, le=_MAX_COUNT)
     if count > 1 and not hi > lo:
         raise ConfigError(f"{key}: max must exceed min for count > 1")
     return np.linspace(lo, hi, count)
@@ -287,13 +293,16 @@ def parse_grid(cfg: dict) -> GridSpec:
         path = f"grid.axes[{i}]."
         get_block(item, f"grid.axes[{i}]", {"name", "min", "max", "count"})
         name = get_string(item, "name", path)
-        count = get_int(item, "count", path, ge=1)
+        count = get_int(item, "count", path, ge=1, le=_MAX_COUNT)
         lo = get_number(item, "min", path)
         hi = get_number(item, "max", path, lo)
         try:
             axes.append(AxisSpec(name, lo, hi, count))
         except ValueError as exc:
             raise ConfigError(f"grid.axes[{i}]: {exc}") from exc
+    total = math.prod(a.count for a in axes)
+    if total > _MAX_COUNT:
+        raise ConfigError(f"grid.axes: {total} nodes in all, above the {_MAX_COUNT} one array can hold")
     fixed_raw = get_block(block.get("fixed", {}), "grid.fixed", set(AXIS_NAMES))
     fixed = {k: get_number(fixed_raw, k, "grid.fixed.") for k in fixed_raw}
     try:

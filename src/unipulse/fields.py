@@ -392,13 +392,10 @@ def energy_estimate(
 
         return f
 
-    def inner(y: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray, int]:
-        res = integrate_adaptive(density(y), 0.0, 1.0, 0.05 * tol, budget, (0.125, 0.25, 0.5),
-                                 sharp=shell <= 2.0 * b)
-        return res.value.sum(axis=0), res.error_estimate.sum(axis=0), res.evaluations
-
     top = 2.0 if ct != 0.0 else 1.0
     edges = (1.0, 1.5) if shell > 3.0 * b else (1.0,)
-    res = integrate_nested(lambda g, tt: integrate_adaptive(g, 0.0, top, tt, 60_000, edges),
-                           inner, tol, 10_000_000, f"energy at t={t!r}")
+    res = integrate_nested(
+        lambda g, tt: integrate_adaptive(g, 0.0, top, tt, 60_000, edges), density,
+        lambda f, tt, n: integrate_adaptive(f, 0.0, 1.0, tt, n, (0.125, 0.25, 0.5), sharp=shell <= 2.0 * b),
+        tol, 10_000_000, f"energy at t={t!r}")
     return QuadratureResult(res.value.real, res.error_estimate, res.evaluations)

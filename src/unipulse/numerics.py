@@ -3,8 +3,10 @@
 Provides the upper-half-plane complex square root, the Bessel function
 J0, adaptive Gauss-Kronrod quadrature for real or complex integrands on
 finite and semi-infinite intervals, doubling trapezoid and Fejer rules
-for analytic inner integrals, nested double integrals, and polynomial
-limit extrapolation for sequences v(h) -> v0 as h -> 0.
+for analytic integrals, one entry point for nested double integrals
+(``integrate_nested``, which takes the inner rule from its caller and
+splits the tolerance between the two), and polynomial limit
+extrapolation for sequences v(h) -> v0 as h -> 0.
 """
 
 from __future__ import annotations
@@ -424,7 +426,7 @@ def fejer2(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(np.sin(0.5 * math.pi * np.arange(n + 1) / n) ** 2, 0.5 * w)
 
 
-def _integrate_doubling(f: Callable, rule: Callable, tol: float, max_evals: int):
+def integrate_doubling(f: Callable, rule: Callable, tol: float, max_evals: int) -> QuadratureResult:
     """Every component of ``f(s, rows)`` over s in [0, 1] by the doubling
     ``rule`` at n = 16, 32, ..., each component on its own: ``rows`` is
     slice(None) in the first call, then the flat indices of the components
@@ -435,9 +437,9 @@ def _integrate_doubling(f: Callable, rule: Callable, tol: float, max_evals: int)
     from |Q_n - Q_n/2| or sits below the floor; an unresolved one adds
     2 sum |w f|, which bounds the error of a rule that misses the
     integrand's shape.  The component stops once its estimate is at most
-    tol max(|Q_2n|, 1).  Returns the values, the estimates and the count
-    of values spent.  Raises ToleranceNotReached once ``max_evals``
-    values are spent, n passes 2^14, or a floor exceeds its target.
+    tol max(|Q_2n|, 1).  The result holds one value and estimate per
+    component.  Raises ToleranceNotReached once ``max_evals`` values are
+    spent, n passes 2^14, or a floor exceeds its target.
     """
     n = _DOUBLING_START
     s, w = rule(n)
@@ -467,15 +469,14 @@ def _integrate_doubling(f: Callable, rule: Callable, tol: float, max_evals: int)
         done = err <= target
         value[rows[done]], error[rows[done]] = q[done], err[done]
         if done.all():
-            return value, error, evals
-        more = ~done
-        rows, vals, coarse, step, worst = rows[more], vals[more], q[more], d[more], float(np.max(err))
+            return QuadratureResult(value, error, evals)
+        i, more = int(np.argmax(err / target)), ~done
+        worst = f"error estimate {err[i]:.3e} of component {int(rows[i])}"
+        rows, vals, coarse, step = rows[more], vals[more], q[more], d[more]
         if 2 * n > _DOUBLING_MAX:
-            raise ToleranceNotReached(f"{rows.size} component(s) unsettled at n = {n} "
-                                      f"(error estimate {worst:.3e})")
+            raise ToleranceNotReached(f"{rows.size} component(s) unsettled at n = {n} ({worst})")
         if evals + rows.size * n > max_evals:
-            raise ToleranceNotReached(f"evaluation budget {max_evals} exhausted (error "
-                                      f"estimate {worst:.3e})")
+            raise ToleranceNotReached(f"evaluation budget {max_evals} exhausted ({worst})")
         n *= 2
         s, w = rule(n)
         fresh = np.asarray(f(s[1::2], rows))
@@ -485,29 +486,30 @@ def _integrate_doubling(f: Callable, rule: Callable, tol: float, max_evals: int)
         vals = both
 
 
-def integrate_nested(outer: Callable, inner: Callable, tol: float, max_evals: int,
-                     what: str) -> QuadratureResult:
+def integrate_nested(outer: Callable, integrand: Callable, inner: Callable, tol: float,
+                     max_evals: int, what: str) -> QuadratureResult:
     """The nested integral of the four reconstruction routes and of the
-    field energy, with both rules from the caller: ``outer(g, 0.5 tol)``
-    runs the outer rule on ``g``, and for the outer nodes x of one call
-    of ``g`` (all initial panels, then the 30 of a bisection)
-    ``inner(x, budget)`` runs the inner one.  It returns the values of
-    ``g`` at x and their error estimates, both with x on their last
-    axis, and the count of inner values it spent, at most ``budget``.
-    The outer rule integrates the inner estimates as a second component,
-    and the result's estimate adds that outer-weighted sum to the outer
-    rule's; a sum above its target max(tol |value|, tol) raises
-    ToleranceNotReached.  ``evaluations`` counts inner values;
-    ``max_evals`` bounds them over the whole integral.  A failure or a
-    non-finite integrand is raised once, naming ``what``.
+    field energy, the one place that splits ``tol``: ``outer(g, 0.5 tol)``
+    runs the outer rule on ``g``, and for the outer nodes x of one call of
+    ``g`` (all initial panels, then the 30 of a bisection)
+    ``inner(integrand(x), 0.05 tol, budget)`` runs the inner rule within
+    ``budget`` values, returning components with x on their last axis,
+    which g sums over the others.  The outer rule integrates the inner
+    estimates as a second component, and the result's estimate adds that
+    outer-weighted sum to the outer rule's; a sum above its target
+    max(tol |value|, tol) raises ToleranceNotReached.  ``evaluations``
+    counts inner values; ``max_evals`` bounds them over the whole
+    integral.  A failure or a non-finite integrand is raised once,
+    naming ``what``.
     """
     evals = 0
 
     def g(x: np.ndarray) -> np.ndarray:
         nonlocal evals
-        values, errors, spent = inner(x, max_evals - evals)
-        evals += spent
-        return np.stack([values, errors])
+        res = inner(integrand(x), 0.05 * tol, max_evals - evals)
+        evals += res.evaluations
+        return np.stack([np.reshape(res.value, (-1, x.size)).sum(axis=0),
+                         np.reshape(res.error_estimate, (-1, x.size)).sum(axis=0)])
 
     try:
         res = outer(g, 0.5 * tol)
@@ -521,24 +523,6 @@ def integrate_nested(outer: Callable, inner: Callable, tol: float, max_evals: in
         raise ToleranceNotReached(f"{what} (route budget {max_evals}): error estimate "
                                   f"{estimate:.3e} with the inner ones exceeds its target {target:.3e}")
     return QuadratureResult(value, estimate, evals)
-
-
-def integrate_nested_doubling(outer: Callable, integrand: Callable, rule: Callable, tol: float,
-                              max_evals: int, what: str) -> QuadratureResult:
-    """``integrate_nested`` for analytic inner integrals over s in [0, 1]:
-    for the outer nodes x of one call, ``integrand(x)`` is the integrand
-    ``f(s, rows)`` of ``_integrate_doubling``, giving the values at the
-    1-D nodes s of its flat components ``rows``, (rows.size, s.size), or
-    of all of them for slice(None); their shape has x on its last axis,
-    and the outer integrand sums their integrals, and their estimates,
-    over the others.  Each component runs the doubling ``rule``
-    (``trapezoid``, ``fejer2``) to 0.05 tol on its own.
-    """
-    def inner(x: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray, int]:
-        value, error, spent = _integrate_doubling(integrand(x), rule, 0.05 * tol, budget)
-        return value.reshape(-1, x.size).sum(axis=0), error.reshape(-1, x.size).sum(axis=0), spent
-
-    return integrate_nested(outer, inner, tol, max_evals, what)
 
 
 def limit_extrapolate(h: Sequence[float], v: np.ndarray) -> ExtrapolationResult:

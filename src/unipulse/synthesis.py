@@ -32,7 +32,8 @@ from .numerics import (
     bessel_j0,
     fejer2,
     integrate_adaptive,
-    integrate_nested_doubling,
+    integrate_doubling,
+    integrate_nested,
     integrate_semi_infinite,
     trapezoid,
 )
@@ -62,16 +63,16 @@ def reconstruct_from_farfield(
 ) -> QuadratureResult:
     """Sphere integral u = (1/2pi) * integral of F'(N.R - ct, N) over |N|=1.
 
-    Through ``integrate_nested_doubling``: the polar angle on [0, pi]
-    outside, with a panel edge at the equator (the integrand may jump
-    there for unidirectional profiles), and the azimuth phi = 2 pi s
-    inside, on the trapezoid over its period.
+    Through ``integrate_nested``: the polar angle on [0, pi] outside,
+    with a panel edge at the equator (the integrand may jump there for
+    unidirectional profiles), and the azimuth phi = 2 pi s inside, on the
+    doubling trapezoid over its period.
     ``f_deriv`` takes an array of s and a Direction of arrays of the
     same shape, once per inner doubling; ``evaluations`` counts its values.
     """
     ct = params.c * p.t
 
-    def inner(chi: np.ndarray) -> Callable:
+    def integrand(chi: np.ndarray) -> Callable:
         chi = chi[:, None]
         sin, cos = np.sin(chi), np.cos(chi)
 
@@ -84,9 +85,9 @@ def reconstruct_from_farfield(
 
         return f
 
-    return integrate_nested_doubling(
-        lambda g, t: integrate_adaptive(g, 0.0, math.pi, t, 120_000, (0.5 * math.pi,)),
-        inner, trapezoid, tol, 2_000_000, "sphere reconstruction")
+    return integrate_nested(
+        lambda g, t: integrate_adaptive(g, 0.0, math.pi, t, 120_000, (0.5 * math.pi,)), integrand,
+        lambda f, t, n: integrate_doubling(f, trapezoid, t, n), tol, 2_000_000, "sphere reconstruction")
 
 
 def reconstruct_hemisphere(
@@ -114,7 +115,7 @@ def reconstruct_hemisphere(
     ct_ib = complex(params.c * p.t, params.b)
     z_ib = complex(p.z, params.b)
 
-    def inner(mu: np.ndarray) -> Callable:
+    def integrand(mu: np.ndarray) -> Callable:
         mu = mu[:, None]
         base = ct_ib - z_ib * mu
         amp = p.rho * np.sqrt(1.0 - mu * mu)
@@ -122,8 +123,9 @@ def reconstruct_hemisphere(
                                 / (mu[rows] * mu[rows]))
 
     seeds = (1.0 / 4096, 1.0 / 1024, 1.0 / 256, 1.0 / 64, 1.0 / 16, 0.25)
-    res = integrate_nested_doubling(lambda g, t: integrate_adaptive(g, 0.0, 1.0, t, 120_000, seeds),
-                                    inner, trapezoid, tol, max_evals, "hemisphere reconstruction")
+    res = integrate_nested(lambda g, t: integrate_adaptive(g, 0.0, 1.0, t, 120_000, seeds), integrand,
+                           lambda f, t, n: integrate_doubling(f, trapezoid, t, n),
+                           tol, max_evals, "hemisphere reconstruction")
     return QuadratureResult(-res.value, res.error_estimate, res.evaluations)
 
 
@@ -135,7 +137,7 @@ def _fourier_bessel(spectral: Callable, factor: Callable, w: Waveform, b: float,
             spectral(k_z, x) J0(rho sqrt(x^2/c^2 - k_z^2)) e^{-i k_z z},
 
     with the k_z range split at the positive ``w.spectrum_breakpoints``
-    (a piece starting above x/c is empty).  Through ``integrate_nested_doubling``,
+    (a piece starting above x/c is empty).  Through ``integrate_nested``,
     every piece of every inner integral is one component in
     s = (k_z - start) / width on [0, 1], integrated by Fejer's second
     rule: the integrand is entire in k_z on each piece, and the open rule
@@ -149,7 +151,7 @@ def _fourier_bessel(spectral: Callable, factor: Callable, w: Waveform, b: float,
     edges = (0.0, *sorted({q for q in w.spectrum_breakpoints if q > 0.0}))
     starts = np.array(edges + (math.inf,))[:, None]
 
-    def inner(x: np.ndarray) -> Callable:
+    def integrand(x: np.ndarray) -> Callable:
         ends = np.minimum(starts, x / c)
         # one row per (piece, x), x last
         lo, width = ends[:-1].reshape(-1, 1), np.diff(ends, axis=0).reshape(-1, 1)
@@ -166,9 +168,8 @@ def _fourier_bessel(spectral: Callable, factor: Callable, w: Waveform, b: float,
 
     decay = 0.5 * min(w.decay_rate, b) / c
     kinks = tuple(c * q for q in edges[1:])
-    return integrate_nested_doubling(
-        lambda g, t: integrate_semi_infinite(g, t, decay, 80_000, kinks),
-        inner, fejer2, tol, max_evals, what)
+    return integrate_nested(lambda g, t: integrate_semi_infinite(g, t, decay, 80_000, kinks), integrand,
+                            lambda f, t, n: integrate_doubling(f, fejer2, t, n), tol, max_evals, what)
 
 
 def reconstruct_fourier_bessel(

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from unipulse import cli
 from unipulse.cli import _build_parser, main
 from unipulse.fields import PulseParams, SpacetimePoint, eval_simple_pulse
 from unipulse.ioformats import fmt_float, render_json
@@ -594,6 +595,15 @@ class TestConfigMistakes:
         # an integer literal beyond the float range raised OverflowError
         ("energy", {"tolerance": 10**400}, "tolerance"),
         ("energy", {"t_values": [0.0, -10**400]}, "t_values[1]"),
+        # more nodes than one array can hold: "Maximum allowed size exceeded"
+        ("spectrum", {"kz": {"count": 10**21}}, "kz.count"),
+        ("spectrum", {"omega": {"min": 1.0, "max": 2.0, "count": 2**63}}, "omega.count"),
+        ("sample", {"grid": {"axes": [{"name": "z", "min": 0.0, "max": 1.0, "count": 10**21}]}},
+         "grid.axes[0].count"),
+        # each axis fits, their 9.3e18 nodes do not: "broadcast dimensions too large"
+        ("sample", {"grid": {"axes": [{"name": n, "min": 0.0, "max": 1.0, "count": k} for n, k in
+                                      (("x", 3_100_000), ("y", 3_000_000), ("z", 1_000_000))]}},
+         "grid.axes"),
     ])
     def test_exits_2_and_names_the_field(self, tmp_path, capsys, command, cfg, field):
         rc, out = run(tmp_path, command, cfg, "mistake.out")
@@ -616,6 +626,26 @@ class TestConfigMistakes:
         assert main(["energy", "--config", str(path), "--out", str(out)]) == 2
         assert not out.exists()
         assert f"config error: {path}: {message}" in capsys.readouterr().err
+
+
+class TestOutOfMemory:
+    # a request that fits the config but not in memory (a sample grid of three
+    # 10^6-node axes, spectrum's kz.count 10^12) exited 1 with a traceback; the
+    # runner raises in place of the allocation, so the test allocates nothing
+    @pytest.mark.parametrize("command", ["sample", "spectrum"])
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"),
+         "Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"),
+        (MemoryError(), "out of memory"),
+    ], ids=["numpy", "bare"])
+    def test_exits_3_on_one_line(self, tmp_path, capsys, monkeypatch, command, exc, message):
+        def runner(cfg, setup, seed):
+            raise exc
+
+        monkeypatch.setitem(cli._COMMANDS, command, (runner, *cli._COMMANDS[command][1:]))
+        rc, out = run(tmp_path, command, {}, "big.out")
+        assert rc == 3 and not out.exists()
+        assert capsys.readouterr().err == f"numerical failure: {message}\n"
 
 
 class TestHelp:

@@ -11,14 +11,18 @@ from hypothesis import strategies as st
 from unipulse.numerics import (
     _NODES,
     _W_Q5,
+    QuadratureResult,
     ToleranceNotReached,
     _gk15,
     bessel_j0,
     complex_sqrt_upper,
+    fejer2,
     integrate_adaptive,
+    integrate_doubling,
     integrate_nested,
     integrate_semi_infinite,
     limit_extrapolate,
+    trapezoid,
 )
 from unipulse.waveforms import LeknerWaveform
 
@@ -451,25 +455,120 @@ class TestThreeRuleEstimate:
         assert abs(value[0] - math.sin(6.0) / 6.0) <= sharp[0] == floor[0] < 1e-5 * quadpack[0]
 
 
+class TestIntegrateDoubling:
+    """Each component of ``f(s, rows)`` refined on its own by a doubling rule."""
+
+    @staticmethod
+    def counted(g, components: int):
+        """``g(s, rows)``, with the values it computes counted per component."""
+        counts = np.zeros(components, dtype=int)
+
+        def f(s, rows):
+            counts[rows] += s.size
+            return g(s, rows)
+
+        return f, counts
+
+    def test_trapezoid_bounds_its_error_on_analytic_periodic_integrands(self):
+        # the mean of 1/(a - cos 2 pi s) over a period is 1/sqrt(a^2 - 1)
+        a = np.array([1.05, 1.25, 2.0, 5.0])
+        tol = 1e-10
+        res = integrate_doubling(lambda s, rows: 1.0 / (a[rows][:, None] - np.cos(2.0 * math.pi * s)),
+                                 trapezoid, tol, 10**6)
+        err = np.abs(res.value - 1.0 / np.sqrt(a * a - 1.0))
+        assert res.value.shape == res.error_estimate.shape == (4,)
+        assert np.all(err <= res.error_estimate)
+        assert np.all(res.error_estimate <= tol * np.maximum(np.abs(res.value), 1.0))
+
+    @pytest.mark.parametrize("n", [4, 8, 16, 32])
+    def test_fejer2_is_exact_below_degree_n(self, n):
+        s, w = fejer2(n)
+        assert w[0] == w[n] == 0.0 and np.all(w[1:n] > 0.0)
+        for k in range(n):
+            assert abs(float(np.dot(w, s**k)) - 1.0 / (k + 1)) <= 1e-15
+        if n == 16:  # and not at degree n
+            assert abs(float(np.dot(w, s**n)) - 1.0 / (n + 1)) > 1e-12
+
+    def test_fejer2_settles_a_cubic_on_its_first_nodes(self):
+        f, counts = self.counted(lambda s, rows: np.stack([s**3, 1.0 - s * s])[rows], 2)
+        res = integrate_doubling(f, fejer2, 1e-12, 10**6)
+        assert np.allclose(res.value, [0.25, 2.0 / 3.0], rtol=0.0, atol=1e-15)
+        # the open rule never evaluates s = 0 or 1
+        assert counts.tolist() == [15, 15] and res.evaluations == 30
+
+    def test_a_settled_component_is_not_evaluated_again(self):
+        # a constant settles at n = 16; 1/(1.01 - cos 2 pi s) at n = 512
+        f, counts = self.counted(
+            lambda s, rows: np.stack([np.ones_like(s), 1.0 / (1.01 - np.cos(2.0 * math.pi * s))])[rows], 2)
+        res = integrate_doubling(f, trapezoid, 1e-10, 10**6)
+        assert res.value[0] == 1.0 and abs(res.value[1] - 1.0 / math.sqrt(1.01**2 - 1.0)) <= 1e-9
+        assert counts.tolist() == [17, 513] and res.evaluations == 530
+
+    # a constant, and a step the trapezoid never resolves: its differences
+    # only halve per doubling
+    STEP = staticmethod(lambda s, rows: np.stack([np.ones_like(s), (s < 1.0 / 3.0) * 1.0])[rows])
+
+    def test_budget_exhaustion_names_the_component(self):
+        with pytest.raises(ToleranceNotReached,
+                           match=r"^evaluation budget 100 exhausted \(error estimate .* of component 1\)"):
+            integrate_doubling(self.STEP, trapezoid, 1e-6, 100)
+
+    def test_n_past_the_largest_rule_names_the_component(self):
+        f, counts = self.counted(self.STEP, 2)
+        with pytest.raises(ToleranceNotReached,
+                           match=r"^1 component\(s\) unsettled at n = 16384 \(error estimate .* of component 1\)"):
+            integrate_doubling(f, trapezoid, 1e-6, 10**6)
+        assert counts.tolist() == [17, 16385]
+
+    def test_floor_above_its_target_names_the_component(self):
+        # 50 eps sum |w f| ~ 1.9e-14 for e^s, far above a 1e-17 target; 1e-6 s
+        # has a floor of ~5.6e-21
+        with pytest.raises(ToleranceNotReached, match=r"^error floor .* of component 1 exceeds its target"):
+            integrate_doubling(lambda s, rows: np.stack([1e-6 * s, np.exp(s)])[rows], fejer2, 1e-17, 10**6)
+
+
 class TestIntegrateNested:
     @staticmethod
     def outer(g, tol):
         return integrate_adaptive(g, 0.0, 1.0, tol)
 
+    @staticmethod
+    def inner(error: float):
+        """An inner rule whose integral at x is x^2, with estimate ``error`` x
+        and 7 values per node, recording the tolerance and budget it gets."""
+        calls = []
+
+        def run(x, tol, budget):
+            calls.append((tol, budget))
+            return QuadratureResult(x * x, error * x, 7 * x.size)
+
+        return run, calls
+
     def test_estimate_adds_the_outer_weighted_inner_estimates(self):
         # inner integrals x^2 with estimates 1e-3 x: the outer rule
         # integrates both, and the estimate carries int_0^1 1e-3 x dx
-        res = integrate_nested(self.outer, lambda x, budget: (x * x, 1e-3 * x, 7 * x.size),
-                               1e-2, 10**6, "test")
+        inner, calls = self.inner(1e-3)
+        res = integrate_nested(self.outer, lambda x: x, inner, 1e-2, 10**6, "test")
         assert res.value == pytest.approx(1.0 / 3.0, abs=1e-15)
         assert res.error_estimate == pytest.approx(5e-4, rel=1e-9)
         assert res.evaluations == 7 * 15
+        # each inner integral runs to 0.05 tol on the budget left
+        assert calls == [(0.05 * 1e-2, 10**6)]
 
     def test_inner_estimates_above_the_target_raise(self):
         with pytest.raises(ToleranceNotReached,
                            match=r"^test \(route budget 1000\): error estimate 5\.000e-02 "
                                  r"with the inner ones exceeds its target 1\.000e-02"):
-            integrate_nested(self.outer, lambda x, budget: (x * x, 0.1 * x, x.size), 1e-2, 1000, "test")
+            integrate_nested(self.outer, lambda x: x, self.inner(0.1)[0], 1e-2, 1000, "test")
+
+    def test_sums_the_components_at_each_node(self):
+        # two components per node, x on the last axis: g integrates their sum
+        res = integrate_nested(
+            self.outer, lambda x: np.stack([x, 2.0 * x]),
+            lambda f, tol, budget: QuadratureResult(f, 1e-3 * np.abs(f), f.size), 1e-2, 10**6, "test")
+        assert res.value == pytest.approx(1.5, abs=1e-15)
+        assert res.error_estimate == pytest.approx(1.5e-3, rel=1e-9)
+        assert res.evaluations == 2 * 15
 
 
 class TestLimitExtrapolate:
