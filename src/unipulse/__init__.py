@@ -2,9 +2,10 @@
 
 Closed-form evaluation of a quasi-spherical pulse family, extraction of
 its large-time directional amplitude, a unidirectionality certificate,
-and numerically cross-validated reconstructions through three
-independent integral representations (a fourth is the third under
-omega = c k) plus a Monte-Carlo estimate.
+and numerically cross-validated reconstructions through two
+independent integral representations, the forward-hemisphere plane-wave
+superposition and a Fourier-Bessel integral over the waveform spectrum
+(a third is the second under omega = c k), plus a Monte-Carlo estimate.
 """
 
 __version__ = "0.1.0"
@@ -14,7 +15,6 @@ from .farfield import (
     backward_direction_grid,
     check_unidirectional,
     farfield_analytic,
-    farfield_deriv,
     farfield_numeric,
 )
 from .fields import (
@@ -48,7 +48,6 @@ from .pdecheck import BelowNoiseFloor, ResidualReport, convergence_order, wave_r
 from .synthesis import (
     MonteCarloEstimate,
     reconstruct_cartesian_mc,
-    reconstruct_from_farfield,
     reconstruct_from_weight,
     reconstruct_fourier_bessel,
     reconstruct_hemisphere,

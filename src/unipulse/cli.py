@@ -91,11 +91,13 @@ class Output:
 def _build_evaluator(cfg, setup):
     kind = get_string(cfg, "evaluator", "", "quasi_spherical",
                       choices=("simple_pulse", "quasi_spherical", "spherical_reference"))
-    b_ref = get_number(cfg, "b_ref", "", 0.0, ge=0.0)
+    if kind == "spherical_reference":
+        b_ref = get_number(cfg, "b_ref", "", 0.0, ge=0.0)
+        return spherical_reference_evaluator(setup.params, setup.waveform, b_ref), kind
+    if "b_ref" in cfg:
+        raise ConfigError(f"b_ref: only the spherical_reference evaluator reads it, not {kind}")
     if kind == "simple_pulse":
         return simple_pulse_evaluator(setup.params), kind
-    if kind == "spherical_reference":
-        return spherical_reference_evaluator(setup.params, setup.waveform, b_ref), kind
     return quasi_spherical_evaluator(setup.params, setup.waveform), kind
 
 
@@ -220,6 +222,8 @@ def run_residual(cfg: dict, setup, seed: int | None) -> Output:
     b = setup.params.b
     h = np.array(sorted(get_ladder(cfg, "h_values", (4e-3 * b, 2e-3 * b, 1e-3 * b)),
                         reverse=True))
+    if "points" in cfg and "random_points" in cfg:
+        raise ConfigError("random_points: give points or random_points, not both")
     points = parse_points(cfg) if "points" in cfg else parse_random_points(cfg, b, seed)
 
     # every point (rows) at every step (columns) in one evaluation

@@ -16,7 +16,7 @@ import numpy as np
 
 from .farfield import MIN_COS_CHI, Direction
 from .fields import AXIS_NAMES, AxisSpec, GridSpec, PulseParams, SpacetimePoint
-from .synthesis import MC_MIN_SAMPLES
+from .synthesis import MC_MAX_SAMPLES, MC_MIN_SAMPLES
 from .waveforms import Waveform, parse_waveform
 
 
@@ -241,7 +241,7 @@ def parse_monte_carlo(cfg: dict, seed: int | None = None) -> tuple[int, int, flo
     the default, turns Monte Carlo off.  ``seed`` overrides the block's."""
     mc = cfg.get("mc")
     block = get_block({} if mc is None else mc, "mc", {"n_samples", "seed", "sigma"})
-    n = get_int(block, "n_samples", "mc.", 0, ge=0)
+    n = get_int(block, "n_samples", "mc.", 0, ge=0, le=MC_MAX_SAMPLES)
     if 0 < n < MC_MIN_SAMPLES:
         raise ConfigError(f"mc.n_samples: need 0 (off) or at least {MC_MIN_SAMPLES}, got {n}")
     return n, get_seed(block, "mc.", 1, seed), get_number(block, "sigma", "mc.", 4.0, gt=0.0)

@@ -100,31 +100,18 @@ def farfield_numeric(
     return limit_extrapolate(_STEPS, _ladder(evaluator, s, n, params))
 
 
-def _forward_only(s, n: Direction, params: PulseParams, profile):
-    """profile(arg, mu) with mu = cos chi and arg = (-s + i b (1 - mu))/mu
-    on the forward hemisphere, zero for chi >= pi/2 (the equator itself
-    carries no weight in the reconstruction integral, so it is assigned
-    zero).  s and the angles of n broadcast against each other."""
-    forward = np.less(n.chi, 0.5 * math.pi)
-    mu = np.where(forward, np.cos(n.chi), 1.0)  # 1 stands in behind, masked below
-    arg = (-np.asarray(s, dtype=float) + 1j * params.b * (1.0 - mu)) / mu
-    return np.where(forward, profile(arg, mu), 0j)[()]
-
-
 def farfield_analytic(
     s: float, n: Direction, params: PulseParams, w: Waveform
 ) -> complex:
     """Closed-form F for u = f(theta)/S:
     F = f((-s + i b (1 - cos chi)) / cos chi) / cos chi on the forward
-    hemisphere and identically zero behind it."""
-    return _forward_only(s, n, params, lambda arg, mu: w.eval(arg) / mu)
-
-
-def farfield_deriv(
-    s: float, n: Direction, params: PulseParams, w: Waveform
-) -> complex:
-    """d/ds of the closed-form F; zero on the backward hemisphere."""
-    return _forward_only(s, n, params, lambda arg, mu: -w.deriv(arg) / (mu * mu))
+    hemisphere and identically zero for chi >= pi/2 (the equator itself
+    carries no weight in the plane-wave superposition, so it is
+    assigned zero).  s and the angles of n broadcast against each other."""
+    forward = np.less(n.chi, 0.5 * math.pi)
+    mu = np.where(forward, np.cos(n.chi), 1.0)  # 1 stands in behind, masked below
+    arg = (-np.asarray(s, dtype=float) + 1j * params.b * (1.0 - mu)) / mu
+    return np.where(forward, w.eval(arg) / mu, 0j)[()]
 
 
 def backward_direction_grid(count: int = 8) -> tuple[Direction, ...]:

@@ -488,13 +488,13 @@ def integrate_doubling(f: Callable, rule: Callable, tol: float, max_evals: int) 
 
 def integrate_nested(outer: Callable, integrand: Callable, inner: Callable, tol: float,
                      max_evals: int, what: str) -> QuadratureResult:
-    """The nested integral of the four reconstruction routes and of the
-    field energy, the one place that splits ``tol``: ``outer(g, 0.5 tol)``
-    runs the outer rule on ``g``, and for the outer nodes x of one call of
-    ``g`` (all initial panels, then the 30 of a bisection)
-    ``inner(integrand(x), 0.05 tol, budget)`` runs the inner rule within
-    ``budget`` values, returning components with x on their last axis,
-    which g sums over the others.  The outer rule integrates the inner
+    """The nested integral of the three deterministic reconstruction
+    routes and of the field energy, the one place that splits ``tol``:
+    ``outer(g, 0.5 tol)`` runs the outer rule on ``g``, and for the outer
+    nodes x of one call of ``g`` (all initial panels, then the 30 of a
+    bisection) ``inner(integrand(x), 0.05 tol, budget)`` runs the inner
+    rule within ``budget`` values, returning components with x on their
+    last axis, which g sums over the others.  The outer rule integrates the inner
     estimates as a second component, and the result's estimate adds that
     outer-weighted sum to the outer rule's; a sum above its target
     max(tol |value|, tol) raises ToleranceNotReached.  ``evaluations``

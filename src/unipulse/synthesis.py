@@ -1,16 +1,17 @@
-"""Reconstruction of the field from far-field data and spectra.
+"""Reconstruction of the field from its plane-wave decomposition and spectra.
 
-Routes back to u(t, R):
+Routes back to u(t, R), each named by its ``compare`` key:
 
-* a sphere integral of the far-field s-derivative (superposition of
-  nonstationary plane waves),
-* its forward-hemisphere specialization in the variable p = cos(angle),
-* a Fourier-Bessel double integral over (k, k_z) driven by the waveform
-  spectrum,
-* the same double integral in (omega, k_z) driven by the spectral
-  weight A(k_z, omega) that ``spectrum`` prints: the previous route under
-  omega = c k, an integral-level check of that table, not an independent route,
-* a Monte-Carlo estimate of the equivalent 3-D Cartesian k-space integral.
+* ``hemisphere``: the forward-hemisphere superposition of nonstationary
+  plane waves, in the variable mu = cos of the plane-wave polar angle,
+* ``fourier_bessel``: a Fourier-Bessel double integral over (k, k_z)
+  driven by the waveform spectrum,
+* ``from_weight``: the same double integral in (omega, k_z) driven by the
+  spectral weight A(k_z, omega) that ``spectrum`` prints: the previous
+  route under omega = c k, an integral-level check of that table, not an
+  independent route,
+* ``mc_estimate``: a Monte-Carlo estimate of the equivalent 3-D Cartesian
+  k-space integral.
 
 Each deterministic route takes an explicit tolerance and returns a
 QuadratureResult reporting the achieved error estimate; nothing
@@ -25,7 +26,6 @@ from typing import Callable
 
 import numpy as np
 
-from .farfield import Direction
 from .fields import PulseParams, SpacetimePoint
 from .numerics import (
     QuadratureResult,
@@ -53,41 +53,6 @@ def spectral_weight(params: PulseParams, w: Waveform, kz, omega) -> complex:
     kz = np.clip(kz, 0.0, top)
     value = np.where(inside, (-1j / params.c) * np.exp((kz - top) * params.b) * w.spectrum(kz), 0j)
     return value[()]
-
-
-def reconstruct_from_farfield(
-    f_deriv: Callable[[np.ndarray, Direction], np.ndarray],
-    p: SpacetimePoint,
-    params: PulseParams,
-    tol: float,
-) -> QuadratureResult:
-    """Sphere integral u = (1/2pi) * integral of F'(N.R - ct, N) over |N|=1.
-
-    Through ``integrate_nested``: the polar angle on [0, pi] outside,
-    with a panel edge at the equator (the integrand may jump there for
-    unidirectional profiles), and the azimuth phi = 2 pi s inside, on the
-    doubling trapezoid over its period.
-    ``f_deriv`` takes an array of s and a Direction of arrays of the
-    same shape, once per inner doubling; ``evaluations`` counts its values.
-    """
-    ct = params.c * p.t
-
-    def integrand(chi: np.ndarray) -> Callable:
-        chi = chi[:, None]
-        sin, cos = np.sin(chi), np.cos(chi)
-
-        def f(s: np.ndarray, rows) -> np.ndarray:
-            phi = 2.0 * math.pi * (s % 1.0)  # the trapezoid's s = 1 is phi = 0 again
-            ndotr = sin[rows] * (p.x * np.cos(phi) + p.y * np.sin(phi)) + cos[rows] * p.z
-            # dphi = 2 pi ds cancels the 1/(2pi) in front
-            return sin[rows] * np.broadcast_to(f_deriv(ndotr - ct, Direction(chi[rows], phi)),
-                                               ndotr.shape)
-
-        return f
-
-    return integrate_nested(
-        lambda g, t: integrate_adaptive(g, 0.0, math.pi, t, 120_000, (0.5 * math.pi,)), integrand,
-        lambda f, t, n: integrate_doubling(f, trapezoid, t, n), tol, 2_000_000, "sphere reconstruction")
 
 
 def reconstruct_hemisphere(
@@ -227,6 +192,8 @@ class MonteCarloEstimate:
 _MC_CHUNK = 1 << 14  # samples per chunk: its temporaries stay in cache
 #: fewer samples than this give no usable standard error
 MC_MIN_SAMPLES = 10_000
+#: at ~0.1 us a sample, this many already take about 2 minutes per point
+MC_MAX_SAMPLES = 10**9
 
 
 def reconstruct_cartesian_mc(
@@ -252,8 +219,8 @@ def reconstruct_cartesian_mc(
     estimate bit for bit, and one seed draws the same variates in each
     full chunk whatever n, the point or the pulse.
     """
-    if n_samples < MC_MIN_SAMPLES:
-        raise ValueError(f"need at least {MC_MIN_SAMPLES} samples, got {n_samples}")
+    if not MC_MIN_SAMPLES <= n_samples <= MC_MAX_SAMPLES:
+        raise ValueError(f"need {MC_MIN_SAMPLES} to {MC_MAX_SAMPLES} samples, got {n_samples}")
     b = params.b
     ct = params.c * p.t
     rng = np.random.Generator(np.random.Philox(seed))

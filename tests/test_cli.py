@@ -604,11 +604,32 @@ class TestConfigMistakes:
         ("sample", {"grid": {"axes": [{"name": n, "min": 0.0, "max": 1.0, "count": k} for n, k in
                                       (("x", 3_100_000), ("y", 3_000_000), ("z", 1_000_000))]}},
          "grid.axes"),
+        # each was read, then ignored: the run exited 0
+        ("residual", {"points": [{"t": 0.0, "rho": 0.5, "z": 0.2}],
+                      "random_points": {"n": -5, "seed": "x"}}, "random_points"),
+        ("unidir", {"evaluator": "quasi_spherical", "b_ref": 7.0}, "b_ref"),
+        ("sample", {"grid": {"axes": [{"name": "z", "min": 0.0, "max": 1.0, "count": 2}]},
+                    "b_ref": 1.0}, "b_ref"),
     ])
     def test_exits_2_and_names_the_field(self, tmp_path, capsys, command, cfg, field):
         rc, out = run(tmp_path, command, cfg, "mistake.out")
         assert rc == 2 and not out.exists()
-        assert f"config error: {field}:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}:") and err.count("\n") == 1
+
+    def test_oversized_mc_sample_count_exits_2_before_sampling(self, tmp_path, capsys, monkeypatch):
+        # 10^21 samples ran until killed; the config refuses them before any route runs
+        def sampler(*args):
+            raise AssertionError("drew Monte-Carlo samples")
+
+        monkeypatch.setattr(cli, "reconstruct_cartesian_mc", sampler)
+        cfg = {"points": [{"t": 0.0, "rho": 0.5, "z": 0.2}], "tolerance": 1e-3,
+               "mc": {"n_samples": 10**21}}
+        rc, out = run(tmp_path, "compare", cfg, "mistake.out")
+        assert rc == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error: mc.n_samples: must be <= 1000000000,")
+        assert err.count("\n") == 1
 
     # each exited 3 as a numerical failure, 1 with a traceback, or 0 on
     # the last of the repeated values

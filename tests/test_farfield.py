@@ -8,7 +8,6 @@ from unipulse.farfield import (
     backward_direction_grid,
     check_unidirectional,
     farfield_analytic,
-    farfield_deriv,
     farfield_numeric,
 )
 from unipulse.fields import (
@@ -220,39 +219,13 @@ class TestFarfieldArrays:
         s = np.linspace(-2.0, 2.0, 5)
         chi = np.array([[0.0], [0.7], [math.pi / 2], [2.5]])
         n = Direction(chi, np.zeros_like(chi))
-        for f in (farfield_analytic, farfield_deriv):
-            got = f(s, n, params, w)
-            assert got.shape == (4, 5)
-            for i, j in np.ndindex(got.shape):
-                one = f(float(s[j]), Direction(float(chi[i, 0])), params, w)
-                assert isinstance(one, np.complex128)
-                assert got[i, j] == one
-            assert not got[2:].any()  # the equator and behind it
-
-
-class TestFarfieldDeriv:
-    def test_matches_finite_difference(self, params, rng):
-        h = 1e-6
-        for w in (LeknerWaveform(1.0), LeknerWaveform(1.0, 2.0)):
-            for _ in range(100):
-                chi = rng.uniform(0.0, math.pi / 2 - 0.05)
-                s = rng.uniform(-2.0, 2.0)
-                n = Direction(chi)
-                fd = (
-                    farfield_analytic(s + h, n, params, w)
-                    - farfield_analytic(s - h, n, params, w)
-                ) / (2 * h)
-                d = farfield_deriv(s, n, params, w)
-                assert abs(d - fd) <= 1e-6 * max(1.0, abs(d))
-
-    def test_backward_zero(self, params, rational):
-        assert farfield_deriv(0.1, Direction(2.5), params, rational) == 0.0
-
-    def test_forward_axis_sign(self, params):
-        # symbolic differentiation oracle: d/ds [1/(-s + ia)] = 1/(-s + ia)^2
-        w = LeknerWaveform(1.0)
-        d = farfield_deriv(0.5, Direction(0.0), params, w)
-        assert d == pytest.approx(1.0 / complex(-0.5, 1.0) ** 2, rel=1e-14)
+        got = farfield_analytic(s, n, params, w)
+        assert got.shape == (4, 5)
+        for i, j in np.ndindex(got.shape):
+            one = farfield_analytic(float(s[j]), Direction(float(chi[i, 0])), params, w)
+            assert isinstance(one, np.complex128)
+            assert got[i, j] == one
+        assert not got[2:].any()  # the equator and behind it
 
 
 class TestUnidirectionalityCertificate:

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unipulse.cli import main
-from unipulse.farfield import farfield_deriv
 from unipulse.fields import (
     PulseParams,
     SpacetimePoint,
@@ -17,8 +16,8 @@ from unipulse.fields import (
 )
 from unipulse.numerics import ToleranceNotReached
 from unipulse.synthesis import (
+    MC_MAX_SAMPLES,
     reconstruct_cartesian_mc,
-    reconstruct_from_farfield,
     reconstruct_from_weight,
     reconstruct_fourier_bessel,
     reconstruct_hemisphere,
@@ -34,55 +33,6 @@ REGULAR_POINTS = [
     SpacetimePoint.from_cylindrical(1.0, 0.3, 0.6),
     SpacetimePoint.from_cylindrical(0.7, 1.1, 0.1),
 ]
-
-
-class TestSphereIntegral:
-    def test_zero_profile(self, params):
-        res = reconstruct_from_farfield(lambda s, n: 0.0j, REGULAR_POINTS[0], params, 1e-9)
-        assert res.value == 0.0
-
-    def test_isotropic_gaussian_profile(self, params):
-        # independent oracle: for F'(s) = e^{-s^2} the sphere integral
-        # collapses to (sqrt(pi)/2R)(erf(R - ct) + erf(R + ct))
-        p = SpacetimePoint(0.4, 0.1, -0.2, 0.3)
-        r = p.radius
-        ct = params.c * p.t
-        expect = math.sqrt(math.pi) / (2 * r) * (math.erf(r - ct) + math.erf(r + ct))
-        res = reconstruct_from_farfield(lambda s, n: np.exp(-s * s) + 0j, p, params, 1e-8)
-        assert abs(res.value - expect) <= 1e-8
-
-    def test_reproduces_simple_pulse(self, params, rational):
-        p = SpacetimePoint.from_cylindrical(0.5, 0.4, 0.3)
-        f_deriv = lambda s, n: farfield_deriv(s, n, params, rational)
-        res = reconstruct_from_farfield(f_deriv, p, params, 1e-6)
-        exact = eval_simple_pulse(p, params)
-        assert abs(res.value - exact) <= 1e-6 * abs(exact)
-
-    def test_counts_one_evaluation_per_f_deriv_value(self, params, rational):
-        nodes = []
-
-        def f_deriv(s, n):
-            nodes.append(np.broadcast(s, n.chi, n.phi).size)
-            return farfield_deriv(s, n, params, rational)
-
-        p = SpacetimePoint.from_cylindrical(0.5, 0.4, 0.3)
-        res = reconstruct_from_farfield(f_deriv, p, params, 1e-6)
-        assert res.evaluations == sum(nodes) > 0
-
-    def test_target_below_error_floor_names_the_route(self, params, rational):
-        f_deriv = lambda s, n: farfield_deriv(s, n, params, rational)
-        with pytest.raises(ToleranceNotReached) as exc:
-            reconstruct_from_farfield(f_deriv, REGULAR_POINTS[0], params, 1e-30)
-        assert str(exc.value).startswith("sphere reconstruction (route budget 2000000): "
-                                         "error floor")
-
-    def test_matches_hemisphere_route(self, params):
-        w = LeknerWaveform(1.0, 1.0)
-        p = SpacetimePoint.from_cylindrical(0.3, 0.6, 0.2)
-        f_deriv = lambda s, n: farfield_deriv(s, n, params, w)
-        sphere = reconstruct_from_farfield(f_deriv, p, params, 1e-7)
-        hemi = reconstruct_hemisphere(params, w, p, 1e-7)
-        assert abs(sphere.value - hemi.value) <= 2e-7
 
 
 class TestHemisphere:
@@ -354,12 +304,7 @@ class TestSpectralRoutesOracle:
             assert res.error_estimate <= max(tol * abs(res.value), tol)
 
 
-def _sphere(params, w, p, tol):
-    return reconstruct_from_farfield(lambda s, n: farfield_deriv(s, n, params, w), p, params, tol)
-
-
 ROUTES = {
-    "sphere": _sphere,
     "hemisphere": reconstruct_hemisphere,
     "fourier_bessel": reconstruct_fourier_bessel,
     "from_weight": reconstruct_from_weight,
@@ -414,6 +359,10 @@ class TestMonteCarlo:
     def test_rejects_tiny_sample_counts(self, params, rational):
         with pytest.raises(ValueError):
             reconstruct_cartesian_mc(params, rational, REGULAR_POINTS[0], 100, 1)
+
+    def test_rejects_oversized_sample_counts(self, params, rational):
+        with pytest.raises(ValueError, match="got 1000000001"):
+            reconstruct_cartesian_mc(params, rational, REGULAR_POINTS[0], MC_MAX_SAMPLES + 1, 1)
 
     def test_seeded_sweep_misses_three_sigma_near_the_normal_rate(self):
         # 200 (pulse, point) draws over route_crosscheck's box; a >= 0.75 b
