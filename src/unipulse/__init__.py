@@ -44,7 +44,7 @@ from .numerics import (
     integrate_semi_infinite,
     limit_extrapolate,
 )
-from .pdecheck import BelowNoiseFloor, ResidualReport, convergence_order, wave_residual
+from .pdecheck import ResidualReport, convergence_order, wave_residual
 from .synthesis import (
     MonteCarloEstimate,
     reconstruct_cartesian_mc,

@@ -238,12 +238,16 @@ def parse_random_points(cfg: dict, b: float, seed: int | None = None) -> list[Sp
 
 def parse_monte_carlo(cfg: dict, seed: int | None = None) -> tuple[int, int, float]:
     """The optional ``mc`` block as (n_samples, seed, sigma); 0 samples,
-    the default, turns Monte Carlo off.  ``seed`` overrides the block's."""
+    the default, turns Monte Carlo off, and then the block may hold no
+    ``seed`` or ``sigma``.  ``seed`` overrides the block's."""
     mc = cfg.get("mc")
     block = get_block({} if mc is None else mc, "mc", {"n_samples", "seed", "sigma"})
     n = get_int(block, "n_samples", "mc.", 0, ge=0, le=MC_MAX_SAMPLES)
     if 0 < n < MC_MIN_SAMPLES:
         raise ConfigError(f"mc.n_samples: need 0 (off) or at least {MC_MIN_SAMPLES}, got {n}")
+    for key in ("seed", "sigma"):
+        if n == 0 and key in block:
+            raise ConfigError(f"mc.{key}: only read when mc.n_samples > 0")
     return n, get_seed(block, "mc.", 1, seed), get_number(block, "sigma", "mc.", 4.0, gt=0.0)
 
 

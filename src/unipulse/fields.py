@@ -211,7 +211,7 @@ class AxisSpec:
             raise ValueError(f"axis rho: start must be >= 0, got {self.start}")
 
     def values(self) -> np.ndarray:
-        if self.count == 1:
+        if self.count == 1:  # linspace spells -0.0 as 0.0, and a wide range overflows
             return np.array([self.start])
         return np.linspace(self.start, self.stop, self.count)
 

@@ -29,7 +29,7 @@ def _quoted(s: str) -> str:
     return encode_basestring(s).replace("%", "%%")
 
 
-def render_json(obj: Any, indent: int = 0) -> str:
+def render_json(obj: Any) -> str:
     """JSON text with 17-significant-digit floats, stable key order, and
     complex numbers as {"re", "im"}.  One traversal collects the text around
     the values, with a ``%.17g`` slot per finite float; one ``%`` fills them."""
@@ -65,7 +65,7 @@ def render_json(obj: Any, indent: int = 0) -> str:
         else:
             raise TypeError(f"cannot serialize {type(v).__name__}")
 
-    emit(obj, "\n" + "  " * indent)
+    emit(obj, "\n")
     return "".join(text) % tuple(floats)
 
 

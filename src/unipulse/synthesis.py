@@ -186,7 +186,6 @@ class MonteCarloEstimate:
     value: complex
     stderr: float
     n_samples: int
-    seed: int
 
 
 _MC_CHUNK = 1 << 14  # samples per chunk: its temporaries stay in cache
@@ -242,4 +241,4 @@ def reconstruct_cartesian_mc(
     mean = total / n_samples
     var = max(total_sq - n_samples * abs(mean) ** 2, 0.0) / (n_samples - 1)
     stderr = max(math.sqrt(var / n_samples), np.finfo(float).eps * math.sqrt(total_sq))
-    return MonteCarloEstimate(-1j * mean / (b * b), stderr / (b * b), n_samples, seed)
+    return MonteCarloEstimate(-1j * mean / (b * b), stderr / (b * b), n_samples)

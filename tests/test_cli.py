@@ -479,6 +479,12 @@ class TestSeedOverride:
         v2 = json.loads(out2.read_text())["rows"][0]["mc_estimate"]
         assert v1 != v2
 
+    def test_seed_flag_with_monte_carlo_off_exits_0(self, tmp_path):
+        # --seed is one flag for every command; with no samples it has nothing to seed
+        cfg = {"points": [{"t": 0.0, "rho": 0.5, "z": 0.2}], "tolerance": 1e-3}
+        rc, out = run(tmp_path, "compare", cfg, "c.json", extra=["--seed", "5"])
+        assert rc == 0 and "mc_estimate" not in out.read_text()
+
     def test_seed_flag_overrides_the_random_points_seed(self, tmp_path):
         cfg = {"random_points": {"n": 2, "seed": 7}}
         outs = [run(tmp_path, "residual", cfg, f"r{i}.csv", extra=["--seed", seed])[1]
@@ -610,6 +616,10 @@ class TestConfigMistakes:
         ("unidir", {"evaluator": "quasi_spherical", "b_ref": 7.0}, "b_ref"),
         ("sample", {"grid": {"axes": [{"name": "z", "min": 0.0, "max": 1.0, "count": 2}]},
                     "b_ref": 1.0}, "b_ref"),
+        ("compare", {"points": [{"t": 0.0, "rho": 0.5, "z": 0.2}], "tolerance": 1e-3,
+                     "mc": {"seed": 5}}, "mc.seed"),
+        ("compare", {"points": [{"t": 0.0, "rho": 0.5, "z": 0.2}], "tolerance": 1e-3,
+                     "mc": {"n_samples": 0, "sigma": 1e-3}}, "mc.sigma"),
     ])
     def test_exits_2_and_names_the_field(self, tmp_path, capsys, command, cfg, field):
         rc, out = run(tmp_path, command, cfg, "mistake.out")

@@ -324,6 +324,12 @@ class TestGrid:
         assert exc.value.point == SpacetimePoint(0.0, 0.0, 0.0, 0.0)
         assert "index (1,): singular at" in str(exc.value)
 
+    def test_single_node_axis_is_its_start_bit_for_bit(self):
+        # linspace(start, stop, 1) gives 0.0 for -0.0 and NaN on overflow of stop - start
+        for start, stop in ((-0.0, 1.0), (-1e308, 1e308), (0.3, -5.0)):
+            values = AxisSpec("t", start, stop, 1).values()
+            assert values.tobytes() == np.array([start]).tobytes()
+
     def test_negative_rho_rejected(self):
         # rho enters the kernel only as rho^2, so the grid must refuse the sign
         with pytest.raises(ValueError, match="rho"):
