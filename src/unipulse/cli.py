@@ -65,9 +65,8 @@ from .numerics import ToleranceNotReached
 from .pdecheck import wave_residual
 from .synthesis import (
     reconstruct_cartesian_mc,
-    reconstruct_from_weight,
-    reconstruct_fourier_bessel,
     reconstruct_hemisphere,
+    reconstruct_spectral,
     spectral_weight,
 )
 
@@ -97,6 +96,9 @@ def _build_evaluator(cfg, setup):
     if "b_ref" in cfg:
         raise ConfigError(f"b_ref: only the spherical_reference evaluator reads it, not {kind}")
     if kind == "simple_pulse":
+        if "waveform" in cfg:
+            raise ConfigError("waveform: the simple_pulse evaluator does not read it: "
+                              "it is rational(a = b - zeta)")
         return simple_pulse_evaluator(setup.params), kind
     return quasi_spherical_evaluator(setup.params, setup.waveform), kind
 
@@ -136,8 +138,7 @@ def run_compare(cfg: dict, setup, seed: int | None) -> Output:
         closed = eval_quasi_spherical(p, setup.params, setup.waveform)
         routes = {
             "hemisphere": reconstruct_hemisphere(setup.params, setup.waveform, p, tol),
-            "fourier_bessel": reconstruct_fourier_bessel(setup.params, setup.waveform, p, tol),
-            "from_weight": reconstruct_from_weight(setup.params, setup.waveform, p, tol),
+            **reconstruct_spectral(setup.params, setup.waveform, p, tol),
         }
         disc = max(abs(r.value - closed) for r in routes.values())
         row = {"point": {"t": p.t, "x": p.x, "y": p.y, "z": p.z}, "closed_form": closed}
@@ -263,7 +264,7 @@ _COMMANDS = {
                "Sample an evaluator over a structured grid (CSV or JSON+binary)."),
     "compare": (run_compare, {"points", "tolerance", "max_discrepancy", "mc"},
                 "Cross-check the closed form against hemisphere and Fourier-Bessel reconstructions; "
-                "from_weight is the latter under omega = c*k, on spectrum's weight (optional MC)."),
+                "from_weight is the latter on spectrum's weight and its nodes, omega = c*k (optional MC)."),
     "farfield": (run_farfield, {"s_values", "directions"},
                  "Tabulate numeric and closed-form directional amplitudes; the numeric "
                  "ones extrapolate ct*u along ct = (1e2, 1e3, 1e4) max(b, |s|)/cos^2 chi; "

@@ -165,7 +165,7 @@ def get_seed(obj: dict, path: str, default: int, override: int | None) -> int:
 @dataclass(frozen=True)
 class PulseSetup:
     params: PulseParams
-    waveform: Waveform
+    waveform: Waveform | None
     waveform_desc: str
 
 
@@ -173,7 +173,7 @@ def parse_pulse_setup(cfg: dict) -> PulseSetup:
     """Shared ``pulse`` and ``waveform`` blocks with documented defaults.
 
     Defaults: c=1, tau=1, zeta=0 and waveform rational(a = b - zeta),
-    the simplest regular family.
+    the simplest regular family; ``simple_pulse`` is that pole at any zeta and reads no waveform.
     """
     block = get_block(cfg.get("pulse", {}), "pulse", {"c", "tau", "zeta"})
     try:
@@ -188,6 +188,8 @@ def parse_pulse_setup(cfg: dict) -> PulseSetup:
     desc = cfg.get("waveform")
     if desc is None:
         a = params.b - params.zeta
+        if a <= 0.0 and cfg.get("evaluator") == "simple_pulse":
+            return PulseSetup(params, None, f"rational(a={a:.17g})")
         if a <= 0.0:
             raise ConfigError(
                 "waveform: no default exists for zeta >= c*tau; set one explicitly"

@@ -394,8 +394,8 @@ def energy_estimate(
 
     top = 2.0 if ct != 0.0 else 1.0
     edges = (1.0, 1.5) if shell > 3.0 * b else (1.0,)
-    res = integrate_nested(
+    (res,) = integrate_nested(
         lambda g, tt: integrate_adaptive(g, 0.0, top, tt, 60_000, edges), density,
         lambda f, tt, n: integrate_adaptive(f, 0.0, 1.0, tt, n, (0.125, 0.25, 0.5), sharp=shell <= 2.0 * b),
-        tol, 10_000_000, f"energy at t={t!r}")
+        tol, 10_000_000, (f"energy at t={t!r}",))
     return QuadratureResult(res.value.real, res.error_estimate, res.evaluations)

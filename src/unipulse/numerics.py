@@ -426,32 +426,37 @@ def fejer2(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(np.sin(0.5 * math.pi * np.arange(n + 1) / n) ** 2, 0.5 * w)
 
 
-def integrate_doubling(f: Callable, rule: Callable, tol: float, max_evals: int) -> QuadratureResult:
+def integrate_doubling(f: Callable, rule: Callable, tol: float, max_evals: int,
+                       live: np.ndarray | None = None) -> QuadratureResult:
     """Every component of ``f(s, rows)`` over s in [0, 1] by the doubling
     ``rule`` at n = 16, 32, ..., each component on its own: ``rows`` is
-    slice(None) in the first call, then the flat indices of the components
-    still refining, one call per doubling.
+    slice(None), or the flat indices of the components the boolean
+    ``live`` marks, in the first call, then those still refining, one call
+    per doubling.  A component ``live`` leaves out reads 0, estimate 0.
 
     A component's estimate is d = |Q_2n - Q_n| plus the rounding floor
     50 eps sum |w f|.  It counts as resolved once d has shrunk tenfold
     from |Q_n - Q_n/2| or sits below the floor; an unresolved one adds
     2 sum |w f|, which bounds the error of a rule that misses the
     integrand's shape.  The component stops once its estimate is at most
-    tol max(|Q_2n|, 1).  The result holds one value and estimate per
-    component.  Raises ToleranceNotReached once ``max_evals`` values are
-    spent, n passes 2^14, or a floor exceeds its target.
+    tol max(|Q_2n|, 1).  The result holds one value, estimate and count
+    of values per component.  Raises ToleranceNotReached once
+    ``max_evals`` values are spent, n passes 2^14, or a floor exceeds
+    its target.
     """
     n = _DOUBLING_START
     s, w = rule(n)
-    live = slice(1, n) if w[0] == 0.0 else slice(None)  # an open rule skips both ends
-    first = np.asarray(f(s[live], slice(None)))
+    nodes = slice(1, n) if w[0] == 0.0 else slice(None)  # an open rule skips both ends
+    rows = slice(None) if live is None else np.flatnonzero(live)
+    first = np.asarray(f(s[nodes], rows))
     evals = first.size
     if evals > max_evals:
         raise ToleranceNotReached(f"evaluation budget {max_evals} exhausted by the first nodes")
-    vals = np.zeros((len(first), n + 1), first.dtype)
-    vals[:, live] = first
-    value, error = np.empty(len(vals), vals.dtype), np.empty(len(vals))
-    rows, coarse = np.arange(len(vals)), _weighted_sum(vals[:, ::2], rule(n // 2)[1])
+    size = len(first) if live is None else len(live)
+    rows, vals = np.arange(size)[rows], np.zeros((len(first), n + 1), first.dtype)
+    vals[:, nodes] = first
+    value, error, used = np.zeros(size, vals.dtype), np.zeros(size), np.zeros(size, int)
+    coarse = _weighted_sum(vals[:, ::2], rule(n // 2)[1])
     step = np.abs(coarse - _weighted_sum(vals[:, ::4], rule(n // 4)[1]))
     while True:
         q = _weighted_sum(vals, w)
@@ -468,8 +473,9 @@ def integrate_doubling(f: Callable, rule: Callable, tol: float, max_evals: int) 
                                       f"exceeds its target {target[i]:.3e}: rounding")
         done = err <= target
         value[rows[done]], error[rows[done]] = q[done], err[done]
+        used[rows[done]] = n - 1 if w[0] == 0.0 else n + 1  # an open rule skips both ends
         if done.all():
-            return QuadratureResult(value, error, evals)
+            return QuadratureResult(value, error, used)
         i, more = int(np.argmax(err / target)), ~done
         worst = f"error estimate {err[i]:.3e} of component {int(rows[i])}"
         rows, vals, coarse, step = rows[more], vals[more], q[more], d[more]
@@ -487,42 +493,44 @@ def integrate_doubling(f: Callable, rule: Callable, tol: float, max_evals: int) 
 
 
 def integrate_nested(outer: Callable, integrand: Callable, inner: Callable, tol: float,
-                     max_evals: int, what: str) -> QuadratureResult:
-    """The nested integral of the three deterministic reconstruction
+                     max_evals: int, what: tuple[str, ...]) -> tuple[QuadratureResult, ...]:
+    """The nested integrals of the three deterministic reconstruction
     routes and of the field energy, the one place that splits ``tol``:
     ``outer(g, 0.5 tol)`` runs the outer rule on ``g``, and for the outer
     nodes x of one call of ``g`` (all initial panels, then the 30 of a
     bisection) ``inner(integrand(x), 0.05 tol, budget)`` runs the inner
-    rule within ``budget`` values, returning components with x on their
-    last axis, which g sums over the others.  The outer rule integrates the inner
-    estimates as a second component, and the result's estimate adds that
-    outer-weighted sum to the outer rule's; a sum above its target
-    max(tol |value|, tol) raises ToleranceNotReached.  ``evaluations``
-    counts inner values; ``max_evals`` bounds them over the whole
-    integral.  A failure or a non-finite integrand is raised once,
-    naming ``what``.
+    rule within ``budget`` values, returning components with a leading
+    axis of the routes ``what`` names and x last; g sums each route's over
+    the others, so routes on shared nodes share one call.  The outer rule
+    integrates each route's inner estimates as a further component, and a
+    route's estimate adds that outer-weighted sum to the outer rule's; one
+    above its target max(tol |value|, tol) raises ToleranceNotReached
+    naming the route.  Returns one result per route, ``evaluations``
+    counting its inner values; ``max_evals`` bounds each route's, and the
+    routes share len(what) max_evals.  A failure or a non-finite
+    integrand is raised once, naming the routes.
     """
-    evals = 0
+    routes, names = len(what), " and ".join(what)
+    evals = np.zeros(routes, dtype=int)
 
     def g(x: np.ndarray) -> np.ndarray:
-        nonlocal evals
-        res = inner(integrand(x), 0.05 * tol, max_evals - evals)
-        evals += res.evaluations
-        return np.stack([np.reshape(res.value, (-1, x.size)).sum(axis=0),
-                         np.reshape(res.error_estimate, (-1, x.size)).sum(axis=0)])
+        res = inner(integrand(x), 0.05 * tol, routes * max_evals - int(evals.sum()))
+        evals[:] += np.reshape(res.evaluations, (routes, -1)).sum(axis=1)
+        return np.stack([np.reshape(res.value, (routes, -1, x.size)).sum(axis=1),
+                         np.reshape(res.error_estimate, (routes, -1, x.size)).sum(axis=1)])
 
     try:
         res = outer(g, 0.5 * tol)
     except ToleranceNotReached as exc:
-        raise ToleranceNotReached(f"{what} (route budget {max_evals}): {exc}") from exc
+        raise ToleranceNotReached(f"{names} (route budget {max_evals}): {exc}") from exc
     except ValueError as exc:
-        raise ValueError(f"{what}: {exc}") from exc
-    value, estimate = complex(res.value[0]), float(res.error_estimate[0] + res.value[1].real)
-    target = max(tol * abs(value), tol)
-    if estimate > target:
-        raise ToleranceNotReached(f"{what} (route budget {max_evals}): error estimate "
-                                  f"{estimate:.3e} with the inner ones exceeds its target {target:.3e}")
-    return QuadratureResult(value, estimate, evals)
+        raise ValueError(f"{names}: {exc}") from exc
+    value, estimate = res.value[0], res.error_estimate[0] + res.value[1].real
+    for name, e, target in zip(what, estimate, np.maximum(tol * np.abs(value), tol)):
+        if e > target:
+            raise ToleranceNotReached(f"{name} (route budget {max_evals}): error estimate "
+                                      f"{e:.3e} with the inner ones exceeds its target {target:.3e}")
+    return tuple(QuadratureResult(complex(v), float(e), int(n)) for v, e, n in zip(value, estimate, evals))
 
 
 def limit_extrapolate(h: Sequence[float], v: np.ndarray) -> ExtrapolationResult:

@@ -88,53 +88,76 @@ def reconstruct_hemisphere(
                                 / (mu[rows] * mu[rows]))
 
     seeds = (1.0 / 4096, 1.0 / 1024, 1.0 / 256, 1.0 / 64, 1.0 / 16, 0.25)
-    res = integrate_nested(lambda g, t: integrate_adaptive(g, 0.0, 1.0, t, 120_000, seeds), integrand,
-                           lambda f, t, n: integrate_doubling(f, trapezoid, t, n),
-                           tol, max_evals, "hemisphere reconstruction")
+    (res,) = integrate_nested(lambda g, t: integrate_adaptive(g, 0.0, 1.0, t, 120_000, seeds),
+                              integrand, lambda f, t, n: integrate_doubling(f, trapezoid, t, n),
+                              tol, max_evals, ("hemisphere reconstruction",))
     return QuadratureResult(-res.value, res.error_estimate, res.evaluations)
 
 
-def _fourier_bessel(spectral: Callable, factor: Callable, w: Waveform, b: float, c: float,
-                    p: SpacetimePoint, tol: float, max_evals: int, what: str) -> QuadratureResult:
-    """The double integral of both spectral routes,
+def _spectral_routes(params: PulseParams, w: Waveform, p: SpacetimePoint) -> dict:
+    """Each spectral route by its ``compare`` key: its name, its spectral
+    factor at (k_z, k) and its outer factor at k.  ``from_weight`` runs in
+    omega = c k, d omega = c dk, where both integrands agree to rounding."""
+    b, c = params.b, params.c
+    return {
+        "fourier_bessel": ("Fourier-Bessel reconstruction", lambda kz, k: w.spectrum(kz) * np.exp(kz * b),
+                           lambda k: -1j * np.exp(k * complex(-b, c * p.t))),
+        "from_weight": ("spectral-weight reconstruction",
+                        lambda kz, k: spectral_weight(params, w, kz, c * k),
+                        lambda k: c * np.exp(k * complex(0.0, c * p.t))),
+    }
 
-        integral_0^inf dx factor(x) integral_0^{x/c} dk_z
-            spectral(k_z, x) J0(rho sqrt(x^2/c^2 - k_z^2)) e^{-i k_z z},
+
+def reconstruct_spectral(params: PulseParams, w: Waveform, p: SpacetimePoint, tol: float,
+                         routes: tuple[str, ...] = ("fourier_bessel", "from_weight"),
+                         max_evals: int = 4_000_000) -> dict[str, QuadratureResult]:
+    """The spectral ``routes``, by ``compare`` key, in one nested quadrature
+    on shared (k, k_z) nodes: each route's double integral
+
+        integral_0^inf dk outer(k) integral_0^k dk_z
+            spectral(k_z, k) J0(rho sqrt(k^2 - k_z^2)) e^{-i k_z z},
 
     with the k_z range split at the positive ``w.spectrum_breakpoints``
-    (a piece starting above x/c is empty).  Through ``integrate_nested``,
-    every piece of every inner integral is one component in
-    s = (k_z - start) / width on [0, 1], integrated by Fejer's second
-    rule: the integrand is entire in k_z on each piece, and the open rule
-    never samples the piece ends, where the spectrum's Heaviside sits.
-    The inner integrands carry factor(x).  The outer one decays like
-    exp(-x min(a, b)/c), a = w.decay_rate; half that rate as the hint
-    leaves the mapped outer integrand ~(1-u)^1 at u = 1, where 0.9 of it
-    left ~(1-u)^(1/9): the J0 oscillations piled up there and the error
-    estimate no longer bounded the error.
+    (a piece starting at or above k is empty, and no component).  Through
+    ``integrate_nested``, every nonempty piece of every inner integral is one
+    component per route in s = (k_z - start) / width on [0, 1],
+    integrated by Fejer's second rule: the integrand is entire in k_z on
+    each piece, and the open rule never samples the piece ends, where the
+    spectrum's Heaviside sits.  The kernel J0 e^{-i k_z z} is computed
+    once per node, and each route multiplies in its own factors.  The
+    outer integrand decays like exp(-k min(a, b)), a = w.decay_rate; half
+    that rate as the hint leaves the mapped outer integrand ~(1-u)^1 at
+    u = 1, where 0.9 of it left ~(1-u)^(1/9): the J0 oscillations piled up
+    there and the error estimate no longer bounded the error.
     """
+    known = _spectral_routes(params, w, p)
     edges = (0.0, *sorted({q for q in w.spectrum_breakpoints if q > 0.0}))
     starts = np.array(edges + (math.inf,))[:, None]
 
-    def integrand(x: np.ndarray) -> Callable:
-        ends = np.minimum(starts, x / c)
-        # one row per (piece, x), x last
+    def integrand(k: np.ndarray) -> tuple[Callable, np.ndarray]:
+        ends = np.minimum(starts, k)
+        # one row per (piece, k), k last; a route's rows follow the previous route's
         lo, width = ends[:-1].reshape(-1, 1), np.diff(ends, axis=0).reshape(-1, 1)
-        xs = np.broadcast_to(x, ends[:-1].shape).reshape(-1, 1)
-        top_sq, scale = (xs / c) ** 2, width * factor(xs)
+        ks = np.broadcast_to(k, ends[:-1].shape).reshape(-1, 1)
+        scale = np.concatenate([width * known[r][2](ks) for r in routes])
 
-        def f(s: np.ndarray, rows) -> np.ndarray:
-            kz = lo[rows] + width[rows] * s
-            chi = np.sqrt(np.maximum(top_sq[rows] - kz * kz, 0.0))
-            return (scale[rows] * spectral(kz, xs[rows]) * bessel_j0(p.rho * chi)
-                    * np.exp(kz * complex(0.0, -p.z)))
+        def f(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
+            route, cell = np.divmod(rows, lo.size)  # rows ascend, so routes come in blocks
+            nodes, back = np.unique(cell, return_inverse=True)
+            kz = lo[nodes] + width[nodes] * s
+            chi = np.sqrt(np.maximum(ks[nodes] ** 2 - kz * kz, 0.0))
+            kernel = bessel_j0(p.rho * chi) * np.exp(kz * complex(0.0, -p.z))
+            blocks = np.searchsorted(route, np.arange(len(routes) + 1))
+            return np.concatenate([kernel[back[i:j]] * known[r][1](kz[back[i:j]], ks[cell[i:j]])
+                                   * scale[rows[i:j]] for r, i, j in zip(routes, blocks, blocks[1:])])
 
-        return f
+        return f, np.tile(width.ravel() > 0.0, len(routes))
 
-    decay = 0.5 * min(w.decay_rate, b) / c
-    kinks = tuple(c * q for q in edges[1:])
-    return integrate_nested(lambda g, t: integrate_semi_infinite(g, t, decay, 80_000, kinks), integrand,
-                            lambda f, t, n: integrate_doubling(f, fejer2, t, n), tol, max_evals, what)
+    decay, budget = 0.5 * min(w.decay_rate, params.b), 80_000 * len(routes)
+    res = integrate_nested(lambda g, t: integrate_semi_infinite(g, t, decay, budget, edges[1:]),
+                           integrand, lambda fl, t, n: integrate_doubling(fl[0], fejer2, t, n, fl[1]),
+                           tol, max_evals, tuple(known[r][0] for r in routes))
+    return dict(zip(routes, res))
 
 
 def reconstruct_fourier_bessel(
@@ -144,19 +167,14 @@ def reconstruct_fourier_bessel(
     tol: float,
     max_evals: int = 4_000_000,
 ) -> QuadratureResult:
-    """Fourier-Bessel double integral driven by the waveform spectrum:
+    """Fourier-Bessel double integral driven by the waveform spectrum
+    (``reconstruct_spectral``'s ``fourier_bessel`` route alone):
 
         u = -i integral_0^inf dk e^{i k (ct + i b)}
                integral_0^k dk_z fhat(k_z) J0(rho sqrt(k^2 - k_z^2))
                                   e^{-i k_z (z + i b)}.
     """
-    b = params.b
-    res = _fourier_bessel(
-        lambda kz, k: w.spectrum(kz) * np.exp(kz * b),
-        lambda k: np.exp(k * complex(-b, params.c * p.t)),
-        w, b, 1.0, p, tol, max_evals, "Fourier-Bessel reconstruction",
-    )
-    return QuadratureResult(-1j * res.value, res.error_estimate, res.evaluations)
+    return reconstruct_spectral(params, w, p, tol, ("fourier_bessel",), max_evals)["fourier_bessel"]
 
 
 def reconstruct_from_weight(
@@ -166,19 +184,14 @@ def reconstruct_from_weight(
     tol: float,
     max_evals: int = 4_000_000,
 ) -> QuadratureResult:
-    """``reconstruct_fourier_bessel`` under omega = c k, on ``spectral_weight``:
-    the outer nodes scaled by c, but inner integrals 1/c of that route's
-    against the same absolute target, so equal evaluation counts at c = 1 only:
+    """``reconstruct_fourier_bessel`` under omega = c k, on ``spectral_weight``
+    (``reconstruct_spectral``'s ``from_weight`` route alone, on its nodes):
 
         u = integral_0^inf domega e^{i omega t}
               integral_0^{omega/c} dk_z spectral_weight(k_z, omega)
                  e^{-i k_z z} J0(rho sqrt(omega^2/c^2 - k_z^2)).
     """
-    return _fourier_bessel(
-        lambda kz, omega: spectral_weight(params, w, kz, omega),
-        lambda omega: np.exp(omega * complex(0.0, p.t)),
-        w, params.b, params.c, p, tol, max_evals, "spectral-weight reconstruction",
-    )
+    return reconstruct_spectral(params, w, p, tol, ("from_weight",), max_evals)["from_weight"]
 
 
 @dataclass(frozen=True)

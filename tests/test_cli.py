@@ -82,9 +82,10 @@ class TestSample:
         assert not out.exists()
 
     def test_singular_grid_exits_3_and_names_index(self, tmp_path, capsys):
+        # at zeta = b the simple pulse is the singular rational(a = 0) pole: it
+        # runs without a waveform, which it would not read
         cfg = {
             "pulse": {"c": 1.0, "tau": 1.0, "zeta": 1.0},
-            "waveform": "rational(a=1)",
             "evaluator": "simple_pulse",
             "grid": {"axes": [{"name": "z", "min": -1.0, "max": 1.0, "count": 3}],
                      "fixed": {"t": 0.0, "rho": 0.0}},
@@ -168,20 +169,19 @@ class TestCompare:
             assert isinstance(row["evaluations"][route], int)
             assert row["evaluations"][route] > 0
 
-    @pytest.mark.parametrize("route, name", [
-        ("reconstruct_fourier_bessel", "Fourier-Bessel reconstruction"),
-        ("reconstruct_from_weight", "spectral-weight reconstruction"),
-    ])
-    def test_spent_route_budget_exits_3(self, tmp_path, capsys, monkeypatch, route, name):
+    def test_spent_spectral_budget_exits_3_and_names_both_routes(self, tmp_path, capsys, monkeypatch):
+        # fourier_bessel and from_weight run in one quadrature, so its budget
+        # failure names both
         import functools
 
         import unipulse.cli as cli
 
-        small = functools.partial(getattr(cli, route), max_evals=1000)
-        monkeypatch.setattr(cli, route, small)
+        small = functools.partial(cli.reconstruct_spectral, max_evals=1000)
+        monkeypatch.setattr(cli, "reconstruct_spectral", small)
         rc, _ = run(tmp_path, "compare", self.CFG, "f.json")
         assert rc == 3
-        assert name in capsys.readouterr().err
+        assert ("Fourier-Bessel reconstruction and spectral-weight reconstruction (route budget 1000): "
+                in capsys.readouterr().err)
 
     def test_byte_identical_reruns(self, tmp_path):
         rc1, out1 = run(tmp_path, "compare", self.CFG, "a.json")
@@ -620,6 +620,12 @@ class TestConfigMistakes:
                      "mc": {"seed": 5}}, "mc.seed"),
         ("compare", {"points": [{"t": 0.0, "rho": 0.5, "z": 0.2}], "tolerance": 1e-3,
                      "mc": {"n_samples": 0, "sigma": 1e-3}}, "mc.sigma"),
+        # the simple pulse is rational(a = b - zeta) whatever the waveform
+        ("sample", {"grid": {"axes": [{"name": "z", "min": 0.0, "max": 1.0, "count": 2}]},
+                    "evaluator": "simple_pulse", "waveform": "lekner(a=0.3,K=2)"}, "waveform"),
+        ("unidir", {"evaluator": "simple_pulse", "waveform": "rational(a=1)"}, "waveform"),
+        ("residual", {"evaluator": "simple_pulse", "waveform": "rational(a=1)",
+                      "random_points": {"n": 1}}, "waveform"),
     ])
     def test_exits_2_and_names_the_field(self, tmp_path, capsys, command, cfg, field):
         rc, out = run(tmp_path, command, cfg, "mistake.out")

@@ -493,16 +493,30 @@ class TestIntegrateDoubling:
         f, counts = self.counted(lambda s, rows: np.stack([s**3, 1.0 - s * s])[rows], 2)
         res = integrate_doubling(f, fejer2, 1e-12, 10**6)
         assert np.allclose(res.value, [0.25, 2.0 / 3.0], rtol=0.0, atol=1e-15)
-        # the open rule never evaluates s = 0 or 1
-        assert counts.tolist() == [15, 15] and res.evaluations == 30
+        # the open rule never evaluates s = 0 or 1; the result counts per component
+        assert counts.tolist() == res.evaluations.tolist() == [15, 15]
 
     def test_a_settled_component_is_not_evaluated_again(self):
         # a constant settles at n = 16; 1/(1.01 - cos 2 pi s) at n = 512
         f, counts = self.counted(
             lambda s, rows: np.stack([np.ones_like(s), 1.0 / (1.01 - np.cos(2.0 * math.pi * s))])[rows], 2)
         res = integrate_doubling(f, trapezoid, 1e-10, 10**6)
-        assert res.value[0] == 1.0 and abs(res.value[1] - 1.0 / math.sqrt(1.01**2 - 1.0)) <= 1e-9
-        assert counts.tolist() == [17, 513] and res.evaluations == 530
+        exact = 1.0 / math.sqrt(1.01**2 - 1.0)
+        assert res.value[0] == 1.0 and abs(res.value[1] - exact) <= res.error_estimate[1] <= 1e-10 * exact
+        assert counts.tolist() == res.evaluations.tolist() == [17, 513]
+
+    def test_a_component_left_out_is_none(self):
+        # live leaves out component 1: f never sees it, and it reads 0, 0, 0
+        seen = []
+
+        def f(s, rows):
+            seen.extend(rows.tolist())
+            return np.stack([s, np.exp(s), 1.0 - s])[rows]
+
+        res = integrate_doubling(f, fejer2, 1e-12, 10**6, live=np.array([True, False, True]))
+        assert set(seen) == {0, 2}
+        assert res.value.tolist() == [pytest.approx(0.5, abs=1e-15), 0.0, pytest.approx(0.5, abs=1e-15)]
+        assert res.error_estimate[1] == 0.0 and res.evaluations.tolist() == [15, 0, 15]
 
     # a constant, and a step the trapezoid never resolves: its differences
     # only halve per doubling
@@ -527,6 +541,51 @@ class TestIntegrateDoubling:
             integrate_doubling(lambda s, rows: np.stack([1e-6 * s, np.exp(s)])[rows], fejer2, 1e-17, 10**6)
 
 
+class TestDoublingEstimate:
+    """Seeded draws of analytic integrands with closed forms: every
+    estimate of ``integrate_doubling`` bounds the error."""
+
+    @staticmethod
+    def fejer2_draw(rng):
+        # entire (e^{zs}, and J0(lam sqrt(1 - s^2)) cos(mu s), the shape of the
+        # spectral routes' kernel), and a branch point just left of s = 0; with
+        # lam and mu up to 40 the 15 first nodes can alias the kernel and settle
+        # it at n = 16 under its error
+        z, (lam, mu) = complex(rng.uniform(-3, 3), rng.uniform(0, 60)), rng.uniform(0, 20, 2)
+        delta, k = 10 ** rng.uniform(-3, 0), math.hypot(lam, mu)
+        exact = [(np.exp(z) - 1.0) / z, math.sin(k) / k, 2.0 / 3.0 * ((delta + 1.0) ** 1.5 - delta**1.5)]
+        return (lambda s, rows: np.stack([np.exp(z * s),
+                                          bessel_j0(lam * np.sqrt(1.0 - s * s)) * np.cos(mu * s) + 0j,
+                                          np.sqrt(delta + s) + 0j])[rows]), exact
+
+    @staticmethod
+    def trapezoid_draw(rng):
+        # means over psi = pi s of periodic analytic integrands: a real and a
+        # complex pole of 1/(a - cos psi), and exp(kappa cos psi)
+        a, ac = 1.0 + 10 ** rng.uniform(-3, 0.6), complex(rng.uniform(-2, 2), 10 ** rng.uniform(-2.5, 0))
+        kappa = rng.uniform(0, 30)
+        exact = [1.0 / math.sqrt((a - 1.0) * (a + 1.0)), 1.0 / (np.sqrt(ac - 1.0) * np.sqrt(ac + 1.0)),
+                 float(np.i0(kappa))]
+        return (lambda s, rows: np.stack([1.0 / (a - np.cos(math.pi * s)) + 0j,
+                                          1.0 / (ac - np.cos(math.pi * s)),
+                                          np.exp(kappa * np.cos(math.pi * s)) + 0j])[rows]), exact
+
+    @pytest.mark.parametrize("rule", [fejer2, trapezoid], ids=["fejer2", "trapezoid"])
+    def test_seeded_estimates_bound_the_error(self, rule):
+        rng = np.random.default_rng(26)
+        draw = self.fejer2_draw if rule is fejer2 else self.trapezoid_draw
+        worst, misses = 0.0, []
+        for i in range(300):
+            f, exact = draw(rng)
+            tol = (1e-5, 1e-7, 1e-9, 1e-11)[i % 4]
+            res = integrate_doubling(f, rule, tol, 10**7)
+            err = np.abs(res.value - exact)
+            worst = max(worst, float(np.max(err / res.error_estimate)))
+            misses += [(i, j) for j in np.flatnonzero(err > res.error_estimate)]
+            assert np.all(res.error_estimate <= tol * np.maximum(np.abs(res.value), 1.0))
+        assert not misses, f"worst error/estimate {worst:.3g} at (draw, component) {misses[:10]}"
+
+
 class TestIntegrateNested:
     @staticmethod
     def outer(g, tol):
@@ -548,7 +607,7 @@ class TestIntegrateNested:
         # inner integrals x^2 with estimates 1e-3 x: the outer rule
         # integrates both, and the estimate carries int_0^1 1e-3 x dx
         inner, calls = self.inner(1e-3)
-        res = integrate_nested(self.outer, lambda x: x, inner, 1e-2, 10**6, "test")
+        (res,) = integrate_nested(self.outer, lambda x: x, inner, 1e-2, 10**6, ("test",))
         assert res.value == pytest.approx(1.0 / 3.0, abs=1e-15)
         assert res.error_estimate == pytest.approx(5e-4, rel=1e-9)
         assert res.evaluations == 7 * 15
@@ -559,16 +618,42 @@ class TestIntegrateNested:
         with pytest.raises(ToleranceNotReached,
                            match=r"^test \(route budget 1000\): error estimate 5\.000e-02 "
                                  r"with the inner ones exceeds its target 1\.000e-02"):
-            integrate_nested(self.outer, lambda x: x, self.inner(0.1)[0], 1e-2, 1000, "test")
+            integrate_nested(self.outer, lambda x: x, self.inner(0.1)[0], 1e-2, 1000, ("test",))
 
     def test_sums_the_components_at_each_node(self):
         # two components per node, x on the last axis: g integrates their sum
-        res = integrate_nested(
+        (res,) = integrate_nested(
             self.outer, lambda x: np.stack([x, 2.0 * x]),
-            lambda f, tol, budget: QuadratureResult(f, 1e-3 * np.abs(f), f.size), 1e-2, 10**6, "test")
+            lambda f, tol, budget: QuadratureResult(f, 1e-3 * np.abs(f), f.size), 1e-2, 10**6, ("test",))
         assert res.value == pytest.approx(1.5, abs=1e-15)
         assert res.error_estimate == pytest.approx(1.5e-3, rel=1e-9)
         assert res.evaluations == 2 * 15
+
+    @staticmethod
+    def two_routes(f, tol, budget):
+        # components (route, piece, x): route 0 holds x and 2x with estimates
+        # 1e-3 |f|, route 1 holds x^2 with 0.4 |f| and no second piece; values
+        # counted per component, 3 for route 0's, 5 for route 1's
+        estimates = np.stack([1e-3 * f[0], 0.4 * f[1]])
+        return QuadratureResult(f.reshape(-1, f.shape[-1]), estimates.reshape(-1, f.shape[-1]),
+                                np.repeat([3, 5], 2 * f.shape[-1]))
+
+    def test_routes_keep_their_own_values_estimates_and_counts(self):
+        res = integrate_nested(self.outer, lambda x: np.stack([[x, 2.0 * x], [x * x, 0.0 * x]]),
+                               self.two_routes, 1.0, 10**6, ("first", "second"))
+        assert res[0].value == pytest.approx(1.5, abs=1e-15)
+        assert res[1].value == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert res[0].error_estimate == pytest.approx(1.5e-3, rel=1e-9)
+        assert res[1].error_estimate == pytest.approx(0.4 / 3.0, rel=1e-9)
+        assert [r.evaluations for r in res] == [2 * 3 * 15, 2 * 5 * 15]
+
+    def test_the_route_over_its_target_is_named(self):
+        # at tol 0.1 route 1's estimate 0.4/3 exceeds its target 0.1; route 0's passes
+        with pytest.raises(ToleranceNotReached, match=r"^second \(route budget 1000000\): error estimate "
+                                                      r"1\.333e-01 with the inner ones exceeds its target "
+                                                      r"1\.000e-01"):
+            integrate_nested(self.outer, lambda x: np.stack([[x, 2.0 * x], [x * x, 0.0 * x]]),
+                             self.two_routes, 0.1, 10**6, ("first", "second"))
 
 
 class TestLimitExtrapolate:
