@@ -183,6 +183,24 @@ class TestCompare:
         assert ("Fourier-Bessel reconstruction and spectral-weight reconstruction (route budget 1000): "
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("route, name", [
+        ("reconstruct_fourier_bessel", "Fourier-Bessel reconstruction"),
+        ("reconstruct_from_weight", "spectral-weight reconstruction"),
+    ])
+    def test_spent_route_budget_exits_3(self, tmp_path, capsys, monkeypatch, route, name):
+        # a one-route entry point in compare's place names its own route alone
+        import unipulse.synthesis as synthesis
+
+        def one_route(*args):
+            return {route.removeprefix("reconstruct_"): getattr(synthesis, route)(*args, max_evals=1000)}
+
+        monkeypatch.setattr(cli, "reconstruct_spectral", one_route)
+        rc, _ = run(tmp_path, "compare", self.CFG, "f.json")
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"{name} (route budget 1000): " in err
+        assert err.count("reconstruction") == 1
+
     def test_byte_identical_reruns(self, tmp_path):
         rc1, out1 = run(tmp_path, "compare", self.CFG, "a.json")
         rc2, out2 = run(tmp_path, "compare", self.CFG, "b.json")
