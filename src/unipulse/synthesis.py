@@ -114,47 +114,46 @@ def reconstruct_spectral(params: PulseParams, w: Waveform, p: SpacetimePoint, to
     """The spectral ``routes``, by ``compare`` key, in one nested quadrature
     on shared (k, k_z) nodes: each route's double integral
 
-        integral_0^inf dk outer(k) integral_0^k dk_z
+        integral_0^inf dk outer(k) integral_start^max(start, k) dk_z
             spectral(k_z, k) J0(rho sqrt(k^2 - k_z^2)) e^{-i k_z z},
 
-    with the k_z range split at the positive ``w.spectrum_breakpoints``
-    (a piece starting at or above k is empty, and no component).  Through
-    ``integrate_nested``, every nonempty piece of every inner integral is one
-    component per route in s = (k_z - start) / width on [0, 1],
-    integrated by Fejer's second rule: the integrand is entire in k_z on
-    each piece, and the open rule never samples the piece ends, where the
-    spectrum's Heaviside sits.  The kernel J0 e^{-i k_z z} is computed
-    once per node, and each route multiplies in its own factors.  The
-    outer integrand decays like exp(-k min(a, b)), a = w.decay_rate; half
-    that rate as the hint leaves the mapped outer integrand ~(1-u)^1 at
-    u = 1, where 0.9 of it left ~(1-u)^(1/9): the J0 oscillations piled up
-    there and the error estimate no longer bounded the error.
+    on the spectrum's support alone: it is 0 below start = ``w.spectrum_start``
+    (K for lekner), so no value is taken there, and at k <= start the k_z
+    range is empty, and no component.  Through ``integrate_nested``, every
+    other inner integral is one component per route in
+    s = (k_z - start) / (k - start) on [0, 1], integrated by Fejer's
+    second rule: the integrand is entire in k_z there, and the open rule
+    never samples the ends, where the spectrum's Heaviside sits.  The
+    kernel J0 e^{-i k_z z} is computed once per node, and each route
+    multiplies in its own factors.  The outer integrand decays like
+    exp(-k min(a, b)), a = w.decay_rate; half that rate as the hint leaves
+    the mapped outer integrand ~(1-u)^1 at u = 1, where 0.9 of it left
+    ~(1-u)^(1/9): the J0 oscillations piled up there and the error
+    estimate no longer bounded the error.
     """
     known = _spectral_routes(params, w, p)
-    edges = (0.0, *sorted({q for q in w.spectrum_breakpoints if q > 0.0}))
-    starts = np.array(edges + (math.inf,))[:, None]
+    start = w.spectrum_start
 
     def integrand(k: np.ndarray) -> tuple[Callable, np.ndarray]:
-        ends = np.minimum(starts, k)
-        # one row per (piece, k), k last; a route's rows follow the previous route's
-        lo, width = ends[:-1].reshape(-1, 1), np.diff(ends, axis=0).reshape(-1, 1)
-        ks = np.broadcast_to(k, ends[:-1].shape).reshape(-1, 1)
-        scale = np.concatenate([width * known[r][2](ks) for r in routes])
+        # one row per k; a route's rows follow the previous route's
+        k = k[:, None]
+        width = np.maximum(k - start, 0.0)
+        scale = np.concatenate([width * known[r][2](k) for r in routes])
 
         def f(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
-            route, cell = np.divmod(rows, lo.size)  # rows ascend, so routes come in blocks
+            route, cell = np.divmod(rows, k.size)  # rows ascend, so routes come in blocks
             nodes, back = np.unique(cell, return_inverse=True)
-            kz = lo[nodes] + width[nodes] * s
-            chi = np.sqrt(np.maximum(ks[nodes] ** 2 - kz * kz, 0.0))
+            kz = start + width[nodes] * s
+            chi = np.sqrt(np.maximum(k[nodes] ** 2 - kz * kz, 0.0))
             kernel = bessel_j0(p.rho * chi) * np.exp(kz * complex(0.0, -p.z))
             blocks = np.searchsorted(route, np.arange(len(routes) + 1))
-            return np.concatenate([kernel[back[i:j]] * known[r][1](kz[back[i:j]], ks[cell[i:j]])
+            return np.concatenate([kernel[back[i:j]] * known[r][1](kz[back[i:j]], k[cell[i:j]])
                                    * scale[rows[i:j]] for r, i, j in zip(routes, blocks, blocks[1:])])
 
         return f, np.tile(width.ravel() > 0.0, len(routes))
 
     decay, budget = 0.5 * min(w.decay_rate, params.b), 80_000 * len(routes)
-    res = integrate_nested(lambda g, t: integrate_semi_infinite(g, t, decay, budget, edges[1:]),
+    res = integrate_nested(lambda g, t: integrate_semi_infinite(g, t, decay, budget, (start,)),
                            integrand, lambda fl, t, n: integrate_doubling(fl[0], fejer2, t, n, fl[1]),
                            tol, max_evals, tuple(known[r][0] for r in routes))
     return dict(zip(routes, res))
@@ -224,9 +223,11 @@ def reconstruct_cartesian_mc(
     standard exponentials over b), and a direction uniform over the
     forward hemisphere leave the constant weight 1/b^2.  The azimuth is
     measured from the point's own, so k_x x + k_y y = k_perp rho cos(phi)
-    takes one cosine, and (x, y) enter through rho alone.  The stderr has a
-    floor eps sqrt(sum |v|^2), the rounding of the summed values v, for
-    integrands constant up to rounding: rational(a=b) at R = 0, t = 0.
+    takes one cosine, and (x, y) enter through rho alone.  A sample below
+    the support, k_z < ``w.spectrum_start``, adds exactly 0: it counts in
+    n, but takes no phase.  The stderr has a floor eps sqrt(sum |v|^2), the
+    rounding of the summed values v, for integrands constant up to
+    rounding: rational(a=b) at R = 0, t = 0.
     Philox variates in chunks of 2^14: one seed and n give the same
     estimate bit for bit, and one seed draws the same variates in each
     full chunk whatever n, the point or the pulse.
@@ -245,6 +246,8 @@ def reconstruct_cartesian_mc(
         k = rng.standard_exponential((2, m)).sum(axis=0) / b
         mu, u = rng.random((2, m))
         kz = k * mu
+        keep = np.flatnonzero(kz >= w.spectrum_start)  # take() on indices beats a random mask
+        k, mu, u, kz = k.take(keep), mu.take(keep), u.take(keep), kz.take(keep)
         phase = k * (ct - mu * p.z - np.sqrt(1.0 - mu * mu) * np.cos(2.0 * math.pi * u) * p.rho)
         vals = w.spectrum(kz) * np.exp(kz * b + 1j * phase)
         total += complex(np.sum(vals))

@@ -27,12 +27,13 @@ class Waveform(ABC):
 
     ``decay_rate`` bounds the spectrum, |spectrum(kappa)| <= C exp(-decay_rate*kappa),
     and is used as the decay hint for semi-infinite quadrature.
-    ``spectrum_breakpoints`` lists kink locations of the spectrum so
-    quadratures can seed panel edges there.
+    ``spectrum_start`` is the start of the spectrum's support: the
+    spectrum is 0 on [0, spectrum_start) and analytic beyond it, so
+    quadratures integrate from there and seed a panel edge there.
     """
 
     decay_rate: float
-    spectrum_breakpoints: tuple[float, ...] = ()
+    spectrum_start: float = 0.0
 
     @abstractmethod
     def eval(self, theta: complex) -> complex:
@@ -71,7 +72,7 @@ class LeknerWaveform(Waveform):
         self.a = a
         self.K = K
         self.decay_rate = a
-        self.spectrum_breakpoints = (K,) if K > 0.0 else ()
+        self.spectrum_start = K
 
     # At K = 0 the carrier is 1; skipping its exp keeps the rational
     # pole's values exact and the energy integral at its cost.

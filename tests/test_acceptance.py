@@ -226,7 +226,7 @@ def test_criterion_8_spectrum_roundtrip():
                     lambda k: w.spectrum(k) * np.exp(1j * k * theta),
                     1e-10,
                     w.decay_rate + 0.9 * theta.imag,
-                    breakpoints=w.spectrum_breakpoints,
+                    breakpoints=(w.spectrum_start,),
                 )
                 worst = max(worst, abs(res.value - w.eval(theta)))
     report(

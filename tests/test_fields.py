@@ -385,7 +385,7 @@ class _Scaled(Waveform):
         self.inner = inner
         self.factor = factor
         self.decay_rate = inner.decay_rate
-        self.spectrum_breakpoints = inner.spectrum_breakpoints
+        self.spectrum_start = inner.spectrum_start
 
     def eval(self, theta):
         return self.factor * self.inner.eval(theta)

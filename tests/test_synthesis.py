@@ -146,12 +146,35 @@ class TestFourierBessel:
                                        max_evals=1000)
 
     @pytest.mark.parametrize("w, most", [
-        (LeknerWaveform(1.0), 10_245), (LeknerWaveform(1.0, 1.0), 17_415),
+        (LeknerWaveform(1.0), 10_245), (LeknerWaveform(1.0, 1.0), 10_245),
     ])
     def test_spends_no_more_than_one_integral_per_k(self, params, w, most):
-        # the counts of solving each inner k_z integral alone at tol 1e-6
+        # the counts of solving each inner k_z integral of rational(1) alone at
+        # tol 1e-6; lekner(1, 1) integrates over its support k_z >= K alone,
+        # so it spends no more
         res = reconstruct_fourier_bessel(params, w, REGULAR_POINTS[1], 1e-6)
         assert res.evaluations <= most
+
+    @pytest.mark.parametrize("K", [0.5, 1.0, 2.5])
+    def test_takes_no_value_below_the_support(self, params, K, monkeypatch):
+        # the spectrum is 0 on k_z < K: neither route asks for it there
+        spectra, weights = [], []
+
+        class Spying(LeknerWaveform):
+            def spectrum(self, kappa):
+                spectra.append(np.min(kappa))
+                return super().spectrum(kappa)
+
+        def weight(params, w, kz, omega):
+            weights.append(np.min(kz))
+            return spectral_weight(params, w, kz, omega)
+
+        monkeypatch.setattr(synthesis, "spectral_weight", weight)
+        w, p = Spying(1.0, K), REGULAR_POINTS[1]
+        both = reconstruct_spectral(params, w, p, 1e-6)
+        assert spectra and weights and min(spectra + weights) >= K
+        for res in both.values():
+            assert abs(res.value - eval_quasi_spherical(p, params, w)) <= res.error_estimate
 
     def test_counts_one_evaluation_per_spectral_value(self, params):
         values = []
@@ -455,6 +478,33 @@ class TestMonteCarlo:
         turned = SpacetimePoint(0.3, math.hypot(-0.4, 0.5), 0.0, -0.2)
         a = reconstruct_cartesian_mc(params, w, p, 30_000, 9)
         assert a == reconstruct_cartesian_mc(params, w, turned, 30_000, 9)
+
+    def test_skips_the_samples_below_the_support(self, params):
+        # the sampler asks for the spectrum on k_z >= K alone, and agrees
+        # with a chunk loop on the same variates that evaluates every sample
+        K, seen = 0.5, []
+
+        class Spying(LeknerWaveform):
+            def spectrum(self, kappa):
+                seen.append(np.min(kappa))
+                return super().spectrum(kappa)
+
+        w, p, n, b = Spying(1.2, K), REGULAR_POINTS[3], 40_000, params.b
+        mc = reconstruct_cartesian_mc(params, w, p, n, 17)
+        assert seen and min(seen) >= K
+        rng, vals = np.random.Generator(np.random.Philox(17)), []
+        for m in (synthesis._MC_CHUNK, synthesis._MC_CHUNK, n - 2 * synthesis._MC_CHUNK):
+            k = rng.standard_exponential((2, m)).sum(axis=0) / b
+            mu, u = rng.random((2, m))
+            phase = k * (params.c * p.t - mu * p.z
+                         - np.sqrt(1.0 - mu * mu) * np.cos(2.0 * math.pi * u) * p.rho)
+            vals.append(LeknerWaveform(1.2, K).spectrum(k * mu) * np.exp(k * mu * b + 1j * phase))
+        vals = np.concatenate(vals)
+        assert np.count_nonzero(vals == 0.0) > 0.1 * n
+        mean = vals.mean()
+        stderr = math.sqrt(np.sum(np.abs(vals - mean) ** 2) / (n - 1) / n)
+        assert abs(mc.value - (-1j * mean / b**2)) <= 1e-15 * abs(mc.value)
+        assert abs(mc.stderr - stderr / b**2) <= 1e-15 * mc.stderr
 
     def test_memory_grows_with_the_chunk_not_with_n(self, params, rational):
         reconstruct_cartesian_mc(params, rational, REGULAR_POINTS[1], 10_000, 4)  # warm-up

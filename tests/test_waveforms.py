@@ -13,7 +13,7 @@ def spectrum_roundtrip(w, theta, tol=1e-11):
         lambda k: w.spectrum(k) * np.exp(1j * k * theta),
         tol,
         w.decay_rate + 0.9 * theta.imag,
-        breakpoints=w.spectrum_breakpoints,
+        breakpoints=(w.spectrum_start,),
     )
     return res.value
 
