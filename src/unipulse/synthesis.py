@@ -203,7 +203,7 @@ class MonteCarloEstimate:
 _MC_CHUNK = 1 << 14  # samples per chunk: its temporaries stay in cache
 #: fewer samples than this give no usable standard error
 MC_MIN_SAMPLES = 10_000
-#: at ~0.1 us a sample, this many already take about 2 minutes per point
+#: at 0.10-0.14 us a sample (PCG64, 2 CPUs), this many take about 2 minutes per point
 MC_MAX_SAMPLES = 10**9
 
 
@@ -228,15 +228,15 @@ def reconstruct_cartesian_mc(
     n, but takes no phase.  The stderr has a floor eps sqrt(sum |v|^2), the
     rounding of the summed values v, for integrands constant up to
     rounding: rational(a=b) at R = 0, t = 0.
-    Philox variates in chunks of 2^14: one seed and n give the same
-    estimate bit for bit, and one seed draws the same variates in each
-    full chunk whatever n, the point or the pulse.
+    Variates: numpy's default generator (PCG64), one stream drawn in order
+    in chunks of 2^14; one seed and n give the same estimate bit for bit,
+    and each full chunk draws the same variates whatever n, point or pulse.
     """
     if not MC_MIN_SAMPLES <= n_samples <= MC_MAX_SAMPLES:
         raise ValueError(f"need {MC_MIN_SAMPLES} to {MC_MAX_SAMPLES} samples, got {n_samples}")
     b = params.b
     ct = params.c * p.t
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = np.random.default_rng(seed)
 
     total = 0.0 + 0.0j
     total_sq = 0.0

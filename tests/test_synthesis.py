@@ -441,8 +441,10 @@ class TestMonteCarlo:
         # keeps the fourth moment of the weighted integrand e^{(b - a) k_z}
         # finite, so the standard error is itself a reliable estimate.
         # A normal estimator misses 3 sigma in 0.3% of draws; allow 2%.
+        # The pulls |error| / stderr must also have an RMS near 1, so that
+        # a standard error several times too wide fails too.
         rng = np.random.default_rng(16)
-        misses = 0
+        pulls = []
         for i in range(200):
             params = PulseParams(*rng.uniform(0.5, 2.0, 2))
             b = params.b
@@ -451,8 +453,10 @@ class TestMonteCarlo:
             rho, phi = rng.uniform(0.0, 1.5) * b, rng.uniform(0.0, 2.0 * math.pi)
             p = SpacetimePoint(t / params.c, rho * math.cos(phi), rho * math.sin(phi), z)
             mc = reconstruct_cartesian_mc(params, w, p, 20_000, 1000 + i)
-            misses += abs(mc.value - eval_quasi_spherical(p, params, w)) > 3.0 * mc.stderr
-        assert misses <= 4
+            pulls.append(abs(mc.value - eval_quasi_spherical(p, params, w)) / mc.stderr)
+        pulls = np.array(pulls)
+        assert np.count_nonzero(pulls > 3.0) <= 4
+        assert 0.8 <= math.sqrt(np.mean(pulls**2)) <= 1.25
 
     @pytest.mark.parametrize("b", [0.7, 1.0, 1.3])
     def test_constant_integrand_keeps_a_rounding_error_bar(self, b, tmp_path):
@@ -479,6 +483,31 @@ class TestMonteCarlo:
         a = reconstruct_cartesian_mc(params, w, p, 30_000, 9)
         assert a == reconstruct_cartesian_mc(params, w, turned, 30_000, 9)
 
+    @staticmethod
+    def replay(params, w, p, n, seed):
+        # the sampler's chunk loop on numpy's default generator, with every
+        # sample evaluated: -i mean / b^2 and its standard error
+        rng, vals, b = np.random.default_rng(seed), [], params.b
+        for done in range(0, n, synthesis._MC_CHUNK):
+            m = min(synthesis._MC_CHUNK, n - done)
+            k = rng.standard_exponential((2, m)).sum(axis=0) / b
+            mu, u = rng.random((2, m))
+            phase = k * (params.c * p.t - mu * p.z
+                         - np.sqrt(1.0 - mu * mu) * np.cos(2.0 * math.pi * u) * p.rho)
+            vals.append(w.spectrum(k * mu) * np.exp(k * mu * b + 1j * phase))
+        vals = np.concatenate(vals)
+        mean = vals.mean()
+        stderr = math.sqrt(np.sum(np.abs(vals - mean) ** 2) / (n - 1) / n)
+        return vals, -1j * mean / b**2, stderr / b**2
+
+    def test_draws_from_the_default_generator_in_chunks(self, params, rational):
+        # two full chunks and a partial one, K = 0: every sample counts
+        p, n = REGULAR_POINTS[2], 2 * synthesis._MC_CHUNK + 1_234
+        mc = reconstruct_cartesian_mc(params, rational, p, n, 29)
+        _, value, stderr = self.replay(params, rational, p, n, 29)
+        assert abs(mc.value - value) <= 1e-15 * abs(mc.value)
+        assert abs(mc.stderr - stderr) <= 1e-15 * mc.stderr
+
     def test_skips_the_samples_below_the_support(self, params):
         # the sampler asks for the spectrum on k_z >= K alone, and agrees
         # with a chunk loop on the same variates that evaluates every sample
@@ -489,22 +518,13 @@ class TestMonteCarlo:
                 seen.append(np.min(kappa))
                 return super().spectrum(kappa)
 
-        w, p, n, b = Spying(1.2, K), REGULAR_POINTS[3], 40_000, params.b
+        w, p, n = Spying(1.2, K), REGULAR_POINTS[3], 40_000
         mc = reconstruct_cartesian_mc(params, w, p, n, 17)
         assert seen and min(seen) >= K
-        rng, vals = np.random.Generator(np.random.Philox(17)), []
-        for m in (synthesis._MC_CHUNK, synthesis._MC_CHUNK, n - 2 * synthesis._MC_CHUNK):
-            k = rng.standard_exponential((2, m)).sum(axis=0) / b
-            mu, u = rng.random((2, m))
-            phase = k * (params.c * p.t - mu * p.z
-                         - np.sqrt(1.0 - mu * mu) * np.cos(2.0 * math.pi * u) * p.rho)
-            vals.append(LeknerWaveform(1.2, K).spectrum(k * mu) * np.exp(k * mu * b + 1j * phase))
-        vals = np.concatenate(vals)
+        vals, value, stderr = self.replay(params, LeknerWaveform(1.2, K), p, n, 17)
         assert np.count_nonzero(vals == 0.0) > 0.1 * n
-        mean = vals.mean()
-        stderr = math.sqrt(np.sum(np.abs(vals - mean) ** 2) / (n - 1) / n)
-        assert abs(mc.value - (-1j * mean / b**2)) <= 1e-15 * abs(mc.value)
-        assert abs(mc.stderr - stderr / b**2) <= 1e-15 * mc.stderr
+        assert abs(mc.value - value) <= 1e-15 * abs(mc.value)
+        assert abs(mc.stderr - stderr) <= 1e-15 * mc.stderr
 
     def test_memory_grows_with_the_chunk_not_with_n(self, params, rational):
         reconstruct_cartesian_mc(params, rational, REGULAR_POINTS[1], 10_000, 4)  # warm-up
