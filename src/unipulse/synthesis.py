@@ -11,7 +11,8 @@ Routes back to u(t, R), each named by its ``compare`` key:
   route under omega = c k, an integral-level check of that table, not an
   independent route,
 * ``mc_estimate``: a Monte-Carlo estimate of the equivalent 3-D Cartesian
-  k-space integral.
+  k-space integral, sampled in mirrored pairs of k-points (k_perp and
+  -k_perp) that share one complex exponential.
 
 Each deterministic route takes an explicit tolerance and returns a
 QuadratureResult reporting the achieved error estimate; nothing
@@ -200,10 +201,10 @@ class MonteCarloEstimate:
     n_samples: int
 
 
-_MC_CHUNK = 1 << 14  # samples per chunk: its temporaries stay in cache
+_MC_CHUNK = 1 << 14  # draws (pairs) per chunk: its temporaries stay in cache
 #: fewer samples than this give no usable standard error
 MC_MIN_SAMPLES = 10_000
-#: at 0.10-0.14 us a sample (PCG64, 2 CPUs), this many take about 2 minutes per point
+#: at 0.035-0.055 us a k-point (PCG64, 2 CPUs), this many take about a minute per point
 MC_MAX_SAMPLES = 10**9
 
 
@@ -222,39 +223,48 @@ def reconstruct_cartesian_mc(
     Radius k ~ Gamma(2, 1/b), density b^2 k e^{-b k} (a sum of two
     standard exponentials over b), and a direction uniform over the
     forward hemisphere leave the constant weight 1/b^2.  The azimuth is
-    measured from the point's own, so k_x x + k_y y = k_perp rho cos(phi)
-    takes one cosine, and (x, y) enter through rho alone.  A sample below
-    the support, k_z < ``w.spectrum_start``, adds exactly 0: it counts in
-    n, but takes no phase.  The stderr has a floor eps sqrt(sum |v|^2), the
-    rounding of the summed values v, for integrands constant up to
-    rounding: rational(a=b) at R = 0, t = 0.
+    measured from the point's own, so k_x x + k_y y = k_perp rho cos(phi),
+    and (x, y) enter through rho alone.  Each draw (k, mu, phi) gives two
+    k-points, k_perp and its mirror -k_perp (antithetic variates), whose
+    mean fhat(k_z) e^{k_z b} e^{i (k ct - k_z z)} cos(k_perp rho cos(phi))
+    takes one complex exponential; ``n_samples`` counts k-points, so
+    ceil(n/2) pairs run and ``MonteCarloEstimate.n_samples`` is twice that.
+    The estimate and its stderr are taken over the pair means, which are
+    iid; on the axis the two members coincide, and the stderr is sqrt(2)
+    times that of n independent samples.  A pair below the support,
+    k_z < ``w.spectrum_start``, adds exactly 0: it counts, but takes no
+    phase.  The stderr has a floor eps sqrt(sum |v|^2), the rounding of
+    the summed pair means v, for integrands constant up to rounding:
+    rational(a=b) at R = 0, t = 0.
     Variates: numpy's default generator (PCG64), one stream drawn in order
-    in chunks of 2^14; one seed and n give the same estimate bit for bit,
-    and each full chunk draws the same variates whatever n, point or pulse.
+    in chunks of 2^14 draws; one seed and n give the same estimate bit for
+    bit, and each full chunk draws the same variates whatever n, point or
+    pulse.
     """
     if not MC_MIN_SAMPLES <= n_samples <= MC_MAX_SAMPLES:
         raise ValueError(f"need {MC_MIN_SAMPLES} to {MC_MAX_SAMPLES} samples, got {n_samples}")
     b = params.b
     ct = params.c * p.t
     rng = np.random.default_rng(seed)
+    n_pairs = (n_samples + 1) // 2
 
     total = 0.0 + 0.0j
     total_sq = 0.0
     done = 0
-    while done < n_samples:
-        m = min(_MC_CHUNK, n_samples - done)
+    while done < n_pairs:
+        m = min(_MC_CHUNK, n_pairs - done)
         k = rng.standard_exponential((2, m)).sum(axis=0) / b
         mu, u = rng.random((2, m))
         kz = k * mu
         keep = np.flatnonzero(kz >= w.spectrum_start)  # take() on indices beats a random mask
         k, mu, u, kz = k.take(keep), mu.take(keep), u.take(keep), kz.take(keep)
-        phase = k * (ct - mu * p.z - np.sqrt(1.0 - mu * mu) * np.cos(2.0 * math.pi * u) * p.rho)
-        vals = w.spectrum(kz) * np.exp(kz * b + 1j * phase)
+        mirror = np.cos(k * np.sqrt(1.0 - mu * mu) * np.cos(2.0 * math.pi * u) * p.rho)
+        vals = w.spectrum(kz) * mirror * np.exp(kz * b + 1j * (k * ct - kz * p.z))
         total += complex(np.sum(vals))
         total_sq += float(np.sum(np.abs(vals) ** 2))
         done += m
 
-    mean = total / n_samples
-    var = max(total_sq - n_samples * abs(mean) ** 2, 0.0) / (n_samples - 1)
-    stderr = max(math.sqrt(var / n_samples), np.finfo(float).eps * math.sqrt(total_sq))
-    return MonteCarloEstimate(-1j * mean / (b * b), stderr / (b * b), n_samples)
+    mean = total / n_pairs
+    var = max(total_sq - n_pairs * abs(mean) ** 2, 0.0) / (n_pairs - 1)
+    stderr = max(math.sqrt(var / n_pairs), np.finfo(float).eps * math.sqrt(total_sq))
+    return MonteCarloEstimate(-1j * mean / (b * b), stderr / (b * b), 2 * n_pairs)

@@ -458,6 +458,25 @@ class TestMonteCarlo:
         assert np.count_nonzero(pulls > 3.0) <= 4
         assert 0.8 <= math.sqrt(np.mean(pulls**2)) <= 1.25
 
+    def test_seeded_sweep_on_the_axis_misses_three_sigma_near_the_normal_rate(self):
+        # as the sweep above, but at rho <= 0.01 b, where the two members
+        # of a pair (nearly) coincide: the stderr over the pair means must
+        # stay honest there too
+        rng = np.random.default_rng(19)
+        pulls = []
+        for i in range(200):
+            params = PulseParams(*rng.uniform(0.5, 2.0, 2))
+            b = params.b
+            w = LeknerWaveform(rng.uniform(0.75, 2.0) * b, rng.uniform(0.0, 3.0) / b if i % 2 else 0.0)
+            t, z = rng.uniform(-1.5, 1.5, 2) * b
+            rho, phi = rng.uniform(0.0, 0.01) * b, rng.uniform(0.0, 2.0 * math.pi)
+            p = SpacetimePoint(t / params.c, rho * math.cos(phi), rho * math.sin(phi), z)
+            mc = reconstruct_cartesian_mc(params, w, p, 20_000, 3000 + i)
+            pulls.append(abs(mc.value - eval_quasi_spherical(p, params, w)) / mc.stderr)
+        pulls = np.array(pulls)
+        assert np.count_nonzero(pulls > 3.0) <= 4
+        assert 0.8 <= math.sqrt(np.mean(pulls**2)) <= 1.25
+
     @pytest.mark.parametrize("b", [0.7, 1.0, 1.3])
     def test_constant_integrand_keeps_a_rounding_error_bar(self, b, tmp_path):
         # rational(a = b) at the origin, t = 0: every sample of the
@@ -484,20 +503,28 @@ class TestMonteCarlo:
         assert a == reconstruct_cartesian_mc(params, w, turned, 30_000, 9)
 
     @staticmethod
-    def replay(params, w, p, n, seed):
-        # the sampler's chunk loop on numpy's default generator, with every
-        # sample evaluated: -i mean / b^2 and its standard error
-        rng, vals, b = np.random.default_rng(seed), [], params.b
-        for done in range(0, n, synthesis._MC_CHUNK):
-            m = min(synthesis._MC_CHUNK, n - done)
+    def mirrored(params, w, p, k, mu, u):
+        # the two k-points of each draw, k_perp and its mirror -k_perp,
+        # each evaluated with its own full phase
+        kz, k_perp_rho = k * mu, k * np.sqrt(1.0 - mu * mu) * np.cos(2.0 * math.pi * u) * p.rho
+        phase = k * (params.c * p.t - mu * p.z)
+        return tuple(w.spectrum(kz) * np.exp(kz * params.b + 1j * (phase - s * k_perp_rho))
+                     for s in (1.0, -1.0))
+
+    @classmethod
+    def replay(cls, params, w, p, n, seed):
+        # the sampler's chunk loop on numpy's default generator, ceil(n/2)
+        # draws, with every pair evaluated as the mean of its two mirrored
+        # samples: -i mean / b^2 and its standard error over the pair means
+        rng, vals, b, pairs = np.random.default_rng(seed), [], params.b, (n + 1) // 2
+        for done in range(0, pairs, synthesis._MC_CHUNK):
+            m = min(synthesis._MC_CHUNK, pairs - done)
             k = rng.standard_exponential((2, m)).sum(axis=0) / b
             mu, u = rng.random((2, m))
-            phase = k * (params.c * p.t - mu * p.z
-                         - np.sqrt(1.0 - mu * mu) * np.cos(2.0 * math.pi * u) * p.rho)
-            vals.append(w.spectrum(k * mu) * np.exp(k * mu * b + 1j * phase))
+            vals.append(sum(cls.mirrored(params, w, p, k, mu, u)) / 2.0)
         vals = np.concatenate(vals)
         mean = vals.mean()
-        stderr = math.sqrt(np.sum(np.abs(vals - mean) ** 2) / (n - 1) / n)
+        stderr = math.sqrt(np.sum(np.abs(vals - mean) ** 2) / (pairs - 1) / pairs)
         return vals, -1j * mean / b**2, stderr / b**2
 
     def test_draws_from_the_default_generator_in_chunks(self, params, rational):
@@ -507,6 +534,48 @@ class TestMonteCarlo:
         _, value, stderr = self.replay(params, rational, p, n, 29)
         assert abs(mc.value - value) <= 1e-15 * abs(mc.value)
         assert abs(mc.stderr - stderr) <= 1e-15 * mc.stderr
+
+    def test_odd_n_runs_ceil_n_over_2_pairs(self, params):
+        # n counts k-points: an odd n rounds up to whole pairs, one chunk of
+        # 2^14 draws and a partial one of 618
+        sizes = []
+
+        class Counting(LeknerWaveform):
+            def spectrum(self, kappa):
+                sizes.append(np.size(kappa))
+                return super().spectrum(kappa)
+
+        p, n = REGULAR_POINTS[4], 2 * synthesis._MC_CHUNK + 1_235
+        mc = reconstruct_cartesian_mc(params, Counting(1.0), p, n, 31)
+        assert sizes == [synthesis._MC_CHUNK, 618] and sum(sizes) == math.ceil(n / 2)
+        assert mc.n_samples == 2 * math.ceil(n / 2) == n + 1
+        _, value, stderr = self.replay(params, LeknerWaveform(1.0), p, n, 31)
+        assert abs(mc.value - value) <= 1e-15 * abs(mc.value)
+        assert abs(mc.stderr - stderr) <= 1e-15 * mc.stderr
+
+    @pytest.mark.parametrize("index", [0, 1, 2_345, 4_999])
+    @pytest.mark.parametrize("p", [REGULAR_POINTS[2], SpacetimePoint(0.4, 0.0, 0.0, -0.3)],
+                             ids=["off-axis", "on-axis"])
+    def test_a_pair_is_the_mean_of_its_two_mirrored_samples(self, params, p, index):
+        # a spectrum that is 0 at every draw but one isolates that draw's
+        # pair value in the estimate: -i v / (b^2 pairs)
+        class OnePair(LeknerWaveform):
+            def spectrum(self, kappa):
+                out = super().spectrum(kappa)
+                keep = np.zeros(np.shape(out), dtype=bool)
+                keep[index] = True
+                return np.where(keep, out, 0j)
+
+        w, n, pairs = OnePair(1.1), synthesis.MC_MIN_SAMPLES, synthesis.MC_MIN_SAMPLES // 2
+        mc = reconstruct_cartesian_mc(params, w, p, n, 23)
+        rng = np.random.default_rng(23)
+        k = rng.standard_exponential((2, pairs)).sum(axis=0)[index] / params.b
+        mu, u = rng.random((2, pairs))[:, index]
+        plus, minus = self.mirrored(params, LeknerWaveform(1.1), p, k, mu, u)
+        pair = 1j * mc.value * params.b**2 * pairs
+        assert abs(pair - (plus + minus) / 2.0) <= 1e-14 * abs(plus)
+        if p.rho == 0.0:
+            assert plus == minus
 
     def test_skips_the_samples_below_the_support(self, params):
         # the sampler asks for the spectrum on k_z >= K alone, and agrees
