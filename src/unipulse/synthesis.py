@@ -12,7 +12,8 @@ Routes back to u(t, R), each named by its ``compare`` key:
   independent route,
 * ``mc_estimate``: a Monte-Carlo estimate of the equivalent 3-D Cartesian
   k-space integral, sampled in mirrored pairs of k-points (k_perp and
-  -k_perp) that share one complex exponential.
+  -k_perp) that share one phase, in float32 trigonometry on arguments
+  reduced in float64, with that rounding's bound as a floor of its stderr.
 
 Each deterministic route takes an explicit tolerance and returns a
 QuadratureResult reporting the achieved error estimate; nothing
@@ -204,8 +205,16 @@ class MonteCarloEstimate:
 _MC_CHUNK = 1 << 14  # draws (pairs) per chunk: its temporaries stay in cache
 #: fewer samples than this give no usable standard error
 MC_MIN_SAMPLES = 10_000
-#: at 0.035-0.055 us a k-point (PCG64, 2 CPUs), this many take about a minute per point
+#: at 0.022-0.033 us a k-point (PCG64, 2 CPUs), this many take about half a minute per point
 MC_MAX_SAMPLES = 10**9
+#: bound on numpy's float32 cos and sin errors at float32 arguments in [-pi, pi]
+_TRIG32_ERR = 2.0**-21
+
+
+def _reduced(x: np.ndarray) -> np.ndarray:
+    """x - 2 pi rint(x / 2 pi), in [-pi, pi] up to rounding, reduced in float64
+    and cast to float32, where numpy's float32 cos and sin run in SIMD code."""
+    return (x - 2.0 * math.pi * np.rint(x / (2.0 * math.pi))).astype(np.float32)
 
 
 def reconstruct_cartesian_mc(
@@ -226,16 +235,29 @@ def reconstruct_cartesian_mc(
     measured from the point's own, so k_x x + k_y y = k_perp rho cos(phi),
     and (x, y) enter through rho alone.  Each draw (k, mu, phi) gives two
     k-points, k_perp and its mirror -k_perp (antithetic variates), whose
-    mean fhat(k_z) e^{k_z b} e^{i (k ct - k_z z)} cos(k_perp rho cos(phi))
-    takes one complex exponential; ``n_samples`` counts k-points, so
-    ceil(n/2) pairs run and ``MonteCarloEstimate.n_samples`` is twice that.
-    The estimate and its stderr are taken over the pair means, which are
-    iid; on the axis the two members coincide, and the stderr is sqrt(2)
-    times that of n independent samples.  A pair below the support,
-    k_z < ``w.spectrum_start``, adds exactly 0: it counts, but takes no
-    phase.  The stderr has a floor eps sqrt(sum |v|^2), the rounding of
-    the summed pair means v, for integrands constant up to rounding:
-    rational(a=b) at R = 0, t = 0.
+    mean is v = A cos(x_m) e^{i x_p}, with A = fhat(k_z) e^{k_z b},
+    x_m = k_perp rho cos(phi) and x_p = k ct - k_z z; ``n_samples`` counts
+    k-points, so ceil(n/2) pairs run and ``MonteCarloEstimate.n_samples``
+    is twice that.  The estimate and its stderr are taken over the pair
+    means, which are iid; on the axis the two members coincide, and the
+    stderr is sqrt(2) times that of n independent samples.  A pair below
+    the support, k_z < ``w.spectrum_start``, adds exactly 0: it counts, but
+    takes no phase.
+    Trigonometry: x_m and x_p are formed in float64, reduced to
+    r = x - 2 pi rint(x / 2 pi) in [-pi, pi] in float64, and cast to
+    float32, where numpy's cos and sin run in SIMD code (past |x| ~ 7e4
+    they would drop to scalar code); A, v and all sums are float64.
+    cos(phi) is the float32 cosine of 2 pi u.  It is a variate, so its
+    rounding biases the estimate only at second order in 2^-24, but for a
+    term of order 2^-36 k_perp rho near cos(phi) = +-1, where its density
+    peaks within one float32 step.  The rest of a pair's float32 error is
+    at most B = |A| [min(r_m^2, 2^-21) + min(r_p^2, 2^-21)
+    + 2^-21 min(|r_p|, 1)], 0 where both arguments are 0.
+    The stderr is the largest of the statistical one, eps sqrt(sum |v|^2)
+    (the rounding of the summed pair means, for integrands constant up to
+    rounding: rational(a=b) at R = 0, t = 0) and sum(B) / n_pairs (for
+    integrands whose float32 cosines all round to 1), so it covers the
+    rounding as well as the sampling.
     Variates: numpy's default generator (PCG64), one stream drawn in order
     in chunks of 2^14 draws; one seed and n give the same estimate bit for
     bit, and each full chunk draws the same variates whatever n, point or
@@ -249,7 +271,7 @@ def reconstruct_cartesian_mc(
     n_pairs = (n_samples + 1) // 2
 
     total = 0.0 + 0.0j
-    total_sq = 0.0
+    total_sq = bound = 0.0
     done = 0
     while done < n_pairs:
         m = min(_MC_CHUNK, n_pairs - done)
@@ -258,13 +280,21 @@ def reconstruct_cartesian_mc(
         kz = k * mu
         keep = np.flatnonzero(kz >= w.spectrum_start)  # take() on indices beats a random mask
         k, mu, u, kz = k.take(keep), mu.take(keep), u.take(keep), kz.take(keep)
-        mirror = np.cos(k * np.sqrt(1.0 - mu * mu) * np.cos(2.0 * math.pi * u) * p.rho)
-        vals = w.spectrum(kz) * mirror * np.exp(kz * b + 1j * (k * ct - kz * p.z))
+        cos_phi = np.cos((2.0 * math.pi * u).astype(np.float32))
+        r_m = _reduced(k * np.sqrt(1.0 - mu * mu) * cos_phi * p.rho)
+        r_p = _reduced(k * ct - kz * p.z)
+        amp = w.spectrum(kz) * np.exp(kz * b)
+        vals = np.empty(keep.size, complex)
+        vals.real, vals.imag = np.cos(r_p), np.sin(r_p)
+        vals *= amp * np.cos(r_m)
         total += complex(np.sum(vals))
-        total_sq += float(np.sum(np.abs(vals) ** 2))
+        total_sq += float(np.einsum("i,i->", vals.view(float), vals.view(float)))
+        terms = (np.minimum(r_m * r_m, _TRIG32_ERR) + np.minimum(r_p * r_p, _TRIG32_ERR)
+                 + _TRIG32_ERR * np.minimum(np.abs(r_p), 1.0))
+        bound += float(np.einsum("i,i->", np.abs(amp), terms))
         done += m
 
     mean = total / n_pairs
     var = max(total_sq - n_pairs * abs(mean) ** 2, 0.0) / (n_pairs - 1)
-    stderr = max(math.sqrt(var / n_pairs), np.finfo(float).eps * math.sqrt(total_sq))
+    stderr = max(math.sqrt(var / n_pairs), np.finfo(float).eps * math.sqrt(total_sq), bound / n_pairs)
     return MonteCarloEstimate(-1j * mean / (b * b), stderr / (b * b), 2 * n_pairs)

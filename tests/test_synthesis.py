@@ -503,13 +503,45 @@ class TestMonteCarlo:
         assert a == reconstruct_cartesian_mc(params, w, turned, 30_000, 9)
 
     @staticmethod
-    def mirrored(params, w, p, k, mu, u):
-        # the two k-points of each draw, k_perp and its mirror -k_perp,
-        # each evaluated with its own full phase
-        kz, k_perp_rho = k * mu, k * np.sqrt(1.0 - mu * mu) * np.cos(2.0 * math.pi * u) * p.rho
-        phase = k * (params.c * p.t - mu * p.z)
-        return tuple(w.spectrum(kz) * np.exp(kz * params.b + 1j * (phase - s * k_perp_rho))
-                     for s in (1.0, -1.0))
+    def trig32(x):
+        # cos and sin of float64 arguments as the sampler takes them: x
+        # reduced to r = x - 2 pi rint(x / 2 pi) in float64, then numpy's
+        # float32 cos and sin at float32(r); returns cos, sin and that r, as
+        # float64
+        r = (x - 2.0 * math.pi * np.rint(x / (2.0 * math.pi))).astype(np.float32)
+        return np.cos(r).astype(float), np.sin(r).astype(float), r.astype(float)
+
+    @staticmethod
+    def bound(amp, r_m, r_p):
+        # the float32 error bound B of each pair mean
+        f = 2.0**-21
+        return np.abs(amp) * (np.minimum(r_m**2, f) + np.minimum(r_p**2, f)
+                              + f * np.minimum(np.abs(r_p), 1.0))
+
+    @staticmethod
+    def arguments(params, w, p, k, mu, u):
+        # each draw's mirror argument x_m = k_perp rho cos(phi), with cos(phi)
+        # the float32 cosine of 2 pi u, its phase x_p = k ct - k_z z and its
+        # amplitude A = fhat(k_z) e^{k_z b}, all float64
+        kz = k * mu
+        cos_phi = np.cos((2.0 * math.pi * u).astype(np.float32)).astype(float)
+        x_m = k * np.sqrt(1.0 - mu * mu) * cos_phi * p.rho
+        return x_m, k * (params.c * p.t) - kz * p.z, w.spectrum(kz) * np.exp(kz * params.b)
+
+    @classmethod
+    def mirrored(cls, params, w, p, k, mu, u):
+        # the two k-points of each draw, k_perp and its mirror -k_perp, each
+        # with its own phase x_p -+ x_m, in the sampler's float32 trigonometry
+        x_m, x_p, amp = cls.arguments(params, w, p, k, mu, u)
+        (cos_m, sin_m, _), (cos_p, sin_p, _) = cls.trig32(x_m), cls.trig32(x_p)
+        return tuple(amp * (cos_p + 1j * sin_p) * (cos_m - s * 1j * sin_m) for s in (1.0, -1.0))
+
+    @staticmethod
+    def draws(rng, b, m):
+        # one chunk of the sampler's variates: k ~ Gamma(2, 1/b), then mu and u
+        k = rng.standard_exponential((2, m)).sum(axis=0) / b
+        mu, u = rng.random((2, m))
+        return k, mu, u
 
     @classmethod
     def replay(cls, params, w, p, n, seed):
@@ -518,9 +550,7 @@ class TestMonteCarlo:
         # samples: -i mean / b^2 and its standard error over the pair means
         rng, vals, b, pairs = np.random.default_rng(seed), [], params.b, (n + 1) // 2
         for done in range(0, pairs, synthesis._MC_CHUNK):
-            m = min(synthesis._MC_CHUNK, pairs - done)
-            k = rng.standard_exponential((2, m)).sum(axis=0) / b
-            mu, u = rng.random((2, m))
+            k, mu, u = cls.draws(rng, b, min(synthesis._MC_CHUNK, pairs - done))
             vals.append(sum(cls.mirrored(params, w, p, k, mu, u)) / 2.0)
         vals = np.concatenate(vals)
         mean = vals.mean()
@@ -568,9 +598,7 @@ class TestMonteCarlo:
 
         w, n, pairs = OnePair(1.1), synthesis.MC_MIN_SAMPLES, synthesis.MC_MIN_SAMPLES // 2
         mc = reconstruct_cartesian_mc(params, w, p, n, 23)
-        rng = np.random.default_rng(23)
-        k = rng.standard_exponential((2, pairs)).sum(axis=0)[index] / params.b
-        mu, u = rng.random((2, pairs))[:, index]
+        k, mu, u = (a[index] for a in self.draws(np.random.default_rng(23), params.b, pairs))
         plus, minus = self.mirrored(params, LeknerWaveform(1.1), p, k, mu, u)
         pair = 1j * mc.value * params.b**2 * pairs
         assert abs(pair - (plus + minus) / 2.0) <= 1e-14 * abs(plus)
@@ -594,6 +622,60 @@ class TestMonteCarlo:
         assert np.count_nonzero(vals == 0.0) > 0.1 * n
         assert abs(mc.value - value) <= 1e-15 * abs(mc.value)
         assert abs(mc.stderr - stderr) <= 1e-15 * mc.stderr
+
+    def test_float32_trigonometry_meets_the_bound_terms(self):
+        # numpy's float32 cos and sin at float32(r), r in [-pi, pi], against
+        # float64 at r itself: |cos32 - cos| <= min(r^2, 2^-21) and
+        # |sin32 - sin| <= 2^-21 min(|r|, 1).  The float64 cosine is taken as
+        # 1 - 2 sin^2(r/2), without cancellation, so a tiny r is held to r^2
+        # and not to float64's rounding next to 1.
+        f, edge = 2.0**-21, math.pi - np.logspace(-16, 0, 20_000)
+        tiny = np.logspace(-30, 0, 20_000)
+        r = np.concatenate([np.random.default_rng(30).uniform(-math.pi, math.pi, 1_000_000),
+                            edge, -edge, tiny, -tiny, [0.0, math.pi, np.nextafter(math.pi, 4.0)]])
+        r32 = r.astype(np.float32)
+        cos_err = np.abs((np.cos(r32).astype(float) - 1.0) + 2.0 * np.sin(0.5 * r) ** 2)
+        sin_err = np.abs(np.sin(r32).astype(float) - np.sin(r))
+        assert np.all(cos_err <= np.minimum(r * r, f))
+        assert np.all(sin_err <= f * np.minimum(np.abs(r), 1.0))
+
+    @pytest.mark.parametrize("p", [SpacetimePoint(0.4, 0.0, 0.0, -0.3), REGULAR_POINTS[2],
+                                   SpacetimePoint(1_000.0, 0.3, 0.5, -0.5)],
+                             ids=["on-axis", "off-axis", "ct=1e3 b"])
+    def test_a_pair_lies_within_its_bound_of_float64_trigonometry(self, params, p):
+        # on the sampler's draws, each pair mean in float32 trigonometry lies
+        # within its bound B of A cos(x_m) e^{i x_p} in float64 on the same
+        # cos(phi), up to the float64 rounding eps |A| (1 + |x_m| + |x_p|)
+        # that both formulas' arguments carry; at ct = 10^3 b the phases run
+        # to ~10^4 and pass through the reduction
+        w = LeknerWaveform(1.1, 0.5)
+        k, mu, u = self.draws(np.random.default_rng(37), params.b, 4 * synthesis._MC_CHUNK)
+        value = sum(self.mirrored(params, w, p, k, mu, u)) / 2.0
+        x_m, x_p, amp = self.arguments(params, w, p, k, mu, u)
+        exact = amp * np.cos(x_m) * np.exp(1j * x_p)
+        bound = self.bound(amp, self.trig32(x_m)[2], self.trig32(x_p)[2])
+        rounding = np.finfo(float).eps * np.abs(amp) * (1.0 + np.abs(x_m) + np.abs(x_p))
+        assert np.all(np.abs(value - exact) <= bound + rounding)
+        assert np.max(np.abs(x_p)) > (1e4 if p.t > 100.0 else math.pi)
+        assert np.count_nonzero(bound) > 0.5 * k.size
+
+    def test_stderr_covers_the_float32_bound(self):
+        # rational(a = b) at t = z = 0, rho = 1e-5 b: x_p = 0 and |x_m| <= 1e-5
+        # k b, so float32 cos(x_m) is 1 at nearly every pair and the pair means
+        # are constant, while cos(x_m) lies up to x_m^2 / 2 below 1.  The
+        # statistical error misses that, and only the floor sum(B) / n_pairs
+        # covers it; the sampler squares r in float32, so its floor may differ
+        # from this one by 2^-22 relative.
+        params, w, n = PulseParams(1.0, 1.3), LeknerWaveform(1.3), 30_000
+        p = SpacetimePoint(0.0, 1.3e-5, 0.0, 0.0)
+        mc = reconstruct_cartesian_mc(params, w, p, n, 5)
+        k, mu, u = self.draws(np.random.default_rng(5), params.b, n // 2)
+        x_m, x_p, amp = self.arguments(params, w, p, k, mu, u)
+        floor = np.sum(self.bound(amp, self.trig32(x_m)[2], self.trig32(x_p)[2])) / (n // 2) / params.b**2
+        _, _, stderr = self.replay(params, w, p, n, 5)
+        error = abs(mc.value - eval_quasi_spherical(p, params, w))
+        assert 3.0 * stderr < error <= 3.0 * mc.stderr
+        assert abs(mc.stderr - floor) <= 2.0**-22 * floor
 
     def test_memory_grows_with_the_chunk_not_with_n(self, params, rational):
         reconstruct_cartesian_mc(params, rational, REGULAR_POINTS[1], 10_000, 4)  # warm-up
