@@ -11,8 +11,9 @@ Routes back to u(t, R), each named by its ``compare`` key:
   route under omega = c k, an integral-level check of that table, not an
   independent route,
 * ``mc_estimate``: a Monte-Carlo estimate of the equivalent 3-D Cartesian
-  k-space integral, sampled in mirrored pairs of k-points (k_perp and
-  -k_perp) that share one phase, in float32 trigonometry on arguments
+  k-space integral, drawn from the lekner spectrum's own density so that
+  every sample has the same weight, in mirrored pairs of k-points (k_perp
+  and -k_perp) that share one phase, in float32 trigonometry on arguments
   reduced in float64, with that rounding's bound as a floor of its stderr.
 
 Each deterministic route takes an explicit tolerance and returns a
@@ -39,7 +40,7 @@ from .numerics import (
     integrate_semi_infinite,
     trapezoid,
 )
-from .waveforms import Waveform
+from .waveforms import LeknerWaveform, Waveform
 
 
 def spectral_weight(params: PulseParams, w: Waveform, kz, omega) -> complex:
@@ -205,7 +206,7 @@ class MonteCarloEstimate:
 _MC_CHUNK = 1 << 14  # draws (pairs) per chunk: its temporaries stay in cache
 #: fewer samples than this give no usable standard error
 MC_MIN_SAMPLES = 10_000
-#: at 0.022-0.033 us a k-point (PCG64, 2 CPUs), this many take about half a minute per point
+#: at 0.019-0.023 us a k-point (PCG64, 2 CPUs), this many take about 20 s per point
 MC_MAX_SAMPLES = 10**9
 #: bound on numpy's float32 cos and sin errors at float32 arguments in [-pi, pi]
 _TRIG32_ERR = 2.0**-21
@@ -219,7 +220,7 @@ def _reduced(x: np.ndarray) -> np.ndarray:
 
 def reconstruct_cartesian_mc(
     params: PulseParams,
-    w: Waveform,
+    w: LeknerWaveform,
     p: SpacetimePoint,
     n_samples: int,
     seed: int,
@@ -229,33 +230,33 @@ def reconstruct_cartesian_mc(
         u = -(i/2pi) * integral over R^3 of H(k_z) fhat(k_z)
               e^{i [k (ct + i b) - k_z (z + i b) - k_x x - k_y y]} / k  d^3k.
 
-    Radius k ~ Gamma(2, 1/b), density b^2 k e^{-b k} (a sum of two
-    standard exponentials over b), and a direction uniform over the
-    forward hemisphere leave the constant weight 1/b^2.  The azimuth is
-    measured from the point's own, so k_x x + k_y y = k_perp rho cos(phi),
-    and (x, y) enter through rho alone.  Each draw (k, mu, phi) gives two
+    In (k_z, q = k - k_z, phi), d^3k / k = dk_z dq dphi, and for lekner
+    the integrand's modulus is e^{-a (k_z - K)} e^{-q b}: drawing
+    k_z - K ~ Exp(a), q ~ Exp(b) (standard exponentials over a and b) and
+    phi uniform leaves every sample the constant weight -1/(a b).  Then
+    k = k_z + q and k_perp = sqrt(q (q + 2 k_z)).  The azimuth is measured
+    from the point's own, so k_x x + k_y y = k_perp rho cos(phi), and
+    (x, y) enter through rho alone.  Each draw (k_z, q, phi) gives two
     k-points, k_perp and its mirror -k_perp (antithetic variates), whose
-    mean is v = A cos(x_m) e^{i x_p}, with A = fhat(k_z) e^{k_z b},
-    x_m = k_perp rho cos(phi) and x_p = k ct - k_z z; ``n_samples`` counts
-    k-points, so ceil(n/2) pairs run and ``MonteCarloEstimate.n_samples``
-    is twice that.  The estimate and its stderr are taken over the pair
-    means, which are iid; on the axis the two members coincide, and the
-    stderr is sqrt(2) times that of n independent samples.  A pair below
-    the support, k_z < ``w.spectrum_start``, adds exactly 0: it counts, but
-    takes no phase.
+    mean is v = cos(x_m) e^{i x_p}, with x_m = k_perp rho cos(phi) and
+    x_p = k ct - k_z z; ``n_samples`` counts k-points, so ceil(n/2) pairs
+    run and ``MonteCarloEstimate.n_samples`` is twice that.  The estimate
+    and its stderr are taken over the pair means, which are iid; on the
+    axis the two members coincide, and the stderr is sqrt(2) times that of
+    n independent samples.
     Trigonometry: x_m and x_p are formed in float64, reduced to
     r = x - 2 pi rint(x / 2 pi) in [-pi, pi] in float64, and cast to
     float32, where numpy's cos and sin run in SIMD code (past |x| ~ 7e4
-    they would drop to scalar code); A, v and all sums are float64.
+    they would drop to scalar code); v and all sums are float64.
     cos(phi) is the float32 cosine of 2 pi u.  It is a variate, so its
     rounding biases the estimate only at second order in 2^-24, but for a
     term of order 2^-36 k_perp rho near cos(phi) = +-1, where its density
     peaks within one float32 step.  The rest of a pair's float32 error is
-    at most B = |A| [min(r_m^2, 2^-21) + min(r_p^2, 2^-21)
-    + 2^-21 min(|r_p|, 1)], 0 where both arguments are 0.
+    at most B = min(r_m^2, 2^-21) + min(r_p^2, 2^-21)
+    + 2^-21 min(|r_p|, 1), 0 where both arguments are 0.
     The stderr is the largest of the statistical one, eps sqrt(sum |v|^2)
     (the rounding of the summed pair means, for integrands constant up to
-    rounding: rational(a=b) at R = 0, t = 0) and sum(B) / n_pairs (for
+    rounding: every member at R = 0, t = 0) and sum(B) / n_pairs (for
     integrands whose float32 cosines all round to 1), so it covers the
     rounding as well as the sampling.
     Variates: numpy's default generator (PCG64), one stream drawn in order
@@ -265,7 +266,7 @@ def reconstruct_cartesian_mc(
     """
     if not MC_MIN_SAMPLES <= n_samples <= MC_MAX_SAMPLES:
         raise ValueError(f"need {MC_MIN_SAMPLES} to {MC_MAX_SAMPLES} samples, got {n_samples}")
-    b = params.b
+    scale = w.a * params.b
     ct = params.c * p.t
     rng = np.random.default_rng(seed)
     n_pairs = (n_samples + 1) // 2
@@ -275,26 +276,22 @@ def reconstruct_cartesian_mc(
     done = 0
     while done < n_pairs:
         m = min(_MC_CHUNK, n_pairs - done)
-        k = rng.standard_exponential((2, m)).sum(axis=0) / b
-        mu, u = rng.random((2, m))
-        kz = k * mu
-        keep = np.flatnonzero(kz >= w.spectrum_start)  # take() on indices beats a random mask
-        k, mu, u, kz = k.take(keep), mu.take(keep), u.take(keep), kz.take(keep)
-        cos_phi = np.cos((2.0 * math.pi * u).astype(np.float32))
-        r_m = _reduced(k * np.sqrt(1.0 - mu * mu) * cos_phi * p.rho)
-        r_p = _reduced(k * ct - kz * p.z)
-        amp = w.spectrum(kz) * np.exp(kz * b)
-        vals = np.empty(keep.size, complex)
+        e_z, e_q = rng.standard_exponential((2, m))
+        kz, q = w.K + e_z / w.a, e_q / params.b
+        cos_phi = np.cos((2.0 * math.pi * rng.random(m)).astype(np.float32))
+        r_m = _reduced(np.sqrt(q * (q + 2.0 * kz)) * cos_phi * p.rho)
+        r_p = _reduced((kz + q) * ct - kz * p.z)
+        vals = np.empty(m, complex)
         vals.real, vals.imag = np.cos(r_p), np.sin(r_p)
-        vals *= amp * np.cos(r_m)
+        vals *= np.cos(r_m)
         total += complex(np.sum(vals))
         total_sq += float(np.einsum("i,i->", vals.view(float), vals.view(float)))
         terms = (np.minimum(r_m * r_m, _TRIG32_ERR) + np.minimum(r_p * r_p, _TRIG32_ERR)
                  + _TRIG32_ERR * np.minimum(np.abs(r_p), 1.0))
-        bound += float(np.einsum("i,i->", np.abs(amp), terms))
+        bound += float(terms.sum(dtype=float))
         done += m
 
     mean = total / n_pairs
     var = max(total_sq - n_pairs * abs(mean) ** 2, 0.0) / (n_pairs - 1)
     stderr = max(math.sqrt(var / n_pairs), np.finfo(float).eps * math.sqrt(total_sq), bound / n_pairs)
-    return MonteCarloEstimate(-1j * mean / (b * b), stderr / (b * b), 2 * n_pairs)
+    return MonteCarloEstimate(-mean / scale, stderr / scale, 2 * n_pairs)

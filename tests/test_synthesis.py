@@ -437,9 +437,8 @@ class TestMonteCarlo:
             reconstruct_cartesian_mc(params, rational, REGULAR_POINTS[0], MC_MAX_SAMPLES + 1, 1)
 
     def test_seeded_sweep_misses_three_sigma_near_the_normal_rate(self):
-        # 200 (pulse, point) draws over route_crosscheck's box; a >= 0.75 b
-        # keeps the fourth moment of the weighted integrand e^{(b - a) k_z}
-        # finite, so the standard error is itself a reliable estimate.
+        # 200 (pulse, point) draws over route_crosscheck's box, with a/b
+        # log-uniform in [1e-3, 1e4] and K b in [0, 3].
         # A normal estimator misses 3 sigma in 0.3% of draws; allow 2%.
         # The pulls |error| / stderr must also have an RMS near 1, so that
         # a standard error several times too wide fails too.
@@ -448,7 +447,7 @@ class TestMonteCarlo:
         for i in range(200):
             params = PulseParams(*rng.uniform(0.5, 2.0, 2))
             b = params.b
-            w = LeknerWaveform(rng.uniform(0.75, 2.0) * b, rng.uniform(0.0, 3.0) / b if i % 2 else 0.0)
+            w = LeknerWaveform(10.0 ** rng.uniform(-3.0, 4.0) * b, rng.uniform(0.0, 3.0) / b if i % 2 else 0.0)
             t, z = rng.uniform(-1.5, 1.5, 2) * b
             rho, phi = rng.uniform(0.0, 1.5) * b, rng.uniform(0.0, 2.0 * math.pi)
             p = SpacetimePoint(t / params.c, rho * math.cos(phi), rho * math.sin(phi), z)
@@ -467,7 +466,7 @@ class TestMonteCarlo:
         for i in range(200):
             params = PulseParams(*rng.uniform(0.5, 2.0, 2))
             b = params.b
-            w = LeknerWaveform(rng.uniform(0.75, 2.0) * b, rng.uniform(0.0, 3.0) / b if i % 2 else 0.0)
+            w = LeknerWaveform(10.0 ** rng.uniform(-3.0, 4.0) * b, rng.uniform(0.0, 3.0) / b if i % 2 else 0.0)
             t, z = rng.uniform(-1.5, 1.5, 2) * b
             rho, phi = rng.uniform(0.0, 0.01) * b, rng.uniform(0.0, 2.0 * math.pi)
             p = SpacetimePoint(t / params.c, rho * math.cos(phi), rho * math.sin(phi), z)
@@ -477,17 +476,19 @@ class TestMonteCarlo:
         assert np.count_nonzero(pulls > 3.0) <= 4
         assert 0.8 <= math.sqrt(np.mean(pulls**2)) <= 1.25
 
-    @pytest.mark.parametrize("b", [0.7, 1.0, 1.3])
-    def test_constant_integrand_keeps_a_rounding_error_bar(self, b, tmp_path):
-        # rational(a = b) at the origin, t = 0: every sample of the
-        # weighted integrand is -i/b^2 up to rounding, so only the
-        # rounding floor keeps the n-sigma check from failing on it
-        params, w = PulseParams(1.0, b), LeknerWaveform(b)
+    @pytest.mark.parametrize(("a", "K", "b"), [(0.7, 0.0, 0.7), (1.0, 0.0, 1.0), (1.3, 0.0, 1.3),
+                                               (0.3, 0.0, 1.0), (2.5, 1.7, 0.8)],
+                             ids=["0.7", "1.0", "1.3", "a=0.3b", "a=3.1b,K=1.4/b"])
+    def test_constant_integrand_keeps_a_rounding_error_bar(self, a, K, b, tmp_path):
+        # every member at the origin, t = 0: every sample is -1/(a b) up to
+        # rounding, so only the rounding floor keeps the n-sigma check from
+        # failing on it
+        params, w = PulseParams(1.0, b), LeknerWaveform(a, K)
         origin = SpacetimePoint(0.0, 0.0, 0.0, 0.0)
         mc = reconstruct_cartesian_mc(params, w, origin, 20_000, 3)
         assert 0.0 < mc.stderr <= 1e-12
         assert abs(mc.value - eval_quasi_spherical(origin, params, w)) <= 3.0 * mc.stderr
-        cfg = {"pulse": {"c": 1.0, "tau": b}, "waveform": f"rational(a={b})",
+        cfg = {"pulse": {"c": 1.0, "tau": b}, "waveform": f"lekner(a={a},K={K})",
                "points": [{"t": 0.0, "rho": 0.0, "z": 0.0}], "tolerance": 1e-6,
                "max_discrepancy": 1e-5, "mc": {"n_samples": 20_000, "seed": 3, "sigma": 3.0}}
         (tmp_path / "c.json").write_text(json.dumps(cfg))
@@ -512,53 +513,51 @@ class TestMonteCarlo:
         return np.cos(r).astype(float), np.sin(r).astype(float), r.astype(float)
 
     @staticmethod
-    def bound(amp, r_m, r_p):
+    def bound(r_m, r_p):
         # the float32 error bound B of each pair mean
         f = 2.0**-21
-        return np.abs(amp) * (np.minimum(r_m**2, f) + np.minimum(r_p**2, f)
-                              + f * np.minimum(np.abs(r_p), 1.0))
+        return np.minimum(r_m**2, f) + np.minimum(r_p**2, f) + f * np.minimum(np.abs(r_p), 1.0)
 
     @staticmethod
-    def arguments(params, w, p, k, mu, u):
-        # each draw's mirror argument x_m = k_perp rho cos(phi), with cos(phi)
-        # the float32 cosine of 2 pi u, its phase x_p = k ct - k_z z and its
-        # amplitude A = fhat(k_z) e^{k_z b}, all float64
-        kz = k * mu
+    def arguments(params, p, kz, q, u):
+        # each draw's mirror argument x_m = k_perp rho cos(phi), with
+        # k_perp = sqrt(q (q + 2 k_z)) and cos(phi) the float32 cosine of
+        # 2 pi u, and its phase x_p = k ct - k_z z with k = k_z + q, float64
         cos_phi = np.cos((2.0 * math.pi * u).astype(np.float32)).astype(float)
-        x_m = k * np.sqrt(1.0 - mu * mu) * cos_phi * p.rho
-        return x_m, k * (params.c * p.t) - kz * p.z, w.spectrum(kz) * np.exp(kz * params.b)
+        x_m = np.sqrt(q * (q + 2.0 * kz)) * cos_phi * p.rho
+        return x_m, (kz + q) * (params.c * p.t) - kz * p.z
 
     @classmethod
-    def mirrored(cls, params, w, p, k, mu, u):
+    def mirrored(cls, params, p, kz, q, u):
         # the two k-points of each draw, k_perp and its mirror -k_perp, each
         # with its own phase x_p -+ x_m, in the sampler's float32 trigonometry
-        x_m, x_p, amp = cls.arguments(params, w, p, k, mu, u)
+        x_m, x_p = cls.arguments(params, p, kz, q, u)
         (cos_m, sin_m, _), (cos_p, sin_p, _) = cls.trig32(x_m), cls.trig32(x_p)
-        return tuple(amp * (cos_p + 1j * sin_p) * (cos_m - s * 1j * sin_m) for s in (1.0, -1.0))
+        return tuple((cos_p + 1j * sin_p) * (cos_m - s * 1j * sin_m) for s in (1.0, -1.0))
 
     @staticmethod
-    def draws(rng, b, m):
-        # one chunk of the sampler's variates: k ~ Gamma(2, 1/b), then mu and u
-        k = rng.standard_exponential((2, m)).sum(axis=0) / b
-        mu, u = rng.random((2, m))
-        return k, mu, u
+    def draws(rng, params, w, m):
+        # one chunk of the sampler's variates: k_z - K ~ Exp(a), q ~ Exp(b),
+        # then u
+        e_z, e_q = rng.standard_exponential((2, m))
+        return w.K + e_z / w.a, e_q / params.b, rng.random(m)
 
     @classmethod
     def replay(cls, params, w, p, n, seed):
         # the sampler's chunk loop on numpy's default generator, ceil(n/2)
         # draws, with every pair evaluated as the mean of its two mirrored
-        # samples: -i mean / b^2 and its standard error over the pair means
-        rng, vals, b, pairs = np.random.default_rng(seed), [], params.b, (n + 1) // 2
+        # samples: -mean / (a b) and its standard error over the pair means
+        rng, vals, pairs = np.random.default_rng(seed), [], (n + 1) // 2
         for done in range(0, pairs, synthesis._MC_CHUNK):
-            k, mu, u = cls.draws(rng, b, min(synthesis._MC_CHUNK, pairs - done))
-            vals.append(sum(cls.mirrored(params, w, p, k, mu, u)) / 2.0)
+            kz, q, u = cls.draws(rng, params, w, min(synthesis._MC_CHUNK, pairs - done))
+            vals.append(sum(cls.mirrored(params, p, kz, q, u)) / 2.0)
         vals = np.concatenate(vals)
-        mean = vals.mean()
+        mean, scale = vals.mean(), w.a * params.b
         stderr = math.sqrt(np.sum(np.abs(vals - mean) ** 2) / (pairs - 1) / pairs)
-        return vals, -1j * mean / b**2, stderr / b**2
+        return vals, -mean / scale, stderr / scale
 
     def test_draws_from_the_default_generator_in_chunks(self, params, rational):
-        # two full chunks and a partial one, K = 0: every sample counts
+        # two full chunks and a partial one
         p, n = REGULAR_POINTS[2], 2 * synthesis._MC_CHUNK + 1_234
         mc = reconstruct_cartesian_mc(params, rational, p, n, 29)
         _, value, stderr = self.replay(params, rational, p, n, 29)
@@ -567,61 +566,36 @@ class TestMonteCarlo:
 
     def test_odd_n_runs_ceil_n_over_2_pairs(self, params):
         # n counts k-points: an odd n rounds up to whole pairs, one chunk of
-        # 2^14 draws and a partial one of 618
-        sizes = []
-
-        class Counting(LeknerWaveform):
-            def spectrum(self, kappa):
-                sizes.append(np.size(kappa))
-                return super().spectrum(kappa)
-
-        p, n = REGULAR_POINTS[4], 2 * synthesis._MC_CHUNK + 1_235
-        mc = reconstruct_cartesian_mc(params, Counting(1.0), p, n, 31)
-        assert sizes == [synthesis._MC_CHUNK, 618] and sum(sizes) == math.ceil(n / 2)
+        # 2^14 draws and a partial one of 618; the partial chunk's size sets
+        # its variates, so a replay of 617 pairs does not match
+        w, p, n = LeknerWaveform(1.0), REGULAR_POINTS[4], 2 * synthesis._MC_CHUNK + 1_235
+        mc = reconstruct_cartesian_mc(params, w, p, n, 31)
         assert mc.n_samples == 2 * math.ceil(n / 2) == n + 1
-        _, value, stderr = self.replay(params, LeknerWaveform(1.0), p, n, 31)
+        vals, value, stderr = self.replay(params, w, p, n, 31)
+        assert vals.size == synthesis._MC_CHUNK + 618 == math.ceil(n / 2)
         assert abs(mc.value - value) <= 1e-15 * abs(mc.value)
         assert abs(mc.stderr - stderr) <= 1e-15 * mc.stderr
+        _, fewer, _ = self.replay(params, w, p, n - 1, 31)
+        assert abs(mc.value - fewer) > 1e-6 * abs(mc.value)
 
     @pytest.mark.parametrize("index", [0, 1, 2_345, 4_999])
     @pytest.mark.parametrize("p", [REGULAR_POINTS[2], SpacetimePoint(0.4, 0.0, 0.0, -0.3)],
                              ids=["off-axis", "on-axis"])
     def test_a_pair_is_the_mean_of_its_two_mirrored_samples(self, params, p, index):
-        # a spectrum that is 0 at every draw but one isolates that draw's
-        # pair value in the estimate: -i v / (b^2 pairs)
-        class OnePair(LeknerWaveform):
-            def spectrum(self, kappa):
-                out = super().spectrum(kappa)
-                keep = np.zeros(np.shape(out), dtype=bool)
-                keep[index] = True
-                return np.where(keep, out, 0j)
-
-        w, n, pairs = OnePair(1.1), synthesis.MC_MIN_SAMPLES, synthesis.MC_MIN_SAMPLES // 2
+        # the sampler's pair mean cos(r_m) (cos r_p + i sin r_p), at the draw
+        # ``index``, is the mean of its two mirrored samples, and the
+        # estimate is that of the replay, which takes every pair as that mean
+        w, n, pairs = LeknerWaveform(1.1, 0.5), synthesis.MC_MIN_SAMPLES, synthesis.MC_MIN_SAMPLES // 2
         mc = reconstruct_cartesian_mc(params, w, p, n, 23)
-        k, mu, u = (a[index] for a in self.draws(np.random.default_rng(23), params.b, pairs))
-        plus, minus = self.mirrored(params, LeknerWaveform(1.1), p, k, mu, u)
-        pair = 1j * mc.value * params.b**2 * pairs
-        assert abs(pair - (plus + minus) / 2.0) <= 1e-14 * abs(plus)
+        kz, q, u = (a[index] for a in self.draws(np.random.default_rng(23), params, w, pairs))
+        plus, minus = self.mirrored(params, p, kz, q, u)
+        (cos_m, _, _), (cos_p, sin_p, _) = (self.trig32(x) for x in self.arguments(params, p, kz, q, u))
+        assert abs(cos_m * (cos_p + 1j * sin_p) - (plus + minus) / 2.0) <= 1e-14 * abs(plus)
+        vals, value, _ = self.replay(params, w, p, n, 23)
+        assert vals[index] == (plus + minus) / 2.0
+        assert abs(mc.value - value) <= 1e-15 * abs(mc.value)
         if p.rho == 0.0:
             assert plus == minus
-
-    def test_skips_the_samples_below_the_support(self, params):
-        # the sampler asks for the spectrum on k_z >= K alone, and agrees
-        # with a chunk loop on the same variates that evaluates every sample
-        K, seen = 0.5, []
-
-        class Spying(LeknerWaveform):
-            def spectrum(self, kappa):
-                seen.append(np.min(kappa))
-                return super().spectrum(kappa)
-
-        w, p, n = Spying(1.2, K), REGULAR_POINTS[3], 40_000
-        mc = reconstruct_cartesian_mc(params, w, p, n, 17)
-        assert seen and min(seen) >= K
-        vals, value, stderr = self.replay(params, LeknerWaveform(1.2, K), p, n, 17)
-        assert np.count_nonzero(vals == 0.0) > 0.1 * n
-        assert abs(mc.value - value) <= 1e-15 * abs(mc.value)
-        assert abs(mc.stderr - stderr) <= 1e-15 * mc.stderr
 
     def test_float32_trigonometry_meets_the_bound_terms(self):
         # numpy's float32 cos and sin at float32(r), r in [-pi, pi], against
@@ -644,24 +618,24 @@ class TestMonteCarlo:
                              ids=["on-axis", "off-axis", "ct=1e3 b"])
     def test_a_pair_lies_within_its_bound_of_float64_trigonometry(self, params, p):
         # on the sampler's draws, each pair mean in float32 trigonometry lies
-        # within its bound B of A cos(x_m) e^{i x_p} in float64 on the same
-        # cos(phi), up to the float64 rounding eps |A| (1 + |x_m| + |x_p|)
-        # that both formulas' arguments carry; at ct = 10^3 b the phases run
-        # to ~10^4 and pass through the reduction
+        # within its bound B of cos(x_m) e^{i x_p} in float64 on the same
+        # cos(phi), up to the float64 rounding eps (1 + |x_m| + |x_p|) that
+        # both formulas' arguments carry; at ct = 10^3 b the phases run to
+        # ~10^4 and pass through the reduction
         w = LeknerWaveform(1.1, 0.5)
-        k, mu, u = self.draws(np.random.default_rng(37), params.b, 4 * synthesis._MC_CHUNK)
-        value = sum(self.mirrored(params, w, p, k, mu, u)) / 2.0
-        x_m, x_p, amp = self.arguments(params, w, p, k, mu, u)
-        exact = amp * np.cos(x_m) * np.exp(1j * x_p)
-        bound = self.bound(amp, self.trig32(x_m)[2], self.trig32(x_p)[2])
-        rounding = np.finfo(float).eps * np.abs(amp) * (1.0 + np.abs(x_m) + np.abs(x_p))
+        kz, q, u = self.draws(np.random.default_rng(37), params, w, 4 * synthesis._MC_CHUNK)
+        value = sum(self.mirrored(params, p, kz, q, u)) / 2.0
+        x_m, x_p = self.arguments(params, p, kz, q, u)
+        exact = np.cos(x_m) * np.exp(1j * x_p)
+        bound = self.bound(self.trig32(x_m)[2], self.trig32(x_p)[2])
+        rounding = np.finfo(float).eps * (1.0 + np.abs(x_m) + np.abs(x_p))
         assert np.all(np.abs(value - exact) <= bound + rounding)
         assert np.max(np.abs(x_p)) > (1e4 if p.t > 100.0 else math.pi)
-        assert np.count_nonzero(bound) > 0.5 * k.size
+        assert np.count_nonzero(bound) > 0.5 * kz.size
 
     def test_stderr_covers_the_float32_bound(self):
         # rational(a = b) at t = z = 0, rho = 1e-5 b: x_p = 0 and |x_m| <= 1e-5
-        # k b, so float32 cos(x_m) is 1 at nearly every pair and the pair means
+        # k_perp b, so float32 cos(x_m) is 1 at nearly every pair and the pair means
         # are constant, while cos(x_m) lies up to x_m^2 / 2 below 1.  The
         # statistical error misses that, and only the floor sum(B) / n_pairs
         # covers it; the sampler squares r in float32, so its floor may differ
@@ -669,9 +643,9 @@ class TestMonteCarlo:
         params, w, n = PulseParams(1.0, 1.3), LeknerWaveform(1.3), 30_000
         p = SpacetimePoint(0.0, 1.3e-5, 0.0, 0.0)
         mc = reconstruct_cartesian_mc(params, w, p, n, 5)
-        k, mu, u = self.draws(np.random.default_rng(5), params.b, n // 2)
-        x_m, x_p, amp = self.arguments(params, w, p, k, mu, u)
-        floor = np.sum(self.bound(amp, self.trig32(x_m)[2], self.trig32(x_p)[2])) / (n // 2) / params.b**2
+        kz, q, u = self.draws(np.random.default_rng(5), params, w, n // 2)
+        x_m, x_p = self.arguments(params, p, kz, q, u)
+        floor = np.sum(self.bound(self.trig32(x_m)[2], self.trig32(x_p)[2])) / (n // 2) / (w.a * params.b)
         _, _, stderr = self.replay(params, w, p, n, 5)
         error = abs(mc.value - eval_quasi_spherical(p, params, w))
         assert 3.0 * stderr < error <= 3.0 * mc.stderr
