@@ -211,9 +211,10 @@ class AxisSpec:
             raise ValueError(f"axis rho: start must be >= 0, got {self.start}")
 
     def values(self) -> np.ndarray:
-        if self.count == 1:  # linspace spells -0.0 as 0.0, and a wide range overflows
+        if self.count == 1:  # linspace spells -0.0 as 0.0
             return np.array([self.start])
-        return np.linspace(self.start, self.stop, self.count)
+        half = 0.5 if math.isinf(self.stop - self.start) else 1.0  # an inf span: halve the ends
+        return np.linspace(half * self.start, half * self.stop, self.count) / half
 
 
 @dataclass(frozen=True)

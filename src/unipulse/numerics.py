@@ -428,21 +428,22 @@ def fejer2(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def integrate_doubling(f: Callable, rule: Callable, tol: float, max_evals: int,
                        live: np.ndarray | None = None) -> QuadratureResult:
-    """Every component of ``f(s, rows)`` over s in [0, 1] by the doubling
-    ``rule`` at n = 16, 32, ..., each component on its own: ``rows`` is
-    slice(None), or the flat indices of the components the boolean
-    ``live`` marks, in the first call, then those still refining, one call
-    per doubling.  A component ``live`` leaves out reads 0, estimate 0.
+    """Every row of ``f(s, rows)`` over s in [0, 1] by the doubling
+    ``rule`` at n = 16, 32, ..., each row on its own.  ``f`` returns
+    (..., len(rows), len(s)) values, any leading axes being components
+    that share the row's nodes; ``rows`` is slice(None), or the indices
+    of the rows the boolean ``live`` marks, in the first call, then those
+    still refining, one call per doubling.  A row ``live`` leaves out reads 0.
 
     A component's estimate is d = |Q_2n - Q_n| plus the rounding floor
     50 eps sum |w f|.  It counts as resolved once d has shrunk tenfold
     from |Q_n - Q_n/2| or sits below the floor; an unresolved one adds
     2 sum |w f|, which bounds the error of a rule that misses the
-    integrand's shape.  The component stops once its estimate is at most
-    tol max(|Q_2n|, 1).  The result holds one value, estimate and count
-    of values per component.  Raises ToleranceNotReached once
-    ``max_evals`` values are spent, n passes 2^14, or a floor exceeds
-    its target.
+    integrand's shape.  A row stops once all its components' estimates
+    are at most tol max(|Q_2n|, 1), each reporting that Q_2n.  The result
+    holds one value, estimate and count per component, shape (..., size).
+    Raises ToleranceNotReached, naming a component, once ``max_evals``
+    values are spent, n passes 2^14, or a floor exceeds its target.
     """
     n = _DOUBLING_START
     s, w = rule(n)
@@ -452,43 +453,47 @@ def integrate_doubling(f: Callable, rule: Callable, tol: float, max_evals: int,
     evals = first.size
     if evals > max_evals:
         raise ToleranceNotReached(f"evaluation budget {max_evals} exhausted by the first nodes")
-    size = len(first) if live is None else len(live)
-    rows, vals = np.arange(size)[rows], np.zeros((len(first), n + 1), first.dtype)
-    vals[:, nodes] = first
-    value, error, used = np.zeros(size, vals.dtype), np.zeros(size), np.zeros(size, int)
-    coarse = _weighted_sum(vals[:, ::2], rule(n // 2)[1])
-    step = np.abs(coarse - _weighted_sum(vals[:, ::4], rule(n // 4)[1]))
+    shape = first.shape[:-1] if live is None else first.shape[:-2] + (len(live),)
+    rows, vals = np.arange(shape[-1])[rows], np.zeros(first.shape[:-1] + (n + 1,), first.dtype)
+    vals[..., nodes] = first
+    value, error, used = np.zeros(shape, vals.dtype), np.zeros(shape), np.zeros(shape, int)
+    coarse = _weighted_sum(vals[..., ::2], rule(n // 2)[1])
+    step = np.abs(coarse - _weighted_sum(vals[..., ::4], rule(n // 4)[1]))
+
+    def component(i: int) -> str:  # the one at flat index i of the rows refining
+        *lead, row = np.unravel_index(i, vals.shape[:-1])
+        return f"component {(*map(int, lead), int(rows[row])) if lead else int(rows[row])}"
+
     while True:
         q = _weighted_sum(vals, w)
-        if not np.isfinite(q).all():
-            raise ValueError(f"integrand produced a non-finite value in component "
-                             f"{int(rows[~np.isfinite(q)][0])}")
+        if not (finite := np.isfinite(q)).all():
+            raise ValueError(f"integrand produced a non-finite value in {component(np.argmin(finite))}")
         mass = _weighted_sum(np.abs(vals), w)
         floor, d = 50.0 * _EPS * mass, np.abs(q - coarse)
         err = d + floor + np.where((d <= 0.1 * step) | (d <= floor), 0.0, 2.0 * mass)
         target = tol * np.maximum(np.abs(q), 1.0)
         if np.any(floor > target):
             i = int(np.argmax(floor / target))
-            raise ToleranceNotReached(f"error floor {floor[i]:.3e} of component {int(rows[i])} "
-                                      f"exceeds its target {target[i]:.3e}: rounding")
-        done = err <= target
-        value[rows[done]], error[rows[done]] = q[done], err[done]
-        used[rows[done]] = n - 1 if w[0] == 0.0 else n + 1  # an open rule skips both ends
+            raise ToleranceNotReached(f"error floor {floor.flat[i]:.3e} of {component(i)} "
+                                      f"exceeds its target {target.flat[i]:.3e}: rounding")
+        done = np.all(err <= target, axis=tuple(range(err.ndim - 1)))
+        value[..., rows[done]], error[..., rows[done]] = q[..., done], err[..., done]
+        used[..., rows[done]] = n - 1 if w[0] == 0.0 else n + 1  # an open rule skips both ends
         if done.all():
             return QuadratureResult(value, error, used)
-        i, more = int(np.argmax(err / target)), ~done
-        worst = f"error estimate {err[i]:.3e} of component {int(rows[i])}"
-        rows, vals, coarse, step = rows[more], vals[more], q[more], d[more]
+        i, more, unsettled = int(np.argmax(err / target)), ~done, int(np.count_nonzero(err > target))
+        worst = f"error estimate {err.flat[i]:.3e} of {component(i)}"
+        rows, vals, coarse, step = rows[more], vals[..., more, :], q[..., more], d[..., more]
         if 2 * n > _DOUBLING_MAX:
-            raise ToleranceNotReached(f"{rows.size} component(s) unsettled at n = {n} ({worst})")
-        if evals + rows.size * n > max_evals:
+            raise ToleranceNotReached(f"{unsettled} component(s) unsettled at n = {n} ({worst})")
+        if evals + coarse.size * n > max_evals:
             raise ToleranceNotReached(f"evaluation budget {max_evals} exhausted ({worst})")
         n *= 2
         s, w = rule(n)
         fresh = np.asarray(f(s[1::2], rows))
         evals += fresh.size
-        both = np.empty((rows.size, n + 1), np.result_type(vals, fresh))
-        both[:, ::2], both[:, 1::2] = vals, fresh
+        both = np.empty(vals.shape[:-1] + (n + 1,), np.result_type(vals, fresh))
+        both[..., ::2], both[..., 1::2] = vals, fresh
         vals = both
 
 
@@ -501,14 +506,14 @@ def integrate_nested(outer: Callable, integrand: Callable, inner: Callable, tol:
     bisection) ``inner(integrand(x), 0.05 tol, budget)`` runs the inner
     rule within ``budget`` values, returning components with a leading
     axis of the routes ``what`` names and x last; g sums each route's over
-    the others, so routes on shared nodes share one call.  The outer rule
-    integrates each route's inner estimates as a further component, and a
-    route's estimate adds that outer-weighted sum to the outer rule's; one
-    above its target max(tol |value|, tol) raises ToleranceNotReached
-    naming the route.  Returns one result per route, ``evaluations``
-    counting its inner values; ``max_evals`` bounds each route's, and the
-    routes share len(what) max_evals.  A failure or a non-finite
-    integrand is raised once, naming the routes.
+    the others.  Routes on shared nodes share each call and refinement.
+    The outer rule integrates each route's inner estimates as a further
+    component, and a route's estimate adds that outer-weighted sum to the
+    outer rule's; one above its target max(tol |value|, tol) raises
+    ToleranceNotReached naming the route.  Returns one result per route,
+    ``evaluations`` counting its inner values; ``max_evals`` bounds each
+    route's, and the routes share len(what) max_evals.  A failure or a
+    non-finite integrand is raised once, naming the routes.
     """
     routes, names = len(what), " and ".join(what)
     evals = np.zeros(routes, dtype=int)
@@ -516,8 +521,7 @@ def integrate_nested(outer: Callable, integrand: Callable, inner: Callable, tol:
     def g(x: np.ndarray) -> np.ndarray:
         res = inner(integrand(x), 0.05 * tol, routes * max_evals - int(evals.sum()))
         evals[:] += np.reshape(res.evaluations, (routes, -1)).sum(axis=1)
-        return np.stack([np.reshape(res.value, (routes, -1, x.size)).sum(axis=1),
-                         np.reshape(res.error_estimate, (routes, -1, x.size)).sum(axis=1)])
+        return np.reshape([res.value, res.error_estimate], (2, routes, -1, x.size)).sum(axis=2)
 
     try:
         res = outer(g, 0.5 * tol)

@@ -122,38 +122,33 @@ def reconstruct_spectral(params: PulseParams, w: Waveform, p: SpacetimePoint, to
 
     on the spectrum's support alone: it is 0 below start = ``w.spectrum_start``
     (K for lekner), so no value is taken there, and at k <= start the k_z
-    range is empty, and no component.  Through ``integrate_nested``, every
-    other inner integral is one component per route in
-    s = (k_z - start) / (k - start) on [0, 1], integrated by Fejer's
-    second rule: the integrand is entire in k_z there, and the open rule
-    never samples the ends, where the spectrum's Heaviside sits.  The
-    kernel J0 e^{-i k_z z} is computed once per node, and each route
-    multiplies in its own factors.  The outer integrand decays like
-    exp(-k min(a, b)), a = w.decay_rate; half that rate as the hint leaves
-    the mapped outer integrand ~(1-u)^1 at u = 1, where 0.9 of it left
-    ~(1-u)^(1/9): the J0 oscillations piled up there and the error
-    estimate no longer bounded the error.
+    range is empty, and no row.  Through ``integrate_nested``, each outer
+    node k > start is one row of inner integrals in s = (k_z - start) /
+    (k - start) on [0, 1], with the routes as its components, which
+    Fejer's second rule refines together, node by node: the integrand is
+    entire in k_z there, and the open rule never samples the ends, where
+    the spectrum's Heaviside sits.  The kernel J0 e^{-i k_z z} is computed
+    once per node, and each route multiplies in its own factors.  The
+    outer integrand decays like exp(-k min(a, b)), a = w.decay_rate; half
+    that rate as the hint leaves the mapped outer integrand ~(1-u)^1 at
+    u = 1, where 0.9 of it left ~(1-u)^(1/9): the J0 oscillations piled
+    up there and the error estimate no longer bounded the error.
     """
     known = _spectral_routes(params, w, p)
     start = w.spectrum_start
 
     def integrand(k: np.ndarray) -> tuple[Callable, np.ndarray]:
-        # one row per k; a route's rows follow the previous route's
         k = k[:, None]
         width = np.maximum(k - start, 0.0)
-        scale = np.concatenate([width * known[r][2](k) for r in routes])
+        scale = {r: width * known[r][2](k) for r in routes}
 
         def f(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
-            route, cell = np.divmod(rows, k.size)  # rows ascend, so routes come in blocks
-            nodes, back = np.unique(cell, return_inverse=True)
-            kz = start + width[nodes] * s
-            chi = np.sqrt(np.maximum(k[nodes] ** 2 - kz * kz, 0.0))
+            kz = start + width[rows] * s
+            chi = np.sqrt(np.maximum(k[rows] ** 2 - kz * kz, 0.0))
             kernel = bessel_j0(p.rho * chi) * np.exp(kz * complex(0.0, -p.z))
-            blocks = np.searchsorted(route, np.arange(len(routes) + 1))
-            return np.concatenate([kernel[back[i:j]] * known[r][1](kz[back[i:j]], k[cell[i:j]])
-                                   * scale[rows[i:j]] for r, i, j in zip(routes, blocks, blocks[1:])])
+            return np.stack([kernel * known[r][1](kz, k[rows]) * scale[r][rows] for r in routes])
 
-        return f, np.tile(width.ravel() > 0.0, len(routes))
+        return f, width.ravel() > 0.0
 
     decay, budget = 0.5 * min(w.decay_rate, params.b), 80_000 * len(routes)
     res = integrate_nested(lambda g, t: integrate_semi_infinite(g, t, decay, budget, (start,)),

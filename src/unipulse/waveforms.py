@@ -89,7 +89,7 @@ class LeknerWaveform(Waveform):
 
     def spectrum(self, kappa):
         arr = np.asarray(kappa, dtype=float)
-        return np.where(arr >= self.K, -1j * np.exp(-self.a * (arr - self.K)), 0j)[()]
+        return np.where(arr >= self.K, -1j * np.exp(-self.a * np.maximum(arr - self.K, 0.0)), 0j)[()]
 
     def __repr__(self):
         carrier = f", K={self.K!r}" if self.K else ""

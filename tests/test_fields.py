@@ -1,4 +1,5 @@
 import errno
+import json
 import math
 import os
 import tracemalloc
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unipulse.cli import main
 from unipulse.fields import (
     AxisSpec,
     GridSpec,
@@ -329,6 +331,14 @@ class TestGrid:
         for start, stop in ((-0.0, 1.0), (-1e308, 1e308), (0.3, -5.0)):
             values = AxisSpec("t", start, stop, 1).values()
             assert values.tobytes() == np.array([start]).tobytes()
+
+    def test_axis_wider_than_the_largest_float_has_finite_nodes(self, tmp_path):
+        # stop - start overflows linspace's step: the nodes are those of the
+        # halved ends, doubled, and the quasi-spherical kernel is finite there
+        assert AxisSpec("z", -1e308, 1e308, 3).values().tolist() == [-1e308, 0.0, 1e308]
+        cfg = tmp_path / "wide.json"
+        cfg.write_text(json.dumps({"grid": {"axes": [{"name": "z", "min": -1e308, "max": 1e308, "count": 3}]}}))
+        assert main(["sample", "--config", str(cfg), "--out", str(tmp_path / "wide.csv")]) == 0
 
     def test_negative_rho_rejected(self):
         # rho enters the kernel only as rho^2, so the grid must refuse the sign

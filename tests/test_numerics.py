@@ -505,6 +505,32 @@ class TestIntegrateDoubling:
         assert res.value[0] == 1.0 and abs(res.value[1] - exact) <= res.error_estimate[1] <= 1e-10 * exact
         assert counts.tolist() == res.evaluations.tolist() == [17, 513]
 
+    @staticmethod
+    def one_row(*components):
+        """``g(s, rows)`` of one row whose components are ``components(s)``."""
+        return lambda s, rows: np.stack([g(s) for g in components])[:, None, :][:, rows]
+
+    def test_a_row_refines_until_all_its_components_settle(self):
+        # the constant alone settles at n = 16 and the pole at n = 512; in one
+        # row both go on to n = 512 and report its Q
+        pole = lambda s: 1.0 / (1.01 - np.cos(2.0 * math.pi * s))
+        res = integrate_doubling(self.one_row(np.ones_like, pole), trapezoid, 1e-10, 10**6)
+        alone = integrate_doubling(self.one_row(pole), trapezoid, 1e-10, 10**6)
+        assert res.value.shape == res.error_estimate.shape == res.evaluations.shape == (2, 1)
+        assert res.value[0, 0] == 1.0 and res.value[1, 0] == alone.value[0, 0]
+        assert res.error_estimate[1, 0] == alone.error_estimate[0, 0]
+        assert res.evaluations.tolist() == [[513], [513]]
+
+    def test_a_row_out_of_budget_or_rules_names_its_component(self):
+        # STEP's two components as one row
+        row = self.one_row(np.ones_like, lambda s: (s < 1.0 / 3.0) * 1.0)
+        with pytest.raises(ToleranceNotReached,
+                           match=r"^evaluation budget 100 exhausted \(error estimate .* of component \(1, 0\)\)"):
+            integrate_doubling(row, trapezoid, 1e-6, 100)
+        with pytest.raises(ToleranceNotReached, match=r"^1 component\(s\) unsettled at n = 16384 "
+                                                      r"\(error estimate .* of component \(1, 0\)\)"):
+            integrate_doubling(row, trapezoid, 1e-6, 10**6)
+
     def test_a_component_left_out_is_none(self):
         # live leaves out component 1: f never sees it, and it reads 0, 0, 0
         seen = []

@@ -311,9 +311,18 @@ class TestSharedSpectralQuadrature:
             assert abs(res.value - exact) <= res.error_estimate <= 1e-6
             assert res.evaluations == alone(params, w, p, 1e-6).evaluations
 
+    @pytest.mark.parametrize("c", [0.5, 2.0])
+    def test_both_routes_count_equal_values_at_any_c(self, c):
+        # the integrands differ by rounding at c != 1, and each outer node's
+        # row refines both routes together
+        params, w = PulseParams(c, 1.0 / c), LeknerWaveform(1.0, 2.0)
+        for p in REGULAR_POINTS:
+            both = reconstruct_spectral(params, w, SpacetimePoint(p.t / c, p.x, p.y, p.z), 1e-6)
+            assert both["fourier_bessel"].evaluations == both["from_weight"].evaluations > 0
+
     def test_an_empty_k_z_piece_is_no_component(self, params, monkeypatch):
         # at outer nodes k <= K the piece [K, k] has zero width: the doubling
-        # rule leaves it out, so it reads 0 with 0 values
+        # rule leaves its row out, so both routes read 0 there with 0 values
         calls = []
 
         def spy(f, rule, tol, budget, live):
@@ -322,12 +331,14 @@ class TestSharedSpectralQuadrature:
             return res
 
         monkeypatch.setattr(synthesis, "integrate_doubling", spy)
-        res = reconstruct_fourier_bessel(params, LeknerWaveform(1.0, 1.0), REGULAR_POINTS[1], 1e-6)
+        both = reconstruct_spectral(params, LeknerWaveform(1.0, 1.0), REGULAR_POINTS[1], 1e-6)
         assert any(not live.all() for live, _ in calls)
         for live, inner in calls:
-            assert np.all(inner.value[~live] == 0.0) and np.all(inner.error_estimate[~live] == 0.0)
-            assert np.all(inner.evaluations[~live] == 0) and np.all(inner.evaluations[live] > 0)
-        assert res.evaluations == sum(int(inner.evaluations.sum()) for _, inner in calls)
+            assert inner.value.shape == inner.evaluations.shape == (2, live.size)
+            assert np.all(inner.value[:, ~live] == 0.0) and np.all(inner.error_estimate[:, ~live] == 0.0)
+            assert np.all(inner.evaluations[:, ~live] == 0) and np.all(inner.evaluations[:, live] > 0)
+        for i, res in enumerate(both.values()):
+            assert res.evaluations == sum(int(inner.evaluations[i].sum()) for _, inner in calls)
 
 
 class TestRouteAgreement:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -67,6 +68,12 @@ class TestLekner:
         arr = w.spectrum(np.array([0.0, 2.0, 3.0]))
         assert arr[0] == 0.0 and arr[1] == -1j
         assert abs(arr[2] - (-1j * math.exp(-1.0))) < 1e-16
+
+    def test_spectrum_far_below_K_is_0_without_overflow(self):
+        # a (K - kappa) = 1000 would overflow exp; no RuntimeWarning is raised
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert LeknerWaveform(10.0, 100.0).spectrum(np.array([0.0, 100.0])).tolist() == [0.0, -1j]
 
     def test_spectrum_roundtrip(self):
         w = LeknerWaveform(1.0, 2.0)
