@@ -242,8 +242,6 @@ def run_residual(cfg: dict, setup, seed: int | None) -> Output:
 
 
 def run_energy(cfg: dict, setup, seed: int | None) -> Output:
-    if not setup.params.regular:
-        raise ConfigError("pulse: energy requires a regular family (zeta < c*tau)")
     t_values = get_number_list(cfg, "t_values", (0.0,))
     tol = get_number(cfg, "tolerance", "", 1e-4, gt=0.0)
 

@@ -365,8 +365,6 @@ def energy_estimate(
     target lies below the rounding floor, or the estimate exceeds
     max(tol E, tol).
     """
-    if not params.regular:
-        raise ValueError("energy is only finite for regular parameters (zeta < b)")
     b, ct = params.b, params.c * t
     shell, ct_ib_sq = abs(ct), ct * ct + b * b
     hemisphere = np.array([1.0, -1.0])[:, None, None]

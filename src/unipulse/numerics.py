@@ -356,15 +356,16 @@ def integrate_semi_infinite(
     tol: float,
     decay_hint: float,
     max_evals: int = DEFAULT_QUAD_BUDGET,
-    breakpoints: Sequence[float] = (),
 ) -> QuadratureResult:
     """Integrate f over [0, inf) assuming |f(x)| <= C exp(-decay_hint*x).
 
     Uses the substitution u = 1 - exp(-decay_hint*x), which maps the
     half-line onto [0, 1) and turns the exponential tail into a bounded
     integrand, then delegates to :func:`integrate_adaptive` (same
-    contract).  Its initial panels have edges at the mapped breakpoints
-    and at the seeds u_k = 1 - 2^-k, k = 1 ... ceil(log2(1/tol)/2) + 2
+    contract).  An integrand whose support starts at some x0 > 0 is to be
+    shifted there by its caller: beyond lambda x0 ~ 37 the map puts all of
+    it within rounding of u = 1, where no node falls.  The initial panels
+    have edges at the seeds u_k = 1 - 2^-k, k = 1 ... ceil(log2(1/tol)/2) + 2
     (none for tol >= 1; at most 46, the depth at which the last panel's
     outermost node would round to u = 1).  A hint of half the true decay
     leaves the mapped integrand O(1-u) near u = 1, so [u_k, 1] holds
@@ -380,10 +381,9 @@ def integrate_semi_infinite(
         u = np.minimum(u, 1.0 - 2.0**-53)  # a panel narrower than 2^-46 at 1 rounds its last node to 1
         return f(-np.log1p(-u) / lam) / (lam * (1.0 - u))
 
-    mapped = [-math.expm1(-lam * p) for p in breakpoints if p > 0.0]
     depth = min(math.ceil(0.5 * math.log2(1.0 / tol)) + 2, _SEED_DEPTH_MAX) if tol < 1.0 else 0
     seeds = [1.0 - 2.0**-k for k in range(1, depth + 1)]
-    return integrate_adaptive(transformed, 0.0, 1.0, tol, max_evals, mapped + seeds)
+    return integrate_adaptive(transformed, 0.0, 1.0, tol, max_evals, seeds)
 
 
 # --- doubling rules for analytic inner integrals ---------------------------
@@ -426,14 +426,13 @@ def fejer2(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(np.sin(0.5 * math.pi * np.arange(n + 1) / n) ** 2, 0.5 * w)
 
 
-def integrate_doubling(f: Callable, rule: Callable, tol: float, max_evals: int,
-                       live: np.ndarray | None = None) -> QuadratureResult:
+def integrate_doubling(f: Callable, rule: Callable, tol: float, max_evals: int) -> QuadratureResult:
     """Every row of ``f(s, rows)`` over s in [0, 1] by the doubling
     ``rule`` at n = 16, 32, ..., each row on its own.  ``f`` returns
     (..., len(rows), len(s)) values, any leading axes being components
-    that share the row's nodes; ``rows`` is slice(None), or the indices
-    of the rows the boolean ``live`` marks, in the first call, then those
-    still refining, one call per doubling.  A row ``live`` leaves out reads 0.
+    that share the row's nodes; ``rows`` is slice(None) in the first
+    call, then the indices of the rows still refining, one call per
+    doubling.
 
     A component's estimate is d = |Q_2n - Q_n| plus the rounding floor
     50 eps sum |w f|.  It counts as resolved once d has shrunk tenfold
@@ -448,13 +447,12 @@ def integrate_doubling(f: Callable, rule: Callable, tol: float, max_evals: int,
     n = _DOUBLING_START
     s, w = rule(n)
     nodes = slice(1, n) if w[0] == 0.0 else slice(None)  # an open rule skips both ends
-    rows = slice(None) if live is None else np.flatnonzero(live)
-    first = np.asarray(f(s[nodes], rows))
+    first = np.asarray(f(s[nodes], slice(None)))
     evals = first.size
     if evals > max_evals:
         raise ToleranceNotReached(f"evaluation budget {max_evals} exhausted by the first nodes")
-    shape = first.shape[:-1] if live is None else first.shape[:-2] + (len(live),)
-    rows, vals = np.arange(shape[-1])[rows], np.zeros(first.shape[:-1] + (n + 1,), first.dtype)
+    shape = first.shape[:-1]
+    rows, vals = np.arange(shape[-1]), np.zeros(shape + (n + 1,), first.dtype)
     vals[..., nodes] = first
     value, error, used = np.zeros(shape, vals.dtype), np.zeros(shape), np.zeros(shape, int)
     coarse = _weighted_sum(vals[..., ::2], rule(n // 2)[1])

@@ -97,17 +97,16 @@ def reconstruct_hemisphere(
     return QuadratureResult(-res.value, res.error_estimate, res.evaluations)
 
 
-def _spectral_routes(params: PulseParams, w: Waveform, p: SpacetimePoint) -> dict:
-    """Each spectral route by its ``compare`` key: its name, its spectral
-    factor at (k_z, k) and its outer factor at k.  ``from_weight`` runs in
-    omega = c k, d omega = c dk, where both integrands agree to rounding."""
+def _spectral_routes(params: PulseParams, w: Waveform) -> dict:
+    """Each spectral route by its ``compare`` key: its name and its spectral
+    factor at (k_z, k).  ``from_weight`` runs in omega = c k, d omega = c dk,
+    where both factors agree to rounding."""
     b, c = params.b, params.c
     return {
-        "fourier_bessel": ("Fourier-Bessel reconstruction", lambda kz, k: w.spectrum(kz) * np.exp(kz * b),
-                           lambda k: -1j * np.exp(k * complex(-b, c * p.t))),
+        "fourier_bessel": ("Fourier-Bessel reconstruction",
+                           lambda kz, k: -1j * w.spectrum(kz) * np.exp((kz - k) * b)),
         "from_weight": ("spectral-weight reconstruction",
-                        lambda kz, k: spectral_weight(params, w, kz, c * k),
-                        lambda k: c * np.exp(k * complex(0.0, c * p.t))),
+                        lambda kz, k: c * spectral_weight(params, w, kz, c * k)),
     }
 
 
@@ -117,42 +116,44 @@ def reconstruct_spectral(params: PulseParams, w: Waveform, p: SpacetimePoint, to
     """The spectral ``routes``, by ``compare`` key, in one nested quadrature
     on shared (k, k_z) nodes: each route's double integral
 
-        integral_0^inf dk outer(k) integral_start^max(start, k) dk_z
+        integral_start^inf dk e^{i k ct} integral_start^k dk_z
             spectral(k_z, k) J0(rho sqrt(k^2 - k_z^2)) e^{-i k_z z},
 
     on the spectrum's support alone: it is 0 below start = ``w.spectrum_start``
-    (K for lekner), so no value is taken there, and at k <= start the k_z
-    range is empty, and no row.  Through ``integrate_nested``, each outer
-    node k > start is one row of inner integrals in s = (k_z - start) /
-    (k - start) on [0, 1], with the routes as its components, which
-    Fejer's second rule refines together, node by node: the integrand is
-    entire in k_z there, and the open rule never samples the ends, where
-    the spectrum's Heaviside sits.  The kernel J0 e^{-i k_z z} is computed
-    once per node, and each route multiplies in its own factors.  The
-    outer integrand decays like exp(-k min(a, b)), a = w.decay_rate; half
-    that rate as the hint leaves the mapped outer integrand ~(1-u)^1 at
-    u = 1, where 0.9 of it left ~(1-u)^(1/9): the J0 oscillations piled
+    (K for lekner), so no value is taken there.  The outer integral runs in
+    x = k - start on [0, inf), where every node carries a k_z piece
+    [start, start + x] of width x, however far start lies.  Through
+    ``integrate_nested``, each outer node is one row of inner integrals in
+    s = (k_z - start) / x on [0, 1], with the routes as its components,
+    which Fejer's second rule refines together, node by node: the integrand
+    is entire in k_z there, and the open rule never samples the ends, where
+    the spectrum's Heaviside sits.  The kernel J0 e^{-i k_z z} and the
+    outer factor x e^{i k ct} are computed once per node, and each route
+    multiplies in its spectral factor, which holds e^{(k_z - k) b} <= 1.
+    The outer integrand decays like exp(-x min(a, b)), a = w.decay_rate;
+    half that rate as the hint leaves the mapped outer integrand ~(1-u)^1
+    at u = 1, where 0.9 of it left ~(1-u)^(1/9): the J0 oscillations piled
     up there and the error estimate no longer bounded the error.
     """
-    known = _spectral_routes(params, w, p)
+    known = _spectral_routes(params, w)
     start = w.spectrum_start
 
-    def integrand(k: np.ndarray) -> tuple[Callable, np.ndarray]:
-        k = k[:, None]
-        width = np.maximum(k - start, 0.0)
-        scale = {r: width * known[r][2](k) for r in routes}
+    def integrand(x: np.ndarray) -> Callable:
+        x = x[:, None]
+        k = start + x
+        outer = x * np.exp(k * complex(0.0, params.c * p.t))
 
         def f(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
-            kz = start + width[rows] * s
+            kz = start + x[rows] * s
             chi = np.sqrt(np.maximum(k[rows] ** 2 - kz * kz, 0.0))
-            kernel = bessel_j0(p.rho * chi) * np.exp(kz * complex(0.0, -p.z))
-            return np.stack([kernel * known[r][1](kz, k[rows]) * scale[r][rows] for r in routes])
+            kernel = bessel_j0(p.rho * chi) * np.exp(kz * complex(0.0, -p.z)) * outer[rows]
+            return np.stack([kernel * known[r][1](kz, k[rows]) for r in routes])
 
-        return f, width.ravel() > 0.0
+        return f
 
     decay, budget = 0.5 * min(w.decay_rate, params.b), 80_000 * len(routes)
-    res = integrate_nested(lambda g, t: integrate_semi_infinite(g, t, decay, budget, (start,)),
-                           integrand, lambda fl, t, n: integrate_doubling(fl[0], fejer2, t, n, fl[1]),
+    res = integrate_nested(lambda g, t: integrate_semi_infinite(g, t, decay, budget), integrand,
+                           lambda f, t, n: integrate_doubling(f, fejer2, t, n),
                            tol, max_evals, tuple(known[r][0] for r in routes))
     return dict(zip(routes, res))
 

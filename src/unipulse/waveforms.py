@@ -29,7 +29,7 @@ class Waveform(ABC):
     and is used as the decay hint for semi-infinite quadrature.
     ``spectrum_start`` is the start of the spectrum's support: the
     spectrum is 0 on [0, spectrum_start) and analytic beyond it, so
-    quadratures integrate from there and seed a panel edge there.
+    quadratures integrate over kappa - spectrum_start on [0, inf).
     """
 
     decay_rate: float

@@ -222,11 +222,12 @@ def test_criterion_8_spectrum_roundtrip():
                 r = math.sqrt(rng.uniform(0.0, 1.0)) * 10.0
                 ang = rng.uniform(0.0, math.pi)
                 theta = complex(r * math.cos(ang), max(r * math.sin(ang), 0.1))
+                # in x = kappa - spectrum_start, on the spectrum's support
+                k0 = w.spectrum_start
                 res = integrate_semi_infinite(
-                    lambda k: w.spectrum(k) * np.exp(1j * k * theta),
+                    lambda x: w.spectrum(k0 + x) * np.exp(1j * (k0 + x) * theta),
                     1e-10,
                     w.decay_rate + 0.9 * theta.imag,
-                    breakpoints=(w.spectrum_start,),
                 )
                 worst = max(worst, abs(res.value - w.eval(theta)))
     report(

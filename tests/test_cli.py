@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -219,6 +220,19 @@ class TestCompare:
         assert rc == 3
         err = capsys.readouterr().err
         assert "hemisphere reconstruction (route budget 2000000): error floor" in err
+
+    def test_small_decay_rate_exits_3_without_overflow(self, tmp_path, capsys):
+        # rational(a = 0.01) at compare_demo's points: the spectral factors hold
+        # e^{(k_z - k) b} <= 1, so no RuntimeWarning escapes as exit 1, and a
+        # route whose estimate misses its target exits 3 on one stderr line
+        demo = json.loads((CONFIGS / "compare_demo.json").read_text())
+        cfg = {key: demo[key] for key in ("pulse", "points", "tolerance", "max_discrepancy")}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc, out = run(tmp_path, "compare", dict(cfg, waveform="rational(a=0.01)"), "s.json")
+        err = capsys.readouterr().err
+        assert rc == 3 and not out.exists()
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
     def test_empty_point_list_exits_2(self, tmp_path):
         rc, _ = run(tmp_path, "compare", dict(self.CFG, points=[]), "d.json")
@@ -478,11 +492,17 @@ class TestEnergyCmd:
         assert rc == 2
         assert "cutoff_radius" in capsys.readouterr().err
 
-    def test_non_regular_family_rejected(self, tmp_path):
-        cfg = {"pulse": {"c": 1.0, "tau": 1.0, "zeta": 2.0},
-               "waveform": "rational(a=1)", "t_values": [0.0]}
-        rc, _ = run(tmp_path, "energy", cfg, "en2.json")
-        assert rc == 2
+    def test_zeta_leaves_the_energy_rows_unchanged(self, tmp_path):
+        # the energy reads b, c and the waveform alone: zeta = 2 >= c tau
+        # gives the zeta = 0 rows bit for bit
+        rows = []
+        for zeta in (2.0, 0.0):
+            cfg = {"pulse": {"c": 1.0, "tau": 1.0, "zeta": zeta},
+                   "waveform": "rational(a=1)", "t_values": [0.0]}
+            rc, out = run(tmp_path, "energy", cfg, f"en_zeta{zeta}.json")
+            assert rc == 0
+            rows.append(json.loads(out.read_text())["rows"])
+        assert rows[0] == rows[1]
 
 
 class TestSeedOverride:

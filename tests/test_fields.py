@@ -523,6 +523,8 @@ class TestEnergy:
         doubled = energy_estimate(0.0, params, _Scaled(rational, 2.0))
         assert doubled.value == pytest.approx(4.0 * base.value, rel=1e-6)
 
-    def test_rejects_non_regular(self):
-        with pytest.raises(ValueError):
-            energy_estimate(0.0, PulseParams(1.0, 1.0, 2.0), LeknerWaveform(1.0))
+    def test_zeta_leaves_the_energy_unchanged(self):
+        # u = f(theta)/S reads b and c, never zeta: zeta = 2 >= b gives the
+        # zeta = 0 energy bit for bit
+        beyond = energy_estimate(0.0, PulseParams(1.0, 1.0, 2.0), LeknerWaveform(1.0))
+        assert beyond == energy_estimate(0.0, PulseParams(1.0, 1.0, 0.0), LeknerWaveform(1.0))

@@ -24,7 +24,6 @@ from unipulse.numerics import (
     limit_extrapolate,
     trapezoid,
 )
-from unipulse.waveforms import LeknerWaveform
 
 mp.mp.dps = 40
 
@@ -224,7 +223,7 @@ class TestIntegrateSemiInfinite:
             integrate_semi_infinite(lambda x: math.exp(-x), 1e-8, 0.0)
 
     @staticmethod
-    def _initial_panels(f, *args, **kwargs):
+    def _initial_panels(f, *args):
         """The result and the number of panels of the first integrand call."""
         sizes = []
 
@@ -232,7 +231,7 @@ class TestIntegrateSemiInfinite:
             sizes.append(x.size)
             return f(x)
 
-        res = integrate_semi_infinite(counted, *args, **kwargs)
+        res = integrate_semi_infinite(counted, *args)
         return res, sizes[0] // 15
 
     def test_seeds_edges_toward_the_end_of_the_map(self):
@@ -278,21 +277,6 @@ class TestIntegrateSemiInfinite:
         best = exc.value.result
         assert best.evaluations <= 2_000
         assert abs(best.value - 0.5) <= best.error_estimate
-
-    def test_breakpoint_on_a_seed_is_one_panel_edge(self):
-        # with hint a/2, lekner's kink K = 4 ln 2 / a maps to
-        # u = 1 - e^{-2 ln 2} = 3/4 exactly, the seed k = 2; a kink off
-        # the seeds adds its edge
-        on, off = LeknerWaveform(1.0, 4.0 * math.log(2.0)), LeknerWaveform(1.0, 1.0)
-        _, seeds_only = self._initial_panels(on.spectrum, 1e-6, 0.5)
-        res, with_kink = self._initial_panels(on.spectrum, 1e-6, 0.5,
-                                              breakpoints=(on.spectrum_start,))
-        assert with_kink == seeds_only
-        # oracle: integral_K^inf -i e^{-(k - K)} dk = -i
-        assert abs(res.value + 1j) <= res.error_estimate <= 1e-6
-        _, apart = self._initial_panels(off.spectrum, 1e-6, 0.5,
-                                        breakpoints=(off.spectrum_start,))
-        assert apart == seeds_only + 1
 
 
 class TestVectorIntegrand:
@@ -530,19 +514,6 @@ class TestIntegrateDoubling:
         with pytest.raises(ToleranceNotReached, match=r"^1 component\(s\) unsettled at n = 16384 "
                                                       r"\(error estimate .* of component \(1, 0\)\)"):
             integrate_doubling(row, trapezoid, 1e-6, 10**6)
-
-    def test_a_component_left_out_is_none(self):
-        # live leaves out component 1: f never sees it, and it reads 0, 0, 0
-        seen = []
-
-        def f(s, rows):
-            seen.extend(rows.tolist())
-            return np.stack([s, np.exp(s), 1.0 - s])[rows]
-
-        res = integrate_doubling(f, fejer2, 1e-12, 10**6, live=np.array([True, False, True]))
-        assert set(seen) == {0, 2}
-        assert res.value.tolist() == [pytest.approx(0.5, abs=1e-15), 0.0, pytest.approx(0.5, abs=1e-15)]
-        assert res.error_estimate[1] == 0.0 and res.evaluations.tolist() == [15, 0, 15]
 
     # a constant, and a step the trapezoid never resolves: its differences
     # only halve per doubling

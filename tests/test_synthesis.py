@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from unipulse.fields import (
     eval_quasi_spherical,
     eval_simple_pulse,
 )
-from unipulse.numerics import ToleranceNotReached, integrate_doubling
+from unipulse.numerics import ToleranceNotReached
 from unipulse.synthesis import (
     MC_MAX_SAMPLES,
     reconstruct_cartesian_mc,
@@ -287,19 +288,17 @@ class TestFromWeight:
 
 class TestSharedSpectralQuadrature:
     def test_from_weight_integrand_equals_fourier_bessel_under_omega_is_ck(self, rng):
-        # the two routes' spectral and outer factors at seeded (k_z, k): one
-        # integrand up to rounding, which is why they can share nodes
+        # the two routes' spectral factors at seeded (k_z, k) = (K + x s, K + x),
+        # as the shared quadrature takes them: one integrand up to rounding,
+        # which is why they can share nodes and the outer factor x e^{i k ct}
         for _ in range(50):
             params = PulseParams(rng.uniform(0.5, 2.0), rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.4))
             w = LeknerWaveform(rng.uniform(0.5, 2.0), rng.choice([0.0, rng.uniform(0.0, 2.0)]))
-            t, rho, z = rng.uniform(-2.0, 2.0), rng.uniform(0.0, 2.0), rng.uniform(-2.0, 2.0)
-            p = SpacetimePoint.from_cylindrical(t, rho, z)
-            k = rng.uniform(0.0, 8.0, 20)[:, None]
-            kz = k * rng.uniform(0.0, 1.0, (20, 15))
-            (_, fb_spectral, fb_outer), (_, wt_spectral, wt_outer) = (
-                synthesis._spectral_routes(params, w, p)[r] for r in ("fourier_bessel", "from_weight"))
-            fb, wt = fb_spectral(kz, k) * fb_outer(k), wt_spectral(kz, k) * wt_outer(k)
-            assert np.allclose(wt, fb, rtol=1e-13, atol=0.0)
+            x = rng.uniform(0.0, 8.0, 20)[:, None]
+            k, kz = w.K + x, w.K + x * rng.uniform(0.0, 1.0, (20, 15))
+            (_, fb_spectral), (_, wt_spectral) = (
+                synthesis._spectral_routes(params, w)[r] for r in ("fourier_bessel", "from_weight"))
+            assert np.allclose(wt_spectral(kz, k), fb_spectral(kz, k), rtol=1e-13, atol=0.0)
 
     def test_shared_call_reports_each_route(self, params):
         w, p = LeknerWaveform(1.0, 1.0), REGULAR_POINTS[1]
@@ -319,26 +318,6 @@ class TestSharedSpectralQuadrature:
         for p in REGULAR_POINTS:
             both = reconstruct_spectral(params, w, SpacetimePoint(p.t / c, p.x, p.y, p.z), 1e-6)
             assert both["fourier_bessel"].evaluations == both["from_weight"].evaluations > 0
-
-    def test_an_empty_k_z_piece_is_no_component(self, params, monkeypatch):
-        # at outer nodes k <= K the piece [K, k] has zero width: the doubling
-        # rule leaves its row out, so both routes read 0 there with 0 values
-        calls = []
-
-        def spy(f, rule, tol, budget, live):
-            res = integrate_doubling(f, rule, tol, budget, live)
-            calls.append((live, res))
-            return res
-
-        monkeypatch.setattr(synthesis, "integrate_doubling", spy)
-        both = reconstruct_spectral(params, LeknerWaveform(1.0, 1.0), REGULAR_POINTS[1], 1e-6)
-        assert any(not live.all() for live, _ in calls)
-        for live, inner in calls:
-            assert inner.value.shape == inner.evaluations.shape == (2, live.size)
-            assert np.all(inner.value[:, ~live] == 0.0) and np.all(inner.error_estimate[:, ~live] == 0.0)
-            assert np.all(inner.evaluations[:, ~live] == 0) and np.all(inner.evaluations[:, live] > 0)
-        for i, res in enumerate(both.values()):
-            assert res.evaluations == sum(int(inner.evaluations[i].sum()) for _, inner in calls)
 
 
 class TestRouteAgreement:
@@ -383,6 +362,40 @@ class TestSpectralRoutesOracle:
         for res in (fb, wt):
             assert abs(res.value - exact) <= res.error_estimate
             assert res.error_estimate <= max(tol * abs(res.value), tol)
+
+
+class TestSpectralRoutesAtExtremeSpectra:
+    @pytest.mark.parametrize("K", [60.0, 80.0, 100.0, 300.0, 800.0])
+    def test_a_far_carrier_is_reached(self, params, K):
+        # lekner(a = 1, K): an outer map u = 1 - e^{-lambda k} from k = 0 would
+        # put the whole support within rounding of u = 1 once lambda K ~ 37,
+        # where no node falls; in x = k - K every node carries part of it
+        tol = 1e-6
+        w = LeknerWaveform(1.0, K)
+        points = [SpacetimePoint.from_cylindrical(0.0, 0.0, 0.5),
+                  SpacetimePoint.from_cylindrical(0.3, 0.0, -0.2), *REGULAR_POINTS[:3]]
+        for p in points:
+            exact = eval_quasi_spherical(p, params, w)
+            for route, res in reconstruct_spectral(params, w, p, tol).items():
+                assert res.evaluations > 0, (route, p)
+                assert abs(res.value - exact) <= res.error_estimate <= max(tol * abs(res.value), tol), (route, p)
+
+    @pytest.mark.parametrize("w", [LeknerWaveform(0.01), LeknerWaveform(0.01, 1.0)])
+    def test_a_slow_spectral_decay_raises_or_meets_its_estimate(self, params, w):
+        # a = 0.01 runs the outer nodes out to k ~ 1e4, where a factor e^{k_z b}
+        # would overflow; e^{(k_z - k) b} <= 1 does not, so each call either
+        # raises ToleranceNotReached or meets its estimate, with no RuntimeWarning
+        tol = 1e-6
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for p in REGULAR_POINTS[:3]:
+                try:
+                    both = reconstruct_spectral(params, w, p, tol)
+                except ToleranceNotReached:
+                    continue
+                exact = eval_quasi_spherical(p, params, w)
+                for res in both.values():
+                    assert abs(res.value - exact) <= res.error_estimate <= max(tol * abs(res.value), tol)
 
 
 # each route as compare runs it: the spectral ones in one shared quadrature

@@ -9,12 +9,13 @@ from unipulse.waveforms import WAVEFORM_REGISTRY, LeknerWaveform, parse_waveform
 
 
 def spectrum_roundtrip(w, theta, tol=1e-11):
-    """Independent reconstruction of eval(theta) by quadrature of the spectrum."""
+    """Independent reconstruction of eval(theta) by quadrature of the
+    spectrum, in x = kappa - spectrum_start on its support."""
+    k0 = w.spectrum_start
     res = integrate_semi_infinite(
-        lambda k: w.spectrum(k) * np.exp(1j * k * theta),
+        lambda x: w.spectrum(k0 + x) * np.exp(1j * (k0 + x) * theta),
         tol,
         w.decay_rate + 0.9 * theta.imag,
-        breakpoints=(w.spectrum_start,),
     )
     return res.value
 
