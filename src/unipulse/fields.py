@@ -117,12 +117,16 @@ class SpacetimePoint:
 
 def complex_distance(p: SpacetimePoint, params: PulseParams) -> complex:
     """The root S with Im S >= c*tau; equals c(t + i tau) on the axis."""
-    ct = params.c * p.t
-    b = params.b
-    # (ct + ib)^2 - rho^2 in real arithmetic, in the order of Python's
-    # complex product: numpy's vectorized complex product may fuse
-    # multiply-adds, and array nodes would then round differently
-    return complex_sqrt_upper((ct * ct - b * b - (p.x * p.x + p.y * p.y)) + 2j * ct * b)
+    if np.isfinite(s := _root(params.c * p.t, params.b, p.x, p.y)).all():
+        return s
+    h = 2.0 ** -512  # a square overflowed: S is homogeneous of degree 1, so take it at h the size
+    return np.where(np.isfinite(s), s, _root(params.c * (p.t * h), params.b * h, p.x * h, p.y * h) / h)[()]
+
+
+def _root(ct, b, x, y):
+    # (ct + ib)^2 - rho^2 in real arithmetic, in the order of Python's complex product:
+    # numpy's vectorized complex product may fuse multiply-adds, and array nodes would round otherwise
+    return complex_sqrt_upper((ct * ct - b * b - (x * x + y * y)) + 2j * ct * b)
 
 
 def eval_simple_pulse(p: SpacetimePoint, params: PulseParams) -> complex:
@@ -133,7 +137,9 @@ def eval_simple_pulse(p: SpacetimePoint, params: PulseParams) -> complex:
     """
     s = complex_distance(p, params)
     denom = s * (s - p.z - 1j * params.zeta)
-    return 1.0 / np.where(abs(denom) < 1e-300, np.nan, denom)
+    u = 1.0 / np.where(abs(denom) < 1e-300, np.nan, denom)
+    return u if np.isfinite(denom).all() else np.where(  # where |S|^2 overflowed, in two steps
+        np.isfinite(denom), u, 1.0 / s / (s - p.z - 1j * params.zeta))[()]
 
 
 def eval_quasi_spherical(p: SpacetimePoint, params: PulseParams, w: Waveform) -> complex:

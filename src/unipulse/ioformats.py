@@ -15,8 +15,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
-#: rows spelled and written at once
-CSV_CHUNK_ROWS = 1024
+#: bytes of cells spelled and written at once: 2,048 rows of 5 columns
+CSV_CHUNK_BYTES = 2048 * 5 * 32
 
 
 def fmt_float(x: float) -> str:
@@ -43,10 +43,14 @@ def render_json(obj: Any) -> str:
         elif isinstance(v, dict):
             inner, sep = pad + "  ", "{" + pad + "  "
             for k, x in v.items():
-                put(sep + (keys.get(k) or keys.setdefault(k, _quoted(str(k)) + ": ")))
-                emit(x, inner)
+                leaf = isinstance(x, float) and finite(x)  # its slot follows the key, with no call
+                put(sep + (keys.get(k) or keys.setdefault(k, _quoted(str(k)) + ": ")) + "%.17g" * leaf)
+                slot(x) if leaf else emit(x, inner)
                 sep = "," + inner
             put(pad + "}" if v else "{}")
+        elif isinstance(v, complex) and finite(v.real) and finite(v.imag):
+            put(f'{{{pad}  "re": %.17g,{pad}  "im": %.17g{pad}}}')  # {"re", "im"} in one piece
+            floats.extend((v.real, v.imag))
         elif isinstance(v, complex):
             emit({"re": v.real, "im": v.imag}, pad)
         elif isinstance(v, (list, tuple)):
@@ -81,73 +85,72 @@ def write_csv(path, comments: Sequence[str], columns: dict[str, Any], keep=None)
 
     Cells read as ``fmt_float`` spells them.  A column that repeats under
     broadcasting (a grid axis, a constant) is spelled once per value, all
-    such values in one pass, and its cells are gathered per row.  The
-    other columns are spelled a chunk of rows at a time, in one pass per
-    chunk, so memory stays flat in the row count.
+    such values in one pass, and its cells are taken per row.  The other
+    columns are spelled a chunk of rows at a time, in one pass per chunk,
+    so memory stays flat in the row count.
     """
     arrays = [np.asarray(c, dtype=float) for c in columns.values()]
     shape = np.broadcast_shapes(*(a.shape for a in arrays))
     rows = math.prod(shape)
-    fresh = [j for j, a in enumerate(arrays) if a.size == rows]
-    repeat = [j for j, a in enumerate(arrays) if a.size < rows]
+    fresh = [(j, a.reshape(-1)) for j, a in enumerate(arrays) if a.size == rows]
+    repeat, start = [], 0
+    for j, a in enumerate(arrays):
+        if a.size < rows:  # row r's cell: the column's first, plus r // inner % length * stride
+            dims = (1,) * (len(shape) - a.ndim) + a.shape  # per axis the column runs along
+            repeat.append((j, start, [(math.prod(shape[d + 1:]), k, math.prod(dims[d + 1:]))
+                                      for d, k in enumerate(dims) if k > 1]))
+            start += a.size
     if repeat:
-        spelled = _spell(np.concatenate([arrays[j].ravel() for j in repeat]))
-        ends = np.cumsum([arrays[j].size for j in repeat])
-        # each repeated cell's row in ``spelled``
-        where = [np.broadcast_to(np.arange(end - arrays[j].size, end).reshape(arrays[j].shape), shape)
-                 for j, end in zip(repeat, ends.tolist())]
+        spelled = _spell(np.concatenate([arrays[j].ravel() for j, _, _ in repeat])).view(_VOID)
     take = None if keep is None else np.flatnonzero(np.broadcast_to(keep, shape))
     n = rows if take is None else take.size
-    sep = np.frombuffer(b"," * (len(arrays) - 1) + b"\n", np.uint8)
+    step = max(1, CSV_CHUNK_BYTES // (_CELL * len(arrays)))
     with open(path, "wb") as fh:
         fh.write(("".join(f"# {c}\n" for c in comments) + ",".join(columns) + "\n").encode())
-        for lo in range(0, n, CSV_CHUNK_ROWS):
-            at = slice(lo, lo + CSV_CHUNK_ROWS) if take is None else take[lo:lo + CSV_CHUNK_ROWS]
-            m = min(CSV_CHUNK_ROWS, n - lo)
-            cells = np.empty((m, len(arrays), _CELL), np.uint8)
-            if fresh:
-                cells[:, fresh] = _spell(np.concatenate([arrays[j].flat[at] for j in fresh])).reshape(
-                    len(fresh), m, _CELL).swapaxes(0, 1)
-            if repeat:
-                cells[:, repeat] = spelled[np.stack([w.flat[at] for w in where], axis=1)]
-            cells[:, :, -1] = sep
-            fh.write(cells.tobytes().translate(None, b"\0"))
+        for lo in range(0, n, step):
+            r = np.arange(lo, min(lo + step, n)) if take is None else take[lo:lo + step]
+            void = np.empty((r.size, len(arrays)), _VOID)
+            if fresh:  # one stacked gather, one pass
+                own = _spell(np.stack([f[r] for _, f in fresh], axis=1).ravel()).view(_VOID)
+                for k, (j, _) in enumerate(fresh):
+                    void[:, j] = own[k::len(fresh), 0]
+            for j, first, axes in repeat:
+                void[:, j] = spelled[sum((r // inner % k * stride for inner, k, stride in axes), first), 0]
+            void.view(np.uint8)[:, _CELL - 1::_CELL] = list(b"," * (len(arrays) - 1) + b"\n")
+            fh.write(void.tobytes().translate(None, b"\0"))
 
 
 # --- fmt_float for whole arrays -------------------------------------------
 #
-# A cell is a 48-byte row holding every byte a %.17g spelling can use, in
-# order, with the bytes it does not use set to NUL: 0 sign, 1-5 "0.000",
-# 6-39 the digits d0..d16 each followed by ".", 40-44 "e+XXX", 47 the
-# separator.  A mask per code (layout x significant digits) keeps the bytes.
-# |x| = D 10**(e - 16), the 17-digit D being the double-double product of
-# |x| and 10**(16 - e) (Dekker), rounded.  Where 10**(16 - e) is a double
-# the product is exact and rint's ties-to-even is %g's; elsewhere it errs by
-# under 1e-14, and D within 2**-30 of a tie is left to fmt_float, as is any
-# |x| outside [2**-929, 2**930).
+# A cell is four little-endian words holding every byte a %.17g spelling can use, in
+# order, with the bytes it does not use set to NUL: 0 sign, 1-5 "0.000", 6 d0, 7 ".",
+# 8-23 d1..d16, 24-28 "e+XXX", 31 the separator.  A point after de, e = 1 ... 15, is
+# shifted in, de+1..d16 a byte up.  A mask per code (layout x significant digits) keeps
+# the bytes.  |x| = D 10**(e - 16), the 17-digit D being the double-double product of
+# |x| and 10**(16 - e) (Dekker), rounded.  Where 10**(16 - e) is a double the product is
+# exact and rint's ties-to-even is %g's; elsewhere it errs by under 1e-14, and D within
+# 2**-30 of a tie is left to fmt_float, as is any |x| outside [2**-929, 2**930).
 
-_CELL = 48
+_CELL, _VOID = 32, np.dtype("V32")  # a cell's bytes, and the cell as one element
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's split
 _ZERO = 23 * 17  # the codes after 23 layouts x 17 digit counts: zero, NaN, inf
 _POW10_FILE = Path(__file__).with_name("pow10.bin")
 
 
 def _masks() -> np.ndarray:
-    """Per code, the bytes of a cell it keeps: layout x significant digits s,
-    then zero, NaN and inf."""
+    """Per code (layout x significant digits s, then zero, NaN, inf), the bytes of a cell it keeps."""
     layout, s, at = np.arange(23)[:, None, None], np.arange(1, 18)[:, None], np.arange(_CELL)
-    digit = np.where((at >= 6) & (at <= 38) & (at % 2 == 0), (at - 6) // 2, _CELL)
-    sci, fixed = layout > 20, (layout > 3) & (layout <= 20)  # d.ddde+XX; ddd.ddd for e = layout - 4
-    digits = np.where(fixed, np.maximum(s, layout - 3), s)
-    point = np.where(sci, np.where(s > 1, 7, -1),  # the point after the first digit, or after digit e
-                     np.where(fixed & (s > layout - 3), 2 * layout - 1, -1))
-    word = ((at == 0) | sci & (at >= 40) & (at <= 44) & ((at != 42) | (layout == 22))
-            | (layout <= 3) & (at >= 1) & (at <= 5 - layout))  # sign, e+XXX, or 0.000
-    keep = (digit < digits) | (at == point) | word
+    sci = layout > 20  # d.ddde+XX; 0.000ddd for e = layout - 4 < 0, else ddd.ddd
+    # from byte 8: d1..d(s-1); for e >= 1 d1..de and, if s > e + 1, the point and the rest
+    after = np.where((layout > 4) & ~sci, np.where(s > layout - 3, s, layout - 4), s - 1)
+    keep = ((at == 0) | (at == 6) | (at >= 8) & (at < 8 + after)
+            | (at == 7) & (s > 1) & (sci | (layout == 4))  # the point after d0
+            | sci & (at >= 24) & (at <= 28) & ((at != 26) | (layout == 22))  # e+XXX, or e+XX
+            | (layout <= 3) & (at >= 1) & (at <= 5 - layout))  # 0.000
     # zero: sign and "0"; NaN: "NaN" in the special word; inf: sign and "Infinity"
     special = np.zeros((3, _CELL), bool)
     special[0, :2] = special[1, 8:11] = special[2, 0] = special[2, 8:16] = True
-    return np.concatenate([keep.reshape(_ZERO, _CELL), special]).astype(np.uint8) * np.uint8(255)
+    return (np.concatenate([keep.reshape(_ZERO, _CELL), special]) * np.uint8(255)).view(_VOID).ravel()
 
 
 @functools.cache
@@ -162,22 +165,14 @@ def _tables() -> tuple:
     e_low = np.floor((np.clip(b, 94, 1952) - 1023) * math.log10(2.0)).astype(np.int64)
     k = e_low + 301
     next_decade = np.where(lo[k] > 0, np.nextafter(hi[k], math.inf), hi[k])
-    # "d.d.d.d." per group of four digits d0 d1 d2 d3, the group 1000 d0 + ... + d3
-    quad = np.full((10, 10, 10, 10, 8), ord("."), np.uint8)
+    # the text of each group of four digits, 1000 d0 + ... + d3, in the low half of a word
+    quad = np.zeros((10, 10, 10, 10, 8), np.uint8)
     digit = 48 + np.arange(10, dtype=np.uint8)
     for j, axis in enumerate(np.ix_(digit, digit, digit, digit)):
-        quad[..., 2 * j] = axis
-    # the trailing zeros of a group (4 if all), and of the 17 digits keyed by
-    # those of their four groups as base-5 digits
-    zeros = np.zeros(10000, np.int64)
-    for j in (10, 100, 1000, 10000):
-        zeros[::j] += 1
-    trailing = 0
-    for z in np.ix_(*[np.arange(5)] * 4):  # the groups' base-5 digits, first group first
-        trailing = np.where(z == 4, trailing + 4, z)
-    trailing = trailing.ravel()
+        quad[..., j] = axis
     e = np.arange(-300, 301)
-    layout_code = np.where((e >= -4) & (e < 17), e + 4, 21 + (abs(e) >= 100)) * 17 + 16
+    # by e + 300, the code of one significant digit, less 127 (see _spell)
+    layout_code = np.where((e >= -4) & (e < 17), e + 4, 21 + (abs(e) >= 100)) * 17 - 127
     # the first word per leading digit, 10 being a carry to 10**17
     lead = np.array([b"\0" + b"0.000" + b"%d." % (i % 9 if i > 9 else i) for i in range(11)])
     # "e+XXX", NUL-padded to a word
@@ -185,15 +180,18 @@ def _tables() -> tuple:
     expo[:, 0], expo[:, 1] = ord("e"), np.where(e < 0, ord("-"), ord("+"))
     expo[:, 2:5] = 48 + abs(e)[:, None] // (100, 10, 1) % 10
     special = np.frombuffer(b"\0" * 8 + b"NaN\0\0\0\0\0Infinity", "<u8")
-    return (scale, abs(b - 1023) <= 929, e_low, next_decade, quad.view("<u8").ravel(), zeros,
-            trailing, lead.view("<u8"), expo.view("<u8").ravel(), special, _masks(), layout_code)
+    # by e = 0 ... 15, for each of the two digit words the bytes below the point, and the point
+    point = [[2 ** (8 * e) - 1, 46 << 8 * e, 0, 0] if e < 8 else
+             [2 ** 64 - 1, 0, 2 ** (8 * e - 64) - 1, 46 << 8 * e - 64] for e in range(16)]
+    return (scale, abs(b - 1023) <= 929, e_low, next_decade, quad.view("<u8").ravel(), lead.view("<u8"),
+            expo.view("<u8").ravel(), special, _masks(), layout_code, np.array(point, np.uint64))
 
 
 def _spell(x: np.ndarray) -> np.ndarray:
     """The cells of the 1-D floats ``x``, (x.size, _CELL) uint8, each
     reading as ``fmt_float`` spells it once its NULs are dropped."""
-    (scale, normal, e_low, next_decade, quad, zeros, trailing, lead, expo, special, masks,
-     layout_code) = _tables()
+    (scale, normal, e_low, next_decade, quad, lead, expo, special, masks, layout_code,
+     point) = _tables()
     a = np.abs(x)
     b = a.view(np.int64) >> 52
     if not (every := (ok := normal[b]).all()):
@@ -207,25 +205,35 @@ def _spell(x: np.ndarray) -> np.ndarray:
     t = ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * lo  # a 10**(16 - e) - p
     r = np.rint(t)
     doubt = (np.abs(t - r) > 0.5 - 2.0 ** -30) & (lo != 0)
-    first, rest = np.divmod(p.astype(np.int64) + r.astype(np.int64), 10 ** 16)
-    groups = [g for half in np.divmod(rest, 10 ** 8) for g in np.divmod(half, 10 ** 4)]
+    d = p.astype(np.int64) + r.astype(np.int64)
+    del hi, lo, hh, hl, c, ah, al, p, t, r  # before the words take their room
+    d -= (first := d // 10 ** 16) * 10 ** 16  # d0, and d1..d16 left in d
     e += first > 9
-    key = 0
-    for g in groups:
-        key = key * 5 + zeros[g]
-    code = layout_code[e + 300] - trailing[key]
     words = np.empty((x.size, _CELL // 8), "<u8")  # little-endian, as the tables
     words[:, 0] = lead[first] + np.signbit(x) * np.uint64(ord("-"))
-    for j, g in enumerate(groups, 1):
-        words[:, j] = quad[g]
-    words[:, 5] = expo[e + 300]
+    for k, half in enumerate((high := d // 10 ** 8, d - high * 10 ** 8), 1):
+        group = half // 10 ** 4  # d1..d8, then d9..d16, as text
+        words[:, k] = quad.take(group) | quad.take(half - group * 10 ** 4) << np.uint64(32)
+    w1, w2, zeros = words[:, 1], words[:, 2], np.uint64(0x3030303030303030)
+    # d1..d16 up to the last nonzero digit: the top nonzero byte of the digits less "0", from the
+    # exponent of their sum as a double, plus a half (no byte is over 9, so none rounds up a byte)
+    y = (w1 ^ zeros).astype(float) + (w2 ^ zeros).astype(float) * 2.0 ** 64 + 0.5
+    code = layout_code[e + 300] + ((y.view(np.uint64) + (1 << 52)) >> 55).astype(np.int64)
+    words[:, 3] = expo[e + 300]
+    i = np.flatnonzero((e - 1).view(np.uint64) < 15)  # the point after de, e = 1 ... 15
+    if i.size:
+        low1, dot1, low2, dot2 = point.take(e[i], axis=0).T
+        up = (u := w1[i]) & ~low1
+        w1[i] = u & low1 | dot1 | up << np.uint64(8)
+        w2[i] = (v := w2[i]) & low2 | dot2 | (v & ~low2) << np.uint64(8) | up >> np.uint64(56)
+        words[i, 3] = v >> np.uint64(56)
     if not every:  # zero, NaN and inf by their codes; subnormal and huge |x| to fmt_float
         i = np.flatnonzero(~ok)
         kind = np.where(x[i] == 0, 0, np.where(np.isnan(x[i]), 1, 2))
         code[i], words[i, 1] = _ZERO + kind, special[kind]
         doubt[i] = np.isfinite(x[i]) & (x[i] != 0)
+    words &= masks.take(code).view("<u8").reshape(words.shape)
     cells = words.view(np.uint8)
-    cells &= masks.take(code, axis=0)
     if doubt.any():
         i = np.flatnonzero(doubt)
         cells[i] = np.frombuffer(b"".join(fmt_float(v).encode().ljust(_CELL, b"\0")

@@ -25,7 +25,7 @@ from unipulse.fields import (
     sample_grid,
     simple_pulse_evaluator,
 )
-from unipulse.numerics import ToleranceNotReached
+from unipulse.numerics import ToleranceNotReached, complex_sqrt_upper
 from unipulse.waveforms import LeknerWaveform, Waveform
 
 mp.mp.dps = 40
@@ -253,6 +253,24 @@ class TestArrayKernel:
                         assert abs(values[i, j, k] - expect) <= 1e-14 * abs(expect)
 
 
+class TestOverflowFallback:
+    def test_finite_nodes_keep_their_bits(self, rng):
+        # 20,000 nodes of normal range: S, simple_pulse and quasi_spherical are
+        # bit for bit the direct formulas, which overflow nowhere there
+        for c, tau, zeta in ((1.0, 1.0, 0.0), (0.7, 1.9, 0.5), (2.3, 0.4, 0.9), (1.3, 0.8, -0.4)):
+            params = PulseParams(c, tau, zeta * c * tau)
+            t, x, y, z = rng.standard_normal((4, 5000)) * 10.0 ** rng.uniform(-3.0, 3.0, (4, 5000))
+            ct, b = c * t, params.b
+            s = complex_sqrt_upper((ct * ct - b * b - (x * x + y * y)) + 2j * ct * b)
+            denom = s * (s - z - 1j * params.zeta)
+            w = LeknerWaveform(1.1 * b, 0.7)
+            point = SpacetimePoint(t, x, y, z)
+            for got, want in ((complex_distance(point, params), s),
+                              (eval_simple_pulse(point, params), 1.0 / denom),
+                              (eval_quasi_spherical(point, params, w), w.eval(s - z - 1j * b) / s)):
+                assert np.isfinite(want).all() and got.tobytes() == want.tobytes()
+
+
 class TestGrid:
     def test_single_point(self, params):
         spec = GridSpec((AxisSpec("rho", 0.3, 0.3, 1),), {"t": 0.0, "z": 0.1})
@@ -339,6 +357,24 @@ class TestGrid:
         cfg = tmp_path / "wide.json"
         cfg.write_text(json.dumps({"grid": {"axes": [{"name": "z", "min": -1e308, "max": 1e308, "count": 3}]}}))
         assert main(["sample", "--config", str(cfg), "--out", str(tmp_path / "wide.csv")]) == 0
+
+    @pytest.mark.parametrize("evaluator", ["simple_pulse", "quasi_spherical"])
+    @pytest.mark.parametrize("t", [1e155, -1e155, 1e300, -1e300, 1e308, -1e308])
+    def test_huge_times_sample_a_finite_field(self, tmp_path, evaluator, t):
+        # (ct)^2, 2 ct b or |S|^2 overflows there, and the field is still finite
+        cfg = tmp_path / "far.json"
+        cfg.write_text(json.dumps({"evaluator": evaluator, "grid": {
+            "axes": [{"name": "t", "min": t, "max": t, "count": 1}], "fixed": {"rho": 0.5, "z": 0.2}}}))
+        out = tmp_path / "far.csv"
+        assert main(["sample", "--config", str(cfg), "--out", str(out)]) == 0
+        row = out.read_text().splitlines()[-1].split(",")
+        assert float(row[0]) == t and all(math.isfinite(float(v)) for v in row)
+        # and a scalar point, whose first try overflows as the grid's does
+        params, point = PulseParams(1.0, 1.0), SpacetimePoint(t, 0.5, 0.0, 0.2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for u in (eval_simple_pulse(point, params),
+                      eval_quasi_spherical(point, params, LeknerWaveform(1.0))):
+                assert isinstance(u, np.complex128) and np.isfinite(u)
 
     def test_negative_rho_rejected(self):
         # rho enters the kernel only as rho^2, so the grid must refuse the sign

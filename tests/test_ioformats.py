@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,13 +13,18 @@ from unipulse.ioformats import (
     _CELL,
     _SPLIT,
     _ZERO,
-    CSV_CHUNK_ROWS,
+    CSV_CHUNK_BYTES,
     _spell,
     _tables,
     fmt_float,
     render_json,
     write_csv,
 )
+
+
+def chunk_rows(columns):
+    """The rows ``write_csv`` spells and writes at once for ``columns`` columns."""
+    return CSV_CHUNK_BYTES // (_CELL * columns)
 
 
 def read_rows(path):
@@ -131,7 +138,7 @@ class TestRenderJsonProperty:
 class TestWriteCsv:
     def test_cells_read_as_fmt_float_across_chunks(self, tmp_path, rng):
         # random magnitudes over the whole double range, then the special values
-        n = CSV_CHUNK_ROWS + 37
+        n = chunk_rows(3) + 37
         z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.integers(
             -300, 300, n)
         special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308]
@@ -142,7 +149,7 @@ class TestWriteCsv:
         lines = read_rows(path)
         assert lines[:3] == ["# one", "# two: 2", "re,im,abs"]
         rows = lines[3:]
-        assert len(rows) == re.size > CSV_CHUNK_ROWS
+        assert len(rows) == re.size > chunk_rows(3)
         for row, x, y in zip(rows, re.tolist(), im.tolist()):
             # the magnitude bit for bit as Python's abs(complex) gives it
             assert row == ",".join(map(fmt_float, (x, y, abs(complex(x, y)))))
@@ -156,13 +163,13 @@ class TestWriteCsv:
 
     def test_kept_rows_across_a_chunk_boundary(self, tmp_path, rng):
         # repeated axis cells (NaN and the infinities among them) and full-size
-        # cells; the kept rows run past CSV_CHUNK_ROWS
+        # cells; the kept rows run past a chunk
         a = np.array([np.nan, np.inf, -np.inf, -0.0, 0.1] * 20)[:, None]
         b = np.linspace(-1.0, 1.0, 90)
         full = rng.standard_normal((a.size, b.size))
         full[rng.random(full.shape) < 0.05] = np.nan
         keep = rng.random(full.shape) < 0.5
-        assert keep.sum() > CSV_CHUNK_ROWS
+        assert keep.sum() > chunk_rows(4)
         path = tmp_path / "m.csv"
         write_csv(path, ["masked"], {"a": a, "b": b, "c": 2.0, "full": full}, keep)
         cols = np.broadcast_arrays(a, b, np.float64(2.0), full)
@@ -179,6 +186,44 @@ class TestWriteCsv:
         write_csv(path, ["empty"], {"x": np.array([]), "y": np.array([])})
         assert read_rows(path) == ["# empty", "x,y"]
 
+    def test_forty_columns_across_chunks(self, tmp_path, rng):
+        # a chunk holds fewer rows the more columns there are
+        columns = {f"c{k}": rng.standard_normal(600) * 10.0 ** (k - 20) for k in range(40)}
+        assert 600 > 2 * chunk_rows(40)
+        path = tmp_path / "w.csv"
+        write_csv(path, [], columns)
+        cols = list(columns.values())
+        assert read_rows(path) == [",".join(columns),
+                                   *(",".join(fmt_float(c[i]) for c in cols) for i in range(600))]
+
+    def test_residual_layout(self, tmp_path, rng):
+        # per-point (40, 1) columns against an (h,) column and full (40, h) ones,
+        # as the residual command writes them
+        point = rng.standard_normal((40, 1))
+        h = np.array([4e-3, 2e-3, 1e-3])
+        full = rng.standard_normal((40, 3))
+        path = tmp_path / "r.csv"
+        write_csv(path, ["r"], {"t": point, "h": h, "res": full, "order": 2.0 + point})
+        want = [",".join(map(fmt_float, (point[i, 0], h[j], full[i, j], 2.0 + point[i, 0])))
+                for i in range(40) for j in range(3)]
+        assert read_rows(path) == ["# r", "t,h,res,order", *want]
+
+    def test_memory_stays_flat_in_the_row_count(self, rng):
+        # the writer's own allocations peak at a chunk, whatever the rows
+        write_csv(os.devnull, [], {"x": np.arange(3.0)})  # the tables, made once
+        peaks = []
+        for n in (10 ** 5, 4 * 10 ** 5):
+            z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            columns = {"x": np.linspace(0.0, 1.0, n), "t": 0.5, "re": z.real, "im": z.imag,
+                       "abs": np.abs(z)}
+            tracemalloc.start()
+            try:
+                write_csv(os.devnull, [], columns)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
+
 
 # a few values per axis, NaN and the infinities included
 axis_values = st.lists(st.floats(allow_nan=True, allow_infinity=True, width=64),
@@ -188,11 +233,11 @@ axis_values = st.lists(st.floats(allow_nan=True, allow_infinity=True, width=64),
 @st.composite
 def broadcast_columns(draw):
     """Axis-like columns of shape (n, 1, ...) with one of them long enough
-    that some row counts cross CSV_CHUNK_ROWS, a 0-d scalar, and full-size
+    that some row counts cross a chunk, a 0-d scalar, and full-size
     columns carrying NaN and the infinities; in a drawn column order."""
     ndim = draw(st.integers(1, 3))
     long_axis = draw(st.integers(0, ndim - 1))
-    shape = tuple(draw(st.integers(CSV_CHUNK_ROWS // 40, CSV_CHUNK_ROWS // 4)) if i == long_axis
+    shape = tuple(draw(st.integers(chunk_rows(5) // 40, chunk_rows(5) // 4)) if i == long_axis
                   else draw(st.integers(1, 12)) for i in range(ndim))
     columns = {}
     for i, n in enumerate(shape):
@@ -288,6 +333,26 @@ class TestSpellKernel:
     def test_equals_fmt_float(self, x):
         assert spelled(x) == [fmt_float(v) for v in x]
 
+    def test_inserted_point(self):
+        """Every decimal exponent e = 1 ... 16 and every count s = 1 ... 17 of
+        significant digits, both signs: an integer of s digits, or e + 1 integer
+        digits and the s - e - 1 of the fraction 2**-(s - e - 1)."""
+        xs = []
+        for e, s in itertools.product(range(1, 17), range(1, 18)):
+            digits = "1234567892345678923"[:s]
+            if s <= e + 1:
+                v = float(int(digits) * 10 ** (e + 1 - s))
+            else:
+                v = int(digits[:e + 1]) + 2.0 ** -(s - e - 1)
+            text = fmt_float(v)
+            assert len(text.replace(".", "").rstrip("0")) == s, (e, s, text)
+            assert ("." in text) == (s > e + 1), (e, s, text)
+            xs += [v, -v]
+        # and 10**k less an ulp, whose 17 digits round toward a carry
+        for k in range(1, 18):
+            xs += neighbours(float(10 ** k), 2) + [-math.nextafter(10.0 ** k, 0.0)]
+        assert spelled(xs) == [fmt_float(v) for v in xs]
+
 
 def exact_pow10(k):
     """10**k as hi + lo, each correctly rounded from exact integers."""
@@ -298,7 +363,7 @@ def exact_pow10(k):
 
 def reference_tables():
     """The spelling kernel's tables built entry by entry: Python integers
-    for the powers of ten, a loop per mask."""
+    for the powers of ten, a loop per mask, byte strings for the point."""
     hi, lo = np.array([exact_pow10(k) for k in range(-300, 301)]).T
     scale = np.stack([hi, lo, hh := hi * _SPLIT - (hi * _SPLIT - hi), hi - hh])
     b = np.arange(2048)
@@ -306,33 +371,36 @@ def reference_tables():
     k = e_low + 301
     next_decade = np.where(lo[k] > 0, np.nextafter(hi[k], math.inf), hi[k])
     d = np.arange(10000, dtype=np.uint16)
-    quad = np.full((10000, 8), ord("."), np.uint8)
-    quad[:, ::2] = 48 + d[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10
-    zeros = sum((d % 10 ** j == 0).astype(np.int64) for j in range(1, 5))
-    trailing = 0
-    for z in (np.arange(625) // 5 ** j % 5 for j in (3, 2, 1, 0)):
-        trailing = np.where(z == 4, trailing + 4, z)
+    quad = np.zeros((10000, 8), np.uint8)
+    quad[:, :4] = 48 + d[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10
     rows = [_ZERO] * 2 + [_ZERO + 1] * 3 + [_ZERO + 2] * 9
     keeps = [0, 1, 8, 9, 10, 0, *range(8, 16)]
     for layout, s in itertools.product(range(23), range(1, 18)):
-        digits = [6 + 2 * i for i in range(s)]
-        if layout > 20:
-            keep = digits + [7] * (s > 1) + [40, 41, 43, 44] + [42] * (layout == 22)
-        elif layout > 3:
-            keep = [6 + 2 * i for i in range(max(s, layout - 3))] + [2 * layout - 1] * (s > layout - 3)
-        else:
-            keep = [1, 2, 3, 4, 5][:5 - layout] + digits
+        e = layout - 4
+        if layout > 20:  # d.ddde+XX(X)
+            keep = [6] + [7] * (s > 1) + list(range(8, 7 + s)) + [24, 25, 27, 28] + [26] * (layout == 22)
+        elif e >= 1:  # ddd.ddd, the point inserted after de
+            keep = [6] + list(range(8, 8 + (s if s > e + 1 else e)))
+        elif e == 0:  # d.ddd
+            keep = [6] + [7] * (s > 1) + list(range(8, 7 + s))
+        else:  # 0.000ddd
+            keep = [1, 2, 3, 4, 5][:5 - layout] + [6] + list(range(8, 7 + s))
         rows += [layout * 17 + s - 1] * (len(keep) + 1)
         keeps += [0] + keep
     masks = np.zeros((_ZERO + 3, _CELL), np.uint8)
     masks[rows, keeps] = 255
     e = np.arange(-300, 301)
-    layout_code = np.where((e >= -4) & (e < 17), e + 4, 21 + (abs(e) >= 100)) * 17 + 16
+    layout_code = np.where((e >= -4) & (e < 17), e + 4, 21 + (abs(e) >= 100)) * 17 - 127
     lead = np.array([b"\0" + b"0.000" + b"%d." % (i % 9 if i > 9 else i) for i in range(11)])
     expo = np.array([b"e%+04d" % i for i in e.tolist()], "S8")
     special = np.frombuffer(b"\0" * 8 + b"NaN\0\0\0\0\0Infinity", "<u8")
-    return (scale, abs(b - 1023) <= 929, e_low, next_decade, quad.view("<u8").ravel(), zeros,
-            trailing, lead.view("<u8"), expo.view("<u8"), special, masks, layout_code)
+    # per e, the 16 digit bytes below the point, and the point, as two words each
+    point = np.array([[np.frombuffer(b"\xff" * e + b"\0" * (16 - e), "<u8"),
+                       np.frombuffer(b"\0" * e + b"." + b"\0" * (15 - e), "<u8")]
+                      for e in range(16)]).transpose(0, 2, 1).reshape(16, 4)
+    return (scale, abs(b - 1023) <= 929, e_low, next_decade, quad.view("<u8").ravel(),
+            lead.view("<u8"), expo.view("<u8"), special, masks.view(f"V{_CELL}").ravel(),
+            layout_code, point)
 
 
 class TestSpellTables:
