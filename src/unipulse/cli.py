@@ -229,6 +229,12 @@ def run_residual(cfg: dict, setup, seed: int | None) -> Output:
 
     # every point (rows) at every step (columns) in one evaluation
     coords = np.array([(p.t, p.x, p.y, p.z) for p in points]).T[:, :, None]
+    steps = np.stack([h / setup.params.c, h, h, h])[:, None, :]  # t +/- h/c, x, y, z +/- h
+    lost = (coords + steps == coords) | (coords - steps == coords)
+    if lost.any():  # a node that rounds to its centre: the second difference there would be 0
+        i, j, a = np.argwhere(lost.transpose(1, 2, 0))[0]  # the first by point, step, coordinate
+        raise ConfigError(f"h_values: step {float(h[j])!r} rounds away at point {i}: "
+                          f"{'txyz'[a]} +/- {'h/c' if a == 0 else 'h'} = {float(coords[a, i, 0])!r}")
     rep = wave_residual(evaluator, SpacetimePoint(*coords), h, setup.params)
     res = rep.residual
     columns = {**dict(zip("txyz", coords)), "h": h,

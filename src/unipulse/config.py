@@ -204,14 +204,14 @@ def parse_pulse_setup(cfg: dict) -> PulseSetup:
     return PulseSetup(params, w, desc)
 
 
-def parse_points(cfg: dict, key: str = "points") -> list[SpacetimePoint]:
-    """Array of {t, rho, z} or {t, x, y, z} objects."""
-    raw = cfg.get(key)
+def parse_points(cfg: dict) -> list[SpacetimePoint]:
+    """``points``: an array of {t, rho, z} or {t, x, y, z} objects."""
+    raw = cfg.get("points")
     if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"{key}: expected a non-empty array of point objects")
+        raise ConfigError("points: expected a non-empty array of point objects")
     points = []
     for i, item in enumerate(raw):
-        path = f"{key}[{i}]"
+        path = f"points[{i}]"
         if isinstance(item, dict) and "rho" in item:
             get_block(item, path, {"t", "rho", "z"})
             points.append(

@@ -117,8 +117,9 @@ class SpacetimePoint:
 
 def complex_distance(p: SpacetimePoint, params: PulseParams) -> complex:
     """The root S with Im S >= c*tau; equals c(t + i tau) on the axis."""
-    if np.isfinite(s := _root(params.c * p.t, params.b, p.x, p.y)).all():
-        return s
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite nodes are redone below
+        if np.isfinite(s := _root(params.c * p.t, params.b, p.x, p.y)).all():
+            return s
     h = 2.0 ** -512  # a square overflowed: S is homogeneous of degree 1, so take it at h the size
     return np.where(np.isfinite(s), s, _root(params.c * (p.t * h), params.b * h, p.x * h, p.y * h) / h)[()]
 
@@ -267,13 +268,14 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class FieldGrid:
-    """Sampled complex field over a structured grid, with provenance."""
+    """Sampled complex field over a structured grid, with its provenance:
+    the pulse, the waveform descriptor and the evaluator kind."""
 
     spec: GridSpec
     values: np.ndarray
-    params: PulseParams | None = None
-    waveform_desc: str = ""
-    evaluator_desc: str = ""
+    params: PulseParams
+    waveform_desc: str
+    evaluator_desc: str
 
     def __post_init__(self):
         if self.values.shape != self.spec.shape:
@@ -282,16 +284,12 @@ class FieldGrid:
             )
 
     def write_csv(self, path) -> None:
-        """Rows of axis coordinates, re(u), im(u), |u|, row-major order."""
-        comments = []
-        if self.params is not None:
-            comments.append(f"pulse: c={fmt_float(self.params.c)} tau={fmt_float(self.params.tau)}"
-                            f" zeta={fmt_float(self.params.zeta)}")
-        if self.waveform_desc:
-            comments.append(f"waveform: {self.waveform_desc}")
-        if self.evaluator_desc:
-            comments.append(f"evaluator: {self.evaluator_desc}")
-        comments += [f"fixed: {k}={fmt_float(v)}" for k, v in sorted(self.spec.fixed.items())]
+        """Rows of axis coordinates, re(u), im(u), |u|, row-major order,
+        under comments naming the provenance and the fixed coordinates."""
+        p = self.params
+        comments = [f"pulse: c={fmt_float(p.c)} tau={fmt_float(p.tau)} zeta={fmt_float(p.zeta)}",
+                    f"waveform: {self.waveform_desc}", f"evaluator: {self.evaluator_desc}",
+                    *(f"fixed: {k}={fmt_float(v)}" for k, v in sorted(self.spec.fixed.items()))]
         re, im = self.values.real, self.values.imag
         write_csv(path, comments,
                   {**self.spec.axis_values(), "re": re, "im": im, "abs": np.hypot(re, im)})
@@ -306,11 +304,10 @@ class FieldGrid:
             "fixed": dict(sorted(self.spec.fixed.items())),
             "waveform": self.waveform_desc,
             "evaluator": self.evaluator_desc,
+            "pulse": {"c": self.params.c, "tau": self.params.tau, "zeta": self.params.zeta},
+            "dtype": "complex128", "byte_order": "little", "order": "C",
+            "shape": list(self.spec.shape), "data_file": os.path.basename(bin_path),
         }
-        if self.params is not None:
-            header["pulse"] = {"c": self.params.c, "tau": self.params.tau, "zeta": self.params.zeta}
-        header.update({"dtype": "complex128", "byte_order": "little", "order": "C",
-                       "shape": list(self.spec.shape), "data_file": os.path.basename(bin_path)})
         fh = open(bin_path, "wb")
         try:
             with fh:
@@ -321,17 +318,12 @@ class FieldGrid:
             raise
 
 
-def sample_grid(
-    spec: GridSpec,
-    evaluator: Evaluator,
-    *,
-    params: PulseParams | None = None,
-    waveform_desc: str = "",
-    evaluator_desc: str = "",
-) -> FieldGrid:
+def sample_grid(spec: GridSpec, evaluator: Evaluator, *, params: PulseParams, waveform_desc: str,
+                evaluator_desc: str) -> FieldGrid:
     """Evaluate over the whole grid in one call on its broadcast point
     (see ``evaluate_batch``); a singular node raises SingularPoint
-    carrying its grid index.
+    carrying its grid index.  The grid carries ``params``, the waveform
+    descriptor and the evaluator kind into its files.
     """
     values = evaluate_batch(evaluator, spec.broadcast_point())
     return FieldGrid(spec, values, params, waveform_desc, evaluator_desc)

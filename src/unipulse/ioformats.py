@@ -87,7 +87,8 @@ def write_csv(path, comments: Sequence[str], columns: dict[str, Any], keep=None)
     broadcasting (a grid axis, a constant) is spelled once per value, all
     such values in one pass, and its cells are taken per row.  The other
     columns are spelled a chunk of rows at a time, in one pass per chunk,
-    so memory stays flat in the row count.
+    and ``keep`` is read a chunk at a time, so memory stays flat in the
+    row count, masked or not.
     """
     arrays = [np.asarray(c, dtype=float) for c in columns.values()]
     shape = np.broadcast_shapes(*(a.shape for a in arrays))
@@ -102,13 +103,13 @@ def write_csv(path, comments: Sequence[str], columns: dict[str, Any], keep=None)
             start += a.size
     if repeat:
         spelled = _spell(np.concatenate([arrays[j].ravel() for j, _, _ in repeat])).view(_VOID)
-    take = None if keep is None else np.flatnonzero(np.broadcast_to(keep, shape))
-    n = rows if take is None else take.size
+    kept = None if keep is None else np.broadcast_to(keep, shape).flat  # read a chunk at a time
     step = max(1, CSV_CHUNK_BYTES // (_CELL * len(arrays)))
     with open(path, "wb") as fh:
         fh.write(("".join(f"# {c}\n" for c in comments) + ",".join(columns) + "\n").encode())
-        for lo in range(0, n, step):
-            r = np.arange(lo, min(lo + step, n)) if take is None else take[lo:lo + step]
+        for lo in range(0, rows, step):
+            r = np.arange(lo, min(lo + step, rows))
+            r = r if kept is None else r[kept[lo:lo + step]]
             void = np.empty((r.size, len(arrays)), _VOID)
             if fresh:  # one stacked gather, one pass
                 own = _spell(np.stack([f[r] for _, f in fresh], axis=1).ravel()).view(_VOID)

@@ -97,23 +97,9 @@ def reconstruct_hemisphere(
     return QuadratureResult(-res.value, res.error_estimate, res.evaluations)
 
 
-def _spectral_routes(params: PulseParams, w: Waveform) -> dict:
-    """Each spectral route by its ``compare`` key: its name and its spectral
-    factor at (k_z, k).  ``from_weight`` runs in omega = c k, d omega = c dk,
-    where both factors agree to rounding."""
-    b, c = params.b, params.c
-    return {
-        "fourier_bessel": ("Fourier-Bessel reconstruction",
-                           lambda kz, k: -1j * w.spectrum(kz) * np.exp((kz - k) * b)),
-        "from_weight": ("spectral-weight reconstruction",
-                        lambda kz, k: c * spectral_weight(params, w, kz, c * k)),
-    }
-
-
 def reconstruct_spectral(params: PulseParams, w: Waveform, p: SpacetimePoint, tol: float,
-                         routes: tuple[str, ...] = ("fourier_bessel", "from_weight"),
                          max_evals: int = 4_000_000) -> dict[str, QuadratureResult]:
-    """The spectral ``routes``, by ``compare`` key, in one nested quadrature
+    """Both spectral routes, by ``compare`` key, in one nested quadrature
     on shared (k, k_z) nodes: each route's double integral
 
         integral_start^inf dk e^{i k ct} integral_start^k dk_z
@@ -129,33 +115,37 @@ def reconstruct_spectral(params: PulseParams, w: Waveform, p: SpacetimePoint, to
     is entire in k_z there, and the open rule never samples the ends, where
     the spectrum's Heaviside sits.  The kernel J0 e^{-i k_z z} and the
     outer factor x e^{i k ct} are computed once per node, and each route
-    multiplies in its spectral factor, which holds e^{(k_z - k) b} <= 1.
+    multiplies in its spectral factor, which holds e^{(k_z - k) b} <= 1:
+    -i fhat(k_z) e^{(k_z - k) b} for ``fourier_bessel``, and
+    c ``spectral_weight`` at omega = c k (d omega = c dk) for
+    ``from_weight``, where both factors agree to rounding.
     The outer integrand decays like exp(-x min(a, b)), a = w.decay_rate;
     half that rate as the hint leaves the mapped outer integrand ~(1-u)^1
     at u = 1, where 0.9 of it left ~(1-u)^(1/9): the J0 oscillations piled
     up there and the error estimate no longer bounded the error.
     """
-    known = _spectral_routes(params, w)
-    start = w.spectrum_start
+    start, b, c = w.spectrum_start, params.b, params.c
 
     def integrand(x: np.ndarray) -> Callable:
         x = x[:, None]
         k = start + x
-        outer = x * np.exp(k * complex(0.0, params.c * p.t))
+        outer = x * np.exp(k * complex(0.0, c * p.t))
 
         def f(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
-            kz = start + x[rows] * s
-            chi = np.sqrt(np.maximum(k[rows] ** 2 - kz * kz, 0.0))
+            kz, kr = start + x[rows] * s, k[rows]
+            chi = np.sqrt(np.maximum(kr ** 2 - kz * kz, 0.0))
             kernel = bessel_j0(p.rho * chi) * np.exp(kz * complex(0.0, -p.z)) * outer[rows]
-            return np.stack([kernel * known[r][1](kz, k[rows]) for r in routes])
+            return np.stack([kernel * (-1j * w.spectrum(kz) * np.exp((kz - kr) * b)),
+                             kernel * (c * spectral_weight(params, w, kz, c * kr))])
 
         return f
 
-    decay, budget = 0.5 * min(w.decay_rate, params.b), 80_000 * len(routes)
-    res = integrate_nested(lambda g, t: integrate_semi_infinite(g, t, decay, budget), integrand,
-                           lambda f, t, n: integrate_doubling(f, fejer2, t, n),
-                           tol, max_evals, tuple(known[r][0] for r in routes))
-    return dict(zip(routes, res))
+    decay = 0.5 * min(w.decay_rate, b)
+    fourier_bessel, from_weight = integrate_nested(
+        lambda g, t: integrate_semi_infinite(g, t, decay, 160_000), integrand,
+        lambda f, t, n: integrate_doubling(f, fejer2, t, n), tol, max_evals,
+        ("Fourier-Bessel reconstruction", "spectral-weight reconstruction"))
+    return {"fourier_bessel": fourier_bessel, "from_weight": from_weight}
 
 
 def reconstruct_fourier_bessel(
@@ -165,14 +155,17 @@ def reconstruct_fourier_bessel(
     tol: float,
     max_evals: int = 4_000_000,
 ) -> QuadratureResult:
-    """Fourier-Bessel double integral driven by the waveform spectrum
-    (``reconstruct_spectral``'s ``fourier_bessel`` route alone):
+    """Fourier-Bessel double integral driven by the waveform spectrum,
+    ``reconstruct_spectral``'s ``fourier_bessel`` entry:
 
         u = -i integral_0^inf dk e^{i k (ct + i b)}
                integral_0^k dk_z fhat(k_z) J0(rho sqrt(k^2 - k_z^2))
                                   e^{-i k_z (z + i b)}.
+
+    It runs both spectral routes, so it costs what that call costs (about
+    1.2 times one route alone), and a spent budget names both routes.
     """
-    return reconstruct_spectral(params, w, p, tol, ("fourier_bessel",), max_evals)["fourier_bessel"]
+    return reconstruct_spectral(params, w, p, tol, max_evals)["fourier_bessel"]
 
 
 def reconstruct_from_weight(
@@ -182,14 +175,16 @@ def reconstruct_from_weight(
     tol: float,
     max_evals: int = 4_000_000,
 ) -> QuadratureResult:
-    """``reconstruct_fourier_bessel`` under omega = c k, on ``spectral_weight``
-    (``reconstruct_spectral``'s ``from_weight`` route alone, on its nodes):
+    """``reconstruct_fourier_bessel`` under omega = c k, on ``spectral_weight``,
+    ``reconstruct_spectral``'s ``from_weight`` entry:
 
         u = integral_0^inf domega e^{i omega t}
               integral_0^{omega/c} dk_z spectral_weight(k_z, omega)
                  e^{-i k_z z} J0(rho sqrt(omega^2/c^2 - k_z^2)).
+
+    Like ``reconstruct_fourier_bessel`` it runs both spectral routes.
     """
-    return reconstruct_spectral(params, w, p, tol, ("from_weight",), max_evals)["from_weight"]
+    return reconstruct_spectral(params, w, p, tol, max_evals)["from_weight"]
 
 
 @dataclass(frozen=True)

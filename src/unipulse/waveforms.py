@@ -84,7 +84,8 @@ class LeknerWaveform(Waveform):
     def deriv(self, theta):
         d = theta + 1j * self.a
         if self.K == 0.0:
-            return -1.0 / (d * d)
+            with np.errstate(over="ignore"):  # past |d| ~ 1e154 d*d is inf, and -1/inf the true 0
+                return -1.0 / (d * d)
         return (1j * self.K - 1.0 / d) * np.exp(1j * self.K * theta) / d
 
     def spectrum(self, kappa):

@@ -189,7 +189,8 @@ class TestCompare:
         ("reconstruct_from_weight", "spectral-weight reconstruction"),
     ])
     def test_spent_route_budget_exits_3(self, tmp_path, capsys, monkeypatch, route, name):
-        # a one-route entry point in compare's place names its own route alone
+        # a one-route entry point in compare's place runs the shared spectral
+        # call, whose spent budget names both routes, its own among them
         import unipulse.synthesis as synthesis
 
         def one_route(*args):
@@ -199,8 +200,9 @@ class TestCompare:
         rc, _ = run(tmp_path, "compare", self.CFG, "f.json")
         assert rc == 3
         err = capsys.readouterr().err
-        assert f"{name} (route budget 1000): " in err
-        assert err.count("reconstruction") == 1
+        assert name in err
+        assert ("Fourier-Bessel reconstruction and spectral-weight reconstruction (route budget 1000): "
+                in err)
 
     def test_byte_identical_reruns(self, tmp_path):
         rc1, out1 = run(tmp_path, "compare", self.CFG, "a.json")
@@ -230,6 +232,18 @@ class TestCompare:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             rc, out = run(tmp_path, "compare", dict(cfg, waveform="rational(a=0.01)"), "s.json")
+        err = capsys.readouterr().err
+        assert rc == 3 and not out.exists()
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+    def test_huge_time_exits_3_without_overflow(self, tmp_path, capsys):
+        # at t = 1e155 the hemisphere route's d*d and the first try of S
+        # overflow, where the code expects it; the spectral budget then runs
+        # out, which exits 3 on one stderr line, not 1 on a RuntimeWarning
+        cfg = {"points": [{"t": 1e155, "rho": 0.5, "z": 0.2}], "tolerance": 1e-6}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc, out = run(tmp_path, "compare", cfg, "huge_t.json")
         err = capsys.readouterr().err
         assert rc == 3 and not out.exists()
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
@@ -447,6 +461,20 @@ class TestResidualCmd:
         rows = [l for l in out.read_text().splitlines()
                 if l and not l.startswith("#") and not l.startswith("t,")]
         assert len(rows) == 9
+
+    @pytest.mark.parametrize("where, coordinate", [
+        ({"t": 1e17, "rho": 0.5, "z": 0.2}, "t +/- h/c = 1e+17"),
+        ({"t": 0.1, "x": 0.2, "y": 3e15, "z": 0.2}, "y +/- h = 3000000000000000.0"),
+        ({"t": 0.1, "rho": 0.5, "z": -1e16}, "z +/- h = -1e+16"),
+    ])
+    def test_step_below_the_resolution_exits_2(self, tmp_path, capsys, where, coordinate):
+        # t +/- h/c (or x, y, z +/- h) rounds to the centre: the second
+        # difference is 0 at every step, and no residual would be measured
+        cfg = {"waveform": "rational(a=1)", "points": [{"t": 0.1, "rho": 0.5, "z": 0.2}, where]}
+        rc, out = run(tmp_path, "residual", cfg, "sub_ulp.csv")
+        err = capsys.readouterr().err
+        assert rc == 2 and not out.exists()
+        assert err == f"config error: h_values: step 0.004 rounds away at point 1: {coordinate}\n"
 
 
 class TestOneEvaluation:

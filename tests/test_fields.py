@@ -271,10 +271,16 @@ class TestOverflowFallback:
                 assert np.isfinite(want).all() and got.tobytes() == want.tobytes()
 
 
+def provenance(params: PulseParams) -> dict:
+    """The provenance ``sample`` hands a simple-pulse grid."""
+    return {"params": params, "waveform_desc": f"rational(a={params.b - params.zeta!r})",
+            "evaluator_desc": "simple_pulse"}
+
+
 class TestGrid:
     def test_single_point(self, params):
         spec = GridSpec((AxisSpec("rho", 0.3, 0.3, 1),), {"t": 0.0, "z": 0.1})
-        grid = sample_grid(spec, simple_pulse_evaluator(params))
+        grid = sample_grid(spec, simple_pulse_evaluator(params), **provenance(params))
         expect = eval_simple_pulse(SpacetimePoint.from_cylindrical(0.0, 0.3, 0.1), params)
         assert grid.values.shape == (1,)
         # array and scalar division may differ in the last ulp
@@ -284,7 +290,7 @@ class TestGrid:
         spec = GridSpec(
             (AxisSpec("rho", 0.0, 1.0, 2), AxisSpec("z", -1.0, 1.0, 2)), {"t": 0.5}
         )
-        grid = sample_grid(spec, simple_pulse_evaluator(params))
+        grid = sample_grid(spec, simple_pulse_evaluator(params), **provenance(params))
         for (i, rho) in enumerate((0.0, 1.0)):
             for (j, z) in enumerate((-1.0, 1.0)):
                 direct = eval_simple_pulse(
@@ -297,7 +303,7 @@ class TestGrid:
         spec = GridSpec(
             (AxisSpec("rho", 0.0, 5.0, 101), AxisSpec("z", -5.0, 5.0, 101)), {"t": 0.0}
         )
-        grid = sample_grid(spec, simple_pulse_evaluator(params))
+        grid = sample_grid(spec, simple_pulse_evaluator(params), **provenance(params))
         flat = np.abs(grid.values)
         i, j = np.unravel_index(np.argmax(flat), flat.shape)
         assert (i, j) == (0, 50)
@@ -314,7 +320,7 @@ class TestGrid:
             (AxisSpec("t", -1.0, 1.0, 4), AxisSpec("rho", 0.0, 2.0, 5),
              AxisSpec("z", -2.0, 2.0, 6)), {}
         )
-        grid = sample_grid(spec, counting)
+        grid = sample_grid(spec, counting, **provenance(params))
         assert len(points) == 1
         assert grid.values.shape == (4, 5, 6)
         t, rho, z = (a.values() for a in spec.axes)
@@ -331,15 +337,16 @@ class TestGrid:
         # nodes (0, 2), (1, 1) and (1, 2) fail; (0, 2) is first in row-major order
         spec = GridSpec((AxisSpec("t", 0.0, 1.0, 2), AxisSpec("z", -1.0, 1.0, 3)), {})
         with pytest.raises(SingularPoint) as exc:
-            sample_grid(spec, broken)
+            sample_grid(spec, broken, **provenance(params))
         assert exc.value.index == (0, 2)
         assert exc.value.point == SpacetimePoint(0.0, 0.0, 0.0, 1.0)
 
     def test_singular_node_is_named(self):
         # zeta = b puts a pole of the simple pulse at the origin at t = 0
         spec = GridSpec((AxisSpec("z", -1.0, 1.0, 3),), {"t": 0.0, "rho": 0.0})
+        params = PulseParams(1.0, 1.0, 1.0)
         with pytest.raises(SingularPoint) as exc:
-            sample_grid(spec, simple_pulse_evaluator(PulseParams(1.0, 1.0, 1.0)))
+            sample_grid(spec, simple_pulse_evaluator(params), **provenance(params))
         assert exc.value.index == (1,)
         assert exc.value.point == SpacetimePoint(0.0, 0.0, 0.0, 0.0)
         assert "index (1,): singular at" in str(exc.value)
@@ -404,7 +411,7 @@ class TestGrid:
         import json
 
         spec = GridSpec((AxisSpec("z", -1.0, 1.0, 5),), {"t": 0.2})
-        grid = sample_grid(spec, simple_pulse_evaluator(params), params=params)
+        grid = sample_grid(spec, simple_pulse_evaluator(params), **provenance(params))
         jpath = tmp_path / "grid.json"
         grid.write_binary(jpath)
         header = json.loads(jpath.read_text())
@@ -412,10 +419,28 @@ class TestGrid:
         values = np.frombuffer(raw, dtype="<c16").reshape(header["shape"])
         assert np.array_equal(values, grid.values)
 
+    def test_files_carry_the_provenance(self, tmp_path):
+        # every grid carries its pulse, waveform and evaluator: CSV comments in
+        # that order, then the fixed coordinates; the header's keys in one order
+        params = PulseParams(1.5, 0.5, 0.25)
+        spec = GridSpec((AxisSpec("z", -1.0, 1.0, 3),), {"t": 0.2, "rho": 0.1})
+        grid = sample_grid(spec, simple_pulse_evaluator(params), **provenance(params))
+        grid.write_csv(tmp_path / "grid.csv")
+        comments = [l for l in (tmp_path / "grid.csv").read_text().splitlines() if l.startswith("#")]
+        assert comments == ["# pulse: c=1.5 tau=0.5 zeta=0.25", "# waveform: rational(a=0.5)",
+                            "# evaluator: simple_pulse", "# fixed: rho=0.10000000000000001",
+                            "# fixed: t=0.20000000000000001"]
+        grid.write_binary(tmp_path / "grid.json")
+        header = json.loads((tmp_path / "grid.json").read_text())
+        assert list(header) == ["axes", "fixed", "waveform", "evaluator", "pulse", "dtype",
+                                "byte_order", "order", "shape", "data_file"]
+        assert header["pulse"] == {"c": 1.5, "tau": 0.5, "zeta": 0.25}
+        assert (header["waveform"], header["evaluator"]) == ("rational(a=0.5)", "simple_pulse")
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_failed_data_write_leaves_no_bin(self, params, tmp_path):
         spec = GridSpec((AxisSpec("z", -1.0, 1.0, 5),), {"t": 0.2})
-        grid = sample_grid(spec, simple_pulse_evaluator(params), params=params)
+        grid = sample_grid(spec, simple_pulse_evaluator(params), **provenance(params))
         jpath, bpath = tmp_path / "grid.json", tmp_path / "grid.json.bin"
         bpath.symlink_to("/dev/full")  # every write to it fails with ENOSPC
         with pytest.raises(OSError) as err:

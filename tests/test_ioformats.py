@@ -224,6 +224,23 @@ class TestWriteCsv:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
 
+    def test_masked_memory_stays_flat_in_the_row_count(self, rng):
+        # a mask is read a chunk at a time, with no index of the kept rows
+        write_csv(os.devnull, [], {"x": np.arange(3.0)})  # the tables, made once
+        peaks = []
+        for n in (10 ** 5, 4 * 10 ** 5):
+            z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            columns = {"x": np.linspace(0.0, 1.0, n), "t": 0.5, "re": z.real, "im": z.imag,
+                       "abs": np.abs(z)}
+            keep = rng.random(n) < 0.5
+            tracemalloc.start()
+            try:
+                write_csv(os.devnull, [], columns, keep)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
+
 
 # a few values per axis, NaN and the infinities included
 axis_values = st.lists(st.floats(allow_nan=True, allow_infinity=True, width=64),

@@ -189,10 +189,10 @@ class TestFourierBessel:
         for lek in ((1.0,), (1.0, 1.0)):
             values.clear()
             res = reconstruct_fourier_bessel(params, Counting(*lek), p, 1e-6)
-            assert res.evaluations == sum(values) > 0
             # the seeded outer panels settle in one call, and so do the inner
-            # ones: one spectrum call where ten bisections toward k = inf were
-            assert len(values) == 1
+            # ones: one inner call where ten bisections toward k = inf were,
+            # in which each route's spectral factor takes the spectrum once
+            assert values == [res.evaluations] * 2 and res.evaluations > 0
             # the count is the budget the result needs: that budget is enough
             again = reconstruct_fourier_bessel(params, Counting(*lek), p, 1e-6,
                                                max_evals=res.evaluations)
@@ -279,8 +279,9 @@ class TestFromWeight:
         for lek in ((1.0,), (1.0, 1.0)):
             values.clear()
             res = reconstruct_from_weight(params, Counting(*lek), REGULAR_POINTS[1], 1e-6)
-            # one weight call: the seeded panels settle at once
-            assert res.evaluations == sum(values) > 0 and len(values) == 1
+            # one inner call: the seeded panels settle at once, and the weight
+            # takes the spectrum once in it, as the other route's factor does
+            assert values == [res.evaluations] * 2 and res.evaluations > 0
             # at c = 1 route (3) takes the same nodes, and so the same count
             fb = reconstruct_fourier_bessel(params, LeknerWaveform(*lek), REGULAR_POINTS[1], 1e-6)
             assert res.evaluations == fb.evaluations
@@ -289,16 +290,16 @@ class TestFromWeight:
 class TestSharedSpectralQuadrature:
     def test_from_weight_integrand_equals_fourier_bessel_under_omega_is_ck(self, rng):
         # the two routes' spectral factors at seeded (k_z, k) = (K + x s, K + x),
-        # as the shared quadrature takes them: one integrand up to rounding,
-        # which is why they can share nodes and the outer factor x e^{i k ct}
+        # in the expressions the shared quadrature takes: one integrand up to
+        # rounding, which is why they can share nodes and the outer factor x e^{i k ct}
         for _ in range(50):
             params = PulseParams(rng.uniform(0.5, 2.0), rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.4))
             w = LeknerWaveform(rng.uniform(0.5, 2.0), rng.choice([0.0, rng.uniform(0.0, 2.0)]))
             x = rng.uniform(0.0, 8.0, 20)[:, None]
             k, kz = w.K + x, w.K + x * rng.uniform(0.0, 1.0, (20, 15))
-            (_, fb_spectral), (_, wt_spectral) = (
-                synthesis._spectral_routes(params, w)[r] for r in ("fourier_bessel", "from_weight"))
-            assert np.allclose(wt_spectral(kz, k), fb_spectral(kz, k), rtol=1e-13, atol=0.0)
+            fb_spectral = -1j * w.spectrum(kz) * np.exp((kz - k) * params.b)
+            wt_spectral = params.c * spectral_weight(params, w, kz, params.c * k)
+            assert np.allclose(wt_spectral, fb_spectral, rtol=1e-13, atol=0.0)
 
     def test_shared_call_reports_each_route(self, params):
         w, p = LeknerWaveform(1.0, 1.0), REGULAR_POINTS[1]
@@ -309,6 +310,17 @@ class TestSharedSpectralQuadrature:
             res = both[route]
             assert abs(res.value - exact) <= res.error_estimate <= 1e-6
             assert res.evaluations == alone(params, w, p, 1e-6).evaluations
+
+    @pytest.mark.parametrize("lek", [(1.0,), (1.0, 1.0)])
+    @pytest.mark.parametrize("c", [1.0, 2.0])
+    def test_one_route_entry_points_return_the_shared_entries(self, lek, c):
+        # each is the shared call's entry, value, estimate and count, bit for bit
+        params, w, p = PulseParams(c, 1.0 / c), LeknerWaveform(*lek), REGULAR_POINTS[1]
+        both = reconstruct_spectral(params, w, p, 1e-6)
+        for route, alone in zip(both, (reconstruct_fourier_bessel, reconstruct_from_weight)):
+            got, want = alone(params, w, p, 1e-6), both[route]
+            assert (repr(got.value), repr(got.error_estimate)) == (repr(want.value), repr(want.error_estimate))
+            assert got.evaluations == want.evaluations > 0
 
     @pytest.mark.parametrize("c", [0.5, 2.0])
     def test_both_routes_count_equal_values_at_any_c(self, c):
