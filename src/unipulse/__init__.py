@@ -29,10 +29,7 @@ from .fields import (
     eval_quasi_spherical,
     eval_simple_pulse,
     eval_spherical_reference,
-    quasi_spherical_evaluator,
     sample_grid,
-    simple_pulse_evaluator,
-    spherical_reference_evaluator,
 )
 from .numerics import (
     ExtrapolationResult,

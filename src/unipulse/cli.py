@@ -55,10 +55,9 @@ from .fields import (
     SpacetimePoint,
     energy_estimate,
     eval_quasi_spherical,
-    quasi_spherical_evaluator,
+    eval_simple_pulse,
+    eval_spherical_reference,
     sample_grid,
-    simple_pulse_evaluator,
-    spherical_reference_evaluator,
 )
 from .ioformats import fmt_float, render_json, write_csv, write_text
 from .numerics import ToleranceNotReached
@@ -92,15 +91,15 @@ def _build_evaluator(cfg, setup):
                       choices=("simple_pulse", "quasi_spherical", "spherical_reference"))
     if kind == "spherical_reference":
         b_ref = get_number(cfg, "b_ref", "", 0.0, ge=0.0)
-        return spherical_reference_evaluator(setup.params, setup.waveform, b_ref), kind
+        return lambda p: eval_spherical_reference(p, setup.params, setup.waveform, b_ref), kind
     if "b_ref" in cfg:
         raise ConfigError(f"b_ref: only the spherical_reference evaluator reads it, not {kind}")
     if kind == "simple_pulse":
         if "waveform" in cfg:
             raise ConfigError("waveform: the simple_pulse evaluator does not read it: "
                               "it is rational(a = b - zeta)")
-        return simple_pulse_evaluator(setup.params), kind
-    return quasi_spherical_evaluator(setup.params, setup.waveform), kind
+        return lambda p: eval_simple_pulse(p, setup.params), kind
+    return lambda p: eval_quasi_spherical(p, setup.params, setup.waveform), kind
 
 
 def _report(setup, fields: dict, summary: str, failure: str = "") -> Output:
@@ -172,10 +171,10 @@ def run_farfield(cfg: dict, setup, seed: int | None) -> Output:
     s_values = get_number_list(cfg, "s_values", (-1.0, 0.0, 1.0), max_abs=MAX_ABS_S)
     directions = parse_directions(cfg, "directions",
                                   [Direction(k * math.pi / 6) for k in range(3)])
-    evaluator = quasi_spherical_evaluator(setup.params, setup.waveform)
 
     fan = Direction.fan(directions)
-    res = farfield_numeric(evaluator, s_values, fan, setup.params)
+    res = farfield_numeric(lambda p: eval_quasi_spherical(p, setup.params, setup.waveform),
+                           s_values, fan, setup.params)
     if res.diverged.any():
         i, j = np.argwhere(res.diverged)[0]
         raise unsettled(directions[i].chi, s_values[j], res.stability[i, j])
@@ -191,7 +190,7 @@ def run_farfield(cfg: dict, setup, seed: int | None) -> Output:
 def run_unidir(cfg: dict, setup, seed: int | None) -> Output:
     evaluator, kind = _build_evaluator(cfg, setup)
     s_values = get_number_list(cfg, "s_values", (-2.0, -1.0, 0.0, 1.0, 2.0), max_abs=MAX_ABS_S)
-    directions = parse_directions(cfg, "backward_directions", backward_direction_grid(8),
+    directions = parse_directions(cfg, "backward_directions", backward_direction_grid(),
                                   chi_gt=0.5 * math.pi)
     tol = get_number(cfg, "tolerance", "", 1e-6, gt=0.0)
 
@@ -226,6 +225,9 @@ def run_residual(cfg: dict, setup, seed: int | None) -> Output:
     if "points" in cfg and "random_points" in cfg:
         raise ConfigError("random_points: give points or random_points, not both")
     points = parse_points(cfg) if "points" in cfg else parse_random_points(cfg, b, seed)
+
+    if math.isinf(float(h[0]) / setup.params.c):  # h[0], the largest step, overflows first
+        raise ConfigError(f"h_values: step {float(h[0])!r} overflows h/c at c = {setup.params.c!r}")
 
     # every point (rows) at every step (columns) in one evaluation
     coords = np.array([(p.t, p.x, p.y, p.z) for p in points]).T[:, :, None]

@@ -114,16 +114,10 @@ def farfield_analytic(
     return np.where(forward, w.eval(arg) / mu, 0j)[()]
 
 
-def backward_direction_grid(count: int = 8) -> tuple[Direction, ...]:
-    """Deterministic fan of backward directions, ending on the -z axis."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    out = []
-    for i in range(count):
-        chi = 0.5 * math.pi + 0.5 * math.pi * (i + 1) / count
-        phi = (2.0 * math.pi * i / count) % (2.0 * math.pi)
-        out.append(Direction(min(chi, math.pi), phi))
-    return tuple(out)
+def backward_direction_grid() -> tuple[Direction, ...]:
+    """Deterministic fan of 8 backward directions, ending on the -z axis."""
+    return tuple(Direction(0.5 * math.pi + 0.5 * math.pi * (i + 1) / 8, 2.0 * math.pi * i / 8)
+                 for i in range(8))
 
 
 @dataclass(frozen=True)

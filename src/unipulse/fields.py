@@ -181,20 +181,6 @@ def evaluate_batch(evaluator: Evaluator, point: SpacetimePoint) -> np.ndarray:
     return values
 
 
-def simple_pulse_evaluator(params: PulseParams) -> Evaluator:
-    return lambda p: eval_simple_pulse(p, params)
-
-
-def quasi_spherical_evaluator(params: PulseParams, w: Waveform) -> Evaluator:
-    return lambda p: eval_quasi_spherical(p, params, w)
-
-
-def spherical_reference_evaluator(
-    params: PulseParams, w: Waveform, b_ref: float = 0.0
-) -> Evaluator:
-    return lambda p: eval_spherical_reference(p, params, w, b_ref)
-
-
 # --- structured grid sampling ------------------------------------------
 
 AXIS_NAMES = ("t", "x", "y", "z", "rho")
@@ -373,19 +359,23 @@ def energy_estimate(
         x = np.where(beyond, y, y - 1.0)
         r = np.where(beyond, shell + b * x / (1.0 - x), shell * (1.0 - (1.0 - x) ** 3))
         dr = np.where(beyond, b / (1.0 - x) ** 2, 3.0 * shell * (1.0 - x) ** 2)
-        weight = 3.0 * math.pi**2 * r * r * dr  # 2 pi r^2 dr/dy times dchi/ds / s^2
+        # past c|t| ~ 1e102 the weight and the density overflow: the integrand
+        # turns non-finite, and the quadrature reports it
+        with np.errstate(over="ignore"):
+            weight = 3.0 * math.pi**2 * r * r * dr  # 2 pi r^2 dr/dy times dchi/ds / s^2
 
         def f(s: np.ndarray) -> np.ndarray:
             chi = 0.5 * math.pi * s**3
             sin = np.sin(chi)
-            rho, z = r * sin, hemisphere * (r * np.cos(chi))
-            root = complex_distance(SpacetimePoint(t, rho, 0.0, 0.0), params)
-            theta = root - z - 1j * b
-            fp = w.deriv(theta)
-            g = (fp - w.eval(theta) / root) / root
-            # |grad u|^2 + |du/d(ct)|^2 with dS/d(ct) = (ct+ib)/S, dS/drho = -rho/S
-            density = (np.abs(g) ** 2 * (ct_ib_sq + rho * rho) + np.abs(fp) ** 2) / np.abs(root) ** 2
-            return density * (weight * s * s * sin)
+            with np.errstate(over="ignore", invalid="ignore"):  # see the weight
+                rho, z = r * sin, hemisphere * (r * np.cos(chi))
+                root = complex_distance(SpacetimePoint(t, rho, 0.0, 0.0), params)
+                theta = root - z - 1j * b
+                fp = w.deriv(theta)
+                g = (fp - w.eval(theta) / root) / root
+                # |grad u|^2 + |du/d(ct)|^2 with dS/d(ct) = (ct+ib)/S, dS/drho = -rho/S
+                density = (np.abs(g) ** 2 * (ct_ib_sq + rho * rho) + np.abs(fp) ** 2) / np.abs(root) ** 2
+                return density * (weight * s * s * sin)
 
         return f
 

@@ -127,7 +127,8 @@ _J0_SERIES = tuple((-1) ** k / math.factorial(k) ** 2 for k in range(24, -1, -1)
 
 def _j0_hankel(x: np.ndarray) -> np.ndarray:
     w = 5.0 / x
-    q = 25.0 / (x * x)
+    with np.errstate(over="ignore"):  # past x ~ 1.3e154 x*x is inf, and q's limit is 0
+        q = 25.0 / (x * x)
     p = _polevl(q, _PP) / _polevl(q, _PQ)
     qq = _polevl(q, _QP) / _polevl(q, _QQ)
     xn = x - 0.25 * math.pi

@@ -42,6 +42,11 @@ from .numerics import (
 )
 from .waveforms import LeknerWaveform, Waveform
 
+#: inner values a route may spend (``integrate_nested``'s ``max_evals``): the
+#: hemisphere route, and each of the two spectral routes, which share twice that
+HEMISPHERE_BUDGET = 2_000_000
+SPECTRAL_BUDGET = 4_000_000
+
 
 def spectral_weight(params: PulseParams, w: Waveform, kz, omega) -> complex:
     """Spectral weight of the quasi-spherical wave built on ``w``,
@@ -63,7 +68,6 @@ def reconstruct_hemisphere(
     w: Waveform,
     p: SpacetimePoint,
     tol: float,
-    max_evals: int = 2_000_000,
 ) -> QuadratureResult:
     """Forward-hemisphere superposition of nonstationary plane waves.
 
@@ -87,18 +91,24 @@ def reconstruct_hemisphere(
         mu = mu[:, None]
         base = ct_ib - z_ib * mu
         amp = p.rho * np.sqrt(1.0 - mu * mu)
-        return lambda s, rows: (w.deriv((base[rows] - amp[rows] * np.cos(math.pi * s)) / mu[rows])
-                                / (mu[rows] * mu[rows]))
+
+        def f(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
+            # an overflow gives a non-finite value, which integrate_doubling reports
+            with np.errstate(over="ignore", invalid="ignore"):
+                theta = (base[rows] - amp[rows] * np.cos(math.pi * s)) / mu[rows]
+                return w.deriv(theta) / (mu[rows] * mu[rows])
+
+        return f
 
     seeds = (1.0 / 4096, 1.0 / 1024, 1.0 / 256, 1.0 / 64, 1.0 / 16, 0.25)
     (res,) = integrate_nested(lambda g, t: integrate_adaptive(g, 0.0, 1.0, t, 120_000, seeds),
                               integrand, lambda f, t, n: integrate_doubling(f, trapezoid, t, n),
-                              tol, max_evals, ("hemisphere reconstruction",))
+                              tol, HEMISPHERE_BUDGET, ("hemisphere reconstruction",))
     return QuadratureResult(-res.value, res.error_estimate, res.evaluations)
 
 
-def reconstruct_spectral(params: PulseParams, w: Waveform, p: SpacetimePoint, tol: float,
-                         max_evals: int = 4_000_000) -> dict[str, QuadratureResult]:
+def reconstruct_spectral(params: PulseParams, w: Waveform, p: SpacetimePoint,
+                         tol: float) -> dict[str, QuadratureResult]:
     """Both spectral routes, by ``compare`` key, in one nested quadrature
     on shared (k, k_z) nodes: each route's double integral
 
@@ -143,7 +153,7 @@ def reconstruct_spectral(params: PulseParams, w: Waveform, p: SpacetimePoint, to
     decay = 0.5 * min(w.decay_rate, b)
     fourier_bessel, from_weight = integrate_nested(
         lambda g, t: integrate_semi_infinite(g, t, decay, 160_000), integrand,
-        lambda f, t, n: integrate_doubling(f, fejer2, t, n), tol, max_evals,
+        lambda f, t, n: integrate_doubling(f, fejer2, t, n), tol, SPECTRAL_BUDGET,
         ("Fourier-Bessel reconstruction", "spectral-weight reconstruction"))
     return {"fourier_bessel": fourier_bessel, "from_weight": from_weight}
 
@@ -153,7 +163,6 @@ def reconstruct_fourier_bessel(
     w: Waveform,
     p: SpacetimePoint,
     tol: float,
-    max_evals: int = 4_000_000,
 ) -> QuadratureResult:
     """Fourier-Bessel double integral driven by the waveform spectrum,
     ``reconstruct_spectral``'s ``fourier_bessel`` entry:
@@ -165,7 +174,7 @@ def reconstruct_fourier_bessel(
     It runs both spectral routes, so it costs what that call costs (about
     1.2 times one route alone), and a spent budget names both routes.
     """
-    return reconstruct_spectral(params, w, p, tol, max_evals)["fourier_bessel"]
+    return reconstruct_spectral(params, w, p, tol)["fourier_bessel"]
 
 
 def reconstruct_from_weight(
@@ -173,7 +182,6 @@ def reconstruct_from_weight(
     w: Waveform,
     p: SpacetimePoint,
     tol: float,
-    max_evals: int = 4_000_000,
 ) -> QuadratureResult:
     """``reconstruct_fourier_bessel`` under omega = c k, on ``spectral_weight``,
     ``reconstruct_spectral``'s ``from_weight`` entry:
@@ -184,7 +192,7 @@ def reconstruct_from_weight(
 
     Like ``reconstruct_fourier_bessel`` it runs both spectral routes.
     """
-    return reconstruct_spectral(params, w, p, tol, max_evals)["from_weight"]
+    return reconstruct_spectral(params, w, p, tol)["from_weight"]
 
 
 @dataclass(frozen=True)

@@ -84,7 +84,9 @@ class LeknerWaveform(Waveform):
     def deriv(self, theta):
         d = theta + 1j * self.a
         if self.K == 0.0:
-            with np.errstate(over="ignore"):  # past |d| ~ 1e154 d*d is inf, and -1/inf the true 0
+            # past |d| ~ 1e154 d*d is inf, and -1/inf the true 0; past ~1e300 it can be
+            # inf + nan i, and the NaN is the caller's to report
+            with np.errstate(over="ignore", invalid="ignore"):
                 return -1.0 / (d * d)
         return (1j * self.K - 1.0 / d) * np.exp(1j * self.K * theta) / d
 

@@ -22,16 +22,14 @@ from unipulse import (
     energy_estimate,
     eval_quasi_spherical,
     eval_simple_pulse,
+    eval_spherical_reference,
     farfield_analytic,
     farfield_numeric,
     integrate_semi_infinite,
-    quasi_spherical_evaluator,
     reconstruct_cartesian_mc,
     reconstruct_from_weight,
     reconstruct_fourier_bessel,
     reconstruct_hemisphere,
-    simple_pulse_evaluator,
-    spherical_reference_evaluator,
 )
 
 P = PulseParams(1.0, 1.0, 0.0)
@@ -98,8 +96,8 @@ def test_criterion_3_pde_convergence_order():
     rng = np.random.default_rng(3)
     ladder = tuple(f * P.b for f in (4e-3, 2e-3, 1e-3))
     evaluators = (
-        simple_pulse_evaluator(P),
-        quasi_spherical_evaluator(P, LEKNER),
+        lambda p: eval_simple_pulse(p, P),
+        lambda p: eval_quasi_spherical(p, P, LEKNER),
     )
     with Stopwatch() as sw:
         orders = []
@@ -117,7 +115,7 @@ def test_criterion_3_pde_convergence_order():
 
 
 def test_criterion_4_farfield_agreement():
-    ev = quasi_spherical_evaluator(P, RATIONAL)
+    ev = lambda p: eval_quasi_spherical(p, P, RATIONAL)
     with Stopwatch() as sw:
         worst = 0.0
         for chi in (0.0, math.pi / 6, math.pi / 3):
@@ -135,19 +133,19 @@ def test_criterion_4_farfield_agreement():
 
 def test_criterion_5_unidirectionality_certificate():
     s_values = [-2.0, -1.0, 0.0, 1.0, 2.0]
-    directions = backward_direction_grid(8)
+    directions = backward_direction_grid()
     with Stopwatch() as sw:
         pulses = {
             "simple": check_unidirectional(
-                simple_pulse_evaluator(P), s_values, directions, 1e-6, P
+                lambda p: eval_simple_pulse(p, P), s_values, directions, 1e-6, P
             ),
             "lekner": check_unidirectional(
-                quasi_spherical_evaluator(P, LEKNER), s_values, directions,
+                lambda p: eval_quasi_spherical(p, P, LEKNER), s_values, directions,
                 1e-6, P,
             ),
         }
         reference = check_unidirectional(
-            spherical_reference_evaluator(P, RATIONAL, b_ref=1.0),
+            lambda p: eval_spherical_reference(p, P, RATIONAL, b_ref=1.0),
             s_values, directions, 1e-6, P,
         )
     ok = (

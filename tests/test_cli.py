@@ -173,12 +173,9 @@ class TestCompare:
     def test_spent_spectral_budget_exits_3_and_names_both_routes(self, tmp_path, capsys, monkeypatch):
         # fourier_bessel and from_weight run in one quadrature, so its budget
         # failure names both
-        import functools
+        import unipulse.synthesis as synthesis
 
-        import unipulse.cli as cli
-
-        small = functools.partial(cli.reconstruct_spectral, max_evals=1000)
-        monkeypatch.setattr(cli, "reconstruct_spectral", small)
+        monkeypatch.setattr(synthesis, "SPECTRAL_BUDGET", 1000)
         rc, _ = run(tmp_path, "compare", self.CFG, "f.json")
         assert rc == 3
         assert ("Fourier-Bessel reconstruction and spectral-weight reconstruction (route budget 1000): "
@@ -194,8 +191,9 @@ class TestCompare:
         import unipulse.synthesis as synthesis
 
         def one_route(*args):
-            return {route.removeprefix("reconstruct_"): getattr(synthesis, route)(*args, max_evals=1000)}
+            return {route.removeprefix("reconstruct_"): getattr(synthesis, route)(*args)}
 
+        monkeypatch.setattr(synthesis, "SPECTRAL_BUDGET", 1000)
         monkeypatch.setattr(cli, "reconstruct_spectral", one_route)
         rc, _ = run(tmp_path, "compare", self.CFG, "f.json")
         assert rc == 3
@@ -247,6 +245,21 @@ class TestCompare:
         err = capsys.readouterr().err
         assert rc == 3 and not out.exists()
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("point, expected", [
+        ({"t": 1e300, "rho": 0.5, "z": 0.2}, 3),  # the hemisphere route's d*d is inf + nan i
+        ({"t": 1e306, "rho": 0.5, "z": 0.2}, 3),  # its (base - amp cos pi s) / mu overflows
+        ({"t": 1e200, "rho": 1e200, "z": 0.2}, 0),  # J0's x*x overflows: 25 / inf is q's limit 0
+    ])
+    def test_far_end_of_the_float_range_keeps_the_exit_code(self, tmp_path, capsys, point,
+                                                            expected):
+        cfg = {"points": [point], "tolerance": 1e-6}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc, out = run(tmp_path, "compare", cfg, "far.json")
+        err = capsys.readouterr().err
+        assert rc == expected and out.exists() == (expected == 0) and err.count("\n") == 1
+        assert err.startswith("wrote " if expected == 0 else "numerical failure: ")
 
     def test_empty_point_list_exits_2(self, tmp_path):
         rc, _ = run(tmp_path, "compare", dict(self.CFG, points=[]), "d.json")
@@ -303,12 +316,11 @@ class TestUnidir:
         # adds a term growing like t^2 where y > 0: no limit to extrapolate there
         from unipulse import cli
 
-        build = getattr(cli, name)
-        monkeypatch.setattr(cli, name, lambda *args: lambda p: build(*args)(p)
-                            + p.t * p.t * (p.y > 0.0))
+        kernel = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda p, *args: kernel(p, *args) + p.t * p.t * (p.y > 0.0))
 
     def test_undecided_direction_exits_3_and_names_it(self, tmp_path, capsys, monkeypatch):
-        self._spoil_where_y_positive(monkeypatch, "quasi_spherical_evaluator")
+        self._spoil_where_y_positive(monkeypatch, "eval_quasi_spherical")
         cfg = {"s_values": [0.0, 1.0],
                "backward_directions": [{"chi": 3.0}, {"chi": 2.0, "phi": 1.0}]}
         rc, out = run(tmp_path, "unidir", cfg, "uwild.json")
@@ -317,7 +329,7 @@ class TestUnidir:
         assert "far field along chi=2.0, s=0.0: extrapolants do not settle (spread " in err
 
     def test_settled_fail_exits_4_beside_an_undecided_direction(self, tmp_path, monkeypatch):
-        self._spoil_where_y_positive(monkeypatch, "spherical_reference_evaluator")
+        self._spoil_where_y_positive(monkeypatch, "eval_spherical_reference")
         cfg = {"evaluator": "spherical_reference", "b_ref": 1.0,
                "backward_directions": [{"chi": 3.0}, {"chi": 2.0, "phi": 1.0}]}
         rc, out = run(tmp_path, "unidir", cfg, "umixed.json")
@@ -360,8 +372,8 @@ class TestFarfieldCmd:
         from unipulse import cli
 
         # grows like t^2 off the forward axis: no limit to extrapolate there
-        monkeypatch.setattr(cli, "quasi_spherical_evaluator",
-                            lambda *args: lambda p: p.t * p.t * (p.x > 0.0) + 1.0 / p.t)
+        monkeypatch.setattr(cli, "eval_quasi_spherical",
+                            lambda p, *args: p.t * p.t * (p.x > 0.0) + 1.0 / p.t)
         cfg = {"s_values": [0.0, 1.0], "directions": [{"chi": 0.0}, {"chi": 0.5}]}
         rc, out = run(tmp_path, "farfield", cfg, "ffwild.json")
         assert rc == 3 and not out.exists()
@@ -476,6 +488,16 @@ class TestResidualCmd:
         assert rc == 2 and not out.exists()
         assert err == f"config error: h_values: step 0.004 rounds away at point 1: {coordinate}\n"
 
+    def test_step_over_a_tiny_wave_speed_exits_2(self, tmp_path, capsys):
+        # h/c overflows: the time steps would be inf, and the stencil's nodes NaN
+        cfg = {"pulse": {"c": 1e-310, "tau": 1.0}, "waveform": "rational(a=1)",
+               "h_values": [1.0, 0.5, 0.25], "points": [{"t": 0.1, "rho": 0.5, "z": 0.2}]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc, out = run(tmp_path, "residual", cfg, "tiny_c.csv")
+        assert rc == 2 and not out.exists()
+        assert capsys.readouterr().err == "config error: h_values: step 1.0 overflows h/c at c = 1e-310\n"
+
 
 class TestOneEvaluation:
     """farfield, unidir and residual evaluate the field in one call each."""
@@ -491,11 +513,10 @@ class TestOneEvaluation:
         from unipulse import cli
 
         shapes = []
-        for name in ("quasi_spherical_evaluator", "spherical_reference_evaluator"):
-            def factory(*args, _make=getattr(cli, name)):
-                ev = _make(*args)
-                return lambda p: shapes.append(p.shape) or ev(p)
-            monkeypatch.setattr(cli, name, factory)
+        for name in ("eval_quasi_spherical", "eval_spherical_reference"):
+            def kernel(p, *args, _kernel=getattr(cli, name)):
+                return shapes.append(p.shape) or _kernel(p, *args)
+            monkeypatch.setattr(cli, name, kernel)
         rc, _ = run(tmp_path, command, cfg, "one.out")
         assert rc in (0, 4)
         assert len(shapes) == 1
@@ -531,6 +552,17 @@ class TestEnergyCmd:
             assert rc == 0
             rows.append(json.loads(out.read_text())["rows"])
         assert rows[0] == rows[1]
+
+    def test_density_past_the_float_range_exits_3(self, tmp_path, capsys):
+        # past c|t| ~ 1e102 the radial weight r^2 dr overflows: the integrand
+        # is non-finite, which exits 3 naming the time, not 1 on a RuntimeWarning
+        cfg = {"waveform": "rational(a=1)", "t_values": [1e110], "tolerance": 1e-3}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc, out = run(tmp_path, "energy", cfg, "far.json")
+        err = capsys.readouterr().err
+        assert rc == 3 and not out.exists() and err.count("\n") == 1
+        assert err.startswith("numerical failure: energy at t=1e+110: ")
 
 
 class TestSeedOverride:

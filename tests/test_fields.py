@@ -23,7 +23,6 @@ from unipulse.fields import (
     eval_simple_pulse,
     eval_spherical_reference,
     sample_grid,
-    simple_pulse_evaluator,
 )
 from unipulse.numerics import ToleranceNotReached, complex_sqrt_upper
 from unipulse.waveforms import LeknerWaveform, Waveform
@@ -280,7 +279,7 @@ def provenance(params: PulseParams) -> dict:
 class TestGrid:
     def test_single_point(self, params):
         spec = GridSpec((AxisSpec("rho", 0.3, 0.3, 1),), {"t": 0.0, "z": 0.1})
-        grid = sample_grid(spec, simple_pulse_evaluator(params), **provenance(params))
+        grid = sample_grid(spec, lambda p: eval_simple_pulse(p, params), **provenance(params))
         expect = eval_simple_pulse(SpacetimePoint.from_cylindrical(0.0, 0.3, 0.1), params)
         assert grid.values.shape == (1,)
         # array and scalar division may differ in the last ulp
@@ -290,7 +289,7 @@ class TestGrid:
         spec = GridSpec(
             (AxisSpec("rho", 0.0, 1.0, 2), AxisSpec("z", -1.0, 1.0, 2)), {"t": 0.5}
         )
-        grid = sample_grid(spec, simple_pulse_evaluator(params), **provenance(params))
+        grid = sample_grid(spec, lambda p: eval_simple_pulse(p, params), **provenance(params))
         for (i, rho) in enumerate((0.0, 1.0)):
             for (j, z) in enumerate((-1.0, 1.0)):
                 direct = eval_simple_pulse(
@@ -303,7 +302,7 @@ class TestGrid:
         spec = GridSpec(
             (AxisSpec("rho", 0.0, 5.0, 101), AxisSpec("z", -5.0, 5.0, 101)), {"t": 0.0}
         )
-        grid = sample_grid(spec, simple_pulse_evaluator(params), **provenance(params))
+        grid = sample_grid(spec, lambda p: eval_simple_pulse(p, params), **provenance(params))
         flat = np.abs(grid.values)
         i, j = np.unravel_index(np.argmax(flat), flat.shape)
         assert (i, j) == (0, 50)
@@ -346,7 +345,7 @@ class TestGrid:
         spec = GridSpec((AxisSpec("z", -1.0, 1.0, 3),), {"t": 0.0, "rho": 0.0})
         params = PulseParams(1.0, 1.0, 1.0)
         with pytest.raises(SingularPoint) as exc:
-            sample_grid(spec, simple_pulse_evaluator(params), **provenance(params))
+            sample_grid(spec, lambda p: eval_simple_pulse(p, params), **provenance(params))
         assert exc.value.index == (1,)
         assert exc.value.point == SpacetimePoint(0.0, 0.0, 0.0, 0.0)
         assert "index (1,): singular at" in str(exc.value)
@@ -397,7 +396,7 @@ class TestGrid:
     def test_csv_roundtrip_shape(self, params, tmp_path):
         spec = GridSpec((AxisSpec("rho", 0.0, 1.0, 3),), {"t": 0.0})
         grid = sample_grid(
-            spec, simple_pulse_evaluator(params),
+            spec, lambda p: eval_simple_pulse(p, params),
             params=params, waveform_desc="rational(a=1)", evaluator_desc="simple_pulse",
         )
         path = tmp_path / "grid.csv"
@@ -411,7 +410,7 @@ class TestGrid:
         import json
 
         spec = GridSpec((AxisSpec("z", -1.0, 1.0, 5),), {"t": 0.2})
-        grid = sample_grid(spec, simple_pulse_evaluator(params), **provenance(params))
+        grid = sample_grid(spec, lambda p: eval_simple_pulse(p, params), **provenance(params))
         jpath = tmp_path / "grid.json"
         grid.write_binary(jpath)
         header = json.loads(jpath.read_text())
@@ -424,7 +423,7 @@ class TestGrid:
         # that order, then the fixed coordinates; the header's keys in one order
         params = PulseParams(1.5, 0.5, 0.25)
         spec = GridSpec((AxisSpec("z", -1.0, 1.0, 3),), {"t": 0.2, "rho": 0.1})
-        grid = sample_grid(spec, simple_pulse_evaluator(params), **provenance(params))
+        grid = sample_grid(spec, lambda p: eval_simple_pulse(p, params), **provenance(params))
         grid.write_csv(tmp_path / "grid.csv")
         comments = [l for l in (tmp_path / "grid.csv").read_text().splitlines() if l.startswith("#")]
         assert comments == ["# pulse: c=1.5 tau=0.5 zeta=0.25", "# waveform: rational(a=0.5)",
@@ -440,7 +439,7 @@ class TestGrid:
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_failed_data_write_leaves_no_bin(self, params, tmp_path):
         spec = GridSpec((AxisSpec("z", -1.0, 1.0, 5),), {"t": 0.2})
-        grid = sample_grid(spec, simple_pulse_evaluator(params), **provenance(params))
+        grid = sample_grid(spec, lambda p: eval_simple_pulse(p, params), **provenance(params))
         jpath, bpath = tmp_path / "grid.json", tmp_path / "grid.json.bin"
         bpath.symlink_to("/dev/full")  # every write to it fails with ENOSPC
         with pytest.raises(OSError) as err:

@@ -7,8 +7,8 @@ from unipulse.fields import (
     PulseParams,
     SingularPoint,
     SpacetimePoint,
-    quasi_spherical_evaluator,
-    simple_pulse_evaluator,
+    eval_quasi_spherical,
+    eval_simple_pulse,
 )
 from unipulse.pdecheck import convergence_order, wave_residual
 from unipulse.waveforms import LeknerWaveform
@@ -33,8 +33,8 @@ class TestWaveResidual:
         assert rep.normalized <= 1e-5
 
     def test_simple_pulse_quadratic_truncation(self, params):
-        r_2h = wave_residual(simple_pulse_evaluator(params), POINT, 2e-3, params)
-        r_h = wave_residual(simple_pulse_evaluator(params), POINT, 1e-3, params)
+        r_2h = wave_residual(lambda p: eval_simple_pulse(p, params), POINT, 2e-3, params)
+        r_h = wave_residual(lambda p: eval_simple_pulse(p, params), POINT, 1e-3, params)
         ratio = abs(r_2h.residual) / abs(r_h.residual)
         assert 3.5 <= ratio <= 4.5
 
@@ -45,7 +45,7 @@ class TestWaveResidual:
         assert rep.normalized == pytest.approx(1.0, abs=1e-6)
 
     def test_field_scale_positive(self, params):
-        rep = wave_residual(simple_pulse_evaluator(params), POINT, 1e-3, params)
+        rep = wave_residual(lambda p: eval_simple_pulse(p, params), POINT, 1e-3, params)
         assert rep.field_scale > 0.0
         assert rep.h == 1e-3
 
@@ -54,7 +54,7 @@ class TestWaveResidual:
 
         def counting(p):
             calls.append(p.shape)
-            return simple_pulse_evaluator(params)(p)
+            return eval_simple_pulse(p, params)
 
         t, x, y, z = (rng.uniform(-1.2, 1.2, (5, 1)) for _ in range(4))
         rep = wave_residual(counting, SpacetimePoint(t, x, y, z), np.array(H_LADDER), params)
@@ -71,22 +71,23 @@ class TestWaveResidual:
         # zeta = b puts the simple pulse's pole at the origin at t = 0
         bad = PulseParams(1.0, 1.0, 1.0)
         with pytest.raises(SingularPoint, match=r"t=0.0, x=0.0, y=0.0, z=0.0"):
-            wave_residual(simple_pulse_evaluator(bad), SpacetimePoint(0.0, 0.0, 0.0, 0.0), 1e-3, bad)
+            wave_residual(lambda p: eval_simple_pulse(p, bad), SpacetimePoint(0.0, 0.0, 0.0, 0.0),
+                          1e-3, bad)
 
     def test_rejects_bad_step(self, params):
         with pytest.raises(ValueError):
-            wave_residual(simple_pulse_evaluator(params), POINT, 0.0, params)
+            wave_residual(lambda p: eval_simple_pulse(p, params), POINT, 0.0, params)
 
 
 class TestConvergenceOrder:
     def test_simple_pulse_order_two(self, params, rng):
-        ev = simple_pulse_evaluator(params)
+        ev = lambda p: eval_simple_pulse(p, params)
         for _ in range(20):
             p = SpacetimePoint(*rng.uniform(-1.2, 1.2, 4))
             assert 1.8 <= convergence_order(ev, p, H_LADDER, params) <= 2.2
 
     def test_lekner_order_two(self, params, rng):
-        ev = quasi_spherical_evaluator(params, LeknerWaveform(1.0, 1.0))
+        ev = lambda p: eval_quasi_spherical(p, params, LeknerWaveform(1.0, 1.0))
         for _ in range(20):
             p = SpacetimePoint(*rng.uniform(-1.2, 1.2, 4))
             assert 1.8 <= convergence_order(ev, p, H_LADDER, params) <= 2.2
@@ -107,7 +108,7 @@ class TestConvergenceOrder:
         assert np.isnan(convergence_order(ev, POINT, H_LADDER, params))
 
     def test_array_points_give_one_order_each(self, params, rng):
-        ev = quasi_spherical_evaluator(params, LeknerWaveform(1.0, 1.0))
+        ev = lambda p: eval_quasi_spherical(p, params, LeknerWaveform(1.0, 1.0))
         coords = rng.uniform(-1.2, 1.2, (4, 6))
         orders = convergence_order(ev, SpacetimePoint(*coords), H_LADDER, params)
         assert orders.shape == (6,)
@@ -128,7 +129,7 @@ class TestConvergenceOrder:
     @pytest.mark.parametrize("floored", [False, True])
     def test_is_the_residual_reports_order(self, params, rng, floored):
         # the residual command's fitted_order: the ladder on a trailing axis
-        lekner = quasi_spherical_evaluator(params, LeknerWaveform(1.0, 1.0))
+        lekner = lambda p: eval_quasi_spherical(p, params, LeknerWaveform(1.0, 1.0))
         ev = (lambda p: np.exp(1j * (p.z - params.c * p.t))) if floored else lekner
         coords = rng.uniform(-1.2, 1.2, (4, 5))
         orders = convergence_order(ev, SpacetimePoint(*coords), H_LADDER, params)
@@ -139,7 +140,7 @@ class TestConvergenceOrder:
         assert orders.tobytes() == expect.tobytes()
 
     def test_requires_decreasing_ladder(self, params):
-        ev = simple_pulse_evaluator(params)
+        ev = lambda p: eval_simple_pulse(p, params)
         with pytest.raises(ValueError):
             convergence_order(ev, POINT, (1e-3, 2e-3, 4e-3), params)
         with pytest.raises(ValueError):

@@ -60,11 +60,10 @@ class TestHemisphere:
         exact = eval_simple_pulse(p, params)
         assert abs(res.value - exact) <= 1e-8
 
-    def test_budget_exhaustion(self, params, rational):
-        with pytest.raises(ToleranceNotReached):
-            reconstruct_hemisphere(
-                params, rational, REGULAR_POINTS[0], 1e-12, max_evals=200
-            )
+    def test_budget_exhaustion(self, params, rational, monkeypatch):
+        monkeypatch.setattr(synthesis, "HEMISPHERE_BUDGET", 200)
+        with pytest.raises(ToleranceNotReached, match="route budget 200"):
+            reconstruct_hemisphere(params, rational, REGULAR_POINTS[0], 1e-12)
 
     @pytest.mark.parametrize("tol", [1e-30, 1e-15, 1e-14])
     def test_target_below_error_floor_names_the_route(self, params, rational, tol):
@@ -141,10 +140,10 @@ class TestFourierBessel:
         assert abs(res.value - exact) <= 1e-6
 
 
-    def test_budget_names_the_route(self, params, rational):
+    def test_budget_names_the_route(self, params, rational, monkeypatch):
+        monkeypatch.setattr(synthesis, "SPECTRAL_BUDGET", 1000)
         with pytest.raises(ToleranceNotReached, match="Fourier-Bessel reconstruction"):
-            reconstruct_fourier_bessel(params, rational, REGULAR_POINTS[1], 1e-6,
-                                       max_evals=1000)
+            reconstruct_fourier_bessel(params, rational, REGULAR_POINTS[1], 1e-6)
 
     @pytest.mark.parametrize("w, most", [
         (LeknerWaveform(1.0), 10_245), (LeknerWaveform(1.0, 1.0), 10_245),
@@ -177,7 +176,7 @@ class TestFourierBessel:
         for res in both.values():
             assert abs(res.value - eval_quasi_spherical(p, params, w)) <= res.error_estimate
 
-    def test_counts_one_evaluation_per_spectral_value(self, params):
+    def test_counts_one_evaluation_per_spectral_value(self, params, monkeypatch):
         values = []
 
         class Counting(LeknerWaveform):
@@ -194,8 +193,9 @@ class TestFourierBessel:
             # in which each route's spectral factor takes the spectrum once
             assert values == [res.evaluations] * 2 and res.evaluations > 0
             # the count is the budget the result needs: that budget is enough
-            again = reconstruct_fourier_bessel(params, Counting(*lek), p, 1e-6,
-                                               max_evals=res.evaluations)
+            with monkeypatch.context() as m:
+                m.setattr(synthesis, "SPECTRAL_BUDGET", res.evaluations)
+                again = reconstruct_fourier_bessel(params, Counting(*lek), p, 1e-6)
             assert again.value == res.value
 
 
@@ -264,9 +264,10 @@ class TestFromWeight:
         exact = eval_quasi_spherical(p, params, w)
         assert abs(res.value - exact) <= 1e-5
 
-    def test_budget_names_the_route(self, params, rational):
+    def test_budget_names_the_route(self, params, rational, monkeypatch):
+        monkeypatch.setattr(synthesis, "SPECTRAL_BUDGET", 1000)
         with pytest.raises(ToleranceNotReached, match="spectral-weight reconstruction"):
-            reconstruct_from_weight(params, rational, REGULAR_POINTS[1], 1e-6, max_evals=1000)
+            reconstruct_from_weight(params, rational, REGULAR_POINTS[1], 1e-6)
 
     def test_counts_one_evaluation_per_weight_value(self, params):
         values = []
