@@ -211,8 +211,7 @@ def run_spectrum(cfg: dict, setup, seed: int | None) -> Output:
     a = spectral_weight(p, setup.waveform, kz, omega)  # 0 outside the support
     comments = [f"pulse: c={fmt_float(p.c)} tau={fmt_float(p.tau)} zeta={fmt_float(p.zeta)}",
                 f"waveform: {setup.waveform_desc}"]
-    columns = {"kz": kz, "omega": omega, "re": a.real, "im": a.imag,
-               "abs": np.hypot(a.real, a.imag)}
+    columns = {"kz": kz, "omega": omega, "re,im,abs": a}
     return Output(lambda path: write_csv(path, comments, columns, keep), "csv",
                   f"{np.count_nonzero(keep)} spectral-weight rows")
 

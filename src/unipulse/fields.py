@@ -34,6 +34,8 @@ from .waveforms import Waveform
 #: broadcast to it); u is NaN at a pole.
 Evaluator = Callable[["SpacetimePoint"], complex]
 
+BATCH_BLOCK_NODES = 2 ** 15  #: the fewest nodes an ``evaluate_batch`` block holds
+
 
 class SingularPoint(Exception):
     """An evaluator gave a non-finite value: the node sits at (or too
@@ -165,19 +167,32 @@ def eval_spherical_reference(
 
 
 def evaluate_batch(evaluator: Evaluator, point: SpacetimePoint) -> np.ndarray:
-    """``evaluator(point)`` over every node of the broadcast point, in one
-    call, as a complex128 array of ``point.shape``.
-
-    A non-finite value fails the batch: SingularPoint names the first
-    such node in row-major order.
+    """``evaluator(point)`` over every node of the broadcast point, as a
+    complex128 array of ``point.shape``, filled a block of whole slices of
+    the leading axis (the first of 2+ nodes) at a time.  A block holds
+    ``BATCH_BLOCK_NODES`` nodes or more, the remainder joining the last, so
+    numpy elides (at 256 KiB) the temporaries it elides on the whole batch:
+    each node gets a single call's value.  A non-finite value fails the
+    batch: SingularPoint names the first in row-major order, by batch index.
     """
     shape = point.shape
-    with np.errstate(all="ignore"):  # non-finite nodes are reported below
-        values = np.array(np.broadcast_to(evaluator(point), shape), dtype=np.complex128)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        index = tuple(int(i) for i in np.unravel_index(bad[0], shape))
-        raise SingularPoint(index, point.node(index), values[index])
+    values = np.empty(shape, np.complex128)
+    d = next((d for d, k in enumerate(shape) if k > 1), 0)  # the leading axis
+    n, per = math.prod(shape[d:d + 1]), math.prod(shape[d + 1:])  # 1, 1 for one node
+    step = -(-BATCH_BLOCK_NODES // max(per, 1))  # leading-axis slices a block
+    cuts = [*range(0, n, step)][:max(1, n // step)] + [n]  # the remainder joins the last block
+
+    def block(v, lo: int, hi: int):  # slices lo:hi of an array running along the leading axis
+        a = np.ndim(v) - len(shape) + d  # that axis in v, whose axes align with the batch's last ones
+        return v[(slice(None),) * a + (slice(lo, hi),)] if np.ndim(v) > a >= 0 and np.shape(v)[a] > 1 else v
+    for lo, hi in zip(cuts, cuts[1:]):
+        nodes = SpacetimePoint(*(block(v, lo, hi) for v in (point.t, point.x, point.y, point.z)))
+        out = block(values, lo, hi)
+        with np.errstate(all="ignore"):  # non-finite nodes are reported below
+            out[...] = evaluator(nodes)
+        if (bad := np.flatnonzero(~np.isfinite(out))).size:
+            index = tuple(int(j) for j in np.unravel_index(lo * per + bad[0], shape))
+            raise SingularPoint(index, point.node(index), values[index])
     return values
 
 
@@ -276,12 +291,10 @@ class FieldGrid:
         comments = [f"pulse: c={fmt_float(p.c)} tau={fmt_float(p.tau)} zeta={fmt_float(p.zeta)}",
                     f"waveform: {self.waveform_desc}", f"evaluator: {self.evaluator_desc}",
                     *(f"fixed: {k}={fmt_float(v)}" for k, v in sorted(self.spec.fixed.items()))]
-        re, im = self.values.real, self.values.imag
-        write_csv(path, comments,
-                  {**self.spec.axis_values(), "re": re, "im": im, "abs": np.hypot(re, im)})
+        write_csv(path, comments, {**self.spec.axis_values(), "re,im,abs": self.values})
 
     def write_binary(self, json_path) -> None:
-        """JSON header plus a sibling .bin of little-endian complex128."""
+        """JSON header plus a sibling .bin: the values' own little-endian complex128 buffer."""
         json_path = os.fspath(json_path)
         bin_path = json_path + ".bin"
         header = {
@@ -297,7 +310,7 @@ class FieldGrid:
         fh = open(bin_path, "wb")
         try:
             with fh:
-                fh.write(np.ascontiguousarray(self.values, dtype="<c16").tobytes())
+                fh.write(np.ascontiguousarray(self.values, dtype="<c16"))
             write_text(json_path, render_json(header))
         except OSError:
             os.remove(bin_path)  # part of the data, or data without its header, is unreadable
@@ -306,10 +319,10 @@ class FieldGrid:
 
 def sample_grid(spec: GridSpec, evaluator: Evaluator, *, params: PulseParams, waveform_desc: str,
                 evaluator_desc: str) -> FieldGrid:
-    """Evaluate over the whole grid in one call on its broadcast point
-    (see ``evaluate_batch``); a singular node raises SingularPoint
-    carrying its grid index.  The grid carries ``params``, the waveform
-    descriptor and the evaluator kind into its files.
+    """Evaluate over the whole grid on its broadcast point, a block of
+    leading-axis slices at a time (see ``evaluate_batch``); a singular node
+    raises SingularPoint carrying its grid index.  The grid carries
+    ``params``, the waveform descriptor and the evaluator kind into its files.
     """
     values = evaluate_batch(evaluator, spec.broadcast_point())
     return FieldGrid(spec, values, params, waveform_desc, evaluator_desc)

@@ -83,14 +83,17 @@ def write_csv(path, comments: Sequence[str], columns: dict[str, Any], keep=None)
     per element of the columns' broadcast shape in row-major order, or
     per element where the boolean mask ``keep`` of that shape is true.
 
-    Cells read as ``fmt_float`` spells them.  A column that repeats under
-    broadcasting (a grid axis, a constant) is spelled once per value, all
-    such values in one pass, and its cells are taken per row.  The other
-    columns are spelled a chunk of rows at a time, in one pass per chunk,
-    and ``keep`` is read a chunk at a time, so memory stays flat in the
-    row count, masked or not.
+    Cells read as ``fmt_float`` spells them; a complex column fills three,
+    re, im and their ``np.hypot``, under a name that heads all three (say
+    ``"re,im,abs"``).  A column that repeats under broadcasting (a grid
+    axis, a constant) is spelled once per value, all such values in one
+    pass, and its cells are taken per row.  The other columns' cells are
+    derived and spelled a chunk of rows at a time, and ``keep`` is read a
+    chunk at a time, so memory stays flat in the row count, masked or not.
     """
-    arrays = [np.asarray(c, dtype=float) for c in columns.values()]
+    arrays = [np.asarray(c, complex if np.iscomplexobj(c) else float) for c in columns.values()]
+    # a complex column is three: views of its re and im, then itself, spelled as its magnitude
+    arrays = [p for a in arrays for p in ((a.real, a.imag, a) if a.dtype == complex else (a,))]
     shape = np.broadcast_shapes(*(a.shape for a in arrays))
     rows = math.prod(shape)
     fresh = [(j, a.reshape(-1)) for j, a in enumerate(arrays) if a.size == rows]
@@ -102,7 +105,7 @@ def write_csv(path, comments: Sequence[str], columns: dict[str, Any], keep=None)
                                       for d, k in enumerate(dims) if k > 1]))
             start += a.size
     if repeat:
-        spelled = _spell(np.concatenate([arrays[j].ravel() for j, _, _ in repeat])).view(_VOID)
+        spelled = _spell(np.concatenate([_floats(arrays[j]).ravel() for j, _, _ in repeat])).view(_VOID)
     kept = None if keep is None else np.broadcast_to(keep, shape).flat  # read a chunk at a time
     step = max(1, CSV_CHUNK_BYTES // (_CELL * len(arrays)))
     with open(path, "wb") as fh:
@@ -112,13 +115,18 @@ def write_csv(path, comments: Sequence[str], columns: dict[str, Any], keep=None)
             r = r if kept is None else r[kept[lo:lo + step]]
             void = np.empty((r.size, len(arrays)), _VOID)
             if fresh:  # one stacked gather, one pass
-                own = _spell(np.stack([f[r] for _, f in fresh], axis=1).ravel()).view(_VOID)
+                own = _spell(np.stack([_floats(f[r]) for _, f in fresh], axis=1).ravel()).view(_VOID)
                 for k, (j, _) in enumerate(fresh):
                     void[:, j] = own[k::len(fresh), 0]
             for j, first, axes in repeat:
                 void[:, j] = spelled[sum((r // inner % k * stride for inner, k, stride in axes), first), 0]
             void.view(np.uint8)[:, _CELL - 1::_CELL] = list(b"," * (len(arrays) - 1) + b"\n")
             fh.write(void.tobytes().translate(None, b"\0"))
+
+
+def _floats(x: np.ndarray) -> np.ndarray:
+    """The floats a column's cells spell: ``x``, or a complex ``x``'s ``np.hypot`` of its parts."""
+    return np.hypot(x.real, x.imag) if np.iscomplexobj(x) else x
 
 
 # --- fmt_float for whole arrays -------------------------------------------

@@ -79,7 +79,8 @@ class LeknerWaveform(Waveform):
     def eval(self, theta):
         if self.K == 0.0:
             return 1.0 / (theta + 1j * self.a)
-        return np.exp(1j * self.K * theta) / (theta + 1j * self.a)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow: the caller reports it
+            return np.exp(1j * self.K * theta) / (theta + 1j * self.a)
 
     def deriv(self, theta):
         d = theta + 1j * self.a

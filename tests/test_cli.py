@@ -246,14 +246,27 @@ class TestCompare:
         assert rc == 3 and not out.exists()
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("point, expected", [
-        ({"t": 1e300, "rho": 0.5, "z": 0.2}, 3),  # the hemisphere route's d*d is inf + nan i
-        ({"t": 1e306, "rho": 0.5, "z": 0.2}, 3),  # its (base - amp cos pi s) / mu overflows
-        ({"t": 1e200, "rho": 1e200, "z": 0.2}, 0),  # J0's x*x overflows: 25 / inf is q's limit 0
-    ])
-    def test_far_end_of_the_float_range_keeps_the_exit_code(self, tmp_path, capsys, point,
+    @pytest.mark.parametrize("cfg, expected", [
+        # the hemisphere route's d*d is inf + nan i
+        ({"points": [{"t": 1e300, "rho": 0.5, "z": 0.2}]}, 3),
+        # its (base - amp cos pi s) / mu overflows
+        ({"points": [{"t": 1e306, "rho": 0.5, "z": 0.2}]}, 3),
+        # J0's x*x overflows: 25 / inf is q's limit 0
+        ({"points": [{"t": 1e200, "rho": 1e200, "z": 0.2}]}, 0),
+        # the closed form's lekner carrier exp(i K theta) overflows
+        ({"pulse": {"c": 0.0016965951274896488, "tau": 71485.26317234198},
+          "waveform": "lekner(a=65457104.95604772,K=2794732.311204652)",
+          "points": [{"t": 2.576714230778537e+230, "rho": 1.3580827538512259e+303,
+                      "z": -1.1062941941408545e+300}]}, 3),
+        # the spectral routes' kernel e^{-i k_z z} overflows at |z| ~ 1e306
+        ({"pulse": {"c": 0.19649967035372803, "tau": 4.864588686132386e-05},
+          "waveform": "rational(a=1.2739923141454446)",
+          "points": [{"t": 1.5177002005506317e+65, "rho": 3.714383859611194e+218,
+                      "z": 1.414200823263778e+306}]}, 3),
+    ], ids=["point0-3", "point1-3", "point2-0", "carrier_overflow-3", "spectral_kernel_overflow-3"])
+    def test_far_end_of_the_float_range_keeps_the_exit_code(self, tmp_path, capsys, cfg,
                                                             expected):
-        cfg = {"points": [point], "tolerance": 1e-6}
+        cfg = dict(cfg, tolerance=1e-6)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             rc, out = run(tmp_path, "compare", cfg, "far.json")

@@ -16,9 +16,11 @@ from unipulse.fields import (
     GridSpec,
     PulseParams,
     SingularPoint,
+    BATCH_BLOCK_NODES,
     SpacetimePoint,
     complex_distance,
     energy_estimate,
+    evaluate_batch,
     eval_quasi_spherical,
     eval_simple_pulse,
     eval_spherical_reference,
@@ -446,6 +448,72 @@ class TestGrid:
             grid.write_binary(jpath)
         assert err.value.errno == errno.ENOSPC
         assert not os.path.lexists(bpath) and not jpath.exists()
+
+
+class TestEvaluateBatch:
+    """Blocks of whole leading-axis slices: the values of one kernel call,
+    in block-sized memory."""
+
+    @pytest.mark.parametrize("axes, fixed, kernel", [
+        ((("t", -3.0, 3.0, 50_001),), {"rho": 0.4, "z": 0.1}, "simple"),
+        ((("rho", 0.0, 3.0, 316), ("z", -3.0, 3.0, 316)), {"t": 0.2}, "simple"),
+        ((("x", -2.0, 2.0, 31), ("y", -2.0, 2.0, 37), ("z", -2.0, 2.0, 41)), {"t": 0.1}, "lekner"),
+        ((("t", -3.0, 3.0, 40_000), ("z", -1.0, 1.0, 2)), {"rho": 0.4}, "simple"),
+        # an axis of one node leads: the blocks cut the next one
+        ((("t", 0.2, 0.2, 1), ("rho", 0.0, 3.0, 300), ("z", -3.0, 3.0, 300)), {}, "lekner"),
+        ((("t", -3.0, 3.0, 2**15),), {"rho": 0.4, "z": 0.1}, "simple"),
+        ((("z", -3.0, 3.0, 2**16 - 1),), {"t": 0.1, "rho": 0.4}, "simple"),
+        ((("t", -3.0, 3.0, 2**16),), {"rho": 0.4, "z": 0.1}, "simple"),
+        ((("z", -3.0, 3.0, 2**16 + 1),), {"t": 0.1, "rho": 0.4}, "lekner"),
+    ])
+    def test_values_are_one_kernel_call_bit_for_bit(self, axes, fixed, kernel):
+        params = PulseParams(1.0, 1.0, 0.2)
+        evaluator = {"simple": lambda p: eval_simple_pulse(p, params),
+                     "lekner": lambda p: eval_quasi_spherical(p, params, LeknerWaveform(1.0, 2.0))}[kernel]
+        point = GridSpec(tuple(AxisSpec(*a) for a in axes), fixed).broadcast_point()
+        sizes = []
+        values = evaluate_batch(lambda p: sizes.append(math.prod(p.shape)) or evaluator(p), point)
+        with np.errstate(invalid="ignore"):
+            whole = np.broadcast_to(evaluator(point), point.shape)
+        assert values.shape == point.shape and values.tobytes() == whole.tobytes()
+        # a batch under 2 blocks is one call; otherwise each block holds a block's nodes
+        n = math.prod(point.shape)
+        assert sum(sizes) == n and (len(sizes) == 1) == (n < 2 * BATCH_BLOCK_NODES)
+        assert all(size >= BATCH_BLOCK_NODES for size in sizes[:-1] if len(sizes) > 1)
+
+    def test_singular_point_in_a_later_block_keeps_its_batch_index(self):
+        spec = GridSpec((AxisSpec("t", 0.0, 1.0, 300), AxisSpec("z", -1.0, 1.0, 300)), {"rho": 0.5})
+        t, z = (a.values() for a in spec.axes)
+        blocks = []
+
+        def broken(p):
+            # NaN from node (150, 7) on; rows 150 and later lie past the first block
+            blocks.append(p.shape)
+            return np.where((p.t >= t[150]) & ((p.t > t[150]) | (p.z >= z[7])), np.nan, 1.0 + 0j)
+
+        with pytest.raises(SingularPoint) as exc:
+            evaluate_batch(broken, spec.broadcast_point())
+        assert len(blocks) == 2 and blocks[0][0] < 150 < sum(b[0] for b in blocks)
+        assert exc.value.index == (150, 7)
+        assert exc.value.point == SpacetimePoint(float(t[150]), 0.5, 0.0, float(z[7]))
+
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    def test_sample_peaks_at_32_bytes_a_node(self, tmp_path, fmt):
+        # the values array (16 B a node), a block's kernel temporaries and a CSV
+        # chunk; no full-size copy of the values, their parts or their bytes
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({"evaluator": "simple_pulse", "format": fmt, "grid": {
+            "axes": [{"name": "rho", "min": 0.0, "max": 3.0, "count": 600},
+                     {"name": "z", "min": -3.0, "max": 3.0, "count": 600}], "fixed": {"t": 0.2}}}))
+        out = str(tmp_path / f"grid.{fmt}")
+        assert main(["sample", "--config", str(cfg), "--out", out]) == 0  # tables made once
+        tracemalloc.start()
+        try:
+            assert main(["sample", "--config", str(cfg), "--out", out]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 600 * 600, peak / 600 / 600
 
 
 class _Scaled(Waveform):

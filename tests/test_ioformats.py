@@ -154,6 +154,27 @@ class TestWriteCsv:
             # the magnitude bit for bit as Python's abs(complex) gives it
             assert row == ",".join(map(fmt_float, (x, y, abs(complex(x, y)))))
 
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_complex_columns_read_as_re_im_and_hypot(self, tmp_path, rng, masked):
+        # a full-size complex column, with NaN, the infinities and the signed zeros
+        # in each part, and a repeated one, beside an axis; across chunks
+        m = chunk_rows(7)
+        x = np.linspace(-1.0, 1.0, m)[:, None]
+        z = (rng.standard_normal((m, 3)) + 1j * rng.standard_normal((m, 3))) * 10.0 ** rng.integers(
+            -300, 300, (m, 3))
+        special = [np.nan, np.inf, -np.inf, -0.0, 0.0]
+        z.real.flat[:25], z.imag.flat[:25] = np.repeat(special, 5), np.tile(special, 5)
+        w = np.array([complex(-0.0, np.inf), complex(np.nan, -0.0), 3.0 - 4.0j])
+        keep = rng.random(z.shape) < 0.5 if masked else None
+        path = tmp_path / "c.csv"
+        write_csv(path, ["c"], {"x": x, "re,im,abs": z, "w_re,w_im,w_abs": w}, keep)
+        cols = np.broadcast_arrays(x, z, w)
+        cells = zip(*(c.ravel().tolist() if keep is None else c[keep].tolist() for c in cols))
+        want = [",".join(fmt_float(v) for v in (a, u.real, u.imag, abs(u), v.real, v.imag, abs(v)))
+                for a, u, v in cells]
+        assert len(want) > chunk_rows(7)
+        assert read_rows(path) == ["# c", "x,re,im,abs,w_re,w_im,w_abs", *want]
+
     def test_columns_broadcast_in_row_major_order(self, tmp_path):
         path = tmp_path / "b.csv"
         write_csv(path, [], {"a": np.array([[1.0], [2.0]]), "b": np.array([0.5, -0.25, 3.0]),
