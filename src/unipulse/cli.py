@@ -207,7 +207,8 @@ def run_spectrum(cfg: dict, setup, seed: int | None) -> Output:
     kz = parse_range(cfg, "kz", 0.0, 3.0, 31, ge=0.0)
     omega = parse_range(cfg, "omega", 0.5, 5.0, 10, gt=0.0)[:, None]
     # omega-major rows inside the support, all weights in one array call
-    keep = kz <= omega / p.c
+    with np.errstate(over="ignore"):  # an omega/c past the float range is inf: every k_z is inside
+        keep = kz <= omega / p.c
     a = spectral_weight(p, setup.waveform, kz, omega)  # 0 outside the support
     comments = [f"pulse: c={fmt_float(p.c)} tau={fmt_float(p.tau)} zeta={fmt_float(p.zeta)}",
                 f"waveform: {setup.waveform_desc}"]

@@ -34,7 +34,7 @@ from .waveforms import Waveform
 #: broadcast to it); u is NaN at a pole.
 Evaluator = Callable[["SpacetimePoint"], complex]
 
-BATCH_BLOCK_NODES = 2 ** 15  #: the fewest nodes an ``evaluate_batch`` block holds
+BATCH_BLOCK_BYTES = 640 * 1024  #: an ``evaluate_batch`` block's kernel temporaries, at 80 bytes a node
 
 
 class SingularPoint(Exception):
@@ -114,7 +114,7 @@ class SpacetimePoint:
 
     @property
     def radius(self) -> float:
-        return (self.x * self.x + self.y * self.y + self.z * self.z) ** 0.5
+        return np.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)  # pow(., 0.5) may err an ulp
 
 
 def complex_distance(p: SpacetimePoint, params: PulseParams) -> complex:
@@ -139,7 +139,11 @@ def eval_simple_pulse(p: SpacetimePoint, params: PulseParams) -> complex:
     (zeta >= b); u is NaN at such nodes.
     """
     s = complex_distance(p, params)
-    denom = s * (s - p.z - 1j * params.zeta)
+    # S (S - z - i zeta) in real arithmetic, in the order of Python's complex product, as in _root
+    re, im = s.real - p.z, s.imag - params.zeta
+    denom = np.empty(np.shape(re), complex)
+    np.subtract(s.real * re, s.imag * im, out=denom.real)
+    np.add(s.real * im, s.imag * re, out=denom.imag)
     u = 1.0 / np.where(abs(denom) < 1e-300, np.nan, denom)
     return u if np.isfinite(denom).all() else np.where(  # where |S|^2 overflowed, in two steps
         np.isfinite(denom), u, 1.0 / s / (s - p.z - 1j * params.zeta))[()]
@@ -168,28 +172,28 @@ def eval_spherical_reference(
 
 def evaluate_batch(evaluator: Evaluator, point: SpacetimePoint) -> np.ndarray:
     """``evaluator(point)`` over every node of the broadcast point, as a
-    complex128 array of ``point.shape``, filled a block of whole slices of
-    the leading axis (the first of 2+ nodes) at a time.  A block holds
-    ``BATCH_BLOCK_NODES`` nodes or more, the remainder joining the last, so
-    numpy elides (at 256 KiB) the temporaries it elides on the whole batch:
-    each node gets a single call's value.  A non-finite value fails the
-    batch: SingularPoint names the first in row-major order, by batch index.
+    complex128 array of ``point.shape``, a block of whole slices of the
+    leading axis (the first of 2+ nodes) at a time, each block as many
+    slices as ``BATCH_BLOCK_BYTES`` holds at 80 bytes a node (one at least).
+    The output is allocated after the first block's call, and a batch of
+    one block keeps that call's array.  A non-finite value fails the batch:
+    SingularPoint names the first in row-major order, by batch index.
     """
-    shape = point.shape
-    values = np.empty(shape, np.complex128)
+    shape, values = point.shape, None
     d = next((d for d, k in enumerate(shape) if k > 1), 0)  # the leading axis
     n, per = math.prod(shape[d:d + 1]), math.prod(shape[d + 1:])  # 1, 1 for one node
-    step = -(-BATCH_BLOCK_NODES // max(per, 1))  # leading-axis slices a block
-    cuts = [*range(0, n, step)][:max(1, n // step)] + [n]  # the remainder joins the last block
+    step = max(1, BATCH_BLOCK_BYTES // 80 // max(per, 1))  # leading-axis slices a block
 
     def block(v, lo: int, hi: int):  # slices lo:hi of an array running along the leading axis
         a = np.ndim(v) - len(shape) + d  # that axis in v, whose axes align with the batch's last ones
         return v[(slice(None),) * a + (slice(lo, hi),)] if np.ndim(v) > a >= 0 and np.shape(v)[a] > 1 else v
-    for lo, hi in zip(cuts, cuts[1:]):
-        nodes = SpacetimePoint(*(block(v, lo, hi) for v in (point.t, point.x, point.y, point.z)))
-        out = block(values, lo, hi)
+    for lo in range(0, max(n, 1), step):
+        nodes = SpacetimePoint(*(block(v, lo, lo + step) for v in (point.t, point.x, point.y, point.z)))
         with np.errstate(all="ignore"):  # non-finite nodes are reported below
-            out[...] = evaluator(nodes)
+            u = evaluator(nodes)
+        if values is None:  # allocated after the first call; a batch of one block keeps its array
+            values = np.asarray(u, complex) if np.shape(u) == shape else np.empty(shape, complex)
+        (out := block(values, lo, lo + step))[...] = u
         if (bad := np.flatnonzero(~np.isfinite(out))).size:
             index = tuple(int(j) for j in np.unravel_index(lo * per + bad[0], shape))
             raise SingularPoint(index, point.node(index), values[index])

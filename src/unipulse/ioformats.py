@@ -15,8 +15,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-#: bytes of cells spelled and written at once: 2,048 rows of 5 columns
-CSV_CHUNK_BYTES = 2048 * 5 * 32
+CSV_CHUNK_BYTES = 5 << 18  #: 1.25 MiB: the bytes a chunk holds, 32 a cell and 192 a spelled float
 
 
 def fmt_float(x: float) -> str:
@@ -88,8 +87,8 @@ def write_csv(path, comments: Sequence[str], columns: dict[str, Any], keep=None)
     ``"re,im,abs"``).  A column that repeats under broadcasting (a grid
     axis, a constant) is spelled once per value, all such values in one
     pass, and its cells are taken per row.  The other columns' cells are
-    derived and spelled a chunk of rows at a time, and ``keep`` is read a
-    chunk at a time, so memory stays flat in the row count, masked or not.
+    derived and spelled ``CSV_CHUNK_BYTES`` at a time, and ``keep`` is read
+    a chunk at a time, so memory stays flat in the row count, masked or not.
     """
     arrays = [np.asarray(c, complex if np.iscomplexobj(c) else float) for c in columns.values()]
     # a complex column is three: views of its re and im, then itself, spelled as its magnitude
@@ -107,7 +106,7 @@ def write_csv(path, comments: Sequence[str], columns: dict[str, Any], keep=None)
     if repeat:
         spelled = _spell(np.concatenate([_floats(arrays[j]).ravel() for j, _, _ in repeat])).view(_VOID)
     kept = None if keep is None else np.broadcast_to(keep, shape).flat  # read a chunk at a time
-    step = max(1, CSV_CHUNK_BYTES // (_CELL * len(arrays)))
+    step = max(1, CSV_CHUNK_BYTES // (_CELL * len(arrays) + 192 * len(fresh)))
     with open(path, "wb") as fh:
         fh.write(("".join(f"# {c}\n" for c in comments) + ",".join(columns) + "\n").encode())
         for lo in range(0, rows, step):

@@ -456,6 +456,27 @@ class TestSpectrumCmd:
         assert out.read_bytes() == ref.read_bytes()
 
 
+    @pytest.mark.parametrize("cfg, rows", [
+        # the float-range fuzz's case: omega/c overflows, and every k_z lies inside
+        ({"pulse": {"c": 0.009017376135537202, "tau": 13.235502448953195},
+          "waveform": "lekner(a=0.834665874264746,K=0.009030067206657347)",
+          "kz": {"min": 0.0, "max": 1.5100255760341987e+105, "count": 5},
+          "omega": {"min": 0.020456738115701024, "max": 6.300836445896414e+306, "count": 4}}, 16),
+        # (k_z - omega/c) b overflows in the weight's exponent
+        ({"pulse": {"c": 1.0, "tau": 1e10}, "waveform": "rational(a=1)",
+          "kz": {"min": 0.0, "max": 3.0, "count": 4},
+          "omega": {"min": 1e290, "max": 1e300, "count": 3}}, 12),
+    ], ids=["omega_over_c", "weight_exponent"])
+    def test_overflow_past_the_float_range_writes_zero_weights(self, tmp_path, cfg, rows):
+        # under RuntimeWarning as an error, exit 0 with the weight's limit, 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc, out = run(tmp_path, "spectrum", cfg, "spec.csv")
+        assert rc == 0
+        table = [[float(v) for v in line.split(",")] for line in out.read_text().splitlines()[3:]]
+        assert len(table) == rows and all(row[2:] == [0.0, 0.0, 0.0] for row in table)
+
+
 class TestResidualCmd:
     def test_orders_near_two(self, tmp_path):
         cfg = {"evaluator": "simple_pulse",

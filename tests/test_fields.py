@@ -16,7 +16,7 @@ from unipulse.fields import (
     GridSpec,
     PulseParams,
     SingularPoint,
-    BATCH_BLOCK_NODES,
+    BATCH_BLOCK_BYTES,
     SpacetimePoint,
     complex_distance,
     energy_estimate,
@@ -253,17 +253,45 @@ class TestArrayKernel:
                     else:
                         assert abs(values[i, j, k] - expect) <= 1e-14 * abs(expect)
 
+    @given(
+        size=st.sampled_from([2**14, 2**15, 2**16]).flatmap(lambda m: st.integers(m - 2, m + 2)),
+        kernel=st.sampled_from(["simple_pulse", "quasi_spherical", "spherical_reference"]),
+        seed=st.integers(0, 2**32 - 1),
+        c=st.floats(0.1, 5),
+        tau=st.floats(0.05, 4),
+        zeta_gap=st.sampled_from([1.0, 0.5, 1e-3]),
+        picks=st.lists(st.integers(0, 2**16 + 2), min_size=3, max_size=3),
+    )
+    @settings(max_examples=1000, deadline=None)
+    def test_batches_across_the_elision_sizes_equal_scalar_calls_bit_for_bit(
+            self, size, kernel, seed, c, tau, zeta_gap, picks):
+        # numpy computes a temporary of 256 KiB or more (2^14 complex nodes) in place;
+        # a node's bits depend neither on that nor on evaluate_batch's blocks
+        params = PulseParams(c, tau, (1.0 - zeta_gap) * c * tau)
+        b, w = params.b, LeknerWaveform(params.b, 0.7 / params.b)
+        evaluator = {"simple_pulse": lambda p: eval_simple_pulse(p, params),
+                     "quasi_spherical": lambda p: eval_quasi_spherical(p, params, w),
+                     "spherical_reference": lambda p: eval_spherical_reference(p, params, w)}[kernel]
+        t, rho, z = np.random.default_rng(seed).uniform((-10 * tau, 0.0, -10 * b), (10 * tau, 10 * b, 10 * b),
+                                                        (size, 3)).T
+        whole = evaluator(SpacetimePoint(t, rho, 0.0, z))
+        assert evaluate_batch(evaluator, SpacetimePoint(t, rho, 0.0, z)).tobytes() == whole.tobytes()
+        for i in (*(k % size for k in picks), size - 1):
+            node = evaluator(SpacetimePoint(float(t[i]), float(rho[i]), 0.0, float(z[i])))
+            assert whole[i].tobytes() == node.tobytes(), (i, whole[i], node)
+
 
 class TestOverflowFallback:
     def test_finite_nodes_keep_their_bits(self, rng):
         # 20,000 nodes of normal range: S, simple_pulse and quasi_spherical are
-        # bit for bit the direct formulas, which overflow nowhere there
+        # bit for bit the direct formulas, which overflow nowhere there; simple_pulse's
+        # product S (S - z - i zeta) is Python's complex product
         for c, tau, zeta in ((1.0, 1.0, 0.0), (0.7, 1.9, 0.5), (2.3, 0.4, 0.9), (1.3, 0.8, -0.4)):
             params = PulseParams(c, tau, zeta * c * tau)
             t, x, y, z = rng.standard_normal((4, 5000)) * 10.0 ** rng.uniform(-3.0, 3.0, (4, 5000))
             ct, b = c * t, params.b
             s = complex_sqrt_upper((ct * ct - b * b - (x * x + y * y)) + 2j * ct * b)
-            denom = s * (s - z - 1j * params.zeta)
+            denom = np.array([u * v for u, v in zip(s.tolist(), (s - z - 1j * params.zeta).tolist())])
             w = LeknerWaveform(1.1 * b, 0.7)
             point = SpacetimePoint(t, x, y, z)
             for got, want in ((complex_distance(point, params), s),
@@ -476,10 +504,11 @@ class TestEvaluateBatch:
         with np.errstate(invalid="ignore"):
             whole = np.broadcast_to(evaluator(point), point.shape)
         assert values.shape == point.shape and values.tobytes() == whole.tobytes()
-        # a batch under 2 blocks is one call; otherwise each block holds a block's nodes
-        n = math.prod(point.shape)
-        assert sum(sizes) == n and (len(sizes) == 1) == (n < 2 * BATCH_BLOCK_NODES)
-        assert all(size >= BATCH_BLOCK_NODES for size in sizes[:-1] if len(sizes) > 1)
+        # a block holds the whole leading-axis slices that BATCH_BLOCK_BYTES holds at
+        # 80 bytes a node, every block but the last as many; a batch that fits is one call
+        n, fits = math.prod(point.shape), BATCH_BLOCK_BYTES // 80
+        assert sum(sizes) == n and (len(sizes) == 1) == (n <= fits)
+        assert all(size <= fits for size in sizes) and all(size == sizes[0] for size in sizes[:-1])
 
     def test_singular_point_in_a_later_block_keeps_its_batch_index(self):
         spec = GridSpec((AxisSpec("t", 0.0, 1.0, 300), AxisSpec("z", -1.0, 1.0, 300)), {"rho": 0.5})
@@ -493,14 +522,31 @@ class TestEvaluateBatch:
 
         with pytest.raises(SingularPoint) as exc:
             evaluate_batch(broken, spec.broadcast_point())
-        assert len(blocks) == 2 and blocks[0][0] < 150 < sum(b[0] for b in blocks)
+        assert len(blocks) > 1 and sum(b[0] for b in blocks[:-1]) <= 150 < sum(b[0] for b in blocks)
         assert exc.value.index == (150, 7)
         assert exc.value.point == SpacetimePoint(float(t[150]), 0.5, 0.0, float(z[7]))
 
+    def test_one_block_is_the_kernels_own_array(self, params):
+        # the output is allocated after the first block's call: a batch of one
+        # block holds no second copy of its values
+        point = SpacetimePoint(np.linspace(-3.0, 3.0, 4000), 0.4, 0.0, 0.1)
+        peaks = []
+        for call in (lambda: eval_simple_pulse(point, params),
+                     lambda: evaluate_batch(lambda p: eval_simple_pulse(p, params), point)):
+            call()
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 4096, peaks
+
     @pytest.mark.parametrize("fmt", ["csv", "binary"])
-    def test_sample_peaks_at_32_bytes_a_node(self, tmp_path, fmt):
-        # the values array (16 B a node), a block's kernel temporaries and a CSV
-        # chunk; no full-size copy of the values, their parts or their bytes
+    def test_sample_peaks_near_16_bytes_a_node(self, tmp_path, fmt):
+        # the values array (16 B a node), a block's kernel temporaries (0.6 MB) and
+        # a CSV chunk (1.3 MB); no full-size copy of the values, their parts or bytes
+        bound = {"csv": 20.5, "binary": 18.0}[fmt]
         cfg = tmp_path / "grid.json"
         cfg.write_text(json.dumps({"evaluator": "simple_pulse", "format": fmt, "grid": {
             "axes": [{"name": "rho", "min": 0.0, "max": 3.0, "count": 600},
@@ -513,7 +559,7 @@ class TestEvaluateBatch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 32 * 600 * 600, peak / 600 / 600
+        assert peak <= bound * 600 * 600, peak / 600 / 600
 
 
 class _Scaled(Waveform):

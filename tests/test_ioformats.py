@@ -22,9 +22,10 @@ from unipulse.ioformats import (
 )
 
 
-def chunk_rows(columns):
-    """The rows ``write_csv`` spells and writes at once for ``columns`` columns."""
-    return CSV_CHUNK_BYTES // (_CELL * columns)
+def chunk_rows(cells, spelled):
+    """The rows ``write_csv`` spells and writes at once for ``cells`` cells a
+    row, ``spelled`` of them from full-size columns (192 bytes a spelled float)."""
+    return CSV_CHUNK_BYTES // (_CELL * cells + 192 * spelled)
 
 
 def read_rows(path):
@@ -138,7 +139,7 @@ class TestRenderJsonProperty:
 class TestWriteCsv:
     def test_cells_read_as_fmt_float_across_chunks(self, tmp_path, rng):
         # random magnitudes over the whole double range, then the special values
-        n = chunk_rows(3) + 37
+        n = chunk_rows(3, 3) + 37
         z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.integers(
             -300, 300, n)
         special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308]
@@ -149,7 +150,7 @@ class TestWriteCsv:
         lines = read_rows(path)
         assert lines[:3] == ["# one", "# two: 2", "re,im,abs"]
         rows = lines[3:]
-        assert len(rows) == re.size > chunk_rows(3)
+        assert len(rows) == re.size > chunk_rows(3, 3)
         for row, x, y in zip(rows, re.tolist(), im.tolist()):
             # the magnitude bit for bit as Python's abs(complex) gives it
             assert row == ",".join(map(fmt_float, (x, y, abs(complex(x, y)))))
@@ -158,7 +159,7 @@ class TestWriteCsv:
     def test_complex_columns_read_as_re_im_and_hypot(self, tmp_path, rng, masked):
         # a full-size complex column, with NaN, the infinities and the signed zeros
         # in each part, and a repeated one, beside an axis; across chunks
-        m = chunk_rows(7)
+        m = chunk_rows(7, 3)
         x = np.linspace(-1.0, 1.0, m)[:, None]
         z = (rng.standard_normal((m, 3)) + 1j * rng.standard_normal((m, 3))) * 10.0 ** rng.integers(
             -300, 300, (m, 3))
@@ -172,7 +173,7 @@ class TestWriteCsv:
         cells = zip(*(c.ravel().tolist() if keep is None else c[keep].tolist() for c in cols))
         want = [",".join(fmt_float(v) for v in (a, u.real, u.imag, abs(u), v.real, v.imag, abs(v)))
                 for a, u, v in cells]
-        assert len(want) > chunk_rows(7)
+        assert len(want) > chunk_rows(7, 3)
         assert read_rows(path) == ["# c", "x,re,im,abs,w_re,w_im,w_abs", *want]
 
     def test_columns_broadcast_in_row_major_order(self, tmp_path):
@@ -190,7 +191,7 @@ class TestWriteCsv:
         full = rng.standard_normal((a.size, b.size))
         full[rng.random(full.shape) < 0.05] = np.nan
         keep = rng.random(full.shape) < 0.5
-        assert keep.sum() > chunk_rows(4)
+        assert keep.sum() > chunk_rows(4, 1)
         path = tmp_path / "m.csv"
         write_csv(path, ["masked"], {"a": a, "b": b, "c": 2.0, "full": full}, keep)
         cols = np.broadcast_arrays(a, b, np.float64(2.0), full)
@@ -210,7 +211,7 @@ class TestWriteCsv:
     def test_forty_columns_across_chunks(self, tmp_path, rng):
         # a chunk holds fewer rows the more columns there are
         columns = {f"c{k}": rng.standard_normal(600) * 10.0 ** (k - 20) for k in range(40)}
-        assert 600 > 2 * chunk_rows(40)
+        assert 600 > 2 * chunk_rows(40, 40)
         path = tmp_path / "w.csv"
         write_csv(path, [], columns)
         cols = list(columns.values())
@@ -262,6 +263,23 @@ class TestWriteCsv:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
 
+    def test_a_1d_table_peaks_no_higher_than_a_2d_one(self):
+        # a chunk holds as many rows as CSV_CHUNK_BYTES holds: a 1-D grid's axis is
+        # spelled with each chunk, a 2-D grid's axes once, so a 1-D chunk holds fewer
+        write_csv(os.devnull, [], {"x": np.arange(3.0)})  # the tables, made once
+        u = np.exp(1j * np.linspace(0.0, 3.0, 300 * 300))
+        peaks = []
+        for columns in ({"t": np.linspace(-1.0, 1.0, u.size), "re,im,abs": u},
+                        {"rho": np.linspace(0.0, 1.0, 300)[:, None], "z": np.linspace(-1.0, 1.0, 300),
+                         "re,im,abs": u.reshape(300, 300)}):
+            tracemalloc.start()
+            try:
+                write_csv(os.devnull, [], columns)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1] <= 1.5 * CSV_CHUNK_BYTES, peaks
+
 
 # a few values per axis, NaN and the infinities included
 axis_values = st.lists(st.floats(allow_nan=True, allow_infinity=True, width=64),
@@ -275,7 +293,7 @@ def broadcast_columns(draw):
     columns carrying NaN and the infinities; in a drawn column order."""
     ndim = draw(st.integers(1, 3))
     long_axis = draw(st.integers(0, ndim - 1))
-    shape = tuple(draw(st.integers(chunk_rows(5) // 40, chunk_rows(5) // 4)) if i == long_axis
+    shape = tuple(draw(st.integers(chunk_rows(5, 2) // 40, chunk_rows(5, 2) // 4)) if i == long_axis
                   else draw(st.integers(1, 12)) for i in range(ndim))
     columns = {}
     for i, n in enumerate(shape):
