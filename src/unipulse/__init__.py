@@ -1,11 +1,12 @@
 """Localized unidirectional pulses of the 3-D wave equation.
 
-Closed-form evaluation of a quasi-spherical pulse family, extraction of
-its large-time directional amplitude, a unidirectionality certificate,
-and numerically cross-validated reconstructions through two
-independent integral representations, the forward-hemisphere plane-wave
-superposition and a Fourier-Bessel integral over the waveform spectrum
-(a third is the second under omega = c k), plus a Monte-Carlo estimate.
+Closed-form evaluation of a quasi-spherical pulse family, u = f(theta)/S
+with f one ``Waveform(a, K=0.0)``, extraction of its large-time
+directional amplitude, a unidirectionality certificate, and numerically
+cross-validated reconstructions through two independent integral
+representations, the forward-hemisphere plane-wave superposition and a
+Fourier-Bessel integral over the waveform spectrum (a third is the
+second under omega = c k), plus a Monte-Carlo estimate.
 """
 
 __version__ = "0.1.0"
@@ -50,4 +51,4 @@ from .synthesis import (
     reconstruct_hemisphere,
     spectral_weight,
 )
-from .waveforms import LeknerWaveform, Waveform, parse_waveform
+from .waveforms import Waveform, parse_waveform

@@ -172,31 +172,36 @@ def eval_spherical_reference(
 
 def evaluate_batch(evaluator: Evaluator, point: SpacetimePoint) -> np.ndarray:
     """``evaluator(point)`` over every node of the broadcast point, as a
-    complex128 array of ``point.shape``, a block of whole slices of the
-    leading axis (the first of 2+ nodes) at a time, each block as many
-    slices as ``BATCH_BLOCK_BYTES`` holds at 80 bytes a node (one at least).
-    The output is allocated after the first block's call, and a batch of
-    one block keeps that call's array.  A non-finite value fails the batch:
-    SingularPoint names the first in row-major order, by batch index.
+    complex128 array of ``point.shape``, a block at a time: slices of the
+    first axis whose trailing slice fits ``BATCH_BLOCK_BYTES`` at 80 bytes
+    a node, as many as fit (one at least), at each index of the axes
+    before it.  The output is allocated after the first block's call, and
+    a batch of one block keeps that call's array.  A non-finite value fails
+    the batch: SingularPoint names the first in row-major order, by batch
+    index.
     """
-    shape, values = point.shape, None
-    d = next((d for d, k in enumerate(shape) if k > 1), 0)  # the leading axis
+    shape, values, fits = point.shape, None, BATCH_BLOCK_BYTES // 80
+    d = next((d for d in range(len(shape)) if math.prod(shape[d + 1:]) <= fits), 0)  # the cut axis
     n, per = math.prod(shape[d:d + 1]), math.prod(shape[d + 1:])  # 1, 1 for one node
-    step = max(1, BATCH_BLOCK_BYTES // 80 // max(per, 1))  # leading-axis slices a block
+    step = max(1, fits // per)  # cut-axis slices a block
 
-    def block(v, lo: int, hi: int):  # slices lo:hi of an array running along the leading axis
-        a = np.ndim(v) - len(shape) + d  # that axis in v, whose axes align with the batch's last ones
-        return v[(slice(None),) * a + (slice(lo, hi),)] if np.ndim(v) > a >= 0 and np.shape(v)[a] > 1 else v
-    for lo in range(0, max(n, 1), step):
-        nodes = SpacetimePoint(*(block(v, lo, lo + step) for v in (point.t, point.x, point.y, point.z)))
-        with np.errstate(all="ignore"):  # non-finite nodes are reported below
-            u = evaluator(nodes)
-        if values is None:  # allocated after the first call; a batch of one block keeps its array
-            values = np.asarray(u, complex) if np.shape(u) == shape else np.empty(shape, complex)
-        (out := block(values, lo, lo + step))[...] = u
-        if (bad := np.flatnonzero(~np.isfinite(out))).size:
-            index = tuple(int(j) for j in np.unravel_index(lo * per + bad[0], shape))
-            raise SingularPoint(index, point.node(index), values[index])
+    def block(v, at: tuple[slice, ...]):  # v at the slices ``at`` of the batch's leading axes
+        a = len(shape) - np.ndim(v)  # v's axes align with the batch's last ones
+        cut = tuple(s if np.shape(v)[j - a] > 1 else slice(None) for j, s in enumerate(at) if j >= a)
+        return v[cut] if cut else v
+    for outer in np.ndindex(shape[:d]):
+        for lo in range(0, max(n, 1), step):
+            at = (*(slice(i, i + 1) for i in outer), slice(lo, lo + step))[:len(shape)]
+            nodes = SpacetimePoint(*(block(v, at) for v in (point.t, point.x, point.y, point.z)))
+            with np.errstate(all="ignore"):  # non-finite nodes are reported below
+                u = evaluator(nodes)
+            if values is None:  # allocated after the first call; a batch of one block keeps its array
+                values = np.asarray(u, complex) if np.shape(u) == shape else np.empty(shape, complex)
+            (out := block(values, at))[...] = u
+            if (bad := np.flatnonzero(~np.isfinite(out))).size:
+                first = (*outer, lo) + (0,) * len(shape)  # the block's first node
+                index = tuple(int(j) + k for j, k in zip(np.unravel_index(bad[0], out.shape), first))
+                raise SingularPoint(index, point.node(index), values[index])
     return values
 
 

@@ -31,11 +31,14 @@ _STENCIL = np.array([(0, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0),
 @dataclass(frozen=True)
 class ResidualReport:
     """Residuals at a set of points with steps ``h``; every field has
-    (or broadcasts to) the broadcast shape of the points and steps."""
+    (or broadcasts to) the broadcast shape of the points and steps.
+    ``rounding`` is 4 eps |u0| / h^2, the rounding scale of one second
+    difference of the centre value u0."""
 
     h: float | np.ndarray
     residual: complex | np.ndarray
     field_scale: float | np.ndarray
+    rounding: float | np.ndarray
 
     @property
     def normalized(self) -> float | np.ndarray:
@@ -45,7 +48,8 @@ class ResidualReport:
         """Least-squares slope of log |residual| against log h along the
         trailing axis, where ``h`` is a strictly decreasing, roughly
         geometric ladder of at least three steps.  NaN where half or more
-        of the residuals sit at the rounding floor: no order exists there.
+        of the residuals sit at the rounding floor, ten times the larger of
+        4 eps ``field_scale`` and ``rounding``: no order exists there.
         """
         hs = np.asarray(self.h, dtype=float)
         if hs.ndim != 1 or hs.size < 3:
@@ -53,8 +57,7 @@ class ResidualReport:
         if np.any(hs[1:] >= hs[:-1]):
             raise ValueError("step sizes must be strictly decreasing")
         mags = np.abs(self.residual)
-        # 4 eps field_scale: the rounding scale of one second difference
-        floored = np.sum(mags <= 10.0 * (4.0 * _EPS * self.field_scale), axis=-1)
+        floored = np.sum(mags <= 10.0 * np.maximum(4.0 * _EPS * self.field_scale, self.rounding), axis=-1)
         x = np.log(hs) - np.log(hs).mean()
         slope = (np.log(np.maximum(mags, 1e-300)) @ x) / (x @ x)
         return np.where(floored >= (hs.size + 1) // 2, np.nan, slope)[()]
@@ -84,7 +87,7 @@ def wave_residual(
     residual = terms[..., 0] + terms[..., 1] + terms[..., 2] - terms[..., 3]
     rounding = 4.0 * _EPS * np.abs(u0) / h2
     field_scale = np.maximum(np.abs(terms).max(axis=-1), np.maximum(rounding, 1e-300))
-    return ResidualReport(h[()], residual[()], field_scale[()])
+    return ResidualReport(h[()], residual[()], field_scale[()], rounding[()])
 
 
 def convergence_order(

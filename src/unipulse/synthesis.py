@@ -40,7 +40,7 @@ from .numerics import (
     integrate_semi_infinite,
     trapezoid,
 )
-from .waveforms import LeknerWaveform, Waveform
+from .waveforms import Waveform
 
 #: inner values a route may spend (``integrate_nested``'s ``max_evals``): the
 #: hemisphere route, and each of the two spectral routes, which share twice that
@@ -116,9 +116,9 @@ def reconstruct_spectral(params: PulseParams, w: Waveform, p: SpacetimePoint,
         integral_start^inf dk e^{i k ct} integral_start^k dk_z
             spectral(k_z, k) J0(rho sqrt(k^2 - k_z^2)) e^{-i k_z z},
 
-    on the spectrum's support alone: it is 0 below start = ``w.spectrum_start``
-    (K for lekner), so no value is taken there.  The outer integral runs in
-    x = k - start on [0, inf), where every node carries a k_z piece
+    on the spectrum's support alone: it is 0 below start = ``w.K``, so no
+    value is taken there.  The outer integral runs in x = k - start on
+    [0, inf), where every node carries a k_z piece
     [start, start + x] of width x, however far start lies.  Through
     ``integrate_nested``, each outer node is one row of inner integrals in
     s = (k_z - start) / x on [0, 1], with the routes as its components,
@@ -130,12 +130,12 @@ def reconstruct_spectral(params: PulseParams, w: Waveform, p: SpacetimePoint,
     -i fhat(k_z) e^{(k_z - k) b} for ``fourier_bessel``, and
     c ``spectral_weight`` at omega = c k (d omega = c dk) for
     ``from_weight``, where both factors agree to rounding.
-    The outer integrand decays like exp(-x min(a, b)), a = w.decay_rate;
+    The outer integrand decays like exp(-x min(a, b)), a = w.a;
     half that rate as the hint leaves the mapped outer integrand ~(1-u)^1
     at u = 1, where 0.9 of it left ~(1-u)^(1/9): the J0 oscillations piled
     up there and the error estimate no longer bounded the error.
     """
-    start, b, c = w.spectrum_start, params.b, params.c
+    start, b, c = w.K, params.b, params.c
 
     def integrand(x: np.ndarray) -> Callable:
         x = x[:, None]
@@ -152,7 +152,7 @@ def reconstruct_spectral(params: PulseParams, w: Waveform, p: SpacetimePoint,
 
         return f
 
-    decay = 0.5 * min(w.decay_rate, b)
+    decay = 0.5 * min(w.a, b)
     fourier_bessel, from_weight = integrate_nested(
         lambda g, t: integrate_semi_infinite(g, t, decay, 160_000), integrand,
         lambda f, t, n: integrate_doubling(f, fejer2, t, n), tol, SPECTRAL_BUDGET,
@@ -221,7 +221,7 @@ def _reduced(x: np.ndarray) -> np.ndarray:
 
 def reconstruct_cartesian_mc(
     params: PulseParams,
-    w: LeknerWaveform,
+    w: Waveform,
     p: SpacetimePoint,
     n_samples: int,
     seed: int,
@@ -231,7 +231,7 @@ def reconstruct_cartesian_mc(
         u = -(i/2pi) * integral over R^3 of H(k_z) fhat(k_z)
               e^{i [k (ct + i b) - k_z (z + i b) - k_x x - k_y y]} / k  d^3k.
 
-    In (k_z, q = k - k_z, phi), d^3k / k = dk_z dq dphi, and for lekner
+    In (k_z, q = k - k_z, phi), d^3k / k = dk_z dq dphi, and
     the integrand's modulus is e^{-a (k_z - K)} e^{-q b}: drawing
     k_z - K ~ Exp(a), q ~ Exp(b) (standard exponentials over a and b) and
     phi uniform leaves every sample the constant weight -1/(a b).  Then

@@ -1,4 +1,4 @@
-"""Waveform families selecting members of the quasi-spherical pulse class.
+"""The waveform selecting a member of the quasi-spherical pulse class.
 
 A waveform is an analytic function on the closed upper half-plane that
 decays at least as 1/|argument| and has a spectral representation
@@ -6,60 +6,28 @@ supported on nonnegative frequencies:
 
     f(theta) = integral_0^inf  fhat(kappa) exp(i kappa theta) dkappa.
 
-One family ships, Lekner's pole below the real axis modulated by a
-positive-frequency carrier, exp(i K theta)/(theta + i a), which
-sharpens angular localization as K grows.  Its K = 0 member, the simple
-rational pole, is spelled ``rational(a=...)`` in descriptors.
-:class:`Waveform` is the interface the closed forms and the routes call.
+One class ships, :class:`Waveform`, Lekner's pole below the real axis
+modulated by a positive-frequency carrier, which sharpens angular
+localization as K grows.  Descriptors spell it ``lekner(a=...,K=...)``,
+and its K = 0 member, the simple rational pole, ``rational(a=...)``.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from abc import ABC, abstractmethod
 
 import numpy as np
 
 
-class Waveform(ABC):
-    """Interface shared by all waveforms.
-
-    ``decay_rate`` bounds the spectrum, |spectrum(kappa)| <= C exp(-decay_rate*kappa),
-    and is used as the decay hint for semi-infinite quadrature.
-    ``spectrum_start`` is the start of the spectrum's support: the
-    spectrum is 0 on [0, spectrum_start) and analytic beyond it, so
-    quadratures integrate over kappa - spectrum_start on [0, inf).
-    """
-
-    decay_rate: float
-    spectrum_start: float = 0.0
-
-    @abstractmethod
-    def eval(self, theta: complex) -> complex:
-        """Value at ``theta`` (imaginary part must be >= 0).
-
-        Must accept a numpy array as well and return the matching shape;
-        the closed forms pass whole grids through it.
-        """
-
-    @abstractmethod
-    def deriv(self, theta: complex) -> complex:
-        """Derivative at ``theta``; accepts arrays like :meth:`eval`."""
-
-    @abstractmethod
-    def spectrum(self, kappa):
-        """Positive-frequency spectral density at kappa >= 0.
-
-        Accepts a scalar or a numpy array; returns the matching shape.
-        """
-
-
-class LeknerWaveform(Waveform):
+class Waveform:
     """f(theta) = exp(i K theta) / (theta + i a), a > 0, K >= 0.
 
-    The carrier shifts the spectral support to kappa >= K, so K must be
-    nonnegative to keep the spectrum on the positive half-line.
+    The spectrum is -i exp(-a (kappa - K)) on kappa >= K and 0 below, so
+    ``a`` is the decay hint of semi-infinite quadratures, which integrate
+    over kappa - K on [0, inf).  ``eval``, ``deriv`` and ``spectrum``
+    accept a scalar or a numpy array and return the matching shape: the
+    closed forms pass whole grids through them.
     """
 
     def __init__(self, a: float, K: float = 0.0):
@@ -71,18 +39,18 @@ class LeknerWaveform(Waveform):
             raise ValueError(f"waveform requires K >= 0, got K={K}")
         self.a = a
         self.K = K
-        self.decay_rate = a
-        self.spectrum_start = K
 
     # At K = 0 the carrier is 1; skipping its exp keeps the rational
     # pole's values exact and the energy integral at its cost.
     def eval(self, theta):
+        """Value at ``theta`` (imaginary part must be >= 0)."""
         if self.K == 0.0:
             return 1.0 / (theta + 1j * self.a)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow: the caller reports it
             return np.exp(1j * self.K * theta) / (theta + 1j * self.a)
 
     def deriv(self, theta):
+        """Derivative at ``theta``."""
         d = theta + 1j * self.a
         if self.K == 0.0:
             # past |d| ~ 1e154 d*d is inf, and -1/inf the true 0; past ~1e300 it can be
@@ -92,19 +60,17 @@ class LeknerWaveform(Waveform):
         return (1j * self.K - 1.0 / d) * np.exp(1j * self.K * theta) / d
 
     def spectrum(self, kappa):
+        """Positive-frequency spectral density at kappa >= 0."""
         arr = np.asarray(kappa, dtype=float)
         return np.where(arr >= self.K, -1j * np.exp(-self.a * np.maximum(arr - self.K, 0.0)), 0j)[()]
 
     def __repr__(self):
         carrier = f", K={self.K!r}" if self.K else ""
-        return f"LeknerWaveform(a={self.a!r}{carrier})"
+        return f"Waveform(a={self.a!r}{carrier})"
 
 
-def _rational(a: float) -> LeknerWaveform:
-    return LeknerWaveform(a)
-
-
-WAVEFORM_REGISTRY = {"rational": _rational, "lekner": LeknerWaveform}
+#: the arguments each descriptor name takes; ``a`` is required
+_DESCRIPTOR_ARGS = {"rational": ("a",), "lekner": ("a", "K")}
 
 _CALL_RE = re.compile(r"\s*([A-Za-z_]\w*)\s*\((.*)\)\s*\Z")
 
@@ -120,9 +86,9 @@ def parse_waveform(text: str) -> Waveform:
             f"waveform descriptor {text!r} does not match name(key=value,...) in printable text"
         )
     name, argstr = m.group(1), m.group(2)
-    cls = WAVEFORM_REGISTRY.get(name)
-    if cls is None:
-        known = ", ".join(sorted(WAVEFORM_REGISTRY))
+    accepted = _DESCRIPTOR_ARGS.get(name)
+    if accepted is None:
+        known = ", ".join(sorted(_DESCRIPTOR_ARGS))
         raise ValueError(f"unknown waveform {name!r} (known: {known})")
     kwargs = {}
     for frag in filter(None, (s.strip() for s in argstr.split(","))):
@@ -133,9 +99,6 @@ def parse_waveform(text: str) -> Waveform:
             kwargs[key.strip()] = float(val)
         except ValueError:
             raise ValueError(f"waveform argument {frag!r} has a non-numeric value") from None
-    try:
-        return cls(**kwargs)
-    except TypeError:
-        raise ValueError(
-            f"waveform {name!r} does not accept arguments {sorted(kwargs)}"
-        ) from None
+    if "a" not in kwargs or not set(kwargs) <= set(accepted):
+        raise ValueError(f"waveform {name!r} does not accept arguments {sorted(kwargs)}")
+    return Waveform(**kwargs)

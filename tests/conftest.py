@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from unipulse import LeknerWaveform, PulseParams
+from unipulse import PulseParams, Waveform
 
 # `pytest --hypothesis-profile=ci` draws the same examples on every run,
 # so a failure in CI reruns to the same draw
@@ -18,7 +18,7 @@ def params():
 @pytest.fixture
 def rational(params):
     """Waveform reproducing the basic closed-form pulse (a = b - zeta)."""
-    return LeknerWaveform(params.b - params.zeta)
+    return Waveform(params.b - params.zeta)
 
 
 @pytest.fixture

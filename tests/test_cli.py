@@ -221,7 +221,7 @@ class TestCompare:
         err = capsys.readouterr().err
         assert "hemisphere reconstruction (route budget 2000000): error floor" in err
 
-    def test_small_decay_rate_exits_3_without_overflow(self, tmp_path, capsys):
+    def test_slow_spectral_decay_exits_3_without_overflow(self, tmp_path, capsys):
         # rational(a = 0.01) at compare_demo's points: the spectral factors hold
         # e^{(k_z - k) b} <= 1, so no RuntimeWarning escapes as exit 1, and a
         # route whose estimate misses its target exits 3 on one stderr line
@@ -412,7 +412,7 @@ class TestSpectrumCmd:
 
     def test_rows_cover_the_support_in_omega_major_order(self, tmp_path):
         from unipulse.synthesis import spectral_weight
-        from unipulse.waveforms import LeknerWaveform
+        from unipulse.waveforms import Waveform
 
         cfg = {"pulse": {"c": 2.0, "tau": 0.5}, "waveform": "lekner(a=1,K=0.5)",
                "kz": {"min": 0.0, "max": 1.0, "count": 3},
@@ -424,7 +424,7 @@ class TestSpectrumCmd:
         # kz = omega/c = 0.5 and 1.0 lie on the edge of the support
         assert [r[:2] for r in rows] == [[0.0, 1.0], [0.5, 1.0],
                                          [0.0, 2.0], [0.5, 2.0], [1.0, 2.0]]
-        params, w = PulseParams(2.0, 0.5), LeknerWaveform(1.0, 0.5)
+        params, w = PulseParams(2.0, 0.5), Waveform(1.0, 0.5)
         for kz, omega, re, im, _ in rows:
             want = spectral_weight(params, w, kz, omega)
             assert complex(re, im) == pytest.approx(want, rel=1e-15, abs=0.0)

@@ -19,7 +19,7 @@ from unipulse.fields import (
     eval_spherical_reference,
 )
 from unipulse.numerics import ToleranceNotReached
-from unipulse.waveforms import LeknerWaveform
+from unipulse.waveforms import Waveform
 
 
 class TestDirection:
@@ -45,20 +45,20 @@ class TestDirection:
                                                   Direction(2.0).unit_vector], rtol=0, atol=1e-16)
 
 
-def draw_pulse(rng) -> tuple[PulseParams, LeknerWaveform]:
+def draw_pulse(rng) -> tuple[PulseParams, Waveform]:
     """A random lekner pulse: c, tau in [0.5, 2], a/b in [0.5, 2] and
     Kb = 0 for a quarter of the draws, else in [0, 3]."""
     params = PulseParams(*rng.uniform(0.5, 2.0, 2))
     b = params.b
     kb = 0.0 if rng.random() < 0.25 else rng.uniform(0.0, 3.0)
-    return params, LeknerWaveform(rng.uniform(0.5, 2.0) * b, kb / b)
+    return params, Waveform(rng.uniform(0.5, 2.0) * b, kb / b)
 
 
 class TestFarfieldNumeric:
     def test_spherical_reference_is_isotropic(self, params):
         # closed-form oracle: along R = ct + s the retarded argument is s,
         # so the limit is f(s + i b_ref) for every direction
-        w = LeknerWaveform(1.0)
+        w = Waveform(1.0)
         ev = lambda p: eval_spherical_reference(p, params, w, b_ref=0.5)
         expect = w.eval(0.5 + 0.5j)
         for d in (Direction(0.2), Direction(1.9, 2.0), Direction(math.pi)):
@@ -89,7 +89,7 @@ class TestFarfieldNumeric:
                 assert abs(fn - fa) <= 1e-6 * abs(fa)
 
     def test_agreement_with_analytic_both_pulses(self, params):
-        for w in (LeknerWaveform(1.0), LeknerWaveform(1.0, 1.0)):
+        for w in (Waveform(1.0), Waveform(1.0, 1.0)):
             ev = lambda p: eval_quasi_spherical(p, params, w)
             for chi in (0.0, math.pi / 6, math.pi / 3):
                 for s in (-1.0, 0.0, 1.0):
@@ -101,7 +101,7 @@ class TestFarfieldNumeric:
     def test_backward_decay_halves_with_doubled_ct(self, params):
         # raw |ct u| halves when ct doubles on the backward hemisphere
         n = Direction(3 * math.pi / 4)
-        for w in (LeknerWaveform(1.0), LeknerWaveform(1.0, 1.0)):
+        for w in (Waveform(1.0), Waveform(1.0, 1.0)):
             ev = lambda p: eval_quasi_spherical(p, params, w)
             mags = []
             for ct in (1e3, 2e3, 4e3):
@@ -184,7 +184,7 @@ class TestFarfieldNumeric:
 
 class TestFarfieldAnalytic:
     def test_forward_axis_formula(self, params):
-        w = LeknerWaveform(0.7)
+        w = Waveform(0.7)
         f = farfield_analytic(1.3, Direction(0.0), params, w)
         assert f == pytest.approx(1.0 / (-1.3 + 0.7j))
 
@@ -195,7 +195,7 @@ class TestFarfieldAnalytic:
             from unipulse.fields import PulseParams
 
             p = PulseParams(1.0, 1.0, zeta)
-            w = LeknerWaveform(p.b - zeta)
+            w = Waveform(p.b - zeta)
             for _ in range(50):
                 chi = rng.uniform(0.0, math.pi / 2 - 1e-6)
                 s = rng.uniform(-2.0, 2.0)
@@ -215,7 +215,7 @@ class TestFarfieldAnalytic:
 
 class TestFarfieldArrays:
     def test_arrays_match_single_calls(self, params):
-        w = LeknerWaveform(1.0, 1.0)
+        w = Waveform(1.0, 1.0)
         s = np.linspace(-2.0, 2.0, 5)
         chi = np.array([[0.0], [0.7], [math.pi / 2], [2.5]])
         n = Direction(chi, np.zeros_like(chi))
@@ -242,7 +242,7 @@ class TestUnidirectionalityCertificate:
         assert {d["status"] for d in rep.directions} == {"OK"}
 
     def test_lekner_pulse_passes(self, params):
-        evaluator = lambda p: eval_quasi_spherical(p, params, LeknerWaveform(1.0, 1.0))
+        evaluator = lambda p: eval_quasi_spherical(p, params, Waveform(1.0, 1.0))
         s = [-2.0, -1.0, 0.0, 1.0, 2.0]
         rep = check_unidirectional(evaluator, s, backward_direction_grid(), 1e-6, params)
         assert rep.passed
@@ -257,7 +257,7 @@ class TestUnidirectionalityCertificate:
 
     def test_spherical_reference_fails(self, params):
         rep = check_unidirectional(
-            lambda p: eval_spherical_reference(p, params, LeknerWaveform(1.0), b_ref=1.0),
+            lambda p: eval_spherical_reference(p, params, Waveform(1.0), b_ref=1.0),
             [-2.0, -1.0, 0.0, 1.0, 2.0],
             backward_direction_grid(),
             1e-6,
@@ -275,12 +275,12 @@ class TestUnidirectionalityCertificate:
         # its |F| = |f(2i)| = 0.5
         dirs = [Direction(0.505 * math.pi)]
         lekner = check_unidirectional(
-            lambda p: eval_quasi_spherical(p, params, LeknerWaveform(1.0, 0.04)),
+            lambda p: eval_quasi_spherical(p, params, Waveform(1.0, 0.04)),
             [-1.0, 0.0, 1.0], dirs, 1e-6, params,
         )
         assert lekner.passed and lekner.max_abs <= 1e-8
         spherical = check_unidirectional(
-            lambda p: eval_spherical_reference(p, params, LeknerWaveform(1.0), b_ref=1.0),
+            lambda p: eval_spherical_reference(p, params, Waveform(1.0), b_ref=1.0),
             [-1.0, 0.0, 1.0], dirs, 1e-6, params,
         )
         assert not spherical.passed
@@ -334,7 +334,7 @@ class TestUnidirectionalityCertificate:
         # ladder, so its extrapolants' relative spread grows on rounding
         # noise far below tol; the certificate passes
         rep = check_unidirectional(
-            lambda p: eval_quasi_spherical(p, params, LeknerWaveform(1.0, 1.0)),
+            lambda p: eval_quasi_spherical(p, params, Waveform(1.0, 1.0)),
             [-2.0, -1.0, 0.0, 1.0, 2.0], [Direction(0.505 * math.pi)], 1e-6, params,
         )
         assert rep.passed and rep.max_abs == pytest.approx(1.2e-30, rel=0.1)

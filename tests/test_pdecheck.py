@@ -11,7 +11,7 @@ from unipulse.fields import (
     eval_simple_pulse,
 )
 from unipulse.pdecheck import convergence_order, wave_residual
-from unipulse.waveforms import LeknerWaveform
+from unipulse.waveforms import Waveform
 
 POINT = SpacetimePoint(0.3, 0.2, 0.1, -0.4)
 H_LADDER = (4e-3, 2e-3, 1e-3)
@@ -87,7 +87,7 @@ class TestConvergenceOrder:
             assert 1.8 <= convergence_order(ev, p, H_LADDER, params) <= 2.2
 
     def test_lekner_order_two(self, params, rng):
-        ev = lambda p: eval_quasi_spherical(p, params, LeknerWaveform(1.0, 1.0))
+        ev = lambda p: eval_quasi_spherical(p, params, Waveform(1.0, 1.0))
         for _ in range(20):
             p = SpacetimePoint(*rng.uniform(-1.2, 1.2, 4))
             assert 1.8 <= convergence_order(ev, p, H_LADDER, params) <= 2.2
@@ -107,8 +107,15 @@ class TestConvergenceOrder:
 
         assert np.isnan(convergence_order(ev, POINT, H_LADDER, params))
 
+    @pytest.mark.parametrize("t", [100.0, 1000.0])
+    def test_late_rational_pulse_hits_floor(self, params, rational, t):
+        # late on, each second difference is its own rounding, 4 eps |u0| / h^2,
+        # far above 40 eps field_scale: no order exists
+        ev = lambda p: eval_quasi_spherical(p, params, rational)
+        assert np.isnan(convergence_order(ev, SpacetimePoint.from_cylindrical(t, 0.5, 0.2), H_LADDER, params))
+
     def test_array_points_give_one_order_each(self, params, rng):
-        ev = lambda p: eval_quasi_spherical(p, params, LeknerWaveform(1.0, 1.0))
+        ev = lambda p: eval_quasi_spherical(p, params, Waveform(1.0, 1.0))
         coords = rng.uniform(-1.2, 1.2, (4, 6))
         orders = convergence_order(ev, SpacetimePoint(*coords), H_LADDER, params)
         assert orders.shape == (6,)
@@ -129,7 +136,7 @@ class TestConvergenceOrder:
     @pytest.mark.parametrize("floored", [False, True])
     def test_is_the_residual_reports_order(self, params, rng, floored):
         # the residual command's fitted_order: the ladder on a trailing axis
-        lekner = lambda p: eval_quasi_spherical(p, params, LeknerWaveform(1.0, 1.0))
+        lekner = lambda p: eval_quasi_spherical(p, params, Waveform(1.0, 1.0))
         ev = (lambda p: np.exp(1j * (p.z - params.c * p.t))) if floored else lekner
         coords = rng.uniform(-1.2, 1.2, (4, 5))
         orders = convergence_order(ev, SpacetimePoint(*coords), H_LADDER, params)

@@ -26,7 +26,7 @@ from unipulse.synthesis import (
     spectral_weight,
 )
 import unipulse.synthesis as synthesis
-from unipulse.waveforms import LeknerWaveform
+from unipulse.waveforms import Waveform
 
 
 REGULAR_POINTS = [
@@ -48,7 +48,7 @@ class TestHemisphere:
 
     @pytest.mark.parametrize("p", REGULAR_POINTS)
     def test_reproduces_lekner_wave(self, params, p):
-        w = LeknerWaveform(1.0, 1.0)
+        w = Waveform(1.0, 1.0)
         res = reconstruct_hemisphere(params, w, p, 1e-5)
         exact = eval_quasi_spherical(p, params, w)
         assert abs(res.value - exact) <= 1e-5
@@ -76,10 +76,10 @@ class TestHemisphere:
                                          "error floor")
 
     def test_counts_one_evaluation_per_derivative_value(self, params):
-        w = LeknerWaveform(1.0, 1.0)
+        w = Waveform(1.0, 1.0)
         nodes = []
 
-        class Counting(LeknerWaveform):
+        class Counting(Waveform):
             def deriv(self, theta):
                 nodes.append(np.size(theta))
                 return super().deriv(theta)
@@ -103,7 +103,7 @@ class TestHemisphere:
     ])
     def test_estimate_bounds_the_distance_from_the_closed_form(self, c, tau, where, a, tol):
         params = PulseParams(c, tau)
-        w = LeknerWaveform(a)
+        w = Waveform(a)
         p = SpacetimePoint.from_cylindrical(*where)
         res = reconstruct_hemisphere(params, w, p, tol)
         exact = eval_quasi_spherical(p, params, w)
@@ -126,14 +126,14 @@ class TestFourierBessel:
 
     @pytest.mark.parametrize("p", REGULAR_POINTS[:3])
     def test_reproduces_lekner_wave(self, params, p):
-        w = LeknerWaveform(1.0, 2.0)
+        w = Waveform(1.0, 2.0)
         res = reconstruct_fourier_bessel(params, w, p, 1e-5)
         exact = eval_quasi_spherical(p, params, w)
         assert abs(res.value - exact) <= 1e-5
 
     def test_nonunit_wave_speed(self):
         p = PulseParams(2.0, 0.5)  # b = 1
-        w = LeknerWaveform(p.b)
+        w = Waveform(p.b)
         pt = SpacetimePoint.from_cylindrical(0.25, 0.5, 0.2)
         res = reconstruct_fourier_bessel(p, w, pt, 1e-6)
         exact = eval_simple_pulse(pt, p)
@@ -146,7 +146,7 @@ class TestFourierBessel:
             reconstruct_fourier_bessel(params, rational, REGULAR_POINTS[1], 1e-6)
 
     @pytest.mark.parametrize("w, most", [
-        (LeknerWaveform(1.0), 10_245), (LeknerWaveform(1.0, 1.0), 10_245),
+        (Waveform(1.0), 10_245), (Waveform(1.0, 1.0), 10_245),
     ])
     def test_spends_no_more_than_one_integral_per_k(self, params, w, most):
         # the counts of solving each inner k_z integral of rational(1) alone at
@@ -160,7 +160,7 @@ class TestFourierBessel:
         # the spectrum is 0 on k_z < K: neither route asks for it there
         spectra, weights = [], []
 
-        class Spying(LeknerWaveform):
+        class Spying(Waveform):
             def spectrum(self, kappa):
                 spectra.append(np.min(kappa))
                 return super().spectrum(kappa)
@@ -179,7 +179,7 @@ class TestFourierBessel:
     def test_counts_one_evaluation_per_spectral_value(self, params, monkeypatch):
         values = []
 
-        class Counting(LeknerWaveform):
+        class Counting(Waveform):
             def spectrum(self, kappa):
                 values.append(np.size(kappa))
                 return super().spectrum(kappa)
@@ -211,7 +211,7 @@ class TestSpectralWeight:
         # symbolic substitution oracle: for a = b - zeta the weight is
         # -(1/c) e^{-omega b / c} e^{zeta kz}
         p = PulseParams(1.0, 1.0, 0.5)
-        w = LeknerWaveform(p.b - p.zeta)
+        w = Waveform(p.b - p.zeta)
         for _ in range(50):
             omega = rng.uniform(0.1, 4.0)
             kz = rng.uniform(0.0, omega / p.c)
@@ -229,7 +229,7 @@ class TestSpectralWeight:
         assert spectral_weight(params, rational, 1.2, 1.0) == 0.0
 
     def test_weight_closure_takes_arrays(self, params):
-        w = LeknerWaveform(1.0, 0.5)
+        w = Waveform(1.0, 0.5)
         kz = np.linspace(-0.5, 2.5, 31)
         omega = np.array([[0.3], [1.0], [2.0]])
         got = spectral_weight(params, w, kz, omega)
@@ -258,7 +258,7 @@ class TestFromWeight:
             assert abs(wt.value - fb.value) <= 1e-8
 
     def test_lekner_weight(self, params):
-        w = LeknerWaveform(1.0, 1.5)
+        w = Waveform(1.0, 1.5)
         p = SpacetimePoint.from_cylindrical(0.2, 0.4, 0.3)
         res = reconstruct_from_weight(params, w, p, 1e-6)
         exact = eval_quasi_spherical(p, params, w)
@@ -272,7 +272,7 @@ class TestFromWeight:
     def test_counts_one_evaluation_per_weight_value(self, params):
         values = []
 
-        class Counting(LeknerWaveform):
+        class Counting(Waveform):
             def spectrum(self, kappa):
                 values.append(np.size(kappa))
                 return super().spectrum(kappa)
@@ -284,7 +284,7 @@ class TestFromWeight:
             # takes the spectrum once in it, as the other route's factor does
             assert values == [res.evaluations] * 2 and res.evaluations > 0
             # at c = 1 route (3) takes the same nodes, and so the same count
-            fb = reconstruct_fourier_bessel(params, LeknerWaveform(*lek), REGULAR_POINTS[1], 1e-6)
+            fb = reconstruct_fourier_bessel(params, Waveform(*lek), REGULAR_POINTS[1], 1e-6)
             assert res.evaluations == fb.evaluations
 
 
@@ -295,7 +295,7 @@ class TestSharedSpectralQuadrature:
         # rounding, which is why they can share nodes and the outer factor x e^{i k ct}
         for _ in range(50):
             params = PulseParams(rng.uniform(0.5, 2.0), rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.4))
-            w = LeknerWaveform(rng.uniform(0.5, 2.0), rng.choice([0.0, rng.uniform(0.0, 2.0)]))
+            w = Waveform(rng.uniform(0.5, 2.0), rng.choice([0.0, rng.uniform(0.0, 2.0)]))
             x = rng.uniform(0.0, 8.0, 20)[:, None]
             k, kz = w.K + x, w.K + x * rng.uniform(0.0, 1.0, (20, 15))
             fb_spectral = -1j * w.spectrum(kz) * np.exp((kz - k) * params.b)
@@ -303,7 +303,7 @@ class TestSharedSpectralQuadrature:
             assert np.allclose(wt_spectral, fb_spectral, rtol=1e-13, atol=0.0)
 
     def test_shared_call_reports_each_route(self, params):
-        w, p = LeknerWaveform(1.0, 1.0), REGULAR_POINTS[1]
+        w, p = Waveform(1.0, 1.0), REGULAR_POINTS[1]
         both = reconstruct_spectral(params, w, p, 1e-6)
         exact = eval_quasi_spherical(p, params, w)
         assert list(both) == ["fourier_bessel", "from_weight"]
@@ -316,7 +316,7 @@ class TestSharedSpectralQuadrature:
     @pytest.mark.parametrize("c", [1.0, 2.0])
     def test_one_route_entry_points_return_the_shared_entries(self, lek, c):
         # each is the shared call's entry, value, estimate and count, bit for bit
-        params, w, p = PulseParams(c, 1.0 / c), LeknerWaveform(*lek), REGULAR_POINTS[1]
+        params, w, p = PulseParams(c, 1.0 / c), Waveform(*lek), REGULAR_POINTS[1]
         both = reconstruct_spectral(params, w, p, 1e-6)
         for route, alone in zip(both, (reconstruct_fourier_bessel, reconstruct_from_weight)):
             got, want = alone(params, w, p, 1e-6), both[route]
@@ -327,14 +327,14 @@ class TestSharedSpectralQuadrature:
     def test_both_routes_count_equal_values_at_any_c(self, c):
         # the integrands differ by rounding at c != 1, and each outer node's
         # row refines both routes together
-        params, w = PulseParams(c, 1.0 / c), LeknerWaveform(1.0, 2.0)
+        params, w = PulseParams(c, 1.0 / c), Waveform(1.0, 2.0)
         for p in REGULAR_POINTS:
             both = reconstruct_spectral(params, w, SpacetimePoint(p.t / c, p.x, p.y, p.z), 1e-6)
             assert both["fourier_bessel"].evaluations == both["from_weight"].evaluations > 0
 
 
 class TestRouteAgreement:
-    @pytest.mark.parametrize("w", [LeknerWaveform(1.0), LeknerWaveform(1.0, 1.0)])
+    @pytest.mark.parametrize("w", [Waveform(1.0), Waveform(1.0, 1.0)])
     def test_all_routes_agree(self, params, w):
         tol = 1e-6
         for p in REGULAR_POINTS:
@@ -366,7 +366,7 @@ class TestSpectralRoutesOracle:
     def test_estimates_bound_the_distance_from_the_closed_form(self, c, b, where, lek, tol):
         # coordinates in units of b; lek is None for rational(a = b), else (a, K)
         params = PulseParams(c, b / c)
-        w = LeknerWaveform(b) if lek is None else LeknerWaveform(*lek)
+        w = Waveform(b) if lek is None else Waveform(*lek)
         ct, z, rho = (b * q for q in where)
         p = SpacetimePoint.from_cylindrical(ct / c, rho, z)
         exact = eval_quasi_spherical(p, params, w)
@@ -384,7 +384,7 @@ class TestSpectralRoutesAtExtremeSpectra:
         # put the whole support within rounding of u = 1 once lambda K ~ 37,
         # where no node falls; in x = k - K every node carries part of it
         tol = 1e-6
-        w = LeknerWaveform(1.0, K)
+        w = Waveform(1.0, K)
         points = [SpacetimePoint.from_cylindrical(0.0, 0.0, 0.5),
                   SpacetimePoint.from_cylindrical(0.3, 0.0, -0.2), *REGULAR_POINTS[:3]]
         for p in points:
@@ -393,7 +393,7 @@ class TestSpectralRoutesAtExtremeSpectra:
                 assert res.evaluations > 0, (route, p)
                 assert abs(res.value - exact) <= res.error_estimate <= max(tol * abs(res.value), tol), (route, p)
 
-    @pytest.mark.parametrize("w", [LeknerWaveform(0.01), LeknerWaveform(0.01, 1.0)])
+    @pytest.mark.parametrize("w", [Waveform(0.01), Waveform(0.01, 1.0)])
     def test_a_slow_spectral_decay_raises_or_meets_its_estimate(self, params, w):
         # a = 0.01 runs the outer nodes out to k ~ 1e4, where a factor e^{k_z b}
         # would overflow; e^{(k_z - k) b} <= 1 does not, so each call either
@@ -430,7 +430,7 @@ class TestNestedEstimateOracle:
         for i in range(300):
             c, b = rng.uniform(0.5, 2.0), rng.uniform(0.7, 1.5)
             ct, z, rho = rng.uniform(-1.5, 1.5) * b, rng.uniform(-1.5, 1.5) * b, rng.uniform(0.0, 1.5) * b
-            w = LeknerWaveform(b) if i % 2 else LeknerWaveform(rng.uniform(0.5, 2.0), rng.uniform(0.0, 2.0))
+            w = Waveform(b) if i % 2 else Waveform(rng.uniform(0.5, 2.0), rng.uniform(0.0, 2.0))
             tol = (1e-5, 1e-6, 1e-7)[i % 3]
             params, p = PulseParams(c, b / c), SpacetimePoint.from_cylindrical(ct / c, rho, z)
             res = ROUTES[route](params, w, p, tol)
@@ -484,7 +484,7 @@ class TestMonteCarlo:
         for i in range(200):
             params = PulseParams(*rng.uniform(0.5, 2.0, 2))
             b = params.b
-            w = LeknerWaveform(10.0 ** rng.uniform(-3.0, 4.0) * b, rng.uniform(0.0, 3.0) / b if i % 2 else 0.0)
+            w = Waveform(10.0 ** rng.uniform(-3.0, 4.0) * b, rng.uniform(0.0, 3.0) / b if i % 2 else 0.0)
             t, z = rng.uniform(-1.5, 1.5, 2) * b
             rho, phi = rng.uniform(0.0, 1.5) * b, rng.uniform(0.0, 2.0 * math.pi)
             p = SpacetimePoint(t / params.c, rho * math.cos(phi), rho * math.sin(phi), z)
@@ -503,7 +503,7 @@ class TestMonteCarlo:
         for i in range(200):
             params = PulseParams(*rng.uniform(0.5, 2.0, 2))
             b = params.b
-            w = LeknerWaveform(10.0 ** rng.uniform(-3.0, 4.0) * b, rng.uniform(0.0, 3.0) / b if i % 2 else 0.0)
+            w = Waveform(10.0 ** rng.uniform(-3.0, 4.0) * b, rng.uniform(0.0, 3.0) / b if i % 2 else 0.0)
             t, z = rng.uniform(-1.5, 1.5, 2) * b
             rho, phi = rng.uniform(0.0, 0.01) * b, rng.uniform(0.0, 2.0 * math.pi)
             p = SpacetimePoint(t / params.c, rho * math.cos(phi), rho * math.sin(phi), z)
@@ -520,7 +520,7 @@ class TestMonteCarlo:
         # every member at the origin, t = 0: every sample is -1/(a b) up to
         # rounding, so only the rounding floor keeps the n-sigma check from
         # failing on it
-        params, w = PulseParams(1.0, b), LeknerWaveform(a, K)
+        params, w = PulseParams(1.0, b), Waveform(a, K)
         origin = SpacetimePoint(0.0, 0.0, 0.0, 0.0)
         mc = reconstruct_cartesian_mc(params, w, origin, 20_000, 3)
         assert 0.0 < mc.stderr <= 1e-12
@@ -534,7 +534,7 @@ class TestMonteCarlo:
         assert json.loads(out.read_text())["rows"][0]["mc_stderr"] > 0.0
 
     def test_estimate_depends_on_the_azimuth_through_rho_alone(self, params):
-        w = LeknerWaveform(1.2, 0.5)
+        w = Waveform(1.2, 0.5)
         p = SpacetimePoint(0.3, -0.4, 0.5, -0.2)
         turned = SpacetimePoint(0.3, math.hypot(-0.4, 0.5), 0.0, -0.2)
         a = reconstruct_cartesian_mc(params, w, p, 30_000, 9)
@@ -611,7 +611,7 @@ class TestMonteCarlo:
         # n counts k-points: an odd n rounds up to whole pairs, one chunk of
         # 2^13 draws and a partial one of 618; the partial chunk's size sets
         # its variates, so a replay of 617 pairs does not match
-        w, p, n = LeknerWaveform(1.0), REGULAR_POINTS[4], 2 * synthesis._MC_CHUNK + 1_235
+        w, p, n = Waveform(1.0), REGULAR_POINTS[4], 2 * synthesis._MC_CHUNK + 1_235
         mc = reconstruct_cartesian_mc(params, w, p, n, 31)
         assert mc.n_samples == 2 * math.ceil(n / 2) == n + 1
         vals, value, stderr = self.replay(params, w, p, n, 31)
@@ -628,7 +628,7 @@ class TestMonteCarlo:
         # the sampler's pair mean cos(r_m) (cos r_p + i sin r_p), at the draw
         # ``index``, is the mean of its two mirrored samples, and the
         # estimate is that of the replay, which takes every pair as that mean
-        w, n, pairs = LeknerWaveform(1.1, 0.5), synthesis.MC_MIN_SAMPLES, synthesis.MC_MIN_SAMPLES // 2
+        w, n, pairs = Waveform(1.1, 0.5), synthesis.MC_MIN_SAMPLES, synthesis.MC_MIN_SAMPLES // 2
         mc = reconstruct_cartesian_mc(params, w, p, n, 23)
         kz, q, u = (a[index] for a in self.draws(np.random.default_rng(23), params, w, pairs))
         plus, minus = self.mirrored(params, p, kz, q, u)
@@ -665,7 +665,7 @@ class TestMonteCarlo:
         # cos(phi), up to the float64 rounding eps (1 + |x_m| + |x_p|) that
         # both formulas' arguments carry; at ct = 10^3 b the phases run to
         # ~10^4 and pass through the reduction
-        w = LeknerWaveform(1.1, 0.5)
+        w = Waveform(1.1, 0.5)
         kz, q, u = self.draws(np.random.default_rng(37), params, w, 4 * synthesis._MC_CHUNK)
         value = sum(self.mirrored(params, p, kz, q, u)) / 2.0
         x_m, x_p = self.arguments(params, p, kz, q, u)
@@ -683,7 +683,7 @@ class TestMonteCarlo:
         # statistical error misses that, and only the floor sum(B) / n_pairs
         # covers it; the sampler squares r in float32, so its floor may differ
         # from this one by 2^-22 relative.
-        params, w, n = PulseParams(1.0, 1.3), LeknerWaveform(1.3), 30_000
+        params, w, n = PulseParams(1.0, 1.3), Waveform(1.3), 30_000
         p = SpacetimePoint(0.0, 1.3e-5, 0.0, 0.0)
         mc = reconstruct_cartesian_mc(params, w, p, n, 5)
         kz, q, u = (np.concatenate(v) for v in zip(*self.chunks(params, w, n // 2, 5)))

@@ -5,45 +5,46 @@ import numpy as np
 import pytest
 
 from unipulse.numerics import integrate_semi_infinite
-from unipulse.waveforms import WAVEFORM_REGISTRY, LeknerWaveform, parse_waveform
+from unipulse import waveforms
+from unipulse.waveforms import Waveform, parse_waveform
 
 
 def spectrum_roundtrip(w, theta, tol=1e-11):
     """Independent reconstruction of eval(theta) by quadrature of the
-    spectrum, in x = kappa - spectrum_start on its support."""
-    k0 = w.spectrum_start
+    spectrum, in x = kappa - K on its support."""
+    k0 = w.K
     res = integrate_semi_infinite(
         lambda x: w.spectrum(k0 + x) * np.exp(1j * (k0 + x) * theta),
         tol,
-        w.decay_rate + 0.9 * theta.imag,
+        w.a + 0.9 * theta.imag,
     )
     return res.value
 
 
 class TestRational:
     def test_eval_at_origin(self):
-        assert LeknerWaveform(1.0).eval(0.0) == -1j
+        assert Waveform(1.0).eval(0.0) == -1j
 
     def test_eval_at_i(self):
-        assert LeknerWaveform(1.0).eval(1j) == -0.5j
+        assert Waveform(1.0).eval(1j) == -0.5j
 
     def test_eval_general(self):
         # exact complex division: 1/(1 + 1.5i)
-        v = LeknerWaveform(0.5).eval(1 + 1j)
+        v = Waveform(0.5).eval(1 + 1j)
         assert v == pytest.approx(0.3076923076923077 - 0.46153846153846156j)
 
     def test_spectrum_values(self):
-        w = LeknerWaveform(1.0)
+        w = Waveform(1.0)
         assert w.spectrum(0.0) == -1j
         assert abs(w.spectrum(2.0) - (-1j * math.exp(-2.0))) < 1e-16
 
     def test_spectrum_roundtrip_at_i(self):
-        w = LeknerWaveform(1.0)
+        w = Waveform(1.0)
         assert abs(spectrum_roundtrip(w, 1j) - (-0.5j)) <= 1e-10
 
     def test_requires_positive_a(self):
         with pytest.raises(ValueError):
-            LeknerWaveform(0.0)
+            Waveform(0.0)
 
 
 class TestLekner:
@@ -59,11 +60,11 @@ class TestLekner:
 
     def test_eval_value(self):
         # e^{i*1*i}/(i + i) = e^{-1}/(2i)
-        v = LeknerWaveform(1.0, 1.0).eval(1j)
+        v = Waveform(1.0, 1.0).eval(1j)
         assert abs(v - (-0.5j * math.exp(-1.0))) < 1e-16
 
     def test_spectrum_support(self):
-        w = LeknerWaveform(1.0, 2.0)
+        w = Waveform(1.0, 2.0)
         assert w.spectrum(1.999) == 0.0
         assert w.spectrum(2.0) == -1j
         arr = w.spectrum(np.array([0.0, 2.0, 3.0]))
@@ -74,19 +75,19 @@ class TestLekner:
         # a (K - kappa) = 1000 would overflow exp; no RuntimeWarning is raised
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert LeknerWaveform(10.0, 100.0).spectrum(np.array([0.0, 100.0])).tolist() == [0.0, -1j]
+            assert Waveform(10.0, 100.0).spectrum(np.array([0.0, 100.0])).tolist() == [0.0, -1j]
 
     def test_spectrum_roundtrip(self):
-        w = LeknerWaveform(1.0, 2.0)
+        w = Waveform(1.0, 2.0)
         theta = 0.3 + 0.7j
         assert abs(spectrum_roundtrip(w, theta) - w.eval(theta)) <= 1e-10
 
     def test_rejects_negative_carrier(self):
         with pytest.raises(ValueError):
-            LeknerWaveform(1.0, -0.5)
+            Waveform(1.0, -0.5)
 
 
-@pytest.mark.parametrize("w", [LeknerWaveform(1.0), LeknerWaveform(1.0, 2.0)])
+@pytest.mark.parametrize("w", [Waveform(1.0), Waveform(1.0, 2.0)])
 class TestWaveformContract:
     def test_spectrum_roundtrip_random_points(self, w, rng):
         worst = 0.0
@@ -124,21 +125,35 @@ class TestWaveformContract:
 
 class TestRegistryAndGrammar:
     def test_registry_contents(self):
-        assert set(WAVEFORM_REGISTRY) == {"rational", "lekner"}
+        # the descriptor table: every name builds the one class; rational takes a alone
+        assert waveforms._DESCRIPTOR_ARGS == {"rational": ("a",), "lekner": ("a", "K")}
+        assert parse_waveform("rational(a=2)").K == 0.0
 
     def test_parse_rational(self):
         w = parse_waveform("rational(a=0.75)")
-        assert isinstance(w, LeknerWaveform) and w.a == 0.75 and w.K == 0.0
+        assert isinstance(w, Waveform) and w.a == 0.75 and w.K == 0.0
 
     def test_parse_lekner(self):
         w = parse_waveform("lekner(a=1.5, K=2)")
-        assert isinstance(w, LeknerWaveform) and w.a == 1.5 and w.K == 2.0
+        assert isinstance(w, Waveform) and w.a == 1.5 and w.K == 2.0
 
     @pytest.mark.parametrize(
         "bad",
         ["gauss(a=1)", "rational", "rational(a=x)", "rational(1.0)", "lekner(q=1)",
-         "rational(a=1,K=2)"],
+         "rational(a=1,K=2)", "lekner(K=1)"],
     )
     def test_parse_errors(self, bad):
         with pytest.raises(ValueError):
             parse_waveform(bad)
+
+    @pytest.mark.parametrize("bad, message", [
+        ("gauss(a=1)", "unknown waveform 'gauss' (known: lekner, rational)"),
+        ("rational(a=1,K=2)", "waveform 'rational' does not accept arguments ['K', 'a']"),
+        ("lekner(K=1)", "waveform 'lekner' does not accept arguments ['K']"),
+        ("lekner(a=1,q=2)", "waveform 'lekner' does not accept arguments ['a', 'q']"),
+        ("rational()", "waveform 'rational' does not accept arguments []"),
+    ])
+    def test_parse_error_messages(self, bad, message):
+        with pytest.raises(ValueError) as exc:
+            parse_waveform(bad)
+        assert str(exc.value) == message
