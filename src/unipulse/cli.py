@@ -8,8 +8,10 @@ and follows a uniform exit-code contract:
     3  numerical failure (tolerance not reached, singular point, ...)
     4  a requested check failed (route disagreement, certificate FAIL)
 
-Outputs contain no timestamps and print floats with 17 significant
-digits, so identical runs produce byte-identical files.
+Outputs contain no timestamps, so identical runs produce byte-identical
+files.  CSV cells spell floats with ``%.17g``; a JSON report is one line
+with shortest round-trip floats (``python -m json.tool`` pretty-prints
+it).  Either way every value reads back bit for bit.
 """
 
 from __future__ import annotations

@@ -176,14 +176,11 @@ def parse_pulse_setup(cfg: dict) -> PulseSetup:
     the simplest regular family; ``simple_pulse`` is that pole at any zeta and reads no waveform.
     """
     block = get_block(cfg.get("pulse", {}), "pulse", {"c", "tau", "zeta"})
-    try:
-        params = PulseParams(
-            c=get_number(block, "c", "pulse.", 1.0, gt=0.0),
-            tau=get_number(block, "tau", "pulse.", 1.0, gt=0.0),
-            zeta=get_number(block, "zeta", "pulse.", 0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"pulse: {exc}") from exc
+    params = PulseParams(
+        c=get_number(block, "c", "pulse.", 1.0, gt=0.0),
+        tau=get_number(block, "tau", "pulse.", 1.0, gt=0.0),
+        zeta=get_number(block, "zeta", "pulse.", 0.0),
+    )
 
     desc = cfg.get("waveform")
     if desc is None:

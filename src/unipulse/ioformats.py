@@ -1,15 +1,16 @@
 """Deterministic text serialization for command outputs.
 
-Floats are printed with up to 17 significant digits (exact double
-round-trip), so identical runs produce byte-identical files and other
-implementations can reproduce values exactly.
+CSV cells spell floats with C's ``%.17g``.  A JSON report is one line of
+the standard library's JSON, its floats in Python's shortest round-trip
+spelling; ``python -m json.tool <file>`` pretty-prints it.  Either way a
+value reads back bit for bit, and identical runs write byte-identical files.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import math
-from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -23,53 +24,18 @@ def fmt_float(x: float) -> str:
     return ("%.17g" % float(x)).replace("nan", "NaN").replace("inf", "Infinity")
 
 
-def _quoted(s: str) -> str:
-    """``s`` as a JSON string literal, with ``%`` doubled for the ``%`` pass."""
-    return encode_basestring(s).replace("%", "%%")
+def _complex_parts(v: Any) -> dict:
+    """``json.dumps``'s hook for the values it has no spelling of: a complex as {"re", "im"}."""
+    if isinstance(v, complex):
+        return {"re": v.real, "im": v.imag}
+    raise TypeError(f"cannot serialize {type(v).__name__}")
 
 
 def render_json(obj: Any) -> str:
-    """JSON text with 17-significant-digit floats, stable key order, and
-    complex numbers as {"re", "im"}.  One traversal collects the text around
-    the values, with a ``%.17g`` slot per finite float; one ``%`` fills them."""
-    text, floats, keys = [], [], {}
-    put, slot, finite = text.append, floats.append, math.isfinite
-
-    def emit(v, pad: str) -> None:  # pad: a newline and the indentation
-        if isinstance(v, float) and finite(v):
-            put("%.17g")
-            slot(v)
-        elif isinstance(v, dict):
-            inner, sep = pad + "  ", "{" + pad + "  "
-            for k, x in v.items():
-                leaf = isinstance(x, float) and finite(x)  # its slot follows the key, with no call
-                put(sep + (keys.get(k) or keys.setdefault(k, _quoted(str(k)) + ": ")) + "%.17g" * leaf)
-                slot(x) if leaf else emit(x, inner)
-                sep = "," + inner
-            put(pad + "}" if v else "{}")
-        elif isinstance(v, complex) and finite(v.real) and finite(v.imag):
-            put(f'{{{pad}  "re": %.17g,{pad}  "im": %.17g{pad}}}')  # {"re", "im"} in one piece
-            floats.extend((v.real, v.imag))
-        elif isinstance(v, complex):
-            emit({"re": v.real, "im": v.imag}, pad)
-        elif isinstance(v, (list, tuple)):
-            inner, sep = pad + "  ", "[" + pad + "  "
-            for x in v:
-                put(sep)
-                emit(x, inner)
-                sep = "," + inner
-            put(pad + "]" if v else "[]")
-        elif isinstance(v, str):
-            put(_quoted(v))
-        elif v is None or isinstance(v, bool):
-            put("null" if v is None else "true" if v else "false")
-        elif isinstance(v, (int, float)):  # the floats left are not finite
-            put(str(v) if isinstance(v, int) else fmt_float(v))
-        else:
-            raise TypeError(f"cannot serialize {type(v).__name__}")
-
-    emit(obj, "\n")
-    return "".join(text) % tuple(floats)
+    """One line of JSON: floats in their shortest round-trip spelling, NaN and
+    the infinities as NaN, Infinity and -Infinity, keys in insertion order, and
+    complex numbers as {"re", "im"}."""
+    return json.dumps(obj, ensure_ascii=False, default=_complex_parts)
 
 
 def write_text(path, text: str) -> None:

@@ -156,6 +156,15 @@ class TestCompare:
         assert set(row) >= {"point", "closed_form", "hemisphere",
                             "fourier_bessel", "max_discrepancy"}
 
+    def test_route_disagreement_exits_4_and_writes_the_report(self, tmp_path, capsys):
+        cfg = json.loads((CONFIGS / "compare_demo.json").read_text())
+        del cfg["mc"]
+        cfg["max_discrepancy"] = 1e-300
+        rc, out = run(tmp_path, "compare", cfg, "disagree.json")
+        assert rc == 4 and json.loads(out.read_text())["pass"] is False
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("check failed: route disagreement ")
+
     def test_rows_report_each_route_error_and_evaluations(self, tmp_path):
         rc, out = run(tmp_path, "compare", self.CFG, "e.json")
         assert rc == 0
@@ -720,8 +729,8 @@ class TestConfigMistakes:
         # |cos chi| < 1e-3: the ladder would pass ct = 1e10 max(b, |s|)
         ("farfield", {"directions": [{"chi": 0.0}, {"chi": 0.4997 * math.pi}]},
          "directions[1].chi"),
-        # a descriptor is echoed into the report: raw, a tab breaks the JSON
-        # string and a newline splits the CSV comment line
+        # a descriptor is echoed into the reports and CSV comment lines: raw,
+        # a newline splits the comment line
         ("energy", {"waveform": "lekner(a=1,\tK=2)"}, "waveform"),
         ("spectrum", {"waveform": "lekner(a=1,\nK=2)"}, "waveform"),
         ("unidir", {"waveform": "rational(a=1)\r"}, "waveform"),
@@ -758,6 +767,39 @@ class TestConfigMistakes:
         ("unidir", {"evaluator": "simple_pulse", "waveform": "rational(a=1)"}, "waveform"),
         ("residual", {"evaluator": "simple_pulse", "waveform": "rational(a=1)",
                       "random_points": {"n": 1}}, "waveform"),
+        # a block, a number, an integer, a string or a list of the wrong kind
+        ("energy", {"pulse": 5}, "pulse"),
+        ("farfield", {"directions": [{"phi": 0.0}]}, "directions[0].chi"),
+        ("energy", {"tolerance": "1e-6"}, "tolerance"),
+        ("compare", {"points": [{"t": 0.0, "rho": -0.5, "z": 0.2}]}, "points[0].rho"),
+        ("sample", {"grid": {"axes": [{"name": "z", "min": 0.0, "max": 1.0}]}},
+         "grid.axes[0].count"),
+        ("residual", {"random_points": {"n": 1.5}}, "random_points.n"),
+        ("residual", {"random_points": {"n": 0}}, "random_points.n"),
+        ("sample", {"grid": {"axes": [{"min": 0.0, "max": 1.0, "count": 2}]}}, "grid.axes[0].name"),
+        ("sample", {"grid": {"axes": [{"name": 3, "min": 0.0, "max": 1.0, "count": 2}]}},
+         "grid.axes[0].name"),
+        ("sample", {"grid": {"axes": [{"name": "z", "min": 0.0, "max": 1.0, "count": 2}]},
+                    "format": "png"}, "format"),
+        ("energy", {"t_values": 1.0}, "t_values"),
+        ("energy", {"t_values": ["0.5"]}, "t_values[0]"),
+        ("energy", {"pulse": {"zeta": 1.0}}, "waveform"),
+        ("energy", {"waveform": 1}, "waveform"),
+        ("farfield", {"directions": []}, "directions"),
+        ("farfield", {"directions": [{"chi": 0.5, "phi": 7.0}]}, "directions[0]"),
+        ("spectrum", {"kz": {"min": 1.0, "max": 0.5, "count": 3}}, "kz"),
+        # a grid its axes cannot span
+        ("sample", {"grid": {"axes": []}}, "grid.axes"),
+        ("sample", {"grid": {"axes": [{"name": "w", "min": 0.0, "max": 1.0, "count": 2}]}},
+         "grid.axes[0]"),
+        ("sample", {"grid": {"axes": [{"name": "z", "min": 1.0, "max": 0.0, "count": 2}]}},
+         "grid.axes[0]"),
+        ("sample", {"grid": {"axes": [{"name": n, "min": 0.0, "max": 1.0, "count": 1}
+                                      for n in "txyz"]}}, "grid"),
+        ("sample", {"grid": {"axes": [{"name": "z", "min": 0.0, "max": 1.0, "count": 2}] * 2}},
+         "grid"),
+        ("sample", {"grid": {"axes": [{"name": "z", "min": 0.0, "max": 1.0, "count": 2}],
+                             "fixed": {"z": 0.0}}}, "grid"),
     ])
     def test_exits_2_and_names_the_field(self, tmp_path, capsys, command, cfg, field):
         rc, out = run(tmp_path, command, cfg, "mistake.out")
@@ -787,14 +829,26 @@ class TestConfigMistakes:
         (b'{"x": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "maximum recursion depth"),
         (b'{"tolerance": 1e-4, "tolerance": 1e-2}', "duplicate key 'tolerance'"),
         (b'{"pulse": {"c": 1, "c": 2}}', "duplicate key 'c'"),
-    ], ids=["not-utf8", "5000-digits", "nested-too-deep", "duplicate-key", "duplicate-pulse-key"])
+        (b'{"tolerance": }', "line 1, column 15: Expecting value"),
+        (b"[1.0]", "top level must be a JSON object"),
+    ], ids=["not-utf8", "5000-digits", "nested-too-deep", "duplicate-key", "duplicate-pulse-key",
+            "not-json", "not-an-object"])
     def test_malformed_file_exits_2_and_names_it(self, tmp_path, capsys, text, message):
         path = tmp_path / "malformed.json"
         path.write_bytes(text)
         out = tmp_path / "mistake.out"
         assert main(["energy", "--config", str(path), "--out", str(out)]) == 2
         assert not out.exists()
-        assert f"config error: {path}: {message}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: {message}") and err.count("\n") == 1
+
+    def test_missing_file_exits_2_and_names_it(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        out = tmp_path / "mistake.out"
+        assert main(["energy", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {path}: ") and err.count("\n") == 1
 
 
 class TestOutOfMemory:
