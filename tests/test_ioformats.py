@@ -86,7 +86,10 @@ class TestRenderJson:
             '"z": {"re": 1.5, "im": -0.0}, "z_special": {"re": NaN, "im": -Infinity}, '
             '"100% \\"k\\" \\\\ \\té": "a %s %% \\"q\\" \\\\ \\n%.17g\\u0001\x7fé"}')
         assert_same(json.loads(render_json(doc)), parsed(doc))
+
+    def test_bare_values(self):
         assert render_json({}) == "{}" and render_json(()) == "[]"
+        assert render_json(1 / 3) == "0.3333333333333333"
         assert render_json(1e-6) == "1e-06" and render_json(-math.inf) == "-Infinity"
         assert render_json("%") == '"%"'
 
