@@ -59,6 +59,7 @@ from .fields import (
     eval_quasi_spherical,
     eval_simple_pulse,
     eval_spherical_reference,
+    evaluate_batch,
     sample_grid,
 )
 from .ioformats import fmt_float, render_json, write_csv, write_text
@@ -134,9 +135,10 @@ def run_compare(cfg: dict, setup, seed: int | None) -> Output:
     bound = get_number(cfg, "max_discrepancy", "", 1e-5, gt=0.0)
     mc_n, mc_seed, mc_sigma = parse_monte_carlo(cfg, seed)
 
+    closed_forms = evaluate_batch(lambda q: eval_quasi_spherical(q, setup.params, setup.waveform),
+                                  SpacetimePoint(*np.array([(p.t, p.x, p.y, p.z) for p in points]).T))
     rows, worst, mc_misses = [], 0.0, 0
-    for p in points:
-        closed = eval_quasi_spherical(p, setup.params, setup.waveform)
+    for p, closed in zip(points, closed_forms.tolist()):
         routes = {
             "hemisphere": reconstruct_hemisphere(setup.params, setup.waveform, p, tol),
             **reconstruct_spectral(setup.params, setup.waveform, p, tol),

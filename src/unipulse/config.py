@@ -228,11 +228,11 @@ def parse_random_points(cfg: dict, b: float, seed: int | None = None) -> list[Sp
     """``random_points``: n points drawn uniformly from the 4-cube of
     half-width ``extent``; ``seed`` overrides the block's seed."""
     block = get_block(cfg.get("random_points", {}), "random_points", {"n", "seed", "extent"})
-    n = get_int(block, "n", "random_points.", 20, ge=1)
+    n = get_int(block, "n", "random_points.", 20, ge=1, le=_MAX_COUNT)
     seed = get_seed(block, "random_points.", 7, seed)
     extent = get_number(block, "extent", "random_points.", 1.2 * b, gt=0.0)
     rng = np.random.default_rng(seed)
-    return [SpacetimePoint(*rng.uniform(-extent, extent, 4).tolist()) for _ in range(n)]
+    return [SpacetimePoint(*row) for row in rng.uniform(-extent, extent, (n, 4)).tolist()]
 
 
 def parse_monte_carlo(cfg: dict, seed: int | None = None) -> tuple[int, int, float]:

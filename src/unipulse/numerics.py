@@ -510,17 +510,20 @@ def integrate_nested(outer: Callable, integrand: Callable, inner: Callable, tol:
     component, and a route's estimate adds that outer-weighted sum to the
     outer rule's; one above its target max(tol |value|, tol) raises
     ToleranceNotReached naming the route.  Returns one result per route,
-    ``evaluations`` counting its inner values; ``max_evals`` bounds each
-    route's, and the routes share len(what) max_evals.  A failure or a
-    non-finite integrand is raised once, naming the routes.
+    a float value for a real integrand, ``evaluations`` counting its inner
+    values; ``max_evals`` bounds each route's, and the routes share
+    len(what) max_evals.  A failure or a non-finite integrand is raised
+    once, naming the routes: an overflow in the integrand or the inner
+    rule is reported as a non-finite value, never warned by numpy.
     """
     routes, names = len(what), " and ".join(what)
     evals = np.zeros(routes, dtype=int)
 
     def g(x: np.ndarray) -> np.ndarray:
-        res = inner(integrand(x), 0.05 * tol, routes * max_evals - int(evals.sum()))
-        evals[:] += np.reshape(res.evaluations, (routes, -1)).sum(axis=1)
-        return np.reshape([res.value, res.error_estimate], (2, routes, -1, x.size)).sum(axis=2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = inner(integrand(x), 0.05 * tol, routes * max_evals - int(evals.sum()))
+            evals[:] += np.reshape(res.evaluations, (routes, -1)).sum(axis=1)
+            return np.reshape([res.value, res.error_estimate], (2, routes, -1, x.size)).sum(axis=2)
 
     try:
         res = outer(g, 0.5 * tol)
@@ -533,7 +536,7 @@ def integrate_nested(outer: Callable, integrand: Callable, inner: Callable, tol:
         if e > target:
             raise ToleranceNotReached(f"{name} (route budget {max_evals}): error estimate "
                                       f"{e:.3e} with the inner ones exceeds its target {target:.3e}")
-    return tuple(QuadratureResult(complex(v), float(e), int(n)) for v, e, n in zip(value, estimate, evals))
+    return tuple(QuadratureResult(v.item(), float(e), int(n)) for v, e, n in zip(value, estimate, evals))
 
 
 def limit_extrapolate(h: Sequence[float], v: np.ndarray) -> ExtrapolationResult:

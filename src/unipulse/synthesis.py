@@ -94,10 +94,8 @@ def reconstruct_hemisphere(
         amp = p.rho * np.sqrt(1.0 - mu * mu)
 
         def f(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
-            # an overflow gives a non-finite value, which integrate_doubling reports
-            with np.errstate(over="ignore", invalid="ignore"):
-                theta = (base[rows] - amp[rows] * np.cos(math.pi * s)) / mu[rows]
-                return w.deriv(theta) / (mu[rows] * mu[rows])
+            theta = (base[rows] - amp[rows] * np.cos(math.pi * s)) / mu[rows]
+            return w.deriv(theta) / (mu[rows] * mu[rows])
 
         return f
 
@@ -145,8 +143,7 @@ def reconstruct_spectral(params: PulseParams, w: Waveform, p: SpacetimePoint,
         def f(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
             kz, kr = start + x[rows] * s, k[rows]
             chi = np.sqrt(np.maximum(kr ** 2 - kz * kz, 0.0))
-            with np.errstate(over="ignore", invalid="ignore"):  # overflows at |z| ~ 1e306: reported
-                kernel = bessel_j0(p.rho * chi) * np.exp(kz * complex(0.0, -p.z)) * outer[rows]
+            kernel = bessel_j0(p.rho * chi) * np.exp(kz * complex(0.0, -p.z)) * outer[rows]
             return np.stack([kernel * (-1j * w.spectrum(kz) * np.exp((kz - kr) * b)),
                              kernel * (c * spectral_weight(params, w, kz, c * kr))])
 

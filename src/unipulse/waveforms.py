@@ -50,13 +50,12 @@ class Waveform:
             return np.exp(1j * self.K * theta) / (theta + 1j * self.a)
 
     def deriv(self, theta):
-        """Derivative at ``theta``."""
+        """Derivative at ``theta``.  At K = 0 past |d| ~ 1e154, d = theta + i a,
+        d*d overflows and numpy warns: -1/(d*d) is then the true 0, or NaN
+        where d*d is inf + nan i, for the caller to report."""
         d = theta + 1j * self.a
         if self.K == 0.0:
-            # past |d| ~ 1e154 d*d is inf, and -1/inf the true 0; past ~1e300 it can be
-            # inf + nan i, and the NaN is the caller's to report
-            with np.errstate(over="ignore", invalid="ignore"):
-                return -1.0 / (d * d)
+            return -1.0 / (d * d)
         return (1j * self.K - 1.0 / d) * np.exp(1j * self.K * theta) / d
 
     def spectrum(self, kappa):

@@ -9,6 +9,7 @@ import pytest
 
 from unipulse import cli
 from unipulse.cli import _build_parser, main
+from unipulse.config import parse_random_points
 from unipulse.fields import PulseParams, SpacetimePoint, eval_simple_pulse
 from unipulse.ioformats import fmt_float, render_json
 
@@ -272,7 +273,10 @@ class TestCompare:
           "waveform": "rational(a=1.2739923141454446)",
           "points": [{"t": 1.5177002005506317e+65, "rho": 3.714383859611194e+218,
                       "z": 1.414200823263778e+306}]}, 3),
-    ], ids=["point0-3", "point1-3", "point2-0", "carrier_overflow-3", "spectral_kernel_overflow-3"])
+        # c t = 1e309 overflows: the closed form is non-finite, which evaluate_batch reports
+        ({"pulse": {"c": 100.0, "tau": 0.01}, "points": [{"t": 1e307, "rho": 0.5, "z": 0.2}]}, 3),
+    ], ids=["point0-3", "point1-3", "point2-0", "carrier_overflow-3", "spectral_kernel_overflow-3",
+            "ct_overflow-3"])
     def test_far_end_of_the_float_range_keeps_the_exit_code(self, tmp_path, capsys, cfg,
                                                             expected):
         cfg = dict(cfg, tolerance=1e-6)
@@ -516,6 +520,21 @@ class TestResidualCmd:
         rows = [l for l in out.read_text().splitlines()
                 if l and not l.startswith("#") and not l.startswith("t,")]
         assert len(rows) == 9
+
+    def test_random_points_are_the_per_point_draws(self):
+        # one (n, 4) draw reads the generator's stream as n draws of 4 do
+        rng = np.random.default_rng(11)
+        expect = [rng.uniform(-2.0, 2.0, 4).tolist() for _ in range(40)]
+        points = parse_random_points({"random_points": {"n": 40, "seed": 11, "extent": 2.0}}, 1.0)
+        assert [[p.t, p.x, p.y, p.z] for p in points] == expect
+
+    def test_random_points_past_the_largest_array_exit_3(self, tmp_path, capsys):
+        # 2^62 points pass the count cap, and numpy refuses their (2^62, 4)
+        # draw before allocating it, where one draw a point ran until killed
+        rc, out = run(tmp_path, "residual", {"random_points": {"n": 2**62}}, "big.csv")
+        err = capsys.readouterr().err
+        assert rc == 3 and not out.exists() and err.count("\n") == 1
+        assert err.startswith("numerical failure: array is too big")
 
     @pytest.mark.parametrize("where, coordinate", [
         ({"t": 1e17, "rho": 0.5, "z": 0.2}, "t +/- h/c = 1e+17"),
@@ -800,6 +819,8 @@ class TestConfigMistakes:
          "grid"),
         ("sample", {"grid": {"axes": [{"name": "z", "min": 0.0, "max": 1.0, "count": 2}],
                              "fixed": {"z": 0.0}}}, "grid"),
+        # 10^21 random points, drawn one a time, ran until killed
+        ("residual", {"random_points": {"n": 10**21}}, "random_points.n"),
     ])
     def test_exits_2_and_names_the_field(self, tmp_path, capsys, command, cfg, field):
         rc, out = run(tmp_path, command, cfg, "mistake.out")

@@ -365,6 +365,12 @@ class TestUnidirectionalityCertificate:
             ref = check_unidirectional(lambda p: eval_spherical_reference(p, params, w, b), *args)
             assert not ref.passed, ref.as_dict()
 
+    @pytest.mark.parametrize("s_samples", [[], [[0.0, 1.0]]])
+    def test_rejects_no_s_samples(self, params, s_samples):
+        with pytest.raises(ValueError, match="^need at least one s sample$"):
+            check_unidirectional(lambda p: eval_simple_pulse(p, params), s_samples,
+                                 [Direction(2.5)], 1e-6, params)
+
     def test_rejects_forward_directions(self, params):
         with pytest.raises(ValueError):
             check_unidirectional(

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from unipulse.cli import main
 from unipulse.fields import (
     AxisSpec,
+    FieldGrid,
     GridSpec,
     PulseParams,
     SingularPoint,
@@ -418,6 +419,16 @@ class TestGrid:
             AxisSpec("rho", -1.0, 1.0, 3)
         with pytest.raises(ValueError, match="rho"):
             GridSpec((AxisSpec("z", 0.0, 1.0, 2),), {"rho": -0.5})
+
+    def test_library_refusals(self, params):
+        # each is refused before the config reaches it, so only a library caller meets it
+        with pytest.raises(ValueError, match=r"^axis z: count must be >= 1, got 0$"):
+            AxisSpec("z", 0.0, 1.0, 0)
+        with pytest.raises(ValueError, match=r"^fixed coordinate 'w' is not one of "):
+            GridSpec((AxisSpec("z", 0.0, 1.0, 2),), {"w": 0.0})
+        spec = GridSpec((AxisSpec("z", 0.0, 1.0, 2),))
+        with pytest.raises(ValueError, match=r"^values shape \(3,\) != grid shape \(2,\)$"):
+            FieldGrid(spec, np.zeros(3, complex), **provenance(params))
 
     def test_rho_conflicts_with_xy(self):
         with pytest.raises(ValueError):

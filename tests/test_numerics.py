@@ -192,9 +192,19 @@ class TestIntegrateAdaptive:
         with pytest.raises(ValueError):
             integrate_adaptive(lambda x: 1.0, 1.0, 0.0, 1e-6)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
+    def test_non_positive_tolerance(self, tol):
+        with pytest.raises(ValueError, match=f"^tolerance must be positive, got {tol}$"):
+            integrate_adaptive(lambda x: 1.0, 0.0, 1.0, tol)
+
     def test_non_finite_integrand_is_an_error(self):
         with pytest.raises(ValueError):
             integrate_adaptive(lambda x: math.nan, 0.0, 1.0, 1e-6)
+
+    def test_integer_values_are_integrated_as_floats(self):
+        # a step of integer values, 2 then 5, with its edge at a breakpoint
+        res = integrate_adaptive(lambda x: np.where(x < 1.0, 2, 5), 0.0, 3.0, 1e-10, breakpoints=(1.0,))
+        assert isinstance(res.value, complex) and res.value == pytest.approx(12.0, abs=1e-12)
 
     def test_breakpoint_seeding_helps_kinks(self):
         f = lambda x: abs(x - 1.0 / 3.0)
@@ -605,6 +615,7 @@ class TestIntegrateNested:
         # integrates both, and the estimate carries int_0^1 1e-3 x dx
         inner, calls = self.inner(1e-3)
         (res,) = integrate_nested(self.outer, lambda x: x, inner, 1e-2, 10**6, ("test",))
+        assert isinstance(res.value, float)  # a real integrand gives a float
         assert res.value == pytest.approx(1.0 / 3.0, abs=1e-15)
         assert res.error_estimate == pytest.approx(5e-4, rel=1e-9)
         assert res.evaluations == 7 * 15

@@ -393,6 +393,15 @@ class TestSpectralRoutesAtExtremeSpectra:
                 assert res.evaluations > 0, (route, p)
                 assert abs(res.value - exact) <= res.error_estimate <= max(tol * abs(res.value), tol), (route, p)
 
+    def test_an_outer_factor_past_the_float_range_is_reported(self):
+        # c t = 1e309 overflows: the outer factor e^{i k ct} is non-finite, and
+        # the inner rule reports it as a ValueError, not numpy as a RuntimeWarning
+        p = SpacetimePoint.from_cylindrical(1e307, 0.5, 0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="integrand produced a non-finite value"):
+                reconstruct_spectral(PulseParams(100.0, 0.01), Waveform(1.0), p, 1e-6)
+
     @pytest.mark.parametrize("w", [Waveform(0.01), Waveform(0.01, 1.0)])
     def test_a_slow_spectral_decay_raises_or_meets_its_estimate(self, params, w):
         # a = 0.01 runs the outer nodes out to k ~ 1e4, where a factor e^{k_z b}
