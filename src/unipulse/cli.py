@@ -5,13 +5,14 @@ and follows a uniform exit-code contract:
 
     0  success
     2  config error (message names the field)
-    3  numerical failure (tolerance not reached, singular point, ...)
+    3  numerical failure (tolerance not reached, non-finite value, ...)
     4  a requested check failed (route disagreement, certificate FAIL)
 
 Outputs contain no timestamps, so identical runs produce byte-identical
-files.  CSV cells spell floats with ``%.17g``; a JSON report is one line
-with shortest round-trip floats (``python -m json.tool`` pretty-prints
-it).  Either way every value reads back bit for bit.
+files.  CSV cells and comments spell floats with ``%.16e``
+(``1.0000000000000001e-01``); a JSON report is one line with shortest
+round-trip floats (``python -m json.tool`` pretty-prints it).  Either
+way every value reads back bit for bit.
 """
 
 from __future__ import annotations
@@ -60,9 +61,10 @@ from .fields import (
     eval_simple_pulse,
     eval_spherical_reference,
     evaluate_batch,
+    pulse_comment,
     sample_grid,
 )
-from .ioformats import fmt_float, render_json, write_csv, write_text
+from .ioformats import render_json, write_csv, write_text
 from .numerics import ToleranceNotReached
 from .pdecheck import wave_residual
 from .synthesis import (
@@ -214,8 +216,7 @@ def run_spectrum(cfg: dict, setup, seed: int | None) -> Output:
     with np.errstate(over="ignore"):  # an omega/c past the float range is inf: every k_z is inside
         keep = kz <= omega / p.c
     a = spectral_weight(p, setup.waveform, kz, omega)  # 0 outside the support
-    comments = [f"pulse: c={fmt_float(p.c)} tau={fmt_float(p.tau)} zeta={fmt_float(p.zeta)}",
-                f"waveform: {setup.waveform_desc}"]
+    comments = [pulse_comment(p), f"waveform: {setup.waveform_desc}"]
     columns = {"kz": kz, "omega": omega, "re,im,abs": a}
     return Output(lambda path: write_csv(path, comments, columns, keep), "csv",
                   f"{np.count_nonzero(keep)} spectral-weight rows")
@@ -248,7 +249,7 @@ def run_residual(cfg: dict, setup, seed: int | None) -> Output:
                "normalized_residual": rep.normalized,
                # NaN where the residuals sit at the rounding floor
                "fitted_order": rep.order()[:, None]}
-    comments = [f"evaluator: {kind}", f"waveform: {setup.waveform_desc}"]
+    comments = [pulse_comment(setup.params), f"evaluator: {kind}", f"waveform: {setup.waveform_desc}"]
     return Output(lambda path: write_csv(path, comments, columns), "csv",
                   f"residuals for {len(points)} point(s)")
 

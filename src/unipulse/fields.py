@@ -39,12 +39,12 @@ BATCH_BLOCK_BYTES = 640 * 1024  #: an ``evaluate_batch`` block's kernel temporar
 
 class SingularPoint(Exception):
     """An evaluator gave a non-finite value: the node sits at (or too
-    close to) a pole of the solution.  ``index`` locates the node in its
-    batch (a grid index for ``sample_grid``) and ``point`` is the node
-    itself."""
+    close to) a pole of the solution, or a value there left the float
+    range.  ``index`` locates the node in its batch (a grid index for
+    ``sample_grid``) and ``point`` is the node itself."""
 
     def __init__(self, index: tuple[int, ...], point: "SpacetimePoint", value: complex):
-        super().__init__(f"index {index}: singular at {point}, where u = {value}")
+        super().__init__(f"index {index}: non-finite u at {point}, where u = {value}")
         self.index = index
         self.point = point
 
@@ -276,6 +276,11 @@ class GridSpec:
         )
 
 
+def pulse_comment(p: PulseParams) -> str:
+    """The CSV comment line naming a pulse's constants."""
+    return f"pulse: c={fmt_float(p.c)} tau={fmt_float(p.tau)} zeta={fmt_float(p.zeta)}"
+
+
 @dataclass(frozen=True)
 class FieldGrid:
     """Sampled complex field over a structured grid, with its provenance:
@@ -296,9 +301,8 @@ class FieldGrid:
     def write_csv(self, path) -> None:
         """Rows of axis coordinates, re(u), im(u), |u|, row-major order,
         under comments naming the provenance and the fixed coordinates."""
-        p = self.params
-        comments = [f"pulse: c={fmt_float(p.c)} tau={fmt_float(p.tau)} zeta={fmt_float(p.zeta)}",
-                    f"waveform: {self.waveform_desc}", f"evaluator: {self.evaluator_desc}",
+        comments = [pulse_comment(self.params), f"waveform: {self.waveform_desc}",
+                    f"evaluator: {self.evaluator_desc}",
                     *(f"fixed: {k}={fmt_float(v)}" for k, v in sorted(self.spec.fixed.items()))]
         write_csv(path, comments, {**self.spec.axis_values(), "re,im,abs": self.values})
 
@@ -329,7 +333,7 @@ class FieldGrid:
 def sample_grid(spec: GridSpec, evaluator: Evaluator, *, params: PulseParams, waveform_desc: str,
                 evaluator_desc: str) -> FieldGrid:
     """Evaluate over the whole grid on its broadcast point, a block of
-    leading-axis slices at a time (see ``evaluate_batch``); a singular node
+    leading-axis slices at a time (see ``evaluate_batch``); a non-finite node
     raises SingularPoint carrying its grid index.  The grid carries
     ``params``, the waveform descriptor and the evaluator kind into its files.
     """

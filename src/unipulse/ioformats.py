@@ -1,6 +1,7 @@
 """Deterministic text serialization for command outputs.
 
-CSV cells spell floats with C's ``%.17g``.  A JSON report is one line of
+CSV cells and comments spell floats with C's ``%.16e``, one layout for every
+finite value (``1.0000000000000001e-01``).  A JSON report is one line of
 the standard library's JSON, its floats in Python's shortest round-trip
 spelling; ``python -m json.tool <file>`` pretty-prints it.  Either way a
 value reads back bit for bit, and identical runs write byte-identical files.
@@ -20,8 +21,8 @@ CSV_CHUNK_BYTES = 5 << 18  #: 1.25 MiB: the bytes a chunk holds, 32 a cell and 1
 
 
 def fmt_float(x: float) -> str:
-    """C's ``%.17g``, with nan and inf spelled NaN and Infinity."""
-    return ("%.17g" % float(x)).replace("nan", "NaN").replace("inf", "Infinity")
+    """C's ``%.16e``, with nan and inf spelled NaN and Infinity."""
+    return ("%.16e" % float(x)).replace("nan", "NaN").replace("inf", "Infinity")
 
 
 def _complex_parts(v: Any) -> dict:
@@ -96,35 +97,17 @@ def _floats(x: np.ndarray) -> np.ndarray:
 
 # --- fmt_float for whole arrays -------------------------------------------
 #
-# A cell is four little-endian words holding every byte a %.17g spelling can use, in
-# order, with the bytes it does not use set to NUL: 0 sign, 1-5 "0.000", 6 d0, 7 ".",
-# 8-23 d1..d16, 24-28 "e+XXX", 31 the separator.  A point after de, e = 1 ... 15, is
-# shifted in, de+1..d16 a byte up.  A mask per code (layout x significant digits) keeps
-# the bytes.  |x| = D 10**(e - 16), the 17-digit D being the double-double product of
-# |x| and 10**(16 - e) (Dekker), rounded.  Where 10**(16 - e) is a double the product is
-# exact and rint's ties-to-even is %g's; elsewhere it errs by under 1e-14, and D within
-# 2**-30 of a tie is left to fmt_float, as is any |x| outside [2**-929, 2**930).
+# A cell is four little-endian words holding a %.16e spelling's bytes, the others NUL:
+# 0 sign, 6 d0, 7 ".", 8-23 d1..d16, 24-28 "e+XX" or "e+XXX", 31 the separator.  NaN
+# and inf are words of their own.  |x| = D 10**(e - 16), the 17-digit D being the
+# double-double product of |x| and 10**(16 - e) (Dekker), rounded; zero is D = 0 at
+# e = 0.  Where 10**(16 - e) is a double the product is exact and rint's ties-to-even is
+# %e's; elsewhere it errs by under 1e-14, and D within 2**-30 of a tie is left to
+# fmt_float, as is any other |x| outside [2**-929, 2**930).
 
 _CELL, _VOID = 32, np.dtype("V32")  # a cell's bytes, and the cell as one element
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's split
-_ZERO = 23 * 17  # the codes after 23 layouts x 17 digit counts: zero, NaN, inf
 _POW10_FILE = Path(__file__).with_name("pow10.bin")
-
-
-def _masks() -> np.ndarray:
-    """Per code (layout x significant digits s, then zero, NaN, inf), the bytes of a cell it keeps."""
-    layout, s, at = np.arange(23)[:, None, None], np.arange(1, 18)[:, None], np.arange(_CELL)
-    sci = layout > 20  # d.ddde+XX; 0.000ddd for e = layout - 4 < 0, else ddd.ddd
-    # from byte 8: d1..d(s-1); for e >= 1 d1..de and, if s > e + 1, the point and the rest
-    after = np.where((layout > 4) & ~sci, np.where(s > layout - 3, s, layout - 4), s - 1)
-    keep = ((at == 0) | (at == 6) | (at >= 8) & (at < 8 + after)
-            | (at == 7) & (s > 1) & (sci | (layout == 4))  # the point after d0
-            | sci & (at >= 24) & (at <= 28) & ((at != 26) | (layout == 22))  # e+XXX, or e+XX
-            | (layout <= 3) & (at >= 1) & (at <= 5 - layout))  # 0.000
-    # zero: sign and "0"; NaN: "NaN" in the special word; inf: sign and "Infinity"
-    special = np.zeros((3, _CELL), bool)
-    special[0, :2] = special[1, 8:11] = special[2, 0] = special[2, 8:16] = True
-    return (np.concatenate([keep.reshape(_ZERO, _CELL), special]) * np.uint8(255)).view(_VOID).ravel()
 
 
 @functools.cache
@@ -144,33 +127,30 @@ def _tables() -> tuple:
     digit = 48 + np.arange(10, dtype=np.uint8)
     for j, axis in enumerate(np.ix_(digit, digit, digit, digit)):
         quad[..., j] = axis
-    e = np.arange(-300, 301)
-    # by e + 300, the code of one significant digit, less 127 (see _spell)
-    layout_code = np.where((e >= -4) & (e < 17), e + 4, 21 + (abs(e) >= 100)) * 17 - 127
     # the first word per leading digit, 10 being a carry to 10**17
-    lead = np.array([b"\0" + b"0.000" + b"%d." % (i % 9 if i > 9 else i) for i in range(11)])
-    # "e+XXX", NUL-padded to a word
+    lead = np.array([b"\0" * 6 + b"%d." % (i % 9 if i > 9 else i) for i in range(11)])
+    # by e + 300, "e+XX" or "e+XXX", NUL-padded to a word
+    e = np.arange(-300, 301)
     expo = np.zeros((e.size, 8), np.uint8)
     expo[:, 0], expo[:, 1] = ord("e"), np.where(e < 0, ord("-"), ord("+"))
     expo[:, 2:5] = 48 + abs(e)[:, None] // (100, 10, 1) % 10
-    special = np.frombuffer(b"\0" * 8 + b"NaN\0\0\0\0\0Infinity", "<u8")
-    # by e = 0 ... 15, for each of the two digit words the bytes below the point, and the point
-    point = [[2 ** (8 * e) - 1, 46 << 8 * e, 0, 0] if e < 8 else
-             [2 ** 64 - 1, 0, 2 ** (8 * e - 64) - 1, 46 << 8 * e - 64] for e in range(16)]
-    return (scale, abs(b - 1023) <= 929, e_low, next_decade, quad.view("<u8").ravel(), lead.view("<u8"),
-            expo.view("<u8").ravel(), special, _masks(), layout_code, np.array(point, np.uint64))
+    short = abs(e) < 100
+    expo[short, 2:5] = expo[short, 3:6]  # "e+XX" below 100
+    # the words after the first of NaN and of inf
+    special = np.frombuffer(b"NaN".ljust(24, b"\0") + b"Infinity".ljust(24, b"\0"), "<u8").reshape(2, 3)
+    return (scale, abs(b - 1023) <= 929, e_low, next_decade, quad.view("<u8").ravel(),
+            lead.view("<u8"), expo.view("<u8").ravel(), special)
 
 
 def _spell(x: np.ndarray) -> np.ndarray:
     """The cells of the 1-D floats ``x``, (x.size, _CELL) uint8, each
     reading as ``fmt_float`` spells it once its NULs are dropped."""
-    (scale, normal, e_low, next_decade, quad, lead, expo, special, masks, layout_code,
-     point) = _tables()
+    scale, normal, e_low, next_decade, quad, lead, expo, special = _tables()
     a = np.abs(x)
     b = a.view(np.int64) >> 52
     if not (every := (ok := normal[b]).all()):
-        a = np.where(ok, a, 1.0)
-        b = a.view(np.int64) >> 52
+        a = np.where(ok | (a == 0), a, 1.0)  # zero is D = 0 at b = 1023, so at e = 0
+        b = np.where(a == 0, 1023, a.view(np.int64) >> 52)
     e = e_low[b] + (a >= next_decade[b])  # the decimal exponent, exactly
     hi, lo, hh, hl = scale.take(316 - e, axis=1)  # 10**(16 - e), in row 16 - e + 300
     ah = (c := a * _SPLIT) - (c - a)
@@ -188,25 +168,13 @@ def _spell(x: np.ndarray) -> np.ndarray:
     for k, half in enumerate((high := d // 10 ** 8, d - high * 10 ** 8), 1):
         group = half // 10 ** 4  # d1..d8, then d9..d16, as text
         words[:, k] = quad.take(group) | quad.take(half - group * 10 ** 4) << np.uint64(32)
-    w1, w2, zeros = words[:, 1], words[:, 2], np.uint64(0x3030303030303030)
-    # d1..d16 up to the last nonzero digit: the top nonzero byte of the digits less "0", from the
-    # exponent of their sum as a double, plus a half (no byte is over 9, so none rounds up a byte)
-    y = (w1 ^ zeros).astype(float) + (w2 ^ zeros).astype(float) * 2.0 ** 64 + 0.5
-    code = layout_code[e + 300] + ((y.view(np.uint64) + (1 << 52)) >> 55).astype(np.int64)
     words[:, 3] = expo[e + 300]
-    i = np.flatnonzero((e - 1).view(np.uint64) < 15)  # the point after de, e = 1 ... 15
-    if i.size:
-        low1, dot1, low2, dot2 = point.take(e[i], axis=0).T
-        up = (u := w1[i]) & ~low1
-        w1[i] = u & low1 | dot1 | up << np.uint64(8)
-        w2[i] = (v := w2[i]) & low2 | dot2 | (v & ~low2) << np.uint64(8) | up >> np.uint64(56)
-        words[i, 3] = v >> np.uint64(56)
-    if not every:  # zero, NaN and inf by their codes; subnormal and huge |x| to fmt_float
-        i = np.flatnonzero(~ok)
-        kind = np.where(x[i] == 0, 0, np.where(np.isnan(x[i]), 1, 2))
-        code[i], words[i, 1] = _ZERO + kind, special[kind]
-        doubt[i] = np.isfinite(x[i]) & (x[i] != 0)
-    words &= masks.take(code).view("<u8").reshape(words.shape)
+    if not every:  # NaN and inf as words; subnormal and huge |x| to fmt_float
+        i = np.flatnonzero(~ok & (x != 0))
+        inf = np.isinf(v := x[i])
+        words[i, 0] &= inf * np.uint64(0xFF)  # inf keeps its sign, NaN has none
+        words[i, 1:] = special[inf.astype(int)]
+        doubt[i] = np.isfinite(v)
     cells = words.view(np.uint8)
     if doubt.any():
         i = np.flatnonzero(doubt)

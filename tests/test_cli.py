@@ -11,7 +11,7 @@ from unipulse import cli
 from unipulse.cli import _build_parser, main
 from unipulse.config import parse_random_points
 from unipulse.fields import PulseParams, SpacetimePoint, eval_simple_pulse
-from unipulse.ioformats import fmt_float, render_json
+from unipulse.ioformats import render_json
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -94,7 +94,7 @@ class TestSample:
         }
         rc, _ = run(tmp_path, "sample", cfg, "sing.csv")
         assert rc == 3
-        assert "index (1,): singular at" in capsys.readouterr().err
+        assert "index (1,): non-finite u at" in capsys.readouterr().err
 
     def test_snapshot_config_matches_per_node_calls(self, tmp_path):
         # the shipped snapshot, evaluated in one array call and streamed,
@@ -107,8 +107,9 @@ class TestSample:
         assert text.endswith("\n")
         lines = text.split("\n")[:-1]
         assert lines[:5] == [
-            "# pulse: c=1 tau=1 zeta=0", "# waveform: rational(a=1)",
-            "# evaluator: simple_pulse", "# fixed: t=0", "rho,z,re,im,abs",
+            "# pulse: c=1.0000000000000000e+00 tau=1.0000000000000000e+00 zeta=0.0000000000000000e+00",
+            "# waveform: rational(a=1)", "# evaluator: simple_pulse",
+            "# fixed: t=0.0000000000000000e+00", "rho,z,re,im,abs",
         ]
         params = PulseParams(1.0, 1.0, 0.0)
         nodes = itertools.product(np.linspace(0.0, 5.0, 101), np.linspace(-5.0, 5.0, 101))
@@ -116,10 +117,10 @@ class TestSample:
         assert len(rows) == 101 * 101
         for row, (rho, z) in zip(rows, nodes):
             cells = row.split(",")
-            assert cells[:2] == [fmt_float(rho), fmt_float(z)]
+            assert cells[:2] == ["%.16e" % rho, "%.16e" % z]
             u = eval_simple_pulse(SpacetimePoint(0.0, rho, 0.0, z), params)
             for cell, expect in zip(cells[2:], (u.real, u.imag, abs(u))):
-                assert cell == fmt_float(float(cell))
+                assert cell == "%.16e" % float(cell)
                 assert abs(float(cell) - expect) <= 1e-14 * abs(u)
 
     BINARY = {"grid": {"axes": [{"name": "z", "min": -1, "max": 1, "count": 4}],
@@ -462,7 +463,8 @@ class TestSpectrumCmd:
         kz, omega = kz[keep], omega[keep]
         a = spectral_weight(params, parse_waveform(waveform), kz, omega)
         ref = tmp_path / "ref.csv"
-        write_csv(ref, [f"pulse: c=1.3 tau={fmt_float(0.7)} zeta=0", f"waveform: {waveform}"],
+        write_csv(ref, ["pulse: c=1.3000000000000000e+00 tau=6.9999999999999996e-01"
+                        " zeta=0.0000000000000000e+00", f"waveform: {waveform}"],
                   {"kz": kz, "omega": omega, "re": a.real, "im": a.imag,
                    "abs": np.hypot(a.real, a.imag)})
         assert 64 < kz.size < 64 * 20
@@ -502,6 +504,17 @@ class TestResidualCmd:
         order = float(rows[0][-1])
         assert 1.8 <= order <= 2.2
 
+    def test_comments_name_the_pulse(self, tmp_path):
+        # the pulse line as sample and spectrum write it, then the evaluator and waveform
+        cfg = {"pulse": {"c": 1.5, "tau": 0.5, "zeta": 0.25}, "evaluator": "simple_pulse",
+               "points": [{"t": 0.3, "x": 0.2, "y": 0.1, "z": -0.4}]}
+        rc, out = run(tmp_path, "residual", cfg, "res.csv")
+        assert rc == 0
+        assert out.read_text().splitlines()[:4] == [
+            "# pulse: c=1.5000000000000000e+00 tau=5.0000000000000000e-01 zeta=2.5000000000000000e-01",
+            "# evaluator: simple_pulse", "# waveform: rational(a=0.5)", "t,x,y,z,h,abs_residual,"
+            "normalized_residual,fitted_order"]
+
     def test_pole_exits_3_and_names_the_node(self, tmp_path, capsys):
         cfg = {"evaluator": "spherical_reference",
                "points": [{"t": 0.3, "x": 0.2, "y": 0.1, "z": -0.4},
@@ -509,7 +522,7 @@ class TestResidualCmd:
         rc, out = run(tmp_path, "residual", cfg, "pole.csv")
         assert rc == 3 and not out.exists()
         err = capsys.readouterr().err
-        assert "singular at SpacetimePoint(t=0.0, x=0.0, y=0.0, z=0.0)" in err
+        assert "non-finite u at SpacetimePoint(t=0.0, x=0.0, y=0.0, z=0.0)" in err
 
     def test_random_points_block(self, tmp_path):
         cfg = {"evaluator": "quasi_spherical",

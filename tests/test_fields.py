@@ -379,7 +379,7 @@ class TestGrid:
             sample_grid(spec, lambda p: eval_simple_pulse(p, params), **provenance(params))
         assert exc.value.index == (1,)
         assert exc.value.point == SpacetimePoint(0.0, 0.0, 0.0, 0.0)
-        assert "index (1,): singular at" in str(exc.value)
+        assert "index (1,): non-finite u at" in str(exc.value)
 
     def test_single_node_axis_is_its_start_bit_for_bit(self):
         # linspace(start, stop, 1) gives 0.0 for -0.0 and NaN on overflow of stop - start
@@ -467,9 +467,10 @@ class TestGrid:
         grid = sample_grid(spec, lambda p: eval_simple_pulse(p, params), **provenance(params))
         grid.write_csv(tmp_path / "grid.csv")
         comments = [l for l in (tmp_path / "grid.csv").read_text().splitlines() if l.startswith("#")]
-        assert comments == ["# pulse: c=1.5 tau=0.5 zeta=0.25", "# waveform: rational(a=0.5)",
-                            "# evaluator: simple_pulse", "# fixed: rho=0.10000000000000001",
-                            "# fixed: t=0.20000000000000001"]
+        assert comments == [
+            "# pulse: c=1.5000000000000000e+00 tau=5.0000000000000000e-01 zeta=2.5000000000000000e-01",
+            "# waveform: rational(a=0.5)", "# evaluator: simple_pulse",
+            "# fixed: rho=1.0000000000000001e-01", "# fixed: t=2.0000000000000001e-01"]
         grid.write_binary(tmp_path / "grid.json")
         header = json.loads((tmp_path / "grid.json").read_text())
         assert list(header) == ["axes", "fixed", "waveform", "evaluator", "pulse", "dtype",

@@ -1,9 +1,9 @@
-import itertools
 import json
 import math
 import os
 import struct
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from unipulse.ioformats import (
     _CELL,
     _SPLIT,
-    _ZERO,
     CSV_CHUNK_BYTES,
     _spell,
     _tables,
@@ -163,8 +162,8 @@ class TestWriteCsv:
         path = tmp_path / "b.csv"
         write_csv(path, [], {"a": np.array([[1.0], [2.0]]), "b": np.array([0.5, -0.25, 3.0]),
                              "c": 7.0})
-        assert read_rows(path) == ["a,b,c", "1,0.5,7", "1,-0.25,7", "1,3,7",
-                                   "2,0.5,7", "2,-0.25,7", "2,3,7"]
+        rows = [(1, 0.5, 7), (1, -0.25, 7), (1, 3, 7), (2, 0.5, 7), (2, -0.25, 7), (2, 3, 7)]
+        assert read_rows(path) == ["a,b,c", *(",".join("%.16e" % v for v in row) for row in rows)]
 
     def test_kept_rows_across_a_chunk_boundary(self, tmp_path, rng):
         # repeated axis cells (NaN and the infinities among them) and full-size
@@ -337,6 +336,18 @@ def near_ties():
     return xs
 
 
+def decade_carries():
+    """(x, k): the doubles x just below 10**k whose 17 digits round up to
+    10**k, so that %.16e spells them 1.0000000000000000e+k."""
+    out = []
+    for k in range(-307, 309):
+        x = float(Fraction(10) ** k)
+        x = math.nextafter(x, 0.0) if Fraction(x) >= Fraction(10) ** k else x
+        if "%.16e" % x == "1.0000000000000000e%+03d" % k:
+            out.append((x, k))
+    return out
+
+
 class TestSpellKernel:
     def test_edge_values(self):
         edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
@@ -350,10 +361,49 @@ class TestSpellKernel:
         edges += [-v for v in edges]
         assert spelled(edges) == [fmt_float(v) for v in edges]
 
+    def test_one_layout(self):
+        # a digit, a point, 16 digits and the exponent, whatever the value
+        xs = [0.1, 1.0, 123.456, 1e16, 1e17, 2.0 ** 53 + 2, 1e-5, -6e22]
+        assert spelled(xs) == [
+            "1.0000000000000001e-01", "1.0000000000000000e+00", "1.2345600000000000e+02",
+            "1.0000000000000000e+16", "1.0000000000000000e+17", "9.0071992547409940e+15",
+            "1.0000000000000001e-05", "-6.0000000000000000e+22"]
+
+    def test_exponent_width(self):
+        # two exponent digits up to 99, three from 100, on either side of each decade
+        xs = [v for k in (99, 100) for x in (10.0 ** k, 10.0 ** -k) for v in neighbours(x, 1)]
+        xs += [-v for v in xs]
+        got = spelled(xs)
+        assert got == [fmt_float(v) for v in xs]
+        for text in got:
+            digits = text.split("e")[1][1:]
+            assert len(digits) == (3 if int(digits) >= 100 else 2), text
+        assert {t[-4:] for t in got} >= {"e+99", "e-99", "+100", "-100"}
+
+    def test_carry_to_the_next_decade(self):
+        # the rounded 17 digits reach 10**17: the exponent steps up and d0 is 1
+        carries = decade_carries()
+        assert len(carries) >= 10
+        xs = [x for x, _ in carries] + [-x for x, _ in carries]
+        want = ["1.0000000000000000e%+03d" % k for _, k in carries]
+        assert spelled(xs) == want + ["-" + w for w in want] == [fmt_float(v) for v in xs]
+
     def test_near_ties_of_an_inexact_scale(self):
         xs = near_ties()
         assert len(xs) >= 5
         assert spelled(xs) == [fmt_float(v) for v in xs]
+
+    def test_zeros_subnormals_huge_and_non_finite(self):
+        # each kind beside normal values and alone, where no value takes the product
+        odd = [0.0, -0.0, 5e-324, -2.225073858507201e-308, 2.0 ** 930, -1.7976931348623157e308,
+               math.nan, -math.nan, math.inf, -math.inf]
+        want = ["0.0000000000000000e+00", "-0.0000000000000000e+00", "4.9406564584124654e-324",
+                "-2.2250738585072009e-308", "9.0760309355333439e+279", "-1.7976931348623157e+308",
+                "NaN", "NaN", "Infinity", "-Infinity"]
+        assert spelled(odd) == want == [fmt_float(v) for v in odd]
+        assert spelled([0.5, *odd, -3.0]) == ["5.0000000000000000e-01", *want, "-3.0000000000000000e+00"]
+        for v, w in zip(odd, want):
+            assert spelled([v]) == [w]
 
     def test_random_bit_patterns(self):
         """10**6 doubles of random bits, NaN, infinities and subnormals
@@ -363,7 +413,7 @@ class TestSpellKernel:
             x = rng.integers(0, 2 ** 64, 250_000, dtype=np.uint64).view(np.float64)
             cells = _spell(x)
             cells[:, -1] = ord("\n")
-            want = ("%.17g\n" * x.size % tuple(x.tolist())).replace("nan", "NaN")
+            want = ("%.16e\n" * x.size % tuple(x.tolist())).replace("nan", "NaN")
             assert cells.tobytes().translate(None, b"\0").decode() == want.replace(
                 "inf", "Infinity")
 
@@ -372,25 +422,11 @@ class TestSpellKernel:
     def test_equals_fmt_float(self, x):
         assert spelled(x) == [fmt_float(v) for v in x]
 
-    def test_inserted_point(self):
-        """Every decimal exponent e = 1 ... 16 and every count s = 1 ... 17 of
-        significant digits, both signs: an integer of s digits, or e + 1 integer
-        digits and the s - e - 1 of the fraction 2**-(s - e - 1)."""
-        xs = []
-        for e, s in itertools.product(range(1, 17), range(1, 18)):
-            digits = "1234567892345678923"[:s]
-            if s <= e + 1:
-                v = float(int(digits) * 10 ** (e + 1 - s))
-            else:
-                v = int(digits[:e + 1]) + 2.0 ** -(s - e - 1)
-            text = fmt_float(v)
-            assert len(text.replace(".", "").rstrip("0")) == s, (e, s, text)
-            assert ("." in text) == (s > e + 1), (e, s, text)
-            xs += [v, -v]
-        # and 10**k less an ulp, whose 17 digits round toward a carry
-        for k in range(1, 18):
-            xs += neighbours(float(10 ** k), 2) + [-math.nextafter(10.0 ** k, 0.0)]
-        assert spelled(xs) == [fmt_float(v) for v in xs]
+    @given(bits=st.lists(st.integers(0, 2 ** 64 - 1), max_size=50))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_patterns_equal_fmt_float(self, bits):
+        x = np.array(bits, np.uint64).view(np.float64)
+        assert spelled(x) == [fmt_float(v) for v in x.tolist()]
 
 
 def exact_pow10(k):
@@ -402,44 +438,19 @@ def exact_pow10(k):
 
 def reference_tables():
     """The spelling kernel's tables built entry by entry: Python integers
-    for the powers of ten, a loop per mask, byte strings for the point."""
+    for the powers of ten and byte strings for the text."""
     hi, lo = np.array([exact_pow10(k) for k in range(-300, 301)]).T
     scale = np.stack([hi, lo, hh := hi * _SPLIT - (hi * _SPLIT - hi), hi - hh])
     b = np.arange(2048)
     e_low = np.floor((np.clip(b, 94, 1952) - 1023) * math.log10(2.0)).astype(np.int64)
     k = e_low + 301
     next_decade = np.where(lo[k] > 0, np.nextafter(hi[k], math.inf), hi[k])
-    d = np.arange(10000, dtype=np.uint16)
-    quad = np.zeros((10000, 8), np.uint8)
-    quad[:, :4] = 48 + d[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10
-    rows = [_ZERO] * 2 + [_ZERO + 1] * 3 + [_ZERO + 2] * 9
-    keeps = [0, 1, 8, 9, 10, 0, *range(8, 16)]
-    for layout, s in itertools.product(range(23), range(1, 18)):
-        e = layout - 4
-        if layout > 20:  # d.ddde+XX(X)
-            keep = [6] + [7] * (s > 1) + list(range(8, 7 + s)) + [24, 25, 27, 28] + [26] * (layout == 22)
-        elif e >= 1:  # ddd.ddd, the point inserted after de
-            keep = [6] + list(range(8, 8 + (s if s > e + 1 else e)))
-        elif e == 0:  # d.ddd
-            keep = [6] + [7] * (s > 1) + list(range(8, 7 + s))
-        else:  # 0.000ddd
-            keep = [1, 2, 3, 4, 5][:5 - layout] + [6] + list(range(8, 7 + s))
-        rows += [layout * 17 + s - 1] * (len(keep) + 1)
-        keeps += [0] + keep
-    masks = np.zeros((_ZERO + 3, _CELL), np.uint8)
-    masks[rows, keeps] = 255
-    e = np.arange(-300, 301)
-    layout_code = np.where((e >= -4) & (e < 17), e + 4, 21 + (abs(e) >= 100)) * 17 - 127
-    lead = np.array([b"\0" + b"0.000" + b"%d." % (i % 9 if i > 9 else i) for i in range(11)])
-    expo = np.array([b"e%+04d" % i for i in e.tolist()], "S8")
-    special = np.frombuffer(b"\0" * 8 + b"NaN\0\0\0\0\0Infinity", "<u8")
-    # per e, the 16 digit bytes below the point, and the point, as two words each
-    point = np.array([[np.frombuffer(b"\xff" * e + b"\0" * (16 - e), "<u8"),
-                       np.frombuffer(b"\0" * e + b"." + b"\0" * (15 - e), "<u8")]
-                      for e in range(16)]).transpose(0, 2, 1).reshape(16, 4)
-    return (scale, abs(b - 1023) <= 929, e_low, next_decade, quad.view("<u8").ravel(),
-            lead.view("<u8"), expo.view("<u8"), special, masks.view(f"V{_CELL}").ravel(),
-            layout_code, point)
+    quad = np.array([b"%04d" % d for d in range(10000)], "S8")
+    lead = np.array([b"\0" * 6 + str(i)[0].encode() + b"." for i in range(11)])
+    expo = np.array([b"e%+03d" % e for e in range(-300, 301)], "S8")
+    special = np.array([b"NaN", b"Infinity"], "S24").view("<u8").reshape(2, 3)
+    return (scale, abs(b - 1023) <= 929, e_low, next_decade, quad.view("<u8"),
+            lead.view("<u8"), expo.view("<u8"), special)
 
 
 class TestSpellTables:
