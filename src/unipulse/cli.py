@@ -9,7 +9,9 @@ and follows a uniform exit-code contract:
     4  a requested check failed (route disagreement, certificate FAIL)
 
 Outputs contain no timestamps, so identical runs produce byte-identical
-files.  CSV cells and comments spell floats with ``%.16e``
+files on one numpy build and CPU dispatch path (numpy picks its SIMD
+kernels at run time: with AVX-512 off, 3 of the 8 shipped configs write
+other bytes).  CSV cells and comments spell floats with ``%.16e``
 (``1.0000000000000001e-01``); a JSON report is one line with shortest
 round-trip floats (``python -m json.tool`` pretty-prints it).  Either
 way every value reads back bit for bit.
@@ -237,10 +239,14 @@ def run_residual(cfg: dict, setup, seed: int | None) -> Output:
     # every point (rows) at every step (columns) in one evaluation
     coords = np.array([(p.t, p.x, p.y, p.z) for p in points]).T[:, :, None]
     steps = np.stack([h / setup.params.c, h, h, h])[:, None, :]  # t +/- h/c, x, y, z +/- h
-    lost = (coords + steps == coords) | (coords - steps == coords)
-    if lost.any():  # a node that rounds to its centre: the second difference there would be 0
+    with np.errstate(over="ignore"):  # a node past the float range is refused below
+        plus, minus = coords + steps, coords - steps
+    rounded = (plus == coords) | (minus == coords)  # the second difference there would be 0
+    lost = rounded | ~(np.isfinite(plus) & np.isfinite(minus))
+    if lost.any():
         i, j, a = np.argwhere(lost.transpose(1, 2, 0))[0]  # the first by point, step, coordinate
-        raise ConfigError(f"h_values: step {float(h[j])!r} rounds away at point {i}: "
+        why = "rounds away" if rounded[a, i, j] else "leaves the float range"
+        raise ConfigError(f"h_values: step {float(h[j])!r} {why} at point {i}: "
                           f"{'txyz'[a]} +/- {'h/c' if a == 0 else 'h'} = {float(coords[a, i, 0])!r}")
     rep = wave_residual(evaluator, SpacetimePoint(*coords), h, setup.params)
     res = rep.residual

@@ -176,11 +176,14 @@ def parse_pulse_setup(cfg: dict) -> PulseSetup:
     the simplest regular family; ``simple_pulse`` is that pole at any zeta and reads no waveform.
     """
     block = get_block(cfg.get("pulse", {}), "pulse", {"c", "tau", "zeta"})
-    params = PulseParams(
-        c=get_number(block, "c", "pulse.", 1.0, gt=0.0),
-        tau=get_number(block, "tau", "pulse.", 1.0, gt=0.0),
-        zeta=get_number(block, "zeta", "pulse.", 0.0),
-    )
+    try:
+        params = PulseParams(
+            c=get_number(block, "c", "pulse.", 1.0, gt=0.0),
+            tau=get_number(block, "tau", "pulse.", 1.0, gt=0.0),
+            zeta=get_number(block, "zeta", "pulse.", 0.0),
+        )
+    except ValueError as exc:  # b = c*tau outside the float range
+        raise ConfigError(f"pulse: {exc}") from exc
 
     desc = cfg.get("waveform")
     if desc is None:
@@ -231,8 +234,10 @@ def parse_random_points(cfg: dict, b: float, seed: int | None = None) -> list[Sp
     n = get_int(block, "n", "random_points.", 20, ge=1, le=_MAX_COUNT)
     seed = get_seed(block, "random_points.", 7, seed)
     extent = get_number(block, "extent", "random_points.", 1.2 * b, gt=0.0)
+    half = 0.5 if math.isinf(2.0 * extent) else 1.0  # an inf span: draw in the halved cube, doubled
     rng = np.random.default_rng(seed)
-    return [SpacetimePoint(*row) for row in rng.uniform(-extent, extent, (n, 4)).tolist()]
+    draws = rng.uniform(-half * extent, half * extent, (n, 4)) / half
+    return [SpacetimePoint(*row) for row in draws.tolist()]
 
 
 def parse_monte_carlo(cfg: dict, seed: int | None = None) -> tuple[int, int, float]:

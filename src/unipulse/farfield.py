@@ -74,17 +74,25 @@ def _ladder(evaluator: Evaluator, s, n: Direction, params: PulseParams) -> np.nd
     from one evaluator call (ct >= 100 |s| keeps ct + s > 0).  An entry's
     steps 1/(ct) are _STEPS times a constant of its own, and Neville's
     limit at h = 0 does not change under that scaling, so one step vector
-    extrapolates every entry."""
+    extrapolates every entry.  A node past the float range raises
+    ValueError naming its (chi, s) entry."""
     s = np.asarray(s, dtype=float)[..., None]
     chi = np.asarray(n.chi)[..., None]
     mu = np.abs(np.cos(chi))
     if np.any(mu < MIN_COS_CHI):
         raise ValueError(f"direction chi={float(chi[mu < MIN_COS_CHI][0])!r} has |cos chi| < "
                          f"{MIN_COS_CHI:g}: the far-field ladder would pass ct = 1e10 max(b, |s|)")
-    ct = np.array(LADDER) * np.maximum(params.b, np.abs(s)) / (mu * mu)
-    r = ct + s
+    with np.errstate(over="ignore"):  # a node past the float range is refused below
+        ct = np.array(LADDER) * np.maximum(params.b, np.abs(s)) / (mu * mu)
+        t, r = ct / params.c, ct + s
+    lost = ~(np.isfinite(t) & np.isfinite(r))
+    if lost.any():  # the first by direction, s and rung
+        i = tuple(np.argwhere(lost)[0])
+        chi_i, s_i = (float(np.broadcast_to(v, lost.shape)[i]) for v in (chi, s))
+        raise ValueError(f"far field along chi={chi_i!r}, s={s_i!r}: the ladder node at "
+                         f"t = {float(t[i])!r}, ct + s = {float(r[i])!r} leaves the float range")
     nx, ny, nz = (np.asarray(v)[..., None] for v in n.unit_vector)
-    return ct * evaluate_batch(evaluator, SpacetimePoint(ct / params.c, r * nx, r * ny, r * nz))
+    return ct * evaluate_batch(evaluator, SpacetimePoint(t, r * nx, r * ny, r * nz))
 
 
 def farfield_numeric(

@@ -72,6 +72,9 @@ class PulseParams:
             raise ValueError(f"wave speed c must be > 0, got {self.c}")
         if self.tau <= 0.0:
             raise ValueError(f"time shift tau must be > 0, got {self.tau}")
+        if not 0.0 < self.b < math.inf:
+            raise ValueError(f"length b = c*tau must lie in (0, inf), got {self.b} "
+                             f"at c = {self.c!r}, tau = {self.tau!r}")
 
     @property
     def b(self) -> float:

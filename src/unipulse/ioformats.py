@@ -4,7 +4,8 @@ CSV cells and comments spell floats with C's ``%.16e``, one layout for every
 finite value (``1.0000000000000001e-01``).  A JSON report is one line of
 the standard library's JSON, its floats in Python's shortest round-trip
 spelling; ``python -m json.tool <file>`` pretty-prints it.  Either way a
-value reads back bit for bit, and identical runs write byte-identical files.
+value reads back bit for bit, and identical runs write byte-identical files
+on one numpy build and CPU dispatch path.
 """
 
 from __future__ import annotations

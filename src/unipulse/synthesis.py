@@ -259,8 +259,10 @@ def reconstruct_cartesian_mc(
     rounding as well as the sampling.
     Variates: numpy's default generator (PCG64), one stream drawn in order
     in chunks of 2^13 draws, whose temporaries (0.7 MB) stay in cache; one
-    seed and n give the same estimate bit for bit, and each full chunk
-    draws the same variates whatever n, point or pulse.
+    seed and n give the same estimate bit for bit on one numpy build and
+    CPU dispatch path (the float32 sin and cos change their bits with AVX2
+    off), and each full chunk draws the same variates whatever n, point or
+    pulse.
     """
     if not MC_MIN_SAMPLES <= n_samples <= MC_MAX_SAMPLES:
         raise ValueError(f"need {MC_MIN_SAMPLES} to {MC_MAX_SAMPLES} samples, got {n_samples}")

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from unipulse import cli
 from unipulse.cli import _build_parser, main
 from unipulse.config import parse_random_points
 from unipulse.fields import PulseParams, SpacetimePoint, eval_simple_pulse
-from unipulse.ioformats import render_json
+from unipulse.ioformats import fmt_float, render_json
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -27,6 +28,39 @@ def run(tmp_path, command, cfg, out_name, extra=()):
     out = tmp_path / out_name
     rc = main([command, "--config", cfg_path, "--out", str(out), *extra])
     return rc, out
+
+
+def read_json(path) -> dict:
+    """A JSON output, which must be one line of the standard library's JSON:
+    the text ``json.dumps`` gives for the values it loads to."""
+    text = path.read_text(encoding="utf-8")
+    doc = json.loads(text)
+    assert text == json.dumps(doc, ensure_ascii=False) + "\n"
+    return doc
+
+
+def read_csv(path) -> tuple[list[str], list[list[str]]]:
+    """A CSV output's column names and rows of cells: every line above the
+    header is a ``#`` comment, and every cell reads as ``fmt_float`` spells
+    its value."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    assert re.fullmatch(r"[A-Za-z_]+(,[A-Za-z_]+)*", lines[start])
+    rows = [line.split(",") for line in lines[start + 1:]]
+    assert all(cell == fmt_float(float(cell)) for row in rows for cell in row)
+    return lines[start].split(","), rows
+
+
+def assert_routes_meet_their_estimates(doc: dict) -> None:
+    """Each of a compare report's three deterministic routes lies within its
+    error_estimate of the closed form, and that estimate meets the tolerance."""
+    tol = doc["tolerance"]
+    for i, row in enumerate(doc["rows"]):
+        closed = complex(row["closed_form"]["re"], row["closed_form"]["im"])
+        assert len(row["error_estimate"]) == 3
+        for route, est in row["error_estimate"].items():
+            err = abs(complex(row[route]["re"], row[route]["im"]) - closed)
+            assert err <= est <= max(tol * abs(closed), tol), (i, route, err, est)
 
 
 class TestSample:
@@ -309,6 +343,49 @@ class TestCompare:
         row = json.loads(out.read_text())["rows"][0]
         assert row["mc_stderr"] > 0.0
 
+    @pytest.mark.parametrize("cfg", [
+        # a spectrum that starts at K = 2, on and off the axis, at c = 1 and 1.5
+        *({"pulse": {"c": c, "tau": 1.0}, "waveform": "lekner(a=1,K=2)",
+           "points": [{"t": 0.3, "rho": 0.0, "z": 0.2}, {"t": 0.5, "rho": 0.7, "z": -0.3}]}
+          for c in (1.0, 1.5)),
+        # one that starts at K = 80, far beyond the reach of an outer map from k = 0
+        {"waveform": "lekner(a=1,K=80)",
+         "points": [{"t": 0.0, "rho": 0.0, "z": 0.5}, {"t": 0.5, "rho": 0.4, "z": 0.3}]},
+    ], ids=["K2-c1", "K2-c1.5", "K80"])
+    def test_lekner_routes_meet_their_estimates(self, tmp_path, cfg):
+        # and the two spectral routes, refined together on shared nodes, count equal values
+        rc, out = run(tmp_path, "compare", dict(cfg, tolerance=1e-6, max_discrepancy=1e-5), "l.json")
+        doc = read_json(out)
+        assert rc == 0 and len(doc["rows"]) == 2
+        assert_routes_meet_their_estimates(doc)
+        for row in doc["rows"]:
+            assert row["evaluations"]["fourier_bessel"] == row["evaluations"]["from_weight"]
+
+    def test_lekner_monte_carlo_pulls_and_reseeds(self, tmp_path):
+        # lekner(a=1, K=0.5) off and on the axis; at t = 30 tau, where the phases
+        # k ct run to hundreds and pass through the float64 reduction ahead of the
+        # float32 trigonometry; and at the origin, where every sample is -1/(a b)
+        # and the stderr is rounding alone; at an odd n_samples (whole mirrored pairs)
+        cfg = {"waveform": "lekner(a=1,K=0.5)",
+               "points": [{"t": 0.4, "rho": 0.6, "z": -0.2}, {"t": 0.4, "rho": 0.0, "z": -0.2},
+                          {"t": 30.0, "rho": 0.6, "z": -0.2}, {"t": 0.0, "rho": 0.0, "z": 0.0}],
+               "tolerance": 1e-6, "max_discrepancy": 1e-5,
+               "mc": {"n_samples": 100_001, "seed": 11, "sigma": 5.0}}
+        outs = []
+        for seed in ("11", "11", "12"):
+            rc, out = run(tmp_path, "compare", cfg, f"mc{len(outs)}.json", extra=["--seed", seed])
+            assert rc == 0
+            outs.append(out)
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        rows, reseeded = (read_json(out)["rows"] for out in (outs[0], outs[2]))
+        for row in rows:
+            closed = complex(row["closed_form"]["re"], row["closed_form"]["im"])
+            mc = complex(row["mc_estimate"]["re"], row["mc_estimate"]["im"])
+            assert abs(mc - closed) <= 5.0 * row["mc_stderr"]
+        assert rows[3]["mc_stderr"] <= 1e-12
+        # another seed changes every estimate but the origin's
+        assert all(r["mc_estimate"] != q["mc_estimate"] for r, q in zip(rows[:3], reseeded))
+
 
 class TestUnidir:
     def test_pulse_passes(self, tmp_path):
@@ -407,6 +484,20 @@ class TestFarfieldCmd:
         err = capsys.readouterr().err
         assert "far field along chi=0.5, s=0.0: extrapolants do not settle (spread " in err
 
+    @pytest.mark.parametrize("command", ["farfield", "unidir"])
+    def test_ladder_past_the_float_range_exits_3(self, tmp_path, capsys, command):
+        # t = ct/c overflows at c = 1e-300: the ladder's nodes are refused
+        # before any evaluation, on one stderr line, not as exit 1 on a warning
+        cfg = {"pulse": {"c": 1e-300, "tau": 1e300}, "waveform": "rational(a=1e-300)",
+               "s_values": [1e100, -1e100]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc, out = run(tmp_path, command, cfg, "far.json")
+        err = capsys.readouterr().err
+        assert rc == 3 and not out.exists() and err.count("\n") == 1
+        assert err.startswith("numerical failure: far field along chi=")
+        assert "s=1e+100: the ladder node at t = inf, " in err and err.endswith(" leaves the float range\n")
+
 
 class TestSpectrumCmd:
     def test_table_matches_closed_form(self, tmp_path):
@@ -481,15 +572,19 @@ class TestSpectrumCmd:
         ({"pulse": {"c": 1.0, "tau": 1e10}, "waveform": "rational(a=1)",
           "kz": {"min": 0.0, "max": 3.0, "count": 4},
           "omega": {"min": 1e290, "max": 1e300, "count": 3}}, 12),
-    ], ids=["omega_over_c", "weight_exponent"])
-    def test_overflow_past_the_float_range_writes_zero_weights(self, tmp_path, cfg, rows):
-        # under RuntimeWarning as an error, exit 0 with the weight's limit, 0
+        # lekner(a=10, K=100): the default table lies below K, where the weight is 0
+        ({"waveform": "lekner(a=10,K=100)"}, 235),
+    ], ids=["omega_over_c", "weight_exponent", "far_carrier"])
+    def test_overflow_past_the_float_range_writes_zero_weights(self, tmp_path, capsys, cfg, rows):
+        # under RuntimeWarning as an error, exit 0 with the weight's limit, 0,
+        # and the one "wrote" line on stderr
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             rc, out = run(tmp_path, "spectrum", cfg, "spec.csv")
-        assert rc == 0
-        table = [[float(v) for v in line.split(",")] for line in out.read_text().splitlines()[3:]]
-        assert len(table) == rows and all(row[2:] == [0.0, 0.0, 0.0] for row in table)
+        err = capsys.readouterr().err
+        assert rc == 0 and err.startswith("wrote ") and err.count("\n") == 1
+        _, table = read_csv(out)
+        assert len(table) == rows and all([float(v) for v in row[2:]] == [0.0] * 3 for row in table)
 
 
 class TestResidualCmd:
@@ -572,6 +667,26 @@ class TestResidualCmd:
             rc, out = run(tmp_path, "residual", cfg, "tiny_c.csv")
         assert rc == 2 and not out.exists()
         assert capsys.readouterr().err == "config error: h_values: step 1.0 overflows h/c at c = 1e-310\n"
+
+    def test_step_past_the_float_range_exits_2(self, tmp_path, capsys):
+        # t + h/c overflows: the stencil's node would be inf, under a RuntimeWarning
+        cfg = {"waveform": "rational(a=1)", "h_values": [1e307, 5e306, 2.5e306],
+               "points": [{"t": 0.1, "rho": 0.5, "z": 0.2}, {"t": 1.7e308, "rho": 0.5, "z": 0.2}]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc, out = run(tmp_path, "residual", cfg, "far.csv")
+        assert rc == 2 and not out.exists()
+        assert capsys.readouterr().err == ("config error: h_values: step 1e+307 leaves the float "
+                                           "range at point 1: t +/- h/c = 1.7e+308\n")
+
+    def test_late_rational_pulse_has_no_order(self, tmp_path):
+        # at t = 1000 each second difference is its own rounding: exit 0, and
+        # every fitted_order is NaN
+        cfg = {"waveform": "rational(a=1)", "points": [{"t": 1000.0, "rho": 0.5, "z": 0.2}]}
+        rc, out = run(tmp_path, "residual", cfg, "late.csv")
+        names, rows = read_csv(out)
+        assert rc == 0 and len(rows) == 3
+        assert all(math.isnan(float(row[names.index("fitted_order")])) for row in rows)
 
 
 class TestOneEvaluation:
@@ -834,9 +949,19 @@ class TestConfigMistakes:
                              "fixed": {"z": 0.0}}}, "grid"),
         # 10^21 random points, drawn one a time, ran until killed
         ("residual", {"random_points": {"n": 10**21}}, "random_points.n"),
+        # b = c*tau is inf or 0: the weights were NaN, or near 1e300, or the
+        # default steps 0
+        ("spectrum", {"pulse": {"c": 1e300, "tau": 1e300}, "waveform": "rational(a=1)"}, "pulse"),
+        ("residual", {"pulse": {"c": 1e-300, "tau": 1e-300}, "waveform": "rational(a=1)"}, "pulse"),
+        # the span 2e308 of the draws overflowed numpy's uniform; the step then
+        # rounds away at points near 1e308
+        ("residual", {"waveform": "rational(a=1)", "random_points": {"n": 3, "extent": 1e308}},
+         "h_values"),
     ])
     def test_exits_2_and_names_the_field(self, tmp_path, capsys, command, cfg, field):
-        rc, out = run(tmp_path, command, cfg, "mistake.out")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc, out = run(tmp_path, command, cfg, "mistake.out")
         assert rc == 2 and not out.exists()
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {field}:") and err.count("\n") == 1
@@ -964,7 +1089,47 @@ class TestShippedConfigs:
             cfg = str(CONFIGS / "energy_conservation.json")
             assert main(["energy", "--config", cfg, "--out", str(out)]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
-        rows = json.loads(outs[0].read_text())["rows"]
+        doc = json.loads(outs[0].read_text())
+        tol, rows = doc["tolerance"], doc["rows"]
         assert [row["t"] for row in rows] == [0.0, 1.0]
         for row in rows:
             assert row["energy"] == pytest.approx(2.0 * math.pi**2, rel=1e-6)
+            # and each row lies within its error_estimate of 2 pi^2, which meets the tolerance
+            err = abs(row["energy"] - 2.0 * math.pi**2)
+            assert err <= row["error_estimate"] <= max(tol * row["energy"], tol)
+
+    def _run(self, tmp_path, name):
+        command, suffix, code = self.RUNS[name]
+        out = tmp_path / f"{name}.{suffix}"
+        assert main([command, "--config", str(CONFIGS / f"{name}.json"), "--out", str(out)]) == code
+        return out
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_outputs_keep_their_layout(self, tmp_path, name):
+        out = self._run(tmp_path, name)
+        (read_json if out.suffix == ".json" else read_csv)(out)
+
+    def test_compare_demo_routes_meet_their_estimates(self, tmp_path):
+        doc = read_json(self._run(tmp_path, "compare_demo"))
+        assert len(doc["rows"]) == 3
+        assert_routes_meet_their_estimates(doc)
+
+    def test_farfield_scan_lies_within_1e_8_of_the_closed_form(self, tmp_path):
+        rows = read_json(self._run(tmp_path, "farfield_scan"))["rows"]
+        assert len(rows) == 9 and max(row["abs_diff"] for row in rows) <= 1e-8
+
+    def test_residual_scan_orders_lie_in_the_acceptance_band(self, tmp_path):
+        # acceptance criterion 3's band [1.8, 2.2]; a NaN fails
+        names, rows = read_csv(self._run(tmp_path, "residual_scan"))
+        assert len(rows) == 60
+        assert all(1.8 <= float(row[names.index("fitted_order")]) <= 2.2 for row in rows)
+
+    def test_binary_snapshot_reads_back_the_csv_bit_for_bit(self, tmp_path):
+        names, rows = read_csv(self._run(tmp_path, "sample_snapshot"))
+        cfg = json.loads((CONFIGS / "sample_snapshot.json").read_text())
+        rc, out = run(tmp_path, "sample", dict(cfg, format="binary"), "snapshot.json")
+        header = read_json(out)
+        data = np.fromfile(tmp_path / header["data_file"], "<c16")
+        assert rc == 0 and len(rows) == data.size == math.prod(header["shape"])
+        cells = np.array([[float(row[names.index(part)]) for part in ("re", "im")] for row in rows])
+        assert np.array_equal(cells.view(np.uint64), data.view("<f8").reshape(-1, 2).view(np.uint64))

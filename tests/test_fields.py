@@ -27,6 +27,7 @@ from unipulse.fields import (
     eval_spherical_reference,
     sample_grid,
 )
+from unipulse.ioformats import fmt_float
 from unipulse.numerics import ToleranceNotReached, complex_sqrt_upper
 from unipulse.waveforms import Waveform
 
@@ -394,6 +395,9 @@ class TestGrid:
         cfg = tmp_path / "wide.json"
         cfg.write_text(json.dumps({"grid": {"axes": [{"name": "z", "min": -1e308, "max": 1e308, "count": 3}]}}))
         assert main(["sample", "--config", str(cfg), "--out", str(tmp_path / "wide.csv")]) == 0
+        rows = [line.split(",") for line in (tmp_path / "wide.csv").read_text().splitlines()[4:]]
+        assert [row[0] for row in rows] == [fmt_float(z) for z in (-1e308, 0.0, 1e308)]
+        assert all(cell == fmt_float(float(cell)) for row in rows for cell in row)
 
     @pytest.mark.parametrize("evaluator", ["simple_pulse", "quasi_spherical"])
     @pytest.mark.parametrize("t", [1e155, -1e155, 1e300, -1e300, 1e308, -1e308])
