@@ -68,7 +68,7 @@ from .fields import (
 )
 from .ioformats import render_json, write_csv, write_text
 from .numerics import ToleranceNotReached
-from .pdecheck import wave_residual
+from .pdecheck import StepRefused, wave_residual
 from .synthesis import (
     reconstruct_cartesian_mc,
     reconstruct_hemisphere,
@@ -139,10 +139,10 @@ def run_compare(cfg: dict, setup, seed: int | None) -> Output:
     bound = get_number(cfg, "max_discrepancy", "", 1e-5, gt=0.0)
     mc_n, mc_seed, mc_sigma = parse_monte_carlo(cfg, seed)
 
-    closed_forms = evaluate_batch(lambda q: eval_quasi_spherical(q, setup.params, setup.waveform),
-                                  SpacetimePoint(*np.array([(p.t, p.x, p.y, p.z) for p in points]).T))
+    closed_forms = evaluate_batch(lambda q: eval_quasi_spherical(q, setup.params, setup.waveform), points)
     rows, worst, mc_misses = [], 0.0, 0
-    for p, closed in zip(points, closed_forms.tolist()):
+    for i, closed in enumerate(closed_forms.tolist()):
+        p = points.node((i,))
         routes = {
             "hemisphere": reconstruct_hemisphere(setup.params, setup.waveform, p, tol),
             **reconstruct_spectral(setup.params, setup.waveform, p, tol),
@@ -168,11 +168,11 @@ def run_compare(cfg: dict, setup, seed: int | None) -> Output:
     if mc_misses:
         failures.append(
             f"Monte-Carlo estimate off the closed form by more than {mc_sigma:g}"
-            f" standard errors at {mc_misses} of {len(points)} point(s)"
+            f" standard errors at {mc_misses} of {len(rows)} point(s)"
         )
     return _report(setup, {"tolerance": tol, "max_discrepancy_bound": bound,
                            "worst_discrepancy": worst, "pass": not failures, "rows": rows},
-                   f"route comparison for {len(points)} point(s)", "; ".join(failures))
+                   f"route comparison for {len(rows)} point(s)", "; ".join(failures))
 
 
 def run_farfield(cfg: dict, setup, seed: int | None) -> Output:
@@ -233,22 +233,12 @@ def run_residual(cfg: dict, setup, seed: int | None) -> Output:
         raise ConfigError("random_points: give points or random_points, not both")
     points = parse_points(cfg) if "points" in cfg else parse_random_points(cfg, b, seed)
 
-    if math.isinf(float(h[0]) / setup.params.c):  # h[0], the largest step, overflows first
-        raise ConfigError(f"h_values: step {float(h[0])!r} overflows h/c at c = {setup.params.c!r}")
-
     # every point (rows) at every step (columns) in one evaluation
-    coords = np.array([(p.t, p.x, p.y, p.z) for p in points]).T[:, :, None]
-    steps = np.stack([h / setup.params.c, h, h, h])[:, None, :]  # t +/- h/c, x, y, z +/- h
-    with np.errstate(over="ignore"):  # a node past the float range is refused below
-        plus, minus = coords + steps, coords - steps
-    rounded = (plus == coords) | (minus == coords)  # the second difference there would be 0
-    lost = rounded | ~(np.isfinite(plus) & np.isfinite(minus))
-    if lost.any():
-        i, j, a = np.argwhere(lost.transpose(1, 2, 0))[0]  # the first by point, step, coordinate
-        why = "rounds away" if rounded[a, i, j] else "leaves the float range"
-        raise ConfigError(f"h_values: step {float(h[j])!r} {why} at point {i}: "
-                          f"{'txyz'[a]} +/- {'h/c' if a == 0 else 'h'} = {float(coords[a, i, 0])!r}")
-    rep = wave_residual(evaluator, SpacetimePoint(*coords), h, setup.params)
+    coords = [v[:, None] for v in (points.t, points.x, points.y, points.z)]
+    try:
+        rep = wave_residual(evaluator, SpacetimePoint(*coords), h, setup.params)
+    except StepRefused as exc:
+        raise ConfigError(f"h_values: {exc}") from exc
     res = rep.residual
     columns = {**dict(zip("txyz", coords)), "h": h,
                "abs_residual": np.hypot(res.real, res.imag),
@@ -257,7 +247,7 @@ def run_residual(cfg: dict, setup, seed: int | None) -> Output:
                "fitted_order": rep.order()[:, None]}
     comments = [pulse_comment(setup.params), f"evaluator: {kind}", f"waveform: {setup.waveform_desc}"]
     return Output(lambda path: write_csv(path, comments, columns), "csv",
-                  f"residuals for {len(points)} point(s)")
+                  f"residuals for {len(points.t)} point(s)")
 
 
 def run_energy(cfg: dict, setup, seed: int | None) -> Output:

@@ -204,40 +204,33 @@ def parse_pulse_setup(cfg: dict) -> PulseSetup:
     return PulseSetup(params, w, desc)
 
 
-def parse_points(cfg: dict) -> list[SpacetimePoint]:
-    """``points``: an array of {t, rho, z} or {t, x, y, z} objects."""
+def parse_points(cfg: dict) -> SpacetimePoint:
+    """``points``: an array of {t, rho, z} or {t, x, y, z} objects, as one
+    SpacetimePoint whose coordinates are (n,) arrays."""
     raw = cfg.get("points")
     if not isinstance(raw, list) or not raw:
         raise ConfigError("points: expected a non-empty array of point objects")
-    points = []
+    rows = []
     for i, item in enumerate(raw):
-        path = f"points[{i}]"
-        if isinstance(item, dict) and "rho" in item:
-            get_block(item, path, {"t", "rho", "z"})
-            points.append(
-                SpacetimePoint.from_cylindrical(
-                    get_number(item, "t", f"{path}.", 0.0),
-                    get_number(item, "rho", f"{path}.", ge=0.0),
-                    get_number(item, "z", f"{path}.", 0.0),
-                )
-            )
-        else:
-            get_block(item, path, {"t", "x", "y", "z"})
-            points.append(SpacetimePoint(*(get_number(item, k, f"{path}.", 0.0) for k in "txyz")))
-    return points
+        keys = ("t", "rho", "z") if isinstance(item, dict) and "rho" in item else ("t", "x", "y", "z")
+        get_block(item, f"points[{i}]", set(keys))
+        row = [get_number(item, k, f"points[{i}].", 0.0, ge=0.0 if k == "rho" else None) for k in keys]
+        rows.append(row[:2] + [0.0] + row[2:] if len(row) == 3 else row)  # rho lies on x
+    return SpacetimePoint(*np.array(rows).T)
 
 
-def parse_random_points(cfg: dict, b: float, seed: int | None = None) -> list[SpacetimePoint]:
+def parse_random_points(cfg: dict, b: float, seed: int | None = None) -> SpacetimePoint:
     """``random_points``: n points drawn uniformly from the 4-cube of
-    half-width ``extent``; ``seed`` overrides the block's seed."""
+    half-width ``extent``, as one SpacetimePoint whose coordinates are the
+    columns of one (n, 4) draw; ``seed`` overrides the block's seed."""
     block = get_block(cfg.get("random_points", {}), "random_points", {"n", "seed", "extent"})
     n = get_int(block, "n", "random_points.", 20, ge=1, le=_MAX_COUNT)
     seed = get_seed(block, "random_points.", 7, seed)
     extent = get_number(block, "extent", "random_points.", 1.2 * b, gt=0.0)
     half = 0.5 if math.isinf(2.0 * extent) else 1.0  # an inf span: draw in the halved cube, doubled
-    rng = np.random.default_rng(seed)
-    draws = rng.uniform(-half * extent, half * extent, (n, 4)) / half
-    return [SpacetimePoint(*row) for row in draws.tolist()]
+    draws = np.random.default_rng(seed).uniform(-half * extent, half * extent, (n, 4))
+    draws /= half
+    return SpacetimePoint(*draws.T)
 
 
 def parse_monte_carlo(cfg: dict, seed: int | None = None) -> tuple[int, int, float]:

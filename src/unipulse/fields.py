@@ -136,20 +136,11 @@ def _root(ct, b, x, y):
 
 
 def eval_simple_pulse(p: SpacetimePoint, params: PulseParams) -> complex:
-    """u = 1 / (S (S - z - i zeta)).
-
-    The denominator can only vanish for non-regular parameter sets
-    (zeta >= b); u is NaN at such nodes.
-    """
+    """u = 1 / (S - z - i zeta) / S, with poles only where zeta >= b: a
+    direct call returns nan+nanj there, under numpy's divide-by-zero
+    warning, and ``evaluate_batch`` raises SingularPoint."""
     s = complex_distance(p, params)
-    # S (S - z - i zeta) in real arithmetic, in the order of Python's complex product, as in _root
-    re, im = s.real - p.z, s.imag - params.zeta
-    denom = np.empty(np.shape(re), complex)
-    np.subtract(s.real * re, s.imag * im, out=denom.real)
-    np.add(s.real * im, s.imag * re, out=denom.imag)
-    u = 1.0 / np.where(abs(denom) < 1e-300, np.nan, denom)
-    return u if np.isfinite(denom).all() else np.where(  # where |S|^2 overflowed, in two steps
-        np.isfinite(denom), u, 1.0 / s / (s - p.z - 1j * params.zeta))[()]
+    return 1.0 / (s - p.z - 1j * params.zeta) / s
 
 
 def eval_quasi_spherical(p: SpacetimePoint, params: PulseParams, w: Waveform) -> complex:

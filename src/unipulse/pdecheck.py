@@ -57,15 +57,18 @@ class ResidualReport:
         if np.any(hs[1:] >= hs[:-1]):
             raise ValueError("step sizes must be strictly decreasing")
         mags = np.abs(self.residual)
-        floored = np.sum(mags <= 10.0 * np.maximum(4.0 * _EPS * self.field_scale, self.rounding), axis=-1)
+        with np.errstate(over="ignore"):  # a floor past the float range floors every residual
+            floored = np.sum(mags <= 10.0 * np.maximum(4.0 * _EPS * self.field_scale, self.rounding), -1)
         x = np.log(hs) - np.log(hs).mean()
         slope = (np.log(np.maximum(mags, 1e-300)) @ x) / (x @ x)
         return np.where(floored >= (hs.size + 1) // 2, np.nan, slope)[()]
 
 
-def wave_residual(
-    evaluator: Evaluator, p: SpacetimePoint, h: float, params: PulseParams
-) -> ResidualReport:
+class StepRefused(ValueError):
+    """A step at which the stencil measures no residual (see ``wave_residual``)."""
+
+
+def wave_residual(evaluator: Evaluator, p: SpacetimePoint, h: float, params: PulseParams) -> ResidualReport:
     """Second-order residual at the points of ``p`` with steps ``h``,
     which broadcast against each other: one evaluator call on every
     point and step times the 9 stencil nodes.
@@ -73,29 +76,52 @@ def wave_residual(
     ``field_scale`` is the magnitude of the largest term entering the
     residual sum (with a rounding-level floor), so the normalized
     residual is O(1) for a non-solution and O(h^2) for a solution.
+    StepRefused names the first step that is not > 0, whose h/c or +/-
+    node leaves the float range, whose node rounds to its centre, or whose
+    h^2 is not a normal float; ValueError, the first whose second
+    differences leave the float range.  Points are numbered row-major.
     """
+    def refuse(bad, why):  # the first such step: in a decreasing ladder, the largest
+        if bad.any():
+            raise StepRefused(f"step {float(h.flat[np.argmax(bad)])!r} {why}")
+
     h = np.asarray(h, dtype=float)
-    if not np.all(h > 0.0):
-        raise ValueError(f"step must be positive, got {h}")
-    hh = h[..., None]
-    stencil = SpacetimePoint(*(np.asarray(v)[..., None] + step * offsets for v, step, offsets
-                               in zip((p.t, p.x, p.y, p.z), (hh / params.c, hh, hh, hh), _STENCIL)))
-    u = evaluate_batch(evaluator, stencil)
-    u0 = u[..., 0]
-    h2 = h * h
-    terms = (u[..., 1::2] - 2.0 * u0[..., None] + u[..., 2::2]) / h2[..., None]
-    residual = terms[..., 0] + terms[..., 1] + terms[..., 2] - terms[..., 3]
-    rounding = 4.0 * _EPS * np.abs(u0) / h2
-    field_scale = np.maximum(np.abs(terms).max(axis=-1), np.maximum(rounding, 1e-300))
+    shape, coords = np.broadcast_shapes(p.shape, h.shape), [np.asarray(v) for v in (p.t, p.x, p.y, p.z)]
+    number = np.broadcast_to(np.arange(np.prod(p.shape, dtype=int)).reshape(p.shape), shape)
+    with np.errstate(over="ignore"):  # refused below
+        dt, h2 = h / params.c, h * h
+        refuse(~(h > 0.0), "is not > 0")
+        refuse(~np.isfinite(dt), f"overflows h/c at c = {params.c!r}")
+        nodes = [v[..., None] + s[..., None] * offsets
+                 for v, s, offsets in zip(coords, (dt, h, h, h), _STENCIL)]
+    lost = np.zeros((*shape, 4), np.int8)  # 1: a +/- node rounds to its centre, 2: one is not finite
+    for a, (v, node, offsets) in enumerate(zip(coords, nodes, _STENCIL)):
+        moved = node[..., offsets != 0]
+        lost[..., a] = np.where(np.isfinite(moved).all(axis=-1), (moved == v[..., None]).any(axis=-1), 2)
+    if lost.any():  # the first by point, step, then coordinate
+        first = np.unravel_index(np.argmax(lost != 0), lost.shape)
+        at, a = first[:-1], first[-1]
+        raise StepRefused(f"step {float(np.broadcast_to(h, shape)[at])!r} "
+                          f"{('rounds away', 'leaves the float range')[lost[first] - 1]} at point "
+                          f"{number[at]}: {'txyz'[a]} +/- {'h/c' if a == 0 else 'h'} = "
+                          f"{float(np.broadcast_to(coords[a], shape)[at])!r}")
+    refuse(~((h2 >= np.finfo(float).tiny) & (h2 < np.inf)), "has h^2 outside the normal float range")
+    u = evaluate_batch(evaluator, SpacetimePoint(*nodes))  # the centre, then the +/- pairs
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        terms = (u[..., 1::2] - 2.0 * u[..., :1] + u[..., 2::2]) / h2[..., None]
+        residual = terms[..., 0] + terms[..., 1] + terms[..., 2] - terms[..., 3]
+        rounding = 4.0 * _EPS * np.abs(u[..., 0]) / h2
+        field_scale = np.maximum(np.abs(terms).max(axis=-1), np.maximum(rounding, 1e-300))
+        lost = ~(np.isfinite(field_scale) & np.isfinite(np.abs(residual)))
+    if lost.any():
+        at = np.unravel_index(np.argmax(lost), lost.shape)
+        raise ValueError(f"the second differences at point {number[at]} with step "
+                         f"{float(np.broadcast_to(h, shape)[at])!r} leave the float range")
     return ResidualReport(h[()], residual[()], field_scale[()], rounding[()])
 
 
-def convergence_order(
-    evaluator: Evaluator,
-    p: SpacetimePoint,
-    h_list: Sequence[float],
-    params: PulseParams,
-) -> float:
+def convergence_order(evaluator: Evaluator, p: SpacetimePoint, h_list: Sequence[float],
+                      params: PulseParams) -> float:
     """Least-squares slope of log |residual| versus log h at the points
     of ``p``, the ladder along a new trailing axis: ``ResidualReport.order``,
     so NaN where the residuals sit at the rounding floor.

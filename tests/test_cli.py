@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -632,9 +633,22 @@ class TestResidualCmd:
     def test_random_points_are_the_per_point_draws(self):
         # one (n, 4) draw reads the generator's stream as n draws of 4 do
         rng = np.random.default_rng(11)
-        expect = [rng.uniform(-2.0, 2.0, 4).tolist() for _ in range(40)]
+        expect = np.array([rng.uniform(-2.0, 2.0, 4) for _ in range(40)])
         points = parse_random_points({"random_points": {"n": 40, "seed": 11, "extent": 2.0}}, 1.0)
-        assert [[p.t, p.x, p.y, p.z] for p in points] == expect
+        assert points.shape == (40,)
+        assert np.stack([points.t, points.x, points.y, points.z], axis=1).tobytes() == expect.tobytes()
+
+    def test_random_points_take_the_memory_of_their_draw(self):
+        # 200,000 points are one (n, 4) draw of 6.4 MB, not an object a point
+        cfg = {"random_points": {"n": 200_000, "seed": 3}}
+        tracemalloc.start()
+        try:
+            points = parse_random_points(cfg, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert points.shape == (200_000,)
+        assert peak <= 2 * 200_000 * 4 * 8
 
     def test_random_points_past_the_largest_array_exit_3(self, tmp_path, capsys):
         # 2^62 points pass the count cap, and numpy refuses their (2^62, 4)
@@ -678,6 +692,33 @@ class TestResidualCmd:
         assert rc == 2 and not out.exists()
         assert capsys.readouterr().err == ("config error: h_values: step 1e+307 leaves the float "
                                            "range at point 1: t +/- h/c = 1.7e+308\n")
+
+    @pytest.mark.parametrize("point, h_values", [
+        ({"t": 0.3, "rho": 0.5, "z": 0.2}, [1e156, 5e155, 2.5e155]),
+        ({"t": 3e-200, "rho": 5e-200, "z": 2e-200}, [1e-200, 5e-201, 2.5e-201]),
+    ], ids=["overflow", "underflow"])
+    def test_step_squared_past_the_normal_range_exits_2(self, tmp_path, capsys, point, h_values):
+        # the residual divides by h^2: an inf h^2 read every residual as 0, a 0 as NaN
+        cfg = {"waveform": "rational(a=1)", "points": [point], "h_values": h_values}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc, out = run(tmp_path, "residual", cfg, "h2.csv")
+        assert rc == 2 and not out.exists()
+        assert capsys.readouterr().err == (f"config error: h_values: step {h_values[0]!r} has h^2 "
+                                           "outside the normal float range\n")
+
+    def test_second_difference_past_the_float_range_exits_3(self, tmp_path, capsys):
+        # b = 1e-150 puts |u| near 1e300 at the origin, and a step of b/10 changes it
+        # by about as much: each second difference over h^2 is near 1e600
+        cfg = {"evaluator": "simple_pulse", "pulse": {"tau": 1e-150},
+               "points": [{"t": 0.0, "rho": 0.0, "z": 0.0}],
+               "h_values": [1e-151, 5e-152, 2.5e-152]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc, out = run(tmp_path, "residual", cfg, "d2.csv")
+        assert rc == 3 and not out.exists()
+        assert capsys.readouterr().err == ("numerical failure: the second differences at point 0 "
+                                           "with step 1e-151 leave the float range\n")
 
     def test_late_rational_pulse_has_no_order(self, tmp_path):
         # at t = 1000 each second difference is its own rounding: exit 0, and

@@ -10,7 +10,7 @@ from unipulse.fields import (
     eval_quasi_spherical,
     eval_simple_pulse,
 )
-from unipulse.pdecheck import convergence_order, wave_residual
+from unipulse.pdecheck import StepRefused, convergence_order, wave_residual
 from unipulse.waveforms import Waveform
 
 POINT = SpacetimePoint(0.3, 0.2, 0.1, -0.4)
@@ -75,8 +75,23 @@ class TestWaveResidual:
                           1e-3, bad)
 
     def test_rejects_bad_step(self, params):
-        with pytest.raises(ValueError):
+        with pytest.raises(StepRefused):
             wave_residual(lambda p: eval_simple_pulse(p, params), POINT, 0.0, params)
+
+    def test_refuses_a_step_below_the_resolution(self, params):
+        # t +/- h/c rounds to t = 1e17: every second difference would be 0
+        ev = lambda p: eval_simple_pulse(p, params)
+        with pytest.raises(StepRefused, match=r"^step 0.004 rounds away at point 0: t \+/- h/c = 1e\+17$"):
+            wave_residual(ev, SpacetimePoint(1e17, 0.5, 0.0, 0.2), 4e-3, params)
+        with pytest.raises(StepRefused, match=r"^step 0.004 rounds away at point 5: "):
+            convergence_order(ev, SpacetimePoint(np.array([0.1] * 5 + [1e17]), 0.5, 0.0, 0.2),
+                              H_LADDER, params)
+
+    def test_second_difference_past_the_float_range_raises(self, params):
+        # finite values whose second difference overflows: u0 = 1e308, u(+/-h) = -1e308
+        ev = lambda p: 1e308 * np.cos(np.pi * p.x) + 0j
+        with pytest.raises(ValueError, match=r"^the second differences at point 0 with step 1.0 "):
+            wave_residual(ev, SpacetimePoint(0.0, 0.0, 0.0, 0.0), 1.0, params)
 
 
 class TestConvergenceOrder:
